@@ -9,6 +9,14 @@ set -eux
 cargo build --release
 cargo test -q --workspace
 
+# System-benchmark gate: sysbench's own tests and its smoke run check
+# every kernel answer against a naive-CSR oracle and the tier's
+# queue_depth/underflow gauges, so a kernel change that breaks answers
+# fails here rather than in a benchmark run. (A package of its own;
+# builds into sysbench/target.)
+cargo test --release --offline --manifest-path sysbench/Cargo.toml
+cargo run --release --offline --manifest-path sysbench/Cargo.toml -- --smoke
+
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.
 cargo fmt --all --check

@@ -9,7 +9,8 @@
 
 use crate::plan::{Plan1d, Plan2d};
 use crate::team::ThreadTeam;
-use sparsemat::CsrMatrix;
+use sparsemat::{ColIdx, CsrMatrix};
+use std::ops::Range;
 
 /// Raw pointer wrapper allowing team lanes to write disjoint,
 /// pre-validated parts of shared output storage.
@@ -17,11 +18,14 @@ use sparsemat::CsrMatrix;
 /// SAFETY invariant (the disjoint-write invariant the kernel trait's
 /// implementations rely on): every lane writes only the elements it
 /// exclusively owns — contiguous row ranges for the 1D kernel
-/// (`Plan1d` ranges partition the rows), fully-owned rows for the 2D
-/// kernel (`own_row_start..own_row_end` are disjoint across spans, an
+/// (`Plan1d` ranges partition the rows), owned rows for the 2D kernel
+/// (`own_row_start..own_row_end` are disjoint across spans, an
 /// invariant established by `Plan2d::new` and checked by its tests),
-/// and per-span output slots indexed by span id for the partial-sum
-/// buffers. Boundary rows are only written after the parallel region.
+/// the rows whose *end* a span consumes for the merge kernel
+/// (`row_start..row_end` chain from span to span), and per-span slots
+/// indexed by span id for the partial-sum buffers. An owned `y[r]` is
+/// stored once, inside the parallel region; rows shared between spans
+/// (2D boundary rows, merge carries) are only combined after it.
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 
 impl<T> Clone for SendPtr<T> {
@@ -45,6 +49,58 @@ impl<T> SendPtr<T> {
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
+/// Dot product of one row segment with `x`: a single accumulator,
+/// left to right — the same sum, in the same order, as
+/// [`CsrMatrix::spmv_dense`]. Walking the two windows in lockstep
+/// leaves the `x` gather as the only bounds check per nonzero. (It
+/// takes the windows, not the matrix and a range: slicing in here
+/// measured 9 % fewer `kernel_grid` operations per second.)
+#[inline(always)]
+pub(crate) fn row_dot(cols: &[ColIdx], vals: &[f64], x: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for (&c, &v) in cols.iter().zip(vals) {
+        sum += v * x[c as usize];
+    }
+    sum
+}
+
+/// The spans lane `lane` of a `lanes`-wide team executes: every
+/// `lanes`-th one, round-robin (a team has at least one lane).
+pub(crate) fn lane_spans<T>(
+    spans: &[T],
+    lane: usize,
+    lanes: usize,
+) -> impl Iterator<Item = (usize, &T)> {
+    spans.iter().enumerate().skip(lane).step_by(lanes)
+}
+
+/// Store `y[r]` for every row of `rows`, entering the first row at
+/// nonzero `lo` (its start, or mid-row for a merge span) and finishing
+/// every row at its end; returns the nonzero index reached. Empty rows
+/// store `0.0`.
+///
+/// # Safety
+///
+/// `y` must point at `a.nrows()` elements, and no other thread may
+/// access the elements of `rows` during the call. (`rows.end <=
+/// a.nrows()` is checked here, by the row-pointer slice.)
+#[inline(always)]
+pub(crate) unsafe fn store_rows(
+    a: &CsrMatrix,
+    rows: Range<usize>,
+    mut lo: usize,
+    x: &[f64],
+    y: SendPtr<f64>,
+) -> usize {
+    let ends = &a.rowptr()[rows.start + 1..=rows.end];
+    for (r, &hi) in rows.zip(ends) {
+        let sum = row_dot(&a.colidx()[lo..hi], &a.values()[lo..hi], x);
+        *y.get().add(r) = sum;
+        lo = hi;
+    }
+    lo
+}
+
 /// 1D parallel SpMV: `y = A x` with rows statically split into equal
 /// contiguous blocks, one per plan span (§3.1), executed on `team`.
 ///
@@ -53,26 +109,14 @@ unsafe impl<T> Sync for SendPtr<T> {}
 pub fn spmv_1d(a: &CsrMatrix, plan: &Plan1d, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
-    let rowptr = a.rowptr();
-    let colidx = a.colidx();
-    let values = a.values();
-    let ranges = &plan.row_ranges;
     let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
 
     team.run(&|lane| {
-        for &(start, end) in ranges.iter().skip(lane).step_by(lanes) {
-            for r in start..end {
-                let lo = rowptr[r];
-                let hi = rowptr[r + 1];
-                let mut sum = 0.0;
-                for k in lo..hi {
-                    sum += values[k] * x[colidx[k] as usize];
-                }
-                // SAFETY: row ranges partition `0..nrows` disjointly
-                // (see `SendPtr`).
-                unsafe { *y_ptr.get().add(r) = sum };
-            }
+        for (_, &(start, end)) in lane_spans(&plan.row_ranges, lane, lanes) {
+            // SAFETY: row ranges partition `0..nrows` disjointly (see
+            // `SendPtr`), and `y` has `nrows` elements (asserted).
+            unsafe { store_rows(a, start..end, a.rowptr()[start], x, y_ptr) };
         }
     });
 }
@@ -80,57 +124,50 @@ pub fn spmv_1d(a: &CsrMatrix, plan: &Plan1d, team: &ThreadTeam, x: &[f64], y: &m
 /// 2D parallel SpMV: `y = A x` with nonzeros statically split into
 /// equal blocks (§3.1), executed on `team`.
 ///
-/// Rows fully inside a span's nonzero range are written directly; rows
-/// straddling a range boundary are accumulated as partial sums and
-/// combined sequentially after the parallel region, avoiding races on
-/// `y` exactly as the paper describes.
+/// A span stores the rows it owns directly — empty rows included, so
+/// together with the boundary rows every `y[r]` is written. Its at most
+/// two boundary rows (a leading one it enters mid-row, a trailing one
+/// it leaves mid-row) become partial sums, combined sequentially in
+/// span order after the parallel region, avoiding races on `y` exactly
+/// as the paper describes.
 pub fn spmv_2d(a: &CsrMatrix, plan: &Plan2d, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
-    let rowptr = a.rowptr();
-    let colidx = a.colidx();
-    let values = a.values();
+    let (colidx, values) = (a.colidx(), a.values());
     let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
 
-    // Partial sums for boundary rows: (row, value) pairs per span,
-    // each slot written only by the lane owning that span.
-    let mut partials: Vec<Vec<(usize, f64)>> = vec![Vec::new(); plan.spans.len()];
+    // `[leading, trailing]` partial sum per span, each slot written only
+    // by the lane owning that span; no slots when no row is shared.
+    let slots = if plan.boundary_rows.is_empty() {
+        0
+    } else {
+        plan.spans.len()
+    };
+    let mut partials = vec![[None::<f64>; 2]; slots];
     let partials_ptr = SendPtr(partials.as_mut_ptr());
 
     team.run(&|lane| {
-        for (idx, span) in plan
-            .spans
-            .iter()
-            .enumerate()
-            .skip(lane)
-            .step_by(lanes.max(1))
-        {
-            if span.is_empty() {
-                continue;
-            }
-            let mut local: Vec<(usize, f64)> = Vec::with_capacity(2);
-            for r in span.row_start..=span.row_end {
-                let lo = rowptr[r].max(span.nnz_start);
-                let hi = rowptr[r + 1].min(span.nnz_end);
-                if lo >= hi {
-                    continue;
-                }
-                let mut sum = 0.0;
-                for k in lo..hi {
-                    sum += values[k] * x[colidx[k] as usize];
-                }
-                if r >= span.own_row_start && r < span.own_row_end {
-                    // Fully owned: direct write. SAFETY: see `SendPtr`.
-                    unsafe { *y_ptr.get().add(r) = sum };
-                } else {
-                    local.push((r, sum));
-                }
-            }
-            if !local.is_empty() {
-                // SAFETY: slot `idx` belongs exclusively to the lane
-                // processing span `idx` (see `SendPtr`).
-                unsafe { *partials_ptr.get().add(idx) = local };
+        for (idx, span) in lane_spans(&plan.spans, lane, lanes) {
+            let mut lo = span.nnz_start;
+            let head = span.head_row().map(|r| {
+                let hi = a.rowptr()[r + 1].min(span.nnz_end);
+                let sum = row_dot(&colidx[lo..hi], &values[lo..hi], x);
+                lo = hi;
+                sum
+            });
+            // SAFETY: owned row ranges are disjoint across spans (see
+            // `SendPtr`), and `y` has `nrows` elements (asserted).
+            lo = unsafe { store_rows(a, span.own_row_start..span.own_row_end, lo, x, y_ptr) };
+            let tail = span.tail_row().map(|_| {
+                let hi = span.nnz_end;
+                row_dot(&colidx[lo..hi], &values[lo..hi], x)
+            });
+            if head.is_some() || tail.is_some() {
+                assert!(idx < slots, "plan lists no boundary rows");
+                // SAFETY: slot `idx` exists (checked) and belongs
+                // exclusively to the lane processing span `idx`.
+                unsafe { *partials_ptr.get().add(idx) = [head, tail] };
             }
         }
     });
@@ -139,16 +176,12 @@ pub fn spmv_2d(a: &CsrMatrix, plan: &Plan2d, team: &ThreadTeam, x: &[f64], y: &m
     for &r in &plan.boundary_rows {
         y[r] = 0.0;
     }
-    for span_partials in &partials {
-        for &(r, v) in span_partials {
-            y[r] += v;
+    for (span, [head, tail]) in plan.spans.iter().zip(&partials) {
+        if let Some(v) = head {
+            y[span.row_start] += v;
         }
-    }
-    // Rows with no nonzeros are skipped by every span (their nnz
-    // ranges are empty); clear them so y is fully defined.
-    for r in 0..a.nrows() {
-        if a.row_nnz(r) == 0 {
-            y[r] = 0.0;
+        if let Some(v) = tail {
+            y[span.row_end] += v;
         }
     }
 }

@@ -8,20 +8,20 @@
 //! even for matrices with huge numbers of empty rows, where the plain
 //! 2D split can still be skewed in row-pointer traffic.
 //!
-//! Implemented here as a third kernel for baseline comparisons; its
-//! results are bit-identical to the other kernels' (same sums, same
-//! order of additions within each row). Like the other kernels it
-//! executes on the persistent [`ThreadTeam`], with spans assigned to
-//! lanes round-robin.
+//! Implemented here as a third kernel for baseline comparisons. All
+//! three kernels sum a row segment left to right with one accumulator
+//! (`exec::row_dot`), so on a one-span plan each equals the sequential
+//! row sum of [`CsrMatrix::spmv_dense`] exactly, and the 1D kernel —
+//! which never splits a row — does at any span count. A row the 2D or
+//! merge kernel splits across spans is a sum of per-span partial sums
+//! and agrees with the sequential sum to rounding only. Like the other
+//! kernels it executes on the persistent [`ThreadTeam`], with spans
+//! assigned to lanes round-robin.
 
-use crate::exec::SendPtr;
+use crate::exec::{lane_spans, row_dot, store_rows, SendPtr};
 use crate::plan::imbalance_factor;
 use crate::team::ThreadTeam;
 use sparsemat::CsrMatrix;
-
-/// Per-span output of the merge kernel: rows finished in this span and
-/// carried partial sums for rows that continue into later spans.
-type SpanOutput = (Vec<(usize, f64)>, Vec<(usize, f64)>);
 
 /// One thread's merge-path coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,69 +122,45 @@ impl PlanMerge {
 }
 
 /// Merge-based parallel SpMV: `y = A x`, executed on `team`.
+///
+/// The diagonals partition the merge items, so each row *end* belongs
+/// to exactly one span: that span stores `y[r]` directly, and a span
+/// leaving its last row unfinished hands the partial sum on as its one
+/// carry, added in span order after the parallel region.
 pub fn spmv_merge(a: &CsrMatrix, plan: &PlanMerge, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
-    let rowptr = a.rowptr();
-    let colidx = a.colidx();
-    let values = a.values();
+    let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
 
-    // Each span produces (finished rows, carried partial row) into its
-    // exclusively-owned output slot; slots are reduced sequentially
-    // afterwards.
-    let mut results: Vec<SpanOutput> = vec![(Vec::new(), Vec::new()); plan.spans.len()];
-    let results_ptr = SendPtr(results.as_mut_ptr());
+    // One carry slot per span but the last (which ends the last row),
+    // each written only by the lane owning that span.
+    let mut carries = vec![None::<f64>; plan.spans.len().saturating_sub(1)];
+    let slots = carries.len();
+    let carries_ptr = SendPtr(carries.as_mut_ptr());
 
     team.run(&|lane| {
-        for (idx, span) in plan
-            .spans
-            .iter()
-            .enumerate()
-            .skip(lane)
-            .step_by(lanes.max(1))
-        {
-            let mut finished: Vec<(usize, f64)> = Vec::new();
-            let mut carry: Vec<(usize, f64)> = Vec::new();
-            let mut k = span.nnz_start;
-            // Consume rows [row_start, row_end): each such row END
-            // belongs to this span, so the row's remaining nonzeros
-            // complete here.
-            for r in span.row_start..span.row_end {
-                let hi = rowptr[r + 1];
-                let mut sum = 0.0;
-                while k < hi {
-                    sum += values[k] * x[colidx[k] as usize];
-                    k += 1;
-                }
-                finished.push((r, sum));
-            }
+        for (idx, span) in lane_spans(&plan.spans, lane, lanes) {
+            // SAFETY: each row end lies in exactly one span (see
+            // `SendPtr`), and `y` has `nrows` elements (asserted).
+            let lo =
+                unsafe { store_rows(a, span.row_start..span.row_end, span.nnz_start, x, y_ptr) };
             // Trailing partial row (its end belongs to a later span).
-            if k < span.nnz_end {
-                let r = span.row_end;
-                let mut sum = 0.0;
-                while k < span.nnz_end {
-                    sum += values[k] * x[colidx[k] as usize];
-                    k += 1;
-                }
-                carry.push((r, sum));
+            let hi = span.nnz_end;
+            if lo < hi {
+                let sum = row_dot(&a.colidx()[lo..hi], &a.values()[lo..hi], x);
+                assert!(idx < slots, "the last span cannot carry");
+                // SAFETY: slot `idx` exists (checked) and belongs
+                // exclusively to the lane processing span `idx`.
+                unsafe { *carries_ptr.get().add(idx) = Some(sum) };
             }
-            // SAFETY: slot `idx` belongs exclusively to the lane
-            // processing span `idx` (see `SendPtr`).
-            unsafe { *results_ptr.get().add(idx) = (finished, carry) };
         }
     });
 
-    // Sequential reduction: finished rows overwrite, carries accumulate.
-    y.fill(0.0);
-    for (finished, _) in &results {
-        for &(r, v) in finished {
-            y[r] += v;
-        }
-    }
-    for (_, carry) in &results {
-        for &(r, v) in carry {
-            y[r] += v;
+    // Sequential reduction: carries accumulate onto the finished part.
+    for (span, carry) in plan.spans.iter().zip(&carries) {
+        if let Some(v) = carry {
+            y[span.row_end] += v;
         }
     }
 }

@@ -74,9 +74,12 @@ pub struct ThreadSpan {
     pub row_start: usize,
     /// Row containing `nnz_end - 1` (inclusive bound).
     pub row_end: usize,
-    /// First row fully owned by this thread (written directly).
+    /// First row owned by this thread (written directly): every row
+    /// whose nonzeros all lie in the span, plus the empty rows between
+    /// the previous span's last row and `row_start`.
     pub own_row_start: usize,
-    /// One past the last fully owned row.
+    /// One past the last owned row (the last span also owns the empty
+    /// rows after the final nonzero).
     pub own_row_end: usize,
 }
 
@@ -85,17 +88,33 @@ impl ThreadSpan {
     pub fn is_empty(&self) -> bool {
         self.nnz_start >= self.nnz_end
     }
+
+    /// The leading boundary row: `row_start`, when the span enters it
+    /// mid-row.
+    pub(crate) fn head_row(&self) -> Option<usize> {
+        (self.own_row_start > self.row_start).then_some(self.row_start)
+    }
+
+    /// The trailing boundary row: `row_end`, when the span leaves it
+    /// mid-row and it is not already the leading one (a span inside a
+    /// single row has one partial sum, not two).
+    pub(crate) fn tail_row(&self) -> Option<usize> {
+        (self.own_row_end <= self.row_end && !self.is_empty()).then_some(self.row_end)
+    }
 }
 
 /// Static 2D plan: equal contiguous nonzero blocks, one per thread,
 /// with boundary rows (shared between adjacent threads) resolved by a
 /// sequential partial-sum fixup.
+///
+/// Every row is either owned by exactly one span or a boundary row, so
+/// the kernel needs no pass over the rows to define all of `y`.
 #[derive(Debug, Clone)]
 pub struct Plan2d {
     /// Per-thread spans.
     pub spans: Vec<ThreadSpan>,
-    /// Rows partially covered by at least one thread; zeroed before the
-    /// fixup accumulates partial sums into them.
+    /// Rows partially covered by at least one thread, ascending; zeroed
+    /// before the fixup accumulates partial sums into them.
     pub boundary_rows: Vec<usize>,
 }
 
@@ -104,85 +123,73 @@ impl Plan2d {
     ///
     /// Like [`Plan1d::new`], the thread count is clamped to the
     /// effective parallelism (at most one thread per nonzero), so no
-    /// empty spans are emitted for oversubscribed requests.
+    /// empty spans are emitted for oversubscribed requests; a matrix
+    /// without nonzeros gets one empty span owning every row.
     pub fn new(a: &CsrMatrix, nthreads: usize) -> Plan2d {
-        let t = nthreads.max(1).min(a.nnz().max(1));
         let k = a.nnz();
         let n = a.nrows();
-        let rowptr = a.rowptr();
-        let mut spans = Vec::with_capacity(t);
-        for i in 0..t {
-            let nnz_start = k * i / t;
-            let nnz_end = k * (i + 1) / t;
-            if nnz_start >= nnz_end {
-                spans.push(ThreadSpan {
-                    nnz_start,
-                    nnz_end: nnz_start,
+        if k == 0 {
+            return Plan2d {
+                spans: vec![ThreadSpan {
+                    nnz_start: 0,
+                    nnz_end: 0,
                     row_start: 0,
                     row_end: 0,
                     own_row_start: 0,
-                    own_row_end: 0,
-                });
-                continue;
-            }
-            // Row containing nnz_start: the last r with rowptr[r] <= nnz_start.
-            let row_start = match rowptr.binary_search(&nnz_start) {
-                Ok(mut r) => {
-                    // Skip empty rows that share this pointer value.
-                    while r + 1 < rowptr.len() && rowptr[r + 1] == nnz_start {
-                        r += 1;
-                    }
-                    r.min(n - 1)
-                }
-                Err(ins) => ins - 1,
+                    own_row_end: n,
+                }],
+                boundary_rows: Vec::new(),
             };
-            let last_nnz = nnz_end - 1;
-            let row_end = match rowptr.binary_search(&last_nnz) {
-                Ok(mut r) => {
-                    while r + 1 < rowptr.len() && rowptr[r + 1] == last_nnz {
-                        r += 1;
-                    }
-                    r.min(n - 1)
-                }
-                Err(ins) => ins - 1,
-            };
+        }
+        let t = nthreads.max(1).min(k);
+        let rowptr = a.rowptr();
+        // The (non-empty) row holding nonzero `i`: the last `r` with
+        // `rowptr[r] <= i`.
+        let row_of = |i: usize| rowptr.partition_point(|&p| p <= i) - 1;
+        let mut spans = Vec::with_capacity(t);
+        let mut boundary_rows: Vec<usize> = Vec::new();
+        // One past the last row any earlier span reaches.
+        let mut reached = 0;
+        for i in 0..t {
+            let nnz_start = k * i / t;
+            let nnz_end = k * (i + 1) / t;
+            let row_start = row_of(nnz_start);
+            let row_end = row_of(nnz_end - 1);
+            // A span starting on a row start also takes the empty rows
+            // skipped since the previous span (which then ended on a
+            // row end, at `reached`).
             let own_row_start = if rowptr[row_start] == nnz_start {
-                row_start
+                reached
             } else {
                 row_start + 1
             };
-            let own_row_end = if rowptr[row_end + 1] == nnz_end {
+            let own_row_end = if i + 1 == t {
+                n
+            } else if rowptr[row_end + 1] == nnz_end {
                 row_end + 1
             } else {
                 row_end
             };
-            spans.push(ThreadSpan {
+            let span = ThreadSpan {
                 nnz_start,
                 nnz_end,
                 row_start,
                 row_end,
                 own_row_start,
                 own_row_end: own_row_end.max(own_row_start),
-            });
+            };
+            // Spans ascend, so a shared row can only repeat the last.
+            for r in [span.head_row(), span.tail_row()].into_iter().flatten() {
+                if boundary_rows.last() != Some(&r) {
+                    boundary_rows.push(r);
+                }
+            }
+            spans.push(span);
+            reached = row_end + 1;
         }
-        // Boundary rows: touched rows not fully owned by their thread.
-        let mut boundary: Vec<usize> = Vec::new();
-        for s in &spans {
-            if s.is_empty() {
-                continue;
-            }
-            for r in s.row_start..s.own_row_start.min(s.row_end + 1) {
-                boundary.push(r);
-            }
-            for r in s.own_row_end.max(s.row_start)..=s.row_end {
-                boundary.push(r);
-            }
-        }
-        boundary.sort_unstable();
-        boundary.dedup();
         Plan2d {
             spans,
-            boundary_rows: boundary,
+            boundary_rows,
         }
     }
 
@@ -306,46 +313,41 @@ mod tests {
 
     #[test]
     fn plan2d_span_invariants() {
-        let a = matrix_with_row_nnz(&[3, 7, 2, 9, 1, 4, 6]); // 32 nnz
-        for t in 1..=8 {
-            let p = Plan2d::new(&a, t);
+        // Dense-ish rows, then empty rows before the first, between
+        // spans' row ranges and after the last nonzero, then none.
+        for counts in [
+            vec![3, 7, 2, 9, 1, 4, 6],
+            vec![0, 0, 4, 0, 0, 4, 0, 9, 0, 0],
+            vec![0; 5],
+        ] {
+            let a = matrix_with_row_nnz(&counts);
             let rowptr = a.rowptr();
-            for s in &p.spans {
-                if s.is_empty() {
-                    continue;
+            for t in 1..=8 {
+                let p = Plan2d::new(&a, t);
+                for s in p.spans.iter().filter(|s| !s.is_empty()) {
+                    // nnz range within the row range.
+                    assert!(rowptr[s.row_start] <= s.nnz_start);
+                    assert!(rowptr[s.row_end + 1] >= s.nnz_end);
+                    // Owned rows fully inside the nnz range.
+                    for r in s.own_row_start..s.own_row_end {
+                        assert!(rowptr[r] >= s.nnz_start);
+                        assert!(rowptr[r + 1] <= s.nnz_end);
+                    }
                 }
-                // nnz range within the row range.
-                assert!(rowptr[s.row_start] <= s.nnz_start);
-                assert!(rowptr[s.row_end + 1] >= s.nnz_end);
-                // Owned rows fully inside the nnz range.
-                for r in s.own_row_start..s.own_row_end {
-                    assert!(rowptr[r] >= s.nnz_start);
-                    assert!(rowptr[r + 1] <= s.nnz_end);
+                // Every row is owned by exactly one span or is a
+                // boundary row, never both: the kernel relies on this
+                // to define all of `y` without a pass over the rows.
+                let mut owners = vec![0usize; a.nrows()];
+                for s in &p.spans {
+                    for r in s.own_row_start..s.own_row_end {
+                        owners[r] += 1;
+                    }
                 }
-            }
-            // Owned rows are disjoint across threads.
-            let mut owned: Vec<usize> = Vec::new();
-            for s in &p.spans {
-                for r in s.own_row_start..s.own_row_end {
-                    owned.push(r);
+                for (r, &n) in owners.iter().enumerate() {
+                    let boundary = p.boundary_rows.contains(&r);
+                    assert_eq!(n + boundary as usize, 1, "{counts:?} t={t}: row {r}");
                 }
-            }
-            let mut sorted = owned.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), owned.len(), "t={t}: owned rows overlap");
-            // Every row is either owned or boundary.
-            for r in 0..a.nrows() {
-                let in_owned = owned.contains(&r);
-                let in_boundary = p.boundary_rows.contains(&r);
-                assert!(
-                    in_owned || in_boundary || a.row_nnz(r) == 0,
-                    "t={t}: row {r} unassigned"
-                );
-                assert!(
-                    !(in_owned && in_boundary),
-                    "t={t}: row {r} both owned and boundary"
-                );
+                assert!(p.boundary_rows.windows(2).all(|w| w[0] < w[1]));
             }
         }
     }

@@ -77,16 +77,16 @@ pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> (Vec<f6
     } else {
         None
     };
-    let precond = |r: &[f64]| -> Vec<f64> {
-        match &inv_diag {
-            Some(di) => r.iter().zip(di).map(|(&x, &m)| x * m).collect(),
-            None => r.to_vec(),
-        }
+    // `z = M⁻¹ r` into the one buffer every iteration reuses.
+    let precond = |r: &[f64], z: &mut [f64]| match &inv_diag {
+        Some(di) => (z.iter_mut().zip(r).zip(di)).for_each(|((z, &x), &m)| *z = x * m),
+        None => z.copy_from_slice(r),
     };
 
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
-    let mut z = precond(&r);
+    let mut z = vec![0.0; n];
+    precond(&r, &mut z);
     let mut p = z.clone();
     let mut ap = vec![0.0; n];
     let mut rz = dot(&r, &z);
@@ -116,7 +116,7 @@ pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> (Vec<f6
             stats.converged = true;
             break;
         }
-        z = precond(&r);
+        precond(&r, &mut z);
         let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;

@@ -1,0 +1,107 @@
+//! `Kernel::execute` must not touch the heap on a one-span plan, and
+//! may allocate at most one O(spans) partial-sum buffer otherwise —
+//! asserted with a counting global allocator (ROADMAP item 2).
+//!
+//! One `#[test]` only: the counters are process-wide, so a second test
+//! running beside it would be counted too.
+
+use sparsemat::{CooMatrix, CsrMatrix};
+use spmv::{KernelKind, Plan2d, ThreadTeam};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: defers every request to `System` unchanged; the counters are
+// statistics and publish nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes)` requested by any thread while `f` ran.
+fn counted(f: impl FnOnce()) -> (usize, usize) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    f();
+    (
+        ALLOCS.load(Ordering::Relaxed) - before.0,
+        BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
+/// Rows of 3..=9 nonzeros with an empty row every eleventh: no equal
+/// nonzero split of it ends every span on a row end.
+fn ragged(n: usize) -> Arc<CsrMatrix> {
+    let mut coo = CooMatrix::new(n, n);
+    for i in (0..n).filter(|i| i % 11 != 10) {
+        for j in 0..3 + i % 7 {
+            coo.push(i, (i * 5 + j * 13) % n, 1.0 + (j as f64) * 0.25);
+        }
+    }
+    Arc::new(CsrMatrix::from_coo(&coo))
+}
+
+#[test]
+fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
+    let a = ragged(300);
+    let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).sin()).collect();
+    let want = a.spmv_dense(&x);
+    let mut y = vec![f64::NAN; a.nrows()];
+
+    let solo = ThreadTeam::new(1);
+    for kind in KernelKind::all() {
+        let kernel = kind.plan(&a, 1);
+        let (allocs, _) = counted(|| kernel.execute(&solo, &x, &mut y));
+        assert_eq!(allocs, 0, "{kind}: one-span execute touched the heap");
+        assert_eq!(y, want, "{kind}");
+    }
+
+    for spans in [4usize, 8] {
+        assert!(
+            !Plan2d::new(&a, spans).boundary_rows.is_empty(),
+            "the {spans}-span case must share rows between spans"
+        );
+        // Inline on the caller, and dispatched to a matching team: the
+        // workers' side of a dispatch must not allocate either (their
+        // start-up may, hence the uncounted first call).
+        for lanes in [1, spans] {
+            let team = ThreadTeam::new(lanes);
+            for kind in KernelKind::all() {
+                let kernel = kind.plan(&a, spans);
+                assert_eq!(kernel.num_threads(), spans);
+                kernel.execute(&team, &x, &mut y);
+                y.fill(f64::NAN);
+                let (allocs, bytes) = counted(|| kernel.execute(&team, &x, &mut y));
+                assert!(
+                    allocs <= 1,
+                    "{kind} x{spans} on {lanes}: {allocs} allocations"
+                );
+                assert!(bytes <= 32 * spans, "{kind} x{spans} on {lanes}: {bytes} B");
+                for (got, want) in y.iter().zip(&want) {
+                    assert!((got - want).abs() < 1e-12 * (1.0 + want.abs()));
+                }
+            }
+        }
+    }
+}

@@ -21,25 +21,33 @@ fn matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
         })
 }
 
-/// Assert all three kernels match `spmv_dense` on `a` for each thread
-/// count, running through the unified trait on a matching team.
-fn assert_kernels_match(a: &Arc<CsrMatrix>, threads: &[usize]) {
+/// Assert all three kernels match `spmv_dense` on `a` for each
+/// `(plan threads, team size)` pair, running through the unified trait
+/// into a NaN-filled `y` (so an unwritten row fails). Where the
+/// kernels promise the sequential left-to-right row sum — the 1D
+/// kernel always, every kernel on a one-span plan — the match must be
+/// exact; a row split across spans may differ by rounding.
+fn assert_kernels_match(a: &Arc<CsrMatrix>, sizes: &[(usize, usize)]) {
     let x: Vec<f64> = (0..a.ncols())
         .map(|i| ((i * 31 % 17) as f64) - 8.0)
         .collect();
     let want = a.spmv_dense(&x);
-    for &t in threads {
-        let team = ThreadTeam::new(t);
+    for &(t, team_size) in sizes {
+        let team = ThreadTeam::new(team_size);
         for kind in KernelKind::all() {
             let kernel = kind.plan(a, t);
             let mut y = vec![f64::NAN; a.nrows()];
             kernel.execute(&team, &x, &mut y);
+            if kind == KernelKind::OneD || kernel.num_threads() == 1 {
+                assert_eq!(y, want, "{kind} plan={t} team={team_size}: not exact");
+            }
             for i in 0..a.nrows() {
                 assert!(
                     (y[i] - want[i]).abs() < 1e-9 * (1.0 + want[i].abs()),
-                    "{} t={} row {}: {} vs {}",
+                    "{} plan={} team={} row {}: {} vs {}",
                     kind,
                     t,
+                    team_size,
                     i,
                     y[i],
                     want[i]
@@ -47,6 +55,11 @@ fn assert_kernels_match(a: &Arc<CsrMatrix>, threads: &[usize]) {
             }
         }
     }
+}
+
+/// Matching plan and team sizes for each thread count.
+fn matched(threads: &[usize]) -> Vec<(usize, usize)> {
+    threads.iter().map(|&t| (t, t)).collect()
 }
 
 proptest! {
@@ -58,7 +71,7 @@ proptest! {
     #[test]
     fn kernels_match_reference(a in matrix_strategy()) {
         let threads = [1, 3, host_threads(), a.nrows() + 1];
-        assert_kernels_match(&Arc::new(a), &threads);
+        assert_kernels_match(&Arc::new(a), &matched(&threads));
     }
 
     #[test]
@@ -119,6 +132,43 @@ fn kernels_match_reference_on_edge_matrices() {
 
     for a in [&empty, &single_row, &sparse_rows] {
         let threads = [1, 3, host_threads(), a.nrows() + 1];
-        assert_kernels_match(a, &threads);
+        assert_kernels_match(a, &matched(&threads));
+    }
+}
+
+/// The shapes a store-each-row-once kernel can get wrong, at every
+/// plan size 1..=8 on a matching and on a mismatched team: empty rows
+/// no span's nonzeros reach (before the first, between two spans' row
+/// ranges, after the last nonzero), one row straddling three or more
+/// spans, and more threads than nonzeros.
+#[test]
+fn kernels_define_every_row_on_pinned_shapes() {
+    fn with_row_nnz(counts: &[usize]) -> Arc<CsrMatrix> {
+        let ncols = counts.iter().copied().max().unwrap_or(0).max(1);
+        let mut coo = CooMatrix::new(counts.len(), ncols);
+        for (i, &c) in counts.iter().enumerate() {
+            for j in 0..c {
+                coo.push(i, j, ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.9);
+            }
+        }
+        Arc::new(CsrMatrix::from_coo(&coo))
+    }
+    let sizes: Vec<(usize, usize)> = (1..=8)
+        .flat_map(|t| [(t, t), (t, if t == 3 { 2 } else { 3 })])
+        .collect();
+    for counts in [
+        // Equal rows: 2, 3, 4 and 6 spans all end on row ends, with
+        // empty rows between them, before the first and after the last.
+        vec![0, 0, 4, 0, 0, 4, 0, 4, 0, 0, 4, 0, 4, 0, 0, 0, 4, 0, 0],
+        // Uneven rows: spans begin and end mid-row next to empty rows.
+        vec![0, 5, 0, 0, 3, 0, 7, 0, 0, 0, 2, 0],
+        // One row straddling up to eight spans.
+        vec![1, 0, 60, 0, 1],
+        vec![0, 33, 0],
+        // More threads than nonzeros.
+        vec![1, 0, 1],
+        vec![0, 0, 1, 0],
+    ] {
+        assert_kernels_match(&with_row_nnz(&counts), &sizes);
     }
 }
