@@ -2,25 +2,25 @@
 //! worker pool.
 
 use crate::cache::{CacheStats, CachedOrdering, OrderingCache, OrderingKey};
-use crate::plans::{PlanCache, PlanCacheStats, PlanKey};
+use crate::lru::{CacheMetrics, LruCache};
+use crate::plans::{PlanCacheStats, PlanKey, PLAN_CACHE_CAPACITY};
 use crate::pool::{spawn_pool, InFlight, Job, JobTrace, PoolMetrics, WorkerContext};
 use crate::AlgoSpec;
 use sparsemat::CsrMatrix;
 use spmv::{Kernel, KernelKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use telemetry::trace::{FlightRecorder, TraceCtx, TraceSpan};
+use telemetry::trace::{TraceCtx, TraceSpan};
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-/// How many (request id → trace id) pairs the engine remembers for
-/// [`Engine::trace_summary`]. Old sampled requests age out of the
-/// index alongside their events aging out of the rings.
-const TRACED_INDEX_CAP: usize = 128;
+/// [`EngineConfig::cache_capacity`]'s default, and the bound the
+/// policy layer puts on its per-matrix state so that it forgets a
+/// matrix no sooner than the ordering cache does.
+pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -36,13 +36,8 @@ pub struct EngineConfig {
     /// Bounded job-queue capacity; submissions past this block (back-
     /// pressure).
     pub queue_capacity: usize,
-    /// Total in-memory cache capacity, in entries.
+    /// In-memory ordering-cache capacity, in entries.
     pub cache_capacity: usize,
-    /// Cache shard count (lock striping).
-    pub cache_shards: usize,
-    /// Capacity of the planned-kernel cache, in entries (one per
-    /// distinct (matrix, kernel, thread count)).
-    pub plan_cache_capacity: usize,
     /// Optional directory for cross-process permutation persistence
     /// (the paper's amortisation argument across artifact binaries).
     pub persist_dir: Option<PathBuf>,
@@ -51,13 +46,6 @@ pub struct EngineConfig {
     /// [`Registry::global`]; tests that assert exact counts pass a
     /// private registry.
     pub registry: Option<Arc<Registry>>,
-    /// Flight recorder for request-scoped tracing. `None` disables
-    /// tracing entirely (the submit path pays nothing).
-    pub recorder: Option<Arc<FlightRecorder>>,
-    /// Sample stride for tracing: request `n` is traced when
-    /// `(n - 1) % trace_sample_every == 0`. `0` traces nothing (even
-    /// with a recorder attached); `1` traces every request.
-    pub trace_sample_every: u64,
     /// Labels stamped on every metric series this engine resolves
     /// (`engine.*`). Several engines sharing one registry — the serving
     /// tier runs one per shard — pass e.g. `[("shard", "2")]` so their
@@ -77,13 +65,9 @@ impl Default for EngineConfig {
             workers,
             reorder_threads: 1,
             queue_capacity: 256,
-            cache_capacity: 4096,
-            cache_shards: 8,
-            plan_cache_capacity: 256,
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
             persist_dir: None,
             registry: None,
-            recorder: None,
-            trace_sample_every: 0,
             metric_labels: Vec::new(),
         }
     }
@@ -215,11 +199,10 @@ pub struct SubmitOptions {
     /// same in-flight computation extend its deadline to the latest
     /// one; `None` means unbounded.
     pub deadline: Option<Instant>,
-    /// Parent trace context. When it is recording, the request's
-    /// `engine.request` span opens under it (the caller owns sampling;
-    /// the engine's own stride is bypassed for this request) and the
-    /// request is registered in the trace index, so
-    /// [`Engine::trace_summary`] resolves it as usual.
+    /// Parent trace context — the whole of engine tracing: when it is
+    /// recording, the request's `engine.request` span and every stage
+    /// below it open under it. The caller owns the recorder and the
+    /// sampling decision.
     pub trace: TraceCtx,
 }
 
@@ -234,12 +217,11 @@ impl Default for SubmitOptions {
 
 /// A pending (or already satisfied) reordering request.
 ///
-/// For sampled requests the ticket carries the request's root
+/// For traced requests the ticket carries the request's
 /// `engine.request` span: it ends when the ticket is waited on (or
 /// dropped), so the span covers the full submit-to-result interval.
 pub struct Ticket {
     inner: TicketInner,
-    request_id: u64,
     root: TraceSpan,
 }
 
@@ -251,7 +233,7 @@ enum TicketInner {
 impl Ticket {
     /// Block until the ordering is available.
     pub fn wait(self) -> Result<Arc<CachedOrdering>, EngineError> {
-        let Ticket { inner, root, .. } = self;
+        let Ticket { inner, root } = self;
         match inner {
             TicketInner::Ready(r) => r,
             TicketInner::Pending(slot) => {
@@ -268,14 +250,8 @@ impl Ticket {
         matches!(self.inner, TicketInner::Ready(_))
     }
 
-    /// The engine-assigned request ID (1-based submission order); pass
-    /// it to [`Engine::trace_summary`] / [`Engine::trace_chrome_json`].
-    pub fn request_id(&self) -> u64 {
-        self.request_id
-    }
-
     /// A trace context parented at this request's root span (disabled
-    /// unless the request was sampled). Stages that happen outside the
+    /// unless the request was traced). Stages that happen outside the
     /// engine — applying the ordering, measuring SpMV — record under
     /// the request with this handle.
     pub fn trace_ctx(&self) -> TraceCtx {
@@ -298,19 +274,13 @@ impl Ticket {
 /// ```
 pub struct Engine {
     cache: Arc<OrderingCache>,
-    plans: PlanCache,
+    plans: LruCache<PlanKey, Arc<dyn Kernel>>,
     inflight: Arc<Mutex<HashMap<OrderingKey, Arc<InFlight>>>>,
     registry: Arc<Registry>,
     reorder_team: Arc<team::ThreadTeam>,
     metrics: EngineMetrics,
     tx: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    recorder: Option<Arc<FlightRecorder>>,
-    sample_every: u64,
-    /// Monotonic request IDs (1-based).
-    next_request: AtomicU64,
-    /// Recent sampled requests: (request id, trace id), oldest first.
-    traced: Mutex<VecDeque<(u64, u64)>>,
 }
 
 /// The facade's registry metrics, resolved once at construction.
@@ -356,17 +326,16 @@ impl Engine {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let mut cache = OrderingCache::new_labeled_in(
+        let cache = Arc::new(OrderingCache::new(
             &registry,
             config.cache_capacity,
-            config.cache_shards,
             &labels,
+            config.persist_dir,
+        ));
+        let plans = LruCache::new(
+            PLAN_CACHE_CAPACITY,
+            CacheMetrics::new(&registry, "engine.plans", &labels),
         );
-        if let Some(dir) = &config.persist_dir {
-            cache = cache.with_persist_dir(dir);
-        }
-        let cache = Arc::new(cache);
-        let plans = PlanCache::new_labeled_in(&registry, config.plan_cache_capacity, &labels);
         let inflight = Arc::new(Mutex::new(HashMap::new()));
         let pool_metrics = PoolMetrics::new_labeled(&registry, &labels);
         let metrics = EngineMetrics {
@@ -405,10 +374,6 @@ impl Engine {
             metrics,
             tx: Some(tx),
             workers,
-            recorder: config.recorder,
-            sample_every: config.trace_sample_every,
-            next_request: AtomicU64::new(0),
-            traced: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -459,12 +424,8 @@ impl Engine {
             .registry
             .span_on("engine.submit", &self.metrics.submit_span);
         self.metrics.submitted.inc();
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed) + 1;
-        let root = if opts.trace.is_recording() {
-            self.start_request_trace_under(request_id, algo, &opts.trace)
-        } else {
-            self.start_request_trace(request_id, algo)
-        };
+        let mut root = opts.trace.span("engine.request");
+        root.arg("algo", algo.name());
         let key = OrderingKey::new(matrix.content_hash(), algo);
 
         {
@@ -474,7 +435,6 @@ impl Engine {
                 drop(lookup);
                 return Ticket {
                     inner: TicketInner::Ready(Ok(v)),
-                    request_id,
                     root,
                 };
             }
@@ -493,18 +453,17 @@ impl Engine {
                 root.ctx().instant("engine.coalesced");
                 return Ticket {
                     inner: TicketInner::Pending(Arc::clone(existing)),
-                    request_id,
                     root,
                 };
             }
             // The computation may have completed between the cache
             // probe and taking this lock (workers remove the key only
             // *after* inserting into the cache), so re-probe while
-            // holding the lock to avoid a needless recompute.
-            if let Some(v) = self.cache.get_uncounted(&key) {
+            // holding the lock to avoid a needless recompute — memory
+            // only: every other submitter is waiting on this lock.
+            if let Some(v) = self.cache.peek_counting_hit(&key) {
                 return Ticket {
                     inner: TicketInner::Ready(Ok(v)),
-                    request_id,
                     root,
                 };
             }
@@ -542,58 +501,8 @@ impl Engine {
         }
         Ticket {
             inner: TicketInner::Pending(slot),
-            request_id,
             root,
         }
-    }
-
-    /// Open the root `engine.request` span when `request_id` falls on
-    /// the sample stride; a disabled span otherwise. Sampled requests
-    /// are remembered in the bounded (request → trace) index that backs
-    /// [`Engine::trace_summary`].
-    fn start_request_trace(&self, request_id: u64, algo: AlgoSpec) -> TraceSpan {
-        let Some(recorder) = &self.recorder else {
-            return TraceSpan::disabled();
-        };
-        if self.sample_every == 0 || !(request_id - 1).is_multiple_of(self.sample_every) {
-            return TraceSpan::disabled();
-        }
-        let ctx = recorder.start_trace();
-        let Some(trace_id) = ctx.trace_id() else {
-            return TraceSpan::disabled();
-        };
-        let mut root = ctx.span("engine.request");
-        root.arg("request", request_id);
-        root.arg("algo", algo.name());
-        self.remember_trace(request_id, trace_id);
-        root
-    }
-
-    /// Open the root `engine.request` span under a caller-supplied
-    /// recording context (the serving tier samples upstream and hands
-    /// the engine its request context). The request still lands in the
-    /// trace index so summaries resolve by request ID.
-    fn start_request_trace_under(
-        &self,
-        request_id: u64,
-        algo: AlgoSpec,
-        ctx: &TraceCtx,
-    ) -> TraceSpan {
-        let mut root = ctx.span("engine.request");
-        root.arg("request", request_id);
-        root.arg("algo", algo.name());
-        if let Some(trace_id) = ctx.trace_id() {
-            self.remember_trace(request_id, trace_id);
-        }
-        root
-    }
-
-    fn remember_trace(&self, request_id: u64, trace_id: u64) {
-        let mut traced = self.traced.lock().unwrap();
-        if traced.len() >= TRACED_INDEX_CAP {
-            traced.pop_front();
-        }
-        traced.push_back((request_id, trace_id));
     }
 
     /// Submit a batch; tickets come back in request order.
@@ -632,8 +541,14 @@ impl Engine {
     ) -> Arc<dyn Kernel> {
         let mut span = ctx.span("engine.plan");
         span.arg("kernel", kernel.name());
-        let key = PlanKey::new(matrix.content_hash(), kernel, nthreads);
-        let (planned, hit) = self.plans.get_or_plan_with_status(key, matrix.matrix());
+        let key = PlanKey {
+            matrix_hash: matrix.content_hash(),
+            kernel,
+            nthreads,
+        };
+        let (planned, hit) = self
+            .plans
+            .get_or_insert_with(key, || kernel.plan(matrix.matrix(), nthreads));
         span.arg("outcome", if hit { "hit" } else { "miss" });
         planned
     }
@@ -647,43 +562,6 @@ impl Engine {
         self.submit(matrix, algo).wait()
     }
 
-    /// The flight recorder tracing sampled requests, if configured.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The trace ID a sampled request recorded under, if it was
-    /// sampled and is still in the bounded trace index.
-    pub fn trace_id_for(&self, request_id: u64) -> Option<u64> {
-        self.traced
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|(r, _)| *r == request_id)
-            .map(|(_, t)| *t)
-    }
-
-    /// Plain-text stage breakdown for a sampled request: per-stage
-    /// counts and durations, worker compute imbalance, drop count.
-    /// `None` if the request was not sampled (or its events aged out).
-    pub fn trace_summary(&self, request_id: u64) -> Option<String> {
-        self.request_trace(request_id).map(|snap| snap.summary())
-    }
-
-    /// Chrome-trace/Perfetto JSON for a sampled request. `None` if the
-    /// request was not sampled (or its events aged out).
-    pub fn trace_chrome_json(&self, request_id: u64) -> Option<String> {
-        self.request_trace(request_id)
-            .map(|snap| snap.to_chrome_json())
-    }
-
-    fn request_trace(&self, request_id: u64) -> Option<telemetry::TraceSnapshot> {
-        let recorder = self.recorder.as_ref()?;
-        let trace_id = self.trace_id_for(request_id)?;
-        let snap = recorder.snapshot().filter_trace(trace_id);
-        (!snap.is_empty()).then_some(snap)
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
@@ -694,7 +572,11 @@ impl Engine {
             expired: self.metrics.expired.get(),
             compute_seconds: self.metrics.compute_ns.get() as f64 / 1e9,
             submitted: self.metrics.submitted.get(),
-            plans: self.plans.stats(),
+            plans: PlanCacheStats {
+                hits: self.plans.metrics().hits.get(),
+                misses: self.plans.metrics().misses.get(),
+                evictions: self.plans.metrics().evictions.get(),
+            },
             delta_hits: self.metrics.delta_hits.get(),
             delta_splices: self.metrics.delta_splices.get(),
         }
@@ -722,30 +604,37 @@ mod tests {
             reorder_threads: 2,
             queue_capacity: 8,
             cache_capacity: 64,
-            cache_shards: 2,
-            plan_cache_capacity: 16,
             persist_dir: None,
             registry: Some(telemetry::Registry::new_arc()),
-            recorder: None,
-            trace_sample_every: 0,
             metric_labels: Vec::new(),
         })
     }
 
-    fn traced_engine(sample_every: u64) -> Engine {
-        Engine::new(EngineConfig {
-            workers: 2,
-            reorder_threads: 2,
-            queue_capacity: 8,
-            cache_capacity: 64,
-            cache_shards: 2,
-            plan_cache_capacity: 16,
-            persist_dir: None,
-            registry: Some(telemetry::Registry::new_arc()),
-            recorder: Some(telemetry::FlightRecorder::new(8192)),
-            trace_sample_every: sample_every,
-            metric_labels: Vec::new(),
-        })
+    /// A caller-owned recording trace, as the serving tier supplies.
+    struct Traced {
+        recorder: Arc<telemetry::FlightRecorder>,
+        ctx: TraceCtx,
+    }
+
+    impl Traced {
+        fn new() -> Traced {
+            let recorder = telemetry::FlightRecorder::new(8192);
+            let ctx = recorder.start_trace();
+            Traced { recorder, ctx }
+        }
+
+        fn opts(&self) -> SubmitOptions {
+            SubmitOptions {
+                deadline: None,
+                trace: self.ctx.clone(),
+            }
+        }
+
+        fn snapshot(&self) -> telemetry::TraceSnapshot {
+            self.recorder
+                .snapshot()
+                .filter_trace(self.ctx.trace_id().unwrap())
+        }
     }
 
     fn mesh() -> MatrixHandle {
@@ -852,16 +741,14 @@ mod tests {
     #[test]
     fn traced_request_records_every_pipeline_stage() {
         use telemetry::trace::EventKind;
-        let engine = traced_engine(1);
+        let engine = small_engine();
+        let traced = Traced::new();
         let m = mesh();
-        let ticket = engine.submit(&m, AlgoSpec::Rcm);
-        let request_id = ticket.request_id();
-        assert_eq!(request_id, 1);
+        let ticket = engine.submit_opts(&m, AlgoSpec::Rcm, traced.opts());
         let plan_ctx = ticket.trace_ctx();
         ticket.wait().unwrap();
         let _planned = engine.plan_traced(&m, KernelKind::OneD, 2, &plan_ctx);
-        let trace_id = engine.trace_id_for(request_id).expect("request sampled");
-        let snap = engine.recorder().unwrap().snapshot().filter_trace(trace_id);
+        let snap = traced.snapshot();
         let names: Vec<&str> = snap
             .events()
             .filter(|e| e.kind == EventKind::Begin || e.kind == EventKind::Instant)
@@ -888,43 +775,19 @@ mod tests {
             .find(|e| e.name == "engine.reorder" && e.kind == EventKind::Begin)
             .unwrap();
         assert_eq!(reorder.parent_id, root_id);
-        assert_eq!(reorder.trace_id, trace_id);
-        // And the human-readable summary resolves by request ID.
-        let summary = engine.trace_summary(request_id).unwrap();
-        assert!(summary.contains("engine.reorder"), "{summary}");
-        let json = engine.trace_chrome_json(request_id).unwrap();
-        assert!(json.contains("\"engine.queue.wait\""), "{json}");
-    }
-
-    #[test]
-    fn sample_stride_traces_only_matching_requests() {
-        let engine = traced_engine(2);
-        let m = mesh();
-        // Requests 1..=4 over distinct algorithms (no cache hits):
-        // stride 2 samples requests 1 and 3.
-        for algo in [
-            AlgoSpec::Rcm,
-            AlgoSpec::Amd,
-            AlgoSpec::Gray,
-            AlgoSpec::Original,
-        ] {
-            engine.get(&m, algo).unwrap();
-        }
-        assert!(engine.trace_id_for(1).is_some());
-        assert!(engine.trace_id_for(2).is_none());
-        assert!(engine.trace_id_for(3).is_some());
-        assert!(engine.trace_id_for(4).is_none());
-        assert!(engine.trace_summary(2).is_none());
     }
 
     #[test]
     fn cache_hit_trace_has_lookup_but_no_queue_span() {
-        let engine = traced_engine(1);
+        let engine = small_engine();
         let m = mesh();
-        engine.get(&m, AlgoSpec::Rcm).unwrap(); // request 1: miss
-        engine.get(&m, AlgoSpec::Rcm).unwrap(); // request 2: hit
-        let trace_id = engine.trace_id_for(2).unwrap();
-        let snap = engine.recorder().unwrap().snapshot().filter_trace(trace_id);
+        engine.get(&m, AlgoSpec::Rcm).unwrap(); // untraced miss
+        let traced = Traced::new();
+        engine
+            .submit_opts(&m, AlgoSpec::Rcm, traced.opts())
+            .wait()
+            .unwrap(); // traced hit
+        let snap = traced.snapshot();
         let names: Vec<&str> = snap.events().map(|e| e.name).collect();
         assert!(names.contains(&"engine.cache.lookup"));
         assert!(
@@ -942,22 +805,19 @@ mod tests {
     }
 
     #[test]
-    fn untraced_engine_records_nothing_and_has_no_summaries() {
+    fn untraced_request_hands_out_a_disabled_context() {
         let engine = small_engine();
         let m = mesh();
         let ticket = engine.submit(&m, AlgoSpec::Rcm);
         assert!(!ticket.trace_ctx().is_recording());
-        let id = ticket.request_id();
         ticket.wait().unwrap();
-        assert!(engine.recorder().is_none());
-        assert!(engine.trace_summary(id).is_none());
-        assert!(engine.trace_chrome_json(id).is_none());
     }
 
     #[test]
     fn expired_request_never_reaches_reorder() {
         use telemetry::trace::EventKind;
-        let engine = traced_engine(1);
+        let engine = small_engine();
+        let traced = Traced::new();
         let m = mesh();
         // A deadline already in the past: the worker must cancel the
         // job at dequeue, before any reorder work.
@@ -966,10 +826,9 @@ mod tests {
             AlgoSpec::Rcm,
             SubmitOptions {
                 deadline: Some(Instant::now()),
-                trace: telemetry::TraceCtx::disabled(),
+                ..traced.opts()
             },
         );
-        let request_id = ticket.request_id();
         assert!(matches!(ticket.wait(), Err(EngineError::Expired)));
         let s = engine.stats();
         assert_eq!(s.expired, 1);
@@ -977,8 +836,7 @@ mod tests {
         assert_eq!(s.jobs_failed, 0, "expiry is not a compute failure");
         // The flight recorder confirms it: the trace has the expiry
         // marker and no reorder span at all.
-        let trace_id = engine.trace_id_for(request_id).expect("request sampled");
-        let snap = engine.recorder().unwrap().snapshot().filter_trace(trace_id);
+        let snap = traced.snapshot();
         let names: Vec<&str> = snap.events().map(|e| e.name).collect();
         assert!(
             !names.contains(&"engine.reorder"),
@@ -996,10 +854,9 @@ mod tests {
     #[test]
     fn external_trace_context_parents_the_request() {
         use telemetry::trace::EventKind;
-        let engine = traced_engine(0); // engine's own sampling off
-        let recorder = telemetry::FlightRecorder::new(4096);
-        let ctx = recorder.start_trace();
-        let outer = ctx.span("tier.execute");
+        let engine = small_engine();
+        let traced = Traced::new();
+        let outer = traced.ctx.span("tier.execute");
         let m = mesh();
         let ticket = engine.submit_opts(
             &m,
@@ -1009,12 +866,9 @@ mod tests {
                 trace: outer.ctx(),
             },
         );
-        let request_id = ticket.request_id();
         ticket.wait().unwrap();
         drop(outer);
-        let trace_id = ctx.trace_id().unwrap();
-        assert_eq!(engine.trace_id_for(request_id), Some(trace_id));
-        let snap = recorder.snapshot().filter_trace(trace_id);
+        let snap = traced.snapshot();
         let outer_id = snap
             .events()
             .find(|e| e.name == "tier.execute")
@@ -1036,12 +890,8 @@ mod tests {
                 reorder_threads: 1,
                 queue_capacity: 8,
                 cache_capacity: 64,
-                cache_shards: 2,
-                plan_cache_capacity: 16,
                 persist_dir: None,
                 registry: Some(Arc::clone(&registry)),
-                recorder: None,
-                trace_sample_every: 0,
                 metric_labels: vec![("shard".to_string(), shard.to_string())],
             })
         };
@@ -1076,7 +926,7 @@ mod tests {
     #[test]
     fn delta_descendant_splices_from_cached_parent() {
         use telemetry::trace::EventKind;
-        let engine = traced_engine(1);
+        let engine = small_engine();
         // Three disjoint paths: components {0..4}, {5..9}, {10..14}.
         let mut coo = sparsemat::CooMatrix::new(15, 15);
         for i in 0..15 {
@@ -1100,7 +950,11 @@ mod tests {
             ])
             .unwrap();
         let child = MatrixHandle::from_matrix(mutated.clone());
-        let spliced = engine.get(&child, AlgoSpec::Rcm).unwrap();
+        let traced = Traced::new();
+        let spliced = engine
+            .submit_opts(&child, AlgoSpec::Rcm, traced.opts())
+            .wait()
+            .unwrap();
 
         // Byte-identical to a from-scratch compute on the mutated matrix.
         let fresh = reorder::ReorderAlgorithm::compute(&reorder::Rcm::default(), &mutated).unwrap();
@@ -1125,10 +979,10 @@ mod tests {
 
         // The splice stage lands in the request's trace, under
         // engine.reorder.
-        let trace_id = engine.trace_id_for(2).expect("request sampled");
-        let snap = engine.recorder().unwrap().snapshot().filter_trace(trace_id);
         assert!(
-            snap.events()
+            traced
+                .snapshot()
+                .events()
                 .any(|e| e.name == "reorder.splice" && e.kind == EventKind::Begin),
             "reorder.splice missing from delta request trace"
         );

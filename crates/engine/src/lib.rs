@@ -8,12 +8,13 @@
 //! workspace's one-shot pipeline into that serving subsystem, in three
 //! layers:
 //!
-//! 1. **Content-addressed cache** ([`OrderingCache`]): keys are
+//! 1. **Content-addressed cache** (`cache`): keys are
 //!    `CsrMatrix::content_hash()` (a stable 128-bit content address
 //!    over the canonical CSR form) plus the parameterised algorithm
-//!    ([`AlgoSpec`]); values are permutations. Sharded in-memory LRU
-//!    with hit/miss/eviction counters and optional disk persistence,
-//!    so separate experiment processes share one computation.
+//!    ([`AlgoSpec`]); values are permutations. An in-memory
+//!    [`LruCache`] — the one exact-LRU mechanism every cache in the
+//!    workspace is an instance of — with optional disk persistence, so
+//!    separate experiment processes share one computation.
 //! 2. **Worker pool** (`pool`): a fixed set of `std::thread` workers
 //!    consuming a bounded job queue, with request deduplication —
 //!    concurrent requests for the same key coalesce onto one in-flight
@@ -25,13 +26,10 @@
 //!    this API, and `experiments --bin serve` replays a Zipf request
 //!    trace against it.
 //!
-//! With a flight recorder attached ([`EngineConfig::recorder`] +
-//! [`EngineConfig::trace_sample_every`]), sampled requests record a
-//! request-scoped trace across all three layers — cache lookup, queue
-//! wait, reorder compute, plan build — retrievable as a plain-text
-//! stage breakdown ([`Engine::trace_summary`]) or Chrome-trace JSON
-//! ([`Engine::trace_chrome_json`]), and extendable past the engine via
-//! [`Ticket::trace_ctx`].
+//! Tracing is the caller's: a request submitted with a recording
+//! parent context ([`SubmitOptions::trace`]) records cache lookup,
+//! queue wait, reorder compute and plan build under it, extendable
+//! past the engine via [`Ticket::trace_ctx`].
 //!
 //! ```
 //! use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
@@ -56,13 +54,15 @@
 mod algo;
 mod cache;
 mod engine;
+mod lru;
 mod plans;
 mod pool;
 
 pub use algo::AlgoSpec;
-pub use cache::{CacheStats, CachedOrdering, OrderingCache, OrderingKey};
+pub use cache::{CacheStats, CachedOrdering};
 pub use engine::{
     Engine, EngineConfig, EngineError, EngineStats, MatrixHandle, SubmitOptions, Ticket,
+    DEFAULT_CACHE_CAPACITY,
 };
-pub use plans::{PlanCache, PlanCacheStats, PlanKey};
-pub use pool::InFlight;
+pub use lru::{CacheMetrics, LruCache, LruMap};
+pub use plans::PlanCacheStats;

@@ -1,5 +1,6 @@
-//! The plan cache: planned SpMV kernels keyed by
-//! `(matrix content hash, kernel kind, thread count)`.
+//! The plan cache's key and stats: planned SpMV kernels are cached by
+//! `(matrix content hash, kernel kind, thread count)` in an
+//! [`LruCache`](crate::LruCache) reporting `engine.plans.*`.
 //!
 //! Sitting next to the ordering cache, this closes the second
 //! amortisation loop of the serving story: a reordering is computed
@@ -9,15 +10,15 @@
 //! hold the matrix by `Arc` (see [`spmv::Kernel::matrix`]), so handing
 //! a plan out shares the payload instead of cloning it.
 
-use sparsemat::CsrMatrix;
-use spmv::{Kernel, KernelKind};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
-use telemetry::{Counter, Gauge, Registry};
+use spmv::KernelKind;
+
+/// Entries the plan cache holds: one per distinct (matrix, kernel,
+/// thread count) recently planned.
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Cache key for a planned kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
+pub(crate) struct PlanKey {
     /// `CsrMatrix::content_hash()` of the matrix the plan was built for.
     pub matrix_hash: u128,
     /// Kernel family.
@@ -25,37 +26,6 @@ pub struct PlanKey {
     /// Requested thread count (the plan's effective count may be
     /// lower; the requested value keys the cache so lookups are exact).
     pub nthreads: usize,
-}
-
-impl PlanKey {
-    pub fn new(matrix_hash: u128, kernel: KernelKind, nthreads: usize) -> Self {
-        PlanKey {
-            matrix_hash,
-            kernel,
-            nthreads,
-        }
-    }
-}
-
-/// The cache's registry metrics (`engine.plans.*`), resolved once at
-/// construction so the hot path only touches atomics.
-#[derive(Debug)]
-struct PlanMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    resident: Arc<Gauge>,
-}
-
-impl PlanMetrics {
-    fn new(registry: &Registry, labels: &[(&str, &str)]) -> Self {
-        PlanMetrics {
-            hits: registry.counter_labeled("engine.plans.hits", labels),
-            misses: registry.counter_labeled("engine.plans.misses", labels),
-            evictions: registry.counter_labeled("engine.plans.evictions", labels),
-            resident: registry.gauge_labeled("engine.plans.resident", labels),
-        }
-    }
 }
 
 /// Point-in-time plan-cache counters.
@@ -67,168 +37,4 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Plans evicted by the LRU policy.
     pub evictions: u64,
-}
-
-struct PlanShardState {
-    map: HashMap<PlanKey, (Arc<dyn Kernel>, u64)>,
-    recency: BTreeMap<u64, PlanKey>,
-    tick: u64,
-}
-
-/// Exact-LRU cache of planned kernels.
-pub struct PlanCache {
-    state: Mutex<PlanShardState>,
-    capacity: usize,
-    metrics: PlanMetrics,
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("capacity", &self.capacity)
-            .finish()
-    }
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` plans (clamped to ≥ 1),
-    /// reporting `engine.plans.*` into `registry`.
-    pub fn new_in(registry: &Registry, capacity: usize) -> PlanCache {
-        PlanCache::new_labeled_in(registry, capacity, &[])
-    }
-
-    /// Like [`PlanCache::new_in`] with `labels` on every series (one
-    /// plan cache per serving-tier shard shares the tier's registry).
-    pub fn new_labeled_in(
-        registry: &Registry,
-        capacity: usize,
-        labels: &[(&str, &str)],
-    ) -> PlanCache {
-        PlanCache {
-            state: Mutex::new(PlanShardState {
-                map: HashMap::new(),
-                recency: BTreeMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
-            metrics: PlanMetrics::new(registry, labels),
-        }
-    }
-
-    /// Fetch the plan for `key`, building it from `matrix` on a miss.
-    /// The returned kernel shares `matrix`'s storage by `Arc`.
-    pub fn get_or_plan(&self, key: PlanKey, matrix: &Arc<CsrMatrix>) -> Arc<dyn Kernel> {
-        self.get_or_plan_with_status(key, matrix).0
-    }
-
-    /// Like [`PlanCache::get_or_plan`], also reporting whether the plan
-    /// was served from cache (`true`) or built (`false`) — tracing
-    /// wants the outcome without a second counter read.
-    pub fn get_or_plan_with_status(
-        &self,
-        key: PlanKey,
-        matrix: &Arc<CsrMatrix>,
-    ) -> (Arc<dyn Kernel>, bool) {
-        let mut s = self.state.lock().unwrap();
-        s.tick += 1;
-        let tick = s.tick;
-        if let Some((kernel, stamp)) = s.map.get_mut(&key) {
-            let kernel = Arc::clone(kernel);
-            let old = std::mem::replace(stamp, tick);
-            s.recency.remove(&old);
-            s.recency.insert(tick, key);
-            self.metrics.hits.inc();
-            return (kernel, true);
-        }
-        self.metrics.misses.inc();
-        // Planning is O(nnz) at worst but lock-held build keeps the
-        // cache simple; plans are tiny compared to reorderings and the
-        // engine's worker pool never calls in here.
-        let kernel = key.kernel.plan(matrix, key.nthreads);
-        s.map.insert(key, (Arc::clone(&kernel), tick));
-        s.recency.insert(tick, key);
-        self.metrics.resident.set(s.map.len() as i64);
-        while s.map.len() > self.capacity {
-            let (&old_tick, &old_key) = s.recency.iter().next().expect("recency mirrors map");
-            s.recency.remove(&old_tick);
-            s.map.remove(&old_key);
-            self.metrics.evictions.inc();
-            self.metrics.resident.set(s.map.len() as i64);
-        }
-        (kernel, false)
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.metrics.hits.get(),
-            misses: self.metrics.misses.get(),
-            evictions: self.metrics.evictions.get(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn mesh_arc(n: usize) -> Arc<CsrMatrix> {
-        Arc::new(corpus::mesh2d(n, n))
-    }
-
-    fn cache(capacity: usize) -> PlanCache {
-        PlanCache::new_in(&telemetry::Registry::new_arc(), capacity)
-    }
-
-    #[test]
-    fn second_lookup_is_a_hit_sharing_the_plan() {
-        let c = cache(8);
-        let a = mesh_arc(10);
-        let key = PlanKey::new(a.content_hash(), KernelKind::TwoD, 4);
-        let first = c.get_or_plan(key, &a);
-        let second = c.get_or_plan(key, &a);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "hit must return the cached Arc"
-        );
-        assert!(
-            Arc::ptr_eq(first.matrix(), &a),
-            "payload is shared, not cloned"
-        );
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn distinct_kinds_and_thread_counts_are_distinct_plans() {
-        let c = cache(16);
-        let a = mesh_arc(8);
-        let h = a.content_hash();
-        for kind in KernelKind::all() {
-            for t in [1, 2, 4] {
-                c.get_or_plan(PlanKey::new(h, kind, t), &a);
-            }
-        }
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (0, 9));
-    }
-
-    #[test]
-    fn lru_evicts_the_coldest_plan() {
-        let c = cache(2);
-        let a = mesh_arc(6);
-        let h = a.content_hash();
-        let k1 = PlanKey::new(h, KernelKind::OneD, 1);
-        let k2 = PlanKey::new(h, KernelKind::OneD, 2);
-        let k3 = PlanKey::new(h, KernelKind::OneD, 3);
-        c.get_or_plan(k1, &a);
-        c.get_or_plan(k2, &a);
-        c.get_or_plan(k1, &a); // refresh k1: k2 is now coldest
-        c.get_or_plan(k3, &a); // evicts k2
-        assert_eq!(c.stats().evictions, 1);
-        c.get_or_plan(k1, &a); // still resident
-        assert_eq!(c.stats().hits, 2);
-        c.get_or_plan(k2, &a); // rebuilt
-        assert_eq!(c.stats().misses, 4);
-    }
 }

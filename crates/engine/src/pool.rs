@@ -14,7 +14,7 @@
 //! [`reorder::timed_permutation_on`] with the engine's shared reorder
 //! team, so per-algorithm compute histograms (`reorder.rcm`, ...) and
 //! throughput gauges (`reorder.rcm.nnz_per_s`) accumulate in the same
-//! registry, and sampled jobs record `reorder.symmetrize` /
+//! registry, and traced jobs record `reorder.symmetrize` /
 //! `reorder.levels` sub-stage spans under their `engine.reorder` span.
 
 use crate::cache::{CachedOrdering, OrderingKey};
@@ -27,7 +27,7 @@ use std::time::Instant;
 use telemetry::trace::{TraceCtx, TraceSpan};
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-/// Trace propagation for a sampled request's job: the request's
+/// Trace propagation for a traced request's job: the request's
 /// context plus the enqueue instant, so the worker can backdate the
 /// `engine.queue.wait` span to cover the time the job sat in the
 /// channel.
@@ -41,7 +41,7 @@ pub(crate) struct Job {
     pub key: OrderingKey,
     pub matrix: Arc<CsrMatrix>,
     pub slot: Arc<InFlight>,
-    /// Present only for sampled (traced) requests.
+    /// Present only for traced requests.
     pub trace: Option<JobTrace>,
 }
 
@@ -49,7 +49,7 @@ pub(crate) struct Job {
 /// enqueues the job; every later requester for the same key blocks on
 /// the same slot and receives the shared result.
 #[derive(Debug)]
-pub struct InFlight {
+pub(crate) struct InFlight {
     state: Mutex<Option<Result<Arc<CachedOrdering>, EngineError>>>,
     cv: Condvar,
     /// Effective deadline for the computation: the latest deadline over
@@ -85,7 +85,7 @@ impl InFlight {
     }
 
     /// Block until the computation completes.
-    pub fn wait(&self) -> Result<Arc<CachedOrdering>, EngineError> {
+    pub(crate) fn wait(&self) -> Result<Arc<CachedOrdering>, EngineError> {
         let mut guard = self.state.lock().unwrap();
         while guard.is_none() {
             guard = self.cv.wait(guard).unwrap();

@@ -14,8 +14,6 @@ fn concurrent_requests_coalesce_to_one_computation() {
         workers: 1,
         queue_capacity: 4,
         cache_capacity: 16,
-        cache_shards: 1,
-        plan_cache_capacity: 16,
         persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
@@ -63,8 +61,6 @@ fn parallel_batch_over_distinct_keys() {
         workers: 4,
         queue_capacity: 8, // smaller than the batch: exercises back-pressure
         cache_capacity: 256,
-        cache_shards: 4,
-        plan_cache_capacity: 16,
         persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
@@ -106,8 +102,6 @@ fn tiny_cache_recomputes_after_eviction() {
         workers: 2,
         queue_capacity: 8,
         cache_capacity: 2,
-        cache_shards: 1,
-        plan_cache_capacity: 16,
         persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()

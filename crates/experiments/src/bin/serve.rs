@@ -327,7 +327,7 @@ struct ClientTally {
 }
 
 /// The downstream stage of one sampled request: re-apply the served
-/// ordering, plan and measure SpMV under the request's trace, attach
+/// ordering and measure SpMV under the request's trace, attach
 /// the [`archsim`] cost model's verdict on the layout as span
 /// arguments, and write the request's Chrome-trace JSON and text
 /// summary into `dir`.
@@ -375,12 +375,9 @@ fn trace_spmv_and_dump(
     span.arg("model_imbalance", sim.imbalance);
     span.arg("model_x_hit_rate", x_hit);
 
-    // Plan through the engine's plan cache (records `engine.plan`),
-    // then measure on the persistent team (records `spmv.measure` plus
-    // one dispatch/compute/park timeline lane per worker).
+    // Measure on the persistent team (records `spmv.measure` plus one
+    // dispatch/compute/park timeline lane per worker).
     let nthreads = host_threads().clamp(2, 4);
-    let reordered_handle = MatrixHandle::new(Arc::clone(&reordered));
-    let _plan = engine.plan_traced(&reordered_handle, kernel, nthreads, &span.ctx());
     let mcfg = MeasureConfig {
         repetitions: 4,
         warmup: 1,

@@ -6,10 +6,9 @@
 //! The ledger is the policy layer's ground truth — the predictor only
 //! seeds decisions until enough observations land here.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use engine::AlgoSpec;
+use engine::{AlgoSpec, LruMap};
 use telemetry::Registry;
 
 /// Running mean of observed per-SpMV service seconds for one
@@ -41,43 +40,117 @@ struct Entry {
     /// and would poison the steady-state mean the policy compares.
     warmup_dropped: bool,
     observed: Observed,
+    /// The policy's last empirical verdict for this key (true =
+    /// serving reordered), kept for hysteresis; `None` until one forms
+    /// and again after [`AmortizationLedger::reset_observed`].
+    verdict: Option<bool>,
 }
 
-/// Thread-safe ledger keyed by (`content_hash`, algorithm).
+impl Entry {
+    /// What this paid ordering has netted against `baseline`, the
+    /// `Original` entry of the same matrix: `count · (baseline_mean −
+    /// mean) − paid_cost`.
+    fn net_saved(&self, baseline: Option<&Entry>) -> f64 {
+        let saved = match (
+            baseline.and_then(|b| b.observed.mean()),
+            self.observed.mean(),
+        ) {
+            (Some(base), Some(mine)) => self.observed.count as f64 * (base - mine),
+            _ => 0.0,
+        };
+        saved - self.paid_reorder_seconds
+    }
+}
+
+type Key = (u128, AlgoSpec);
+
+/// The entries, and the totals that outlive them.
+struct State {
+    /// Bounded: every `apply_delta` mints a new content hash, so a
+    /// tier with a mutator sees keys without end. A matrix's
+    /// `Original` entry is touched after each touch of a sibling, so
+    /// it is evicted after them and a sibling's eviction always finds
+    /// its baseline.
+    entries: LruMap<Key, Entry>,
+    /// Cumulative reorder seconds paid, evicted keys included.
+    paid_seconds: f64,
+    /// [`Entry::net_saved`] of evicted paid orderings, as of eviction.
+    evicted_net_seconds: f64,
+}
+
+impl State {
+    /// Run `f` on the entry for `key` (created empty if absent), making
+    /// it the most recently used.
+    fn with_entry<R>(&mut self, key: Key, f: impl FnOnce(&mut Entry) -> R) -> R {
+        let baseline = (key.0, AlgoSpec::Original);
+        let result = match self.entries.get_mut(&key) {
+            Some(entry) => f(entry),
+            None => {
+                let mut entry = Entry::default();
+                let result = f(&mut entry);
+                if let Some((old_key, old)) = self.entries.insert(key, entry) {
+                    if old.reorder_paid && old_key.1 != AlgoSpec::Original {
+                        let base = self.entries.peek(&(old_key.0, AlgoSpec::Original));
+                        self.evicted_net_seconds += old.net_saved(base);
+                    }
+                }
+                result
+            }
+        };
+        if key != baseline {
+            self.entries.get_mut(&baseline);
+        }
+        result
+    }
+}
+
+/// Thread-safe ledger keyed by (`content_hash`, algorithm), holding at
+/// most `capacity` keys; the least recently written is forgotten, its
+/// paid and saved seconds folded into the running totals.
 ///
 /// Telemetry (all under `policy.ledger.*`): `keys` gauge (distinct
-/// ledger keys), `paid_us` gauge (cumulative reorder cost paid),
-/// `net_saved_us` gauge (estimated SpMV seconds saved minus cost,
-/// refreshed by [`AmortizationLedger::net_saved_seconds`]).
+/// resident ledger keys), `paid_us` gauge (cumulative reorder cost
+/// paid), `net_saved_us` gauge (estimated SpMV seconds saved minus
+/// cost, refreshed by [`AmortizationLedger::net_saved_seconds`]).
 pub struct AmortizationLedger {
-    entries: Mutex<HashMap<(u128, AlgoSpec), Entry>>,
+    state: Mutex<State>,
     registry: Arc<Registry>,
 }
 
 impl AmortizationLedger {
-    /// A new empty ledger publishing into `registry`.
-    pub fn new(registry: Arc<Registry>) -> Self {
+    /// A new empty ledger of at most `capacity` keys publishing into
+    /// `registry`.
+    pub fn new(registry: Arc<Registry>, capacity: usize) -> Self {
         AmortizationLedger {
-            entries: Mutex::new(HashMap::new()),
+            state: Mutex::new(State {
+                entries: LruMap::new(capacity),
+                paid_seconds: 0.0,
+                evicted_net_seconds: 0.0,
+            }),
             registry,
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("no code path panics while holding the ledger lock")
     }
 
     /// Count one request for (hash, algo) and return the new total.
     /// The count drives the deterministic probe schedule.
     pub fn note_request(&self, hash: u128, algo: AlgoSpec) -> u64 {
-        let mut entries = self.entries.lock().unwrap();
-        let entry = entries.entry((hash, algo)).or_default();
-        entry.requests += 1;
-        entry.requests
+        self.state().with_entry((hash, algo), |entry| {
+            entry.requests += 1;
+            entry.requests
+        })
     }
 
     /// Requests seen so far for (hash, algo).
     pub fn requests(&self, hash: u128, algo: AlgoSpec) -> u64 {
-        self.entries
-            .lock()
-            .unwrap()
-            .get(&(hash, algo))
+        self.state()
+            .entries
+            .peek(&(hash, algo))
             .map_or(0, |e| e.requests)
     }
 
@@ -87,15 +160,19 @@ impl AmortizationLedger {
     /// double-bill the policy). Returns `true` on first payment.
     pub fn record_reorder_paid(&self, hash: u128, algo: AlgoSpec, seconds: f64) -> bool {
         let first = {
-            let mut entries = self.entries.lock().unwrap();
-            let entry = entries.entry((hash, algo)).or_default();
-            if entry.reorder_paid {
-                false
-            } else {
-                entry.reorder_paid = true;
-                entry.paid_reorder_seconds = seconds;
-                true
+            let mut state = self.state();
+            let first = state.with_entry((hash, algo), |entry| {
+                let first = !entry.reorder_paid;
+                if first {
+                    entry.reorder_paid = true;
+                    entry.paid_reorder_seconds = seconds;
+                }
+                first
+            });
+            if first {
+                state.paid_seconds += seconds;
             }
+            first
         };
         if first {
             self.registry.counter("policy.ledger.reorders_paid").inc();
@@ -109,61 +186,71 @@ impl AmortizationLedger {
     /// matrix, cold plan — the same reasoning as `MeasureConfig`'s
     /// warm-up iterations); steady-state samples accumulate.
     pub fn record_spmv(&self, hash: u128, algo: AlgoSpec, seconds: f64) {
-        let mut entries = self.entries.lock().unwrap();
-        let entry = entries.entry((hash, algo)).or_default();
-        if !entry.warmup_dropped {
-            entry.warmup_dropped = true;
-            return;
-        }
-        entry.observed.count += 1;
-        entry.observed.total_seconds += seconds;
+        self.state().with_entry((hash, algo), |entry| {
+            if !entry.warmup_dropped {
+                entry.warmup_dropped = true;
+                return;
+            }
+            entry.observed.count += 1;
+            entry.observed.total_seconds += seconds;
+        })
     }
 
-    /// Discard the accumulated SpMV samples for (hash, algo), keeping
-    /// the request count and paid reorder cost. Used by the policy's
-    /// re-probe path: a losing verdict freezes the reordered side's
-    /// sample stream, so recovery starts from distrusting the old
-    /// samples. The warm-up discard is *not* re-armed — the prepared
-    /// state this key runs on is long since warm.
+    /// Discard the accumulated SpMV samples and the verdict formed
+    /// from them for (hash, algo), keeping the request count and paid
+    /// reorder cost. Used by the policy's re-probe path: a losing
+    /// verdict freezes the reordered side's sample stream, so recovery
+    /// starts from distrusting the old samples. The warm-up discard is
+    /// *not* re-armed — the prepared state this key runs on is long
+    /// since warm.
     pub fn reset_observed(&self, hash: u128, algo: AlgoSpec) {
-        if let Some(entry) = self.entries.lock().unwrap().get_mut(&(hash, algo)) {
+        self.state().with_entry((hash, algo), |entry| {
             entry.observed = Observed::default();
-        }
+            entry.verdict = None;
+        })
     }
 
     /// Observed per-SpMV statistics for (hash, algo).
     pub fn observed(&self, hash: u128, algo: AlgoSpec) -> Observed {
-        self.entries
-            .lock()
-            .unwrap()
-            .get(&(hash, algo))
+        self.state()
+            .entries
+            .peek(&(hash, algo))
             .map_or(Observed::default(), |e| e.observed)
     }
 
-    /// Number of distinct (hash, algo) keys tracked.
+    /// The last empirical verdict recorded for (hash, algo).
+    pub fn verdict(&self, hash: u128, algo: AlgoSpec) -> Option<bool> {
+        self.state()
+            .entries
+            .peek(&(hash, algo))
+            .and_then(|e| e.verdict)
+    }
+
+    /// Record the empirical verdict for (hash, algo): `true` = the
+    /// reordered side wins.
+    pub fn set_verdict(&self, hash: u128, algo: AlgoSpec, win: bool) {
+        self.state()
+            .with_entry((hash, algo), |entry| entry.verdict = Some(win))
+    }
+
+    /// Number of distinct (hash, algo) keys resident.
     pub fn keys(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.state().entries.len()
     }
 
     /// The one-time reorder cost actually paid for (hash, algo), or
     /// `None` if no reorder has been billed to this key yet.
     pub fn paid_for(&self, hash: u128, algo: AlgoSpec) -> Option<f64> {
-        self.entries
-            .lock()
-            .unwrap()
-            .get(&(hash, algo))
+        self.state()
+            .entries
+            .peek(&(hash, algo))
             .filter(|e| e.reorder_paid)
             .map(|e| e.paid_reorder_seconds)
     }
 
-    /// Cumulative reorder seconds paid across all keys.
+    /// Cumulative reorder seconds paid across all keys ever billed.
     pub fn paid_seconds(&self) -> f64 {
-        self.entries
-            .lock()
-            .unwrap()
-            .values()
-            .map(|e| e.paid_reorder_seconds)
-            .sum()
+        self.state().paid_seconds
     }
 
     /// Net benefit of every paid ordering: for each (hash, algo ≠
@@ -173,21 +260,16 @@ impl AmortizationLedger {
     /// Refreshes the `policy.ledger.*` gauges as a side effect.
     pub fn net_saved_seconds(&self) -> f64 {
         let net = {
-            let entries = self.entries.lock().unwrap();
-            let mut net = 0.0;
-            for ((hash, algo), entry) in entries.iter() {
-                if matches!(algo, AlgoSpec::Original) || !entry.reorder_paid {
-                    continue;
-                }
-                let baseline = entries
-                    .get(&(*hash, AlgoSpec::Original))
-                    .and_then(|b| b.observed.mean());
-                if let (Some(base), Some(mine)) = (baseline, entry.observed.mean()) {
-                    net += entry.observed.count as f64 * (base - mine);
-                }
-                net -= entry.paid_reorder_seconds;
-            }
-            net
+            let state = self.state();
+            let resident: f64 = state
+                .entries
+                .iter()
+                .filter(|((_, algo), entry)| *algo != AlgoSpec::Original && entry.reorder_paid)
+                .map(|((hash, _), entry)| {
+                    entry.net_saved(state.entries.peek(&(*hash, AlgoSpec::Original)))
+                })
+                .sum();
+            state.evicted_net_seconds + resident
         };
         self.refresh_gauges();
         self.registry
@@ -223,7 +305,7 @@ mod tests {
 
     #[test]
     fn reorder_cost_is_paid_once() {
-        let ledger = AmortizationLedger::new(Arc::new(Registry::new()));
+        let ledger = AmortizationLedger::new(Arc::new(Registry::new()), 64);
         assert!(ledger.record_reorder_paid(H, AlgoSpec::Rcm, 2.0));
         assert!(!ledger.record_reorder_paid(H, AlgoSpec::Rcm, 5.0));
         assert!((ledger.paid_seconds() - 2.0).abs() < 1e-12);
@@ -232,7 +314,7 @@ mod tests {
     #[test]
     fn net_savings_need_a_baseline_and_amortise_over_reps() {
         let registry = Arc::new(Registry::new());
-        let ledger = AmortizationLedger::new(Arc::clone(&registry));
+        let ledger = AmortizationLedger::new(Arc::clone(&registry), 64);
         ledger.record_reorder_paid(H, AlgoSpec::Rcm, 0.010);
         for _ in 0..11 {
             ledger.record_spmv(H, AlgoSpec::Original, 0.004);
@@ -251,7 +333,7 @@ mod tests {
 
     #[test]
     fn request_counts_accumulate_per_key() {
-        let ledger = AmortizationLedger::new(Arc::new(Registry::new()));
+        let ledger = AmortizationLedger::new(Arc::new(Registry::new()), 64);
         assert_eq!(ledger.note_request(H, AlgoSpec::Rcm), 1);
         assert_eq!(ledger.note_request(H, AlgoSpec::Rcm), 2);
         assert_eq!(ledger.note_request(H, AlgoSpec::Amd), 1);

@@ -26,11 +26,10 @@ mod corrector;
 mod ledger;
 mod predict;
 
-use std::collections::HashMap;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use engine::AlgoSpec;
+use engine::{AlgoSpec, CacheMetrics, LruCache};
 use sparsemat::CsrMatrix;
 use telemetry::Registry;
 
@@ -159,16 +158,15 @@ pub struct PolicyEngine {
     predictor: Predictor,
     ledger: AmortizationLedger,
     corrector: OnlineCorrector,
-    /// Feature summaries cached per content hash — computed once, on
-    /// the first adaptive decision for a matrix.
-    features: Mutex<HashMap<u128, FeatureSummary>>,
-    /// Last empirical choice per key (true = serving reordered), for
-    /// hysteresis: flipping the served matrix every request also flips
-    /// which image is hot in the host caches, which pins both observed
-    /// means to the decision boundary and makes a memoryless rule
-    /// oscillate. A switch must clear the far edge of the deadband.
-    empirical_choice: Mutex<HashMap<(u128, AlgoSpec), bool>>,
+    /// Feature summaries cached per content hash (`policy.features.*`)
+    /// — computed once, on the first adaptive decision for a matrix.
+    features: LruCache<u128, FeatureSummary>,
 }
+
+/// Bound on each kind of per-matrix policy state (ledger keys, feature
+/// summaries): every `apply_delta` mints a new content hash, so a tier
+/// with a mutator would otherwise grow them without limit.
+const STATE_CAPACITY: usize = engine::DEFAULT_CACHE_CAPACITY;
 
 impl PolicyEngine {
     /// Build an engine from `config`.
@@ -176,12 +174,14 @@ impl PolicyEngine {
         let registry = config.registry.clone().unwrap_or_else(Registry::global);
         PolicyEngine {
             predictor: Predictor::new(),
-            ledger: AmortizationLedger::new(Arc::clone(&registry)),
+            ledger: AmortizationLedger::new(Arc::clone(&registry), STATE_CAPACITY),
             corrector: OnlineCorrector::new(0.3, Arc::clone(&registry)),
+            features: LruCache::new(
+                STATE_CAPACITY,
+                CacheMetrics::new(&registry, "policy.features", &[]),
+            ),
             registry,
             config,
-            features: Mutex::new(HashMap::new()),
-            empirical_choice: Mutex::new(HashMap::new()),
         }
     }
 
@@ -288,17 +288,16 @@ impl PolicyEngine {
         //    hysteresis. A fresh verdict must clear the margin; an
         //    established one only flips when the ratio crosses the far
         //    edge of the deadband — otherwise noise on near-tie
-        //    matrices (and the cache perturbation of the flip itself)
-        //    oscillates the served ordering every request.
+        //    matrices oscillates the served ordering every request,
+        //    and each flip also flips which image is hot in the host
+        //    caches, pinning both observed means to the boundary.
         if observed.count >= self.config.min_samples && baseline.count >= self.config.min_samples {
             let (om, bm) = (observed.mean().unwrap(), baseline.mean().unwrap());
-            let key = (content_hash, requested);
             let ratio = bm / om;
             let margin = self.config.speedup_margin;
-            let win = match self.empirical_choice.lock().unwrap().get(&key) {
+            let win = match self.ledger.verdict(content_hash, requested) {
                 Some(true) => ratio >= 1.0 - margin,
-                Some(false) => ratio > 1.0 + margin,
-                None => ratio > 1.0 + margin,
+                Some(false) | None => ratio > 1.0 + margin,
             };
             // A losing verdict freezes the reordered side's sample
             // stream (the tier serves the original ordering), so two
@@ -310,7 +309,6 @@ impl PolicyEngine {
             // `min_samples` serves at geometrically decaying cost.
             if !win && self.on_reprobe_schedule(count) {
                 self.ledger.reset_observed(content_hash, requested);
-                self.empirical_choice.lock().unwrap().remove(&key);
                 self.registry.counter("policy.reprobes").inc();
                 return PolicyDecision {
                     algo: requested,
@@ -320,7 +318,7 @@ impl PolicyEngine {
                     reason: "re-probe",
                 };
             }
-            self.empirical_choice.lock().unwrap().insert(key, win);
+            self.ledger.set_verdict(content_hash, requested, win);
             return if win {
                 PolicyDecision {
                     algo: requested,
@@ -400,9 +398,8 @@ impl PolicyEngine {
         if observed.count < self.config.min_samples || baseline.count < self.config.min_samples {
             return;
         }
-        let summary = match self.features.lock().unwrap().get(&content_hash) {
-            Some(s) => *s,
-            None => return,
+        let Some(summary) = self.features.peek(&content_hash) else {
+            return;
         };
         let (om, bm) = (observed.mean().unwrap(), baseline.mean().unwrap());
         if om > 0.0 {
@@ -438,7 +435,7 @@ impl PolicyEngine {
         let baseline = self.ledger.observed(content_hash, AlgoSpec::Original);
         let observed = self.ledger.observed(content_hash, algo);
         let base_mean = baseline.mean()?;
-        let summary = self.features.lock().unwrap().get(&content_hash).copied()?;
+        let summary = self.features.peek(&content_hash)?;
         let cost = self.ledger.paid_for(content_hash, algo).unwrap_or_else(|| {
             self.predictor
                 .reorder_seconds(summary.nnz, algo, self.calibrated_rate(algo))
@@ -459,15 +456,9 @@ impl PolicyEngine {
     }
 
     fn summary_for(&self, content_hash: u128, matrix: &CsrMatrix) -> FeatureSummary {
-        if let Some(s) = self.features.lock().unwrap().get(&content_hash) {
-            return *s;
-        }
-        let summary = self.predictor.summarize(matrix);
-        self.features.lock().unwrap().insert(content_hash, summary);
-        self.registry
-            .gauge("policy.features.cached")
-            .set(self.features.lock().unwrap().len() as i64);
-        summary
+        self.features
+            .get_or_insert_with(content_hash, || self.predictor.summarize(matrix))
+            .0
     }
 
     /// Live reorder throughput (nnz/s) for `algo`, calibrated from the
@@ -642,6 +633,47 @@ mod tests {
             .counter_labeled("policy.decisions", &[("choice", "identity")])
             .unwrap_or(0);
         assert_eq!(identity, 1);
+    }
+
+    /// Every `apply_delta` mints a new content hash: per-matrix state
+    /// stays bounded, and forgetting a key moves no total.
+    #[test]
+    fn per_matrix_state_is_bounded_and_eviction_keeps_the_totals() {
+        let a = corpus::mesh2d(4, 4);
+        let (policy, registry) = engine(PolicyMode::Adaptive);
+        let unbounded = AmortizationLedger::new(Arc::new(Registry::new()), usize::MAX);
+        // Binary fractions, so sums are exact in any order: each key
+        // nets 2 counted reps · (0.5 − 0.25) − 0.125 paid = 0.375 s.
+        for hash in 0..10_000u128 {
+            policy.decide(&a, hash, AlgoSpec::Rcm, false);
+            unbounded.note_request(hash, AlgoSpec::Rcm);
+            policy.record_reorder_paid(hash, AlgoSpec::Rcm, 0.125);
+            unbounded.record_reorder_paid(hash, AlgoSpec::Rcm, 0.125);
+            for _ in 0..3 {
+                policy.observe_spmv(hash, AlgoSpec::Original, 0.5);
+                unbounded.record_spmv(hash, AlgoSpec::Original, 0.5);
+                policy.observe_spmv(hash, AlgoSpec::Rcm, 0.25);
+                unbounded.record_spmv(hash, AlgoSpec::Rcm, 0.25);
+            }
+        }
+        assert_eq!(unbounded.keys(), 20_000);
+        let net = policy.net_saved_seconds();
+        assert_eq!(net, unbounded.net_saved_seconds());
+        assert_eq!(net, 3750.0);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.gauge("policy.ledger.keys"),
+            Some(STATE_CAPACITY as i64)
+        );
+        assert_eq!(snap.gauge("policy.ledger.paid_us"), Some(1_250_000_000));
+        assert_eq!(
+            snap.gauge("policy.features.resident"),
+            Some(STATE_CAPACITY as i64)
+        );
+        assert_eq!(
+            snap.counter("policy.features.evictions"),
+            Some(10_000 - STATE_CAPACITY as u64)
+        );
     }
 
     #[test]

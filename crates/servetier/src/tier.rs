@@ -16,7 +16,10 @@
 
 use crate::admission::{AdmissionQueue, PushError};
 use crate::hash::HashRing;
-use engine::{AlgoSpec, Engine, EngineConfig, EngineError, MatrixHandle, SubmitOptions};
+use engine::{
+    AlgoSpec, CacheMetrics, Engine, EngineConfig, EngineError, LruCache, MatrixHandle,
+    SubmitOptions,
+};
 use policy::{PolicyConfig, PolicyEngine};
 use reorder::ReorderResult;
 use spmv::KernelKind;
@@ -72,10 +75,9 @@ pub struct TierConfig {
     /// (matrix, algorithm) pair recently served).
     pub prepared_capacity: usize,
     /// Template for the per-shard engines. The tier overrides
-    /// `registry` (shared tier registry), `metric_labels`
-    /// (`shard="<i>"`), and disables the engines' own trace sampling —
-    /// the tier samples at admission and hands each engine a parent
-    /// context instead.
+    /// `registry` (shared tier registry) and `metric_labels`
+    /// (`shard="<i>"`). Tracing is the tier's: it samples at admission
+    /// and hands each engine request a parent context.
     pub engine: EngineConfig,
     /// Registry all shards report into. `None` = process global.
     pub registry: Option<Arc<Registry>>,
@@ -282,63 +284,6 @@ struct Prepared {
     result: ReorderResult,
 }
 
-/// LRU cache of prepared matrices keyed by (content hash, algorithm).
-///
-/// A FIFO here (the original design) evicts the *hottest* entry under
-/// a scan-plus-hot-set workload: a popular matrix admitted early ages
-/// to the front of the queue no matter how often it is hit. Recency
-/// ordering keeps the working set resident. Recency is tracked with a
-/// monotone tick per entry and a `BTreeMap<tick, key>` index, so both
-/// `get` and `insert` are O(log n) with no per-hit scan.
-struct PreparedCache {
-    map: HashMap<(u128, AlgoSpec), (Arc<Prepared>, u64)>,
-    recency: std::collections::BTreeMap<u64, (u128, AlgoSpec)>,
-    tick: u64,
-    capacity: usize,
-}
-
-impl PreparedCache {
-    fn new(capacity: usize) -> Self {
-        PreparedCache {
-            map: HashMap::new(),
-            recency: std::collections::BTreeMap::new(),
-            tick: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Look up and touch: a hit moves the entry to most-recently-used.
-    fn get(&mut self, key: &(u128, AlgoSpec)) -> Option<Arc<Prepared>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (value, slot) = self.map.get_mut(key)?;
-        let value = Arc::clone(value);
-        self.recency.remove(slot);
-        *slot = tick;
-        self.recency.insert(tick, *key);
-        Some(value)
-    }
-
-    /// Insert (or refresh) an entry; returns how many entries were
-    /// evicted to make room.
-    fn insert(&mut self, key: (u128, AlgoSpec), value: Arc<Prepared>) -> u64 {
-        self.tick += 1;
-        if let Some((_, old_tick)) = self.map.insert(key, (value, self.tick)) {
-            self.recency.remove(&old_tick);
-        }
-        self.recency.insert(self.tick, key);
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            let Some((_, old_key)) = self.recency.pop_first() else {
-                break;
-            };
-            self.map.remove(&old_key);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
 /// Per-shard counters (shared registry, `shard="<i>"` labels).
 struct ShardMetrics {
     admitted: Arc<Counter>,
@@ -346,9 +291,6 @@ struct ShardMetrics {
     shed_queue_full: Arc<Counter>,
     shed_expired: Arc<Counter>,
     queue_depth: Arc<Gauge>,
-    prepared_hits: Arc<Counter>,
-    prepared_misses: Arc<Counter>,
-    prepared_evictions: Arc<Counter>,
 }
 
 impl ShardMetrics {
@@ -362,9 +304,6 @@ impl ShardMetrics {
             shed_expired: registry
                 .counter_labeled("tier.shed", &[("shard", shard), ("reason", "expired")]),
             queue_depth: registry.gauge_labeled("tier.queue_depth", &labels),
-            prepared_hits: registry.counter_labeled("tier.prepared.hits", &labels),
-            prepared_misses: registry.counter_labeled("tier.prepared.misses", &labels),
-            prepared_evictions: registry.counter_labeled("tier.prepared.evictions", &labels),
         }
     }
 }
@@ -376,7 +315,9 @@ struct ShardInner {
     queue: AdmissionQueue<QueuedRequest>,
     spmv_team: team::ThreadTeam,
     spmv_threads: usize,
-    prepared: Mutex<PreparedCache>,
+    /// Reordered matrices by (content hash, algorithm), so repeat
+    /// requests skip the permutation work (`tier.prepared.*`).
+    prepared: LruCache<(u128, AlgoSpec), Arc<Prepared>>,
     policy: Arc<PolicyEngine>,
     metrics: ShardMetrics,
     /// End-to-end latency histogram per tenant
@@ -482,10 +423,6 @@ impl ServeTier {
             let shard_label = index.to_string();
             let mut engine_config = config.engine.clone();
             engine_config.registry = Some(Arc::clone(&registry));
-            // The tier owns sampling: engines trace only through the
-            // per-request parent context the dispatcher hands them.
-            engine_config.recorder = None;
-            engine_config.trace_sample_every = 0;
             engine_config.metric_labels = vec![("shard".to_string(), shard_label.clone())];
             let tenant_hists = tenants
                 .iter()
@@ -501,7 +438,10 @@ impl ServeTier {
                 queue: AdmissionQueue::new(&weights, config.queue_capacity),
                 spmv_team: team::ThreadTeam::new_in(&registry, config.spmv_threads.max(1)),
                 spmv_threads: config.spmv_threads.max(1),
-                prepared: Mutex::new(PreparedCache::new(config.prepared_capacity)),
+                prepared: LruCache::new(
+                    config.prepared_capacity,
+                    CacheMetrics::new(&registry, "tier.prepared", &[("shard", &shard_label)]),
+                ),
                 policy: Arc::clone(&policy),
                 metrics: ShardMetrics::new(&registry, &shard_label),
                 tenant_hists,
@@ -819,9 +759,9 @@ impl ServeTier {
                     shed_queue_full: s.metrics.shed_queue_full.get(),
                     shed_expired: s.metrics.shed_expired.get(),
                     queue_depth: s.metrics.queue_depth.get(),
-                    prepared_hits: s.metrics.prepared_hits.get(),
-                    prepared_misses: s.metrics.prepared_misses.get(),
-                    prepared_evictions: s.metrics.prepared_evictions.get(),
+                    prepared_hits: s.prepared.metrics().hits.get(),
+                    prepared_misses: s.prepared.metrics().misses.get(),
+                    prepared_evictions: s.prepared.metrics().evictions.get(),
                     engine: s.engine.stats(),
                 })
                 .collect(),
@@ -1000,14 +940,9 @@ fn execute(
     //    build, one insert wins — benign, and the lock never blocks on
     //    an O(nnz) permutation.
     let key = (content_hash, algo);
-    let prepared = shard.prepared.lock().unwrap().get(&key);
-    let prepared = match prepared {
-        Some(p) => {
-            shard.metrics.prepared_hits.inc();
-            p
-        }
+    let prepared = match shard.prepared.get(&key) {
+        Some(p) => p,
         None => {
-            shard.metrics.prepared_misses.inc();
             let _stage = telemetry::stage("reorder.permute");
             let mut permute = ctx.span("reorder.permute");
             permute.arg("rows", request.matrix.matrix().nrows() as u64);
@@ -1027,8 +962,7 @@ fn execute(
                 handle: MatrixHandle::from_matrix(reordered),
                 result: ordering.to_reorder_result(),
             });
-            let evicted = shard.prepared.lock().unwrap().insert(key, Arc::clone(&p));
-            shard.metrics.prepared_evictions.add(evicted);
+            shard.prepared.insert(key, Arc::clone(&p));
             p
         }
     };
