@@ -69,7 +69,7 @@ impl FeatureSummary {
 /// rather than paying for reorders that never amortise.
 ///
 /// The AMD figure reflects the round-based multiple-elimination
-/// implementation measured in `BENCH_PR10.json` (~1.3 Mnnz/s on an
+/// implementation as measured in PR 10 (CHANGES.md: ~1.3 Mnnz/s on an
 /// R-MAT graph, ~3 Mnnz/s on meshes): the old 6e6 default was
 /// optimistic, which made the cold policy *over*-commit to AMD.
 pub fn default_nnz_per_s(algo: AlgoSpec) -> f64 {
@@ -270,8 +270,8 @@ mod tests {
 
     #[test]
     fn amd_default_rate_matches_the_round_based_implementation() {
-        // Pinned to the BENCH_PR10 measurement of round-based multiple
-        // elimination: conservative against the ~1.3–3 Mnnz/s range.
+        // Pinned to PR 10's measurement (CHANGES.md) of round-based
+        // multiple elimination: conservative against ~1.3–3 Mnnz/s.
         let p = Predictor::new();
         let cold = p.reorder_seconds(2_000_000, AlgoSpec::Amd, None);
         assert!((cold - 1.0).abs() < 1e-9, "default AMD rate is 2M nnz/s");

@@ -54,7 +54,7 @@
 //! orderings of [`amd_order_on`] and [`amd_order_single`] legitimately
 //! diverge. Both are deterministic; the round-based order is the
 //! canonical one everywhere in this repo, and the single-elimination
-//! path is retained as the overhead baseline for the scaling bench.
+//! path is the oracle `tests/findings.rs` pins its fill against.
 
 use crate::component::{assemble_pieces, ComponentOrdering};
 use crate::exec::{build_ordering_graph, ReorderExec};
@@ -791,9 +791,9 @@ impl AmdState {
 /// pop), with the same lazy-deletion heap as [`amd_order_on`]. Returns
 /// the order and the stale-pop count.
 ///
-/// Retained as the reference implementation the scaling bench measures
-/// round-based elimination's sequential overhead against; the pipeline
-/// itself always orders via [`amd_order_on`].
+/// The test oracle for round-based elimination: `tests/findings.rs` pins
+/// nnz(L) under both schedules (PR 10 in CHANGES.md has the sequential
+/// overhead against it); the pipeline always orders via [`amd_order_on`].
 pub fn amd_order_single(g: &Graph, aggressive: bool) -> (Vec<u32>, u64) {
     let n = g.num_vertices();
     let mut st = AmdState {

@@ -8,13 +8,13 @@ const FRONTIER_GRAIN: usize = 512;
 
 /// Below this frontier width the one-pass sequential expansion wins:
 /// a team dispatch costs microseconds, claiming a few hundred edges
-/// costs less. BENCH_PR5 showed the 1024 cutover from PR 5 flipping
-/// whole level-set traversals onto the two-phase path on hosts where
-/// the dispatch never pays for itself; `reorder_scaling` re-measured
-/// with the tunable (see DESIGN §9) keeps 4096 as the default — wide
-/// enough that only genuinely massive frontiers pay for a dispatch,
-/// while `ReorderExec::with_frontier_min` lets multicore hosts tune it
-/// back down.
+/// costs less. PR 5's measurements (CHANGES.md) showed its 1024
+/// cutover flipping whole level-set traversals onto the two-phase path
+/// on hosts where the dispatch never pays for itself; PR 7 re-measured
+/// with the tunable (see DESIGN §9) and keeps 4096 as the default —
+/// wide enough that only genuinely massive frontiers pay for a
+/// dispatch, while `ReorderExec::with_frontier_min` lets multicore
+/// hosts tune it back down.
 pub const DEFAULT_PAR_FRONTIER_MIN: usize = 4096;
 
 /// The result of a level-structured breadth-first search.

@@ -8,7 +8,7 @@ use telemetry::trace::TraceCtx;
 use telemetry::{Histogram, Registry};
 
 /// Threads available on this host (≥ 1). The canonical lookup shared by
-/// [`MeasureConfig::default`] and the Criterion benches.
+/// [`MeasureConfig::default`], `serve` and the kernel property tests.
 pub fn host_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

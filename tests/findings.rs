@@ -221,3 +221,66 @@ fn offdiag_correlates_with_runtime() {
         "off-diag (rho={rho_offdiag:.2}) should beat bandwidth (rho={rho_bandwidth:.2})"
     );
 }
+
+/// The fill cost of multiple elimination (Chang, Buluç & Demmel):
+/// round-based AMD eliminates a whole distance-2-independent batch per
+/// round, so its degree updates see coarser state than classic
+/// single-pivot AMD and the factor comes out no smaller. Both orderings
+/// are deterministic, so nnz(L) is pinned exactly — `amd_order_single`
+/// is the oracle the canonical ordering's quality is held against, and
+/// a change to either elimination schedule has to move these numbers
+/// on purpose.
+#[test]
+fn round_based_amd_fill_stays_near_single_elimination() {
+    use reorder_study::cholesky::nnz_of_factor;
+    use reorder_study::reorder::{amd_order_on, amd_order_single, ReorderExec};
+    use reorder_study::sparsegraph::Graph;
+    use reorder_study::sparsemat::symmetrize_pattern;
+
+    // (family, matrix, nnz(L) round-based, nnz(L) single-elimination):
+    // the `reorder_determinism` families plus two larger instances.
+    let cases = [
+        (
+            "band",
+            corpus::scramble(&corpus::banded(600, 4), 17),
+            2_990,
+            2_990,
+        ),
+        (
+            "fem2d",
+            corpus::scramble(&corpus::mesh2d(28, 28), 5),
+            9_566,
+            8_894,
+        ),
+        ("fem3d", corpus::mesh3d(9, 9, 9), 24_642, 20_108),
+        ("rmat", corpus::rmat(11, 6, 7), 26_346, 26_346),
+        ("road", corpus::road(30, 30, 3), 4_416, 4_348),
+        ("disconnected", corpus::block_diag(6, 40, 9), 4_279, 4_279),
+        (
+            "mesh2d_64",
+            corpus::scramble(&corpus::mesh2d(64, 64), 3),
+            77_124,
+            75_522,
+        ),
+        ("rmat_14", corpus::rmat(14, 8, 42), 908_169, 904_003),
+    ];
+    for (name, a, want_round, want_single) in cases {
+        let pattern = symmetrize_pattern(&a).expect(name);
+        let g = Graph::from_matrix(&pattern).expect(name);
+        let fill = |order: Vec<u32>| {
+            let perm = Permutation::from_new_to_old(order).expect(name);
+            nnz_of_factor(&pattern.permute_symmetric(&perm).expect(name))
+        };
+        let round = fill(amd_order_on(&g, true, 0, &ReorderExec::sequential()).0);
+        let single = fill(amd_order_single(&g, true).0);
+        assert_eq!(
+            (round, single),
+            (want_round, want_single),
+            "nnz(L) under round-based / single-elimination AMD moved on {name}"
+        );
+        assert!(
+            round as f64 <= 1.25 * single as f64,
+            "round-based AMD fill {round} exceeds 1.25x single-elimination {single} on {name}"
+        );
+    }
+}

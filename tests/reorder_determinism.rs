@@ -9,7 +9,10 @@
 //! (disconnected blocks, empty rows) at team sizes 1, 2, 4 and 8.
 
 use reorder::{splice_ordering_on, Amd, Gps, Nd, Rcm, ReorderAlgorithm, ReorderExec};
-use sparsemat::{symmetrize_pattern, symmetrize_pattern_on, CooMatrix, CsrMatrix, Permutation};
+use sparsegraph::{connected_components, Graph};
+use sparsemat::{
+    symmetrize_pattern, symmetrize_pattern_on, CooMatrix, CsrMatrix, EdgeOp, Permutation,
+};
 use team::{Exec, ThreadTeam};
 
 const TEAM_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -66,16 +69,19 @@ fn for_each_team(check: impl Fn(&ThreadTeam)) {
     }
 }
 
+/// `frontier_min: 0` sends every BFS level through the two-phase
+/// parallel expansion (claim by `fetch_min`, then commit). At the
+/// default cutover of 4096 no frontier of these test-sized matrices
+/// would take it, and the RCM and GPS tests would compare the
+/// sequential path with itself.
 #[test]
 fn rcm_is_byte_identical_across_team_sizes() {
     for (name, a) in family_matrices() {
         for algo in [Rcm::default(), Rcm { plain_cm: true }] {
             let seq = algo.compute(&a).expect(name).perm;
             for_each_team(|team| {
-                let par = algo
-                    .compute_on(&a, &ReorderExec::on_team(team))
-                    .expect(name)
-                    .perm;
+                let rx = ReorderExec::on_team(team).with_frontier_min(0);
+                let par = algo.compute_on(&a, &rx).expect(name).perm;
                 assert_eq!(
                     seq,
                     par,
@@ -94,10 +100,8 @@ fn gps_is_byte_identical_across_team_sizes() {
         for algo in [Gps::default(), Gps { reverse: true }] {
             let seq = algo.compute(&a).expect(name).perm;
             for_each_team(|team| {
-                let par = algo
-                    .compute_on(&a, &ReorderExec::on_team(team))
-                    .expect(name)
-                    .perm;
+                let rx = ReorderExec::on_team(team).with_frontier_min(0);
+                let par = algo.compute_on(&a, &rx).expect(name).perm;
                 assert_eq!(
                     seq,
                     par,
@@ -208,6 +212,82 @@ fn permutation_application_is_byte_identical_across_team_sizes() {
     }
 }
 
+/// One symmetric off-diagonal removal inside every tenth connected
+/// component: with a hundred components the delta dirties exactly ten.
+fn one_removal_in_every_tenth_component(a: &CsrMatrix) -> Vec<EdgeOp> {
+    let g = Graph::from_matrix(a).expect("square");
+    let mut ops = Vec::new();
+    for members in connected_components(&g).members.iter().step_by(10) {
+        let v = members[0];
+        let (cols, _) = a.row(v as usize);
+        let c = *cols
+            .iter()
+            .find(|&&c| c != v)
+            .expect("mesh vertex has a neighbour");
+        let (row, col) = (v as usize, c as usize);
+        ops.push(EdgeOp::Remove { row, col });
+        ops.push(EdgeOp::Remove { row: col, col: row });
+    }
+    ops
+}
+
+/// Splice `algo`'s cached ordering of `a` across the delta `batch` at
+/// every team size and compare with a full recompute on the mutated
+/// matrix. `expect` pins the splice report's `(recomputed, components)`
+/// where the case knows them.
+fn check_splice(
+    name: &str,
+    a: &CsrMatrix,
+    algo_name: &str,
+    algo: &dyn ReorderAlgorithm,
+    batch: &[EdgeOp],
+    expect: Option<(usize, usize)>,
+) {
+    let seq = ReorderExec::sequential();
+    let cached = algo
+        .compute_components_on(a, &seq)
+        .expect(name)
+        .expect("component-capable algorithm");
+    let mut child = a.clone();
+    let report = child.apply_delta(batch).expect(name);
+    let full = algo
+        .compute_components_on(&child, &seq)
+        .expect(name)
+        .expect("component-capable algorithm");
+    for_each_team(|team| {
+        let rx = ReorderExec::on_team(team);
+        let (spliced, splice_report) = splice_ordering_on(
+            algo,
+            &child,
+            &cached.order,
+            &cached.ranges,
+            &report.touched_rows,
+            &rx,
+        )
+        .expect(name)
+        .expect("splice accepted");
+        assert_eq!(
+            full.order,
+            spliced.order,
+            "{algo_name} splice diverged from full recompute on {name} at {} lanes",
+            team.size()
+        );
+        assert_eq!(
+            full.ranges,
+            spliced.ranges,
+            "{algo_name} splice ranges diverged on {name} at {} lanes",
+            team.size()
+        );
+        if let Some(expect) = expect {
+            assert_eq!(
+                (splice_report.recomputed, splice_report.components),
+                expect,
+                "{algo_name} splice re-ordered the wrong components on {name}"
+            );
+        }
+    });
+}
+
 /// The dynamic-matrix contract: splicing a cached component-structured
 /// ordering after an edge delta must reproduce, byte for byte, what a
 /// full recompute on the mutated matrix produces — for every
@@ -228,44 +308,19 @@ fn splice_after_delta_is_byte_identical_to_full_recompute() {
         let batch = corpus::mutation_trace(&a, 1, 6, 0xD1F7 ^ a.nrows() as u64)
             .pop()
             .unwrap();
-        let mut child = a.clone();
-        let report = child.apply_delta(&batch).expect(name);
         for (algo_name, algo) in &algos {
-            let seq = ReorderExec::sequential();
-            let cached = algo
-                .compute_components_on(&a, &seq)
-                .expect(name)
-                .expect("component-capable algorithm");
-            let full = algo
-                .compute_components_on(&child, &seq)
-                .expect(name)
-                .expect("component-capable algorithm");
-            for_each_team(|team| {
-                let rx = ReorderExec::on_team(team);
-                let (spliced, _) = splice_ordering_on(
-                    algo.as_ref(),
-                    &child,
-                    &cached.order,
-                    &cached.ranges,
-                    &report.touched_rows,
-                    &rx,
-                )
-                .expect(name)
-                .expect("splice accepted");
-                assert_eq!(
-                    full.order,
-                    spliced.order,
-                    "{algo_name} splice diverged from full recompute on {name} at {} lanes",
-                    team.size()
-                );
-                assert_eq!(
-                    full.ranges,
-                    spliced.ranges,
-                    "{algo_name} splice ranges diverged on {name} at {} lanes",
-                    team.size()
-                );
-            });
+            check_splice(name, &a, algo_name, algo.as_ref(), &batch, None);
         }
+    }
+    // The families above top out at six components. A hundred with a
+    // tenth of them dirty is the shape the engine's delta path sees:
+    // ninety cached sub-permutations copied around ten recomputes.
+    let meshes = corpus::disjoint_meshes(100, 14, 12, 8);
+    let batch = one_removal_in_every_tenth_component(&meshes);
+    let (rcm, amd) = (Rcm::default(), Amd::default());
+    for (algo_name, algo) in [("rcm", &rcm as &dyn ReorderAlgorithm), ("amd", &amd)] {
+        let expect = Some((10, 100));
+        check_splice("disjoint_meshes", &meshes, algo_name, algo, &batch, expect);
     }
 }
 
