@@ -84,7 +84,9 @@ MUTATE_TRACE_DIR="$TMP/mutate-trace"
 
 # Ops-plane smoke: a listening serve must expose live metrics, health,
 # and SLO accounting over HTTP while the replay runs. The linger keeps
-# the server up after the replay so the curls race nothing.
+# the server up after the replay so the curls race nothing — except the
+# profile, which wants the replay (2 s at this rate) still running and
+# so goes first.
 OPS_ADDR="127.0.0.1:17117"
 OPS_METRICS="$TMP/metrics"
 ./target/release/serve --size small --requests 300 --clients 2 \
@@ -95,13 +97,19 @@ for _ in $(seq 1 50); do
     if curl -sf "http://$OPS_ADDR/healthz" > /dev/null 2>&1; then break; fi
     sleep 0.2
 done
+# While requests flow the dispatcher re-enters tier.dispatch.wait or
+# tier.execute for each one, so a profile without its stack means the
+# stage board is not reaching the HTTP plane ('# samples' alone is
+# printed by an empty profile too).
+curl -sf "http://$OPS_ADDR/profile?seconds=0.3" > "$TMP/profile"
+grep -q '# samples' "$TMP/profile"
+grep -q '^tier-shard0-d0;tier\.' "$TMP/profile"
 curl -sf "http://$OPS_ADDR/healthz" | grep -q '"status":"ok"'
 curl -sf "http://$OPS_ADDR/readyz" > /dev/null
 curl -sf "http://$OPS_ADDR/metrics" > "$OPS_METRICS"
 grep -q '^tier_admitted' "$OPS_METRICS"
 grep -q '^slo_budget_remaining' "$OPS_METRICS"
 curl -sf "http://$OPS_ADDR/slo.json" | grep -q '"tenants"'
-curl -sf "http://$OPS_ADDR/profile?seconds=0.3" | grep -q '# samples'
 wait "$SERVE_PID"
 SERVE_PID=""
 

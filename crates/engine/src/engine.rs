@@ -4,7 +4,7 @@
 use crate::cache::{CacheStats, CachedOrdering, OrderingCache, OrderingKey};
 use crate::lru::{CacheMetrics, LruCache};
 use crate::plans::{PlanCacheStats, PlanKey, PLAN_CACHE_CAPACITY};
-use crate::pool::{spawn_pool, InFlight, Job, JobTrace, PoolMetrics, WorkerContext};
+use crate::pool::{spawn_pool, InFlight, Job, PoolMetrics, WorkerContext};
 use crate::AlgoSpec;
 use sparsemat::CsrMatrix;
 use spmv::{Kernel, KernelKind};
@@ -217,9 +217,10 @@ impl Default for SubmitOptions {
 
 /// A pending (or already satisfied) reordering request.
 ///
-/// For traced requests the ticket carries the request's
-/// `engine.request` span: it ends when the ticket is waited on (or
-/// dropped), so the span covers the full submit-to-result interval.
+/// The ticket carries the request's `engine.request` span — recorded
+/// for traced requests, on the live stage board for all: it ends when
+/// the ticket is waited on (or dropped), so the span covers the full
+/// submit-to-result interval.
 pub struct Ticket {
     inner: TicketInner,
     root: TraceSpan,
@@ -420,9 +421,13 @@ impl Engine {
         algo: AlgoSpec,
         opts: SubmitOptions,
     ) -> Ticket {
-        let _span = self
-            .registry
-            .span_on("engine.submit", &self.metrics.submit_span);
+        let start = Instant::now();
+        let ticket = self.submit_inner(matrix, algo, opts);
+        self.metrics.submit_span.record_duration(start.elapsed());
+        ticket
+    }
+
+    fn submit_inner(&self, matrix: &MatrixHandle, algo: AlgoSpec, opts: SubmitOptions) -> Ticket {
         self.metrics.submitted.inc();
         let mut root = opts.trace.span("engine.request");
         root.arg("algo", algo.name());
@@ -478,10 +483,8 @@ impl Engine {
             key,
             matrix: Arc::clone(matrix.matrix()),
             slot: Arc::clone(&slot),
-            trace: root.is_recording().then(|| JobTrace {
-                ctx: root.ctx(),
-                enqueued: Instant::now(),
-            }),
+            trace: root.ctx(),
+            enqueued: Instant::now(),
         };
         match &self.tx {
             Some(tx) => {
@@ -917,6 +920,9 @@ mod tests {
             Some(2)
         );
         assert_eq!(snap.counter("engine.submitted"), None);
+        // Every submit is one `engine.submit` sample, on its own series.
+        let submits = snap.histogram_labeled("engine.submit", &[("shard", "1")]);
+        assert_eq!(submits.unwrap().count, 2);
     }
 
     /// Tentpole requirement: a matrix mutated via `apply_delta` is

@@ -11,11 +11,13 @@
 //! a queue-depth gauge (incremented by the submitter, decremented at
 //! dequeue), a per-job wall-clock histogram, and executed/failed
 //! counters. The reordering itself runs under
-//! [`reorder::timed_permutation_on`] with the engine's shared reorder
+//! [`reorder::timed_components_on`] with the engine's shared reorder
 //! team, so per-algorithm compute histograms (`reorder.rcm`, ...) and
 //! throughput gauges (`reorder.rcm.nnz_per_s`) accumulate in the same
-//! registry, and traced jobs record `reorder.symmetrize` /
-//! `reorder.levels` sub-stage spans under their `engine.reorder` span.
+//! registry. Every job opens `engine.reorder` on its request's trace
+//! context with the `reorder.symmetrize` / `reorder.levels` /
+//! `reorder.splice` sub-stages beneath it: recorded when the request
+//! is traced, and on the worker's live stage stack either way.
 
 use crate::cache::{CachedOrdering, OrderingKey};
 use crate::EngineError;
@@ -24,25 +26,20 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use telemetry::trace::{TraceCtx, TraceSpan};
+use telemetry::trace::TraceCtx;
 use telemetry::{Counter, Gauge, Histogram, Registry};
-
-/// Trace propagation for a traced request's job: the request's
-/// context plus the enqueue instant, so the worker can backdate the
-/// `engine.queue.wait` span to cover the time the job sat in the
-/// channel.
-pub(crate) struct JobTrace {
-    pub ctx: TraceCtx,
-    pub enqueued: Instant,
-}
 
 /// One queued reordering computation.
 pub(crate) struct Job {
     pub key: OrderingKey,
     pub matrix: Arc<CsrMatrix>,
     pub slot: Arc<InFlight>,
-    /// Present only for traced requests.
-    pub trace: Option<JobTrace>,
+    /// The request's context, parented at its `engine.request` span
+    /// (disabled for an untraced request).
+    pub trace: TraceCtx,
+    /// When the job entered the channel, so the worker can backdate
+    /// the `engine.queue.wait` span to cover the time it sat there.
+    pub enqueued: Instant,
 }
 
 /// The rendezvous for one in-flight computation: the first requester
@@ -198,32 +195,22 @@ fn process(job: Job, ctx: &WorkerContext) {
     let start = Instant::now();
     // The queue wait ends where the compute begins: backdated to the
     // enqueue instant so the trace shows the gap, not just the work.
-    if let Some(t) = &job.trace {
-        t.ctx
-            .complete("engine.queue.wait", t.enqueued, start, Vec::new());
-    }
+    job.trace
+        .complete("engine.queue.wait", job.enqueued, start, Vec::new());
     // Cancellation point: a request whose deadline passed while queued
     // is fulfilled with `Expired` here, before any reorder work starts,
     // so expensive orderings are never computed for dead requests.
     if let Some(deadline) = job.slot.deadline() {
         if start >= deadline {
             ctx.metrics.expired.inc();
-            if let Some(t) = &job.trace {
-                t.ctx.instant("engine.expired");
-            }
+            job.trace.instant("engine.expired");
             ctx.inflight.lock().unwrap().remove(&job.key);
             job.slot.fulfil(Err(EngineError::Expired));
             return;
         }
     }
-    let mut reorder_span = match &job.trace {
-        Some(t) => {
-            let mut s = t.ctx.span("engine.reorder");
-            s.arg("algo", job.key.algo.name());
-            s
-        }
-        None => TraceSpan::disabled(),
-    };
+    let mut reorder_span = job.trace.span("engine.reorder");
+    reorder_span.arg("algo", job.key.algo.name());
     let rexec = reorder::ReorderExec::on_team(&ctx.reorder_team).with_trace(reorder_span.ctx());
     let algo = job.key.algo.instantiate();
     let computed = match try_splice(&job, ctx, algo.as_ref(), &rexec) {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use corpus::{standard_corpus, CorpusSize, MatrixSpec};
 use engine::AlgoSpec;
 use policy::{PolicyConfig, PolicyEngine, PolicyMode};
-use reorder::{timed_permutation_on, ReorderExec};
+use reorder::{timed_components_on, ReorderExec};
 use sparsemat::CsrMatrix;
 use spmv::{measure_spmv_in, KernelKind, MeasureConfig};
 use telemetry::Registry;
@@ -292,10 +292,10 @@ fn main() {
         let hash = a.content_hash();
         let base = measure_spmv_in(&registry, &a, KernelKind::OneD, &measure);
         for &algo in &algos {
-            // timed_permutation_on also calibrates the
+            // timed_components_on also calibrates the
             // `reorder.<algo>.nnz_per_s` gauge the policy's cost model
             // reads, so the replayed decisions see live throughput.
-            let timed = match timed_permutation_on(&registry, &*algo.instantiate(), &a, &rx) {
+            let timed = match timed_components_on(&registry, &*algo.instantiate(), &a, &rx) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("frontier: {} / {}: {e:?} (skipped)", spec.name, algo.name());

@@ -2,15 +2,17 @@
 //! while, fold what was seen into collapsed-stack flamegraph lines.
 //!
 //! Where a CPU profiler samples instruction pointers, this samples
-//! **logical stages** — the span labels the workspace already opens
-//! (`engine.submit`, `reorder.permute`, `serve.spmv`, ...). A sample
-//! of the whole process at 100 Hz for a few seconds answers "where is
-//! wall-clock time going across all threads right now", attributed to
-//! stages an operator can act on rather than inlined symbols.
+//! **logical stages** — the names the workspace's trace spans already
+//! carry (`engine.request`, `reorder.permute`, `serve.spmv`, ...). A
+//! sample of the whole process at 100 Hz for a few seconds answers
+//! "where is wall-clock time going across all threads right now",
+//! attributed to stages an operator can act on rather than inlined
+//! symbols.
 //!
 //! [`profile_for`] holds a [`StageSession`] for the duration, so the
-//! board (and every `Span`'s implicit [`telemetry::stage`] guard) is
-//! live exactly while a profile wants it; overlapping profiles
+//! board (and the [`telemetry::StageGuard`] inside every
+//! [`telemetry::TraceSpan`], sampled into the flight recorder or not)
+//! is live exactly while a profile wants it; overlapping profiles
 //! compose via the session refcount. Output is the de-facto
 //! collapsed-stack format — `thread;outer;inner count` per line —
 //! accepted verbatim by `flamegraph.pl`, speedscope, and friends.

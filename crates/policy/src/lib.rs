@@ -610,7 +610,7 @@ mod tests {
         );
 
         // Once the reorder crate publishes a live throughput (the
-        // `reorder.amd.nnz_per_s` gauge from `timed_permutation_on`),
+        // `reorder.amd.nnz_per_s` gauge from `timed_components_on`),
         // the next pricing uses it instead of the default.
         registry.gauge("reorder.amd.nnz_per_s").set(8_000_000);
         let hot = policy.decide(&a, 11, AlgoSpec::Amd, false);

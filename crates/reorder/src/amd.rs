@@ -749,13 +749,6 @@ pub fn amd_order_on(
     (order, stats)
 }
 
-/// Compute the AMD elimination order of a symmetric graph (round-based
-/// multiple elimination, inline, zero degree slack). Returns the order
-/// vector (`order[k]` = original vertex eliminated k-th).
-pub fn amd_order(g: &Graph, aggressive: bool) -> Vec<u32> {
-    amd_order_on(g, aggressive, 0, &ReorderExec::sequential()).0
-}
-
 struct AmdState {
     status: Vec<Status>,
     /// Supervariable weight: number of original columns represented.

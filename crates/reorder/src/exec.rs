@@ -16,7 +16,7 @@ use telemetry::trace::TraceCtx;
 /// The executor changes *where* the work runs, never *what* it
 /// produces: every parallel stage is byte-identical to its sequential
 /// counterpart (see the determinism notes on
-/// [`sparsegraph::expand_frontier_on`] and
+/// [`sparsegraph::expand_frontier_with`] and
 /// [`sparsemat::symmetrize_pattern_on`]).
 #[derive(Debug, Clone)]
 pub struct ReorderExec<'a> {
@@ -42,16 +42,6 @@ impl<'a> ReorderExec<'a> {
     pub fn on_team(team: &'a ThreadTeam) -> ReorderExec<'a> {
         ReorderExec {
             exec: Exec::Team(team),
-            trace: TraceCtx::disabled(),
-            frontier_min: sparsegraph::DEFAULT_PAR_FRONTIER_MIN,
-            amd_round_min: crate::amd::DEFAULT_AMD_ROUND_MIN,
-        }
-    }
-
-    /// Run on an explicit executor, untraced.
-    pub fn on_exec(exec: Exec<'a>) -> ReorderExec<'a> {
-        ReorderExec {
-            exec,
             trace: TraceCtx::disabled(),
             frontier_min: sparsegraph::DEFAULT_PAR_FRONTIER_MIN,
             amd_round_min: crate::amd::DEFAULT_AMD_ROUND_MIN,

@@ -36,7 +36,7 @@ impl Gps {
     /// component's vertices in their new relative order.
     ///
     /// The two rooted level structures are built with
-    /// [`bfs_levels_on`], so wide frontiers expand on `exec`'s lanes;
+    /// [`bfs_levels_with`], so wide frontiers expand on `exec`'s lanes;
     /// the level structures — and therefore the combined numbering —
     /// are identical for every executor.
     fn component_order(g: &Graph, start: usize, exec: Exec<'_>, frontier_min: usize) -> Vec<u32> {

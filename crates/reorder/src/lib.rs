@@ -54,7 +54,7 @@ pub mod rcm;
 pub mod sbd;
 mod traits;
 
-pub use amd::{amd_order, amd_order_on, amd_order_single, Amd, AmdStats, DEFAULT_AMD_ROUND_MIN};
+pub use amd::{amd_order_on, amd_order_single, Amd, AmdStats, DEFAULT_AMD_ROUND_MIN};
 pub use component::{splice_ordering_on, ComponentOrdering, ComponentRange, SpliceReport};
 pub use exec::{build_ordering_graph, ReorderExec};
 pub use gp::Gp;
@@ -65,6 +65,6 @@ pub use nd::Nd;
 pub use rcm::Rcm;
 pub use sbd::Sbd;
 pub use traits::{
-    all_algorithms, timed_components_on, timed_permutation, timed_permutation_on, Original,
-    ReorderAlgorithm, ReorderResult, TimedComponentReordering, TimedReordering,
+    all_algorithms, timed_components_on, Original, ReorderAlgorithm, ReorderResult,
+    TimedComponentReordering, TimedReordering,
 };

@@ -36,14 +36,8 @@ impl Default for Nd {
 }
 
 impl Nd {
-    /// Compute the nested dissection order of a graph (inline leaf
-    /// orderings).
-    pub fn dissection_order(&self, g: &Graph) -> Vec<u32> {
-        self.dissection_order_on(g, &ReorderExec::sequential())
-    }
-
-    /// Compute the nested dissection order with leaf AMD orderings on
-    /// the given execution context. The dissection itself is
+    /// Compute the nested dissection order of a graph with leaf AMD
+    /// orderings on the given execution context. The dissection itself is
     /// sequential; the leaves' round-based quotient-graph updates run
     /// on `rx`'s executor. The order is byte-identical for every
     /// executor (see [`amd_order_on`]).

@@ -29,31 +29,25 @@ pub struct Rcm {
 impl Rcm {
     /// Compute the Cuthill–McKee order of a graph (before reversal).
     pub fn cuthill_mckee_order(g: &Graph) -> Vec<u32> {
-        Rcm::cuthill_mckee_order_on(g, Exec::Sequential)
+        Rcm::cuthill_mckee_order_with(g, Exec::Sequential, DEFAULT_PAR_FRONTIER_MIN)
     }
 
-    /// [`Rcm::cuthill_mckee_order`] on an executor.
+    /// [`Rcm::cuthill_mckee_order`] on an executor, with an explicit
+    /// level-set parallel-expansion cutover (see
+    /// [`ReorderExec::with_frontier_min`]); the order is identical for
+    /// every executor, team size and threshold.
     ///
     /// The BFS is level-synchronised: each level is appended to the
     /// order, then the next level is built by
     /// [`sparsegraph::expand_frontier_with`] — children claimed by their
     /// first-in-frontier parent and sorted per parent by
     /// `(degree, id)`, exactly the queue discipline of the classic
-    /// sequential CM. Wide frontiers expand on the executor's lanes;
-    /// the output is byte-identical for every executor and team size.
+    /// sequential CM. Wide frontiers expand on the executor's lanes.
     ///
     /// The visited flags, claim slots and frontier buffer are
     /// allocated once and reused across components, so
     /// many-component (road/circuit) matrices no longer pay a fresh
     /// queue + children allocation per component.
-    pub fn cuthill_mckee_order_on(g: &Graph, exec: Exec<'_>) -> Vec<u32> {
-        Rcm::cuthill_mckee_order_with(g, exec, DEFAULT_PAR_FRONTIER_MIN)
-    }
-
-    /// [`Rcm::cuthill_mckee_order_on`] with an explicit level-set
-    /// parallel-expansion cutover (see
-    /// [`ReorderExec::with_frontier_min`]); the order is identical for
-    /// every threshold.
     pub fn cuthill_mckee_order_with(g: &Graph, exec: Exec<'_>, frontier_min: usize) -> Vec<u32> {
         let n = g.num_vertices();
         let mut order: Vec<u32> = Vec::with_capacity(n);

@@ -91,17 +91,8 @@ pub trait ReorderAlgorithm {
     /// Compute the reordering and measure the wall-clock time taken
     /// (the quantity reported in Table 5 of the paper).
     fn compute_timed(&self, a: &CsrMatrix) -> Result<TimedReordering, SparseError> {
-        self.compute_timed_on(a, &ReorderExec::sequential())
-    }
-
-    /// [`ReorderAlgorithm::compute_timed`] in an execution context.
-    fn compute_timed_on(
-        &self,
-        a: &CsrMatrix,
-        rx: &ReorderExec<'_>,
-    ) -> Result<TimedReordering, SparseError> {
         let start = Instant::now();
-        let result = self.compute_on(a, rx)?;
+        let result = self.compute(a)?;
         Ok(TimedReordering {
             result,
             elapsed: start.elapsed(),
@@ -168,51 +159,6 @@ pub struct TimedReordering {
     pub elapsed: Duration,
 }
 
-/// Compute an ordering under telemetry: the wall-clock lands in the
-/// registry histogram `reorder.<algo>` (nanoseconds, e.g.
-/// `reorder.rcm`) via an RAII span, and failures increment
-/// `reorder.failed`. This is the one instrumented entry point every
-/// serving path computes permutations through — Table 5's per-algorithm
-/// cost ranking, as live metrics.
-pub fn timed_permutation(
-    registry: &telemetry::Registry,
-    algo: &dyn ReorderAlgorithm,
-    a: &CsrMatrix,
-) -> Result<TimedReordering, SparseError> {
-    timed_permutation_on(registry, algo, a, &ReorderExec::sequential())
-}
-
-/// [`timed_permutation`] in an execution context: the ordering runs
-/// via [`ReorderAlgorithm::compute_timed_on`] (parallel stages on the
-/// context's executor, sub-stage spans under its trace), and on
-/// success the per-algorithm throughput gauge
-/// `reorder.<algo>.nnz_per_s` is updated from the measured wall-clock
-/// — the live counterpart of the paper's "SpMV iterations to amortise"
-/// ratio.
-pub fn timed_permutation_on(
-    registry: &telemetry::Registry,
-    algo: &dyn ReorderAlgorithm,
-    a: &CsrMatrix,
-    rx: &ReorderExec<'_>,
-) -> Result<TimedReordering, SparseError> {
-    let name = algo.name().to_lowercase();
-    let hist = registry.histogram(&format!("reorder.{name}"));
-    let _span = registry.span_on("reorder", &hist);
-    let timed = algo.compute_timed_on(a, rx);
-    match &timed {
-        Ok(t) => {
-            let secs = t.elapsed.as_secs_f64();
-            if secs > 0.0 {
-                registry
-                    .gauge(&format!("reorder.{name}.nnz_per_s"))
-                    .set((a.nnz() as f64 / secs) as i64);
-            }
-        }
-        Err(_) => registry.counter("reorder.failed").inc(),
-    }
-    timed
-}
-
 /// A reordering plus, when the algorithm is component-structured, its
 /// component→range map — what the engine caches so later deltas can be
 /// spliced instead of recomputed.
@@ -226,11 +172,20 @@ pub struct TimedComponentReordering {
     pub elapsed: Duration,
 }
 
-/// [`timed_permutation_on`] variant that also surfaces the component
-/// range map (via [`ReorderAlgorithm::compute_components_on`]) under
-/// the same telemetry: `reorder.<algo>` histogram span,
-/// `reorder.<algo>.nnz_per_s` gauge, `reorder.failed` counter. Global
-/// algorithms fall through to the flat path and return `ranges: None`.
+/// Compute an ordering under telemetry, in an execution context
+/// (parallel stages on its executor, sub-stage spans under its trace).
+/// This is the one instrumented entry point every serving path
+/// computes permutations through — Table 5's per-algorithm cost
+/// ranking, as live metrics: the measured wall-clock, the same number
+/// as the returned `elapsed`, is recorded into the registry histogram
+/// `reorder.<algo>` (nanoseconds, e.g. `reorder.rcm`) on success and
+/// failure alike; a success updates the throughput gauge
+/// `reorder.<algo>.nnz_per_s` (the live counterpart of the paper's
+/// "SpMV iterations to amortise" ratio) and a failure increments
+/// `reorder.failed`. Component-structured algorithms also return their
+/// component range map (via
+/// [`ReorderAlgorithm::compute_components_on`]); global ones take the
+/// flat path and return `ranges: None`.
 pub fn timed_components_on(
     registry: &telemetry::Registry,
     algo: &dyn ReorderAlgorithm,
@@ -238,8 +193,6 @@ pub fn timed_components_on(
     rx: &ReorderExec<'_>,
 ) -> Result<TimedComponentReordering, SparseError> {
     let name = algo.name().to_lowercase();
-    let hist = registry.histogram(&format!("reorder.{name}"));
-    let _span = registry.span_on("reorder", &hist);
     let start = Instant::now();
     let computed = match algo.compute_components_on(a, rx) {
         Ok(Some(co)) => co
@@ -249,6 +202,9 @@ pub fn timed_components_on(
         Err(e) => Err(e),
     };
     let elapsed = start.elapsed();
+    registry
+        .histogram(&format!("reorder.{name}"))
+        .record_duration(elapsed);
     match &computed {
         Ok(_) => {
             let secs = elapsed.as_secs_f64();
@@ -346,41 +302,29 @@ mod tests {
     }
 
     #[test]
-    fn timed_permutation_records_per_algorithm_histograms() {
+    fn timed_components_records_histogram_gauge_and_failures() {
         let registry = telemetry::Registry::new_arc();
+        let rx = ReorderExec::sequential();
         let a = small();
-        let t = timed_permutation(&registry, &crate::Rcm::default(), &a).unwrap();
+        let t = timed_components_on(&registry, &crate::Rcm::default(), &a, &rx).unwrap();
         assert_eq!(t.result.perm.len(), 3);
         let snap = registry.snapshot();
-        assert_eq!(snap.histogram("reorder.rcm").unwrap().count, 1);
-        assert!(snap.histogram("reorder.rcm").unwrap().min >= 1);
+        let hist = snap.histogram("reorder.rcm").unwrap();
+        assert_eq!(hist.count, 1);
+        assert_eq!(u128::from(hist.sum), t.elapsed.as_nanos().max(1));
         assert!(snap.counter("reorder.failed").is_none());
-
-        // Failures are recorded too: the span still times the attempt
-        // and the failure counter increments.
-        let bad = CsrMatrix::from_coo(&CooMatrix::new(2, 3));
-        assert!(timed_permutation(&registry, &Original, &bad).is_err());
-        let snap = registry.snapshot();
-        assert_eq!(snap.histogram("reorder.original").unwrap().count, 1);
-        assert_eq!(snap.counter("reorder.failed"), Some(1));
-    }
-
-    #[test]
-    fn timed_permutation_updates_throughput_gauge() {
-        let registry = telemetry::Registry::new_arc();
-        let a = small();
-        timed_permutation_on(
-            &registry,
-            &crate::Rcm::default(),
-            &a,
-            &ReorderExec::sequential(),
-        )
-        .unwrap();
-        let snap = registry.snapshot();
         let nnz_per_s = snap
             .gauge("reorder.rcm.nnz_per_s")
             .expect("throughput gauge recorded");
         assert!(nnz_per_s > 0, "nnz/s gauge should be positive: {nnz_per_s}");
+
+        // Failures are recorded too: the attempt is still timed and the
+        // failure counter increments.
+        let bad = CsrMatrix::from_coo(&CooMatrix::new(2, 3));
+        assert!(timed_components_on(&registry, &Original, &bad, &rx).is_err());
+        let snap = registry.snapshot();
+        assert_eq!(snap.histogram("reorder.original").unwrap().count, 1);
+        assert_eq!(snap.counter("reorder.failed"), Some(1));
     }
 
     #[test]

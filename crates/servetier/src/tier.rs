@@ -288,6 +288,7 @@ struct Prepared {
 struct ShardMetrics {
     admitted: Arc<Counter>,
     served: Arc<Counter>,
+    failed: Arc<Counter>,
     shed_queue_full: Arc<Counter>,
     shed_expired: Arc<Counter>,
     queue_depth: Arc<Gauge>,
@@ -299,6 +300,7 @@ impl ShardMetrics {
         ShardMetrics {
             admitted: registry.counter_labeled("tier.admitted", &labels),
             served: registry.counter_labeled("tier.served", &labels),
+            failed: registry.counter_labeled("tier.failed", &labels),
             shed_queue_full: registry
                 .counter_labeled("tier.shed", &[("shard", shard), ("reason", "queue_full")]),
             shed_expired: registry
@@ -342,6 +344,8 @@ struct ReadyState {
 pub struct ShardStats {
     pub admitted: u64,
     pub served: u64,
+    /// Admitted requests that ended in an error other than a shed.
+    pub failed: u64,
     pub shed_queue_full: u64,
     pub shed_expired: u64,
     pub queue_depth: i64,
@@ -362,6 +366,11 @@ impl TierStats {
     /// Requests served across all shards.
     pub fn served(&self) -> u64 {
         self.shards.iter().map(|s| s.served).sum()
+    }
+
+    /// Admitted requests that failed (not shed) across all shards.
+    pub fn failed(&self) -> u64 {
+        self.shards.iter().map(|s| s.failed).sum()
     }
 
     /// Requests shed across all shards (any reason).
@@ -640,16 +649,12 @@ impl ServeTier {
         shard: usize,
         request: &SpmvRequest,
     ) -> TraceSpan {
-        let Some(recorder) = &self.recorder else {
+        let sampled = self.sample_every != 0 && (request_id - 1).is_multiple_of(self.sample_every);
+        let (Some(recorder), true) = (&self.recorder, sampled) else {
             return TraceSpan::disabled();
         };
-        if self.sample_every == 0 || !(request_id - 1).is_multiple_of(self.sample_every) {
-            return TraceSpan::disabled();
-        }
         let ctx = recorder.start_trace();
-        let Some(trace_id) = ctx.trace_id() else {
-            return TraceSpan::disabled();
-        };
+        let trace_id = ctx.trace_id().expect("a started trace has an id");
         let mut root = ctx.span("tier.request");
         root.arg("request", request_id);
         root.arg("shard", shard as u64);
@@ -756,6 +761,7 @@ impl ServeTier {
                 .map(|s| ShardStats {
                     admitted: s.metrics.admitted.get(),
                     served: s.metrics.served.get(),
+                    failed: s.metrics.failed.get(),
                     shed_queue_full: s.metrics.shed_queue_full.get(),
                     shed_expired: s.metrics.shed_expired.get(),
                     queue_depth: s.metrics.queue_depth.get(),
@@ -786,9 +792,10 @@ impl obsv::OpsSource for ServeTier {
         let stats = self.stats();
         let queued: i64 = stats.shards.iter().map(|s| s.queue_depth).sum();
         format!(
-            "\"shards\":{},\"queued\":{queued},\"served\":{},\"shed\":{},\"draining\":{}",
+            "\"shards\":{},\"queued\":{queued},\"served\":{},\"failed\":{},\"shed\":{},\"draining\":{}",
             stats.shards.len(),
             stats.served(),
+            stats.failed(),
             stats.shed(),
             self.ready.draining.load(Ordering::Acquire),
         )
@@ -808,6 +815,11 @@ impl obsv::OpsSource for ServeTier {
 fn describe_tier_metrics(registry: &Registry) {
     registry.describe("tier.admitted", "Requests admitted to a shard queue.");
     registry.describe("tier.served", "Requests answered end to end.");
+    registry.describe(
+        "tier.failed",
+        "Admitted requests that ended in an error other than a shed (e.g. a non-square matrix): \
+         the client's error, so not counted in tier.shed_tenant or SLO budget burn.",
+    );
     registry.describe("tier.shed", "Requests refused, by shard and reason.");
     registry.describe(
         "tier.shed_tenant",
@@ -864,6 +876,10 @@ fn dispatch_loop(shard: &ShardInner) {
         } else if matches!(result, Err(TierError::Shed(ShedReason::Expired))) {
             shard.metrics.shed_expired.inc();
             shard.tenant_shed[queued.tenant_index].inc();
+        } else {
+            // Every admitted request ends as served, shed or failed.
+            shard.metrics.failed.inc();
+            queued.trace.instant("tier.failed");
         }
         queued.slot.fulfil(result);
     }
@@ -890,7 +906,6 @@ fn execute(
             .engine
             .peek_cached(&request.matrix, request.algo)
             .is_some();
-        let _stage = telemetry::stage("policy.decide");
         let mut decide = ctx.span("policy.decide");
         decide.arg("mode", shard.policy.mode().as_str());
         decide.arg("requested", request.algo.name());
@@ -906,21 +921,21 @@ fn execute(
 
     // 1. The ordering, through the shard engine's caches — with the
     //    deadline attached, so an expiry cancels it pre-reorder.
-    let ordering = {
-        let _stage = telemetry::stage("engine.request");
-        let ticket = shard.engine.submit_opts(
+    let ordering = shard
+        .engine
+        .submit_opts(
             &request.matrix,
             algo,
             SubmitOptions {
                 deadline: request.deadline,
                 trace: ctx.clone(),
             },
-        );
-        ticket.wait().map_err(|e| match e {
+        )
+        .wait()
+        .map_err(|e| match e {
             EngineError::Expired => TierError::Shed(ShedReason::Expired),
             other => TierError::Engine(other),
-        })?
-    };
+        })?;
     if decision.reorders() {
         // The ledger bills the one-time cost exactly once per key; a
         // cache-served ordering re-reports the same figure harmlessly.
@@ -943,7 +958,6 @@ fn execute(
     let prepared = match shard.prepared.get(&key) {
         Some(p) => p,
         None => {
-            let _stage = telemetry::stage("reorder.permute");
             let mut permute = ctx.span("reorder.permute");
             permute.arg("rows", request.matrix.matrix().nrows() as u64);
             let reordered = ordering
@@ -968,12 +982,10 @@ fn execute(
     };
 
     // 3. The planned kernel for the reordered matrix (plan cache).
-    let kernel = {
-        let _stage = telemetry::stage("engine.plan");
+    let kernel =
         shard
             .engine
-            .plan_traced(&prepared.handle, request.kernel, shard.spmv_threads, &ctx)
-    };
+            .plan_traced(&prepared.handle, request.kernel, shard.spmv_threads, &ctx);
 
     // 4. Permute in, multiply, permute out: the caller sees original
     //    index space on both sides.
@@ -981,7 +993,6 @@ fn execute(
     let mut yp = vec![0.0; prepared.handle.matrix().nrows()];
     let spmv_started = Instant::now();
     {
-        let _stage = telemetry::stage("serve.spmv");
         let mut compute = ctx.span("serve.spmv");
         compute.arg("kernel", request.kernel.name());
         kernel.execute(&shard.spmv_team, &xp, &mut yp);
@@ -992,7 +1003,6 @@ fn execute(
         .policy
         .observe_spmv(content_hash, algo, spmv_started.elapsed().as_secs_f64());
     let y = {
-        let _stage = telemetry::stage("answer.unpermute");
         let _unpermute = ctx.span("answer.unpermute");
         prepared.result.unpermute_output(&yp)
     };

@@ -228,6 +228,34 @@ fn wrong_x_length_is_invalid() {
     assert!(matches!(tier.serve(req), Err(TierError::InvalidRequest(_))));
 }
 
+/// A request that fails inside the engine (here: RCM refuses a
+/// rectangular matrix) is still accounted for: every admitted request
+/// ends as served, shed or failed.
+#[test]
+fn engine_failure_is_counted_as_failed() {
+    let underflow = telemetry::Registry::global().counter("telemetry.underflow");
+    let underflow_before = underflow.get();
+    let tier = tier(1, 16);
+    let good = MatrixHandle::from_matrix(corpus::mesh2d(10, 10));
+    let rectangular = MatrixHandle::from_matrix(sparsemat::CsrMatrix::from_coo(
+        &sparsemat::CooMatrix::new(2, 3),
+    ));
+    for _ in 0..3 {
+        tier.serve(request(&good, AlgoSpec::Rcm, KernelKind::OneD))
+            .unwrap();
+    }
+    match tier.serve(request(&rectangular, AlgoSpec::Rcm, KernelKind::OneD)) {
+        Err(TierError::Engine(_)) => {}
+        other => panic!("expected an engine error, got {other:?}"),
+    }
+    let stats = tier.stats();
+    let shard = &stats.shards[0];
+    assert_eq!(shard.admitted, 4);
+    assert_eq!((stats.served(), stats.failed(), stats.shed()), (3, 1, 0));
+    assert_eq!(shard.queue_depth, 0);
+    assert_eq!(underflow.get(), underflow_before);
+}
+
 #[test]
 fn repeat_requests_hit_the_shard_caches() {
     let tier = tier(2, 64);

@@ -77,19 +77,13 @@ pub fn bfs_levels(g: &Graph, root: usize) -> BfsLevels {
 }
 
 /// [`bfs_levels`] on an executor: frontiers wide enough to amortise a
-/// dispatch are expanded in parallel via [`expand_frontier_on`], and
+/// dispatch are expanded in parallel via [`expand_frontier_with`], and
 /// the result is byte-identical to the sequential search (see the
-/// determinism argument there). Uses the default cutover
-/// [`DEFAULT_PAR_FRONTIER_MIN`]; see [`bfs_levels_with`] for a tuned
-/// threshold.
-pub fn bfs_levels_on(g: &Graph, root: usize, exec: Exec<'_>) -> BfsLevels {
-    bfs_levels_with(g, root, exec, DEFAULT_PAR_FRONTIER_MIN)
-}
-
-/// [`bfs_levels_on`] with an explicit sequential-fallback threshold:
-/// levels narrower than `frontier_min` are expanded by the one-pass
-/// sequential loop even on a team. The threshold changes wall-clock
-/// only — the returned level structure is identical for every value.
+/// determinism argument there). Levels narrower than `frontier_min`
+/// (default cutover: [`DEFAULT_PAR_FRONTIER_MIN`]) are expanded by the
+/// one-pass sequential loop even on a team. The threshold changes
+/// wall-clock only — the returned level structure is identical for
+/// every value.
 pub fn bfs_levels_with(g: &Graph, root: usize, exec: Exec<'_>, frontier_min: usize) -> BfsLevels {
     if exec.lanes() == 1 {
         return bfs_levels(g, root);
@@ -125,7 +119,7 @@ pub fn bfs_levels_with(g: &Graph, root: usize, exec: Exec<'_>, frontier_min: usi
 ///
 /// A slot holds the frontier position of the parent that claimed the
 /// vertex this level, or `u32::MAX` when unclaimed. Slots are restored
-/// to `u32::MAX` by [`expand_frontier_on`] before it returns.
+/// to `u32::MAX` by [`expand_frontier_with`] before it returns.
 pub struct FrontierScratch {
     claims: Vec<AtomicU32>,
 }
@@ -154,7 +148,10 @@ impl FrontierScratch {
 /// by the *lowest-positioned* frontier parent that reaches them and
 /// ordered within a parent's group by `sort_children` (pass a no-op
 /// for adjacency order). The caller marks the returned vertices
-/// visited before the next expansion.
+/// visited before the next expansion. Frontiers narrower than
+/// `frontier_min` always take the one-pass sequential expansion;
+/// output is identical for every threshold — only the dispatch
+/// decision changes.
 ///
 /// # Determinism
 ///
@@ -166,33 +163,6 @@ impl FrontierScratch {
 /// child lists in chunk order, which is frontier order. Both paths
 /// therefore return the exact same vertex sequence for every executor
 /// and team size; narrow frontiers take the sequential path outright.
-pub fn expand_frontier_on<P, S>(
-    g: &Graph,
-    frontier: &[u32],
-    unvisited: P,
-    scratch: &FrontierScratch,
-    exec: Exec<'_>,
-    sort_children: S,
-) -> Vec<u32>
-where
-    P: Fn(usize) -> bool + Sync,
-    S: Fn(&mut Vec<u32>) + Sync,
-{
-    expand_frontier_with(
-        g,
-        frontier,
-        unvisited,
-        scratch,
-        exec,
-        DEFAULT_PAR_FRONTIER_MIN,
-        sort_children,
-    )
-}
-
-/// [`expand_frontier_on`] with an explicit sequential-fallback
-/// threshold (`frontier_min`): frontiers narrower than it always take
-/// the one-pass sequential expansion. Output is identical for every
-/// threshold — only the dispatch decision changes.
 pub fn expand_frontier_with<P, S>(
     g: &Graph,
     frontier: &[u32],
@@ -387,8 +357,8 @@ mod tests {
             let par = bfs_levels_with(&g, 0, Exec::Team(&t), FORCED_MIN);
             assert_eq!(seq.level_of, par.level_of, "team size {size}");
             assert_eq!(seq.levels, par.levels, "team size {size}");
-            // The default-threshold entry point must agree as well.
-            let par_default = bfs_levels_on(&g, 0, Exec::Team(&t));
+            // The default threshold must agree as well.
+            let par_default = bfs_levels_with(&g, 0, Exec::Team(&t), DEFAULT_PAR_FRONTIER_MIN);
             assert_eq!(seq.level_of, par_default.level_of, "team size {size}");
         }
     }
@@ -400,12 +370,13 @@ mod tests {
         let visited = [
             true, false, false, false, false, false, false, false, false, false,
         ];
-        let next = expand_frontier_on(
+        let next = expand_frontier_with(
             &g,
             &[0],
             |u| !visited[u],
             &scratch,
             Exec::Sequential,
+            DEFAULT_PAR_FRONTIER_MIN,
             |_| {},
         );
         assert_eq!(next, vec![1]);

@@ -21,13 +21,11 @@ mod incremental;
 mod peripheral;
 
 pub use bfs::{
-    bfs_levels, bfs_levels_on, bfs_levels_with, expand_frontier_on, expand_frontier_with,
-    BfsLevels, FrontierScratch, DEFAULT_PAR_FRONTIER_MIN,
+    bfs_levels, bfs_levels_with, expand_frontier_with, BfsLevels, FrontierScratch,
+    DEFAULT_PAR_FRONTIER_MIN,
 };
 pub use components::{connected_components, Components};
 pub use graph::Graph;
 pub use hypergraph::Hypergraph;
 pub use incremental::{ComponentDelta, IncrementalComponents};
-pub use peripheral::{
-    pseudo_peripheral_vertex, pseudo_peripheral_vertex_on, pseudo_peripheral_vertex_with,
-};
+pub use peripheral::{pseudo_peripheral_vertex, pseudo_peripheral_vertex_with};

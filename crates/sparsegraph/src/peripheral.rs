@@ -10,21 +10,15 @@ use team::Exec;
 /// good Cuthill–McKee starting point: its BFS level structure is deep
 /// and narrow, which translates into small bandwidth after reordering.
 pub fn pseudo_peripheral_vertex(g: &Graph, start: usize) -> usize {
-    pseudo_peripheral_vertex_on(g, start, Exec::Sequential)
+    pseudo_peripheral_vertex_with(g, start, Exec::Sequential, DEFAULT_PAR_FRONTIER_MIN)
 }
 
 /// [`pseudo_peripheral_vertex`] on an executor. The repeated level
 /// structures dominate the finder's cost and parallelise through
-/// [`crate::bfs_levels_on`]; the min-degree candidate selection keeps its
-/// first-minimum (within-level order) semantics, which parallel BFS
-/// preserves exactly.
-pub fn pseudo_peripheral_vertex_on(g: &Graph, start: usize, exec: Exec<'_>) -> usize {
-    pseudo_peripheral_vertex_with(g, start, exec, DEFAULT_PAR_FRONTIER_MIN)
-}
-
-/// [`pseudo_peripheral_vertex_on`] with an explicit parallel-expansion
-/// cutover (see [`bfs_levels_with`]); the returned vertex is identical
-/// for every threshold.
+/// [`bfs_levels_with`] (`frontier_min` is its parallel-expansion
+/// cutover; the returned vertex is identical for every threshold); the
+/// min-degree candidate selection keeps its first-minimum (within-level
+/// order) semantics, which parallel BFS preserves exactly.
 pub fn pseudo_peripheral_vertex_with(
     g: &Graph,
     start: usize,

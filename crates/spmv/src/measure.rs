@@ -131,9 +131,9 @@ pub fn measure_spmv(
 
 /// [`measure_spmv`] reporting into an explicit registry: every
 /// repetition's wall-clock lands in the `spmv.measure.rep` histogram
-/// (nanoseconds), and the whole measurement runs under a
-/// `spmv.measure` span, so the summary statistics and the exported
-/// quantiles come from the same recorded samples.
+/// (nanoseconds) and the whole measurement's into `spmv.measure`, so
+/// the summary statistics and the exported quantiles come from the same
+/// recorded samples.
 ///
 /// The plan is built once and every repetition executes on one
 /// persistent [`ThreadTeam`], so the timings contain zero per-iteration
@@ -162,7 +162,7 @@ pub fn measure_spmv_traced(
     kernel: KernelKind,
     cfg: &MeasureConfig,
 ) -> SpmvMeasurement {
-    let _span = registry.span("spmv.measure");
+    let started = Instant::now();
     let mut tspan = ctx.span("spmv.measure");
     tspan.arg("kernel", kernel.name());
     tspan.arg("reps", cfg.repetitions.max(1));
@@ -198,6 +198,9 @@ pub fn measure_spmv_traced(
     let rep_hist = registry.histogram("spmv.measure.rep");
     rep_hist.merge_from(&warm);
     rep_hist.merge_from(&steady);
+    registry
+        .histogram("spmv.measure")
+        .record_duration(started.elapsed());
     result
 }
 
@@ -304,58 +307,19 @@ mod tests {
         // Quantiles are ordered and bracketed by the extremes.
         assert!(m.min_time <= m.p50_time * 1.0625 + 1e-12);
         assert!(m.p50_time <= m.p99_time + 1e-12);
-        // The measurement itself ran under a span.
+        // The whole measurement is one `spmv.measure` sample.
         assert_eq!(snap.histogram("spmv.measure").unwrap().count, 1);
     }
 
-    /// The acceptance bound from the issue: telemetry with spans
-    /// disabled adds < 2% to a small-matrix SpMV measurement loop. A
-    /// disabled span is one relaxed atomic load; one SpMV iteration is
-    /// microseconds. Measure both and compare directly, which is robust
-    /// to machine speed in a way an absolute threshold is not.
-    #[test]
-    fn disabled_spans_add_under_two_percent() {
-        let registry = telemetry::Registry::new_arc();
-        registry.set_spans_enabled(false);
-
-        const SPANS: u32 = 100_000;
-        let t0 = Instant::now();
-        for _ in 0..SPANS {
-            let s = registry.span("spmv.measure");
-            std::hint::black_box(&s);
-        }
-        let span_ns = t0.elapsed().as_nanos() as f64 / SPANS as f64;
-
-        let a = banded(500, 2);
-        let cfg = MeasureConfig {
-            repetitions: 20,
-            warmup: 2,
-            nthreads: 1,
-        };
-        let m = measure_spmv_in(&registry, &a, KernelKind::OneD, &cfg);
-        let iter_ns = m.min_time * 1e9;
-        assert!(
-            span_ns < 0.02 * iter_ns,
-            "disabled span costs {span_ns:.1}ns, {:.3}% of a {iter_ns:.0}ns SpMV iteration",
-            100.0 * span_ns / iter_ns
-        );
-        // Disabled spans record nothing, but the per-rep histogram is
-        // explicit recording and still fills.
-        let snap = registry.snapshot();
-        assert!(snap.histogram("spmv.measure").is_none());
-        assert_eq!(snap.histogram("spmv.measure.rep").unwrap().count, 20);
-    }
-
-    /// The acceptance bound from the issue, tracing edition: with
-    /// tracing disabled, the flight-recorder instrumentation adds < 2%
-    /// to a small-matrix SpMV iteration. A disabled `TraceCtx` span is
-    /// an `Option` check and the team's gate is one relaxed load, so —
-    /// like the disabled-span test above — we measure the per-call cost
-    /// directly against a real measured iteration.
+    /// The cost envelope of the one stage guard: on a disabled context
+    /// with no profiler session live, `ctx.span` is an `Option` check
+    /// plus the stage board's one relaxed load, and must add < 2% to a
+    /// small-matrix SpMV iteration (microseconds). Measure both and
+    /// compare directly, which is robust to machine speed in a way an
+    /// absolute threshold is not.
     #[test]
     fn disabled_tracing_adds_under_two_percent() {
         let registry = telemetry::Registry::new_arc();
-        registry.set_spans_enabled(false);
         let ctx = TraceCtx::disabled();
 
         const CALLS: u32 = 100_000;

@@ -13,11 +13,6 @@
 //!   lock-free concurrent recording, and shard **merging** so a
 //!   measurement loop can aggregate locally and fold into the registry
 //!   once.
-//! - **Spans** ([`Span`]) — RAII timers recording into a named
-//!   histogram on drop, nesting via a thread-local stack
-//!   (`engine.submit → reorder.rcm → spmv.measure`). With spans
-//!   disabled on a registry they never read the clock, bounding idle
-//!   overhead (asserted against a real SpMV loop in `crates/spmv`).
 //! - **Exporters** — JSON snapshots and Prometheus text exposition
 //!   ([`Snapshot::to_json`], [`Snapshot::to_prometheus`]), plus a
 //!   periodic stdout [`Reporter`] for long sweeps.
@@ -26,9 +21,12 @@
 //!   that crosses threads with explicit parenting, and Chrome-trace/
 //!   Perfetto JSON plus plain-text summary exporters
 //!   ([`TraceSnapshot::to_chrome_json`], [`TraceSnapshot::summary`]).
+//!   [`TraceCtx::span`] is the one way a request-path stage is marked:
+//!   its [`TraceSpan`] records Begin/End when the context is sampled
+//!   and carries the stage-board entry below for every request.
 //! - **Stage board** ([`stage()`], [`sample_stages`]) — every open
-//!   [`Span`] (and explicit [`StageGuard`]) publishes its label on a
-//!   process-global per-thread stack while a profiling
+//!   [`TraceSpan`] (and explicit [`StageGuard`]) publishes its name on
+//!   a process-global per-thread stack while a profiling
 //!   [`StageSession`] is active, so a sampler can ask "what stage is
 //!   every thread in right now" and fold the answers into a live
 //!   flamegraph. Disabled (the default), publishing costs one relaxed
@@ -45,10 +43,7 @@
 //! let registry = Registry::new_arc();
 //! let hits = registry.counter("engine.cache.hits");
 //! hits.add(3);
-//! {
-//!     let _span = registry.span("reorder.rcm");
-//!     // ... timed work ...
-//! }
+//! registry.histogram("reorder.rcm").record(1_500);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("engine.cache.hits"), Some(3));
 //! assert_eq!(snap.histogram("reorder.rcm").unwrap().count, 1);
@@ -66,7 +61,6 @@ mod histogram;
 mod metrics;
 mod registry;
 mod report;
-mod span;
 pub mod stage;
 pub mod trace;
 
@@ -74,7 +68,6 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{series_name, Registry, Snapshot};
 pub use report::{compact_line, Reporter};
-pub use span::{current_depth, current_path, Span};
 pub use stage::{sample_stages, stage, stages_enabled, StageGuard, StageSession};
 pub use trace::{ArgValue, FlightRecorder, TraceCtx, TraceSnapshot, TraceSpan};
 
@@ -96,11 +89,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     Registry::global().histogram(name)
 }
 
-/// Open a span on the global registry.
-pub fn span(name: &'static str) -> Span {
-    Registry::global().span(name)
-}
-
 /// Snapshot the global registry.
 pub fn snapshot() -> Snapshot {
     Registry::global().snapshot()
@@ -115,11 +103,9 @@ mod tests {
         counter("lib.test.counter").add(2);
         gauge("lib.test.gauge").set(-1);
         histogram("lib.test.hist").record(10);
-        drop(span("lib.test.span"));
         let snap = snapshot();
         assert!(snap.counter("lib.test.counter").unwrap() >= 2);
         assert_eq!(snap.gauge("lib.test.gauge"), Some(-1));
         assert!(snap.histogram("lib.test.hist").unwrap().count >= 1);
-        assert!(snap.histogram("lib.test.span").unwrap().count >= 1);
     }
 }

@@ -16,7 +16,6 @@
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::metrics::{Counter, Gauge};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Build a labeled series name: `base{k="v",k2="v2"}` (Prometheus
@@ -96,20 +95,12 @@ pub struct Registry {
     /// by the Prometheus exporter. Keyed by **base** name (no label
     /// block): all series of one base share a description.
     help: Mutex<BTreeMap<String, String>>,
-    /// Span switch: when false, [`Registry::span`] returns inert spans
-    /// that never read the clock (the "cheap when idle" guarantee).
-    /// Counters, gauges and direct histogram recording stay live.
-    spans_enabled: AtomicBool,
 }
 
 impl Registry {
-    /// A fresh, empty registry with spans enabled.
+    /// A fresh, empty registry.
     pub fn new() -> Self {
-        Registry {
-            metrics: Mutex::new(BTreeMap::new()),
-            help: Mutex::new(BTreeMap::new()),
-            spans_enabled: AtomicBool::new(true),
-        }
+        Registry::default()
     }
 
     /// Attach a human description to the **base** metric name `base`
@@ -132,17 +123,6 @@ impl Registry {
     pub fn global() -> Arc<Registry> {
         static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
         Arc::clone(GLOBAL.get_or_init(Registry::new_arc))
-    }
-
-    /// Enable or disable span timing on this registry.
-    pub fn set_spans_enabled(&self, enabled: bool) {
-        self.spans_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// True if spans on this registry time themselves.
-    #[inline]
-    pub fn spans_enabled(&self) -> bool {
-        self.spans_enabled.load(Ordering::Relaxed)
     }
 
     /// Resolve (or create) the counter `name`.

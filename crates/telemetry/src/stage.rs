@@ -6,12 +6,15 @@
 //! operator's live question — "across the whole process, where is
 //! wall-clock time going *at this moment*?" — without pre-selecting a
 //! request. The stage board does: every thread that opens a
-//! [`StageGuard`] (or a [`crate::Span`], which opens one implicitly)
-//! publishes its current stage stack to a process-global board, and a
-//! sampler ([`sample_stages`]) reads all stacks at once. Sampling at
-//! ~100 Hz and folding the observed stacks yields a collapsed-stack
-//! flamegraph of the live process (the `obsv` crate's `/profile`
-//! endpoint).
+//! [`StageGuard`] publishes its current stage stack to a
+//! process-global board, and a sampler ([`sample_stages`]) reads all
+//! stacks at once. Sampling at ~100 Hz and folding the observed stacks
+//! yields a collapsed-stack flamegraph of the live process (the `obsv`
+//! crate's `/profile` endpoint). Request-path code does not call
+//! [`stage`] itself: every [`crate::TraceSpan`] carries a guard, so
+//! `ctx.span(name)` marks the stage here and in the flight recorder
+//! under one name. A bare [`stage`] call is for a thread with no
+//! request to hang a context on (a dispatcher waiting for work).
 //!
 //! The board follows the workspace's "cheap when idle" discipline:
 //! it is **disabled by default**, and a disabled [`stage`] call is one
@@ -90,8 +93,9 @@ impl Drop for StageSession {
 
 /// An entry on this thread's published stage stack; pops itself on
 /// drop. Returned inert (one relaxed load, nothing else) while no
-/// [`StageSession`] is active.
+/// [`StageSession`] is active; the default guard is inert too.
 #[must_use = "a stage guard publishes until dropped; binding it to _ drops it immediately"]
+#[derive(Default)]
 pub struct StageGuard {
     entry: Option<(Arc<ThreadStages>, u64)>,
 }
@@ -150,14 +154,25 @@ pub fn sample_stages() -> Vec<(String, Vec<&'static str>)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     // The board is process-global, so these tests hold their own
     // sessions and only assert on stages they opened themselves
-    // (uniquely named), staying robust to parallel tests.
+    // (uniquely named).
 
-    fn my_stack(needle: &str) -> Option<Vec<&'static str>> {
+    /// Held by every test in this crate that starts a session or
+    /// asserts what happens without one: `cargo test` runs tests on
+    /// parallel threads, and one test's session would otherwise make
+    /// another's "board off" guard publish.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    pub(crate) fn my_stack(needle: &str) -> Option<Vec<&'static str>> {
         sample_stages()
             .into_iter()
             .map(|(_, stack)| stack)
@@ -166,6 +181,7 @@ mod tests {
 
     #[test]
     fn disabled_guard_publishes_nothing() {
+        let _serial = serial();
         // No session of ours: a guard opened now must not appear when a
         // later session samples. (Another test's session may be live,
         // so only assert on our unique stage name.)
@@ -178,6 +194,7 @@ mod tests {
 
     #[test]
     fn stacks_nest_and_unwind() {
+        let _serial = serial();
         let _session = StageSession::start();
         let _a = stage("stagetest.outer");
         {
@@ -199,6 +216,7 @@ mod tests {
 
     #[test]
     fn cross_thread_drop_pops_the_right_entry() {
+        let _serial = serial();
         let _session = StageSession::start();
         let _outer = stage("stagetest.xthread.outer");
         let inner = stage("stagetest.xthread.inner");
@@ -213,6 +231,7 @@ mod tests {
 
     #[test]
     fn sessions_refcount() {
+        let _serial = serial();
         let a = StageSession::start();
         let b = StageSession::start();
         assert!(stages_enabled());
@@ -226,6 +245,7 @@ mod tests {
 
     #[test]
     fn exited_threads_are_pruned() {
+        let _serial = serial();
         let _session = StageSession::start();
         std::thread::Builder::new()
             .name("stagetest-ephemeral".into())

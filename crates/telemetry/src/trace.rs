@@ -17,13 +17,18 @@
 //! - **[`TraceCtx`]** is the propagation handle: cheap to clone
 //!   (`Arc` + two integers), `Send + Sync`, carried through the engine
 //!   request lifecycle and into `ThreadTeam` dispatches. A disabled
-//!   context ([`TraceCtx::disabled`]) makes every operation a no-op
-//!   that never reads the clock — the same "cheap when idle"
-//!   discipline as [`crate::Span`].
-//! - **[`TraceSpan`]** is the RAII span: `Begin` on creation, `End`
-//!   (with accumulated args) on drop, both into the ring of the thread
-//!   that *opened* the span so every per-thread event stream keeps
-//!   balanced Begin/End pairs. [`TraceSpan::ctx`] hands out a child
+//!   context ([`TraceCtx::disabled`]) records nothing and never reads
+//!   the clock.
+//! - **[`TraceSpan`]** is the one stage guard: `Begin` on creation,
+//!   `End` (with accumulated args) on drop, both into the ring of the
+//!   thread that *opened* the span so every per-thread event stream
+//!   keeps balanced Begin/End pairs. It also holds the stage's entry
+//!   on the live board ([`crate::stage()`]), and that half does not
+//!   depend on sampling: a span opened on a disabled context still
+//!   publishes its name while a [`crate::StageSession`] is live, so
+//!   the profiler sees every request, not every hundredth. With the
+//!   board off too, opening one costs the `Option` check plus one
+//!   relaxed load. [`TraceSpan::ctx`] hands out a child
 //!   context whose parent is this span — the explicit parent handle
 //!   that lets events recorded on a worker thread land under the
 //!   submitting thread's span instead of as orphaned roots.
@@ -37,9 +42,10 @@
 //! ([`TraceSnapshot::to_chrome_json`]) requires for well-nested B/E
 //! pairs.
 
+use crate::stage::{stage, StageGuard};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
@@ -179,7 +185,6 @@ pub struct FlightRecorder {
     id: u64,
     /// Per-thread ring capacity, in events.
     capacity: usize,
-    enabled: AtomicBool,
     /// Timestamp origin.
     epoch: Instant,
     next_trace: AtomicU64,
@@ -193,7 +198,6 @@ impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("capacity", &self.capacity)
-            .field("enabled", &self.enabled())
             .field("dropped", &self.dropped())
             .finish()
     }
@@ -201,12 +205,11 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder whose per-thread rings hold at most
-    /// `capacity_per_thread` events (clamped to ≥ 8), enabled.
+    /// `capacity_per_thread` events (clamped to ≥ 8).
     pub fn new(capacity_per_thread: usize) -> Arc<FlightRecorder> {
         Arc::new(FlightRecorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             capacity: capacity_per_thread.max(8),
-            enabled: AtomicBool::new(true),
             epoch: Instant::now(),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
@@ -216,31 +219,15 @@ impl FlightRecorder {
         })
     }
 
-    /// Master switch. While disabled, [`FlightRecorder::start_trace`]
-    /// returns non-recording contexts; traces already in flight keep
-    /// recording (their contexts captured the enabled decision).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// True if new traces will record.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Total events dropped to ring overflow, across all threads.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Begin a new trace: allocates a trace ID and returns the root
-    /// propagation context (parent 0). Returns a disabled context when
-    /// the recorder is disabled — the caller needs no second check.
+    /// propagation context (parent 0). Whether a request is traced at
+    /// all is the caller's sampling decision, made before this call.
     pub fn start_trace(self: &Arc<Self>) -> TraceCtx {
-        if !self.enabled() {
-            return TraceCtx::disabled();
-        }
         TraceCtx {
             inner: Some(CtxInner {
                 recorder: Arc::clone(self),
@@ -345,8 +332,9 @@ impl std::fmt::Debug for TraceCtx {
 }
 
 impl TraceCtx {
-    /// The inert context: every operation is a no-op that never reads
-    /// the clock.
+    /// The non-recording context: nothing reaches a recorder and the
+    /// clock is never read; [`TraceCtx::span`] still marks the stage
+    /// on the live board.
     pub fn disabled() -> TraceCtx {
         TraceCtx { inner: None }
     }
@@ -362,11 +350,14 @@ impl TraceCtx {
         self.inner.as_ref().map(|i| i.trace_id)
     }
 
-    /// Open a span under this context's parent. `Begin` is recorded
-    /// now; `End` on drop.
+    /// Mark a stage: publish `name` on the live stage board while a
+    /// [`crate::StageSession`] is active, and — when this context is
+    /// recording — open a span under its parent (`Begin` now, `End` on
+    /// drop).
     pub fn span(&self, name: &'static str) -> TraceSpan {
+        let _stage = stage(name);
         let Some(inner) = &self.inner else {
-            return TraceSpan::disabled();
+            return TraceSpan { live: None, _stage };
         };
         let recorder = &inner.recorder;
         let ring = recorder.ring();
@@ -393,6 +384,7 @@ impl TraceCtx {
                 name,
                 args: Vec::new(),
             }),
+            _stage,
         }
     }
 
@@ -472,17 +464,24 @@ struct SpanLive {
     args: Vec<(&'static str, ArgValue)>,
 }
 
-/// An open trace span: records `End` (with args) when dropped.
-#[must_use = "a trace span records its End when dropped; binding it to _ drops it immediately"]
+/// An open stage: records `End` (with args) when dropped if its
+/// context was recording, and holds the stage's board entry either way.
+#[must_use = "a trace span ends its stage when dropped; binding it to _ drops it immediately"]
 pub struct TraceSpan {
     live: Option<SpanLive>,
+    /// Pops its own entry on drop, so a span moved to another thread
+    /// (a ticket's root) leaves the opening thread's stack intact.
+    _stage: StageGuard,
 }
 
 impl TraceSpan {
-    /// An inert span (from a disabled context): drops silently, hands
+    /// A fully inert span: records nothing, publishes nothing, hands
     /// out disabled child contexts.
     pub fn disabled() -> TraceSpan {
-        TraceSpan { live: None }
+        TraceSpan {
+            live: None,
+            _stage: StageGuard::default(),
+        }
     }
 
     /// True if this span will record an `End` event.
@@ -604,6 +603,8 @@ impl TraceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::tests::{my_stack, serial};
+    use crate::StageSession;
 
     #[test]
     fn spans_nest_with_parent_ids() {
@@ -680,23 +681,65 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_and_ctx_record_nothing() {
-        let rec = FlightRecorder::new(64);
-        rec.set_enabled(false);
-        let ctx = rec.start_trace();
+    fn disabled_ctx_records_nothing() {
+        let ctx = TraceCtx::disabled();
         assert!(!ctx.is_recording());
+        let mut s = ctx.span("nope");
+        assert!(!s.is_recording());
+        s.arg("k", 1u64);
+        assert!(!s.ctx().span("nested.nope").is_recording());
+        ctx.instant("nope");
+        ctx.complete("nope", Instant::now(), Instant::now(), Vec::new());
+    }
+
+    #[test]
+    fn disabled_ctx_span_marks_the_board_only_under_a_session() {
+        let _serial = serial();
+        let ctx = TraceCtx::disabled();
+        // Opened with the board off: inert for life, even once a
+        // session starts. `TraceSpan::disabled()` is inert always.
+        let early = ctx.span("tracetest.off.early");
+        let _session = StageSession::start();
+        let inert = TraceSpan::disabled();
+        let outer = ctx.span("tracetest.off.outer");
+        assert!(!outer.is_recording() && !inert.ctx().is_recording());
         {
-            let mut s = ctx.span("nope");
-            assert!(!s.is_recording());
-            s.arg("k", 1u64);
-            let _child = s.ctx().span("nested.nope");
-            ctx.instant("nope");
+            let _inner = outer.ctx().span("tracetest.off.inner");
+            assert_eq!(
+                my_stack("tracetest.off.inner").expect("published"),
+                ["tracetest.off.outer", "tracetest.off.inner"]
+            );
         }
-        assert!(rec.snapshot().is_empty());
-        // Re-enabling affects new traces.
-        rec.set_enabled(true);
-        drop(rec.start_trace().span("yes"));
-        assert_eq!(rec.snapshot().total_events(), 2);
+        assert_eq!(
+            my_stack("tracetest.off.outer").expect("still open"),
+            ["tracetest.off.outer"]
+        );
+        drop((early, inert, outer));
+        assert!(my_stack("tracetest.off.").is_none());
+    }
+
+    #[test]
+    fn recording_span_marks_board_and_ring_and_pops_its_own_entry_elsewhere() {
+        let _serial = serial();
+        let _session = StageSession::start();
+        let rec = FlightRecorder::new(64);
+        let ctx = rec.start_trace();
+        let _outer = ctx.span("tracetest.on.outer");
+        // What a ticket's root span does: opened by the submitter,
+        // dropped wherever the ticket is waited on.
+        let moved = ctx.span("tracetest.on.root");
+        assert_eq!(
+            my_stack("tracetest.on.root").expect("published"),
+            ["tracetest.on.outer", "tracetest.on.root"]
+        );
+        std::thread::spawn(move || drop(moved)).join().unwrap();
+        assert_eq!(
+            my_stack("tracetest.on.outer").expect("outer still open"),
+            ["tracetest.on.outer"]
+        );
+        // Both halves of the moved span stayed in the opener's ring.
+        let snap = rec.snapshot();
+        assert_eq!((snap.threads.len(), snap.total_events()), (1, 3));
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!   top of [`engine`]: consistent-hash routing, weighted-fair bounded
 //!   admission with deadlines and load-shedding, and end-to-end SpMV
 //!   answers delivered in the caller's original index space;
-//! - [`telemetry`] — counters, gauges, log-linear latency histograms
-//!   and RAII spans behind a process-wide registry, with JSON and
-//!   Prometheus exporters (see README § Observability).
+//! - [`telemetry`] — counters, gauges and log-linear latency
+//!   histograms behind a process-wide registry, with JSON and
+//!   Prometheus exporters, plus the request-scoped flight recorder and
+//!   live stage board (see README § Observability).
 //!
 //! # Quickstart
 //!
