@@ -22,6 +22,19 @@ TMP="$(mktemp -d)"
 cargo build --release --workspace
 cargo test -q --workspace
 
+# Paper drift gate: results/*_small.txt are what `paper` prints at this
+# commit, whichever executor computes the orderings. A deliberate
+# change to a table is accepted by committing the diff; there is no
+# update switch.
+for threads in 1 2; do
+    ./target/release/paper --size small --reorder-threads "$threads"
+    [ -z "$(git status --porcelain -- results)" ] || {
+        git diff --stat -- results
+        echo "ci: results/ drifted at --reorder-threads $threads" >&2
+        exit 1
+    }
+done
+
 # System-benchmark gate: sysbench's own tests and its smoke run check
 # every kernel answer against a naive-CSR oracle and the tier's
 # queue_depth/underflow gauges, so a kernel change that breaks answers

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use corpus::{standard_corpus, CorpusSize, MatrixSpec};
 use engine::AlgoSpec;
+use experiments::cli::parse_size;
 use policy::{PolicyConfig, PolicyEngine, PolicyMode};
 use reorder::{timed_components_on, ReorderExec};
 use sparsemat::CsrMatrix;
@@ -60,18 +61,7 @@ fn parse_args() -> Options {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--size" => {
-                let v = it.next().unwrap_or_default();
-                opts.size = match v.as_str() {
-                    "small" => CorpusSize::Small,
-                    "medium" => CorpusSize::Medium,
-                    "large" => CorpusSize::Large,
-                    other => {
-                        eprintln!("unknown --size '{other}' (small|medium|large)");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--size" => opts.size = parse_size(&it.next().unwrap_or_default()),
             "--out" => {
                 opts.out = it.next().unwrap_or_default();
                 if opts.out.is_empty() {

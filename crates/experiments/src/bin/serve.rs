@@ -72,6 +72,7 @@
 
 use corpus::CorpusSize;
 use engine::{AlgoSpec, EngineConfig, MatrixHandle};
+use experiments::cli::parse_size;
 use experiments::sweep::SweepConfig;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -200,17 +201,7 @@ fn parse_serve_args() -> ServeOptions {
     }
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--size" => {
-                opts.size = match value(&mut it, "--size").as_str() {
-                    "small" => CorpusSize::Small,
-                    "medium" => CorpusSize::Medium,
-                    "large" => CorpusSize::Large,
-                    other => {
-                        eprintln!("unknown --size '{other}' (small|medium|large)");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--size" => opts.size = parse_size(&value(&mut it, "--size")),
             "--requests" => opts.requests = num(value(&mut it, "--requests"), "--requests"),
             "--clients" => {
                 opts.clients = num::<usize>(value(&mut it, "--clients"), "--clients").max(1)

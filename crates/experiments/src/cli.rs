@@ -1,8 +1,18 @@
-//! Minimal command-line handling shared by the experiment binaries.
+//! Command-line handling of the `paper` binary (and the `--size` value
+//! `serve` and `frontier` share with it).
 
+use crate::artefacts::{Artefact, ARTEFACTS};
 use corpus::CorpusSize;
 
-/// Options common to all experiment binaries.
+/// The `--size` values: the spelling (also the `<size>` of
+/// `results/<name>_<size>.txt`) and the corpus scale it selects.
+const SIZES: [(&str, CorpusSize); 3] = [
+    ("small", CorpusSize::Small),
+    ("medium", CorpusSize::Medium),
+    ("large", CorpusSize::Large),
+];
+
+/// Options of the `paper` binary.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Corpus scale.
@@ -10,9 +20,12 @@ pub struct Options {
     /// Restrict to machines whose name contains one of these strings
     /// (empty = all eight).
     pub machines: Vec<String>,
-    /// Lanes of the shared sweep engine's reordering team
-    /// (`--reorder-threads`, default 1 = sequential orderings).
+    /// Lanes of the engine's reordering team (`--reorder-threads`,
+    /// default 1 = sequential orderings).
     pub reorder_threads: usize,
+    /// The artefacts named on the command line, in the order named
+    /// (empty = write the paper's artefacts to `results/`).
+    pub artefacts: Vec<&'static Artefact>,
 }
 
 impl Default for Options {
@@ -21,42 +34,48 @@ impl Default for Options {
             size: CorpusSize::Small,
             machines: Vec::new(),
             reorder_threads: 1,
+            artefacts: Vec::new(),
         }
     }
 }
 
-/// Parse `--size small|medium|large`, `--machine <name>` (repeatable)
-/// and `--reorder-threads N` from the process arguments. Unknown
-/// arguments abort with usage help.
-///
-/// `--reorder-threads` is forwarded to
-/// [`crate::sweep::set_reorder_threads`] so the shared sweep engine's
-/// reordering team is sized before its lazy construction — every
-/// binary that parses its arguments through here gets the flag.
-pub fn parse_args() -> Options {
-    let opts = parse_from(std::env::args().skip(1));
-    crate::sweep::set_reorder_threads(opts.reorder_threads);
-    opts
+/// The `--help` text; the artefact list is [`ARTEFACTS`] itself.
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: paper [--size small|medium|large] [--machine NAME]... \
+         [--reorder-threads N] [ARTEFACT]...\n\n\
+         Named artefacts print to stdout in the order named. With none named, the\n\
+         paper's artefacts (*) are written to results/<name>_<size>.txt.\n\n\
+         artefacts:\n",
+    );
+    for a in &ARTEFACTS {
+        let mark = if a.in_paper { '*' } else { ' ' };
+        out.push_str(&format!("  {mark} {:<16} {}\n", a.name, a.about));
+    }
+    out
 }
 
-/// Parse from an explicit iterator (testable).
+/// The corpus scale a `--size` value spells; anything else aborts with
+/// exit status 2.
+pub fn parse_size(v: &str) -> CorpusSize {
+    match SIZES.iter().find(|(name, _)| *name == v) {
+        Some(&(_, size)) => size,
+        None => {
+            eprintln!("unknown --size '{v}' (small|medium|large)");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Parse `--size small|medium|large`, `--machine <name>` (repeatable),
+/// `--reorder-threads N` and positional artefact names. Anything else
+/// aborts with exit status 2.
 pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
     let mut opts = Options::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--size" => {
-                let v = it.next().unwrap_or_default();
-                opts.size = match v.as_str() {
-                    "small" => CorpusSize::Small,
-                    "medium" => CorpusSize::Medium,
-                    "large" => CorpusSize::Large,
-                    other => {
-                        eprintln!("unknown --size '{other}' (small|medium|large)");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--size" => opts.size = parse_size(&it.next().unwrap_or_default()),
             "--machine" => {
                 let v = it.next().unwrap_or_default();
                 if v.is_empty() {
@@ -76,16 +95,21 @@ pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
                 };
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: <bin> [--size small|medium|large] [--machine NAME]... \
-                     [--reorder-threads N]"
-                );
+                print!("{}", usage());
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument '{other}'");
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown argument '{flag}'");
                 std::process::exit(2);
             }
+            name => match ARTEFACTS.iter().find(|a| a.name == name) {
+                Some(a) => opts.artefacts.push(a),
+                None => {
+                    let valid: Vec<&str> = ARTEFACTS.iter().map(|a| a.name).collect();
+                    eprintln!("unknown artefact '{name}' ({})", valid.join("|"));
+                    std::process::exit(2);
+                }
+            },
         }
     }
     opts
@@ -102,36 +126,56 @@ impl Options {
             .filter(|m| self.machines.iter().any(|f| m.name.contains(f.as_str())))
             .collect()
     }
+
+    /// The `--size` spelling of [`Options::size`].
+    pub fn size_name(&self) -> &'static str {
+        SIZES
+            .iter()
+            .find(|(_, size)| *size == self.size)
+            .expect("SIZES lists every CorpusSize")
+            .0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Options {
+        parse_from(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
-    fn default_is_small_all_machines() {
-        let o = parse_from(Vec::<String>::new());
+    fn default_is_small_all_machines_no_names() {
+        let o = parse(&[]);
         assert_eq!(o.size, CorpusSize::Small);
+        assert_eq!(o.size_name(), "small");
         assert_eq!(o.machines().len(), 8);
         assert_eq!(o.reorder_threads, 1);
+        assert!(o.artefacts.is_empty());
     }
 
     #[test]
     fn parses_reorder_threads() {
-        let o = parse_from(["--reorder-threads", "4"].iter().map(|s| s.to_string()));
+        let o = parse(&["--reorder-threads", "4"]);
         assert_eq!(o.reorder_threads, 4);
     }
 
     #[test]
     fn parses_size_and_machines() {
-        let o = parse_from(
-            ["--size", "medium", "--machine", "Milan", "--machine", "TX2"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let o = parse(&["--size", "medium", "--machine", "Milan", "--machine", "TX2"]);
         assert_eq!(o.size, CorpusSize::Medium);
+        assert_eq!(o.size_name(), "medium");
         let ms = o.machines();
         let names: Vec<_> = ms.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, vec!["Milan A", "Milan B", "TX2"]);
+    }
+
+    #[test]
+    fn artefact_names_are_positional_and_keep_their_order() {
+        let o = parse(&["table4", "--size", "medium", "fig2", "table4"]);
+        assert_eq!(o.size, CorpusSize::Medium);
+        let names: Vec<_> = o.artefacts.iter().map(|a| a.name).collect();
+        assert_eq!(names, vec!["table4", "fig2", "table4"]);
     }
 }

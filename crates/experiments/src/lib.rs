@@ -3,26 +3,19 @@
 //! Experiment harness: regenerates every table and figure of the
 //! paper's evaluation section.
 //!
-//! Each binary under `src/bin/` reproduces one artefact:
+//! One binary, `paper`, produces all of them; each artefact is a
+//! render function in [`artefacts`] returning the text, and
+//! [`artefacts::ARTEFACTS`] is the list (`paper --help` prints it).
 //!
-//! | Binary | Paper artefact |
-//! |--------|----------------|
-//! | `table2` | Table 2 — hardware list |
-//! | `fig1` | Fig. 1 — spy plots + speedups for three matrices |
-//! | `fig2` | Fig. 2 — 1D speedup box plots (all orderings × machines) |
-//! | `table3` | Table 3 — geometric-mean 1D speedups |
-//! | `fig3` | Fig. 3 — 2D speedup box plots |
-//! | `table4` | Table 4 — geometric-mean 2D speedups |
-//! | `fig4` | Fig. 4 — six-class in-depth analysis |
-//! | `fig5` | Fig. 5 — performance profiles |
-//! | `fig6` | Fig. 6 — Cholesky fill ratios |
-//! | `table5` | Table 5 — reordering overhead |
-//! | `reference_dense` | §4.2 — dense tall-skinny bandwidth reference |
-//!
-//! All binaries accept `--size small|medium|large` (default `small`) to
+//! `paper` accepts `--size small|medium|large` (default `small`) to
 //! pick the corpus scale, so a full regeneration can run in seconds or
-//! at a scale closer to the paper's.
+//! at a scale closer to the paper's. Named artefacts print to stdout;
+//! with none named, the paper's eleven are written to
+//! `results/<name>_<size>.txt`. Either way the standard corpus is
+//! swept at most once per process ([`sweep`]), however many of the
+//! artefacts read it.
 
+pub mod artefacts;
 pub mod cli;
 pub mod fmt;
 pub mod sweep;

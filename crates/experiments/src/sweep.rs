@@ -1,20 +1,19 @@
 //! The shared corpus sweep: reorder every matrix with every algorithm,
 //! simulate both SpMV kernels on every machine, and aggregate speedups.
 //!
-//! All orderings are obtained through the shared [`engine`] instance
-//! ([`sweep_engine`]), so repeated (matrix, algorithm) pairs — within a
-//! sweep, across the figure/table binaries of one process, or across
-//! processes when disk persistence is enabled — are computed exactly
-//! once and every later consumer gets the cached permutation (the
-//! paper's §4.7 amortisation argument, operationalised).
+//! All orderings are obtained through the caller's [`Engine`], so a
+//! (matrix, algorithm) pair that comes back — the same matrix swept
+//! twice, or two corpora that overlap — is computed exactly once and
+//! every later consumer gets the cached permutation (the paper's §4.7
+//! amortisation argument, operationalised).
 
-use archsim::{simulate_spmv_1d_opt, simulate_spmv_2d_opt, Machine, SimOptions};
+use archsim::{simulate_spmv_1d_opt, simulate_spmv_2d_opt, Machine, SimOptions, SimResult};
 use corpus::{CorpusSize, MatrixSpec};
-use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
-use spfeatures::{geometric_mean, matrix_features, quartiles, BoxStats, MatrixFeatures};
+use engine::{AlgoSpec, Engine, MatrixHandle};
+use spfeatures::{matrix_features, MatrixFeatures};
 use spmv::KernelKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Ordering names in the paper's column order, with the baseline first.
 pub const ORDERINGS: [&str; 7] = ["Original", "RCM", "AMD", "ND", "GP", "HP", "Gray"];
@@ -67,48 +66,32 @@ impl SweepConfig {
 pub struct OrderingRun {
     /// Ordering name ("Original", "RCM", ...).
     pub ordering: String,
-    /// Time to compute the reordering, seconds (zero for Original).
-    pub reorder_seconds: f64,
     /// §3.2 features of the reordered matrix.
     pub features: MatrixFeatures,
-    /// Simulated per-machine results: `(gflops_1d, imbalance_1d,
-    /// gflops_2d)` indexed like the machine list of the sweep.
+    /// Simulated results, indexed like the machine list of the sweep.
     pub per_machine: Vec<MachineCell>,
 }
 
-/// Simulated result on one machine.
-#[derive(Debug, Clone, Copy)]
+/// Simulated results on one machine: the model's full output for both
+/// kernels (speedups read `gflops`, the artifact dataset also reads the
+/// per-thread nonzero counts).
+#[derive(Debug, Clone)]
 pub struct MachineCell {
-    /// 1D kernel performance, Gflop/s.
-    pub gflops_1d: f64,
-    /// 1D load imbalance factor.
-    pub imbalance_1d: f64,
-    /// 2D kernel performance, Gflop/s.
-    pub gflops_2d: f64,
-    /// Modelled 1D time, seconds.
-    pub seconds_1d: f64,
-    /// Modelled 2D time, seconds.
-    pub seconds_2d: f64,
+    /// The 1D (row-split) kernel.
+    pub one_d: SimResult,
+    /// The 2D (nonzero-split) kernel.
+    pub two_d: SimResult,
 }
 
 impl MachineCell {
-    /// Modelled Gflop/s for a kernel selected by the shared enum. The
-    /// machine model simulates the 1D and 2D algorithms; the merge
-    /// kernel — whose simplified form *is* the 2D algorithm — maps to
-    /// the 2D model.
-    pub fn gflops(&self, kernel: KernelKind) -> f64 {
+    /// The result for a kernel selected by the shared enum. The machine
+    /// model simulates the 1D and 2D algorithms; the merge kernel —
+    /// whose simplified form *is* the 2D algorithm — maps to the 2D
+    /// model.
+    pub fn kernel(&self, kernel: KernelKind) -> &SimResult {
         match kernel {
-            KernelKind::OneD => self.gflops_1d,
-            KernelKind::TwoD | KernelKind::Merge => self.gflops_2d,
-        }
-    }
-
-    /// Modelled seconds for a kernel (same mapping as
-    /// [`MachineCell::gflops`]).
-    pub fn seconds(&self, kernel: KernelKind) -> f64 {
-        match kernel {
-            KernelKind::OneD => self.seconds_1d,
-            KernelKind::TwoD | KernelKind::Merge => self.seconds_2d,
+            KernelKind::OneD => &self.one_d,
+            KernelKind::TwoD | KernelKind::Merge => &self.two_d,
         }
     }
 }
@@ -122,6 +105,8 @@ pub struct MatrixSweep {
     pub group: String,
     /// Rows.
     pub nrows: usize,
+    /// Columns.
+    pub ncols: usize,
     /// Nonzeros.
     pub nnz: usize,
     /// One entry per ordering, in [`ORDERINGS`] order.
@@ -132,80 +117,21 @@ impl MatrixSweep {
     /// Speedup of ordering `o` over Original on machine `m` for the
     /// given kernel.
     pub fn speedup(&self, o: usize, m: usize, kernel: KernelKind) -> f64 {
-        self.runs[o].per_machine[m].gflops(kernel) / self.runs[0].per_machine[m].gflops(kernel)
-    }
-
-    /// Speedup of ordering `o` over Original on machine `m`.
-    pub fn speedup_1d(&self, o: usize, m: usize) -> f64 {
-        self.speedup(o, m, KernelKind::OneD)
-    }
-
-    /// 2D speedup of ordering `o` over Original on machine `m`.
-    pub fn speedup_2d(&self, o: usize, m: usize) -> f64 {
-        self.speedup(o, m, KernelKind::TwoD)
+        self.runs[o].per_machine[m].kernel(kernel).gflops
+            / self.runs[0].per_machine[m].kernel(kernel).gflops
     }
 }
 
-/// Lanes for the shared engine's reordering team, consulted once when
-/// [`sweep_engine`] first initialises (0 = "unset", fall back to the
-/// engine default of 1).
-static REORDER_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Size the shared engine's reordering team (the `--reorder-threads`
-/// flag). Must be called before the first [`sweep_engine`] use; later
-/// calls have no effect because the engine is already running.
-pub fn set_reorder_threads(n: usize) {
-    REORDER_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The process-wide reordering engine every sweep goes through.
-///
-/// One instance per process means every figure/table binary that
-/// sweeps the same corpus twice (or overlapping corpora) computes each
-/// (matrix, algorithm) ordering exactly once. Set
-/// `REORDER_CACHE_DIR=<dir>` to also persist permutations across
-/// processes (e.g. `results/cache/` for a full artifact regeneration).
-pub fn sweep_engine() -> &'static Engine {
-    static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(|| {
-        let mut config = EngineConfig::default();
-        let reorder_threads = REORDER_THREADS.load(Ordering::Relaxed);
-        if reorder_threads > 0 {
-            config.reorder_threads = reorder_threads;
-        }
-        if let Ok(dir) = std::env::var("REORDER_CACHE_DIR") {
-            if !dir.is_empty() {
-                config.persist_dir = Some(dir.into());
-            }
-        }
-        Engine::new(config)
-    })
-}
-
-/// Report the shared engine's cache statistics (call at the end of a
-/// sweep so the amortisation win is visible in every table/figure run).
-pub fn log_engine_stats(context: &str) {
-    eprintln!("  engine stats [{context}]: {}", sweep_engine().stats());
-}
-
-/// Compute all seven (matrix, ordering) pairs for one matrix through
-/// the shared engine: the reordered matrices plus the one-time
-/// reordering costs.
-///
-/// The returned `f64` is the wall-clock cost of *computing* the
-/// ordering (Table 5's quantity). On a cache hit it is the cost the
-/// original computation paid, not the (near-zero) cost this call paid —
-/// callers reporting amortisation should consult [`sweep_engine`]'s
-/// stats.
+/// The matrix under all seven orderings, in [`ORDERINGS`] order, each
+/// ordering obtained from `engine`.
 ///
 /// Matrices come back as `Arc`s: the Original entry shares `a`'s
-/// storage outright (no payload clone for the identity ordering), and
-/// reordered matrices are shareable with downstream plan caches.
-pub fn apply_all_orderings(
+/// storage outright (no payload clone for the identity ordering).
+fn apply_all_orderings(
+    engine: &Engine,
     a: &Arc<sparsemat::CsrMatrix>,
     cfg: &SweepConfig,
-) -> Vec<(String, f64, Arc<sparsemat::CsrMatrix>)> {
-    let engine = sweep_engine();
+) -> Vec<(String, Arc<sparsemat::CsrMatrix>)> {
     let handle = MatrixHandle::new(Arc::clone(a));
     let mut specs = vec![AlgoSpec::Original];
     specs.extend(AlgoSpec::study_suite(cfg.gp_parts, cfg.hp_parts));
@@ -229,47 +155,42 @@ pub fn apply_all_orderings(
                         .unwrap_or_else(|e| panic!("{} apply failed: {e}", spec.name())),
                 )
             };
-            (spec.name().to_string(), cached.compute_seconds, b)
+            (spec.name().to_string(), b)
         })
         .collect()
 }
 
-/// Sweep one matrix: reorder + simulate on all machines.
-pub fn sweep_matrix(spec: &MatrixSpec, machines: &[Machine], cfg: &SweepConfig) -> MatrixSweep {
+/// Sweep one matrix: reorder through `engine` + simulate on all
+/// machines.
+pub fn sweep_matrix(
+    engine: &Engine,
+    spec: &MatrixSpec,
+    machines: &[Machine],
+    cfg: &SweepConfig,
+) -> MatrixSweep {
     let a = Arc::new(spec.build());
-    let ordered = apply_all_orderings(&a, cfg);
-    let runs = ordered
+    let opts = SimOptions {
+        cache_scale: cfg.cache_scale,
+    };
+    let runs = apply_all_orderings(engine, &a, cfg)
         .into_iter()
-        .map(|(name, secs, b)| {
-            let per_machine = machines
+        .map(|(ordering, b)| OrderingRun {
+            ordering,
+            features: matrix_features(&b, cfg.feature_blocks),
+            per_machine: machines
                 .iter()
-                .map(|m| {
-                    let opts = SimOptions {
-                        cache_scale: cfg.cache_scale,
-                    };
-                    let r1 = simulate_spmv_1d_opt(&b, m, &opts);
-                    let r2 = simulate_spmv_2d_opt(&b, m, &opts);
-                    MachineCell {
-                        gflops_1d: r1.gflops,
-                        imbalance_1d: r1.imbalance,
-                        gflops_2d: r2.gflops,
-                        seconds_1d: r1.seconds,
-                        seconds_2d: r2.seconds,
-                    }
+                .map(|m| MachineCell {
+                    one_d: simulate_spmv_1d_opt(&b, m, &opts),
+                    two_d: simulate_spmv_2d_opt(&b, m, &opts),
                 })
-                .collect();
-            OrderingRun {
-                ordering: name,
-                reorder_seconds: secs,
-                features: matrix_features(&b, cfg.feature_blocks),
-                per_machine,
-            }
+                .collect(),
         })
         .collect();
     MatrixSweep {
         name: spec.name.clone(),
         group: spec.group.clone(),
         nrows: a.nrows(),
+        ncols: a.ncols(),
         nnz: a.nnz(),
         runs,
     }
@@ -279,13 +200,13 @@ pub fn sweep_matrix(spec: &MatrixSpec, machines: &[Machine], cfg: &SweepConfig) 
 ///
 /// Matrices are claimed from a shared atomic counter by a scoped
 /// thread per available core; the reordering work itself funnels
-/// through [`sweep_engine`]'s worker pool, so duplicate (matrix,
-/// algorithm) pairs across the corpus are computed once.
+/// through `engine`'s worker pool, so duplicate (matrix, algorithm)
+/// pairs across the corpus are computed once.
 pub fn sweep_corpus(
+    engine: &Engine,
     specs: &[MatrixSpec],
     machines: &[Machine],
     cfg: &SweepConfig,
-    verbose: bool,
 ) -> Vec<MatrixSweep> {
     let threads = std::thread::available_parallelism()
         .map_or(4, |n| n.get())
@@ -293,15 +214,6 @@ pub fn sweep_corpus(
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<MatrixSweep>>> =
         Mutex::new((0..specs.len()).map(|_| None).collect());
-    // In verbose mode, tick a compact registry line (cache hits, queue
-    // depth, reorder histograms) to stderr while the sweep runs.
-    let reporter = verbose.then(|| {
-        telemetry::Reporter::start_with(
-            telemetry::Registry::global(),
-            std::time::Duration::from_secs(5),
-            std::io::stderr(),
-        )
-    });
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -309,20 +221,11 @@ pub fn sweep_corpus(
                 if i >= specs.len() {
                     break;
                 }
-                let r = sweep_matrix(&specs[i], machines, cfg);
-                if verbose {
-                    eprintln!("  swept {} ({} rows, {} nnz)", r.name, r.nrows, r.nnz);
-                }
+                let r = sweep_matrix(engine, &specs[i], machines, cfg);
                 results.lock().unwrap()[i] = Some(r);
             });
         }
     });
-    if let Some(reporter) = reporter {
-        reporter.stop(); // emits a final line with the end-of-sweep state
-    }
-    if verbose {
-        log_engine_stats("sweep_corpus");
-    }
     results
         .into_inner()
         .unwrap()
@@ -331,34 +234,27 @@ pub fn sweep_corpus(
         .collect()
 }
 
-/// Box statistics of the speedups of ordering `o` over all matrices on
-/// machine `m` for the given kernel.
-pub fn speedup_box(
-    sweeps: &[MatrixSweep],
-    o: usize,
-    m: usize,
-    kernel: KernelKind,
-) -> Option<BoxStats> {
-    let xs: Vec<f64> = sweeps.iter().map(|s| s.speedup(o, m, kernel)).collect();
-    quartiles(&xs)
-}
-
-/// Geometric-mean speedup of ordering `o` on machine `m` (the Table 3/4
-/// aggregation) for the given kernel.
-pub fn speedup_geomean(
-    sweeps: &[MatrixSweep],
-    o: usize,
-    m: usize,
-    kernel: KernelKind,
-) -> Option<f64> {
-    let xs: Vec<f64> = sweeps.iter().map(|s| s.speedup(o, m, kernel)).collect();
-    geometric_mean(&xs)
+/// The speedups of ordering `o` on machine `m` for the given kernel,
+/// one per matrix: what Fig. 2/3 take quartiles of and Table 3/4 the
+/// geometric mean.
+pub fn speedups(sweeps: &[MatrixSweep], o: usize, m: usize, kernel: KernelKind) -> Vec<f64> {
+    sweeps.iter().map(|s| s.speedup(o, m, kernel)).collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use corpus::standard_corpus;
+    use spfeatures::{geometric_mean, quartiles};
+
+    /// An engine of the test's own, reporting into a registry of its
+    /// own, so its stats are exactly what the test caused.
+    pub(crate) fn local_engine() -> Engine {
+        Engine::new(engine::EngineConfig {
+            registry: Some(telemetry::Registry::new_arc()),
+            ..Default::default()
+        })
+    }
 
     fn tiny_machines() -> Vec<Machine> {
         archsim::machines()
@@ -376,21 +272,21 @@ mod tests {
             .unwrap();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let s = sweep_matrix(spec, &machines, &cfg);
+        let s = sweep_matrix(&local_engine(), spec, &machines, &cfg);
         assert_eq!(s.runs.len(), 7);
         let names: Vec<&str> = s.runs.iter().map(|r| r.ordering.as_str()).collect();
         assert_eq!(names, ORDERINGS.to_vec());
         for r in &s.runs {
             assert_eq!(r.per_machine.len(), 2);
             for c in &r.per_machine {
-                assert!(c.gflops_1d > 0.0);
-                assert!(c.gflops_2d > 0.0);
-                assert!(c.imbalance_1d >= 1.0);
+                assert!(c.one_d.gflops > 0.0);
+                assert!(c.two_d.gflops > 0.0);
+                assert!(c.one_d.imbalance >= 1.0);
             }
         }
         // Original's speedup over itself is exactly 1.
-        assert!((s.speedup_1d(0, 0) - 1.0).abs() < 1e-12);
-        assert!((s.speedup_2d(0, 1) - 1.0).abs() < 1e-12);
+        assert!((s.speedup(0, 0, KernelKind::OneD) - 1.0).abs() < 1e-12);
+        assert!((s.speedup(0, 1, KernelKind::TwoD) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -404,15 +300,11 @@ mod tests {
             .unwrap();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let s = sweep_matrix(spec, &machines, &cfg);
+        let s = sweep_matrix(&local_engine(), spec, &machines, &cfg);
         let rcm = ORDERINGS.iter().position(|&n| n == "RCM").unwrap();
-        for m in 0..machines.len() {
-            assert!(
-                s.speedup_1d(rcm, m) > 1.1,
-                "RCM speedup on {} is only {}",
-                machines[m].name,
-                s.speedup_1d(rcm, m)
-            );
+        for (m, machine) in machines.iter().enumerate() {
+            let speedup = s.speedup(rcm, m, KernelKind::OneD);
+            assert!(speedup > 1.1, "RCM on {}: {speedup}", machine.name);
         }
         // RCM must slash the profile (the band is recoverable up to the
         // stray perturbation edges, which inflate the max-type bandwidth
@@ -423,31 +315,23 @@ mod tests {
     #[test]
     fn repeated_sweep_hits_cache() {
         // The amortisation acceptance criterion: sweeping the same
-        // matrix twice must serve the second pass from the engine cache
-        // (at least one hit per duplicated (matrix, algorithm) pair).
-        // The engine is process-global, so assert on stat *deltas*;
-        // concurrent tests can only add hits, never remove cache
-        // entries (default capacity far exceeds the test corpus).
+        // matrix twice serves the whole second pass from the engine
+        // cache — one hit per (matrix, algorithm) pair, no new job —
+        // and served-from-cache results are identical to computed ones.
         let specs = standard_corpus(CorpusSize::Small);
         let spec = specs.iter().find(|s| s.name.contains("mesh2d")).unwrap();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let before = sweep_engine().stats();
-        let s1 = sweep_matrix(spec, &machines, &cfg);
-        let s2 = sweep_matrix(spec, &machines, &cfg);
-        let after = sweep_engine().stats();
-        let amortised = (after.cache.hits + after.coalesced + after.cache.disk_hits)
-            - (before.cache.hits + before.coalesced + before.cache.disk_hits);
-        assert!(
-            amortised >= ORDERINGS.len() as u64,
-            "second sweep should be served from cache: {amortised} amortised, stats {after}"
-        );
-        // Served-from-cache results are identical to computed ones.
-        for (r1, r2) in s1.runs.iter().zip(s2.runs.iter()) {
-            assert_eq!(r1.ordering, r2.ordering);
-            assert_eq!(r1.reorder_seconds, r2.reorder_seconds);
-            assert_eq!(r1.features.bandwidth, r2.features.bandwidth);
-        }
+        let engine = local_engine();
+        let s1 = sweep_matrix(&engine, spec, &machines, &cfg);
+        let first = engine.stats();
+        assert_eq!(first.jobs_executed, ORDERINGS.len() as u64);
+        assert_eq!(first.cache.hits, 0);
+        let s2 = sweep_matrix(&engine, spec, &machines, &cfg);
+        let second = engine.stats();
+        assert_eq!(second.cache.hits, ORDERINGS.len() as u64);
+        assert_eq!(second.jobs_executed, first.jobs_executed);
+        assert_eq!(format!("{s1:?}"), format!("{s2:?}"));
     }
 
     #[test]
@@ -459,15 +343,17 @@ mod tests {
             .collect();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let sweeps = sweep_corpus(&specs, &machines, &cfg, false);
+        let sweeps = sweep_corpus(&local_engine(), &specs, &machines, &cfg);
         assert_eq!(sweeps.len(), 3);
-        let b = speedup_box(&sweeps, 1, 0, KernelKind::OneD).unwrap();
+        let one_d = speedups(&sweeps, 1, 0, KernelKind::OneD);
+        assert_eq!(one_d.len(), 3);
+        let b = quartiles(&one_d).unwrap();
         assert!(b.min <= b.median && b.median <= b.max);
-        let g = speedup_geomean(&sweeps, 1, 0, KernelKind::OneD).unwrap();
-        assert!(g > 0.0);
+        assert!(geometric_mean(&one_d).unwrap() > 0.0);
         // The merge kernel maps onto the 2D machine model.
-        let g2 = speedup_geomean(&sweeps, 1, 0, KernelKind::TwoD).unwrap();
-        let gm = speedup_geomean(&sweeps, 1, 0, KernelKind::Merge).unwrap();
-        assert_eq!(g2, gm);
+        assert_eq!(
+            speedups(&sweeps, 1, 0, KernelKind::TwoD),
+            speedups(&sweeps, 1, 0, KernelKind::Merge)
+        );
     }
 }

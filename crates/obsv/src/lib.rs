@@ -36,8 +36,8 @@
 //!    `tier.shed_tenant{tenant}` counters on every [`SloTracker::tick`]
 //!    and publishes `slo.budget_remaining{tenant}` (basis points) and
 //!    `slo.burn_rate{tenant,window}` (milli-burns) gauges — so budgets
-//!    show up in `/metrics`, `/slo.json` *and* the periodic stdout
-//!    [`telemetry::Reporter`] with no extra wiring.
+//!    show up in `/metrics` as well as `/slo.json` with no extra
+//!    wiring.
 //!
 //! 3. **[`profile_for`]** — the continuous profiler: enables the
 //!    stage board ([`telemetry::StageSession`], ref-counted so

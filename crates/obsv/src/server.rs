@@ -6,7 +6,7 @@
 //! - **No dependencies.** The workspace is offline; the server is
 //!   hand-rolled HTTP/1.1 over `std::net` (see [`crate::http`]).
 //! - **Never wedge the serving path.** Scrapes read registry
-//!   snapshots — the same lock-free reads the stdout reporter does —
+//!   snapshots — atomic loads no recording thread ever waits on —
 //!   and each connection is handled on its own short-lived thread
 //!   under a socket timeout, with a hard cap on concurrent handlers
 //!   (excess connections get an immediate 503 rather than a queue).

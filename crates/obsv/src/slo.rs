@@ -20,7 +20,7 @@
 //! and get deterministic burn rates with no sleeping.
 //!
 //! Two derived series publish back into the registry (and therefore
-//! into `/metrics`, `/slo.json` and the periodic stdout reporter):
+//! into `/metrics` as well as `/slo.json`):
 //!
 //! - `slo.budget_remaining{tenant}` — the fraction of the error
 //!   budget (1 − objective) still unspent over the process lifetime,

@@ -77,15 +77,6 @@ impl Bisection {
     }
 }
 
-/// Multilevel 2-way partitioning with the given target weights.
-///
-/// `target` gives the desired vertex weight of each side (they need not
-/// be equal — recursive bisection to non-power-of-two `k` needs uneven
-/// splits). `ubfactor` is the allowed imbalance, e.g. `1.05`.
-pub fn bisect_graph(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) -> Bisection {
-    recursive::multilevel_bisect(g, target, ubfactor, seed)
-}
-
 /// Edge cut of a k-way partition (each cut edge counted once).
 pub fn edge_cut(g: &Graph, part_of: &[u32]) -> i64 {
     let mut cut = 0i64;

@@ -49,6 +49,10 @@ impl PartitionConfig {
 }
 
 /// Multilevel 2-way partitioning: coarsen, bisect, uncoarsen + refine.
+///
+/// `target` gives the desired vertex weight of each side (they need not
+/// be equal — recursive bisection to non-power-of-two `k` needs uneven
+/// splits). `ubfactor` is the allowed imbalance, e.g. `1.05`.
 pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) -> Bisection {
     let mut rng = SplitMix::new(seed);
     let cfg = PartitionConfig::default();

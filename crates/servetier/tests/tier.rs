@@ -601,7 +601,7 @@ fn slo_tracker_burns_budget_on_a_known_shed_stream() {
     assert!((burn - 2.0).abs() < 1e-9, "burn {burn}");
 
     // Derived gauges surface in the shared registry (and therefore in
-    // /metrics and the periodic reporter).
+    // /metrics).
     let snap = registry.snapshot();
     assert_eq!(
         snap.gauge_labeled("slo.budget_remaining", &[("tenant", "t0")]),

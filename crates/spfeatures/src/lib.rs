@@ -20,7 +20,6 @@
 //! means for Tables 3–4, box-plot quartiles for Figs. 2, 3 and 6).
 
 mod features;
-mod predictor;
 mod profiles;
 mod stats;
 
@@ -28,7 +27,6 @@ pub use features::{
     bandwidth, matrix_features, off_diagonal_nnz, profile, row_length_variance, x_reuse_estimate,
     MatrixFeatures,
 };
-pub use predictor::{recommend, Action, PredictorConfig, Recommendation};
 pub use profiles::{performance_profile, ProfileCurve};
 pub use spmv::imbalance_factor;
 pub use stats::{geometric_mean, quartiles, spearman, BoxStats};

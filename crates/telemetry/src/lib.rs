@@ -14,8 +14,7 @@
 //!   measurement loop can aggregate locally and fold into the registry
 //!   once.
 //! - **Exporters** — JSON snapshots and Prometheus text exposition
-//!   ([`Snapshot::to_json`], [`Snapshot::to_prometheus`]), plus a
-//!   periodic stdout [`Reporter`] for long sweeps.
+//!   ([`Snapshot::to_json`], [`Snapshot::to_prometheus`]).
 //! - **Flight recorder** ([`trace`]) — request-scoped tracing: per-
 //!   thread drop-oldest event rings, a [`TraceCtx`] propagation handle
 //!   that crosses threads with explicit parenting, and Chrome-trace/
@@ -60,14 +59,12 @@ mod export;
 mod histogram;
 mod metrics;
 mod registry;
-mod report;
 pub mod stage;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{series_name, Registry, Snapshot};
-pub use report::{compact_line, Reporter};
 pub use stage::{sample_stages, stage, stages_enabled, StageGuard, StageSession};
 pub use trace::{ArgValue, FlightRecorder, TraceCtx, TraceSnapshot, TraceSpan};
 

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use sparsemat::{CooMatrix, CsrMatrix, Permutation};
     pub use spfeatures::{
         bandwidth, geometric_mean, imbalance_factor, matrix_features, off_diagonal_nnz,
-        performance_profile, profile, quartiles, recommend, spearman, Action, PredictorConfig,
+        performance_profile, profile, quartiles, spearman,
     };
     pub use spmv::{
         conjugate_gradient, measure_spmv, spmv_1d, spmv_2d, spmv_merge, CgOptions, Kernel,
