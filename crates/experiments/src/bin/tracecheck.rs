@@ -17,8 +17,8 @@
 //! 4. at least one file contains a span for **every** pipeline stage
 //!    (tier admission wait, policy decision, engine request, cache
 //!    lookup, queue wait, reorder, plan, reorder permute, SpMV
-//!    measure, team compute, serve-level SpMV, inverse-permutation
-//!    answer delivery);
+//!    measure, team compute, serve-level SpMV) — a first touch: a
+//!    request that finds its prepared entry records no engine stage;
 //! 5. at least one file shows `spmv.team.compute` on two or more
 //!    distinct lanes — the per-worker timelines, not a single merged
 //!    track;
@@ -55,7 +55,6 @@ const REQUIRED_STAGES: &[&str] = &[
     "engine.plan",
     "reorder.permute",
     "serve.spmv",
-    "answer.unpermute",
     "spmv.measure",
     "spmv.team.compute",
 ];

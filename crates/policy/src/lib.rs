@@ -27,11 +27,11 @@ mod ledger;
 mod predict;
 
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use engine::{AlgoSpec, CacheMetrics, LruCache};
 use sparsemat::CsrMatrix;
-use telemetry::Registry;
+use telemetry::{Counter, Gauge, Registry};
 
 pub use corrector::OnlineCorrector;
 pub use ledger::{AmortizationLedger, Observed};
@@ -151,6 +151,33 @@ impl PolicyDecision {
     }
 }
 
+/// Metric handles by `&'static str` key, each resolved in the registry
+/// on first use and kept: a decision finds its series by scanning a
+/// dozen entries instead of formatting a name and taking the
+/// registry-wide lock, and a series nothing has reported yet stays out
+/// of `/metrics`.
+struct Handles<T>(Mutex<Vec<(&'static str, Arc<T>)>>);
+
+impl<T> Handles<T> {
+    fn new() -> Self {
+        Handles(Mutex::new(Vec::new()))
+    }
+
+    /// The handle under `key`, from `resolve` the first time.
+    fn get(&self, key: &'static str, resolve: impl FnOnce() -> Option<Arc<T>>) -> Option<Arc<T>> {
+        let mut found = self
+            .0
+            .lock()
+            .expect("no code path panics while holding the handle list");
+        if let Some((_, handle)) = found.iter().find(|(k, _)| *k == key) {
+            return Some(Arc::clone(handle));
+        }
+        let handle = resolve()?;
+        found.push((key, Arc::clone(&handle)));
+        Some(handle)
+    }
+}
+
 /// The policy engine: one per serving tier, shared across shards.
 pub struct PolicyEngine {
     config: PolicyConfig,
@@ -161,6 +188,13 @@ pub struct PolicyEngine {
     /// Feature summaries cached per content hash (`policy.features.*`)
     /// — computed once, on the first adaptive decision for a matrix.
     features: LruCache<u128, FeatureSummary>,
+    /// `policy.decisions{choice="identity"}` and `{choice="reorder"}`.
+    decisions: [Arc<Counter>; 2],
+    /// `policy.reason{rule=...}` by [`PolicyDecision::reason`].
+    reasons: Handles<Counter>,
+    /// `reorder.<algo>.nnz_per_s` by [`AlgoSpec::name`], once the
+    /// reorder crate has published it.
+    rates: Handles<Gauge>,
 }
 
 /// Bound on each kind of per-matrix policy state (ledger keys, feature
@@ -180,6 +214,10 @@ impl PolicyEngine {
                 STATE_CAPACITY,
                 CacheMetrics::new(&registry, "policy.features", &[]),
             ),
+            decisions: ["identity", "reorder"]
+                .map(|choice| registry.counter_labeled("policy.decisions", &[("choice", choice)])),
+            reasons: Handles::new(),
+            rates: Handles::new(),
             registry,
             config,
         }
@@ -218,16 +256,13 @@ impl PolicyEngine {
         ordering_cached: bool,
     ) -> PolicyDecision {
         let decision = self.decide_inner(matrix, content_hash, requested, ordering_cached);
-        let choice = if decision.reorders() {
-            "reorder"
-        } else {
-            "identity"
-        };
-        self.registry
-            .counter_labeled("policy.decisions", &[("choice", choice)])
-            .inc();
-        self.registry
-            .counter_labeled("policy.reason", &[("rule", decision.reason)])
+        self.decisions[usize::from(decision.reorders())].inc();
+        self.reasons
+            .get(decision.reason, || {
+                let labels = [("rule", decision.reason)];
+                Some(self.registry.counter_labeled("policy.reason", &labels))
+            })
+            .expect("a counter is created when absent")
             .inc();
         decision
     }
@@ -464,9 +499,11 @@ impl PolicyEngine {
     /// Live reorder throughput (nnz/s) for `algo`, calibrated from the
     /// `reorder.<algo>.nnz_per_s` gauge the reorder crate publishes.
     fn calibrated_rate(&self, algo: AlgoSpec) -> Option<f64> {
-        let name = format!("reorder.{}.nnz_per_s", algo.name().to_lowercase());
-        self.registry
-            .find_gauge(&name)
+        self.rates
+            .get(algo.name(), || {
+                let name = format!("reorder.{}.nnz_per_s", algo.name().to_lowercase());
+                self.registry.find_gauge(&name)
+            })
             .map(|g| g.get() as f64)
             .filter(|r| *r > 0.0)
     }

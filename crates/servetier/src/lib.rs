@@ -19,10 +19,13 @@
 //!    deadline rides into the engine ([`engine::SubmitOptions`]) so an
 //!    expired request never reaches the reorder stage.
 //! 4. **Answer delivery** ([`SpmvResponse`]): requests carry an input
-//!    vector in original index space; the shard permutes it into the
-//!    reordered space, runs SpMV via the cached plan, and applies the
-//!    **inverse** permutation so `y` comes back in original row order —
-//!    callers never see the reordering at all.
+//!    vector in original index space; the shard gathers it into the
+//!    reordered space and runs SpMV via the cached plan, the kernel
+//!    storing each row at its **original** index
+//!    ([`spmv::Kernel::execute_scatter`]), so `y` comes back in
+//!    original row order — callers never see the reordering at all. A
+//!    repeat request finds ordering, reordered matrix and plan in one
+//!    shard-local entry and never enters the engine.
 //!
 //! ```
 //! use engine::{AlgoSpec, MatrixHandle};

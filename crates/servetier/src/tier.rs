@@ -10,22 +10,24 @@
 //! dispatcher serves it deadline-aware: expired requests are cancelled
 //! at dequeue — and again inside the engine, before any reorder work —
 //! rather than computed. The answer comes back in the **original**
-//! index space: the shard permutes `x` into the reordered space, runs
-//! SpMV on the cached reordered matrix, and applies the inverse
-//! permutation to `y` before fulfilling the ticket.
+//! index space: the shard gathers `x` into the reordered space and
+//! runs SpMV on the cached reordered matrix with each row stored at
+//! its original index ([`spmv::Kernel::execute_scatter`]). A request
+//! whose (matrix, algorithm) the shard has prepared before costs two
+//! probes of that cache, the policy decision, the gather and the
+//! multiply; only a first touch or a rebuild enters the engine.
 
 use crate::admission::{AdmissionQueue, PushError};
 use crate::hash::HashRing;
 use engine::{
-    AlgoSpec, CacheMetrics, Engine, EngineConfig, EngineError, LruCache, MatrixHandle,
-    SubmitOptions,
+    AlgoSpec, CacheMetrics, CachedOrdering, Engine, EngineConfig, EngineError, LruCache,
+    MatrixHandle, SubmitOptions,
 };
 use policy::{PolicyConfig, PolicyEngine};
-use reorder::ReorderResult;
-use spmv::KernelKind;
+use spmv::{Kernel, KernelKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::trace::{FlightRecorder, TraceCtx, TraceSpan};
@@ -71,8 +73,9 @@ pub struct TierConfig {
     pub dispatchers_per_shard: usize,
     /// Threads for the SpMV execution team of each shard.
     pub spmv_threads: usize,
-    /// Reordered-matrix cache entries per shard (one per distinct
-    /// (matrix, algorithm) pair recently served).
+    /// Prepared-cache entries per shard: one per distinct (matrix,
+    /// algorithm) pair recently served, holding the ordering, the
+    /// reordered matrix and its planned kernels.
     pub prepared_capacity: usize,
     /// Template for the per-shard engines. The tier overrides
     /// `registry` (shared tier registry) and `metric_labels`
@@ -277,11 +280,18 @@ struct QueuedRequest {
     trace: TraceCtx,
 }
 
-/// A prepared (reordered) matrix, cached per shard so repeat requests
-/// skip the permutation work entirely.
+/// Everything a repeat request needs, cached per shard under (content
+/// hash, algorithm): a request that finds its entry gathers `x`,
+/// multiplies and answers without calling into the engine.
 struct Prepared {
+    /// The ordering the engine computed (or had cached) when the entry
+    /// was built.
+    ordering: Arc<CachedOrdering>,
+    /// The matrix permuted by it.
     handle: MatrixHandle,
-    result: ReorderResult,
+    /// The planned kernel of each [`KernelKind`] at the shard's
+    /// `spmv_threads`, from the engine's plan cache on first use.
+    kernels: [OnceLock<Arc<dyn Kernel>>; 3],
 }
 
 /// Per-shard counters (shared registry, `shard="<i>"` labels).
@@ -317,8 +327,8 @@ struct ShardInner {
     queue: AdmissionQueue<QueuedRequest>,
     spmv_team: team::ThreadTeam,
     spmv_threads: usize,
-    /// Reordered matrices by (content hash, algorithm), so repeat
-    /// requests skip the permutation work (`tier.prepared.*`).
+    /// What a repeat request needs, by (content hash, algorithm)
+    /// (`tier.prepared.*`).
     prepared: LruCache<(u128, AlgoSpec), Arc<Prepared>>,
     policy: Arc<PolicyEngine>,
     metrics: ShardMetrics,
@@ -840,6 +850,9 @@ fn describe_tier_metrics(registry: &Registry) {
 
 /// A shard dispatcher: pop, expire-or-execute, fulfil, repeat.
 fn dispatch_loop(shard: &ShardInner) {
+    // The permuted input of the request in hand; grows to the widest
+    // matrix this dispatcher has served.
+    let mut xp = Vec::new();
     loop {
         // Publish idle time on the stage board so a live profile shows
         // dispatchers waiting for work, not just executing it.
@@ -863,7 +876,7 @@ fn dispatch_loop(shard: &ShardInner) {
                 .fulfil(Err(TierError::Shed(ShedReason::Expired)));
             continue;
         }
-        let result = execute(shard, &queued, dequeued);
+        let result = execute(shard, &queued, dequeued, &mut xp);
         if result.is_ok() {
             shard.metrics.served.inc();
             // Sampled requests pin their trace ID onto the latency
@@ -885,11 +898,13 @@ fn dispatch_loop(shard: &ShardInner) {
     }
 }
 
-/// Serve one dequeued request end to end on its shard.
+/// Serve one dequeued request end to end on its shard. `xp` is the
+/// dispatcher's scratch for the permuted input.
 fn execute(
     shard: &ShardInner,
     queued: &QueuedRequest,
     dequeued: Instant,
+    xp: &mut Vec<f64>,
 ) -> Result<SpmvResponse, TierError> {
     let request = &queued.request;
     let mut span = queued.trace.span("tier.execute");
@@ -900,12 +915,16 @@ fn execute(
 
     // 0. The policy decision: honour the requested reordering, or
     //    serve in original order — settled before any reorder work is
-    //    queued, and recorded as its own trace stage.
+    //    queued, and recorded as its own trace stage. A prepared entry
+    //    under the requested algorithm was built from a computed
+    //    ordering, so it answers "already paid for" by itself; only
+    //    without one is the engine's cache asked.
     let decision = {
-        let cached = shard
-            .engine
-            .peek_cached(&request.matrix, request.algo)
-            .is_some();
+        let cached = shard.prepared.peek(&(content_hash, request.algo)).is_some()
+            || shard
+                .engine
+                .peek_cached(&request.matrix, request.algo)
+                .is_some();
         let mut decide = ctx.span("policy.decide");
         decide.arg("mode", shard.policy.mode().as_str());
         decide.arg("requested", request.algo.name());
@@ -919,45 +938,50 @@ fn execute(
     };
     let algo = decision.algo;
 
-    // 1. The ordering, through the shard engine's caches — with the
-    //    deadline attached, so an expiry cancels it pre-reorder.
-    let ordering = shard
-        .engine
-        .submit_opts(
-            &request.matrix,
-            algo,
-            SubmitOptions {
-                deadline: request.deadline,
-                trace: ctx.clone(),
-            },
-        )
-        .wait()
-        .map_err(|e| match e {
-            EngineError::Expired => TierError::Shed(ShedReason::Expired),
-            other => TierError::Engine(other),
-        })?;
-    if decision.reorders() {
-        // The ledger bills the one-time cost exactly once per key; a
-        // cache-served ordering re-reports the same figure harmlessly.
-        shard
-            .policy
-            .record_reorder_paid(content_hash, algo, ordering.compute_seconds);
-    }
-    // An ordering served from cache is instant, but a computed one may
-    // have consumed the whole budget: re-check before the SpMV work.
-    if request.deadline.is_some_and(|d| d <= Instant::now()) {
-        ctx.instant("tier.expired");
-        return Err(TierError::Shed(ShedReason::Expired));
-    }
-
-    // 2. The reordered matrix, from the shard's prepared cache. Built
-    //    outside the lock: two dispatchers racing the same key both
-    //    build, one insert wins — benign, and the lock never blocks on
-    //    an O(nnz) permutation.
+    // 1. The prepared entry for the decided key: the request's one
+    //    counted probe. A hit goes straight to the multiply.
     let key = (content_hash, algo);
     let prepared = match shard.prepared.get(&key) {
         Some(p) => p,
         None => {
+            // The ordering, through the shard engine's caches — with
+            // the deadline attached, so an expiry cancels it
+            // pre-reorder.
+            let ordering = shard
+                .engine
+                .submit_opts(
+                    &request.matrix,
+                    algo,
+                    SubmitOptions {
+                        deadline: request.deadline,
+                        trace: ctx.clone(),
+                    },
+                )
+                .wait()
+                .map_err(|e| match e {
+                    EngineError::Expired => TierError::Shed(ShedReason::Expired),
+                    other => TierError::Engine(other),
+                })?;
+            if decision.reorders() {
+                // Here is the only place an ordering can have just
+                // been computed. The ledger bills the one-time cost
+                // once per key; a rebuild from a cached ordering
+                // re-reports the same figure harmlessly.
+                shard
+                    .policy
+                    .record_reorder_paid(content_hash, algo, ordering.compute_seconds);
+            }
+            // A cached ordering is instant, but a computed one may
+            // have consumed the whole budget: re-check before the
+            // permutation and the SpMV work.
+            if request.deadline.is_some_and(|d| d <= Instant::now()) {
+                ctx.instant("tier.expired");
+                return Err(TierError::Shed(ShedReason::Expired));
+            }
+            // The reordered matrix, built outside the cache lock: two
+            // dispatchers racing the same key both build, one insert
+            // wins — benign, and the lock never blocks on an O(nnz)
+            // permutation.
             let mut permute = ctx.span("reorder.permute");
             permute.arg("rows", request.matrix.matrix().nrows() as u64);
             let reordered = ordering
@@ -973,39 +997,47 @@ fn execute(
                 })?;
             drop(permute);
             let p = Arc::new(Prepared {
+                ordering,
                 handle: MatrixHandle::from_matrix(reordered),
-                result: ordering.to_reorder_result(),
+                kernels: Default::default(),
             });
             shard.prepared.insert(key, Arc::clone(&p));
             p
         }
     };
 
-    // 3. The planned kernel for the reordered matrix (plan cache).
-    let kernel =
+    // 2. The planned kernel for the reordered matrix: the entry's own
+    //    after the first request of this kernel kind.
+    let kernel = prepared.kernels[request.kernel as usize].get_or_init(|| {
         shard
             .engine
-            .plan_traced(&prepared.handle, request.kernel, shard.spmv_threads, &ctx);
+            .plan_traced(&prepared.handle, request.kernel, shard.spmv_threads, &ctx)
+    });
 
-    // 4. Permute in, multiply, permute out: the caller sees original
-    //    index space on both sides.
-    let xp = prepared.result.permute_input(&request.x);
-    let mut yp = vec![0.0; prepared.handle.matrix().nrows()];
+    // 3. Gather in, multiply, scatter out: the caller sees original
+    //    index space on both sides. A symmetric ordering permuted the
+    //    columns, so `x` is gathered to match; a row-only one (Gray)
+    //    left them alone. Both permuted the rows, which the kernel
+    //    undoes as it stores.
+    let ordering = &prepared.ordering;
+    let x: &[f64] = if ordering.symmetric {
+        ordering.perm.apply_to_slice_into(&request.x, xp);
+        xp
+    } else {
+        &request.x
+    };
+    let mut y = vec![0.0; prepared.handle.matrix().nrows()];
     let spmv_started = Instant::now();
     {
         let mut compute = ctx.span("serve.spmv");
         compute.arg("kernel", request.kernel.name());
-        kernel.execute(&shard.spmv_team, &xp, &mut yp);
+        kernel.execute_scatter(&shard.spmv_team, x, &mut y, &ordering.perm);
     }
     // Close the feedback loop: the observed service time under the
     // chosen ordering feeds the ledger and the online corrector.
     shard
         .policy
         .observe_spmv(content_hash, algo, spmv_started.elapsed().as_secs_f64());
-    let y = {
-        let _unpermute = ctx.span("answer.unpermute");
-        prepared.result.unpermute_output(&yp)
-    };
 
     Ok(SpmvResponse {
         y,

@@ -162,15 +162,18 @@ fn full_queue_sheds_with_reason() {
     // One dispatcher, capacity 2, and a stream of distinct matrices
     // (each a fresh reorder): the backlog must overflow into sheds.
     let tier = tier(1, 2);
-    let tickets: Vec<_> = (0..16u64)
+    // Built beforehand, so that the submissions are back to back: a
+    // matrix takes as long to generate and hash as a request to serve.
+    let requests: Vec<_> = (0..16u64)
         .map(|i| {
             let m = MatrixHandle::from_matrix(corpus::scramble(
                 &corpus::mesh2d(12, 12 + i as usize),
                 i,
             ));
-            tier.submit(request(&m, AlgoSpec::Rcm, KernelKind::OneD))
+            request(&m, AlgoSpec::Rcm, KernelKind::OneD)
         })
         .collect();
+    let tickets: Vec<_> = requests.into_iter().map(|r| tier.submit(r)).collect();
     let mut served = 0usize;
     let mut shed = 0usize;
     for t in tickets {
@@ -266,13 +269,62 @@ fn repeat_requests_hit_the_shard_caches() {
         let response = tier.serve(req.clone()).unwrap();
         assert_close(&response.y, &want);
     }
-    let shard = tier.route(&matrix);
-    let engine = &tier.stats().shards[shard].engine;
-    assert_eq!(engine.jobs_executed, 1, "one reorder serves all repeats");
-    assert_eq!(engine.cache.hits, 5);
-    // The reordered matrix is planned once, too.
-    assert_eq!(engine.plans.misses, 1);
-    assert_eq!(engine.plans.hits, 5);
+    let shard = &tier.stats().shards[tier.route(&matrix)];
+    assert_eq!(
+        (shard.prepared_misses, shard.prepared_hits),
+        (1, 5),
+        "the first touch builds the entry, the repeats find it"
+    );
+    // A repeat never enters the engine: one ordering request, one
+    // reorder and one plan served all six.
+    let engine = &shard.engine;
+    assert_eq!((engine.submitted, engine.jobs_executed), (1, 1));
+    assert_eq!((engine.cache.misses, engine.cache.hits), (1, 0));
+    assert_eq!((engine.plans.misses, engine.plans.hits), (1, 0));
+}
+
+/// The fused answer path moves no bit: `SpmvResponse::y` is what the
+/// unfused sequence — `permute_input`, `Kernel::execute`,
+/// `unpermute_output`, through the public functions and from the same
+/// ordering — produces, on the first touch and on the warm path, for
+/// every algorithm of the study suite under every kernel.
+#[test]
+fn served_answer_is_bit_identical_to_the_unfused_sequence() {
+    const THREADS: usize = 2;
+    let tier = tier(1, 64);
+    let team = spmv::ThreadTeam::new(THREADS);
+    let matrix = MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(13, 11), 4));
+    for algo in AlgoSpec::study_suite(4, 8) {
+        for kernel in KernelKind::all() {
+            let req = request(&matrix, algo, kernel);
+            let first = tier.serve(req.clone()).unwrap();
+            let warm = tier.serve(req.clone()).unwrap();
+
+            let ordering = tier
+                .engine_for(&matrix)
+                .get(&matrix, algo)
+                .unwrap()
+                .to_reorder_result();
+            let reordered = Arc::new(ordering.apply(matrix.matrix()).unwrap());
+            let mut yp = vec![f64::NAN; reordered.nrows()];
+            kernel.plan(&reordered, THREADS).execute(
+                &team,
+                &ordering.permute_input(&req.x),
+                &mut yp,
+            );
+            let want: Vec<u64> = ordering
+                .unpermute_output(&yp)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for (which, response) in [("first touch", first), ("warm", warm)] {
+                let got: Vec<u64> = response.y.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{}/{kernel}, {which}", algo.name());
+            }
+        }
+    }
+    let shard = tier.stats().shards[0];
+    assert_eq!((shard.prepared_misses, shard.prepared_hits), (6, 30));
 }
 
 #[test]
@@ -333,16 +385,21 @@ fn sampled_request_records_the_serving_stages() {
         ..TierConfig::default()
     });
     let matrix = MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(12, 12), 3));
-    let ticket = tier.submit(request(&matrix, AlgoSpec::Rcm, KernelKind::OneD));
-    let request_id = ticket.request_id();
-    ticket.wait().unwrap();
-    let trace_id = tier.trace_id_for(request_id).expect("request sampled");
-    let snap = recorder.snapshot().filter_trace(trace_id);
-    let names: Vec<&str> = snap
-        .events()
-        .filter(|e| e.kind == EventKind::Begin)
-        .map(|e| e.name)
-        .collect();
+    // The stages one request of the key opened, in recording order.
+    let serve_traced = || {
+        let ticket = tier.submit(request(&matrix, AlgoSpec::Rcm, KernelKind::OneD));
+        let request_id = ticket.request_id();
+        ticket.wait().unwrap();
+        let trace_id = tier.trace_id_for(request_id).expect("request sampled");
+        let snap = recorder.snapshot().filter_trace(trace_id);
+        let names: Vec<&str> = snap
+            .events()
+            .filter(|e| e.kind == EventKind::Begin)
+            .map(|e| e.name)
+            .collect();
+        (request_id, snap, names)
+    };
+    let (request_id, snap, names) = serve_traced();
     for stage in [
         "tier.request",
         "admission.wait",
@@ -353,10 +410,25 @@ fn sampled_request_records_the_serving_stages() {
         "reorder.permute",
         "engine.plan",
         "serve.spmv",
-        "answer.unpermute",
     ] {
         assert!(names.contains(&stage), "missing {stage} in {names:?}");
     }
+    // Its warm twin finds the prepared entry: probe, decide, gather,
+    // multiply-with-scatter — and nothing of the engine. This is the
+    // guard against the warm path silently taking the slow one.
+    let (_, _, mut warm) = serve_traced();
+    warm.sort_unstable();
+    assert_eq!(
+        warm,
+        [
+            "admission.wait",
+            "policy.decide",
+            "serve.spmv",
+            "tier.execute",
+            "tier.request",
+            "tier.wait",
+        ]
+    );
     // The engine's request span parents under the tier's execute span.
     let execute_id = snap
         .events()
@@ -376,7 +448,7 @@ fn sampled_request_records_the_serving_stages() {
     assert!(tier
         .trace_chrome_json(request_id)
         .unwrap()
-        .contains("\"answer.unpermute\""));
+        .contains("\"serve.spmv\""));
 }
 
 #[test]

@@ -137,11 +137,18 @@ impl Permutation {
 
     /// Permute a dense slice: `out[new] = data[old]`.
     pub fn apply_to_slice<T: Copy>(&self, data: &[T]) -> Vec<T> {
+        let mut out = Vec::new();
+        self.apply_to_slice_into(data, &mut out);
+        out
+    }
+
+    /// [`Permutation::apply_to_slice`] into a caller-owned buffer,
+    /// whose previous contents are discarded: a buffer that is reused
+    /// allocates only when it has to grow.
+    pub fn apply_to_slice_into<T: Copy>(&self, data: &[T], out: &mut Vec<T>) {
         assert_eq!(data.len(), self.len(), "slice length mismatch");
-        self.new_to_old
-            .iter()
-            .map(|&old| data[old as usize])
-            .collect()
+        out.clear();
+        out.extend(self.new_to_old.iter().map(|&old| data[old as usize]));
     }
 
     /// Apply the inverse permutation to a dense slice:
@@ -213,6 +220,18 @@ mod tests {
         let p = Permutation::from_new_to_old(vec![2, 0, 1]).unwrap();
         let data = [10.0, 20.0, 30.0];
         assert_eq!(p.apply_to_slice(&data), vec![30.0, 10.0, 20.0]);
+    }
+
+    #[test]
+    fn apply_to_slice_into_refills_a_reused_buffer() {
+        let p = Permutation::from_new_to_old(vec![2, 0, 1]).unwrap();
+        let mut out = vec![7.0; 5];
+        p.apply_to_slice_into(&[10.0, 20.0, 30.0], &mut out);
+        assert_eq!(out, vec![30.0, 10.0, 20.0]);
+        let buffer = out.as_ptr();
+        p.apply_to_slice_into(&[1.0, 2.0, 3.0], &mut out);
+        assert_eq!(out, vec![3.0, 1.0, 2.0]);
+        assert_eq!(out.as_ptr(), buffer, "a large-enough buffer is reused");
     }
 
     #[test]

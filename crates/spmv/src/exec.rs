@@ -9,7 +9,7 @@
 
 use crate::plan::{Plan1d, Plan2d};
 use crate::team::ThreadTeam;
-use sparsemat::{ColIdx, CsrMatrix};
+use sparsemat::{ColIdx, CsrMatrix, Permutation};
 use std::ops::Range;
 
 /// Raw pointer wrapper allowing team lanes to write disjoint,
@@ -26,6 +26,10 @@ use std::ops::Range;
 /// indexed by span id for the partial-sum buffers. An owned `y[r]` is
 /// stored once, inside the parallel region; rows shared between spans
 /// (2D boundary rows, merge carries) are only combined after it.
+///
+/// Row `r` is stored at `y[map.at(r)]` for the call's [`RowMap`], a
+/// bijection on `0..nrows`: lanes that own disjoint rows still write
+/// disjoint, in-range elements.
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 
 impl<T> Clone for SendPtr<T> {
@@ -74,16 +78,65 @@ pub(crate) fn lane_spans<T>(
     spans.iter().enumerate().skip(lane).step_by(lanes)
 }
 
-/// Store `y[r]` for every row of `rows`, entering the first row at
-/// nonzero `lo` (its start, or mid-row for a merge span) and finishing
-/// every row at its end; returns the nonzero index reached. Empty rows
-/// store `0.0`.
+/// Where a kernel stores each row's sum: row `r` of the matrix goes to
+/// `y[map.at(r)]`. The two instantiations are [`Identity`]
+/// ([`Kernel::execute`](crate::Kernel::execute): `y` in the matrix's
+/// own row order) and `&Permutation`
+/// ([`Kernel::execute_scatter`](crate::Kernel::execute_scatter): `y`
+/// in the caller's). The kernels are generic over it so that both run
+/// the same loops.
+///
+/// The stores through [`SendPtr`] rely on `at` being a bijection on
+/// `0..nrows` whenever `covers(nrows)` holds. For a [`Permutation`]
+/// that is the type's own invariant — its fields are private and every
+/// constructor validates range and uniqueness — which is why the map
+/// is that type and not a bare index slice.
+pub(crate) trait RowMap: Copy + Sync {
+    /// Whether the map is defined on exactly the rows `0..nrows`.
+    fn covers(self, nrows: usize) -> bool;
+    /// The output index of row `r`.
+    fn at(self, r: usize) -> usize;
+}
+
+/// `y[r]` holds row `r`.
+#[derive(Clone, Copy)]
+pub(crate) struct Identity;
+
+impl RowMap for Identity {
+    #[inline(always)]
+    fn covers(self, _nrows: usize) -> bool {
+        true
+    }
+    #[inline(always)]
+    fn at(self, r: usize) -> usize {
+        r
+    }
+}
+
+/// `y[p.new_to_old(r)]` holds row `r`: the rows of a matrix permuted
+/// by `p` land where they came from.
+impl RowMap for &Permutation {
+    #[inline(always)]
+    fn covers(self, nrows: usize) -> bool {
+        self.len() == nrows
+    }
+    #[inline(always)]
+    fn at(self, r: usize) -> usize {
+        self.new_to_old(r)
+    }
+}
+
+/// Store row `r`'s sum at `y[map.at(r)]` for every row of `rows`,
+/// entering the first row at nonzero `lo` (its start, or mid-row for a
+/// merge span) and finishing every row at its end; returns the nonzero
+/// index reached. Empty rows store `0.0`.
 ///
 /// # Safety
 ///
-/// `y` must point at `a.nrows()` elements, and no other thread may
-/// access the elements of `rows` during the call. (`rows.end <=
-/// a.nrows()` is checked here, by the row-pointer slice.)
+/// `y` must point at `a.nrows()` elements, `map` must cover
+/// `a.nrows()`, and no other thread may access the elements `rows`
+/// maps to during the call. (`rows.end <= a.nrows()` is checked here,
+/// by the row-pointer slice.)
 #[inline(always)]
 pub(crate) unsafe fn store_rows(
     a: &CsrMatrix,
@@ -91,11 +144,12 @@ pub(crate) unsafe fn store_rows(
     mut lo: usize,
     x: &[f64],
     y: SendPtr<f64>,
+    map: impl RowMap,
 ) -> usize {
     let ends = &a.rowptr()[rows.start + 1..=rows.end];
     for (r, &hi) in rows.zip(ends) {
         let sum = row_dot(&a.colidx()[lo..hi], &a.values()[lo..hi], x);
-        *y.get().add(r) = sum;
+        *y.get().add(map.at(r)) = sum;
         lo = hi;
     }
     lo
@@ -107,16 +161,30 @@ pub(crate) unsafe fn store_rows(
 /// `y` is fully overwritten. Spans write disjoint row slices, so the
 /// kernel is race-free by construction.
 pub fn spmv_1d(a: &CsrMatrix, plan: &Plan1d, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
+    spmv_1d_mapped(a, plan, team, x, y, Identity);
+}
+
+/// [`spmv_1d`] storing row `r` at `y[map.at(r)]`.
+pub(crate) fn spmv_1d_mapped(
+    a: &CsrMatrix,
+    plan: &Plan1d,
+    team: &ThreadTeam,
+    x: &[f64],
+    y: &mut [f64],
+    map: impl RowMap,
+) {
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
+    assert!(map.covers(a.nrows()), "row map length mismatch");
     let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
 
     team.run(&|lane| {
         for (_, &(start, end)) in lane_spans(&plan.row_ranges, lane, lanes) {
-            // SAFETY: row ranges partition `0..nrows` disjointly (see
-            // `SendPtr`), and `y` has `nrows` elements (asserted).
-            unsafe { store_rows(a, start..end, a.rowptr()[start], x, y_ptr) };
+            // SAFETY: row ranges partition `0..nrows` disjointly and
+            // `map` keeps them disjoint (see `SendPtr`); `y` has
+            // `nrows` elements and `map` covers them (both asserted).
+            unsafe { store_rows(a, start..end, a.rowptr()[start], x, y_ptr, map) };
         }
     });
 }
@@ -131,8 +199,21 @@ pub fn spmv_1d(a: &CsrMatrix, plan: &Plan1d, team: &ThreadTeam, x: &[f64], y: &m
 /// span order after the parallel region, avoiding races on `y` exactly
 /// as the paper describes.
 pub fn spmv_2d(a: &CsrMatrix, plan: &Plan2d, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
+    spmv_2d_mapped(a, plan, team, x, y, Identity);
+}
+
+/// [`spmv_2d`] storing row `r` at `y[map.at(r)]`.
+pub(crate) fn spmv_2d_mapped(
+    a: &CsrMatrix,
+    plan: &Plan2d,
+    team: &ThreadTeam,
+    x: &[f64],
+    y: &mut [f64],
+    map: impl RowMap,
+) {
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
+    assert!(map.covers(a.nrows()), "row map length mismatch");
     let (colidx, values) = (a.colidx(), a.values());
     let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
@@ -156,9 +237,10 @@ pub fn spmv_2d(a: &CsrMatrix, plan: &Plan2d, team: &ThreadTeam, x: &[f64], y: &m
                 lo = hi;
                 sum
             });
-            // SAFETY: owned row ranges are disjoint across spans (see
-            // `SendPtr`), and `y` has `nrows` elements (asserted).
-            lo = unsafe { store_rows(a, span.own_row_start..span.own_row_end, lo, x, y_ptr) };
+            // SAFETY: owned row ranges are disjoint across spans and
+            // `map` keeps them disjoint (see `SendPtr`); `y` has
+            // `nrows` elements and `map` covers them (both asserted).
+            lo = unsafe { store_rows(a, span.own_row_start..span.own_row_end, lo, x, y_ptr, map) };
             let tail = span.tail_row().map(|_| {
                 let hi = span.nnz_end;
                 row_dot(&colidx[lo..hi], &values[lo..hi], x)
@@ -174,14 +256,14 @@ pub fn spmv_2d(a: &CsrMatrix, plan: &Plan2d, team: &ThreadTeam, x: &[f64], y: &m
 
     // Sequential fixup: boundary rows get the sum of their partials.
     for &r in &plan.boundary_rows {
-        y[r] = 0.0;
+        y[map.at(r)] = 0.0;
     }
     for (span, [head, tail]) in plan.spans.iter().zip(&partials) {
         if let Some(v) = head {
-            y[span.row_start] += v;
+            y[map.at(span.row_start)] += v;
         }
         if let Some(v) = tail {
-            y[span.row_end] += v;
+            y[map.at(span.row_end)] += v;
         }
     }
 }

@@ -27,11 +27,11 @@
 //! }
 //! ```
 
-use crate::exec::{spmv_1d, spmv_2d};
-use crate::merge::{spmv_merge, PlanMerge};
+use crate::exec::{spmv_1d, spmv_1d_mapped, spmv_2d, spmv_2d_mapped};
+use crate::merge::{spmv_merge, spmv_merge_mapped, PlanMerge};
 use crate::plan::{Plan1d, Plan2d};
 use crate::team::ThreadTeam;
-use sparsemat::CsrMatrix;
+use sparsemat::{CsrMatrix, Permutation};
 use std::fmt;
 use std::sync::Arc;
 
@@ -122,6 +122,17 @@ pub trait Kernel: Send + Sync {
 
     /// Compute `y = A x` on `team`. `y` is fully overwritten.
     fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]);
+
+    /// [`Kernel::execute`] with each row stored where `rows` says it
+    /// came from: `y[rows.new_to_old(r)]` holds row `r` of `A x`. For
+    /// the planned matrix `A = P·B` (rows of `B` permuted by `rows`)
+    /// that is `B x` in `B`'s row order — bit for bit what `execute`
+    /// followed by [`Permutation::apply_inverse_to_slice`] produces
+    /// (the same sums, accumulated in the same order, written straight
+    /// to their final index), without the intermediate vector or the
+    /// second pass. Panics, before any store, unless `rows.len()` is
+    /// the matrix's row count.
+    fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation);
 }
 
 struct Kernel1d {
@@ -144,6 +155,9 @@ impl Kernel for Kernel1d {
     }
     fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
         spmv_1d(&self.matrix, &self.plan, team, x, y);
+    }
+    fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation) {
+        spmv_1d_mapped(&self.matrix, &self.plan, team, x, y, rows);
     }
 }
 
@@ -168,6 +182,9 @@ impl Kernel for Kernel2d {
     fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
         spmv_2d(&self.matrix, &self.plan, team, x, y);
     }
+    fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation) {
+        spmv_2d_mapped(&self.matrix, &self.plan, team, x, y, rows);
+    }
 }
 
 struct KernelMerge {
@@ -190,6 +207,9 @@ impl Kernel for KernelMerge {
     }
     fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
         spmv_merge(&self.matrix, &self.plan, team, x, y);
+    }
+    fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation) {
+        spmv_merge_mapped(&self.matrix, &self.plan, team, x, y, rows);
     }
 }
 

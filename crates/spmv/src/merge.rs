@@ -18,7 +18,7 @@
 //! kernels it executes on the persistent [`ThreadTeam`], with spans
 //! assigned to lanes round-robin.
 
-use crate::exec::{lane_spans, row_dot, store_rows, SendPtr};
+use crate::exec::{lane_spans, row_dot, store_rows, Identity, RowMap, SendPtr};
 use crate::plan::imbalance_factor;
 use crate::team::ThreadTeam;
 use sparsemat::CsrMatrix;
@@ -128,8 +128,21 @@ impl PlanMerge {
 /// leaving its last row unfinished hands the partial sum on as its one
 /// carry, added in span order after the parallel region.
 pub fn spmv_merge(a: &CsrMatrix, plan: &PlanMerge, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
+    spmv_merge_mapped(a, plan, team, x, y, Identity);
+}
+
+/// [`spmv_merge`] storing row `r` at `y[map.at(r)]`.
+pub(crate) fn spmv_merge_mapped(
+    a: &CsrMatrix,
+    plan: &PlanMerge,
+    team: &ThreadTeam,
+    x: &[f64],
+    y: &mut [f64],
+    map: impl RowMap,
+) {
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
+    assert!(map.covers(a.nrows()), "row map length mismatch");
     let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
 
@@ -141,10 +154,19 @@ pub fn spmv_merge(a: &CsrMatrix, plan: &PlanMerge, team: &ThreadTeam, x: &[f64],
 
     team.run(&|lane| {
         for (idx, span) in lane_spans(&plan.spans, lane, lanes) {
-            // SAFETY: each row end lies in exactly one span (see
-            // `SendPtr`), and `y` has `nrows` elements (asserted).
-            let lo =
-                unsafe { store_rows(a, span.row_start..span.row_end, span.nnz_start, x, y_ptr) };
+            // SAFETY: each row end lies in exactly one span and `map`
+            // keeps the rows disjoint (see `SendPtr`); `y` has `nrows`
+            // elements and `map` covers them (both asserted).
+            let lo = unsafe {
+                store_rows(
+                    a,
+                    span.row_start..span.row_end,
+                    span.nnz_start,
+                    x,
+                    y_ptr,
+                    map,
+                )
+            };
             // Trailing partial row (its end belongs to a later span).
             let hi = span.nnz_end;
             if lo < hi {
@@ -160,7 +182,7 @@ pub fn spmv_merge(a: &CsrMatrix, plan: &PlanMerge, team: &ThreadTeam, x: &[f64],
     // Sequential reduction: carries accumulate onto the finished part.
     for (span, carry) in plan.spans.iter().zip(&carries) {
         if let Some(v) = carry {
-            y[span.row_end] += v;
+            y[map.at(span.row_end)] += v;
         }
     }
 }

@@ -1,11 +1,13 @@
 //! `Kernel::execute` must not touch the heap on a one-span plan, and
 //! may allocate at most one O(spans) partial-sum buffer otherwise —
 //! asserted with a counting global allocator (ROADMAP item 2).
+//! `Kernel::execute_scatter` runs the same loops, so it allocates
+//! exactly what `execute` does.
 //!
 //! One `#[test]` only: the counters are process-wide, so a second test
 //! running beside it would be counted too.
 
-use sparsemat::{CooMatrix, CsrMatrix};
+use sparsemat::{CooMatrix, CsrMatrix, Permutation};
 use spmv::{KernelKind, Plan2d, ThreadTeam};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,6 +70,9 @@ fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
     let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).sin()).collect();
     let want = a.spmv_dense(&x);
     let mut y = vec![f64::NAN; a.nrows()];
+    // Scattered through the reversal, the answer comes out reversed.
+    let rows = Permutation::identity(a.nrows()).reversed();
+    let want_scattered = rows.apply_inverse_to_slice(&want);
 
     let solo = ThreadTeam::new(1);
     for kind in KernelKind::all() {
@@ -75,6 +80,9 @@ fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
         let (allocs, _) = counted(|| kernel.execute(&solo, &x, &mut y));
         assert_eq!(allocs, 0, "{kind}: one-span execute touched the heap");
         assert_eq!(y, want, "{kind}");
+        let (allocs, _) = counted(|| kernel.execute_scatter(&solo, &x, &mut y, &rows));
+        assert_eq!(allocs, 0, "{kind}: one-span scatter touched the heap");
+        assert_eq!(y, want_scattered, "{kind}");
     }
 
     for spans in [4usize, 8] {
@@ -101,6 +109,15 @@ fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
                 for (got, want) in y.iter().zip(&want) {
                     assert!((got - want).abs() < 1e-12 * (1.0 + want.abs()));
                 }
+                let direct = y.clone();
+                y.fill(f64::NAN);
+                let scatter = counted(|| kernel.execute_scatter(&team, &x, &mut y, &rows));
+                assert_eq!(
+                    scatter,
+                    (allocs, bytes),
+                    "{kind} x{spans} on {lanes}: scatter allocates what execute does"
+                );
+                assert_eq!(y, rows.apply_inverse_to_slice(&direct), "{kind} x{spans}");
             }
         }
     }

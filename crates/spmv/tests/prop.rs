@@ -2,8 +2,9 @@
 //! sequential reference for every matrix shape and thread count.
 
 use proptest::prelude::*;
-use sparsemat::{CooMatrix, CsrMatrix};
+use sparsemat::{CooMatrix, CsrMatrix, Permutation};
 use spmv::{host_threads, imbalance_factor, KernelKind, Plan1d, Plan2d, ThreadTeam};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
@@ -136,13 +137,11 @@ fn kernels_match_reference_on_edge_matrices() {
     }
 }
 
-/// The shapes a store-each-row-once kernel can get wrong, at every
-/// plan size 1..=8 on a matching and on a mismatched team: empty rows
+/// The shapes a store-each-row-once kernel can get wrong: empty rows
 /// no span's nonzeros reach (before the first, between two spans' row
 /// ranges, after the last nonzero), one row straddling three or more
 /// spans, and more threads than nonzeros.
-#[test]
-fn kernels_define_every_row_on_pinned_shapes() {
+fn pinned_shapes() -> Vec<Arc<CsrMatrix>> {
     fn with_row_nnz(counts: &[usize]) -> Arc<CsrMatrix> {
         let ncols = counts.iter().copied().max().unwrap_or(0).max(1);
         let mut coo = CooMatrix::new(counts.len(), ncols);
@@ -153,10 +152,7 @@ fn kernels_define_every_row_on_pinned_shapes() {
         }
         Arc::new(CsrMatrix::from_coo(&coo))
     }
-    let sizes: Vec<(usize, usize)> = (1..=8)
-        .flat_map(|t| [(t, t), (t, if t == 3 { 2 } else { 3 })])
-        .collect();
-    for counts in [
+    [
         // Equal rows: 2, 3, 4 and 6 spans all end on row ends, with
         // empty rows between them, before the first and after the last.
         vec![0, 0, 4, 0, 0, 4, 0, 4, 0, 0, 4, 0, 4, 0, 0, 0, 4, 0, 0],
@@ -168,7 +164,100 @@ fn kernels_define_every_row_on_pinned_shapes() {
         // More threads than nonzeros.
         vec![1, 0, 1],
         vec![0, 0, 1, 0],
-    ] {
-        assert_kernels_match(&with_row_nnz(&counts), &sizes);
+    ]
+    .iter()
+    .map(|counts| with_row_nnz(counts))
+    .collect()
+}
+
+/// Every row is defined on the pinned shapes, at every plan size 1..=8
+/// on a matching and on a mismatched team.
+#[test]
+fn kernels_define_every_row_on_pinned_shapes() {
+    let sizes: Vec<(usize, usize)> = (1..=8)
+        .flat_map(|t| [(t, t), (t, if t == 3 { 2 } else { 3 })])
+        .collect();
+    for a in pinned_shapes() {
+        assert_kernels_match(&a, &sizes);
+    }
+}
+
+/// `execute_scatter` is `execute` then `apply_inverse_to_slice`, bit
+/// for bit: every kernel × plan size 1..=8 × team size {plan, 1, 3, 8}
+/// × the identity, the reversal and seeded random permutations, on the
+/// pinned shapes, into a NaN-filled `y` (so an unwritten or doubly
+/// mapped row fails).
+#[test]
+fn execute_scatter_is_execute_then_the_inverse_permutation() {
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut shuffled = |n: usize| {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        Permutation::from_new_to_old(order).unwrap()
+    };
+    for a in pinned_shapes() {
+        let n = a.nrows();
+        let x: Vec<f64> = (0..a.ncols())
+            .map(|i| ((i * 31 % 17) as f64) - 8.0)
+            .collect();
+        let identity = Permutation::identity(n);
+        let perms = [
+            identity.reversed(),
+            identity,
+            shuffled(n),
+            shuffled(n),
+            shuffled(n),
+        ];
+        for plan in 1..=8 {
+            for team_size in [plan, 1, 3, 8] {
+                let team = ThreadTeam::new(team_size);
+                for kind in KernelKind::all() {
+                    let kernel = kind.plan(&a, plan);
+                    let mut direct = vec![f64::NAN; n];
+                    kernel.execute(&team, &x, &mut direct);
+                    for rows in &perms {
+                        let mut scattered = vec![f64::NAN; n];
+                        kernel.execute_scatter(&team, &x, &mut scattered, rows);
+                        assert_eq!(
+                            bits(&scattered),
+                            bits(&rows.apply_inverse_to_slice(&direct)),
+                            "{kind} plan={plan} team={team_size} rows={:?}",
+                            rows.order()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A row map of the wrong length is refused before anything is stored.
+#[test]
+fn execute_scatter_rejects_a_mismatched_permutation_before_any_store() {
+    let a = &pinned_shapes()[0];
+    let x = vec![1.0; a.ncols()];
+    let team = ThreadTeam::new(2);
+    for kind in KernelKind::all() {
+        let kernel = kind.plan(a, 3);
+        for len in [a.nrows() - 1, a.nrows() + 1] {
+            let rows = Permutation::identity(len);
+            let mut y = vec![f64::NAN; a.nrows()];
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                kernel.execute_scatter(&team, &x, &mut y, &rows);
+            }));
+            assert!(refused.is_err(), "{kind}: a {len}-row map was accepted");
+            assert!(
+                y.iter().all(|v| v.is_nan()),
+                "{kind}: stored before refusing"
+            );
+        }
     }
 }

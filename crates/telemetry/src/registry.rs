@@ -40,7 +40,20 @@ pub fn series_name(base: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return base.to_string();
     }
-    let mut out = String::with_capacity(base.len() + 16 * labels.len());
+    // The exact length, so the name is written into one allocation:
+    // `base{` + `k="v"` per label + a `,` or the closing `}` after
+    // each. A sanitised key character is one byte; an escaped value
+    // character is two.
+    let escaped = |c: char| matches!(c, '\\' | '"' | '\n');
+    let label_len = |(k, v): &(&str, &str)| {
+        let value: usize = v
+            .chars()
+            .map(|c| if escaped(c) { 2 } else { c.len_utf8() })
+            .sum();
+        k.chars().count() + "=\"\"".len() + value + 1
+    };
+    let len = base.len() + 1 + labels.iter().map(label_len).sum::<usize>();
+    let mut out = String::with_capacity(len);
     out.push_str(base);
     out.push('{');
     for (i, (k, v)) in labels.iter().enumerate() {
@@ -66,6 +79,7 @@ pub fn series_name(base: &str, labels: &[(&str, &str)]) -> String {
         out.push('"');
     }
     out.push('}');
+    debug_assert_eq!(out.len(), len);
     out
 }
 
@@ -378,6 +392,22 @@ mod tests {
         // Same labels resolve to the same underlying metric.
         let again = r.gauge_labeled("engine.pool.queue_depth", &[("shard", "0")]);
         assert!(Arc::ptr_eq(&g0, &again));
+    }
+
+    #[test]
+    fn series_name_is_written_into_one_exact_allocation() {
+        for (base, labels) in [
+            ("policy.decisions", &[("choice", "reorder")][..]),
+            ("tier.shed", &[("shard", "12"), ("reason", "queue_full")]),
+            ("c", &[("bad-këy", "a\"b\\c\ndé")]),
+        ] {
+            let name = series_name(base, labels);
+            assert_eq!(name.capacity(), name.len(), "{name}");
+        }
+        assert_eq!(
+            series_name("policy.decisions", &[("choice", "reorder")]).len(),
+            34
+        );
     }
 
     #[test]
