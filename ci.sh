@@ -127,7 +127,10 @@ wait "$SERVE_PID"
 SERVE_PID=""
 
 # The line-count trend, in every CI log: all checked-in Rust under
-# crates/ and shims/.
+# crates/ and shims/. And the `unsafe` trend beside it: lines under
+# crates/ (tests included) that open an unsafe block, fn or impl,
+# comment lines excluded. A number to watch, not a gate.
 git ls-files crates shims | grep '\.rs$' | xargs wc -l | tail -1
+echo "$(git ls-files crates | grep '\.rs$' | xargs grep -hE '\bunsafe\b' | grep -vcE '^\s*//') unsafe sites under crates/"
 
 echo "ci: all gates passed"

@@ -1,7 +1,7 @@
 use crate::cache::{CacheSim, LINE_BYTES};
 use crate::machines::Machine;
 use sparsemat::CsrMatrix;
-use spmv::{imbalance_factor, Plan1d, Plan2d};
+use spmv::{imbalance_factor, Plan, Span};
 
 /// Fraction of each cache level usable by the `x` vector; the rest is
 /// occupied by the streaming matrix data competing for the same sets.
@@ -186,42 +186,42 @@ impl NumaMap {
     }
 }
 
-/// Simulate the 1D (row-split) SpMV kernel on a machine, using all of
-/// the machine's paper-experiment thread count.
-pub fn simulate_spmv_1d(a: &CsrMatrix, m: &Machine) -> SimResult {
-    simulate_spmv_1d_opt(a, m, &SimOptions::default())
-}
-
-/// Like [`simulate_spmv_1d`], with explicit [`SimOptions`].
-pub fn simulate_spmv_1d_opt(a: &CsrMatrix, m: &Machine, opts: &SimOptions) -> SimResult {
+/// Simulate `plan` on a machine: one thread per span, each feeding the
+/// `x` accesses of its nonzeros through its private caches and its
+/// socket's L3. `rows_streamed` is how many rows' worth of row-pointer
+/// and `y` traffic a span is charged — the one term the kernels'
+/// models differ in.
+fn simulate(
+    a: &CsrMatrix,
+    m: &Machine,
+    opts: &SimOptions,
+    plan: &Plan,
+    rows_streamed: impl Fn(&Span) -> usize,
+) -> SimResult {
     let t = m.threads;
-    let plan = Plan1d::new(a, t);
     let matrix_bw = matrix_stream_bw(m, a, t, opts.cache_scale);
     let numa = NumaMap::new(a.ncols(), t, m.sockets);
     let mut thread_seconds = Vec::with_capacity(t);
     let mut thread_nnz = Vec::with_capacity(t);
     let mut dram_bytes = 0.0f64;
     let mut l3s = socket_l3s(m, opts.cache_scale);
-    for (ti, &(rstart, rend)) in plan.row_ranges.iter().enumerate() {
+    for (ti, span) in plan.spans().iter().enumerate() {
         let my_socket = numa.socket_of_thread(ti);
         let l3 = &mut l3s[my_socket.min(m.sockets - 1)];
         let mut caches = PrivateCaches::new(m, opts.cache_scale);
         let mut local = 0u64;
         let mut remote = 0u64;
-        for r in rstart..rend {
-            let (cols, _) = a.row(r);
-            for &c in cols {
-                if caches.access(c, l3) {
-                    if numa.socket_of_col(c) == my_socket {
-                        local += 1;
-                    } else {
-                        remote += 1;
-                    }
+        for &c in &a.colidx()[span.nnz.clone()] {
+            if caches.access(c, l3) {
+                if numa.socket_of_col(c) == my_socket {
+                    local += 1;
+                } else {
+                    remote += 1;
                 }
             }
         }
-        let nnz = a.rowptr()[rend] - a.rowptr()[rstart];
-        let rows = rend - rstart;
+        let nnz = span.nnz.len();
+        let rows = rows_streamed(span);
         let secs = thread_time(m, t, nnz, rows, local, remote, matrix_bw);
         dram_bytes += nnz as f64 * BYTES_PER_NNZ
             + rows as f64 * BYTES_PER_ROW
@@ -230,6 +230,19 @@ pub fn simulate_spmv_1d_opt(a: &CsrMatrix, m: &Machine, opts: &SimOptions) -> Si
         thread_nnz.push(nnz);
     }
     SimResult::from_threads(a.nnz(), thread_seconds, thread_nnz, dram_bytes)
+}
+
+/// Simulate the 1D (row-split) SpMV kernel on a machine, using all of
+/// the machine's paper-experiment thread count.
+pub fn simulate_spmv_1d(a: &CsrMatrix, m: &Machine) -> SimResult {
+    simulate_spmv_1d_opt(a, m, &SimOptions::default())
+}
+
+/// Like [`simulate_spmv_1d`], with explicit [`SimOptions`].
+pub fn simulate_spmv_1d_opt(a: &CsrMatrix, m: &Machine, opts: &SimOptions) -> SimResult {
+    simulate(a, m, opts, &Plan::rows(a, m.threads), |span| {
+        span.rows.len()
+    })
 }
 
 /// Simulate the 2D (nonzero-split) SpMV kernel on a machine.
@@ -239,45 +252,18 @@ pub fn simulate_spmv_2d(a: &CsrMatrix, m: &Machine) -> SimResult {
 
 /// Like [`simulate_spmv_2d`], with explicit [`SimOptions`].
 pub fn simulate_spmv_2d_opt(a: &CsrMatrix, m: &Machine, opts: &SimOptions) -> SimResult {
-    let t = m.threads;
-    let plan = Plan2d::new(a, t);
-    let matrix_bw = matrix_stream_bw(m, a, t, opts.cache_scale);
-    let numa = NumaMap::new(a.ncols(), t, m.sockets);
-    let mut thread_seconds = Vec::with_capacity(t);
-    let mut thread_nnz = Vec::with_capacity(t);
-    let mut dram_bytes = 0.0f64;
-    let mut l3s = socket_l3s(m, opts.cache_scale);
-    for (ti, span) in plan.spans.iter().enumerate() {
-        if span.is_empty() {
-            thread_seconds.push(0.0);
-            thread_nnz.push(0);
-            continue;
+    // The (non-empty) row holding nonzero `i`: the last `r` with
+    // `rowptr[r] <= i`.
+    let row_of = |i: usize| a.rowptr().partition_point(|&p| p <= i) - 1;
+    // A block is charged the rows its nonzeros touch, partial ones
+    // included and empty rows at a cut not: what its thread streams.
+    simulate(a, m, opts, &Plan::nonzeros(a, m.threads), |span| {
+        if span.nnz.is_empty() {
+            0
+        } else {
+            row_of(span.nnz.end - 1) + 1 - row_of(span.nnz.start)
         }
-        let my_socket = numa.socket_of_thread(ti);
-        let l3 = &mut l3s[my_socket.min(m.sockets - 1)];
-        let mut caches = PrivateCaches::new(m, opts.cache_scale);
-        let mut local = 0u64;
-        let mut remote = 0u64;
-        for k in span.nnz_start..span.nnz_end {
-            let c = a.colidx()[k];
-            if caches.access(c, l3) {
-                if numa.socket_of_col(c) == my_socket {
-                    local += 1;
-                } else {
-                    remote += 1;
-                }
-            }
-        }
-        let nnz = span.nnz_end - span.nnz_start;
-        let rows = span.row_end + 1 - span.row_start;
-        let secs = thread_time(m, t, nnz, rows, local, remote, matrix_bw);
-        dram_bytes += nnz as f64 * BYTES_PER_NNZ
-            + rows as f64 * BYTES_PER_ROW
-            + (local + remote) as f64 * 64.0;
-        thread_seconds.push(secs);
-        thread_nnz.push(nnz);
-    }
-    SimResult::from_threads(a.nnz(), thread_seconds, thread_nnz, dram_bytes)
+    })
 }
 
 #[cfg(test)]

@@ -508,17 +508,6 @@ impl Engine {
         }
     }
 
-    /// Submit a batch; tickets come back in request order.
-    pub fn submit_batch<'a, I>(&self, requests: I) -> Vec<Ticket>
-    where
-        I: IntoIterator<Item = (&'a MatrixHandle, AlgoSpec)>,
-    {
-        requests
-            .into_iter()
-            .map(|(m, algo)| self.submit(m, algo))
-            .collect()
-    }
-
     /// Fetch (or build and cache) the planned SpMV kernel for a
     /// registered matrix. The plan is keyed by
     /// `(content hash, kernel, nthreads)` and holds the matrix by
@@ -676,12 +665,11 @@ mod tests {
         let engine = small_engine();
         let m = mesh();
         let suite = AlgoSpec::study_suite(4, 8);
-        let requests: Vec<_> = suite
+        let tickets: Vec<_> = suite
             .iter()
             .chain(suite.iter()) // every algorithm twice
-            .map(|&a| (&m, a))
+            .map(|&a| engine.submit(&m, a))
             .collect();
-        let tickets = engine.submit_batch(requests);
         assert_eq!(tickets.len(), 12);
         let results: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         for (i, &algo) in suite.iter().enumerate() {

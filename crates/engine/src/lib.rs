@@ -20,8 +20,8 @@
 //!    concurrent requests for the same key coalesce onto one in-flight
 //!    computation and all receive the shared result — and per-job
 //!    wall-clock accounting.
-//! 3. **Batched session API** ([`Engine`]): [`Engine::submit`],
-//!    [`Engine::submit_batch`], [`Engine::get`] and [`Engine::stats`].
+//! 3. **Session API** ([`Engine`]): [`Engine::submit`],
+//!    [`Engine::get`] and [`Engine::stats`].
 //!    The `experiments` crate's sweep obtains all orderings through
 //!    this API, and `experiments --bin serve` replays a Zipf request
 //!    trace against it.
@@ -37,14 +37,11 @@
 //! let engine = Engine::new(EngineConfig::default());
 //! let m = MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(16, 16), 1));
 //!
-//! // A batch with duplicates: six unique orderings, twelve requests.
+//! // Submissions with duplicates: six unique orderings, twelve requests.
 //! let suite = AlgoSpec::study_suite(8, 16);
-//! let requests: Vec<_> = suite.iter().chain(suite.iter()).map(|&a| (&m, a)).collect();
-//! let results: Vec<_> = engine
-//!     .submit_batch(requests)
-//!     .into_iter()
-//!     .map(|t| t.wait().unwrap())
-//!     .collect();
+//! let twice = suite.iter().chain(suite.iter());
+//! let tickets: Vec<_> = twice.map(|&a| engine.submit(&m, a)).collect();
+//! let results: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
 //!
 //! assert_eq!(results.len(), 12);
 //! let stats = engine.stats();

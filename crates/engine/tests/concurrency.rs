@@ -71,14 +71,10 @@ fn parallel_batch_over_distinct_keys() {
     let suite = AlgoSpec::study_suite(4, 8);
 
     // Two passes over (matrix x algorithm): 72 requests, 36 unique.
-    let requests: Vec<_> = (0..2)
-        .flat_map(|_| {
-            matrices
-                .iter()
-                .flat_map(|m| suite.iter().map(move |&a| (m, a)))
-        })
+    let tickets: Vec<_> = (0..2)
+        .flat_map(|_| matrices.iter())
+        .flat_map(|m| suite.iter().map(|&a| engine.submit(m, a)))
         .collect();
-    let tickets = engine.submit_batch(requests);
     assert_eq!(tickets.len(), 72);
     for t in tickets {
         t.wait().unwrap();

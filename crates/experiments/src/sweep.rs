@@ -135,7 +135,9 @@ fn apply_all_orderings(
     let handle = MatrixHandle::new(Arc::clone(a));
     let mut specs = vec![AlgoSpec::Original];
     specs.extend(AlgoSpec::study_suite(cfg.gp_parts, cfg.hp_parts));
-    let tickets = engine.submit_batch(specs.iter().map(|&s| (&handle, s)));
+    // Submit everything before waiting on anything: the engine's
+    // workers overlap the orderings.
+    let tickets: Vec<_> = specs.iter().map(|&s| engine.submit(&handle, s)).collect();
     specs
         .iter()
         .zip(tickets)

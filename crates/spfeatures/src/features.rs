@@ -1,5 +1,5 @@
 use sparsemat::CsrMatrix;
-use spmv::{imbalance_factor, nnz_per_thread};
+use spmv::{imbalance_factor, Plan};
 
 /// Bandwidth of a square matrix: `max |i − j|` over stored nonzeros
 /// (§3.2). Zero for diagonal or empty matrices.
@@ -126,7 +126,7 @@ pub fn matrix_features(a: &CsrMatrix, threads: usize) -> MatrixFeatures {
         bandwidth: bandwidth(a),
         profile: profile(a),
         off_diagonal_nnz: off_diagonal_nnz(a, threads),
-        imbalance_1d: imbalance_factor(&nnz_per_thread(a, threads)),
+        imbalance_1d: imbalance_factor(&Plan::rows(a, threads).nnz_per_span()),
         threads,
     }
 }

@@ -1,13 +1,20 @@
-//! The 1D and 2D parallel SpMV kernels, executing on a persistent
-//! [`ThreadTeam`] (§3.1).
+//! The one span executor: every kernel of the study (§3.1) is a
+//! [`Plan`] — a way of cutting the matrix into spans — run through
+//! [`execute_mapped`] on a persistent [`ThreadTeam`].
 //!
-//! Each kernel distributes its plan's spans over the team's lanes
-//! round-robin, so a plan built for `p` threads runs correctly on a
-//! team of any size (a lane simply processes every `team.size()`-th
-//! span). Matching the plan's thread count to the team size gives the
-//! measurement-faithful one-span-per-lane execution.
+//! Spans go to the team's lanes round-robin, so a plan cut into `p`
+//! spans runs correctly on a team of any size (a lane simply processes
+//! every `team.size()`-th span). Matching the span count to the team
+//! size gives the measurement-faithful one-span-per-lane execution.
+//!
+//! Rows are summed left to right with one accumulator ([`row_dot`]),
+//! so a row that lies in one span — every row of a one-span plan, and
+//! of a [`Plan::rows`] plan at any span count — equals the sequential
+//! row sum of [`CsrMatrix::spmv_dense`] exactly. A row that
+//! [`Plan::nonzeros`] or [`Plan::merge_path`] cuts across spans is the
+//! sum of per-span partial sums and agrees with it to rounding only.
 
-use crate::plan::{Plan1d, Plan2d};
+use crate::plan::Plan;
 use crate::team::ThreadTeam;
 use sparsemat::{ColIdx, CsrMatrix, Permutation};
 use std::ops::Range;
@@ -15,17 +22,15 @@ use std::ops::Range;
 /// Raw pointer wrapper allowing team lanes to write disjoint,
 /// pre-validated parts of shared output storage.
 ///
-/// SAFETY invariant (the disjoint-write invariant the kernel trait's
-/// implementations rely on): every lane writes only the elements it
-/// exclusively owns — contiguous row ranges for the 1D kernel
-/// (`Plan1d` ranges partition the rows), owned rows for the 2D kernel
-/// (`own_row_start..own_row_end` are disjoint across spans, an
-/// invariant established by `Plan2d::new` and checked by its tests),
-/// the rows whose *end* a span consumes for the merge kernel
-/// (`row_start..row_end` chain from span to span), and per-span slots
-/// indexed by span id for the partial-sum buffers. An owned `y[r]` is
-/// stored once, inside the parallel region; rows shared between spans
-/// (2D boundary rows, merge carries) are only combined after it.
+/// SAFETY invariant — the one rule every concurrent store in this
+/// crate rests on: **a span stores `y[r]` for exactly the rows whose
+/// end it contains, and its own carry slot.** A [`Plan`]'s spans chain
+/// from `(0, 0)` to `(nrows, nnz)` (its constructors' invariant; the
+/// fields are private, so no caller can forge one), hence each row end
+/// lies in exactly one span, the row ranges of distinct spans are
+/// disjoint and in `0..nrows`, and carry slots are indexed by span.
+/// Each `y[r]` is stored once, inside the parallel region; a row cut
+/// across spans receives its carries only after it.
 ///
 /// Row `r` is stored at `y[map.at(r)]` for the call's [`RowMap`], a
 /// bijection on `0..nrows`: lanes that own disjoint rows still write
@@ -66,16 +71,6 @@ pub(crate) fn row_dot(cols: &[ColIdx], vals: &[f64], x: &[f64]) -> f64 {
         sum += v * x[c as usize];
     }
     sum
-}
-
-/// The spans lane `lane` of a `lanes`-wide team executes: every
-/// `lanes`-th one, round-robin (a team has at least one lane).
-pub(crate) fn lane_spans<T>(
-    spans: &[T],
-    lane: usize,
-    lanes: usize,
-) -> impl Iterator<Item = (usize, &T)> {
-    spans.iter().enumerate().skip(lane).step_by(lanes)
 }
 
 /// Where a kernel stores each row's sum: row `r` of the matrix goes to
@@ -155,19 +150,26 @@ pub(crate) unsafe fn store_rows(
     lo
 }
 
-/// 1D parallel SpMV: `y = A x` with rows statically split into equal
-/// contiguous blocks, one per plan span (§3.1), executed on `team`.
+/// `y = A x` under `plan`, executed on `team`; `y` is fully
+/// overwritten, in `a`'s row order. What
+/// [`Kernel::execute`](crate::Kernel::execute) runs, for callers that
+/// hold the matrix and a plan rather than a planned kernel.
 ///
-/// `y` is fully overwritten. Spans write disjoint row slices, so the
-/// kernel is race-free by construction.
-pub fn spmv_1d(a: &CsrMatrix, plan: &Plan1d, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
-    spmv_1d_mapped(a, plan, team, x, y, Identity);
+/// Panics, before any store, unless `plan` was cut for a matrix of
+/// `a`'s shape.
+pub fn execute(a: &CsrMatrix, plan: &Plan, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
+    execute_mapped(a, plan, team, x, y, Identity);
 }
 
-/// [`spmv_1d`] storing row `r` at `y[map.at(r)]`.
-pub(crate) fn spmv_1d_mapped(
+/// [`execute`] storing row `r` at `y[map.at(r)]`.
+///
+/// A span stores every row whose end it contains — empty rows
+/// included, so every `y[r]` is written — and hands a trailing partial
+/// row on as its one carry, added in span order after the parallel
+/// region (the paper's race-free boundary handling, §3.1).
+pub(crate) fn execute_mapped(
     a: &CsrMatrix,
-    plan: &Plan1d,
+    plan: &Plan,
     team: &ThreadTeam,
     x: &[f64],
     y: &mut [f64],
@@ -176,94 +178,49 @@ pub(crate) fn spmv_1d_mapped(
     assert_eq!(x.len(), a.ncols(), "x length mismatch");
     assert_eq!(y.len(), a.nrows(), "y length mismatch");
     assert!(map.covers(a.nrows()), "row map length mismatch");
+    assert_eq!(
+        plan.shape(),
+        (a.nrows(), a.nnz()),
+        "plan cut for another matrix"
+    );
+    let spans = plan.spans();
     let y_ptr = SendPtr(y.as_mut_ptr());
     let lanes = team.size();
 
-    team.run(&|lane| {
-        for (_, &(start, end)) in lane_spans(&plan.row_ranges, lane, lanes) {
-            // SAFETY: row ranges partition `0..nrows` disjointly and
-            // `map` keeps them disjoint (see `SendPtr`); `y` has
-            // `nrows` elements and `map` covers them (both asserted).
-            unsafe { store_rows(a, start..end, a.rowptr()[start], x, y_ptr, map) };
-        }
-    });
-}
-
-/// 2D parallel SpMV: `y = A x` with nonzeros statically split into
-/// equal blocks (§3.1), executed on `team`.
-///
-/// A span stores the rows it owns directly — empty rows included, so
-/// together with the boundary rows every `y[r]` is written. Its at most
-/// two boundary rows (a leading one it enters mid-row, a trailing one
-/// it leaves mid-row) become partial sums, combined sequentially in
-/// span order after the parallel region, avoiding races on `y` exactly
-/// as the paper describes.
-pub fn spmv_2d(a: &CsrMatrix, plan: &Plan2d, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
-    spmv_2d_mapped(a, plan, team, x, y, Identity);
-}
-
-/// [`spmv_2d`] storing row `r` at `y[map.at(r)]`.
-pub(crate) fn spmv_2d_mapped(
-    a: &CsrMatrix,
-    plan: &Plan2d,
-    team: &ThreadTeam,
-    x: &[f64],
-    y: &mut [f64],
-    map: impl RowMap,
-) {
-    assert_eq!(x.len(), a.ncols(), "x length mismatch");
-    assert_eq!(y.len(), a.nrows(), "y length mismatch");
-    assert!(map.covers(a.nrows()), "row map length mismatch");
-    let (colidx, values) = (a.colidx(), a.values());
-    let y_ptr = SendPtr(y.as_mut_ptr());
-    let lanes = team.size();
-
-    // `[leading, trailing]` partial sum per span, each slot written only
-    // by the lane owning that span; no slots when no row is shared.
-    let slots = if plan.boundary_rows.is_empty() {
+    // One carry slot per span but the last (which ends the last row),
+    // each written only by the lane owning that span; none at all when
+    // every cut falls on a row end.
+    let slots = if plan.carrying() == 0 {
         0
     } else {
-        plan.spans.len()
+        spans.len() - 1
     };
-    let mut partials = vec![[None::<f64>; 2]; slots];
-    let partials_ptr = SendPtr(partials.as_mut_ptr());
+    let mut carries = vec![None::<f64>; slots];
+    let carries_ptr = SendPtr(carries.as_mut_ptr());
 
     team.run(&|lane| {
-        for (idx, span) in lane_spans(&plan.spans, lane, lanes) {
-            let mut lo = span.nnz_start;
-            let head = span.head_row().map(|r| {
-                let hi = a.rowptr()[r + 1].min(span.nnz_end);
-                let sum = row_dot(&colidx[lo..hi], &values[lo..hi], x);
-                lo = hi;
-                sum
-            });
-            // SAFETY: owned row ranges are disjoint across spans and
-            // `map` keeps them disjoint (see `SendPtr`); `y` has
-            // `nrows` elements and `map` covers them (both asserted).
-            lo = unsafe { store_rows(a, span.own_row_start..span.own_row_end, lo, x, y_ptr, map) };
-            let tail = span.tail_row().map(|_| {
-                let hi = span.nnz_end;
-                row_dot(&colidx[lo..hi], &values[lo..hi], x)
-            });
-            if head.is_some() || tail.is_some() {
-                assert!(idx < slots, "plan lists no boundary rows");
+        for (idx, span) in spans.iter().enumerate().skip(lane).step_by(lanes) {
+            // SAFETY: each row end lies in exactly one span and `map`
+            // keeps the rows disjoint (see `SendPtr`); `y` has `nrows`
+            // elements, `map` covers them and the plan's rows end at
+            // `nrows` (all asserted).
+            let lo = unsafe { store_rows(a, span.rows.clone(), span.nnz.start, x, y_ptr, map) };
+            // Trailing partial row (its end belongs to a later span).
+            let hi = span.nnz.end;
+            if lo < hi {
+                let sum = row_dot(&a.colidx()[lo..hi], &a.values()[lo..hi], x);
+                assert!(idx < slots, "the plan counted no carry here");
                 // SAFETY: slot `idx` exists (checked) and belongs
                 // exclusively to the lane processing span `idx`.
-                unsafe { *partials_ptr.get().add(idx) = [head, tail] };
+                unsafe { *carries_ptr.get().add(idx) = Some(sum) };
             }
         }
     });
 
-    // Sequential fixup: boundary rows get the sum of their partials.
-    for &r in &plan.boundary_rows {
-        y[map.at(r)] = 0.0;
-    }
-    for (span, [head, tail]) in plan.spans.iter().zip(&partials) {
-        if let Some(v) = head {
-            y[map.at(span.row_start)] += v;
-        }
-        if let Some(v) = tail {
-            y[map.at(span.row_end)] += v;
+    // Sequential reduction: carries accumulate onto the finished part.
+    for (span, carry) in spans.iter().zip(&carries) {
+        if let Some(v) = carry {
+            y[map.at(span.rows.end)] += v;
         }
     }
 }
@@ -271,6 +228,7 @@ pub(crate) fn spmv_2d_mapped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelKind;
     use sparsemat::CooMatrix;
 
     fn random_matrix(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix {
@@ -290,91 +248,80 @@ mod tests {
         CsrMatrix::from_coo(&coo)
     }
 
-    fn skewed_matrix(n: usize) -> CsrMatrix {
-        // First row is dense; the rest are diagonal.
-        let mut coo = CooMatrix::new(n, n);
-        for j in 0..n {
-            coo.push(0, j, 1.0 + j as f64);
-        }
-        for i in 1..n {
-            coo.push(i, i, 2.0);
+    fn from_entries(
+        nrows: usize,
+        ncols: usize,
+        entries: impl IntoIterator<Item = (usize, usize, f64)>,
+    ) -> CsrMatrix {
+        let mut coo = CooMatrix::new(nrows, ncols);
+        for (i, j, v) in entries {
+            coo.push(i, j, v);
         }
         CsrMatrix::from_coo(&coo)
     }
 
-    fn check_against_reference(a: &CsrMatrix, threads: &[usize]) {
+    /// Every cut of `a` into `plan_t` spans, run on a `team_t`-lane
+    /// team into a NaN-filled `y`, matches the sequential reference.
+    fn check_against_reference(a: &CsrMatrix, sizes: &[(usize, usize)]) {
         let x: Vec<f64> = (0..a.ncols()).map(|i| ((i * 7 + 1) as f64).sin()).collect();
         let want = a.spmv_dense(&x);
-        for &t in threads {
-            let team = ThreadTeam::new(t);
-            let p1 = Plan1d::new(a, t);
-            let mut y1 = vec![f64::NAN; a.nrows()];
-            spmv_1d(a, &p1, &team, &x, &mut y1);
-            for (i, (&got, &exp)) in y1.iter().zip(want.iter()).enumerate() {
-                assert!(
-                    (got - exp).abs() < 1e-9 * (1.0 + exp.abs()),
-                    "1D t={t}: y[{i}] = {got}, want {exp}"
-                );
-            }
-            let p2 = Plan2d::new(a, t);
-            let mut y2 = vec![f64::NAN; a.nrows()];
-            spmv_2d(a, &p2, &team, &x, &mut y2);
-            for (i, (&got, &exp)) in y2.iter().zip(want.iter()).enumerate() {
-                assert!(
-                    (got - exp).abs() < 1e-9 * (1.0 + exp.abs()),
-                    "2D t={t}: y[{i}] = {got}, want {exp}"
-                );
+        for &(plan_t, team_t) in sizes {
+            let team = ThreadTeam::new(team_t);
+            for kind in KernelKind::all() {
+                let mut y = vec![f64::NAN; a.nrows()];
+                execute(a, &kind.cut(a, plan_t), &team, &x, &mut y);
+                for (i, (&got, &exp)) in y.iter().zip(want.iter()).enumerate() {
+                    assert!(
+                        (got - exp).abs() < 1e-9 * (1.0 + exp.abs()),
+                        "{kind} plan={plan_t} team={team_t}: y[{i}] = {got}, want {exp}"
+                    );
+                }
             }
         }
     }
 
-    #[test]
-    fn kernels_match_reference_on_random_matrix() {
-        let a = random_matrix(200, 6, 42);
-        check_against_reference(&a, &[1, 2, 3, 4, 7, 16]);
+    fn matched(threads: &[usize]) -> Vec<(usize, usize)> {
+        threads.iter().map(|&t| (t, t)).collect()
     }
 
     #[test]
-    fn kernels_match_reference_on_skewed_matrix() {
-        // The dense first row straddles several 2D thread ranges.
-        let a = skewed_matrix(64);
-        check_against_reference(&a, &[1, 2, 4, 8]);
+    fn kernels_match_reference_on_random_matrices() {
+        check_against_reference(&random_matrix(200, 6, 42), &matched(&[1, 2, 3, 4, 7, 16]));
+        check_against_reference(&random_matrix(150, 4, 5), &matched(&[1, 2, 3, 5, 8]));
+    }
+
+    #[test]
+    fn kernels_match_reference_on_rows_cut_across_spans() {
+        // A dense first row over diagonal rows: it straddles several
+        // spans of an equal-nonzero split.
+        let n = 64;
+        let dense_first = (0..n)
+            .map(|j| (0, j, 1.0 + j as f64))
+            .chain((1..n).map(|i| (i, i, 2.0)));
+        check_against_reference(&from_entries(n, n, dense_first), &matched(&[1, 2, 4, 8]));
+        // One giant row between empty ones.
+        let giant = (0..400).map(|j| (1, j, (j as f64) * 0.25));
+        check_against_reference(&from_entries(4, 400, giant), &matched(&[1, 3, 6]));
     }
 
     #[test]
     fn kernels_handle_empty_rows() {
-        let mut coo = CooMatrix::new(10, 10);
-        coo.push(2, 3, 1.0);
-        coo.push(7, 1, -2.0);
-        let a = CsrMatrix::from_coo(&coo);
-        check_against_reference(&a, &[1, 2, 4]);
+        let a = from_entries(10, 10, [(2, 3, 1.0), (7, 1, -2.0)]);
+        check_against_reference(&a, &matched(&[1, 2, 4]));
+        // The merge path's signature case: mostly empty rows.
+        let blocks = (0..1000)
+            .step_by(100)
+            .flat_map(|i| (0..30).map(move |j| (i, (i + j) % 1000, 1.0)));
+        check_against_reference(&from_entries(1000, 1000, blocks), &matched(&[1, 4, 7]));
+        // No nonzeros at all: every row is stored as zero.
+        check_against_reference(&from_entries(6, 6, []), &matched(&[1, 2, 4]));
     }
 
     #[test]
-    fn kernels_handle_single_row_matrix() {
-        let mut coo = CooMatrix::new(1, 1);
-        coo.push(0, 0, 3.0);
-        let a = CsrMatrix::from_coo(&coo);
-        check_against_reference(&a, &[1, 4]);
-    }
-
-    #[test]
-    fn kernels_handle_more_threads_than_nnz() {
-        let a = random_matrix(5, 1, 9);
-        check_against_reference(&a, &[16]);
-    }
-
-    #[test]
-    fn empty_matrix_yields_zero() {
-        let a = CsrMatrix::from_coo(&CooMatrix::new(6, 6));
-        let x = vec![1.0; 6];
-        let team = ThreadTeam::new(2);
-        let mut y = vec![f64::NAN; 6];
-        spmv_1d(&a, &Plan1d::new(&a, 2), &team, &x, &mut y);
-        assert!(y.iter().all(|&v| v == 0.0));
-        let mut y2 = vec![f64::NAN; 6];
-        spmv_2d(&a, &Plan2d::new(&a, 2), &team, &x, &mut y2);
-        assert!(y2.iter().all(|&v| v == 0.0));
+    fn kernels_handle_more_threads_than_work() {
+        check_against_reference(&from_entries(1, 1, [(0, 0, 3.0)]), &matched(&[1, 4]));
+        check_against_reference(&random_matrix(5, 1, 9), &matched(&[16]));
+        check_against_reference(&from_entries(2, 2, [(0, 0, 1.0)]), &matched(&[64]));
     }
 
     #[test]
@@ -382,26 +329,6 @@ mod tests {
         // Round-robin span assignment: an 8-span plan on a 3-lane team
         // and a 2-span plan on an 8-lane team both stay correct.
         let a = random_matrix(120, 5, 7);
-        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64).cos()).collect();
-        let want = a.spmv_dense(&x);
-        for (plan_t, team_t) in [(8, 3), (2, 8), (5, 1), (1, 4)] {
-            let team = ThreadTeam::new(team_t);
-            let p1 = Plan1d::new(&a, plan_t);
-            let mut y = vec![f64::NAN; a.nrows()];
-            spmv_1d(&a, &p1, &team, &x, &mut y);
-            let p2 = Plan2d::new(&a, plan_t);
-            let mut y2 = vec![f64::NAN; a.nrows()];
-            spmv_2d(&a, &p2, &team, &x, &mut y2);
-            for i in 0..a.nrows() {
-                assert!(
-                    (y[i] - want[i]).abs() < 1e-9 * (1.0 + want[i].abs()),
-                    "1D plan={plan_t} team={team_t} row {i}"
-                );
-                assert!(
-                    (y2[i] - want[i]).abs() < 1e-9 * (1.0 + want[i].abs()),
-                    "2D plan={plan_t} team={team_t} row {i}"
-                );
-            }
-        }
+        check_against_reference(&a, &[(8, 3), (2, 8), (5, 1), (1, 4)]);
     }
 }

@@ -1,11 +1,10 @@
-//! The unified kernel interface: every SpMV variant in the study —
-//! 1D row split, 2D nonzero split, merge path — behind one object-safe
-//! trait, selected at runtime through [`KernelKind`].
+//! The kernel interface: every SpMV variant in the study — 1D row
+//! split, 2D nonzero split, merge path — is one [`Plan`] constructor,
+//! selected at runtime through [`KernelKind`].
 //!
 //! A planned kernel pairs the matrix (held by `Arc`, so plans can be
-//! cached and shared without copying payloads) with its precomputed
-//! execution plan. Executing it only needs a [`ThreadTeam`] and the
-//! vectors:
+//! cached and shared without copying payloads) with its [`Plan`].
+//! Executing it only needs a [`ThreadTeam`] and the vectors:
 //!
 //! ```
 //! use spmv::{KernelKind, ThreadTeam};
@@ -27,9 +26,8 @@
 //! }
 //! ```
 
-use crate::exec::{spmv_1d, spmv_1d_mapped, spmv_2d, spmv_2d_mapped};
-use crate::merge::{spmv_merge, spmv_merge_mapped, PlanMerge};
-use crate::plan::{Plan1d, Plan2d};
+use crate::exec::{execute_mapped, Identity};
+use crate::plan::Plan;
 use crate::team::ThreadTeam;
 use sparsemat::{CsrMatrix, Permutation};
 use std::fmt;
@@ -73,22 +71,23 @@ impl KernelKind {
         }
     }
 
+    /// This kind's cut of `a` for `nthreads` threads — the whole
+    /// difference between the kernels.
+    pub fn cut(self, a: &CsrMatrix, nthreads: usize) -> Plan {
+        match self {
+            KernelKind::OneD => Plan::rows(a, nthreads),
+            KernelKind::TwoD => Plan::nonzeros(a, nthreads),
+            KernelKind::Merge => Plan::merge_path(a, nthreads),
+        }
+    }
+
     /// Build the planned kernel of this kind for `nthreads` threads.
     pub fn plan(self, a: &Arc<CsrMatrix>, nthreads: usize) -> Arc<dyn Kernel> {
-        match self {
-            KernelKind::OneD => Arc::new(Kernel1d {
-                plan: Plan1d::new(a, nthreads),
-                matrix: Arc::clone(a),
-            }),
-            KernelKind::TwoD => Arc::new(Kernel2d {
-                plan: Plan2d::new(a, nthreads),
-                matrix: Arc::clone(a),
-            }),
-            KernelKind::Merge => Arc::new(KernelMerge {
-                plan: PlanMerge::new(a, nthreads),
-                matrix: Arc::clone(a),
-            }),
-        }
+        Arc::new(Planned {
+            kind: self,
+            plan: self.cut(a, nthreads),
+            matrix: Arc::clone(a),
+        })
     }
 }
 
@@ -101,11 +100,10 @@ impl fmt::Display for KernelKind {
 /// A planned SpMV kernel: a matrix plus its precomputed work split,
 /// executable on any [`ThreadTeam`].
 ///
-/// Object-safe so heterogeneous kernels can share a cache
-/// (`Arc<dyn Kernel>`). Implementations uphold the disjoint-write
-/// invariant documented on `exec::SendPtr`: concurrent lanes never
-/// write the same output element, so `execute` is race-free without
-/// locking.
+/// Object-safe so kernels can be held as `Arc<dyn Kernel>`. `execute`
+/// is race-free without locking by the one rule documented on
+/// `exec::SendPtr`: a span stores exactly the rows whose end it
+/// contains.
 pub trait Kernel: Send + Sync {
     /// Which kernel family this plan belongs to.
     fn kind(&self) -> KernelKind;
@@ -113,8 +111,8 @@ pub trait Kernel: Send + Sync {
     /// The matrix the plan was built for.
     fn matrix(&self) -> &Arc<CsrMatrix>;
 
-    /// Effective thread count of the plan (after clamping to the
-    /// available parallelism; see [`Plan1d::new`]).
+    /// Span count of the plan: the requested threads after clamping to
+    /// the available parallelism (see the [`Plan`] constructors).
     fn num_threads(&self) -> usize;
 
     /// Nonzeros processed per thread — the balance statistic of §3.2.
@@ -135,81 +133,31 @@ pub trait Kernel: Send + Sync {
     fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation);
 }
 
-struct Kernel1d {
+/// The one implementation: a kind is only a label on the cut.
+struct Planned {
+    kind: KernelKind,
     matrix: Arc<CsrMatrix>,
-    plan: Plan1d,
+    plan: Plan,
 }
 
-impl Kernel for Kernel1d {
+impl Kernel for Planned {
     fn kind(&self) -> KernelKind {
-        KernelKind::OneD
+        self.kind
     }
     fn matrix(&self) -> &Arc<CsrMatrix> {
         &self.matrix
     }
     fn num_threads(&self) -> usize {
-        self.plan.num_threads()
+        self.plan.spans().len()
     }
     fn nnz_per_thread(&self) -> Vec<usize> {
-        self.plan.nnz_per_thread(&self.matrix)
+        self.plan.nnz_per_span()
     }
     fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
-        spmv_1d(&self.matrix, &self.plan, team, x, y);
+        execute_mapped(&self.matrix, &self.plan, team, x, y, Identity);
     }
     fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation) {
-        spmv_1d_mapped(&self.matrix, &self.plan, team, x, y, rows);
-    }
-}
-
-struct Kernel2d {
-    matrix: Arc<CsrMatrix>,
-    plan: Plan2d,
-}
-
-impl Kernel for Kernel2d {
-    fn kind(&self) -> KernelKind {
-        KernelKind::TwoD
-    }
-    fn matrix(&self) -> &Arc<CsrMatrix> {
-        &self.matrix
-    }
-    fn num_threads(&self) -> usize {
-        self.plan.num_threads()
-    }
-    fn nnz_per_thread(&self) -> Vec<usize> {
-        self.plan.nnz_per_thread()
-    }
-    fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
-        spmv_2d(&self.matrix, &self.plan, team, x, y);
-    }
-    fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation) {
-        spmv_2d_mapped(&self.matrix, &self.plan, team, x, y, rows);
-    }
-}
-
-struct KernelMerge {
-    matrix: Arc<CsrMatrix>,
-    plan: PlanMerge,
-}
-
-impl Kernel for KernelMerge {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Merge
-    }
-    fn matrix(&self) -> &Arc<CsrMatrix> {
-        &self.matrix
-    }
-    fn num_threads(&self) -> usize {
-        self.plan.num_threads()
-    }
-    fn nnz_per_thread(&self) -> Vec<usize> {
-        self.plan.nnz_per_thread()
-    }
-    fn execute(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64]) {
-        spmv_merge(&self.matrix, &self.plan, team, x, y);
-    }
-    fn execute_scatter(&self, team: &ThreadTeam, x: &[f64], y: &mut [f64], rows: &Permutation) {
-        spmv_merge_mapped(&self.matrix, &self.plan, team, x, y, rows);
+        execute_mapped(&self.matrix, &self.plan, team, x, y, rows);
     }
 }
 

@@ -3,46 +3,43 @@
 //! Shared-memory parallel CSR SpMV kernels — the measurement kernels of
 //! the study (§3.1).
 //!
-//! Two kernels are provided, matching the paper exactly:
+//! A kernel is a way of *cutting* the matrix into one span per thread;
+//! the spans are then executed by one loop. Three cuts are provided:
 //!
-//! - the **1D algorithm** partitions the *rows* into equal-sized
-//!   contiguous blocks, one per thread (what `#pragma omp for` with
-//!   static scheduling does). Simple, but load-imbalanced whenever
-//!   nonzeros are unevenly distributed over rows.
-//! - the **2D algorithm** partitions the *nonzeros* equally. Threads
-//!   may start or end mid-row, so each thread's first and last row are
-//!   handled specially (partial sums combined after the parallel
-//!   region) to avoid write races on `y`. This is a simplified form of
-//!   merge-based SpMV (Merrill & Garland).
+//! - the **1D algorithm** ([`Plan::rows`]) partitions the *rows* into
+//!   equal-sized contiguous blocks (what `#pragma omp for` with static
+//!   scheduling does). Simple, but load-imbalanced whenever nonzeros
+//!   are unevenly distributed over rows.
+//! - the **2D algorithm** ([`Plan::nonzeros`]) partitions the
+//!   *nonzeros* equally. A span may stop mid-row; the partial sum is
+//!   carried to the span holding the row's end after the parallel
+//!   region, avoiding write races on `y`. The paper calls this a
+//!   simplified form of merge-based SpMV (Merrill & Garland).
+//! - **merge-based SpMV** ([`Plan::merge_path`], the full Merrill &
+//!   Garland formulation) splits *rows + nonzeros* evenly and serves
+//!   as the baseline the 2D algorithm simplifies.
 //!
-//! A third kernel, **merge-based SpMV** (the full Merrill & Garland
-//! formulation), splits *rows + nonzeros* evenly and serves as the
-//! baseline the 2D algorithm simplifies.
-//!
-//! Plans ([`Plan1d`], [`Plan2d`], [`PlanMerge`]) precompute the
-//! partition for a given matrix and thread count; the paper likewise
-//! treats partitioning as a one-time preprocessing cost excluded from
-//! measurements. All three kernels are unified behind the object-safe
-//! [`Kernel`] trait (selected via [`KernelKind`]) and execute on a
-//! persistent [`ThreadTeam`] — long-lived workers dispatched through a
-//! spin-then-park barrier — so repeated SpMV calls pay zero
-//! thread-spawn overhead.
+//! A [`Plan`] precomputes the cut for a given matrix and thread count;
+//! the paper likewise treats partitioning as a one-time preprocessing
+//! cost excluded from measurements. [`KernelKind`] selects the cut,
+//! the object-safe [`Kernel`] trait pairs it with its matrix, and
+//! everything executes on a persistent [`ThreadTeam`] — long-lived
+//! workers dispatched through a spin-then-park barrier — so repeated
+//! SpMV calls pay zero thread-spawn overhead.
 
 mod exec;
 mod kernel;
 mod measure;
-mod merge;
 mod plan;
 mod solvers;
 mod team;
 
-pub use exec::{spmv_1d, spmv_2d};
+pub use exec::execute;
 pub use kernel::{Kernel, KernelKind};
 pub use measure::{
     host_threads, measure_spmv, measure_spmv_in, measure_spmv_traced, MeasureConfig,
     SpmvMeasurement,
 };
-pub use merge::{spmv_merge, MergeSpan, PlanMerge};
-pub use plan::{imbalance_factor, nnz_per_thread, Plan1d, Plan2d, ThreadSpan};
+pub use plan::{imbalance_factor, Plan, Span};
 pub use solvers::{conjugate_gradient, CgOptions, SolveStats};
 pub use team::{TeamTraceGuard, ThreadTeam};

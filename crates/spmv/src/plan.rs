@@ -1,214 +1,184 @@
+//! The work split: a [`Plan`] is a chain of [`Span`]s cut across the
+//! merge grid of a CSR matrix, and the three kernels of the study
+//! (§3.1) are three ways of choosing the cuts.
+//!
+//! The merge grid (Merrill & Garland \[20\]) has the row *ends* on one
+//! axis and the nonzeros on the other; executing the matrix walks the
+//! path from `(0, 0)` to `(nrows, nnz)` that takes row `r`'s nonzeros
+//! and then its end. A point `(row, nz)` lies on that path when
+//! `rowptr[row] <= nz <= rowptr[row + 1]`: `row` rows have ended and
+//! `nz` nonzeros are consumed. Cutting the path at such points gives
+//! every span a run of row ends (`rows`) and a run of nonzeros (`nnz`).
+
 use sparsemat::CsrMatrix;
+use std::ops::Range;
 
-/// Static 1D plan: equal contiguous row blocks, one per thread.
-///
-/// Mirrors OpenMP's `schedule(static)` on the row loop (§3.1). The
-/// per-thread nonzero counts this induces — and hence the imbalance
-/// factor (§3.2) — depend entirely on the matrix ordering.
-#[derive(Debug, Clone)]
-pub struct Plan1d {
-    /// `row_ranges[t] = (start, end)`: rows assigned to thread `t`.
-    pub row_ranges: Vec<(usize, usize)>,
+/// One piece of the merge path, executed by one lane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Span {
+    /// The rows whose *end* the span contains: it alone stores their
+    /// `y[r]`.
+    pub rows: Range<usize>,
+    /// The nonzeros the span consumes. They begin inside row
+    /// `rows.start` (mid-row when an earlier span carries into it) and
+    /// run past `rowptr[rows.end]` when the span leaves row `rows.end`
+    /// unfinished.
+    pub nnz: Range<usize>,
 }
 
-impl Plan1d {
-    /// Build the plan for `nthreads` threads over `a`'s rows.
+/// A work split of one matrix: spans chained along its merge path.
+///
+/// The fields are private because the executor's unsynchronised stores
+/// rest on them (the *chain invariant*, established by
+/// `Plan::chain` for every constructor): the first span starts at
+/// `(0, 0)`, each span starts where its predecessor ends in both
+/// coordinates, and the last ends at `(nrows, nnz)`. Every row end
+/// therefore lies in exactly one span.
+#[derive(Debug, Clone)]
+pub struct Plan {
+    spans: Vec<Span>,
+    /// The shape the plan was cut for; the executor refuses any other.
+    nrows: usize,
+    nnz: usize,
+    /// How many spans leave a partial row behind (`nnz.end` past
+    /// `rowptr[rows.end]`); zero means the executor needs no carries.
+    carrying: usize,
+}
+
+impl Plan {
+    /// The 1D row split: equal contiguous row blocks, OpenMP's
+    /// `schedule(static)` on the row loop (§3.1). Every cut falls on a
+    /// row end, so no span carries; the nonzeros per span — and hence
+    /// the imbalance factor (§3.2) — depend entirely on the ordering.
     ///
-    /// The thread count is clamped to the *effective* parallelism: the
-    /// chunk size is `ceil(nrows / nthreads)` (OpenMP static
-    /// semantics), and only as many ranges are emitted as non-empty
-    /// chunks exist. Requesting more threads than rows therefore no
-    /// longer produces trailing empty `(n, n)` ranges, so
-    /// [`nnz_per_thread`] and [`imbalance_factor`] average over threads
-    /// that actually work, not idle phantoms.
-    pub fn new(a: &CsrMatrix, nthreads: usize) -> Plan1d {
+    /// The block size is `ceil(nrows / nthreads)` and only non-empty
+    /// blocks become spans, so asking for more threads than rows gives
+    /// one row per span rather than idle phantoms that would dilute
+    /// [`imbalance_factor`]. A matrix without rows gets one empty span,
+    /// which keeps downstream statistics defined.
+    pub fn rows(a: &CsrMatrix, nthreads: usize) -> Plan {
         let n = a.nrows();
-        if n == 0 {
-            // A single empty range keeps downstream statistics defined.
-            return Plan1d {
-                row_ranges: vec![(0, 0)],
-            };
-        }
         let chunk = n.div_ceil(nthreads.max(1)).max(1);
-        // Effective thread count: the number of non-empty chunks.
-        let t = n.div_ceil(chunk);
-        let row_ranges = (0..t)
-            .map(|i| {
-                let start = (i * chunk).min(n);
-                let end = ((i + 1) * chunk).min(n);
-                (start, end)
-            })
-            .collect();
-        Plan1d { row_ranges }
+        let blocks = n.div_ceil(chunk).max(1);
+        Plan::chain(
+            a,
+            (1..=blocks).map(|i| {
+                let row = (i * chunk).min(n);
+                (row, a.rowptr()[row])
+            }),
+        )
     }
 
-    /// Number of threads the plan actually uses (≤ the requested
-    /// count; see [`Plan1d::new`]).
-    pub fn num_threads(&self) -> usize {
-        self.row_ranges.len()
-    }
-
-    /// Alias for [`Plan1d::num_threads`], named for call sites that
-    /// care about the requested-vs-effective distinction.
-    pub fn effective_threads(&self) -> usize {
-        self.row_ranges.len()
-    }
-
-    /// Nonzeros processed by each thread under this plan.
-    pub fn nnz_per_thread(&self, a: &CsrMatrix) -> Vec<usize> {
-        self.row_ranges
-            .iter()
-            .map(|&(s, e)| a.rowptr()[e] - a.rowptr()[s])
-            .collect()
-    }
-}
-
-/// One thread's work description in the 2D plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadSpan {
-    /// First nonzero index (inclusive).
-    pub nnz_start: usize,
-    /// Last nonzero index (exclusive).
-    pub nnz_end: usize,
-    /// Row containing `nnz_start`.
-    pub row_start: usize,
-    /// Row containing `nnz_end - 1` (inclusive bound).
-    pub row_end: usize,
-    /// First row owned by this thread (written directly): every row
-    /// whose nonzeros all lie in the span, plus the empty rows between
-    /// the previous span's last row and `row_start`.
-    pub own_row_start: usize,
-    /// One past the last owned row (the last span also owns the empty
-    /// rows after the final nonzero).
-    pub own_row_end: usize,
-}
-
-impl ThreadSpan {
-    /// True if the thread has no nonzeros at all.
-    pub fn is_empty(&self) -> bool {
-        self.nnz_start >= self.nnz_end
-    }
-
-    /// The leading boundary row: `row_start`, when the span enters it
-    /// mid-row.
-    pub(crate) fn head_row(&self) -> Option<usize> {
-        (self.own_row_start > self.row_start).then_some(self.row_start)
-    }
-
-    /// The trailing boundary row: `row_end`, when the span leaves it
-    /// mid-row and it is not already the leading one (a span inside a
-    /// single row has one partial sum, not two).
-    pub(crate) fn tail_row(&self) -> Option<usize> {
-        (self.own_row_end <= self.row_end && !self.is_empty()).then_some(self.row_end)
-    }
-}
-
-/// Static 2D plan: equal contiguous nonzero blocks, one per thread,
-/// with boundary rows (shared between adjacent threads) resolved by a
-/// sequential partial-sum fixup.
-///
-/// Every row is either owned by exactly one span or a boundary row, so
-/// the kernel needs no pass over the rows to define all of `y`.
-#[derive(Debug, Clone)]
-pub struct Plan2d {
-    /// Per-thread spans.
-    pub spans: Vec<ThreadSpan>,
-    /// Rows partially covered by at least one thread, ascending; zeroed
-    /// before the fixup accumulates partial sums into them.
-    pub boundary_rows: Vec<usize>,
-}
-
-impl Plan2d {
-    /// Build the plan for `nthreads` threads over `a`'s nonzeros.
+    /// The 2D nonzero split: equal contiguous nonzero blocks, cut `i`
+    /// at nonzero `nnz·i / t` (§3.1). A cut's row coordinate is the
+    /// number of rows ending at or before it, so a block that stops
+    /// mid-row carries that row's partial sum to the span holding its
+    /// end.
     ///
-    /// Like [`Plan1d::new`], the thread count is clamped to the
-    /// effective parallelism (at most one thread per nonzero), so no
-    /// empty spans are emitted for oversubscribed requests; a matrix
-    /// without nonzeros gets one empty span owning every row.
-    pub fn new(a: &CsrMatrix, nthreads: usize) -> Plan2d {
+    /// At most one span per nonzero; a matrix without nonzeros gets
+    /// one span owning every row.
+    pub fn nonzeros(a: &CsrMatrix, nthreads: usize) -> Plan {
         let k = a.nnz();
-        let n = a.nrows();
-        if k == 0 {
-            return Plan2d {
-                spans: vec![ThreadSpan {
-                    nnz_start: 0,
-                    nnz_end: 0,
-                    row_start: 0,
-                    row_end: 0,
-                    own_row_start: 0,
-                    own_row_end: n,
-                }],
-                boundary_rows: Vec::new(),
-            };
-        }
-        let t = nthreads.max(1).min(k);
+        let t = nthreads.max(1).min(k.max(1));
+        let row_ends = &a.rowptr()[1..];
+        Plan::chain(
+            a,
+            (1..=t).map(|i| {
+                let cut = k * i / t;
+                (row_ends.partition_point(|&end| end <= cut), cut)
+            }),
+        )
+    }
+
+    /// The merge-path split (Merrill & Garland): equal runs of merge
+    /// items, *row ends + nonzeros*, cut `i` on diagonal
+    /// `(nrows + nnz)·i / t`. This bounds a span's work even on
+    /// matrices that are mostly empty rows, where equal nonzero blocks
+    /// can still be skewed in row-pointer traffic.
+    ///
+    /// At most one span per merge item.
+    pub fn merge_path(a: &CsrMatrix, nthreads: usize) -> Plan {
+        let total = a.nrows() + a.nnz();
+        let t = nthreads.max(1).min(total.max(1));
+        Plan::chain(
+            a,
+            (1..=t).map(|i| merge_path_search(a.rowptr(), a.nrows(), total * i / t)),
+        )
+    }
+
+    /// Chain spans from `(0, 0)` through `cuts`, each a `(row, nz)`
+    /// point on `a`'s merge path, the last one its corner. Panics on
+    /// anything else: this is where the invariant is established.
+    fn chain(a: &CsrMatrix, cuts: impl Iterator<Item = (usize, usize)>) -> Plan {
         let rowptr = a.rowptr();
-        // The (non-empty) row holding nonzero `i`: the last `r` with
-        // `rowptr[r] <= i`.
-        let row_of = |i: usize| rowptr.partition_point(|&p| p <= i) - 1;
-        let mut spans = Vec::with_capacity(t);
-        let mut boundary_rows: Vec<usize> = Vec::new();
-        // One past the last row any earlier span reaches.
-        let mut reached = 0;
-        for i in 0..t {
-            let nnz_start = k * i / t;
-            let nnz_end = k * (i + 1) / t;
-            let row_start = row_of(nnz_start);
-            let row_end = row_of(nnz_end - 1);
-            // A span starting on a row start also takes the empty rows
-            // skipped since the previous span (which then ended on a
-            // row end, at `reached`).
-            let own_row_start = if rowptr[row_start] == nnz_start {
-                reached
-            } else {
-                row_start + 1
-            };
-            let own_row_end = if i + 1 == t {
-                n
-            } else if rowptr[row_end + 1] == nnz_end {
-                row_end + 1
-            } else {
-                row_end
-            };
-            let span = ThreadSpan {
-                nnz_start,
-                nnz_end,
-                row_start,
-                row_end,
-                own_row_start,
-                own_row_end: own_row_end.max(own_row_start),
-            };
-            // Spans ascend, so a shared row can only repeat the last.
-            for r in [span.head_row(), span.tail_row()].into_iter().flatten() {
-                if boundary_rows.last() != Some(&r) {
-                    boundary_rows.push(r);
-                }
-            }
-            spans.push(span);
-            reached = row_end + 1;
+        let (nrows, nnz) = (a.nrows(), a.nnz());
+        let mut spans = Vec::with_capacity(cuts.size_hint().0);
+        let mut carrying = 0;
+        let mut at = (0, 0);
+        for (row, nz) in cuts {
+            assert!(at.0 <= row && row <= nrows, "row cuts must ascend");
+            assert!(
+                at.1 <= nz && rowptr[row] <= nz && rowptr[(row + 1).min(nrows)] >= nz,
+                "a cut must lie on the merge path"
+            );
+            carrying += usize::from(nz > rowptr[row]);
+            spans.push(Span {
+                rows: at.0..row,
+                nnz: at.1..nz,
+            });
+            at = (row, nz);
         }
-        Plan2d {
+        assert_eq!(at, (nrows, nnz), "the last cut is the grid's corner");
+        Plan {
             spans,
-            boundary_rows,
+            nrows,
+            nnz,
+            carrying,
         }
     }
 
-    /// Number of threads the plan was built for.
-    pub fn num_threads(&self) -> usize {
-        self.spans.len()
+    /// The spans, in path order.
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
     }
 
-    /// Nonzeros processed by each thread (equal by construction, up to
-    /// rounding).
-    pub fn nnz_per_thread(&self) -> Vec<usize> {
-        self.spans.iter().map(|s| s.nnz_end - s.nnz_start).collect()
+    /// Nonzeros consumed by each span — the balance statistic of §3.2.
+    pub fn nnz_per_span(&self) -> Vec<usize> {
+        self.spans.iter().map(|s| s.nnz.len()).collect()
+    }
+
+    /// How many spans leave a partial row for a later span to finish.
+    /// Zero for every [`Plan::rows`] plan, and for the other cuts when
+    /// they happen to fall on row ends.
+    pub fn carrying(&self) -> usize {
+        self.carrying
+    }
+
+    /// `(nrows, nnz)` of the matrix the plan was cut for.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.nrows, self.nnz)
     }
 }
 
-/// Nonzeros per thread of a 1D row split — the quantity behind the
-/// load imbalance factor of §3.2.
-pub fn nnz_per_thread(a: &CsrMatrix, nthreads: usize) -> Vec<usize> {
-    Plan1d::new(a, nthreads).nnz_per_thread(a)
+/// The merge-path point on diagonal `d`: `(rows ended, nonzeros
+/// consumed)` with the two summing to `d`, by binary search over the
+/// row pointers.
+fn merge_path_search(rowptr: &[usize], nrows: usize, d: usize) -> (usize, usize) {
+    // After finishing row `i` the merge has consumed (i + 1) row ends
+    // plus rowptr[i + 1] nonzeros, i.e. it sits at diagonal
+    // (i + 1) + rowptr[i + 1]. Binary search for the largest count of
+    // completed rows whose diagonal does not exceed `d`.
+    let mut lo = d.saturating_sub(rowptr[nrows]);
+    let mut hi = d.min(nrows);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if (mid + 1) + rowptr[mid + 1] <= d {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, d - lo)
 }
 
 /// The load imbalance factor: max over threads of nonzeros assigned,
@@ -243,53 +213,64 @@ mod tests {
         CsrMatrix::from_coo(&coo)
     }
 
-    #[test]
-    fn plan1d_splits_rows_evenly() {
-        let a = matrix_with_row_nnz(&[1; 10]);
-        let p = Plan1d::new(&a, 3);
-        assert_eq!(p.row_ranges, vec![(0, 4), (4, 8), (8, 10)]);
-        assert_eq!(p.nnz_per_thread(&a), vec![4, 4, 2]);
+    fn row_ranges(p: &Plan) -> Vec<Range<usize>> {
+        p.spans().iter().map(|s| s.rows.clone()).collect()
     }
 
     #[test]
-    fn plan1d_more_threads_than_rows() {
-        // Oversubscription clamps to one row per thread: no empty
-        // trailing ranges, so the imbalance factor sees two busy
+    fn rows_split_evenly() {
+        let a = matrix_with_row_nnz(&[1; 10]);
+        let p = Plan::rows(&a, 3);
+        assert_eq!(row_ranges(&p), vec![0..4, 4..8, 8..10]);
+        assert_eq!(p.nnz_per_span(), vec![4, 4, 2]);
+        assert_eq!(p.carrying(), 0);
+    }
+
+    #[test]
+    fn rows_with_more_threads_than_rows() {
+        // Oversubscription clamps to one row per span: no empty
+        // trailing spans, so the imbalance factor sees two busy
         // threads rather than two busy plus two phantom ones.
         let a = matrix_with_row_nnz(&[2, 2]);
-        let p = Plan1d::new(&a, 4);
-        assert_eq!(p.num_threads(), 2);
-        assert_eq!(p.effective_threads(), 2);
-        assert_eq!(p.row_ranges, vec![(0, 1), (1, 2)]);
-        assert_eq!(p.nnz_per_thread(&a), vec![2, 2]);
-        assert!((imbalance_factor(&p.nnz_per_thread(&a)) - 1.0).abs() < 1e-12);
+        let p = Plan::rows(&a, 4);
+        assert_eq!(row_ranges(&p), vec![0..1, 1..2]);
+        assert_eq!(p.nnz_per_span(), vec![2, 2]);
+        assert!((imbalance_factor(&p.nnz_per_span()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn plan1d_never_emits_empty_ranges() {
+    fn rows_never_emit_empty_spans() {
         // div_ceil chunking can strand threads even when nthreads <
         // nrows (e.g. 5 rows / 4 threads -> chunks of 2 -> 3 busy
-        // threads); every emitted range must be non-empty.
+        // threads); every emitted span must be non-empty.
         for nrows in 1..20usize {
             let a = matrix_with_row_nnz(&vec![1; nrows]);
             for t in 1..25usize {
-                let p = Plan1d::new(&a, t);
-                assert!(p.num_threads() <= t.min(nrows), "rows={nrows} t={t}");
-                for &(s, e) in &p.row_ranges {
-                    assert!(s < e, "rows={nrows} t={t}: empty range ({s},{e})");
+                let p = Plan::rows(&a, t);
+                assert!(p.spans().len() <= t.min(nrows), "rows={nrows} t={t}");
+                for s in p.spans() {
+                    assert!(!s.rows.is_empty(), "rows={nrows} t={t}: empty {s:?}");
                 }
-                let covered: usize = p.row_ranges.iter().map(|&(s, e)| e - s).sum();
-                assert_eq!(covered, nrows);
             }
         }
     }
 
     #[test]
-    fn plan2d_clamps_to_nnz() {
-        let a = matrix_with_row_nnz(&[1, 1]);
-        let p = Plan2d::new(&a, 8);
-        assert_eq!(p.num_threads(), 2);
-        assert!(p.spans.iter().all(|s| !s.is_empty()));
+    fn a_matrix_without_rows_gets_one_empty_span() {
+        let a = CsrMatrix::from_coo(&CooMatrix::new(0, 3));
+        for plan in [
+            Plan::rows(&a, 4),
+            Plan::nonzeros(&a, 4),
+            Plan::merge_path(&a, 4),
+        ] {
+            assert_eq!(
+                plan.spans(),
+                [Span {
+                    rows: 0..0,
+                    nnz: 0..0
+                }]
+            );
+        }
     }
 
     #[test]
@@ -301,82 +282,79 @@ mod tests {
     }
 
     #[test]
-    fn plan2d_balances_nnz() {
-        // Skewed rows: one heavy row, many light.
+    fn nonzeros_balance_a_skewed_matrix() {
+        // One heavy row, many light.
         let a = matrix_with_row_nnz(&[12, 1, 1, 1, 1, 1, 1, 1, 1]); // 20 nnz
-        let p = Plan2d::new(&a, 4);
-        let counts = p.nnz_per_thread();
-        assert_eq!(counts.iter().sum::<usize>(), 20);
-        assert_eq!(counts, vec![5, 5, 5, 5]);
-        assert!((imbalance_factor(&counts) - 1.0).abs() < 1e-12);
+        let p = Plan::nonzeros(&a, 4);
+        assert_eq!(p.nnz_per_span(), vec![5, 5, 5, 5]);
+        // Row 0 is cut twice and ends in the third span.
+        assert_eq!(row_ranges(&p), vec![0..0, 0..0, 0..4, 4..9]);
+        assert_eq!(p.carrying(), 2);
     }
 
     #[test]
-    fn plan2d_span_invariants() {
-        // Dense-ish rows, then empty rows before the first, between
-        // spans' row ranges and after the last nonzero, then none.
-        for counts in [
-            vec![3, 7, 2, 9, 1, 4, 6],
-            vec![0, 0, 4, 0, 0, 4, 0, 9, 0, 0],
-            vec![0; 5],
-        ] {
-            let a = matrix_with_row_nnz(&counts);
-            let rowptr = a.rowptr();
-            for t in 1..=8 {
-                let p = Plan2d::new(&a, t);
-                for s in p.spans.iter().filter(|s| !s.is_empty()) {
-                    // nnz range within the row range.
-                    assert!(rowptr[s.row_start] <= s.nnz_start);
-                    assert!(rowptr[s.row_end + 1] >= s.nnz_end);
-                    // Owned rows fully inside the nnz range.
-                    for r in s.own_row_start..s.own_row_end {
-                        assert!(rowptr[r] >= s.nnz_start);
-                        assert!(rowptr[r + 1] <= s.nnz_end);
-                    }
-                }
-                // Every row is owned by exactly one span or is a
-                // boundary row, never both: the kernel relies on this
-                // to define all of `y` without a pass over the rows.
-                let mut owners = vec![0usize; a.nrows()];
-                for s in &p.spans {
-                    for r in s.own_row_start..s.own_row_end {
-                        owners[r] += 1;
-                    }
-                }
-                for (r, &n) in owners.iter().enumerate() {
-                    let boundary = p.boundary_rows.contains(&r);
-                    assert_eq!(n + boundary as usize, 1, "{counts:?} t={t}: row {r}");
-                }
-                assert!(p.boundary_rows.windows(2).all(|w| w[0] < w[1]));
+    fn nonzeros_clamp_to_nnz() {
+        let a = matrix_with_row_nnz(&[1, 1]);
+        let p = Plan::nonzeros(&a, 8);
+        assert_eq!(p.nnz_per_span(), vec![1, 1]);
+    }
+
+    #[test]
+    fn nonzeros_give_empty_rows_at_a_cut_to_the_earlier_span() {
+        let a = matrix_with_row_nnz(&[0, 5, 0, 5, 0]);
+        let p = Plan::nonzeros(&a, 2);
+        assert_eq!(p.nnz_per_span(), vec![5, 5]);
+        assert_eq!(row_ranges(&p), vec![0..3, 3..5]);
+        assert_eq!(p.carrying(), 0);
+    }
+
+    #[test]
+    fn a_single_huge_row_ends_in_the_last_span() {
+        let a = matrix_with_row_nnz(&[100]);
+        let p = Plan::nonzeros(&a, 4);
+        assert_eq!(row_ranges(&p), vec![0..0, 0..0, 0..0, 0..1]);
+        assert_eq!(p.carrying(), 3);
+    }
+
+    #[test]
+    fn merge_path_search_endpoints() {
+        // 3 rows with 2, 0, 3 nonzeros.
+        let rowptr = [0usize, 2, 2, 5];
+        assert_eq!(merge_path_search(&rowptr, 3, 0), (0, 0));
+        // Full consumption: diagonal 8 = 3 rows + 5 nnz.
+        assert_eq!(merge_path_search(&rowptr, 3, 8), (3, 5));
+        // After consuming row 0 (2 nnz + 1 row-end = diagonal 3).
+        assert_eq!(merge_path_search(&rowptr, 3, 3), (1, 2));
+    }
+
+    #[test]
+    fn merge_path_balances_items_over_many_empty_rows() {
+        // Merge-based SpMV's signature case: mostly empty rows.
+        let mut coo = CooMatrix::new(1000, 1000);
+        for i in (0..1000).step_by(100) {
+            for j in 0..30 {
+                coo.push(i, (i + j) % 1000, 1.0);
             }
         }
+        let a = CsrMatrix::from_coo(&coo);
+        let items: Vec<usize> = Plan::merge_path(&a, 8)
+            .spans()
+            .iter()
+            .map(|s| s.rows.len() + s.nnz.len())
+            .collect();
+        assert!(imbalance_factor(&items) < 1.05, "merge items {items:?}");
     }
 
     #[test]
-    fn plan2d_single_huge_row_spanning_threads() {
-        let a = matrix_with_row_nnz(&[100]);
-        let p = Plan2d::new(&a, 4);
-        assert_eq!(p.boundary_rows, vec![0]);
-        for s in &p.spans {
-            assert_eq!(
-                s.own_row_start, s.own_row_end,
-                "no thread owns the row fully"
-            );
+    fn merge_path_clamps_threads_to_merge_items() {
+        // 2x2 with 1 nnz: diagonal length 3, so at most 3 spans.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0);
+        let a = CsrMatrix::from_coo(&coo);
+        let plan = Plan::merge_path(&a, 64);
+        assert_eq!(plan.spans().len(), 3, "spans: {:?}", plan.spans());
+        for s in plan.spans() {
+            assert!(s.rows.len() + s.nnz.len() > 0);
         }
-    }
-
-    #[test]
-    fn plan2d_with_empty_rows() {
-        let a = matrix_with_row_nnz(&[0, 5, 0, 5, 0]);
-        let p = Plan2d::new(&a, 2);
-        let counts = p.nnz_per_thread();
-        assert_eq!(counts, vec![5, 5]);
-    }
-
-    #[test]
-    fn plan2d_more_threads_than_nnz() {
-        let a = matrix_with_row_nnz(&[1, 1]);
-        let p = Plan2d::new(&a, 8);
-        assert_eq!(p.nnz_per_thread().iter().sum::<usize>(), 2);
     }
 }

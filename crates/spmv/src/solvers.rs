@@ -6,8 +6,8 @@
 //! preconditioned) running on the 1D kernel, so the end-to-end benefit
 //! of a reordering can be demonstrated on a real workload.
 
-use crate::exec::spmv_1d;
-use crate::plan::Plan1d;
+use crate::exec::execute;
+use crate::plan::Plan;
 use crate::team::ThreadTeam;
 use sparsemat::CsrMatrix;
 
@@ -64,7 +64,7 @@ pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> (Vec<f6
     // One plan, one persistent team: every iteration's SpMV dispatches
     // to already-running workers instead of spawning threads (§4.7's
     // amortisation argument applies to the executor too).
-    let plan = Plan1d::new(a, opts.threads);
+    let plan = Plan::rows(a, opts.threads);
     let team = ThreadTeam::new(opts.threads);
 
     let inv_diag: Option<Vec<f64>> = if opts.jacobi {
@@ -99,7 +99,7 @@ pub fn conjugate_gradient(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> (Vec<f6
         return (x, stats);
     }
     for k in 0..opts.max_iterations {
-        spmv_1d(a, &plan, &team, &p, &mut ap);
+        execute(a, &plan, &team, &p, &mut ap);
         let pap = dot(&p, &ap);
         if pap <= 0.0 {
             break; // not SPD (or numerical breakdown)

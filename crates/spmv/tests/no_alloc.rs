@@ -1,6 +1,7 @@
-//! `Kernel::execute` must not touch the heap on a one-span plan, and
-//! may allocate at most one O(spans) partial-sum buffer otherwise —
-//! asserted with a counting global allocator (ROADMAP item 2).
+//! `Kernel::execute` must not touch the heap when no span of its plan
+//! carries a partial row (any one-span plan, any row split), and may
+//! allocate at most one O(spans) carry buffer otherwise — asserted with
+//! a counting global allocator (ROADMAP item 2).
 //! `Kernel::execute_scatter` runs the same loops, so it allocates
 //! exactly what `execute` does.
 //!
@@ -8,7 +9,7 @@
 //! running beside it would be counted too.
 
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
-use spmv::{KernelKind, Plan2d, ThreadTeam};
+use spmv::{KernelKind, ThreadTeam};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,7 +66,7 @@ fn ragged(n: usize) -> Arc<CsrMatrix> {
 }
 
 #[test]
-fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
+fn execute_allocates_nothing_without_carries_and_one_buffer_otherwise() {
     let a = ragged(300);
     let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).sin()).collect();
     let want = a.spmv_dense(&x);
@@ -87,8 +88,8 @@ fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
 
     for spans in [4usize, 8] {
         assert!(
-            !Plan2d::new(&a, spans).boundary_rows.is_empty(),
-            "the {spans}-span case must share rows between spans"
+            KernelKind::TwoD.cut(&a, spans).carrying() > 0,
+            "the {spans}-span case must cut rows across spans"
         );
         // Inline on the caller, and dispatched to a matching team: the
         // workers' side of a dispatch must not allocate either (their
@@ -101,6 +102,9 @@ fn execute_allocates_nothing_on_one_span_and_one_buffer_otherwise() {
                 kernel.execute(&team, &x, &mut y);
                 y.fill(f64::NAN);
                 let (allocs, bytes) = counted(|| kernel.execute(&team, &x, &mut y));
+                if kind.cut(&a, spans).carrying() == 0 {
+                    assert_eq!(allocs, 0, "{kind} x{spans} on {lanes}: no carry to hold");
+                }
                 assert!(
                     allocs <= 1,
                     "{kind} x{spans} on {lanes}: {allocs} allocations"

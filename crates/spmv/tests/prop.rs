@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
-use spmv::{host_threads, imbalance_factor, KernelKind, Plan1d, Plan2d, ThreadTeam};
+use spmv::{host_threads, imbalance_factor, KernelKind, Plan, ThreadTeam};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -77,8 +77,8 @@ proptest! {
 
     #[test]
     fn plan2d_is_nnz_balanced(a in matrix_strategy(), t in 1usize..12) {
-        let p = Plan2d::new(&a, t);
-        let counts = p.nnz_per_thread();
+        let p = Plan::nonzeros(&a, t);
+        let counts = p.nnz_per_span();
         prop_assert_eq!(counts.iter().sum::<usize>(), a.nnz());
         // Max differs from min by at most 1 (equal split up to rounding).
         let max = counts.iter().copied().max().unwrap_or(0);
@@ -88,10 +88,11 @@ proptest! {
 
     #[test]
     fn plan1d_partitions_rows_exactly(a in matrix_strategy(), t in 1usize..12) {
-        let p = Plan1d::new(&a, t);
+        let p = Plan::rows(&a, t);
         let mut covered = 0usize;
         let mut prev_end = 0usize;
-        for &(s, e) in &p.row_ranges {
+        for span in p.spans() {
+            let (s, e) = (span.rows.start, span.rows.end);
             prop_assert_eq!(s, prev_end);
             prop_assert!(e >= s);
             covered += e - s;
@@ -99,6 +100,11 @@ proptest! {
         }
         prop_assert_eq!(covered, a.nrows());
         prop_assert_eq!(prev_end, a.nrows());
+    }
+
+    #[test]
+    fn plans_chain_and_cover(a in matrix_strategy(), t in 1usize..12) {
+        assert_plans_chain_and_cover(&a, t);
     }
 
     #[test]
@@ -110,6 +116,44 @@ proptest! {
             prop_assert!((f - 1.0).abs() < 1e-12);
         }
     }
+}
+
+/// The chain invariant the executor's stores rest on, for all three
+/// cuts of `a` into `t` spans: the spans run from `(0, 0)` to
+/// `(nrows, nnz)` without gap or overlap in either coordinate, so every
+/// row end lies in exactly one of them; `carrying` counts the spans
+/// that stop mid-row; and each cut clamps `t` to its own parallelism.
+fn assert_plans_chain_and_cover(a: &CsrMatrix, t: usize) {
+    let (nrows, nnz) = (a.nrows(), a.nnz());
+    let chunk = nrows.div_ceil(t);
+    let cuts = [
+        ("rows", Plan::rows(a, t), nrows.div_ceil(chunk)),
+        ("nonzeros", Plan::nonzeros(a, t), t.min(nnz).max(1)),
+        ("merge_path", Plan::merge_path(a, t), t.min(nrows + nnz)),
+    ];
+    for (cut, plan, want_spans) in cuts {
+        let spans = plan.spans();
+        assert_eq!(spans.len(), want_spans, "{cut} t={t}: span count");
+        assert_eq!((spans[0].rows.start, spans[0].nnz.start), (0, 0), "{cut}");
+        let last = &spans[spans.len() - 1];
+        assert_eq!((last.rows.end, last.nnz.end), (nrows, nnz), "{cut} t={t}");
+        for w in spans.windows(2) {
+            assert_eq!(w[0].rows.end, w[1].rows.start, "{cut} t={t}: rows chain");
+            assert_eq!(w[0].nnz.end, w[1].nnz.start, "{cut} t={t}: nnz chain");
+        }
+        let mut owners = vec![0usize; nrows];
+        for r in spans.iter().flat_map(|s| s.rows.clone()) {
+            owners[r] += 1;
+        }
+        assert!(owners.iter().all(|&n| n == 1), "{cut} t={t}: {owners:?}");
+        assert_eq!(plan.nnz_per_span().iter().sum::<usize>(), nnz, "{cut}");
+        let stop_mid_row = spans
+            .iter()
+            .filter(|s| s.nnz.end > a.rowptr()[s.rows.end])
+            .count();
+        assert_eq!(plan.carrying(), stop_mid_row, "{cut} t={t}");
+    }
+    assert_eq!(Plan::rows(a, t).carrying(), 0);
 }
 
 /// Degenerate shapes the strategy rarely produces, pinned explicitly:
@@ -179,6 +223,17 @@ fn kernels_define_every_row_on_pinned_shapes() {
         .collect();
     for a in pinned_shapes() {
         assert_kernels_match(&a, &sizes);
+    }
+}
+
+/// [`assert_plans_chain_and_cover`] on the pinned shapes, t > rows and
+/// t > nnz included.
+#[test]
+fn plans_chain_and_cover_on_pinned_shapes() {
+    for a in pinned_shapes() {
+        for t in 1..12 {
+            assert_plans_chain_and_cover(&a, t);
+        }
     }
 }
 
@@ -259,5 +314,28 @@ fn execute_scatter_rejects_a_mismatched_permutation_before_any_store() {
                 "{kind}: stored before refusing"
             );
         }
+    }
+}
+
+/// A plan cut for one matrix is refused on a matrix of another shape,
+/// before anything is stored.
+#[test]
+fn a_plan_cut_for_another_matrix_is_rejected_before_any_store() {
+    let shapes = pinned_shapes();
+    let (a, other) = (&shapes[0], &shapes[1]);
+    assert_ne!((a.nrows(), a.nnz()), (other.nrows(), other.nnz()));
+    let x = vec![1.0; a.ncols()];
+    let team = ThreadTeam::new(2);
+    for kind in KernelKind::all() {
+        let plan = kind.cut(other, 3);
+        let mut y = vec![f64::NAN; a.nrows()];
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            spmv::execute(a, &plan, &team, &x, &mut y);
+        }));
+        assert!(refused.is_err(), "{kind}: a foreign plan was accepted");
+        assert!(
+            y.iter().all(|v| v.is_nan()),
+            "{kind}: stored before refusing"
+        );
     }
 }

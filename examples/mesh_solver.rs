@@ -26,7 +26,7 @@ fn cg(
     threads: usize,
 ) -> (Vec<f64>, usize, f64) {
     let n = a.nrows();
-    let plan = Plan1d::new(a, threads);
+    let plan = Plan::rows(a, threads);
     let team = ThreadTeam::new(threads);
     let mut x = vec![0.0; n];
     let mut r = b.to_vec();
@@ -37,7 +37,7 @@ fn cg(
     let mut iters = 0;
     for k in 0..max_iter {
         iters = k + 1;
-        spmv_1d(a, &plan, &team, &p, &mut ap);
+        execute(a, &plan, &team, &p, &mut ap);
         let alpha = rr / dot(&p, &ap);
         axpy(alpha, &p, &mut x);
         axpy(-alpha, &ap, &mut r);

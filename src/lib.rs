@@ -53,9 +53,9 @@
 //! // And SpMV still computes the same thing, on a persistent team.
 //! let x = vec![1.0; a.ncols()];
 //! let team = ThreadTeam::new(4);
-//! let plan = Plan1d::new(&b, 4);
+//! let plan = Plan::rows(&b, 4);
 //! let mut y = vec![0.0; b.nrows()];
-//! spmv_1d(&b, &plan, &team, &x, &mut y);
+//! execute(&b, &plan, &team, &x, &mut y);
 //! ```
 
 pub use archsim;
@@ -88,7 +88,7 @@ pub mod prelude {
         performance_profile, profile, quartiles, spearman,
     };
     pub use spmv::{
-        conjugate_gradient, measure_spmv, spmv_1d, spmv_2d, spmv_merge, CgOptions, Kernel,
-        KernelKind, MeasureConfig, Plan1d, Plan2d, PlanMerge, ThreadTeam,
+        conjugate_gradient, execute, measure_spmv, CgOptions, Kernel, KernelKind, MeasureConfig,
+        Plan, ThreadTeam,
     };
 }

@@ -148,13 +148,12 @@ fn two_d_kernel_is_always_balanced() {
         coo.push(i, i, 1.0);
     }
     let a = sparsemat::CsrMatrix::from_coo(&coo);
-    let counts_1d = spmv::nnz_per_thread(&a, 8);
+    let counts_1d = Plan::rows(&a, 8).nnz_per_span();
     assert!(
         imbalance_factor(&counts_1d) > 1.3,
         "mix should imbalance 1D"
     );
-    let plan2 = Plan2d::new(&a, 8);
-    let imb2 = imbalance_factor(&plan2.nnz_per_thread());
+    let imb2 = imbalance_factor(&Plan::nonzeros(&a, 8).nnz_per_span());
     assert!(
         (imb2 - 1.0).abs() < 0.01,
         "2D imbalance {imb2} should be ~1"
@@ -167,9 +166,9 @@ fn two_d_kernel_is_always_balanced() {
 #[test]
 fn gray_induces_imbalance_on_mixed_density() {
     let a = corpus::dense_rows_mix(3000, 0.01, 6);
-    let before = imbalance_factor(&spmv::nnz_per_thread(&a, 8));
+    let before = imbalance_factor(&Plan::rows(&a, 8).nnz_per_span());
     let g = Gray::default().compute(&a).unwrap().apply(&a).unwrap();
-    let after = imbalance_factor(&spmv::nnz_per_thread(&g, 8));
+    let after = imbalance_factor(&Plan::rows(&g, 8).nnz_per_span());
     assert!(
         after > before,
         "Gray should concentrate heavy rows: {before:.2} -> {after:.2}"

@@ -24,9 +24,9 @@ fn reordered_spmv_is_equivalent_for_every_algorithm() {
         };
         // Exercise both parallel kernels on the shared team.
         let mut y1 = vec![0.0; n];
-        spmv_1d(&b, &Plan1d::new(&b, 3), &team, &x_in, &mut y1);
+        execute(&b, &Plan::rows(&b, 3), &team, &x_in, &mut y1);
         let mut y2 = vec![0.0; n];
-        spmv_2d(&b, &Plan2d::new(&b, 3), &team, &x_in, &mut y2);
+        execute(&b, &Plan::nonzeros(&b, 3), &team, &x_in, &mut y2);
         for i in 0..n {
             assert!(
                 (y1[i] - expect[i]).abs() < 1e-9,
