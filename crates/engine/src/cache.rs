@@ -70,7 +70,7 @@ impl CachedOrdering {
         &self,
         a: &sparsemat::CsrMatrix,
     ) -> Result<sparsemat::CsrMatrix, sparsemat::SparseError> {
-        self.to_reorder_result().apply(a)
+        self.apply_on(a, team::Exec::Sequential)
     }
 
     /// [`CachedOrdering::apply`] on an executor: the row copy runs in
@@ -81,7 +81,11 @@ impl CachedOrdering {
         a: &sparsemat::CsrMatrix,
         exec: team::Exec<'_>,
     ) -> Result<sparsemat::CsrMatrix, sparsemat::SparseError> {
-        self.to_reorder_result().apply_on(a, exec)
+        if self.symmetric {
+            a.permute_symmetric_on(&self.perm, exec)
+        } else {
+            Ok(a.permute_rows_on(&self.perm, exec))
+        }
     }
 }
 

@@ -512,37 +512,24 @@ impl Engine {
     /// registered matrix. The plan is keyed by
     /// `(content hash, kernel, nthreads)` and holds the matrix by
     /// `Arc`, so repeated requests share both the plan and the payload.
+    ///
+    /// No served request calls this: the serving tier's prepared
+    /// entry cuts and owns its kernels, so that a rebuild never hashes
+    /// a permuted matrix just to key this cache.
     pub fn plan(
         &self,
         matrix: &MatrixHandle,
         kernel: KernelKind,
         nthreads: usize,
     ) -> Arc<dyn Kernel> {
-        self.plan_traced(matrix, kernel, nthreads, &TraceCtx::disabled())
-    }
-
-    /// [`Engine::plan`] recording an `engine.plan` span (kernel kind +
-    /// cache outcome) under `ctx` — pass a [`Ticket::trace_ctx`] to
-    /// attach the plan stage to its request's trace.
-    pub fn plan_traced(
-        &self,
-        matrix: &MatrixHandle,
-        kernel: KernelKind,
-        nthreads: usize,
-        ctx: &TraceCtx,
-    ) -> Arc<dyn Kernel> {
-        let mut span = ctx.span("engine.plan");
-        span.arg("kernel", kernel.name());
         let key = PlanKey {
             matrix_hash: matrix.content_hash(),
             kernel,
             nthreads,
         };
-        let (planned, hit) = self
-            .plans
-            .get_or_insert_with(key, || kernel.plan(matrix.matrix(), nthreads));
-        span.arg("outcome", if hit { "hit" } else { "miss" });
-        planned
+        self.plans
+            .get_or_insert_with(key, || kernel.plan(matrix.matrix(), nthreads))
+            .0
     }
 
     /// Submit and wait: the blocking convenience call.
@@ -735,10 +722,10 @@ mod tests {
         let engine = small_engine();
         let traced = Traced::new();
         let m = mesh();
-        let ticket = engine.submit_opts(&m, AlgoSpec::Rcm, traced.opts());
-        let plan_ctx = ticket.trace_ctx();
-        ticket.wait().unwrap();
-        let _planned = engine.plan_traced(&m, KernelKind::OneD, 2, &plan_ctx);
+        engine
+            .submit_opts(&m, AlgoSpec::Rcm, traced.opts())
+            .wait()
+            .unwrap();
         let snap = traced.snapshot();
         let names: Vec<&str> = snap
             .events()
@@ -751,7 +738,6 @@ mod tests {
             "engine.wait",
             "engine.queue.wait",
             "engine.reorder",
-            "engine.plan",
         ] {
             assert!(names.contains(&stage), "missing {stage} in {names:?}");
         }

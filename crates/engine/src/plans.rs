@@ -2,13 +2,17 @@
 //! `(matrix content hash, kernel kind, thread count)` in an
 //! [`LruCache`](crate::LruCache) reporting `engine.plans.*`.
 //!
-//! Sitting next to the ordering cache, this closes the second
-//! amortisation loop of the serving story: a reordering is computed
-//! once per matrix, and the execution plan (row split, nonzero split,
-//! or merge path) is likewise computed once per (matrix, kernel,
-//! threads) and shared by every subsequent request. Cached kernels
-//! hold the matrix by `Arc` (see [`spmv::Kernel::matrix`]), so handing
-//! a plan out shares the payload instead of cloning it.
+//! Cached kernels hold the matrix by `Arc` (see
+//! [`spmv::Kernel::matrix`]), so handing a plan out shares the payload
+//! instead of cloning it — and so an entry pins its matrix until the
+//! LRU lets go of it.
+//!
+//! No served request comes here. The serving tier used to key this
+//! cache by a fresh content hash of every permuted matrix, an O(nnz)
+//! pass to find a kernel cut in O(spans); its prepared entry now cuts
+//! and owns its kernels, and [`Engine::plan`](crate::Engine::plan) is
+//! left for callers that hold a [`MatrixHandle`](crate::MatrixHandle)
+//! anyway — today the system benchmark alone (ROADMAP item 2).
 
 use spmv::KernelKind;
 

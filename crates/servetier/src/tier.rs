@@ -15,7 +15,10 @@
 //! its original index ([`spmv::Kernel::execute_scatter`]). A request
 //! whose (matrix, algorithm) the shard has prepared before costs two
 //! probes of that cache, the policy decision, the gather and the
-//! multiply; only a first touch or a rebuild enters the engine.
+//! multiply; only a first touch or a rebuild enters the engine, and
+//! then for the ordering alone: the rebuild permutes, cuts an
+//! O(spans) plan and inserts — it hashes nothing and consults no
+//! second cache.
 
 use crate::admission::{AdmissionQueue, PushError};
 use crate::hash::HashRing;
@@ -24,6 +27,7 @@ use engine::{
     MatrixHandle, SubmitOptions,
 };
 use policy::{PolicyConfig, PolicyEngine};
+use sparsemat::CsrMatrix;
 use spmv::{Kernel, KernelKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -75,7 +79,9 @@ pub struct TierConfig {
     pub spmv_threads: usize,
     /// Prepared-cache entries per shard: one per distinct (matrix,
     /// algorithm) pair recently served, holding the ordering, the
-    /// reordered matrix and its planned kernels.
+    /// reordered matrix and its planned kernels. The entry is the only
+    /// owner of that matrix, so this is the bound on permuted matrices
+    /// resident per shard.
     pub prepared_capacity: usize,
     /// Template for the per-shard engines. The tier overrides
     /// `registry` (shared tier registry) and `metric_labels`
@@ -287,10 +293,14 @@ struct Prepared {
     /// The ordering the engine computed (or had cached) when the entry
     /// was built.
     ordering: Arc<CachedOrdering>,
-    /// The matrix permuted by it.
-    handle: MatrixHandle,
+    /// The matrix permuted by it — the request's own, shared, when it
+    /// is the identity ([`AlgoSpec::Original`]). Never hashed: the
+    /// entry's key is the *request's* content hash, and nothing else
+    /// looks this one up.
+    matrix: Arc<CsrMatrix>,
     /// The planned kernel of each [`KernelKind`] at the shard's
-    /// `spmv_threads`, from the engine's plan cache on first use.
+    /// `spmv_threads`, cut on first use ([`plan_kernel`]). They share
+    /// `matrix`, so evicting the entry frees it.
     kernels: [OnceLock<Arc<dyn Kernel>>; 3],
 }
 
@@ -939,80 +949,30 @@ fn execute(
     let algo = decision.algo;
 
     // 1. The prepared entry for the decided key: the request's one
-    //    counted probe. A hit goes straight to the multiply.
+    //    counted probe. A hit goes straight to the multiply. A miss
+    //    allocates its answer *before* it builds the entry: that is
+    //    the one block of a miss that lives only as long as the
+    //    request, and taken first it sits below the entry's long-lived
+    //    arrays, so the hole it leaves is fenced in and later answers
+    //    of its size reuse it. Taken after them it sat at the arena's
+    //    top, where the allocator trims what is freed and faults it
+    //    back in for the next answer (EXPERIMENTS.md, "Prepared-miss
+    //    path": one such hole decides on which side of a 26 % cliff
+    //    `serve_hot`'s median falls).
     let key = (content_hash, algo);
-    let prepared = match shard.prepared.get(&key) {
-        Some(p) => p,
+    let (prepared, early_y) = match shard.prepared.get(&key) {
+        Some(p) => (p, None),
         None => {
-            // The ordering, through the shard engine's caches — with
-            // the deadline attached, so an expiry cancels it
-            // pre-reorder.
-            let ordering = shard
-                .engine
-                .submit_opts(
-                    &request.matrix,
-                    algo,
-                    SubmitOptions {
-                        deadline: request.deadline,
-                        trace: ctx.clone(),
-                    },
-                )
-                .wait()
-                .map_err(|e| match e {
-                    EngineError::Expired => TierError::Shed(ShedReason::Expired),
-                    other => TierError::Engine(other),
-                })?;
-            if decision.reorders() {
-                // Here is the only place an ordering can have just
-                // been computed. The ledger bills the one-time cost
-                // once per key; a rebuild from a cached ordering
-                // re-reports the same figure harmlessly.
-                shard
-                    .policy
-                    .record_reorder_paid(content_hash, algo, ordering.compute_seconds);
-            }
-            // A cached ordering is instant, but a computed one may
-            // have consumed the whole budget: re-check before the
-            // permutation and the SpMV work.
-            if request.deadline.is_some_and(|d| d <= Instant::now()) {
-                ctx.instant("tier.expired");
-                return Err(TierError::Shed(ShedReason::Expired));
-            }
-            // The reordered matrix, built outside the cache lock: two
-            // dispatchers racing the same key both build, one insert
-            // wins — benign, and the lock never blocks on an O(nnz)
-            // permutation.
-            let mut permute = ctx.span("reorder.permute");
-            permute.arg("rows", request.matrix.matrix().nrows() as u64);
-            let reordered = ordering
-                .apply_on(
-                    request.matrix.matrix(),
-                    team::Exec::Team(shard.engine.reorder_team()),
-                )
-                .map_err(|e| {
-                    TierError::Engine(EngineError::Compute {
-                        algo,
-                        message: e.to_string(),
-                    })
-                })?;
-            drop(permute);
-            let p = Arc::new(Prepared {
-                ordering,
-                handle: MatrixHandle::from_matrix(reordered),
-                kernels: Default::default(),
-            });
-            shard.prepared.insert(key, Arc::clone(&p));
-            p
+            let y = vec![0.0; request.matrix.matrix().nrows()];
+            let p = build_prepared(shard, request, key, decision.reorders(), &ctx)?;
+            (p, Some(y))
         }
     };
 
     // 2. The planned kernel for the reordered matrix: the entry's own
     //    after the first request of this kernel kind.
-    let kernel = prepared.kernels[request.kernel as usize].get_or_init(|| {
-        shard
-            .engine
-            .plan_traced(&prepared.handle, request.kernel, shard.spmv_threads, &ctx)
-    });
+    let kernel = prepared.kernels[request.kernel as usize]
+        .get_or_init(|| plan_kernel(shard, &prepared.matrix, request.kernel, &ctx));
 
     // 3. Gather in, multiply, scatter out: the caller sees original
     //    index space on both sides. A symmetric ordering permuted the
@@ -1026,7 +986,7 @@ fn execute(
     } else {
         &request.x
     };
-    let mut y = vec![0.0; prepared.handle.matrix().nrows()];
+    let mut y = early_y.unwrap_or_else(|| vec![0.0; prepared.matrix.nrows()]);
     let spmv_started = Instant::now();
     {
         let mut compute = ctx.span("serve.spmv");
@@ -1046,4 +1006,102 @@ fn execute(
         queue_wait: dequeued - queued.submitted,
         service: dequeued.elapsed(),
     })
+}
+
+/// The miss arm of [`execute`]: fetch the ordering through the shard
+/// engine, permute, insert. Out of line so that the warm path, which
+/// never gets here, does not carry its code.
+#[cold]
+#[inline(never)]
+fn build_prepared(
+    shard: &ShardInner,
+    request: &SpmvRequest,
+    key: (u128, AlgoSpec),
+    reorders: bool,
+    ctx: &TraceCtx,
+) -> Result<Arc<Prepared>, TierError> {
+    let (content_hash, algo) = key;
+    // The ordering, through the shard engine's caches — with the
+    // deadline attached, so an expiry cancels it pre-reorder.
+    let ordering = shard
+        .engine
+        .submit_opts(
+            &request.matrix,
+            algo,
+            SubmitOptions {
+                deadline: request.deadline,
+                trace: ctx.clone(),
+            },
+        )
+        .wait()
+        .map_err(|e| match e {
+            EngineError::Expired => TierError::Shed(ShedReason::Expired),
+            other => TierError::Engine(other),
+        })?;
+    if reorders {
+        // Here is the only place an ordering can have just been
+        // computed. The ledger bills the one-time cost once per key; a
+        // rebuild from a cached ordering re-reports the same figure
+        // harmlessly.
+        shard
+            .policy
+            .record_reorder_paid(content_hash, algo, ordering.compute_seconds);
+    }
+    // A cached ordering is instant, but a computed one may have
+    // consumed the whole budget: re-check before the permutation and
+    // the SpMV work.
+    if request.deadline.is_some_and(|d| d <= Instant::now()) {
+        ctx.instant("tier.expired");
+        return Err(TierError::Shed(ShedReason::Expired));
+    }
+    let matrix = if ordering.perm.is_identity() {
+        // The identity permutes nothing: "don't reorder"
+        // ([`AlgoSpec::Original`]) serves from the request's own matrix
+        // instead of a copy. Asked of the permutation, not of `algo`:
+        // the gather and the scatter go through `ordering.perm`
+        // whatever it is, and a scan that stops at the first moved row
+        // costs a real reordering nothing.
+        Arc::clone(request.matrix.matrix())
+    } else {
+        // Built outside the cache lock: two dispatchers racing the
+        // same key both build, one insert wins — benign, and the lock
+        // never blocks on an O(nnz) permutation.
+        let mut permute = ctx.span("reorder.permute");
+        permute.arg("rows", request.matrix.matrix().nrows() as u64);
+        let reordered = ordering
+            .apply_on(
+                request.matrix.matrix(),
+                team::Exec::Team(shard.engine.reorder_team()),
+            )
+            .map_err(|e| {
+                TierError::Engine(EngineError::Compute {
+                    algo,
+                    message: e.to_string(),
+                })
+            })?;
+        Arc::new(reordered)
+    };
+    let prepared = Arc::new(Prepared {
+        ordering,
+        matrix,
+        kernels: Default::default(),
+    });
+    shard.prepared.insert(key, Arc::clone(&prepared));
+    Ok(prepared)
+}
+
+/// Cut the plan of one kernel kind for a prepared entry's matrix:
+/// O(spans) work, kept by the entry. Out of line for the same reason
+/// as [`build_prepared`].
+#[cold]
+#[inline(never)]
+fn plan_kernel(
+    shard: &ShardInner,
+    matrix: &Arc<CsrMatrix>,
+    kind: KernelKind,
+    ctx: &TraceCtx,
+) -> Arc<dyn Kernel> {
+    let mut span = ctx.span("engine.plan");
+    span.arg("kernel", kind.name());
+    kind.plan(matrix, shard.spmv_threads)
 }

@@ -275,12 +275,84 @@ fn repeat_requests_hit_the_shard_caches() {
         (1, 5),
         "the first touch builds the entry, the repeats find it"
     );
-    // A repeat never enters the engine: one ordering request, one
-    // reorder and one plan served all six.
+    // A repeat never enters the engine: one ordering request and one
+    // reorder served all six. The entry cut its own kernel, so the
+    // engine's plan cache was never asked.
     let engine = &shard.engine;
     assert_eq!((engine.submitted, engine.jobs_executed), (1, 1));
     assert_eq!((engine.cache.misses, engine.cache.hits), (1, 0));
-    assert_eq!((engine.plans.misses, engine.plans.hits), (1, 0));
+    assert_eq!((engine.plans.misses, engine.plans.hits), (0, 0));
+}
+
+/// A prepared miss whose ordering the engine still holds is a
+/// *rebuild*: one ordering-cache hit, the permutation, a plan, the
+/// insert. At `prepared_capacity: 1` two alternating matrices evict
+/// each other on every request, so everything after the first touches
+/// is one.
+#[test]
+fn rebuild_after_eviction_permutes_and_nothing_else() {
+    let tier = ServeTier::new(TierConfig {
+        shards: 1,
+        queue_capacity: 64,
+        tenants: vec![TenantSpec::new("t0", 1)],
+        prepared_capacity: 1,
+        registry: Some(telemetry::Registry::new_arc()),
+        ..TierConfig::default()
+    });
+    let matrices = [
+        MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(14, 12), 5)),
+        MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(11, 13), 6)),
+    ];
+    // A symmetric ordering and a row-only one.
+    let algos = [AlgoSpec::Rcm, AlgoSpec::Gray];
+    let serve = |matrix: &MatrixHandle, algo, kernel| {
+        let req = request(matrix, algo, kernel);
+        let want = matrix.matrix().spmv_dense(&req.x);
+        assert_close(&tier.serve(req).unwrap().y, &want);
+        tier.stats().shards[0]
+    };
+    let mut before = tier.stats().shards[0];
+    for algo in algos {
+        for matrix in &matrices {
+            before = serve(matrix, algo, KernelKind::OneD);
+        }
+    }
+    assert_eq!(before.engine.jobs_executed, 4, "the four first touches");
+    assert_eq!((before.prepared_misses, before.prepared_hits), (4, 0));
+
+    // Kernel-major, so that consecutive requests never share a key.
+    for kernel in KernelKind::all() {
+        for algo in algos {
+            for matrix in &matrices {
+                let after = serve(matrix, algo, kernel);
+                let what = format!("{}/{kernel}", algo.name());
+                assert_eq!(
+                    (
+                        after.prepared_misses - before.prepared_misses,
+                        after.prepared_hits - before.prepared_hits,
+                        after.prepared_evictions - before.prepared_evictions,
+                    ),
+                    (1, 0, 1),
+                    "{what}: not a rebuild"
+                );
+                assert_eq!(
+                    (
+                        after.engine.cache.hits - before.engine.cache.hits,
+                        after.engine.cache.misses - before.engine.cache.misses,
+                        after.engine.jobs_executed,
+                    ),
+                    (1, 0, 4),
+                    "{what}: the ordering comes from the engine's cache"
+                );
+                assert_eq!(
+                    (after.engine.plans.misses, after.engine.plans.hits),
+                    (0, 0),
+                    "{what}: a rebuild went through the plan cache"
+                );
+                before = after;
+            }
+        }
+    }
 }
 
 /// The fused answer path moves no bit: `SpmvResponse::y` is what the
@@ -429,17 +501,20 @@ fn sampled_request_records_the_serving_stages() {
             "tier.wait",
         ]
     );
-    // The engine's request span parents under the tier's execute span.
+    // The engine's request span parents under the tier's execute
+    // span, and so does the plan stage, which the tier opens itself.
     let execute_id = snap
         .events()
         .find(|e| e.name == "tier.execute" && e.kind == EventKind::Begin)
         .unwrap()
         .span_id;
-    let engine_request = snap
-        .events()
-        .find(|e| e.name == "engine.request" && e.kind == EventKind::Begin)
-        .unwrap();
-    assert_eq!(engine_request.parent_id, execute_id);
+    for stage in ["engine.request", "engine.plan"] {
+        let begin = snap
+            .events()
+            .find(|e| e.name == stage && e.kind == EventKind::Begin)
+            .unwrap();
+        assert_eq!(begin.parent_id, execute_id, "{stage}");
+    }
     // And both renderings resolve by request ID.
     assert!(tier
         .trace_summary(request_id)

@@ -443,10 +443,11 @@ impl CsrMatrix {
     /// New row `i` is old row `perm.new_to_old(i)`, so the output row
     /// lengths are just the input lengths permuted — no counting pass
     /// is needed. A sequential prefix sum fixes every row's output
-    /// segment; rows are then gathered (column map + sort) in parallel
-    /// into disjoint segments, which makes the result independent of
-    /// the executor. The per-row sort is on unique column keys, so
-    /// `sort_unstable` is deterministic.
+    /// segment; rows are then remapped in parallel into disjoint
+    /// segments, which makes the result independent of the executor. A
+    /// row's mapped columns are unique, so it has one ascending order,
+    /// whichever way it is reached: short rows are rank-placed, long
+    /// ones sorted.
     pub fn permute_symmetric_on(
         &self,
         perm: &Permutation,
@@ -461,35 +462,8 @@ impl CsrMatrix {
         assert_eq!(perm.len(), self.nrows, "permutation length mismatch");
         let n = self.nrows;
         let rowptr = self.permuted_rowptr(perm);
-        let nnz = rowptr[n];
-        let mut colidx: Vec<ColIdx> = vec![0; nnz];
-        let mut values: Vec<f64> = vec![0.0; nnz];
-        {
-            let cw = SliceWriter::new(&mut colidx);
-            let vw = SliceWriter::new(&mut values);
-            let rowptr = &rowptr;
-            exec.parallel_for(n, PAR_ROW_GRAIN, |rows| {
-                let mut rowbuf: Vec<(ColIdx, f64)> = Vec::new();
-                for new_i in rows {
-                    let old_i = perm.new_to_old(new_i);
-                    let (cols, vals) = self.row(old_i);
-                    rowbuf.clear();
-                    rowbuf.reserve(cols.len());
-                    for (&c, &v) in cols.iter().zip(vals.iter()) {
-                        rowbuf.push((perm.old_to_new(c as usize) as ColIdx, v));
-                    }
-                    rowbuf.sort_unstable_by_key(|&(c, _)| c);
-                    // SAFETY: row segments are pairwise disjoint and
-                    // rows are partitioned across chunks.
-                    let co = unsafe { cw.slice_mut(rowptr[new_i]..rowptr[new_i + 1]) };
-                    let vo = unsafe { vw.slice_mut(rowptr[new_i]..rowptr[new_i + 1]) };
-                    for (k, &(c, v)) in rowbuf.iter().enumerate() {
-                        co[k] = c;
-                        vo[k] = v;
-                    }
-                }
-            });
-        }
+        let (colidx, values) =
+            self.remap_rows_on(&rowptr, |new_i| perm.new_to_old(new_i), perm, exec);
         Ok(CsrMatrix::new_raw(n, n, rowptr, colidx, values))
     }
 
@@ -535,40 +509,59 @@ impl CsrMatrix {
     }
 
     /// [`CsrMatrix::permute_cols`] on an executor: the row structure is
-    /// unchanged, so each row is remapped and re-sorted in place of its
-    /// own (pre-existing) segment in parallel.
+    /// unchanged, so each row is remapped into its own (pre-existing)
+    /// segment in parallel, exactly as
+    /// [`CsrMatrix::permute_symmetric_on`] does it.
     pub fn permute_cols_on(&self, perm: &Permutation, exec: Exec<'_>) -> CsrMatrix {
         assert_eq!(perm.len(), self.ncols, "permutation length mismatch");
         let rowptr = self.rowptr.clone();
-        let nnz = self.nnz();
+        let (colidx, values) = self.remap_rows_on(&rowptr, |i| i, perm, exec);
+        CsrMatrix::new_raw(self.nrows, self.ncols, rowptr, colidx, values)
+    }
+
+    /// The fill shared by the two column-moving permutations: output
+    /// row `i`, whose segment `rowptr` gives, is row `source(i)` of
+    /// `self` with every column sent through `perm.old_to_new` and the
+    /// row put back in ascending column order ([`remap_row`]).
+    fn remap_rows_on(
+        &self,
+        rowptr: &[usize],
+        source: impl Fn(usize) -> usize + Sync,
+        perm: &Permutation,
+        exec: Exec<'_>,
+    ) -> (Vec<ColIdx>, Vec<f64>) {
+        let nrows = rowptr.len() - 1;
+        let nnz = rowptr[nrows];
         let mut colidx: Vec<ColIdx> = vec![0; nnz];
         let mut values: Vec<f64> = vec![0.0; nnz];
         {
             let cw = SliceWriter::new(&mut colidx);
             let vw = SliceWriter::new(&mut values);
-            let rowptr = &rowptr;
-            exec.parallel_for(self.nrows, PAR_ROW_GRAIN, |rows| {
-                let mut rowbuf: Vec<(ColIdx, f64)> = Vec::new();
+            exec.parallel_for(nrows, PAR_ROW_GRAIN, |rows| {
+                let base = rowptr[rows.start];
+                let segment = base..rowptr[rows.end];
+                // SAFETY: chunks are pairwise disjoint row ranges and
+                // `rowptr` is monotone, so the chunks' segments are
+                // pairwise disjoint too. Within its chunk's segment
+                // each row owns `rowptr[i]..rowptr[i + 1]`, and
+                // `remap_row` stores every slot of it exactly once.
+                let (co, vo) = unsafe { (cw.slice_mut(segment.clone()), vw.slice_mut(segment)) };
+                let mut staged = Vec::new();
                 for i in rows {
-                    let (cols, vals) = self.row(i);
-                    rowbuf.clear();
-                    rowbuf.reserve(cols.len());
-                    for (&c, &v) in cols.iter().zip(vals.iter()) {
-                        rowbuf.push((perm.old_to_new(c as usize) as ColIdx, v));
-                    }
-                    rowbuf.sort_unstable_by_key(|&(c, _)| c);
-                    // SAFETY: row segments are pairwise disjoint and
-                    // rows are partitioned across chunks.
-                    let co = unsafe { cw.slice_mut(rowptr[i]..rowptr[i + 1]) };
-                    let vo = unsafe { vw.slice_mut(rowptr[i]..rowptr[i + 1]) };
-                    for (k, &(c, v)) in rowbuf.iter().enumerate() {
-                        co[k] = c;
-                        vo[k] = v;
-                    }
+                    let (cols, vals) = self.row(source(i));
+                    let out = rowptr[i] - base..rowptr[i + 1] - base;
+                    remap_row(
+                        perm,
+                        cols,
+                        vals,
+                        &mut co[out.clone()],
+                        &mut vo[out],
+                        &mut staged,
+                    );
                 }
             });
         }
-        CsrMatrix::new_raw(self.nrows, self.ncols, rowptr, colidx, values)
+        (colidx, values)
     }
 
     /// Row pointers of a row-permuted copy: the prefix sum of the old
@@ -798,6 +791,59 @@ impl CsrMatrix {
     /// (bounded) chain of deltas, used for lineage-affine routing.
     pub fn lineage_root(&self) -> Option<u128> {
         self.lineage.first().map(|hop| hop.parent)
+    }
+}
+
+/// Longest row [`remap_row`] rank-places; longer ones are staged and
+/// sorted. Every matrix the serving benchmark gates has 1–7 entries a
+/// row.
+const RANK_PLACE_MAX: usize = 8;
+
+/// Write one row — `cols`/`vals`, every column sent through
+/// `perm.old_to_new` — in ascending new-column order into `co`/`vo`
+/// (each exactly the row's length).
+///
+/// A short row is *rank-placed*: entry `k` goes to slot
+/// `#{mapped columns < its own}`. The columns of a CSR row are unique
+/// and `old_to_new` is injective, so the mapped keys are unique, the
+/// ranks are a permutation of `0..len`, and every output slot is
+/// written exactly once — with a fixed count of compares per entry and
+/// no data-dependent branch, where a sort of scrambled keys mispredicts
+/// its way through. A long row is staged and sorted; on unique keys
+/// `sort_unstable` is deterministic, and both arms produce the one
+/// ascending order there is.
+fn remap_row(
+    perm: &Permutation,
+    cols: &[ColIdx],
+    vals: &[f64],
+    co: &mut [ColIdx],
+    vo: &mut [f64],
+    staged: &mut Vec<(ColIdx, f64)>,
+) {
+    let len = cols.len();
+    if len <= RANK_PLACE_MAX {
+        // The padding is never *below* a key, so it never counts.
+        let mut keys = [ColIdx::MAX; RANK_PLACE_MAX];
+        for (key, &c) in keys.iter_mut().zip(cols) {
+            *key = perm.old_to_new(c as usize) as ColIdx;
+        }
+        for (&key, &v) in keys[..len].iter().zip(vals) {
+            let rank = keys.iter().filter(|&&other| other < key).count();
+            co[rank] = key;
+            vo[rank] = v;
+        }
+    } else {
+        staged.clear();
+        staged.extend(
+            cols.iter()
+                .zip(vals)
+                .map(|(&c, &v)| (perm.old_to_new(c as usize) as ColIdx, v)),
+        );
+        staged.sort_unstable_by_key(|&(c, _)| c);
+        for ((c_out, v_out), &(c, v)) in co.iter_mut().zip(vo.iter_mut()).zip(staged.iter()) {
+            *c_out = c;
+            *v_out = v;
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use sparsemat::{symmetrize_pattern, CooMatrix, CsrMatrix, EdgeOp, Permutation};
+use team::{Exec, ThreadTeam};
 
 /// Strategy: a random COO matrix with dimensions up to 24 and up to 80
 /// entries (duplicates allowed, as permitted by the builder).
@@ -308,6 +309,93 @@ proptest! {
         for ((i1, j1, v1), (i2, j2, v2)) in a.iter().zip(b.iter()) {
             prop_assert_eq!((i1, j1), (i2, j2));
             prop_assert!((v1 - v2).abs() < 1e-12 * (1.0 + v1.abs()));
+        }
+    }
+}
+
+/// Row lengths on both sides of the permutation's short-row cutover
+/// (rank placement up to 8 entries, staged sort beyond), empty and
+/// singleton rows included.
+const ROW_LENGTHS: [usize; 6] = [0, 1, 7, 8, 9, 40];
+
+/// Rows of the cutover matrix: three chunks of the crate's parallel
+/// row loop, so a team really splits the work.
+const CUTOVER_ROWS: usize = 1300;
+
+/// Column strides coprime to [`CUTOVER_ROWS`]: `start + k·stride` walks
+/// distinct columns.
+const STRIDES: [usize; 5] = [1, 7, 11, 17, 23];
+
+/// Strategy: a square matrix whose rows cycle through [`ROW_LENGTHS`]
+/// (so every chunk holds every length), each a strided walk from a
+/// drawn column, with a permutation of matching dimension.
+fn cutover_matrix_with_permutation() -> impl Strategy<Value = (CooMatrix, Permutation)> {
+    let n = CUTOVER_ROWS;
+    (
+        proptest::collection::vec((0..n, 0..STRIDES.len(), -10.0f64..10.0), n),
+        permutation_strategy(n),
+    )
+        .prop_map(move |(rows, p)| {
+            let mut coo = CooMatrix::new(n, n);
+            for (row, &(start, stride, value)) in rows.iter().enumerate() {
+                for k in 0..ROW_LENGTHS[row % ROW_LENGTHS.len()] {
+                    coo.push(row, (start + k * STRIDES[stride]) % n, value + k as f64);
+                }
+            }
+            (coo, p)
+        })
+}
+
+/// `got` is `want` in every stored field, and so in content hash.
+fn assert_same_bytes(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+    assert_eq!(
+        (got.nrows(), got.ncols()),
+        (want.nrows(), want.ncols()),
+        "{what}: shape"
+    );
+    assert_eq!(got.rowptr(), want.rowptr(), "{what}: rowptr");
+    assert_eq!(got.colidx(), want.colidx(), "{what}: colidx");
+    let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(bits(got), bits(want), "{what}: values");
+    assert_eq!(
+        got.content_hash(),
+        want.content_hash(),
+        "{what}: content hash"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The column-moving permutations equal a reference built the slow
+    /// way — move the COO triplets, rebuild the CSR — byte for byte, on
+    /// every executor.
+    #[test]
+    fn column_moving_permutations_match_a_coo_rebuild_on_every_executor(
+        (coo, p) in cutover_matrix_with_permutation(),
+    ) {
+        let a = CsrMatrix::from_coo(&coo);
+        for len in ROW_LENGTHS {
+            prop_assert!((0..a.nrows()).any(|i| a.row_nnz(i) == len));
+        }
+        let n = a.nrows();
+        let mut symmetric = CooMatrix::new(n, n);
+        let mut cols_only = CooMatrix::new(n, n);
+        for (i, j, v) in a.iter() {
+            symmetric.push(p.old_to_new(i), p.old_to_new(j), v);
+            cols_only.push(i, p.old_to_new(j), v);
+        }
+        let want_symmetric = CsrMatrix::from_coo(&symmetric);
+        let want_cols = CsrMatrix::from_coo(&cols_only);
+
+        let teams = [ThreadTeam::new(2), ThreadTeam::new(4)];
+        let execs = [Exec::Sequential, Exec::Team(&teams[0]), Exec::Team(&teams[1])];
+        for exec in execs {
+            let what = format!("{} lanes", exec.lanes());
+            let got = a.permute_symmetric_on(&p, exec).unwrap();
+            assert_same_bytes(&got, &want_symmetric, &format!("symmetric, {what}"));
+            let got = a.permute_cols_on(&p, exec);
+            assert_same_bytes(&got, &want_cols, &format!("columns, {what}"));
         }
     }
 }
