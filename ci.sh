@@ -59,7 +59,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Flight-recorder smoke: a traced serve replay must dump Chrome-trace
 # files that pass the validator (parse, balanced B/E pairs, every
-# serving + pipeline stage covered, >= 2 per-worker timeline lanes).
+# stage of the serving path covered by some first touch, and each file
+# one request as the tier recorded it: one tier.request, one
+# serve.spmv).
 TRACE_DIR="$TMP/trace"
 ./target/release/serve --size small --requests 400 --clients 2 \
     --trace-dir "$TRACE_DIR" --trace-sample-rate 0.05 --seed 7 > /dev/null
@@ -129,8 +131,11 @@ SERVE_PID=""
 # The line-count trend, in every CI log: all checked-in Rust under
 # crates/ and shims/. And the `unsafe` trend beside it: lines under
 # crates/ (tests included) that open an unsafe block, fn or impl,
-# comment lines excluded. A number to watch, not a gate.
+# comment lines excluded. And the standing audit's count (ROADMAP item
+# 6): public items nothing outside their own file names. Numbers to
+# watch, not gates.
 git ls-files crates shims | grep '\.rs$' | xargs wc -l | tail -1
 echo "$(git ls-files crates | grep '\.rs$' | xargs grep -hE '\bunsafe\b' | grep -vcE '^\s*//') unsafe sites under crates/"
+scripts/audit.sh | tail -1
 
 echo "ci: all gates passed"

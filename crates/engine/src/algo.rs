@@ -41,21 +41,6 @@ impl AlgoSpec {
         }
     }
 
-    /// A filesystem- and key-safe token that includes the parameters
-    /// (`gp64`, `hp128`, `rcm`, ...). Two specs with equal tokens
-    /// compute identical permutations.
-    pub fn cache_token(&self) -> String {
-        match self {
-            AlgoSpec::Original => "original".to_string(),
-            AlgoSpec::Rcm => "rcm".to_string(),
-            AlgoSpec::Amd => "amd".to_string(),
-            AlgoSpec::Nd => "nd".to_string(),
-            AlgoSpec::Gp { parts } => format!("gp{parts}"),
-            AlgoSpec::Hp { parts } => format!("hp{parts}"),
-            AlgoSpec::Gray => "gray".to_string(),
-        }
-    }
-
     /// Build the executable algorithm for this spec.
     pub fn instantiate(&self) -> Box<dyn ReorderAlgorithm + Send + Sync> {
         match *self {
@@ -96,16 +81,5 @@ mod tests {
         for (spec, alg) in specs.iter().zip(algs.iter()) {
             assert_eq!(spec.name(), alg.name());
         }
-    }
-
-    #[test]
-    fn tokens_encode_parameters() {
-        assert_eq!(AlgoSpec::Gp { parts: 64 }.cache_token(), "gp64");
-        assert_eq!(AlgoSpec::Hp { parts: 128 }.cache_token(), "hp128");
-        assert_ne!(
-            AlgoSpec::Gp { parts: 16 }.cache_token(),
-            AlgoSpec::Gp { parts: 32 }.cache_token()
-        );
-        assert_eq!(AlgoSpec::Rcm.cache_token(), "rcm");
     }
 }

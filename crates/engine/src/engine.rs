@@ -9,7 +9,6 @@ use crate::AlgoSpec;
 use sparsemat::CsrMatrix;
 use spmv::{Kernel, KernelKind};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -38,9 +37,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// In-memory ordering-cache capacity, in entries.
     pub cache_capacity: usize,
-    /// Optional directory for cross-process permutation persistence
-    /// (the paper's amortisation argument across artifact binaries).
-    pub persist_dir: Option<PathBuf>,
     /// Telemetry registry the engine reports into (`engine.*`,
     /// `reorder.*` series). `None` means the process-wide
     /// [`Registry::global`]; tests that assert exact counts pass a
@@ -66,7 +62,6 @@ impl Default for EngineConfig {
             reorder_threads: 1,
             queue_capacity: 256,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            persist_dir: None,
             registry: None,
             metric_labels: Vec::new(),
         }
@@ -134,7 +129,7 @@ impl MatrixHandle {
 /// Point-in-time engine statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
-    /// Cache counters (hits, misses, evictions, disk hits).
+    /// Cache counters (hits, misses, evictions).
     pub cache: CacheStats,
     /// Requests that coalesced onto an already in-flight computation.
     pub coalesced: u64,
@@ -159,12 +154,12 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Fraction of submissions that needed no fresh computation
-    /// (memory hit, disk hit, or coalesced onto in-flight work).
+    /// (cache hit, or coalesced onto in-flight work).
     pub fn amortised_fraction(&self) -> f64 {
         if self.submitted == 0 {
             return 0.0;
         }
-        let avoided = self.cache.hits + self.cache.disk_hits + self.coalesced;
+        let avoided = self.cache.hits + self.coalesced;
         avoided as f64 / self.submitted as f64
     }
 }
@@ -173,11 +168,10 @@ impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} submitted | {} hits + {} disk + {} coalesced / {} misses \
+            "{} submitted | {} hits + {} coalesced / {} misses \
              ({:.1}% amortised) | {} computed in {:.3}s | {} expired | {} evicted",
             self.submitted,
             self.cache.hits,
-            self.cache.disk_hits,
             self.coalesced,
             self.cache.misses,
             100.0 * self.amortised_fraction(),
@@ -244,11 +238,6 @@ impl Ticket {
                 slot.wait()
             }
         }
-    }
-
-    /// True if the result was served without waiting (cache hit).
-    pub fn is_ready(&self) -> bool {
-        matches!(self.inner, TicketInner::Ready(_))
     }
 
     /// A trace context parented at this request's root span (disabled
@@ -331,7 +320,6 @@ impl Engine {
             &registry,
             config.cache_capacity,
             &labels,
-            config.persist_dir,
         ));
         let plans = LruCache::new(
             PLAN_CACHE_CAPACITY,
@@ -583,7 +571,6 @@ mod tests {
             reorder_threads: 2,
             queue_capacity: 8,
             cache_capacity: 64,
-            persist_dir: None,
             registry: Some(telemetry::Registry::new_arc()),
             metric_labels: Vec::new(),
         })
@@ -867,7 +854,6 @@ mod tests {
                 reorder_threads: 1,
                 queue_capacity: 8,
                 cache_capacity: 64,
-                persist_dir: None,
                 registry: Some(Arc::clone(&registry)),
                 metric_labels: vec![("shard".to_string(), shard.to_string())],
             })

@@ -13,8 +13,7 @@
 //!    over the canonical CSR form) plus the parameterised algorithm
 //!    ([`AlgoSpec`]); values are permutations. An in-memory
 //!    [`LruCache`] — the one exact-LRU mechanism every cache in the
-//!    workspace is an instance of — with optional disk persistence, so
-//!    separate experiment processes share one computation.
+//!    workspace is an instance of.
 //! 2. **Worker pool** (`pool`): a fixed set of `std::thread` workers
 //!    consuming a bounded job queue, with request deduplication —
 //!    concurrent requests for the same key coalesce onto one in-flight

@@ -14,7 +14,6 @@ fn concurrent_requests_coalesce_to_one_computation() {
         workers: 1,
         queue_capacity: 4,
         cache_capacity: 16,
-        persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
     }));
@@ -61,7 +60,6 @@ fn parallel_batch_over_distinct_keys() {
         workers: 4,
         queue_capacity: 8, // smaller than the batch: exercises back-pressure
         cache_capacity: 256,
-        persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
     });
@@ -98,7 +96,6 @@ fn tiny_cache_recomputes_after_eviction() {
         workers: 2,
         queue_capacity: 8,
         cache_capacity: 2,
-        persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
     });

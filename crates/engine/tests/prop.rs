@@ -33,7 +33,6 @@ fn test_engine() -> Engine {
         workers: 2,
         queue_capacity: 16,
         cache_capacity: 256,
-        persist_dir: None,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
     })

@@ -17,7 +17,7 @@
 //! - **hit rate** — fraction of requests that paid for no ordering:
 //!   those that found their shard's prepared entry (and never reached
 //!   the engine), plus the engine submissions a shard cache amortised
-//!   (memory hits, disk hits, coalesced);
+//!   (cache hits, coalesced);
 //! - **latency** — per-tenant p50/p99 of the end-to-end request time,
 //!   read from the registry's `tier.request{tenant=...}` histograms.
 //!
@@ -34,15 +34,13 @@
 //! With `--trace-dir` a flight recorder is attached to the tier and a
 //! sampled subset of requests (`--trace-sample-rate`) records a
 //! request-scoped trace across the whole serving path: admission wait,
-//! shard execute, engine cache lookup / queue wait / reorder / plan on
-//! a first touch, and the SpMV itself (which stores the answer in the
-//! caller's row order). Each dumped request also runs a downstream
-//! SpMV measurement (with the [`archsim`] cost model's verdict
-//! attached as span arguments) and yields `trace-<id>.json` (Chrome
-//! trace-event format) plus `trace-<id>.txt` (the plain-text stage
-//! breakdown).
-//!
-//! Usage:
+//! shard execute, policy decision, engine cache lookup / queue wait /
+//! reorder, the permutation and the plan on a first touch, and the
+//! SpMV itself (which stores the answer in the caller's row order).
+//! Each dumped request yields `trace-<id>.json` (Chrome trace-event
+//! format) plus `trace-<id>.txt` (the plain-text stage breakdown) of
+//! exactly what the tier recorded while serving it — `serve` is a
+//! client of the tier and adds no stage of its own.
 //!
 //! With `--mutate-rate R` a mutator thread applies `R` structural edge
 //! deltas per second (batches of `--mutate-edges` symmetric edits from
@@ -63,15 +61,7 @@
 //! and `adaptive` lets the policy crate's cost model and amortization
 //! ledger decide per request whether a reordering will pay for itself.
 //!
-//! ```text
-//! serve [--size small|medium|large] [--requests N] [--clients N]
-//!       [--shards N] [--tenants N] [--offered-load R] [--deadline-ms MS]
-//!       [--queue-capacity N] [--workers N] [--reorder-threads N]
-//!       [--skew S] [--seed N] [--cache-capacity N] [--kernel 1d|2d|merge]
-//!       [--policy always|never|adaptive] [--persist-dir DIR]
-//!       [--export-dir DIR] [--trace-dir DIR] [--trace-sample-rate R]
-//!       [--mutate-rate R] [--mutate-edges N]
-//! ```
+//! `serve --help` lists the flags.
 
 use corpus::CorpusSize;
 use engine::{AlgoSpec, EngineConfig, MatrixHandle};
@@ -82,15 +72,15 @@ use rand_chacha::ChaCha8Rng;
 use servetier::{
     PolicyConfig, PolicyMode, ServeTier, ShedReason, SpmvRequest, TenantSpec, TierConfig, TierError,
 };
-use spmv::{host_threads, measure_spmv_in, measure_spmv_traced, KernelKind, MeasureConfig};
+use spmv::{host_threads, KernelKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telemetry::{FlightRecorder, TraceCtx};
+use telemetry::FlightRecorder;
 
-/// At most this many sampled requests run the downstream SpMV
-/// measurement and write trace files — tracing is a magnifier, not a
-/// census.
+/// At most this many sampled client requests (and as many of the
+/// mutator's probes) write trace files — tracing is a magnifier, not
+/// a census.
 const TRACE_DUMP_CAP: usize = 16;
 
 /// Flight-recorder ring capacity (events per thread).
@@ -117,7 +107,6 @@ struct ServeOptions {
     cache_capacity: usize,
     kernel: KernelKind,
     policy: PolicyMode,
-    persist_dir: Option<std::path::PathBuf>,
     export_dir: Option<std::path::PathBuf>,
     trace_dir: Option<std::path::PathBuf>,
     trace_sample_rate: f64,
@@ -145,7 +134,6 @@ impl Default for ServeOptions {
             cache_capacity: 4096,
             kernel: KernelKind::OneD,
             policy: PolicyMode::Always,
-            persist_dir: None,
             export_dir: None,
             trace_dir: None,
             trace_sample_rate: 1.0,
@@ -179,8 +167,8 @@ fn usage() -> ! {
          \x20            [--shards N] [--tenants N] [--offered-load R] [--deadline-ms MS]\n\
          \x20            [--queue-capacity N] [--workers N] [--reorder-threads N]\n\
          \x20            [--skew S] [--seed N] [--cache-capacity N] [--kernel 1d|2d|merge]\n\
-         \x20            [--policy always|never|adaptive] [--persist-dir DIR]\n\
-         \x20            [--export-dir DIR] [--trace-dir DIR] [--trace-sample-rate R]\n\
+         \x20            [--policy always|never|adaptive] [--export-dir DIR]\n\
+         \x20            [--trace-dir DIR] [--trace-sample-rate R]\n\
          \x20            [--mutate-rate R] [--mutate-edges N]\n\
          \x20            [--listen ADDR] [--listen-linger-ms MS]"
     );
@@ -251,7 +239,6 @@ fn parse_serve_args() -> ServeOptions {
                     std::process::exit(2);
                 });
             }
-            "--persist-dir" => opts.persist_dir = Some(value(&mut it, "--persist-dir").into()),
             "--export-dir" => opts.export_dir = Some(value(&mut it, "--export-dir").into()),
             "--trace-dir" => opts.trace_dir = Some(value(&mut it, "--trace-dir").into()),
             "--trace-sample-rate" => {
@@ -320,67 +307,9 @@ struct ClientTally {
     verified: usize,
 }
 
-/// The downstream stage of one sampled request: re-apply the served
-/// ordering and measure SpMV under the request's trace, attach
-/// the [`archsim`] cost model's verdict on the layout as span
-/// arguments, and write the request's Chrome-trace JSON and text
-/// summary into `dir`.
-fn trace_spmv_and_dump(
-    tier: &ServeTier,
-    handle: &MatrixHandle,
-    algo: AlgoSpec,
-    kernel: KernelKind,
-    request_id: u64,
-    ctx: &TraceCtx,
-    dir: &std::path::Path,
-) {
-    let engine = tier.engine_for(handle);
-    let mut span = ctx.span("serve.spmv");
-    span.arg("kernel", kernel.name());
-    // The ordering the tier just served this key with — a cache hit on
-    // the owning shard's engine.
-    let ordering = engine
-        .get(handle, algo)
-        .expect("re-fetching the served ordering");
-    // Apply it on the engine's reorder team, under its own sub-stage
-    // span — the serving-side counterpart of the worker-side
-    // `reorder.symmetrize`/`reorder.levels` stages.
-    let reordered = {
-        let mut permute = span.ctx().span("reorder.permute");
-        permute.arg("nnz", handle.matrix().nnz());
-        Arc::new(
-            ordering
-                .apply_on(handle.matrix(), team::Exec::Team(engine.reorder_team()))
-                .expect("applying the served ordering"),
-        )
-    };
-    span.arg("nnz", reordered.nnz());
-    // The cost model's verdict on this layout. DRAM bytes beyond the
-    // compulsory CSR stream are x-vector line fetches (at most
-    // 8 bytes/nnz of useful demand), so their shortfall is the
-    // fraction of x reads served on-chip.
-    let sim = archsim::simulate_spmv_1d(&reordered, &archsim::machines()[0]);
-    let streamed = archsim::BYTES_PER_NNZ * reordered.nnz() as f64
-        + archsim::BYTES_PER_ROW * reordered.nrows() as f64;
-    let x_hit =
-        1.0 - ((sim.dram_bytes - streamed) / (8.0 * reordered.nnz() as f64)).clamp(0.0, 1.0);
-    span.arg("model_gflops", sim.gflops);
-    span.arg("model_dram_bytes", sim.dram_bytes as u64);
-    span.arg("model_imbalance", sim.imbalance);
-    span.arg("model_x_hit_rate", x_hit);
-
-    // Measure on the persistent team (records `spmv.measure` plus one
-    // dispatch/compute/park timeline lane per worker).
-    let nthreads = host_threads().clamp(2, 4);
-    let mcfg = MeasureConfig {
-        repetitions: 4,
-        warmup: 1,
-        nthreads,
-    };
-    let measured = measure_spmv_traced(tier.registry(), &span.ctx(), &reordered, kernel, &mcfg);
-    span.arg("measured_gflops", measured.max_gflops);
-    drop(span);
-
+/// Write what the tier recorded for one sampled request into `dir`:
+/// its Chrome-trace JSON and its plain-text stage summary.
+fn dump_trace(tier: &ServeTier, request_id: u64, dir: &std::path::Path) {
     if let Some(json) = tier.trace_chrome_json(request_id) {
         std::fs::write(dir.join(format!("trace-{request_id}.json")), json)
             .expect("writing trace JSON");
@@ -500,17 +429,6 @@ fn main() {
     let tenants: Vec<TenantSpec> = (0..opts.tenants)
         .map(|i| TenantSpec::new(format!("t{i}"), i as u32 + 1))
         .collect();
-    // Per-tenant SLOs: the configured deadline is the latency
-    // objective (50 ms when serving without deadlines), 99% required.
-    let slo_latency_ms = if opts.deadline_ms > 0 {
-        opts.deadline_ms as f64
-    } else {
-        50.0
-    };
-    let slo_specs: Vec<obsv::SloSpec> = tenants
-        .iter()
-        .map(|t| obsv::SloSpec::new(&t.name, slo_latency_ms, 0.99))
-        .collect();
     let tier = Arc::new(ServeTier::new(TierConfig {
         shards: opts.shards,
         tenants: tenants.clone(),
@@ -520,7 +438,6 @@ fn main() {
             workers: opts.workers,
             reorder_threads: opts.reorder_threads,
             cache_capacity: opts.cache_capacity,
-            persist_dir: opts.persist_dir.clone(),
             ..EngineConfig::default()
         },
         recorder: recorder.clone(),
@@ -529,22 +446,39 @@ fn main() {
             mode: opts.policy,
             ..PolicyConfig::default()
         },
-        slo: slo_specs,
         // With an ops server attached, /readyz holds traffic until the
         // first answer proves the path end to end.
         min_warm_serves: u64::from(opts.listen.is_some()),
         ..TierConfig::default()
     }));
+    // Per-tenant SLOs over the tier's `tier.request{tenant}` and
+    // `tier.shed_tenant{tenant}` series, baselined before any traffic:
+    // the configured deadline is the latency objective (50 ms when
+    // serving without deadlines), 99% required.
+    let slo_latency_ms = if opts.deadline_ms > 0 {
+        opts.deadline_ms as f64
+    } else {
+        50.0
+    };
+    let slo = obsv::SloTracker::new(
+        Arc::clone(tier.registry()),
+        obsv::SloConfig {
+            specs: tenants
+                .iter()
+                .map(|t| obsv::SloSpec::new(&t.name, slo_latency_ms, 0.99))
+                .collect(),
+            ..obsv::SloConfig::default()
+        },
+    );
     // --- The ops plane (--listen): HTTP server + SLO ticker. ---------
     let _slo_ticker = opts
         .listen
         .as_ref()
-        .and_then(|_| tier.slo())
-        .map(|slo| slo.start(Duration::from_millis(200)));
+        .map(|_| slo.start(Duration::from_millis(200)));
     let _obsv_server = opts.listen.as_ref().map(|addr| {
         let mut config = obsv::ObsvConfig::new(addr.clone(), Arc::clone(tier.registry()));
         config.source = Some(Arc::clone(&tier) as Arc<dyn obsv::OpsSource>);
-        config.slo = tier.slo().cloned();
+        config.slo = Some(Arc::clone(&slo));
         let server =
             obsv::ObsvServer::start(config).unwrap_or_else(|e| panic!("--listen {addr}: {e}"));
         eprintln!("ops server: http://{}/", server.local_addr());
@@ -678,14 +612,8 @@ fn main() {
                             // the `reorder.splice` stage shows up.
                             if sampled && probe_dumps < TRACE_DUMP_CAP {
                                 if let Some(dir) = &trace_dir {
-                                    if let Some(json) = tier.trace_chrome_json(request_id) {
-                                        std::fs::write(
-                                            dir.join(format!("trace-{request_id}.json")),
-                                            json,
-                                        )
-                                        .expect("writing probe trace JSON");
-                                        probe_dumps += 1;
-                                    }
+                                    dump_trace(&tier, request_id, dir);
+                                    probe_dumps += 1;
                                 }
                             }
                         }
@@ -756,7 +684,7 @@ fn main() {
                     };
                     let request = SpmvRequest {
                         tenant: tenants[(ci + j) % tenants.len()].name.clone(),
-                        matrix: handle.clone(),
+                        matrix: handle,
                         algo,
                         kernel,
                         x: Arc::clone(&xs[mi]),
@@ -765,8 +693,7 @@ fn main() {
                     };
                     let ticket = tier.submit(request);
                     let request_id = ticket.request_id();
-                    let tctx = ticket.trace_ctx();
-                    let sampled = tctx.is_recording();
+                    let sampled = ticket.trace_ctx().is_recording();
                     if sampled {
                         traced_requests.fetch_add(1, Ordering::Relaxed);
                     }
@@ -782,9 +709,7 @@ fn main() {
                     if sampled && ok {
                         if let Some(dir) = trace_dir {
                             if dump_slots.fetch_add(1, Ordering::Relaxed) < TRACE_DUMP_CAP {
-                                trace_spmv_and_dump(
-                                    &tier, &handle, algo, kernel, request_id, &tctx, dir,
-                                );
+                                dump_trace(&tier, request_id, dir);
                             }
                         }
                     }
@@ -813,38 +738,9 @@ fn main() {
         );
     }
 
-    // --- SpMV on the hottest matrix: the downstream payoff. ----------
-    // The quantity the caches amortise is reordering time *per SpMV
-    // iteration*; measure the served RCM ordering against the original
-    // layout on the most-requested matrix, through the owning shard's
-    // engine so the measurement shares its caches.
-    let mut hits_per_matrix = vec![0usize; handles.len()];
-    trace.iter().for_each(|&k| hits_per_matrix[keys[k].0] += 1);
-    let hot = hits_per_matrix
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, c)| c)
-        .map_or(0, |(i, _)| i);
-    let hot_engine = tier.engine_for(&handles[hot]);
-    let ordering = hot_engine
-        .get(&handles[hot], AlgoSpec::Rcm)
-        .expect("RCM on the hot matrix");
-    let reordered = Arc::new(
-        ordering
-            .apply(handles[hot].matrix())
-            .expect("applying the served ordering"),
-    );
-    let registry = Arc::clone(tier.registry());
-    let mcfg = MeasureConfig {
-        repetitions: 30,
-        ..MeasureConfig::default()
-    };
-    let base = measure_spmv_in(&registry, handles[hot].matrix(), opts.kernel, &mcfg);
-    let rcm = measure_spmv_in(&registry, &reordered, opts.kernel, &mcfg);
-
     // --- Report, from the tier and the registry. ---------------------
     let stats = tier.stats();
-    let snap = registry.snapshot();
+    let snap = tier.registry().snapshot();
     // A request that finds its prepared entry never reaches the engine
     // and is as amortised as one can be; the rest are engine
     // submissions, amortised when a cache or an in-flight job answered.
@@ -853,7 +749,7 @@ fn main() {
     let amortised: u64 = stats
         .shards
         .iter()
-        .map(|s| s.engine.cache.hits + s.engine.cache.disk_hits + s.engine.coalesced)
+        .map(|s| s.engine.cache.hits + s.engine.coalesced)
         .sum();
     let hit_rate = (prepared_hits + amortised) as f64 / (prepared_hits + submitted).max(1) as f64;
     println!(
@@ -937,14 +833,6 @@ fn main() {
             );
         }
     }
-    println!(
-        "  spmv:       hot matrix {} ({} kernel): {:.2} Gflop/s original -> {:.2} Gflop/s RCM ({:.2}x)",
-        hot,
-        opts.kernel,
-        base.max_gflops,
-        rcm.max_gflops,
-        rcm.max_gflops / base.max_gflops.max(1e-12)
-    );
 
     // --- Export the registry: JSON + Prometheus. ---------------------
     match &opts.export_dir {

@@ -14,18 +14,21 @@
 //! 3. in every file, `B`/`E` duration events are balanced per
 //!    `(pid, tid)` lane with matching names — the invariant Chrome's
 //!    viewer needs to reconstruct the span stack;
-//! 4. at least one file contains a span for **every** pipeline stage
-//!    (tier admission wait, policy decision, engine request, cache
-//!    lookup, queue wait, reorder, plan, reorder permute, SpMV
-//!    measure, team compute, serve-level SpMV) — a first touch: a
-//!    request that finds its prepared entry records no engine stage;
-//! 5. at least one file shows `spmv.team.compute` on two or more
-//!    distinct lanes — the per-worker timelines, not a single merged
-//!    track;
-//! 6. in every file, each `reorder.*` sub-stage span (symmetrize,
-//!    levels, permute, splice) opens while a parent reorder stage
-//!    (`engine.reorder` or `serve.spmv`) is open on the same lane —
-//!    sub-stages nest under their pipeline stage, they never float;
+//! 4. at least one file contains a span for **every** stage of the
+//!    serving path (request root, admission wait, shard execute, policy
+//!    decision, engine request, cache lookup, queue wait, reorder,
+//!    permute, plan, SpMV) — a first touch: a request that finds its
+//!    prepared entry records no engine stage;
+//! 5. every file is one request as the tier recorded it and nothing
+//!    else: exactly one `tier.request` root, exactly one `serve.spmv`
+//!    span, and every `reorder.permute` under `tier.execute` — a
+//!    client re-enacting the path under the tier's stage names fails
+//!    here;
+//! 6. in every file, each of the engine's `reorder.*` sub-stage spans
+//!    (symmetrize, levels, splice, the AMD phases) opens while a parent
+//!    reorder stage (`engine.reorder` or `reorder.splice`) is open on
+//!    the same lane — sub-stages nest under their pipeline stage, they
+//!    never float;
 //! 7. every stage named with `--require STAGE` appears in at least one
 //!    file — how CI pins workload-specific stages (e.g.
 //!    `--require reorder.splice` after a `--mutate-rate` run proves
@@ -44,50 +47,45 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Every stage of the serving path; at least one dumped trace must
-/// contain all of them.
+/// contain all of them. What a first touch records: the stages
+/// `crates/servetier/tests/tier.rs` pins
+/// (`sampled_request_records_the_serving_stages`) plus the engine's
+/// miss stages.
 const REQUIRED_STAGES: &[&str] = &[
+    "tier.request",
     "admission.wait",
+    "tier.execute",
     "policy.decide",
     "engine.request",
     "engine.cache.lookup",
     "engine.queue.wait",
     "engine.reorder",
-    "engine.plan",
     "reorder.permute",
+    "engine.plan",
     "serve.spmv",
-    "spmv.measure",
-    "spmv.team.compute",
 ];
 
-/// Reordering sub-stages: whenever one opens, a parent reorder stage
-/// must already be open on the same lane. (`reorder.symmetrize` and
-/// `reorder.levels` appear only on cache-miss RCM/GPS jobs and
-/// `reorder.splice` only when a delta descendant finds a cached
-/// ancestor, so they are nesting-checked but not required;
-/// `reorder.permute` runs on every dumped request and is required
-/// above.)
+/// The engine's reordering sub-stages: whenever one opens, a parent
+/// reorder stage must already be open on the same lane.
+/// (`reorder.symmetrize` and `reorder.levels` appear only on
+/// cache-miss RCM/GPS jobs and `reorder.splice` only when a delta
+/// descendant finds a cached ancestor, so they are nesting-checked but
+/// not required. `reorder.permute` is the tier's, required above, and
+/// has its own parent rule: `tier.execute`.)
 const REORDER_SUBSTAGES: &[&str] = &[
     "reorder.symmetrize",
     "reorder.levels",
-    "reorder.permute",
     "reorder.splice",
     "reorder.amd.select",
     "reorder.amd.eliminate",
     "reorder.amd.update",
 ];
 
-/// Stages a `reorder.*` sub-stage may nest under. `tier.execute` is
-/// the serving tier's per-request stage: its prepared-matrix miss path
-/// applies the ordering right there on the dispatcher lane.
-/// `reorder.splice` is both a sub-stage (it opens under
-/// `engine.reorder`) and a parent: its dirty-component recompute
-/// re-symmetrises the mutated matrix under the splice span.
-const REORDER_PARENTS: &[&str] = &[
-    "engine.reorder",
-    "serve.spmv",
-    "tier.execute",
-    "reorder.splice",
-];
+/// Stages an engine sub-stage may nest under. `reorder.splice` is both
+/// a sub-stage (it opens under `engine.reorder`) and a parent: its
+/// dirty-component recompute re-symmetrises the mutated matrix under
+/// the splice span.
+const REORDER_PARENTS: &[&str] = &["engine.reorder", "reorder.splice"];
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("tracecheck: {msg}");
@@ -102,9 +100,8 @@ struct StageTotals {
 }
 
 /// Validate one Chrome-trace file; returns the set of span names it
-/// contains, the number of distinct lanes carrying
-/// `spmv.team.compute`, and per-stage duration totals.
-fn check_file(path: &Path) -> (BTreeSet<String>, usize, BTreeMap<String, StageTotals>) {
+/// contains and per-stage duration totals.
+fn check_file(path: &Path) -> (BTreeSet<String>, BTreeMap<String, StageTotals>) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(format_args!("{}: {e}", path.display())));
     let doc = serde_json::from_str(&text)
@@ -118,7 +115,6 @@ fn check_file(path: &Path) -> (BTreeSet<String>, usize, BTreeMap<String, StageTo
     }
 
     let mut names: BTreeSet<String> = BTreeSet::new();
-    let mut compute_lanes: BTreeSet<(u64, u64)> = BTreeSet::new();
     let mut totals: BTreeMap<String, StageTotals> = BTreeMap::new();
     // Per-lane open-span stack: Chrome matches each E against the most
     // recent unmatched B on the same (pid, tid). Each entry carries
@@ -155,10 +151,16 @@ fn check_file(path: &Path) -> (BTreeSet<String>, usize, BTreeMap<String, StageTo
         match ph.as_str() {
             "B" => {
                 names.insert(name.clone());
-                if name == "spmv.team.compute" {
-                    compute_lanes.insert(lane);
-                }
                 let stack = stacks.entry(lane).or_default();
+                if name == "reorder.permute"
+                    && !stack.iter().any(|(open, _)| open == "tier.execute")
+                {
+                    fail(format_args!(
+                        "{}: event {i}: 'reorder.permute' opened on lane {lane:?} outside \
+                         tier.execute; open spans: {stack:?}",
+                        path.display()
+                    ));
+                }
                 if REORDER_SUBSTAGES.contains(&name.as_str())
                     && !stack
                         .iter()
@@ -209,7 +211,17 @@ fn check_file(path: &Path) -> (BTreeSet<String>, usize, BTreeMap<String, StageTo
             ));
         }
     }
-    (names, compute_lanes.len(), totals)
+    for single in ["tier.request", "serve.spmv"] {
+        let count = totals.get(single).map_or(0, |t| t.count);
+        if count != 1 {
+            fail(format_args!(
+                "{}: {count} '{single}' span(s); a dumped trace is one request as the tier \
+                 recorded it, so exactly 1",
+                path.display()
+            ));
+        }
+    }
+    (names, totals)
 }
 
 fn main() {
@@ -250,12 +262,10 @@ fn main() {
     }
 
     let mut best_missing: Option<Vec<&str>> = None;
-    let mut max_compute_lanes = 0usize;
     let mut all_names: BTreeSet<String> = BTreeSet::new();
     let mut stage_totals: BTreeMap<String, StageTotals> = BTreeMap::new();
     for path in &files {
-        let (names, compute_lanes, totals) = check_file(path);
-        max_compute_lanes = max_compute_lanes.max(compute_lanes);
+        let (names, totals) = check_file(path);
         all_names.extend(names.iter().cloned());
         for (name, t) in totals {
             let entry = stage_totals.entry(name).or_default();
@@ -268,10 +278,9 @@ fn main() {
             .filter(|s| !names.contains(*s))
             .collect();
         println!(
-            "{}: {} span name(s), {} compute lane(s){}",
+            "{}: {} span name(s){}",
             path.display(),
             names.len(),
-            compute_lanes,
             if missing.is_empty() {
                 " — all stages present".to_string()
             } else {
@@ -292,11 +301,6 @@ fn main() {
             missing.join(", ")
         )),
         None => unreachable!("files is non-empty"),
-    }
-    if max_compute_lanes < 2 {
-        fail(format_args!(
-            "no trace shows spmv.team.compute on >= 2 lanes (max seen: {max_compute_lanes})"
-        ));
     }
     for stage in &required {
         if !all_names.contains(stage) {
@@ -322,10 +326,9 @@ fn main() {
         }
     }
     println!(
-        "tracecheck: {} file(s) ok — balanced B/E, all {} stages covered, {} worker lane(s){}",
+        "tracecheck: {} file(s) ok — balanced B/E, one request per file, all {} stages covered{}",
         files.len(),
         REQUIRED_STAGES.len(),
-        max_compute_lanes,
         if required.is_empty() {
             String::new()
         } else {

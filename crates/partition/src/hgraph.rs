@@ -16,16 +16,12 @@ use sparsegraph::Hypergraph;
 /// similar large-net thresholds.
 const BIG_NET: usize = 256;
 
-/// Partitioning objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HyperObjective {
-    /// Minimise total weight of nets spanning >1 part (PaToH "cut-net",
-    /// the metric chosen in §3.3 of the paper).
-    CutNet,
-    /// Minimise `Σ (λ−1)·w` (PaToH "connectivity", i.e. communication
-    /// volume).
-    Connectivity,
-}
+/// Coarsening stops below this many vertices.
+const COARSEN_TO: usize = 120;
+/// Initial-partition trials on the coarsest hypergraph.
+const INITIAL_TRIALS: usize = 6;
+/// FM passes per level.
+const FM_PASSES: usize = 6;
 
 /// Configuration for [`partition_hypergraph`].
 #[derive(Debug, Clone)]
@@ -34,14 +30,6 @@ pub struct HypergraphPartitionConfig {
     pub num_parts: usize,
     /// Allowed imbalance factor.
     pub ubfactor: f64,
-    /// Objective function.
-    pub objective: HyperObjective,
-    /// Coarsening stops below this many vertices.
-    pub coarsen_to: usize,
-    /// Initial-partition trials on the coarsest hypergraph.
-    pub initial_trials: usize,
-    /// FM passes per level.
-    pub fm_passes: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -51,10 +39,6 @@ impl Default for HypergraphPartitionConfig {
         HypergraphPartitionConfig {
             num_parts: 2,
             ubfactor: 1.05,
-            objective: HyperObjective::CutNet,
-            coarsen_to: 120,
-            initial_trials: 6,
-            fm_passes: 6,
             seed: 0x9A70,
         }
     }
@@ -283,16 +267,17 @@ fn side_counts(hg: &WorkHg, part_of: &[u8]) -> Vec<[u32; 2]> {
     counts
 }
 
-/// Objective value of a bisection from side counts.
-fn objective_value(hg: &WorkHg, counts: &[[u32; 2]], obj: HyperObjective) -> i64 {
+/// Cut-net value of a bisection from side counts: the total weight of
+/// nets with pins on both sides (PaToH "cut-net", the metric chosen in
+/// §3.3 of the paper; for two parts it equals connectivity−1).
+fn objective_value(hg: &WorkHg, counts: &[[u32; 2]]) -> i64 {
     let mut total = 0i64;
     for j in 0..hg.num_nets() {
         let [a, b] = counts[j];
         if a > 0 && b > 0 {
-            total += hg.nwgt[j]; // cut-net and conn-1 agree for 2 parts
+            total += hg.nwgt[j];
         }
     }
-    let _ = obj; // identical for bisection; kept for API symmetry
     total
 }
 
@@ -315,13 +300,7 @@ fn move_gain(hg: &WorkHg, counts: &[[u32; 2]], part_of: &[u8], v: usize) -> i64 
 }
 
 /// Greedy growing initial bisection on the coarsest hypergraph.
-fn initial_bisection(
-    hg: &WorkHg,
-    target: [i64; 2],
-    trials: usize,
-    obj: HyperObjective,
-    rng: &mut SplitMix,
-) -> Vec<u8> {
+fn initial_bisection(hg: &WorkHg, target: [i64; 2], trials: usize, rng: &mut SplitMix) -> Vec<u8> {
     let n = hg.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -375,7 +354,7 @@ fn initial_bisection(
             }
         }
         let counts = side_counts(hg, &part_of);
-        let cut = objective_value(hg, &counts, obj);
+        let cut = objective_value(hg, &counts);
         let w0f = part_of
             .iter()
             .enumerate()
@@ -406,7 +385,6 @@ fn fm_refine_hg(
     target: [i64; 2],
     ubfactor: f64,
     max_passes: usize,
-    obj: HyperObjective,
 ) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -421,7 +399,7 @@ fn fm_refine_hg(
     ];
     for _ in 0..max_passes {
         let mut counts = side_counts(hg, part_of);
-        let start_cut = objective_value(hg, &counts, obj);
+        let start_cut = objective_value(hg, &counts);
         let mut gain: Vec<i64> = (0..n).map(|v| move_gain(hg, &counts, part_of, v)).collect();
         let mut part_w = [0i64; 2];
         for v in 0..n {
@@ -559,7 +537,7 @@ fn multilevel_bisect_hg(
     // Coarsen.
     let mut levels: Vec<HgLevel> = Vec::new();
     let mut current = hg.clone();
-    while current.num_vertices() > cfg.coarsen_to {
+    while current.num_vertices() > COARSEN_TO {
         let m = match_vertices(&current, &mut rng);
         let level = contract_hg(&current, &m);
         if level.hg.num_vertices() as f64 / current.num_vertices() as f64 > 0.95 {
@@ -569,21 +547,8 @@ fn multilevel_bisect_hg(
         levels.push(level);
     }
     let coarsest: &WorkHg = levels.last().map(|l| &l.hg).unwrap_or(hg);
-    let mut part = initial_bisection(
-        coarsest,
-        target,
-        cfg.initial_trials,
-        cfg.objective,
-        &mut rng,
-    );
-    fm_refine_hg(
-        coarsest,
-        &mut part,
-        target,
-        cfg.ubfactor,
-        cfg.fm_passes,
-        cfg.objective,
-    );
+    let mut part = initial_bisection(coarsest, target, INITIAL_TRIALS, &mut rng);
+    fm_refine_hg(coarsest, &mut part, target, cfg.ubfactor, FM_PASSES);
     for li in (0..levels.len()).rev() {
         let fine: &WorkHg = if li == 0 { hg } else { &levels[li - 1].hg };
         let coarse_of = &levels[li].coarse_of;
@@ -592,14 +557,7 @@ fn multilevel_bisect_hg(
             fine_part[v] = part[coarse_of[v] as usize];
         }
         part = fine_part;
-        fm_refine_hg(
-            fine,
-            &mut part,
-            target,
-            cfg.ubfactor,
-            cfg.fm_passes,
-            cfg.objective,
-        );
+        fm_refine_hg(fine, &mut part, target, cfg.ubfactor, FM_PASSES);
     }
     part
 }
@@ -792,18 +750,11 @@ mod tests {
         // Start from a deliberately bad interleaved split.
         let mut part: Vec<u8> = (0..hg.num_vertices()).map(|v| (v % 2) as u8).collect();
         let counts = side_counts(&hg, &part);
-        let before = objective_value(&hg, &counts, HyperObjective::CutNet);
+        let before = objective_value(&hg, &counts);
         let total = hg.total_vertex_weight();
-        fm_refine_hg(
-            &hg,
-            &mut part,
-            [total / 2, total - total / 2],
-            1.05,
-            8,
-            HyperObjective::CutNet,
-        );
+        fm_refine_hg(&hg, &mut part, [total / 2, total - total / 2], 1.05, 8);
         let counts = side_counts(&hg, &part);
-        let after = objective_value(&hg, &counts, HyperObjective::CutNet);
+        let after = objective_value(&hg, &counts);
         assert!(after <= before, "FM worsened cut: {before} -> {after}");
         assert!(
             after < before / 2,

@@ -7,6 +7,13 @@ use crate::rng::SplitMix;
 use crate::Bisection;
 use sparsegraph::Graph;
 
+/// Coarsening stops below this many vertices.
+const COARSEN_TO: usize = 120;
+/// Trials for the initial bisection on the coarsest graph.
+const INITIAL_TRIALS: usize = 6;
+/// Maximum FM passes per uncoarsening level.
+const FM_PASSES: usize = 8;
+
 /// Configuration for [`partition_graph`].
 #[derive(Debug, Clone)]
 pub struct PartitionConfig {
@@ -15,12 +22,6 @@ pub struct PartitionConfig {
     /// Allowed imbalance factor (e.g. 1.05 = 5 %). METIS's default load
     /// balance tolerance is in the same range.
     pub ubfactor: f64,
-    /// Coarsening stops below this many vertices.
-    pub coarsen_to: usize,
-    /// Trials for the initial bisection on the coarsest graph.
-    pub initial_trials: usize,
-    /// Maximum FM passes per uncoarsening level.
-    pub fm_passes: usize,
     /// RNG seed for reproducibility.
     pub seed: u64,
 }
@@ -30,9 +31,6 @@ impl Default for PartitionConfig {
         PartitionConfig {
             num_parts: 2,
             ubfactor: 1.05,
-            coarsen_to: 120,
-            initial_trials: 6,
-            fm_passes: 8,
             seed: 0x5EED,
         }
     }
@@ -55,12 +53,11 @@ impl PartitionConfig {
 /// splits). `ubfactor` is the allowed imbalance, e.g. `1.05`.
 pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) -> Bisection {
     let mut rng = SplitMix::new(seed);
-    let cfg = PartitionConfig::default();
-    let levels = coarsen_to(g, cfg.coarsen_to, &mut rng);
+    let levels = coarsen_to(g, COARSEN_TO, &mut rng);
     let coarsest: &Graph = levels.last().map(|l| &l.graph).unwrap_or(g);
 
-    let mut bis = greedy_growing_bisection(coarsest, target, cfg.initial_trials, &mut rng);
-    fm_refine(coarsest, &mut bis, target, ubfactor, cfg.fm_passes);
+    let mut bis = greedy_growing_bisection(coarsest, target, INITIAL_TRIALS, &mut rng);
+    fm_refine(coarsest, &mut bis, target, ubfactor, FM_PASSES);
 
     // Project back through the levels, refining at each.
     for li in (0..levels.len()).rev() {
@@ -71,7 +68,7 @@ pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) 
             fine_part[v] = bis.part_of[coarse_of[v] as usize];
         }
         bis = Bisection::recompute(fine_graph, fine_part);
-        fm_refine(fine_graph, &mut bis, target, ubfactor, cfg.fm_passes);
+        fm_refine(fine_graph, &mut bis, target, ubfactor, FM_PASSES);
     }
     bis
 }
@@ -111,7 +108,7 @@ fn recurse(
         }
         return;
     }
-    let (sub, map) = subgraph_of(g_full, vertices);
+    let (sub, map) = g_full.subgraph(vertices);
     // Split k into k0 + k1 (k0 = floor(k/2)); target weights
     // proportional to the split so non-power-of-two k stays balanced.
     let k0 = k / 2;
@@ -148,17 +145,6 @@ fn recurse(
         seed.wrapping_mul(0x9E37).wrapping_add(2),
         part_of,
     );
-}
-
-/// Extract a vertex-induced subgraph (thin wrapper over
-/// `Graph::subgraph`, avoiding the extra map clone when the vertex set
-/// is the whole graph).
-fn subgraph_of(g: &Graph, vertices: &[u32]) -> (Graph, Vec<u32>) {
-    if vertices.len() == g.num_vertices() {
-        (g.clone(), vertices.to_vec())
-    } else {
-        g.subgraph(vertices)
-    }
 }
 
 #[cfg(test)]

@@ -278,15 +278,6 @@ impl AmortizationLedger {
         net
     }
 
-    /// Cumulative SpMV seconds the serving tier has spent, read
-    /// straight from the shared `serve.spmv` duration histogram (no
-    /// export parsing) — the denominator for amortization reporting.
-    pub fn tier_spmv_seconds(&self) -> f64 {
-        self.registry
-            .find_histogram("serve.spmv")
-            .map_or(0.0, |h| h.sum_seconds())
-    }
-
     fn refresh_gauges(&self) {
         self.registry
             .gauge("policy.ledger.keys")

@@ -105,11 +105,6 @@ impl Predictor {
         Predictor { machine }
     }
 
-    /// A predictor on a specific model machine.
-    pub fn with_machine(machine: Machine) -> Self {
-        Predictor { machine }
-    }
-
     /// The model machine in use.
     pub fn machine(&self) -> &Machine {
         &self.machine

@@ -59,12 +59,12 @@ impl Nd {
         rx: &ReorderExec<'_>,
     ) {
         if vertices.len() <= self.leaf_size {
-            let (sub, map) = subgraph_of(g_full, vertices);
+            let (sub, map) = g_full.subgraph(vertices);
             let local = amd_order_on(&sub, true, 0, rx).0;
             order.extend(local.iter().map(|&l| map[l as usize]));
             return;
         }
-        let (sub, map) = subgraph_of(g_full, vertices);
+        let (sub, map) = g_full.subgraph(vertices);
         let sep = vertex_separator(&sub, self.ubfactor, seed);
         // Degenerate separator (e.g. a clique where one side is empty):
         // stop dissecting and fall back to minimum degree.
@@ -94,14 +94,6 @@ impl Nd {
         );
         // Separator vertices are numbered last at this level.
         order.extend_from_slice(&separator);
-    }
-}
-
-fn subgraph_of(g: &Graph, vertices: &[u32]) -> (Graph, Vec<u32>) {
-    if vertices.len() == g.num_vertices() {
-        (g.clone(), vertices.to_vec())
-    } else {
-        g.subgraph(vertices)
     }
 }
 

@@ -55,7 +55,6 @@ impl Sbd {
             num_parts: 2,
             ubfactor: self.ubfactor,
             seed: seed ^ self.seed,
-            ..Default::default()
         };
         let parts = partition_hypergraph(&h, &cfg);
         // Classify columns by the parts of their rows.

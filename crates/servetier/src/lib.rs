@@ -65,7 +65,6 @@ mod tier;
 
 pub use admission::{AdmissionQueue, PushError};
 pub use hash::HashRing;
-pub use obsv::{OpsSource, SloSpec, SloTracker};
 pub use policy::{PolicyConfig, PolicyMode};
 pub use tier::{
     ServeTier, ShardStats, ShedReason, SpmvRequest, SpmvResponse, TenantSpec, TierConfig,

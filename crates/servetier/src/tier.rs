@@ -104,12 +104,6 @@ pub struct TierConfig {
     /// reports ready (`0` = ready as soon as all dispatchers are live).
     /// Lets a deployment keep traffic away until caches are warm.
     pub min_warm_serves: u64,
-    /// Per-tenant service-level objectives. Non-empty builds an
-    /// [`obsv::SloTracker`] over the tier's own `tier.request{tenant}`
-    /// histograms and `tier.shed_tenant{tenant}` counters, reachable
-    /// via [`ServeTier::slo`] (tick it yourself or hand it to an
-    /// `obsv::ObsvServer` / background ticker).
-    pub slo: Vec<obsv::SloSpec>,
 }
 
 impl Default for TierConfig {
@@ -131,7 +125,6 @@ impl Default for TierConfig {
                 ..PolicyConfig::default()
             },
             min_warm_serves: 0,
-            slo: Vec::new(),
         }
     }
 }
@@ -420,7 +413,6 @@ pub struct ServeTier {
     next_request: AtomicU64,
     traced: Mutex<std::collections::VecDeque<(u64, u64)>>,
     ready: Arc<ReadyState>,
-    slo: Option<Arc<obsv::SloTracker>>,
 }
 
 impl ServeTier {
@@ -502,16 +494,6 @@ impl ServeTier {
             }
         }
 
-        let slo = (!config.slo.is_empty()).then(|| {
-            obsv::SloTracker::new(
-                Arc::clone(&registry),
-                obsv::SloConfig {
-                    specs: config.slo.clone(),
-                    ..obsv::SloConfig::default()
-                },
-            )
-        });
-
         ServeTier {
             ring,
             shards,
@@ -527,7 +509,6 @@ impl ServeTier {
             next_request: AtomicU64::new(0),
             traced: Mutex::new(std::collections::VecDeque::new()),
             ready,
-            slo,
         }
     }
 
@@ -545,11 +526,6 @@ impl ServeTier {
     /// The flight recorder tracing sampled requests, if configured.
     pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The configured tenants, in lane order.
@@ -571,9 +547,9 @@ impl ServeTier {
         self.ring.route(key)
     }
 
-    /// The engine of the shard owning `matrix` — escape hatch for
-    /// ordering-only work (e.g. the experiments' measurement harness)
-    /// that wants the same cache the serving path fills.
+    /// The engine of the shard owning `matrix`: the door through which
+    /// the tier's tests read the ordering and the counters the serving
+    /// path left there.
     pub fn engine_for(&self, matrix: &MatrixHandle) -> &Engine {
         &self.shards[self.route(matrix)].engine
     }
@@ -717,11 +693,6 @@ impl ServeTier {
         let trace_id = self.trace_id_for(request_id)?;
         let snap = recorder.snapshot().filter_trace(trace_id);
         (!snap.is_empty()).then_some(snap)
-    }
-
-    /// The SLO tracker, when [`TierConfig::slo`] named any tenants.
-    pub fn slo(&self) -> Option<&Arc<obsv::SloTracker>> {
-        self.slo.as_ref()
     }
 
     /// Should this tier receive traffic? `Err(reason)` while
@@ -889,13 +860,16 @@ fn dispatch_loop(shard: &ShardInner) {
         let result = execute(shard, &queued, dequeued, &mut xp);
         if result.is_ok() {
             shard.metrics.served.inc();
-            // Sampled requests pin their trace ID onto the latency
-            // histogram as an exemplar — the `/metrics` ↔ `/traces/<id>`
-            // bridge.
-            shard.tenant_hists[queued.tenant_index].record_duration_exemplar(
-                queued.submitted.elapsed(),
-                queued.trace.trace_id().unwrap_or(0),
-            );
+            // Sampled requests pin their request ID — the key
+            // `/traces/<id>` resolves — onto the latency histogram as
+            // an exemplar: the `/metrics` ↔ `/traces/<id>` bridge.
+            let exemplar = if queued.trace.is_recording() {
+                queued.request_id
+            } else {
+                0
+            };
+            shard.tenant_hists[queued.tenant_index]
+                .record_duration_exemplar(queued.submitted.elapsed(), exemplar);
         } else if matches!(result, Err(TierError::Shed(ShedReason::Expired))) {
             shard.metrics.shed_expired.inc();
             shard.tenant_shed[queued.tenant_index].inc();

@@ -527,6 +527,42 @@ fn sampled_request_records_the_serving_stages() {
 }
 
 #[test]
+fn latency_exemplar_names_the_request_its_trace_is_filed_under() {
+    // Every third request is sampled, so request IDs (1, 4, 7, …) and
+    // the recorder's trace IDs (1, 2, 3, …) part ways at once — and
+    // `/traces/<id>` looks up by request ID.
+    let recorder = telemetry::FlightRecorder::new(8192);
+    let registry = telemetry::Registry::new_arc();
+    let tier = ServeTier::new(TierConfig {
+        tenants: vec![TenantSpec::new("t0", 1)],
+        registry: Some(Arc::clone(&registry)),
+        recorder: Some(recorder),
+        trace_sample_every: 3,
+        ..TierConfig::default()
+    });
+    let matrix = MatrixHandle::from_matrix(corpus::mesh2d(10, 10));
+    for _ in 0..5 {
+        tier.serve(request(&matrix, AlgoSpec::Rcm, KernelKind::OneD))
+            .unwrap();
+    }
+    let (_, id) = registry
+        .snapshot()
+        .histogram_labeled("tier.request", &[("tenant", "t0")])
+        .unwrap()
+        .exemplar
+        .expect("a sampled request left an exemplar");
+    // Request 4 was the last sampled one; request 5 left it alone.
+    assert_eq!(id, 4);
+    let json = tier
+        .trace_chrome_json(id)
+        .expect("the exemplar resolves to a recorded trace");
+    assert!(
+        json.contains(&format!("\"request\":{id},")),
+        "the trace under the exemplar's id is another request's"
+    );
+}
+
+#[test]
 fn adaptive_policy_skips_reordering_for_one_shot_traffic() {
     use servetier::{PolicyConfig, PolicyMode};
     let tier = ServeTier::new(TierConfig {
@@ -699,20 +735,36 @@ fn readiness_tracks_warmup_load_and_drain() {
     );
 }
 
-#[test]
-fn slo_tracker_burns_budget_on_a_known_shed_stream() {
-    use servetier::SloSpec;
-    let registry = telemetry::Registry::new_arc();
+/// A one-tenant tier on `registry` and an SLO tracker over its
+/// `tier.request{tenant}` / `tier.shed_tenant{tenant}` series, built —
+/// as `serve` builds it — right after the tier and before any traffic.
+fn tier_with_slo(
+    registry: &Arc<telemetry::Registry>,
+    spec: obsv::SloSpec,
+) -> (ServeTier, Arc<obsv::SloTracker>) {
     let tier = ServeTier::new(TierConfig {
         shards: 1,
         queue_capacity: 64,
         tenants: vec![TenantSpec::new("t0", 1)],
-        registry: Some(Arc::clone(&registry)),
-        // Objective 0.9 with a latency bound generous enough that
-        // every *served* request is good: only sheds burn budget.
-        slo: vec![SloSpec::new("t0", 60_000.0, 0.9)],
+        registry: Some(Arc::clone(registry)),
         ..TierConfig::default()
     });
+    let slo = obsv::SloTracker::new(
+        Arc::clone(registry),
+        obsv::SloConfig {
+            specs: vec![spec],
+            ..obsv::SloConfig::default()
+        },
+    );
+    (tier, slo)
+}
+
+#[test]
+fn slo_tracker_burns_budget_on_a_known_shed_stream() {
+    let registry = telemetry::Registry::new_arc();
+    // Objective 0.9 with a latency bound generous enough that every
+    // *served* request is good: only sheds burn budget.
+    let (tier, slo) = tier_with_slo(&registry, obsv::SloSpec::new("t0", 60_000.0, 0.9));
     let matrix = MatrixHandle::from_matrix(corpus::mesh2d(12, 12));
 
     // 8 good serves + 2 deterministic sheds (deadline already passed
@@ -738,7 +790,6 @@ fn slo_tracker_burns_budget_on_a_known_shed_stream() {
         Some(2)
     );
 
-    let slo = tier.slo().expect("configured SLO builds a tracker");
     slo.tick();
     // Lifetime: 0.2 bad on a 0.1 budget -> exhausted (clamped to 0).
     assert_eq!(slo.budget_remaining("t0"), Some(0.0));
@@ -754,7 +805,7 @@ fn slo_tracker_burns_budget_on_a_known_shed_stream() {
         snap.gauge_labeled("slo.budget_remaining", &[("tenant", "t0")]),
         Some(0)
     );
-    // The tier's default windows are [5, 30, 150]; with only the
+    // The default windows are [5, 30, 150]; with only the
     // construction baseline and one tick recorded, each clamps to the
     // same single-interval delta.
     assert_eq!(
@@ -765,24 +816,15 @@ fn slo_tracker_burns_budget_on_a_known_shed_stream() {
 
 #[test]
 fn slow_serves_burn_budget_without_any_sheds() {
-    use servetier::SloSpec;
     let registry = telemetry::Registry::new_arc();
-    let tier = ServeTier::new(TierConfig {
-        shards: 1,
-        queue_capacity: 64,
-        tenants: vec![TenantSpec::new("t0", 1)],
-        registry: Some(Arc::clone(&registry)),
-        // A latency threshold of (effectively) zero: every serve is
-        // "slow", so the latency leg alone must exhaust the budget.
-        slo: vec![SloSpec::new("t0", 0.0, 0.99)],
-        ..TierConfig::default()
-    });
+    // A latency threshold of (effectively) zero: every serve is
+    // "slow", so the latency leg alone must exhaust the budget.
+    let (tier, slo) = tier_with_slo(&registry, obsv::SloSpec::new("t0", 0.0, 0.99));
     let matrix = MatrixHandle::from_matrix(corpus::mesh2d(12, 12));
     for _ in 0..5 {
         tier.serve(request(&matrix, AlgoSpec::Rcm, KernelKind::OneD))
             .unwrap();
     }
-    let slo = tier.slo().unwrap();
     slo.tick();
     let status = &slo.status()[0];
     assert_eq!((status.total, status.bad), (5, 5));

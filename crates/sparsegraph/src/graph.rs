@@ -227,15 +227,16 @@ impl Graph {
         &self.adjncy
     }
 
-    /// Edge weights, parallel to [`Graph::adjncy`].
-    #[inline]
-    pub fn edge_weights(&self) -> &[i64] {
-        &self.ewgt
-    }
-
     /// Extract the vertex-induced subgraph on `vertices`, returning the
-    /// subgraph and the mapping `local -> global`.
+    /// subgraph and the mapping `local -> global`. The whole vertex set
+    /// in ascending order — what the recursive partitioners pass at
+    /// their top level — is a clone, with no map lookups.
     pub fn subgraph(&self, vertices: &[u32]) -> (Graph, Vec<u32>) {
+        if vertices.len() == self.num_vertices()
+            && vertices.iter().enumerate().all(|(i, &v)| v as usize == i)
+        {
+            return (self.clone(), vertices.to_vec());
+        }
         let mut global_to_local = std::collections::HashMap::with_capacity(vertices.len());
         for (local, &v) in vertices.iter().enumerate() {
             global_to_local.insert(v, local as u32);
@@ -344,6 +345,12 @@ mod tests {
         assert_eq!(sg.num_edges(), 2);
         assert_eq!(map, vec![1, 2, 3]);
         assert_eq!(sg.neighbors(0), &[1]); // local 0 = global 1, neighbour local 1 = global 2
+
+        // Only the ascending whole vertex set is the graph itself; any
+        // other full-length list still relabels: local 0 = global 3,
+        // whose neighbour global 2 = local 1.
+        let (rev, _) = g.subgraph(&[3, 2, 1, 0]);
+        assert_eq!(rev.neighbors(0), &[1]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::symmetrize::PAR_ROW_GRAIN;
-use crate::{ColIdx, CooMatrix, CscMatrix, Permutation, SparseError};
+use crate::{ColIdx, CooMatrix, Permutation, SparseError};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use team::{Exec, SliceWriter};
@@ -412,21 +412,6 @@ impl CsrMatrix {
             }
         }
         CsrMatrix::new_raw(self.ncols, self.nrows, rowptr_t, colidx_t, values_t)
-    }
-
-    /// Convert to compressed sparse column form.
-    pub fn to_csc(&self) -> CscMatrix {
-        let t = self.transpose();
-        CscMatrix::from_transposed_csr(t)
-    }
-
-    /// Convert back to COO triplets.
-    pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
-        for (i, j, v) in self.iter() {
-            coo.push(i, j, v);
-        }
-        coo
     }
 
     /// Symmetric permutation `B = P A Pᵀ`: row and column `old` both move

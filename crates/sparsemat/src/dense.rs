@@ -1,76 +1,5 @@
-//! Small dense-vector helpers used by the SpMV harness and the iterative
-//! solver examples.
-
-/// An owned dense vector of `f64` with a few BLAS-1 conveniences.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseVector {
-    data: Vec<f64>,
-}
-
-impl DenseVector {
-    /// A vector of `n` zeros.
-    pub fn zeros(n: usize) -> Self {
-        DenseVector { data: vec![0.0; n] }
-    }
-
-    /// A vector of `n` ones.
-    pub fn ones(n: usize) -> Self {
-        DenseVector { data: vec![1.0; n] }
-    }
-
-    /// The vector `[0, 1, 2, ...] / n` — a deterministic, non-constant
-    /// input used by the measurement harness so value-dependent bugs in
-    /// kernels can't hide behind a constant x.
-    pub fn ramp(n: usize) -> Self {
-        let scale = if n > 1 { 1.0 / (n as f64 - 1.0) } else { 1.0 };
-        DenseVector {
-            data: (0..n).map(|i| i as f64 * scale).collect(),
-        }
-    }
-
-    /// Wrap an existing `Vec`.
-    pub fn from_vec(data: Vec<f64>) -> Self {
-        DenseVector { data }
-    }
-
-    /// Length.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Borrow as a slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Borrow mutably as a slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consume into the inner `Vec`.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-}
-
-impl std::ops::Index<usize> for DenseVector {
-    type Output = f64;
-    fn index(&self, i: usize) -> &f64 {
-        &self.data[i]
-    }
-}
-
-impl std::ops::IndexMut<usize> for DenseVector {
-    fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.data[i]
-    }
-}
+//! BLAS-1 helpers on `f64` slices, used by the CG solver and the
+//! solver example.
 
 /// Dot product of two equally sized slices.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -94,24 +23,6 @@ pub fn norm2(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constructors() {
-        assert_eq!(DenseVector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
-        assert_eq!(DenseVector::ones(2).as_slice(), &[1.0, 1.0]);
-        let r = DenseVector::ramp(3);
-        assert_eq!(r.as_slice(), &[0.0, 0.5, 1.0]);
-        assert_eq!(DenseVector::ramp(1).as_slice(), &[0.0]);
-        assert!(DenseVector::zeros(0).is_empty());
-    }
-
-    #[test]
-    fn indexing() {
-        let mut v = DenseVector::zeros(3);
-        v[1] = 5.0;
-        assert_eq!(v[1], 5.0);
-        assert_eq!(v.len(), 3);
-    }
 
     #[test]
     fn blas1_ops() {

@@ -7,8 +7,7 @@
 //! reproduction of *Bringing Order to Sparsity* (SC '23). Matrices are
 //! stored in the compressed sparse row (CSR) format described in §3.1 of
 //! the paper: row pointers, 32-bit column offsets and double-precision
-//! values. A coordinate (COO) builder and a compressed sparse column (CSC)
-//! view are provided for construction and transposition.
+//! values. A coordinate (COO) builder is provided for construction.
 //!
 //! # Example
 //!
@@ -27,7 +26,6 @@
 //! ```
 
 mod coo;
-mod csc;
 mod csr;
 mod dense;
 mod error;
@@ -37,9 +35,8 @@ mod spy;
 mod symmetrize;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::{CsrMatrix, DeltaReport, EdgeOp, LineageHop, LINEAGE_CAP};
-pub use dense::{axpy, dot, norm2, DenseVector};
+pub use dense::{axpy, dot, norm2};
 pub use error::SparseError;
 pub use market::{read_matrix_market, read_matrix_market_str, write_matrix_market, MarketHeader};
 pub use permutation::Permutation;

@@ -92,11 +92,6 @@ impl Permutation {
         &self.new_to_old
     }
 
-    /// The inverse vector (`old -> new`).
-    pub fn inverse_order(&self) -> &[u32] {
-        &self.old_to_new
-    }
-
     /// The inverse permutation.
     pub fn inverse(&self) -> Permutation {
         Permutation {

@@ -79,12 +79,6 @@ proptest! {
     }
 
     #[test]
-    fn csc_roundtrip(coo in coo_strategy()) {
-        let a = CsrMatrix::from_coo(&coo);
-        prop_assert_eq!(a.to_csc().to_csr(), a);
-    }
-
-    #[test]
     fn spmv_transpose_identity(coo in coo_strategy()) {
         // For all x, y: yᵀ(Ax) == xᵀ(Aᵀy). Check with ramp vectors.
         let a = CsrMatrix::from_coo(&coo);

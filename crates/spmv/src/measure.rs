@@ -4,7 +4,6 @@ use crate::team::ThreadTeam;
 use sparsemat::CsrMatrix;
 use std::sync::Arc;
 use std::time::Instant;
-use telemetry::trace::TraceCtx;
 use telemetry::{Histogram, Registry};
 
 /// Threads available on this host (≥ 1). The canonical lookup shared by
@@ -145,29 +144,7 @@ pub fn measure_spmv_in(
     kernel: KernelKind,
     cfg: &MeasureConfig,
 ) -> SpmvMeasurement {
-    measure_spmv_traced(registry, &TraceCtx::disabled(), a, kernel, cfg)
-}
-
-/// [`measure_spmv_in`] recording into a flight-recorder trace: the
-/// measurement runs under a `spmv.measure` trace span (kernel, reps,
-/// threads, nnz and post-hoc imbalance/min-time args), and the
-/// [`ThreadTeam`] records per-lane dispatch/compute/park segments for
-/// every repetition under that span — one Perfetto timeline lane per
-/// worker. A disabled `ctx` makes this identical to
-/// [`measure_spmv_in`].
-pub fn measure_spmv_traced(
-    registry: &Arc<Registry>,
-    ctx: &TraceCtx,
-    a: &Arc<CsrMatrix>,
-    kernel: KernelKind,
-    cfg: &MeasureConfig,
-) -> SpmvMeasurement {
     let started = Instant::now();
-    let mut tspan = ctx.span("spmv.measure");
-    tspan.arg("kernel", kernel.name());
-    tspan.arg("reps", cfg.repetitions.max(1));
-    tspan.arg("threads", cfg.nthreads);
-    tspan.arg("nnz", a.nnz());
     let x: Vec<f64> = (0..a.ncols())
         .map(|i| 1.0 + (i % 17) as f64 / 16.0)
         .collect();
@@ -181,18 +158,13 @@ pub fn measure_spmv_traced(
     let steady = Histogram::new();
     let planned = kernel.plan(a, cfg.nthreads);
     let team = ThreadTeam::new_in(registry, cfg.nthreads);
-    {
-        let _team_trace = team.trace_scope(&tspan.ctx());
-        for rep in 0..reps {
-            let t0 = Instant::now();
-            planned.execute(&team, &x, &mut y);
-            let shard = if rep < steady_start { &warm } else { &steady };
-            shard.record_duration(t0.elapsed());
-        }
+    for rep in 0..reps {
+        let t0 = Instant::now();
+        planned.execute(&team, &x, &mut y);
+        let shard = if rep < steady_start { &warm } else { &steady };
+        shard.record_duration(t0.elapsed());
     }
     let result = summarize(&planned.nnz_per_thread(), a.nnz(), &warm, &steady);
-    tspan.arg("imbalance", result.imbalance);
-    tspan.arg("min_time_ns", (result.min_time * 1e9) as u64);
     // Publish the per-repetition samples: shard histograms merge into
     // the registry's cumulative series.
     let rep_hist = registry.histogram("spmv.measure.rep");
@@ -320,7 +292,7 @@ mod tests {
     #[test]
     fn disabled_tracing_adds_under_two_percent() {
         let registry = telemetry::Registry::new_arc();
-        let ctx = TraceCtx::disabled();
+        let ctx = telemetry::TraceCtx::disabled();
 
         const CALLS: u32 = 100_000;
         let t0 = Instant::now();
@@ -336,9 +308,7 @@ mod tests {
             warmup: 2,
             nthreads: 1,
         };
-        // Measure through the traced entry point with a disabled
-        // context: the full instrumented path, recording nothing.
-        let m = measure_spmv_traced(&registry, &ctx, &a, KernelKind::OneD, &cfg);
+        let m = measure_spmv_in(&registry, &a, KernelKind::OneD, &cfg);
         let iter_ns = m.min_time * 1e9;
         assert!(
             trace_ns < 0.02 * iter_ns,
@@ -376,50 +346,5 @@ mod tests {
             "disabled stage guard costs {stage_ns:.1}ns, {:.3}% of a {iter_ns:.0}ns SpMV iteration",
             100.0 * stage_ns / iter_ns
         );
-    }
-
-    #[test]
-    fn traced_measurement_produces_stage_and_lane_events() {
-        use telemetry::trace::{EventKind, FlightRecorder};
-        let registry = telemetry::Registry::new_arc();
-        let rec = FlightRecorder::new(8192);
-        let root = rec.start_trace();
-        let a = banded(300, 2);
-        let cfg = MeasureConfig {
-            repetitions: 4,
-            warmup: 1,
-            nthreads: 2,
-        };
-        let m = measure_spmv_traced(&registry, &root, &a, KernelKind::OneD, &cfg);
-        assert!(m.min_time > 0.0);
-        let snap = rec.snapshot();
-        let measure_begin = snap
-            .events()
-            .find(|e| e.name == "spmv.measure" && e.kind == EventKind::Begin)
-            .expect("spmv.measure span recorded");
-        // Team segments parent under the measure span: per-worker
-        // timelines attach to the request, not orphaned roots.
-        let computes: Vec<_> = snap
-            .events()
-            .filter(|e| e.name == "spmv.team.compute" && e.kind == EventKind::Begin)
-            .collect();
-        assert_eq!(computes.len(), 2 * 4, "2 lanes × 4 reps");
-        assert!(computes
-            .iter()
-            .all(|e| e.parent_id == measure_begin.span_id));
-        // Both lanes (leader + 1 worker) own a timeline.
-        let lanes = snap
-            .threads
-            .iter()
-            .filter(|t| t.events.iter().any(|e| e.name == "spmv.team.compute"))
-            .count();
-        assert_eq!(lanes, 2);
-        // The measure span carries the post-hoc result args.
-        let measure_end = snap
-            .events()
-            .find(|e| e.name == "spmv.measure" && e.kind == EventKind::End)
-            .unwrap();
-        assert!(measure_end.args.iter().any(|(k, _)| *k == "imbalance"));
-        assert!(measure_end.args.iter().any(|(k, _)| *k == "kernel"));
     }
 }

@@ -9,7 +9,7 @@
 use crate::exec::execute;
 use crate::plan::Plan;
 use crate::team::ThreadTeam;
-use sparsemat::CsrMatrix;
+use sparsemat::{dot, CsrMatrix};
 
 /// Convergence/iteration report from a solver run.
 #[derive(Debug, Clone)]
@@ -44,10 +44,6 @@ impl Default for CgOptions {
             jacobi: false,
         }
     }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
 /// Solve `A x = b` for symmetric positive definite `A` by (optionally

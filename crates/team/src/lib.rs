@@ -768,9 +768,10 @@ mod tests {
         const EPOCHS: usize = 5;
         let team = ThreadTeam::new_in(&Registry::new_arc(), 3);
         let rec = FlightRecorder::new(4096);
-        let ctx = rec.start_trace();
+        let root = rec.start_trace();
         {
-            let _scope = team.trace_scope(&ctx);
+            let stage = root.span("caller.stage");
+            let _scope = team.trace_scope(&stage.ctx());
             for _ in 0..EPOCHS {
                 team.run(&|_| std::hint::black_box(()));
             }
@@ -797,6 +798,18 @@ mod tests {
             .filter(|t| t.events.iter().any(|e| e.name == "spmv.team.compute"))
             .count();
         assert_eq!(lanes_with_compute, 3);
+        // Lane segments parent at the scope's context: per-worker
+        // timelines attach to the caller's stage, not to orphaned
+        // roots.
+        let stage_id = snap
+            .events()
+            .find(|e| e.name == "caller.stage" && e.kind == EventKind::Begin)
+            .unwrap()
+            .span_id;
+        assert!(snap
+            .events()
+            .filter(|e| e.name.starts_with("spmv.team."))
+            .all(|e| e.parent_id == stage_id));
     }
 
     #[test]

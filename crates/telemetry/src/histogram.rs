@@ -250,21 +250,6 @@ impl Histogram {
         self.quantile(0.999)
     }
 
-    /// Exact cumulative sum in **seconds**, assuming this histogram
-    /// follows the workspace convention of recording nanoseconds.
-    /// Amortization accounting (the `policy` crate's ledger) reads
-    /// cumulative SpMV and reorder time through this instead of
-    /// re-parsing JSON exports.
-    pub fn sum_seconds(&self) -> f64 {
-        self.sum() as f64 / 1e9
-    }
-
-    /// Exact mean in **seconds** (0.0 when empty), under the same
-    /// nanosecond convention as [`Histogram::sum_seconds`].
-    pub fn mean_seconds(&self) -> f64 {
-        self.mean() / 1e9
-    }
-
     /// A consistent point-in-time summary.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -343,20 +328,15 @@ mod tests {
     }
 
     #[test]
-    fn count_sum_and_seconds_accessors() {
-        // The amortization ledger's read path: count/sum must be exact
-        // (no bucket quantisation) and the seconds views must follow
-        // the nanosecond convention.
+    fn count_and_sum_are_exact() {
+        // What the SLO tracker reads: count/sum carry no bucket
+        // quantisation, and durations land as nanoseconds.
         let h = Histogram::new();
         assert_eq!((h.count(), h.sum()), (0, 0));
-        assert_eq!(h.sum_seconds(), 0.0);
-        assert_eq!(h.mean_seconds(), 0.0);
         h.record_duration(Duration::from_millis(2));
         h.record_duration(Duration::from_millis(6));
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 8_000_000);
-        assert!((h.sum_seconds() - 0.008).abs() < 1e-12);
-        assert!((h.mean_seconds() - 0.004).abs() < 1e-12);
     }
 
     #[test]

@@ -67,42 +67,3 @@ pub use metrics::{Counter, Gauge};
 pub use registry::{series_name, Registry, Snapshot};
 pub use stage::{sample_stages, stage, stages_enabled, StageGuard, StageSession};
 pub use trace::{ArgValue, FlightRecorder, TraceCtx, TraceSnapshot, TraceSpan};
-
-use std::sync::Arc;
-
-/// The global registry's counter `name` (resolve once, keep the
-/// handle).
-pub fn counter(name: &str) -> Arc<Counter> {
-    Registry::global().counter(name)
-}
-
-/// The global registry's gauge `name`.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    Registry::global().gauge(name)
-}
-
-/// The global registry's histogram `name`.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    Registry::global().histogram(name)
-}
-
-/// Snapshot the global registry.
-pub fn snapshot() -> Snapshot {
-    Registry::global().snapshot()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_helpers_share_one_registry() {
-        counter("lib.test.counter").add(2);
-        gauge("lib.test.gauge").set(-1);
-        histogram("lib.test.hist").record(10);
-        let snap = snapshot();
-        assert!(snap.counter("lib.test.counter").unwrap() >= 2);
-        assert_eq!(snap.gauge("lib.test.gauge"), Some(-1));
-        assert!(snap.histogram("lib.test.hist").unwrap().count >= 1);
-    }
-}

@@ -202,10 +202,9 @@ impl Registry {
     }
 
     /// Look up the histogram `name` **without creating it**. Live
-    /// readers (e.g. the amortization ledger polling `reorder.<algo>`
-    /// or `serve.spmv`) use this so that probing a series that was
-    /// never recorded does not materialise an empty metric in every
-    /// export.
+    /// readers (e.g. the SLO tracker polling `tier.request{tenant}`)
+    /// use this so that probing a series that was never recorded does
+    /// not materialise an empty metric in every export.
     pub fn find_histogram(&self, name: &str) -> Option<Arc<Histogram>> {
         match self.metrics.lock().unwrap().get(name) {
             Some(Metric::Histogram(h)) => Some(Arc::clone(h)),
