@@ -51,6 +51,11 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
     exit 1
 }
 
+# A cold RCM's allocation count (constant in the depth of its level
+# structures) must hold in the profile that is served; the workspace
+# run above checked the debug build.
+cargo test --release -p reorder --test alloc
+
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.
 cargo fmt --all --check

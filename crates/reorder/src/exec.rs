@@ -15,8 +15,7 @@ use telemetry::trace::TraceCtx;
 ///
 /// The executor changes *where* the work runs, never *what* it
 /// produces: every parallel stage is byte-identical to its sequential
-/// counterpart (see the determinism notes on
-/// [`sparsegraph::expand_frontier_with`] and
+/// counterpart (DESIGN §9; [`sparsegraph::LevelStructure::run_on`] and
 /// [`sparsemat::symmetrize_pattern_on`]).
 #[derive(Debug, Clone)]
 pub struct ReorderExec<'a> {

@@ -19,9 +19,8 @@
 use crate::component::{assemble_pieces, ComponentOrdering};
 use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use sparsegraph::{bfs_levels_with, connected_components, pseudo_peripheral_vertex_with, Graph};
+use sparsegraph::{pseudo_peripheral_vertex_with, Graph, LevelStructure};
 use sparsemat::{CsrMatrix, SparseError};
-use team::Exec;
 
 /// Gibbs–Poole–Stockmeyer reordering.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,78 +30,88 @@ pub struct Gps {
     pub reverse: bool,
 }
 
+/// What the components of one GPS ordering share: the level structure
+/// every search runs in, and the per-vertex levels of the two rooted
+/// structures. Components are disjoint, so nothing is cleared between
+/// them.
+struct GpsWork {
+    levels: LevelStructure,
+    /// Distance from the pseudo-diameter's first endpoint; overwritten
+    /// by the vertex's combined level once that is decided.
+    lu: Vec<u32>,
+    /// Distance from the second endpoint.
+    lv: Vec<u32>,
+}
+
+impl GpsWork {
+    /// Scratch for an `n`-vertex graph whose components to be ordered
+    /// have at most `reach` vertices.
+    fn new(n: usize, reach: usize) -> GpsWork {
+        GpsWork {
+            levels: LevelStructure::with_reach(n, reach),
+            lu: vec![0; n],
+            lv: vec![0; n],
+        }
+    }
+}
+
 impl Gps {
-    /// Compute the GPS order of one connected component, returning the
-    /// component's vertices in their new relative order.
+    /// One component's final bytes: the GPS order of the component
+    /// containing `seed`, reversed when `reverse` is set.
     ///
-    /// The two rooted level structures are built with
-    /// [`bfs_levels_with`], so wide frontiers expand on `exec`'s lanes;
-    /// the level structures — and therefore the combined numbering —
-    /// are identical for every executor.
-    fn component_order(g: &Graph, start: usize, exec: Exec<'_>, frontier_min: usize) -> Vec<u32> {
-        // 1. Pseudo-diameter endpoints.
-        let u = pseudo_peripheral_vertex_with(g, start, exec, frontier_min);
-        let lu = bfs_levels_with(g, u, exec, frontier_min);
-        let deepest = lu.levels.last().expect("nonempty component");
-        let v = *deepest
+    /// Every search is a [`LevelStructure`] run, so wide levels expand
+    /// on `rx`'s lanes; the level structures — and therefore the
+    /// combined numbering — are identical for every executor.
+    fn piece(&self, g: &Graph, seed: usize, work: &mut GpsWork, rx: &ReorderExec<'_>) -> Vec<u32> {
+        let GpsWork { levels, lu, lv } = work;
+        let (exec, frontier_min) = (rx.exec(), rx.frontier_min());
+        // 1. Pseudo-diameter endpoints. The finder leaves `levels`
+        //    rooted at the vertex it returns.
+        pseudo_peripheral_vertex_with(g, seed, levels, exec, frontier_min);
+        levels.write_levels(lu);
+        let mut order = levels.reached().to_vec();
+        let depth_u = levels.depth();
+        let v = *levels
+            .last_level()
             .iter()
             .min_by_key(|&&w| g.degree(w as usize))
             .expect("deepest level nonempty") as usize;
-        let lv = bfs_levels_with(g, v, exec, frontier_min);
-        let depth = lu.depth().max(lv.depth());
+        levels.run_on(g, v, exec, frontier_min, |_| {});
+        levels.write_levels(lv);
+        let depth = depth_u.max(levels.depth());
 
-        // 2. Combined levels: vertex w gets candidate pair
-        //    (l_u(w), depth - 1 - l_v(w)).
-        let members: Vec<u32> = lu
-            .levels
-            .iter()
-            .flat_map(|lvl| lvl.iter().copied())
-            .collect();
-        let mut level_of: std::collections::HashMap<u32, usize> = Default::default();
+        // 2. Combined levels: vertex w has the candidate pair
+        //    (l_u(w), depth - 1 - l_v(w)). Where they agree that is its
+        //    level; the rest go to the narrower of their candidates
+        //    (ties toward the l_u level), in BFS order for determinism.
+        let other = |lv: &[u32], w: u32| depth - 1 - lv[w as usize] as usize;
         let mut width = vec![0usize; depth];
         let mut undecided: Vec<u32> = Vec::new();
-        for &w in &members {
-            let a = lu.level_of[w as usize];
-            let b = depth - 1 - lv.level_of[w as usize].min(depth - 1);
-            if a == b {
-                level_of.insert(w, a);
+        for &w in &order {
+            let a = lu[w as usize] as usize;
+            if a == other(lv, w) {
                 width[a] += 1;
             } else {
                 undecided.push(w);
             }
         }
-        // Assign undecided vertices to the narrower of their candidates
-        // (ties toward the l_u level), in BFS order for determinism.
         for &w in &undecided {
-            let a = lu.level_of[w as usize];
-            let b = depth - 1 - lv.level_of[w as usize].min(depth - 1);
+            let (a, b) = (lu[w as usize] as usize, other(lv, w));
             let pick = if width[b] < width[a] { b } else { a };
-            level_of.insert(w, pick);
+            lu[w as usize] = pick as u32;
             width[pick] += 1;
         }
 
-        // 3. Number level by level; within a level, vertices adjacent to
-        //    already-numbered vertices first, ascending degree (the CM
+        // 3. Number level by level; within a level, vertices adjacent
+        //    to an earlier level first, ascending degree (the CM
         //    discipline applied to the combined structure).
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); depth];
-        for &w in &members {
-            by_level[level_of[&w]].push(w);
-        }
-        let mut order = Vec::with_capacity(members.len());
-        let mut numbered = std::collections::HashSet::new();
-        for level in &mut by_level {
-            // Sort for determinism, then stable-partition by adjacency
-            // to the previous level for locality.
-            level.sort_unstable_by_key(|&w| (g.degree(w as usize), w));
-            let (adj, rest): (Vec<u32>, Vec<u32>) = level.iter().partition(|&&w| {
-                g.neighbors(w as usize)
-                    .iter()
-                    .any(|&n| numbered.contains(&n))
-            });
-            for &w in adj.iter().chain(rest.iter()) {
-                order.push(w);
-                numbered.insert(w);
-            }
+        order.sort_by_cached_key(|&w| {
+            let k = lu[w as usize];
+            let detached = !g.neighbors(w as usize).iter().any(|&x| lu[x as usize] < k);
+            (k, detached, g.degree(w as usize), w)
+        });
+        if self.reverse {
+            order.reverse();
         }
         order
     }
@@ -132,21 +141,16 @@ impl ReorderAlgorithm for Gps {
         true
     }
 
-    /// One component's final GPS bytes: the combined-level numbering
-    /// from the component's pseudo-diameter, reversed per piece when
-    /// `reverse` is set (the global reversal decomposes into per-piece
-    /// reversal plus reversed layout).
+    /// The global reversal decomposes into per-piece reversal plus
+    /// reversed layout.
     fn order_component_on(
         &self,
         g: &Graph,
         comp: &[u32],
         rx: &ReorderExec<'_>,
     ) -> Option<Vec<u32>> {
-        let mut piece = Gps::component_order(g, comp[0] as usize, rx.exec(), rx.frontier_min());
-        if self.reverse {
-            piece.reverse();
-        }
-        Some(piece)
+        let mut work = GpsWork::new(g.num_vertices(), comp.len());
+        Some(self.piece(g, comp[0] as usize, &mut work, rx))
     }
 
     /// GPS numbers components in descending size (ties broken by
@@ -168,15 +172,14 @@ impl ReorderAlgorithm for Gps {
     ) -> Result<Option<ComponentOrdering>, SparseError> {
         let g = build_ordering_graph(a, rx)?;
         let _span = rx.trace().span("reorder.levels");
-        let comps = connected_components(&g);
-        let mut pieces: Vec<(u32, Vec<u32>)> = Vec::with_capacity(comps.count());
-        for comp in &comps.members {
-            let mut piece =
-                Gps::component_order(&g, comp[0] as usize, rx.exec(), rx.frontier_min());
-            if self.reverse {
-                piece.reverse();
+        let n = g.num_vertices();
+        let mut work = GpsWork::new(n, n);
+        let mut pieces: Vec<(u32, Vec<u32>)> = Vec::new();
+        // As in RCM: an untouched vertex is the next component's key.
+        for s in 0..n {
+            if work.levels.untouched(s) {
+                pieces.push((s as u32, self.piece(&g, s, &mut work, rx)));
             }
-            pieces.push((comp[0], piece));
         }
         Ok(Some(assemble_pieces(self, pieces)))
     }

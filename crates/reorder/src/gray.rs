@@ -44,13 +44,13 @@ pub struct Gray {
 }
 
 /// Convert a Gray code word to its rank in the Gray sequence (inverse
-/// Gray code).
+/// Gray code): bit `k` of the rank is the XOR of bits `k..64` of the
+/// word, a suffix XOR that six doubling steps compute for any `u64`.
 #[inline]
-pub fn gray_rank(mut gray: u64) -> u64 {
+pub fn gray_rank(gray: u64) -> u64 {
     let mut rank = gray;
-    while gray > 0 {
-        gray >>= 1;
-        rank ^= gray;
+    for shift in [1, 2, 4, 8, 16, 32] {
+        rank ^= rank >> shift;
     }
     rank
 }
@@ -69,40 +69,60 @@ fn row_bitmap(cols: &[u32], ncols: usize, bits: u32) -> u64 {
     bm
 }
 
+/// Sort keys packed as `rank << 64 | nnz << 32 | row`, given in
+/// ascending row order, ascending — the order of the `(rank, nnz,
+/// row)` tuples. A stable LSD radix sort over the bytes of `(rank,
+/// nnz)` in which some two keys differ (three of the twelve for a
+/// 16-bit bitmap and a threshold of 20): stability leaves equal keys in
+/// the row order they came in, so the row bytes need no pass.
+fn sort_packed(keys: &mut Vec<u128>) {
+    let varying = keys.iter().fold(0, |v, &k| v | (k ^ keys[0]));
+    let mut scratch = vec![0u128; keys.len()];
+    for shift in (32..128).step_by(8) {
+        if (varying >> shift) & 0xff == 0 {
+            continue;
+        }
+        let digit = |k: u128| ((k >> shift) & 0xff) as usize;
+        let mut next = [0usize; 256];
+        for &k in keys.iter() {
+            next[digit(k)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            start += std::mem::replace(slot, start);
+        }
+        for &k in keys.iter() {
+            scratch[next[digit(k)]] = k;
+            next[digit(k)] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
 impl Gray {
     /// Compute the Gray row order of a matrix: dense rows first (sorted
     /// by descending nonzero count), then sparse rows sorted by the
     /// Gray rank of their column bitmap.
     pub fn row_order(&self, a: &CsrMatrix) -> Vec<u32> {
-        let n = a.nrows();
+        let (ncols, bits) = (a.ncols(), self.params.bitmap_bits);
         let mut dense: Vec<u32> = Vec::new();
-        let mut sparse: Vec<u32> = Vec::new();
-        for i in 0..n {
-            if a.row_nnz(i) > self.params.dense_threshold {
+        // Bitmap + Gray rank for the sparse block; ties broken by nnz
+        // then original index to keep the sort deterministic.
+        let mut sparse: Vec<u128> = Vec::new();
+        for i in 0..a.nrows() {
+            let (cols, _) = a.row(i);
+            if cols.len() > self.params.dense_threshold {
                 dense.push(i as u32);
             } else {
-                sparse.push(i as u32);
+                let rank = gray_rank(row_bitmap(cols, ncols, bits));
+                sparse.push((rank as u128) << 64 | (cols.len() as u128) << 32 | i as u128);
             }
         }
         // Density reordering for the dense block: group rows of similar
         // density together, descending.
         dense.sort_by_key(|&i| (std::cmp::Reverse(a.row_nnz(i as usize)), i));
-        // Bitmap + Gray rank for the sparse block; ties broken by nnz
-        // then original index to keep the sort deterministic. Keys are
-        // computed once per row (not per comparison).
-        let ncols = a.ncols();
-        let mut keyed: Vec<(u64, u32, u32)> = sparse
-            .iter()
-            .map(|&i| {
-                let (cols, _) = a.row(i as usize);
-                let bm = row_bitmap(cols, ncols, self.params.bitmap_bits);
-                (gray_rank(bm), a.row_nnz(i as usize) as u32, i)
-            })
-            .collect();
-        keyed.sort_unstable();
-        sparse.clear();
-        sparse.extend(keyed.into_iter().map(|(_, _, i)| i));
-        dense.extend(sparse);
+        sort_packed(&mut sparse);
+        dense.extend(sparse.iter().map(|&key| key as u32));
         dense
     }
 }
@@ -132,6 +152,17 @@ mod tests {
     use super::*;
     use sparsemat::CooMatrix;
 
+    /// The definition: XOR the word with itself shifted right by 1, 2,
+    /// 3, ... until nothing is left.
+    fn gray_rank_by_loop(mut gray: u64) -> u64 {
+        let mut rank = gray;
+        while gray > 0 {
+            gray >>= 1;
+            rank ^= gray;
+        }
+        rank
+    }
+
     #[test]
     fn gray_rank_inverts_gray_code() {
         // gray(k) = k ^ (k >> 1); rank must invert it.
@@ -139,6 +170,63 @@ mod tests {
             let gray = k ^ (k >> 1);
             assert_eq!(gray_rank(gray), k);
         }
+    }
+
+    #[test]
+    fn gray_rank_is_the_loop_on_all_of_u64() {
+        // Every 16-bit bitmap (the default `bitmap_bits`), then words
+        // with bits anywhere.
+        for word in 0..1u64 << 16 {
+            assert_eq!(gray_rank(word), gray_rank_by_loop(word), "{word:#x}");
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..10_000 {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut word = state;
+            word = (word ^ (word >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            word = (word ^ (word >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            word ^= word >> 31;
+            assert_eq!(gray_rank(word), gray_rank_by_loop(word), "{word:#x}");
+        }
+        assert_eq!(gray_rank(u64::MAX), gray_rank_by_loop(u64::MAX));
+    }
+
+    #[test]
+    fn sort_packed_is_the_tuple_sort() {
+        // Ranks up to 63 bits, nnz up to 32, in every mix of widths;
+        // few enough distinct keys that ties fall to the row.
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        for (rank_bits, nnz_bits, rows) in [(1, 1, 50), (16, 5, 3000), (63, 32, 3000), (9, 0, 700)]
+        {
+            let tuples: Vec<(u64, u32, u32)> = (0..rows)
+                .map(|row| {
+                    let rank = next() & ((1 << rank_bits) - 1);
+                    let nnz = next() & ((1 << nnz_bits) - 1);
+                    (rank, nnz as u32, row)
+                })
+                .collect();
+            let mut packed: Vec<u128> = tuples
+                .iter()
+                .map(|&(rank, nnz, row)| (rank as u128) << 64 | (nnz as u128) << 32 | row as u128)
+                .collect();
+            sort_packed(&mut packed);
+            let mut sorted = tuples;
+            sorted.sort_unstable();
+            let rows_of = |t: &[(u64, u32, u32)]| t.iter().map(|t| t.2).collect::<Vec<_>>();
+            assert_eq!(
+                packed.iter().map(|&k| k as u32).collect::<Vec<_>>(),
+                rows_of(&sorted),
+                "rank bits {rank_bits}, nnz bits {nnz_bits}"
+            );
+        }
+        sort_packed(&mut Vec::new());
     }
 
     #[test]

@@ -11,12 +11,8 @@
 use crate::component::{assemble_pieces, ComponentOrdering};
 use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use sparsegraph::{
-    connected_components, expand_frontier_with, pseudo_peripheral_vertex_with, FrontierScratch,
-    Graph, DEFAULT_PAR_FRONTIER_MIN,
-};
+use sparsegraph::{pseudo_peripheral_vertex_with, Graph, LevelStructure};
 use sparsemat::{CsrMatrix, SparseError};
-use team::Exec;
 
 /// Reverse Cuthill–McKee reordering.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,86 +23,33 @@ pub struct Rcm {
 }
 
 impl Rcm {
-    /// Compute the Cuthill–McKee order of a graph (before reversal).
-    pub fn cuthill_mckee_order(g: &Graph) -> Vec<u32> {
-        Rcm::cuthill_mckee_order_with(g, Exec::Sequential, DEFAULT_PAR_FRONTIER_MIN)
-    }
-
-    /// [`Rcm::cuthill_mckee_order`] on an executor, with an explicit
-    /// level-set parallel-expansion cutover (see
-    /// [`ReorderExec::with_frontier_min`]); the order is identical for
-    /// every executor, team size and threshold.
+    /// One component's final bytes: the Cuthill–McKee order of the
+    /// component containing `seed`, reversed unless `plain_cm`.
     ///
-    /// The BFS is level-synchronised: each level is appended to the
-    /// order, then the next level is built by
-    /// [`sparsegraph::expand_frontier_with`] — children claimed by their
-    /// first-in-frontier parent and sorted per parent by
-    /// `(degree, id)`, exactly the queue discipline of the classic
-    /// sequential CM. Wide frontiers expand on the executor's lanes.
-    ///
-    /// The visited flags, claim slots and frontier buffer are
-    /// allocated once and reused across components, so
-    /// many-component (road/circuit) matrices no longer pay a fresh
-    /// queue + children allocation per component.
-    pub fn cuthill_mckee_order_with(g: &Graph, exec: Exec<'_>, frontier_min: usize) -> Vec<u32> {
-        let n = g.num_vertices();
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let scratch = FrontierScratch::new(n);
-        let mut frontier: Vec<u32> = Vec::new();
-        let comps = connected_components(g);
-        // Process components in order of their first (lowest) vertex so
-        // the ordering is deterministic.
-        for comp in &comps.members {
-            Rcm::cm_component_into(
-                g,
-                comp[0] as usize,
-                &mut visited,
-                &scratch,
-                &mut frontier,
-                &mut order,
-                exec,
-                frontier_min,
-            );
-        }
-        order
-    }
-
-    /// Append the Cuthill–McKee order of one component (identified by
-    /// any member vertex) to `order`, sharing the visited flags and
-    /// frontier scratch across calls. The component's sub-order depends
-    /// only on its own subgraph — the invariant the delta splice path
-    /// relies on.
-    #[allow(clippy::too_many_arguments)]
-    fn cm_component_into(
+    /// CM is the level structure rooted at the component's
+    /// pseudo-peripheral vertex with each parent's children sorted by
+    /// `(degree, id)` — the classic single-queue discipline, on
+    /// whatever executor `rx` names (DESIGN §9). Every search runs in
+    /// `levels`, so a component costs no allocation beyond its piece,
+    /// and its sub-order depends only on its own subgraph and `seed` —
+    /// the invariant the delta splice path relies on.
+    fn piece(
+        &self,
         g: &Graph,
-        comp_seed: usize,
-        visited: &mut [bool],
-        scratch: &FrontierScratch,
-        frontier: &mut Vec<u32>,
-        order: &mut Vec<u32>,
-        exec: Exec<'_>,
-        frontier_min: usize,
-    ) {
-        let start = pseudo_peripheral_vertex_with(g, comp_seed, exec, frontier_min);
-        visited[start] = true;
-        frontier.clear();
-        frontier.push(start as u32);
-        while !frontier.is_empty() {
-            order.extend_from_slice(frontier);
-            let next = expand_frontier_with(
-                g,
-                frontier,
-                |u| !visited[u],
-                scratch,
-                exec,
-                frontier_min,
-                |children| children.sort_unstable_by_key(|&u| (g.degree(u as usize), u)),
-            );
-            for &u in &next {
-                visited[u as usize] = true;
-            }
-            *frontier = next;
+        seed: usize,
+        levels: &mut LevelStructure,
+        rx: &ReorderExec<'_>,
+    ) -> Vec<u32> {
+        let (exec, frontier_min) = (rx.exec(), rx.frontier_min());
+        let start = pseudo_peripheral_vertex_with(g, seed, levels, exec, frontier_min);
+        levels.run_on(g, start, exec, frontier_min, |children| {
+            children.sort_unstable_by_key(|&u| (g.degree(u as usize), u))
+        });
+        let cm = levels.reached();
+        if self.plain_cm {
+            cm.to_vec()
+        } else {
+            cm.iter().rev().copied().collect()
         }
     }
 }
@@ -135,36 +78,17 @@ impl ReorderAlgorithm for Rcm {
         true
     }
 
-    /// One component's final RCM bytes: the CM breadth-first order from
-    /// the component's pseudo-peripheral vertex, reversed per piece
-    /// (unless `plain_cm`). Reversing each piece and laying pieces out
-    /// in descending key order is exactly the classic global reversal
-    /// of the ascending CM concatenation.
+    /// Reversing each piece and laying pieces out in descending key
+    /// order is exactly the classic global reversal of the ascending CM
+    /// concatenation.
     fn order_component_on(
         &self,
         g: &Graph,
         comp: &[u32],
         rx: &ReorderExec<'_>,
     ) -> Option<Vec<u32>> {
-        let n = g.num_vertices();
-        let mut visited = vec![false; n];
-        let scratch = FrontierScratch::new(n);
-        let mut frontier: Vec<u32> = Vec::new();
-        let mut piece: Vec<u32> = Vec::with_capacity(comp.len());
-        Rcm::cm_component_into(
-            g,
-            comp[0] as usize,
-            &mut visited,
-            &scratch,
-            &mut frontier,
-            &mut piece,
-            rx.exec(),
-            rx.frontier_min(),
-        );
-        if !self.plain_cm {
-            piece.reverse();
-        }
-        Some(piece)
+        let mut levels = LevelStructure::with_reach(g.num_vertices(), comp.len());
+        Some(self.piece(g, comp[0] as usize, &mut levels, rx))
     }
 
     fn component_layout(&self, meta: &[(u32, usize)]) -> Vec<usize> {
@@ -185,27 +109,14 @@ impl ReorderAlgorithm for Rcm {
         let g = build_ordering_graph(a, rx)?;
         let _span = rx.trace().span("reorder.levels");
         let n = g.num_vertices();
-        let mut visited = vec![false; n];
-        let scratch = FrontierScratch::new(n);
-        let mut frontier: Vec<u32> = Vec::new();
-        let comps = connected_components(&g);
-        let mut pieces: Vec<(u32, Vec<u32>)> = Vec::with_capacity(comps.members.len());
-        for comp in &comps.members {
-            let mut piece: Vec<u32> = Vec::with_capacity(comp.len());
-            Rcm::cm_component_into(
-                &g,
-                comp[0] as usize,
-                &mut visited,
-                &scratch,
-                &mut frontier,
-                &mut piece,
-                rx.exec(),
-                rx.frontier_min(),
-            );
-            if !self.plain_cm {
-                piece.reverse();
+        let mut levels = LevelStructure::new(n);
+        let mut pieces: Vec<(u32, Vec<u32>)> = Vec::new();
+        // A search stamps its own component only, so a vertex no search
+        // has touched is the lowest vertex — the key — of the next one.
+        for s in 0..n {
+            if levels.untouched(s) {
+                pieces.push((s as u32, self.piece(&g, s, &mut levels, rx)));
             }
-            pieces.push((comp[0], piece));
         }
         Ok(Some(assemble_pieces(self, pieces)))
     }
@@ -366,8 +277,8 @@ mod tests {
         coo.push_symmetric(2, 3, 1.0); // vertex 2 has degree 2
         coo.push_symmetric(3, 4, 1.0);
         let a = CsrMatrix::from_coo(&coo);
-        let g = Graph::from_matrix(&a).unwrap();
-        let order = Rcm::cuthill_mckee_order(&g);
+        let cm = Rcm { plain_cm: true }.compute(&a).unwrap().perm;
+        let order = cm.order();
         assert_eq!(order.len(), 5);
         // Wherever 0 appears, 1 (degree 1) must come before 2 (degree 2)
         // if both are children of 0.

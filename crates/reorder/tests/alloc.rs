@@ -1,0 +1,101 @@
+//! A cold RCM allocates a fixed number of blocks, whatever the depth
+//! of its level structures — asserted with a counting global allocator
+//! (the `crates/spmv/tests/no_alloc.rs` pattern; ROADMAP item 2's
+//! "allocations inside the orderings themselves").
+//!
+//! One `#[test]` only: the counter is process-wide, so a second test
+//! running beside it would be counted too.
+
+use reorder::{Rcm, ReorderAlgorithm};
+use sparsemat::{CooMatrix, CsrMatrix, Permutation};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: defers every request to `System` unchanged (`realloc` is the
+// default alloc-copy-dealloc, so it counts as an allocation); the
+// counter is a statistic and publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations requested by any thread while `f` ran.
+fn counted(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// The path 0-1-...-(n-1) with a diagonal: n levels from either end.
+fn path(n: usize) -> CsrMatrix {
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 2.0);
+        if i + 1 < n {
+            coo.push_symmetric(i, i + 1, -1.0);
+        }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// The 5-point 32 x 32 mesh under a pseudo-random symmetric
+/// permutation: 1 024 vertices again, but levels tens of vertices wide.
+fn scrambled_mesh() -> CsrMatrix {
+    let side = 32;
+    let mut coo = CooMatrix::new(side * side, side * side);
+    for r in 0..side {
+        for c in 0..side {
+            let i = r * side + c;
+            coo.push(i, i, 4.0);
+            if r + 1 < side {
+                coo.push_symmetric(i, i + side, -1.0);
+            }
+            if c + 1 < side {
+                coo.push_symmetric(i, i + 1, -1.0);
+            }
+        }
+    }
+    let mut order: Vec<u32> = (0..(side * side) as u32).collect();
+    let mut state = 14u64;
+    for i in (1..order.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        order.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let shuffle = Permutation::from_new_to_old(order).unwrap();
+    CsrMatrix::from_coo(&coo)
+        .permute_symmetric(&shuffle)
+        .unwrap()
+}
+
+#[test]
+fn rcm_allocations_do_not_grow_with_depth() {
+    // 1 024 vertices each: 1 024 levels against a few dozen.
+    let deep = path(1024);
+    let shallow = scrambled_mesh();
+    let rcm = Rcm::default();
+    let on_deep = counted(|| drop(rcm.compute(&deep).unwrap()));
+    let on_shallow = counted(|| drop(rcm.compute(&shallow).unwrap()));
+    assert_eq!(
+        on_deep, on_shallow,
+        "RCM allocations depend on the depth of the level structure"
+    );
+    // The symmetry test's cursors (1), the graph's four arrays, the
+    // level structure's three, the piece and the list holding it (2),
+    // the assembled ordering (4: metadata, layout, order, ranges) and
+    // the permutation's inverse (1).
+    assert_eq!(on_deep, 15, "a cold RCM's allocation count changed");
+}

@@ -6,8 +6,8 @@ use team::Exec;
 /// position costs O(degree) work.
 const FRONTIER_GRAIN: usize = 512;
 
-/// Below this frontier width the one-pass sequential expansion wins:
-/// a team dispatch costs microseconds, claiming a few hundred edges
+/// Below this level width the in-place sequential expansion wins: a
+/// team dispatch costs microseconds, appending a few hundred edges
 /// costs less. PR 5's measurements (CHANGES.md) showed its 1024
 /// cutover flipping whole level-set traversals onto the two-phase path
 /// on hosts where the dispatch never pays for itself; PR 7 re-measured
@@ -17,227 +17,237 @@ const FRONTIER_GRAIN: usize = 512;
 /// hosts tune it back down.
 pub const DEFAULT_PAR_FRONTIER_MIN: usize = 4096;
 
-/// The result of a level-structured breadth-first search.
+/// A rooted level structure — the breadth-first search behind
+/// Cuthill–McKee, GPS and the pseudo-peripheral finder — kept flat and
+/// reusable: one structure serves every search of an ordering, and a
+/// search allocates nothing.
 ///
-/// `levels[k]` holds the vertices at distance `k` from the root;
-/// `level_of[v]` is the distance of `v`, or `usize::MAX` if `v` is
-/// unreachable from the root.
-#[derive(Debug, Clone)]
-pub struct BfsLevels {
-    /// Vertices grouped by distance from the root.
-    pub levels: Vec<Vec<u32>>,
-    /// Distance of every vertex (`usize::MAX` if unreachable).
-    pub level_of: Vec<usize>,
+/// `order` is the BFS queue, which *is* the root's component in visit
+/// order; level `k` is the contiguous range
+/// `order[level_start[k]..level_start[k + 1]]`. A vertex is visited by
+/// the current search iff `stamp[v] == epoch`, so starting a search is
+/// `epoch += 1` rather than an O(n) clear, and `stamp[v] == 0` means
+/// no search of this structure has ever reached `v`
+/// ([`LevelStructure::untouched`]) — which is how RCM and GPS find
+/// the next component without a separate connectivity pass.
+///
+/// See DESIGN §9 for why the expansion is branch-free and why every
+/// executor produces the same bytes.
+#[derive(Debug)]
+pub struct LevelStructure {
+    /// Visit order of the last search in `order[..reached]`, plus one
+    /// slack slot the branch-free append may write but never keeps.
+    order: Vec<u32>,
+    /// `depth + 1` offsets into `order`; empty before the first search.
+    level_start: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Minimum-position-parent slots of the two-phase expansion: empty
+    /// until a level first takes it, `u32::MAX` between levels.
+    claims: Vec<AtomicU32>,
 }
 
-impl BfsLevels {
-    /// Number of levels (the *depth* or eccentricity + 1 of the root
-    /// within its component).
+impl LevelStructure {
+    /// A structure for searches of graphs with `n` vertices.
+    pub fn new(n: usize) -> LevelStructure {
+        LevelStructure::with_reach(n, n)
+    }
+
+    /// Like [`LevelStructure::new`] when no search will reach more
+    /// than `reach` vertices (the caller knows the component, as the
+    /// splice path does): the queue is sized by the component, so only
+    /// the stamps are O(n).
+    pub fn with_reach(n: usize, reach: usize) -> LevelStructure {
+        assert!(n < u32::MAX as usize, "vertex ids must fit in u32");
+        let reach = reach.min(n);
+        LevelStructure {
+            order: vec![0; reach + 1],
+            // A path has as many levels as vertices: reserved, not
+            // touched, so no search ever grows it.
+            level_start: Vec::with_capacity(reach + 2),
+            stamp: vec![0; n],
+            epoch: 0,
+            claims: Vec::new(),
+        }
+    }
+
+    /// Breadth-first search from `root` over its connected component,
+    /// on an executor. `per_parent`
+    /// sees the children each parent just appended and may reorder
+    /// them (Cuthill–McKee sorts by degree; plain BFS passes a no-op).
+    /// Levels at least `frontier_min` wide expand on `exec`'s lanes
+    /// when it has more than one; the result is identical for every
+    /// executor, team size and threshold.
+    pub fn run_on<S>(
+        &mut self,
+        g: &Graph,
+        root: usize,
+        exec: Exec<'_>,
+        frontier_min: usize,
+        per_parent: S,
+    ) where
+        S: Fn(&mut [u32]) + Sync,
+    {
+        let n = g.num_vertices();
+        assert!(root < n, "BFS root {root} out of range for {n} vertices");
+        assert_eq!(
+            self.stamp.len(),
+            n,
+            "level structure sized for another graph"
+        );
+        self.next_epoch();
+        self.stamp[root] = self.epoch;
+        self.order[0] = root as u32;
+        self.level_start.clear();
+        self.level_start.push(0);
+        let (mut lo, mut tail) = (0, 1);
+        while lo < tail {
+            let hi = tail;
+            self.level_start.push(hi as u32);
+            tail = if exec.lanes() > 1 && hi - lo >= frontier_min {
+                self.expand_level_two_phase(g, lo, hi, exec, &per_parent)
+            } else {
+                self.expand_level(g, lo, hi, &per_parent)
+            };
+            lo = hi;
+        }
+    }
+
+    /// Start a new search: bump the epoch, clearing the stamps only
+    /// when the counter wraps (once per 2³² searches).
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Expand level `order[lo..hi]` in place and return the new tail.
+    /// Branch-free: every neighbour is written at the tail, which
+    /// advances only past an unvisited one, so a visited neighbour is
+    /// overwritten by the next write (the slack slot takes the last).
+    fn expand_level<S>(&mut self, g: &Graph, lo: usize, hi: usize, per_parent: &S) -> usize
+    where
+        S: Fn(&mut [u32]),
+    {
+        let epoch = self.epoch;
+        let mut tail = hi;
+        for i in lo..hi {
+            let first = tail;
+            for &u in g.neighbors(self.order[i] as usize) {
+                let seen = &mut self.stamp[u as usize];
+                self.order[tail] = u;
+                tail += usize::from(*seen != epoch);
+                *seen = epoch;
+            }
+            per_parent(&mut self.order[first..tail]);
+        }
+        tail
+    }
+
+    /// [`LevelStructure::expand_level`] for one wide level on a team:
+    /// the same children under the same parents in the same order
+    /// (DESIGN §9), found by a `fetch_min` race over parent positions.
+    fn expand_level_two_phase<S>(
+        &mut self,
+        g: &Graph,
+        lo: usize,
+        hi: usize,
+        exec: Exec<'_>,
+        per_parent: &S,
+    ) -> usize
+    where
+        S: Fn(&mut [u32]) + Sync,
+    {
+        if self.claims.is_empty() {
+            self.claims
+                .resize_with(self.stamp.len(), || AtomicU32::new(u32::MAX));
+        }
+        let (epoch, stamp, claims) = (self.epoch, &self.stamp, &self.claims);
+        let frontier = &self.order[lo..hi];
+        // Claim phase: every unvisited neighbour records its
+        // minimum-position parent. The `run` barrier between the two
+        // phases orders these relaxed writes before the reads below.
+        exec.parallel_for(frontier.len(), FRONTIER_GRAIN, |range| {
+            for i in range {
+                for &u in g.neighbors(frontier[i] as usize) {
+                    if stamp[u as usize] != epoch {
+                        claims[u as usize].fetch_min(i as u32, Ordering::Relaxed);
+                    }
+                }
+            }
+        });
+        // Collect phase: each parent gathers the children it won.
+        let chunks = exec.map_chunks(frontier.len(), FRONTIER_GRAIN, |_, range| {
+            let mut out: Vec<u32> = Vec::new();
+            for i in range {
+                let first = out.len();
+                out.extend(g.neighbors(frontier[i] as usize).iter().filter(|&&u| {
+                    stamp[u as usize] != epoch
+                        && claims[u as usize].load(Ordering::Relaxed) == i as u32
+                }));
+                per_parent(&mut out[first..]);
+            }
+            out
+        });
+        let mut tail = hi;
+        for chunk in chunks {
+            self.order[tail..tail + chunk.len()].copy_from_slice(&chunk);
+            tail += chunk.len();
+        }
+        for &u in &self.order[hi..tail] {
+            self.stamp[u as usize] = epoch;
+            self.claims[u as usize].store(u32::MAX, Ordering::Relaxed);
+        }
+        tail
+    }
+
+    /// Number of levels of the last search (the root's eccentricity
+    /// within its component, plus one).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.level_start.len().saturating_sub(1)
     }
 
     /// Width of the widest level.
     pub fn width(&self) -> usize {
-        self.levels.iter().map(Vec::len).max().unwrap_or(0)
+        self.level_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
-    /// Total number of vertices reached (size of the root's component).
-    pub fn num_reached(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+    /// The vertices at distance `k` from the root, in visit order.
+    pub fn level(&self, k: usize) -> &[u32] {
+        &self.order[self.level_start[k] as usize..self.level_start[k + 1] as usize]
     }
-}
 
-/// Breadth-first search from `root`, producing the rooted level
-/// structure used by Cuthill–McKee and the pseudo-peripheral finder.
-///
-/// Only the connected component containing `root` is traversed.
-pub fn bfs_levels(g: &Graph, root: usize) -> BfsLevels {
-    let n = g.num_vertices();
-    assert!(root < n, "BFS root {root} out of range for {n} vertices");
-    let mut level_of = vec![usize::MAX; n];
-    let mut levels: Vec<Vec<u32>> = Vec::new();
-    let mut frontier = vec![root as u32];
-    level_of[root] = 0;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        let depth = levels.len() + 1;
-        for &v in &frontier {
-            for &u in g.neighbors(v as usize) {
-                if level_of[u as usize] == usize::MAX {
-                    level_of[u as usize] = depth;
-                    next.push(u);
-                }
+    /// The deepest level.
+    pub fn last_level(&self) -> &[u32] {
+        self.level(self.depth() - 1)
+    }
+
+    /// Every vertex the last search reached — the root's connected
+    /// component — in visit order.
+    pub fn reached(&self) -> &[u32] {
+        &self.order[..self.level_start.last().map_or(0, |&end| end as usize)]
+    }
+
+    /// Whether no search of this structure has reached `v` yet.
+    pub fn untouched(&self, v: usize) -> bool {
+        self.stamp[v] == 0
+    }
+
+    /// Write the distance of every reached vertex into `level_of[v]`;
+    /// entries of unreached vertices are left alone.
+    pub fn write_levels(&self, level_of: &mut [u32]) {
+        for k in 0..self.depth() {
+            for &v in self.level(k) {
+                level_of[v as usize] = k as u32;
             }
         }
-        levels.push(frontier);
-        frontier = next;
     }
-    BfsLevels { levels, level_of }
-}
-
-/// [`bfs_levels`] on an executor: frontiers wide enough to amortise a
-/// dispatch are expanded in parallel via [`expand_frontier_with`], and
-/// the result is byte-identical to the sequential search (see the
-/// determinism argument there). Levels narrower than `frontier_min`
-/// (default cutover: [`DEFAULT_PAR_FRONTIER_MIN`]) are expanded by the
-/// one-pass sequential loop even on a team. The threshold changes
-/// wall-clock only — the returned level structure is identical for
-/// every value.
-pub fn bfs_levels_with(g: &Graph, root: usize, exec: Exec<'_>, frontier_min: usize) -> BfsLevels {
-    if exec.lanes() == 1 {
-        return bfs_levels(g, root);
-    }
-    let n = g.num_vertices();
-    assert!(root < n, "BFS root {root} out of range for {n} vertices");
-    let mut level_of = vec![usize::MAX; n];
-    let scratch = FrontierScratch::new(n);
-    let mut levels: Vec<Vec<u32>> = Vec::new();
-    let mut frontier = vec![root as u32];
-    level_of[root] = 0;
-    while !frontier.is_empty() {
-        let depth = levels.len() + 1;
-        let next = expand_frontier_with(
-            g,
-            &frontier,
-            |u| level_of[u] == usize::MAX,
-            &scratch,
-            exec,
-            frontier_min,
-            |_| {},
-        );
-        for &u in &next {
-            level_of[u as usize] = depth;
-        }
-        levels.push(std::mem::replace(&mut frontier, next));
-    }
-    BfsLevels { levels, level_of }
-}
-
-/// Per-vertex claim slots reused across the levels of one traversal
-/// (allocate once per search or per ordering, not per level).
-///
-/// A slot holds the frontier position of the parent that claimed the
-/// vertex this level, or `u32::MAX` when unclaimed. Slots are restored
-/// to `u32::MAX` by [`expand_frontier_with`] before it returns.
-pub struct FrontierScratch {
-    claims: Vec<AtomicU32>,
-}
-
-impl FrontierScratch {
-    /// Claim slots for a graph with `n` vertices.
-    pub fn new(n: usize) -> FrontierScratch {
-        FrontierScratch {
-            claims: (0..n).map(|_| AtomicU32::new(u32::MAX)).collect(),
-        }
-    }
-
-    /// Number of vertices the scratch covers.
-    pub fn len(&self) -> usize {
-        self.claims.len()
-    }
-
-    /// Whether the scratch covers zero vertices.
-    pub fn is_empty(&self) -> bool {
-        self.claims.is_empty()
-    }
-}
-
-/// Expand one BFS level: return the vertices adjacent to `frontier`
-/// for which `unvisited` holds, each appearing exactly once, grouped
-/// by the *lowest-positioned* frontier parent that reaches them and
-/// ordered within a parent's group by `sort_children` (pass a no-op
-/// for adjacency order). The caller marks the returned vertices
-/// visited before the next expansion. Frontiers narrower than
-/// `frontier_min` always take the one-pass sequential expansion;
-/// output is identical for every threshold — only the dispatch
-/// decision changes.
-///
-/// # Determinism
-///
-/// The sequential one-pass expansion ("first parent to scan a vertex
-/// claims it") assigns every vertex to its minimum-position parent,
-/// because parents are scanned in frontier order. The parallel path
-/// computes the same assignment explicitly — a `fetch_min` race over
-/// parent positions is order-independent — then concatenates per-chunk
-/// child lists in chunk order, which is frontier order. Both paths
-/// therefore return the exact same vertex sequence for every executor
-/// and team size; narrow frontiers take the sequential path outright.
-pub fn expand_frontier_with<P, S>(
-    g: &Graph,
-    frontier: &[u32],
-    unvisited: P,
-    scratch: &FrontierScratch,
-    exec: Exec<'_>,
-    frontier_min: usize,
-    sort_children: S,
-) -> Vec<u32>
-where
-    P: Fn(usize) -> bool + Sync,
-    S: Fn(&mut Vec<u32>) + Sync,
-{
-    debug_assert!(scratch.len() >= g.num_vertices());
-    let claims = &scratch.claims;
-    if exec.lanes() == 1 || frontier.len() < frontier_min {
-        // One-pass: claims double as claimed-this-level flags, so the
-        // first (= minimum-position) parent wins, as in the parallel
-        // path.
-        let mut next: Vec<u32> = Vec::new();
-        let mut children: Vec<u32> = Vec::new();
-        for (i, &v) in frontier.iter().enumerate() {
-            children.clear();
-            for &u in g.neighbors(v as usize) {
-                let slot = &claims[u as usize];
-                if unvisited(u as usize) && slot.load(Ordering::Relaxed) == u32::MAX {
-                    slot.store(i as u32, Ordering::Relaxed);
-                    children.push(u);
-                }
-            }
-            sort_children(&mut children);
-            next.extend_from_slice(&children);
-        }
-        for &u in &next {
-            claims[u as usize].store(u32::MAX, Ordering::Relaxed);
-        }
-        return next;
-    }
-    // Claim phase: every unvisited neighbour records its
-    // minimum-position parent. The `run` barrier between the two
-    // phases orders these relaxed writes before the reads below.
-    exec.parallel_for(frontier.len(), FRONTIER_GRAIN, |range| {
-        for i in range {
-            for &u in g.neighbors(frontier[i] as usize) {
-                if unvisited(u as usize) {
-                    claims[u as usize].fetch_min(i as u32, Ordering::Relaxed);
-                }
-            }
-        }
-    });
-    // Collect phase: each parent gathers the children it won, chunks
-    // concatenate in frontier order.
-    let chunks = exec.map_chunks(frontier.len(), FRONTIER_GRAIN, |_, range| {
-        let mut out: Vec<u32> = Vec::new();
-        let mut children: Vec<u32> = Vec::new();
-        for i in range {
-            children.clear();
-            for &u in g.neighbors(frontier[i] as usize) {
-                if unvisited(u as usize) && claims[u as usize].load(Ordering::Relaxed) == i as u32 {
-                    children.push(u);
-                }
-            }
-            sort_children(&mut children);
-            out.extend_from_slice(&children);
-        }
-        out
-    });
-    let mut next: Vec<u32> = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for chunk in chunks {
-        next.extend(chunk);
-    }
-    for &u in &next {
-        claims[u as usize].store(u32::MAX, Ordering::Relaxed);
-    }
-    next
 }
 
 #[cfg(test)]
@@ -259,45 +269,68 @@ mod tests {
         Graph::from_adjacency(xadj, adjncy).unwrap()
     }
 
+    fn searched(g: &Graph, root: usize) -> LevelStructure {
+        let mut b = LevelStructure::new(g.num_vertices());
+        b.run_on(g, root, Exec::Sequential, usize::MAX, |_| {});
+        b
+    }
+
     #[test]
     fn bfs_on_path_has_linear_levels() {
         let g = path(5);
-        let b = bfs_levels(&g, 0);
+        let b = searched(&g, 0);
         assert_eq!(b.depth(), 5);
         assert_eq!(b.width(), 1);
-        assert_eq!(b.num_reached(), 5);
-        for v in 0..5 {
-            assert_eq!(b.level_of[v], v);
-        }
+        assert_eq!(b.reached().len(), 5);
+        let mut level_of = vec![u32::MAX; 5];
+        b.write_levels(&mut level_of);
+        assert_eq!(level_of, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn bfs_from_middle() {
         let g = path(5);
-        let b = bfs_levels(&g, 2);
+        let b = searched(&g, 2);
         assert_eq!(b.depth(), 3);
-        assert_eq!(b.levels[0], vec![2]);
-        let mut l1 = b.levels[1].clone();
+        assert_eq!(b.level(0), &[2]);
+        let mut l1 = b.level(1).to_vec();
         l1.sort();
         assert_eq!(l1, vec![1, 3]);
+        assert_eq!(b.last_level().len(), 2);
     }
 
     #[test]
     fn bfs_ignores_other_components() {
         // Two disconnected edges: 0-1, 2-3.
         let g = Graph::from_adjacency(vec![0, 1, 2, 3, 4], vec![1, 0, 3, 2]).unwrap();
-        let b = bfs_levels(&g, 0);
-        assert_eq!(b.num_reached(), 2);
-        assert_eq!(b.level_of[2], usize::MAX);
-        assert_eq!(b.level_of[3], usize::MAX);
+        let mut b = searched(&g, 0);
+        assert_eq!(b.reached(), &[0, 1]);
+        let mut level_of = vec![u32::MAX; 4];
+        b.write_levels(&mut level_of);
+        assert_eq!(level_of[2..], [u32::MAX, u32::MAX]);
+        assert!(!b.untouched(1) && b.untouched(2) && b.untouched(3));
+        // A second search forgets the first one's visits but not that
+        // they happened.
+        b.run_on(&g, 3, Exec::Sequential, usize::MAX, |_| {});
+        assert_eq!(b.reached(), &[3, 2]);
+        assert!(!b.untouched(0));
     }
 
     #[test]
     fn bfs_single_vertex() {
         let g = Graph::from_adjacency(vec![0, 0], vec![]).unwrap();
-        let b = bfs_levels(&g, 0);
+        let b = searched(&g, 0);
         assert_eq!(b.depth(), 1);
-        assert_eq!(b.levels[0], vec![0]);
+        assert_eq!(b.level(0), &[0]);
+    }
+
+    #[test]
+    fn a_known_component_needs_only_its_own_queue() {
+        // 0-1 and 2-3-4: searching the larger one with reach 3.
+        let g = Graph::from_adjacency(vec![0, 1, 2, 3, 5, 6], vec![1, 0, 3, 2, 4, 3]).unwrap();
+        let mut b = LevelStructure::with_reach(5, 3);
+        b.run_on(&g, 3, Exec::Sequential, usize::MAX, |_| {});
+        assert_eq!(b.reached(), &[3, 2, 4]);
     }
 
     /// A random-ish graph with wide levels: a union of rings plus
@@ -343,7 +376,7 @@ mod tests {
     fn parallel_bfs_matches_sequential() {
         let g = chorded(20_000, 42);
         let registry = telemetry::Registry::new_arc();
-        let seq = bfs_levels(&g, 0);
+        let seq = searched(&g, 0);
         // A low explicit threshold forces the two-phase path onto this
         // graph's levels regardless of where the tuned default sits.
         const FORCED_MIN: usize = 1024;
@@ -354,34 +387,19 @@ mod tests {
         );
         for size in [1usize, 2, 4, 8] {
             let t = team::ThreadTeam::new_in(&registry, size);
-            let par = bfs_levels_with(&g, 0, Exec::Team(&t), FORCED_MIN);
-            assert_eq!(seq.level_of, par.level_of, "team size {size}");
-            assert_eq!(seq.levels, par.levels, "team size {size}");
-            // The default threshold must agree as well.
-            let par_default = bfs_levels_with(&g, 0, Exec::Team(&t), DEFAULT_PAR_FRONTIER_MIN);
-            assert_eq!(seq.level_of, par_default.level_of, "team size {size}");
-        }
-    }
-
-    #[test]
-    fn expand_frontier_restores_scratch() {
-        let g = path(10);
-        let scratch = FrontierScratch::new(10);
-        let visited = [
-            true, false, false, false, false, false, false, false, false, false,
-        ];
-        let next = expand_frontier_with(
-            &g,
-            &[0],
-            |u| !visited[u],
-            &scratch,
-            Exec::Sequential,
-            DEFAULT_PAR_FRONTIER_MIN,
-            |_| {},
-        );
-        assert_eq!(next, vec![1]);
-        for c in &scratch.claims {
-            assert_eq!(c.load(Ordering::Relaxed), u32::MAX);
+            let mut par = LevelStructure::new(g.num_vertices());
+            for frontier_min in [FORCED_MIN, DEFAULT_PAR_FRONTIER_MIN] {
+                par.run_on(&g, 0, Exec::Team(&t), frontier_min, |_| {});
+                assert_eq!(seq.level_start, par.level_start, "team size {size}");
+                assert_eq!(seq.reached(), par.reached(), "team size {size}");
+            }
+            // The two-phase path ran (on a real team) and left every
+            // claim slot free for the next level.
+            assert_eq!(par.claims.is_empty(), size == 1);
+            assert!(par
+                .claims
+                .iter()
+                .all(|c| c.load(Ordering::Relaxed) == u32::MAX));
         }
     }
 }

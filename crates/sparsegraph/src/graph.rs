@@ -111,9 +111,9 @@ impl Graph {
 
     /// Like [`Graph::from_matrix`] for a matrix the caller already
     /// knows to be structurally symmetric — skips the symmetry check
-    /// (itself a full transpose) and the symmetrisation. Callers that
-    /// symmetrise explicitly (e.g. the parallel reordering path) use
-    /// this to avoid paying for the transpose twice.
+    /// and the symmetrisation. Callers that symmetrise explicitly (e.g.
+    /// the parallel reordering path) use this to avoid checking what
+    /// they just built.
     ///
     /// The pattern is *not* re-verified; an unsymmetric input yields a
     /// graph whose adjacency is not symmetric, which the traversals in
@@ -126,18 +126,22 @@ impl Graph {
             });
         }
         let n = m.nrows();
+        let (rowptr, colidx) = (m.rowptr(), m.colidx());
         let mut xadj = Vec::with_capacity(n + 1);
         xadj.push(0usize);
-        let mut adjncy = Vec::with_capacity(m.nnz());
+        // Write every entry at the tail and advance past it unless it
+        // is the diagonal: no branch per entry, and the tail never
+        // overtakes the entries read.
+        let mut adjncy = vec![0u32; m.nnz()];
+        let mut tail = 0;
         for v in 0..n {
-            let (cols, _) = m.row(v);
-            for &c in cols {
-                if c as usize != v {
-                    adjncy.push(c);
-                }
+            for &c in &colidx[rowptr[v]..rowptr[v + 1]] {
+                adjncy[tail] = c;
+                tail += usize::from(c as usize != v);
             }
-            xadj.push(adjncy.len());
+            xadj.push(tail);
         }
+        adjncy.truncate(tail);
         let nedges = adjncy.len();
         Ok(Graph {
             xadj,

@@ -10,8 +10,15 @@
 //! that has a nonzero in that column.
 //!
 //! This crate provides both models plus the graph traversal machinery
-//! the reorderings need: breadth-first search with level sets, the
-//! George–Liu pseudo-peripheral vertex finder, and connected components.
+//! the reorderings need. Every level-set traversal — the George–Liu
+//! pseudo-peripheral finder's searches, Cuthill–McKee, GPS's two rooted
+//! structures — is a run of one flat, reusable [`LevelStructure`]: a
+//! queue that is the component in visit order, level offsets into it,
+//! and epoch stamps, so a search allocates nothing and clears nothing,
+//! and the next unstamped vertex is the next component. DESIGN §9 has
+//! the expansion and the argument that every executor produces the
+//! same bytes. [`connected_components`] remains for callers that want
+//! the partition itself (AMD, the incremental tracker).
 
 mod bfs;
 mod components;
@@ -20,12 +27,9 @@ mod hypergraph;
 mod incremental;
 mod peripheral;
 
-pub use bfs::{
-    bfs_levels, bfs_levels_with, expand_frontier_with, BfsLevels, FrontierScratch,
-    DEFAULT_PAR_FRONTIER_MIN,
-};
+pub use bfs::{LevelStructure, DEFAULT_PAR_FRONTIER_MIN};
 pub use components::{connected_components, Components};
 pub use graph::Graph;
 pub use hypergraph::Hypergraph;
 pub use incremental::{ComponentDelta, IncrementalComponents};
-pub use peripheral::{pseudo_peripheral_vertex, pseudo_peripheral_vertex_with};
+pub use peripheral::pseudo_peripheral_vertex_with;

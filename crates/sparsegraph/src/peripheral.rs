@@ -1,4 +1,4 @@
-use crate::{bfs_levels_with, Graph, DEFAULT_PAR_FRONTIER_MIN};
+use crate::{Graph, LevelStructure};
 use team::Exec;
 
 /// Find a pseudo-peripheral vertex of the component containing `start`,
@@ -9,51 +9,55 @@ use team::Exec;
 /// until the eccentricity stops increasing. The returned vertex is a
 /// good Cuthill–McKee starting point: its BFS level structure is deep
 /// and narrow, which translates into small bandwidth after reordering.
-pub fn pseudo_peripheral_vertex(g: &Graph, start: usize) -> usize {
-    pseudo_peripheral_vertex_with(g, start, Exec::Sequential, DEFAULT_PAR_FRONTIER_MIN)
-}
-
-/// [`pseudo_peripheral_vertex`] on an executor. The repeated level
-/// structures dominate the finder's cost and parallelise through
-/// [`bfs_levels_with`] (`frontier_min` is its parallel-expansion
-/// cutover; the returned vertex is identical for every threshold); the
-/// min-degree candidate selection keeps its first-minimum (within-level
-/// order) semantics, which parallel BFS preserves exactly.
+///
+/// Every search runs in the caller's `levels`; on return it holds the
+/// level structure rooted at the returned vertex. The searches dominate
+/// the finder's cost and parallelise through
+/// [`LevelStructure::run_on`] (`frontier_min` is its cutover; the
+/// returned vertex is identical for every threshold); the candidate is
+/// the *first* minimum-degree vertex of the deepest level in visit
+/// order, which every executor reproduces exactly.
 pub fn pseudo_peripheral_vertex_with(
     g: &Graph,
     start: usize,
+    levels: &mut LevelStructure,
     exec: Exec<'_>,
     frontier_min: usize,
 ) -> usize {
     let mut root = start;
-    let mut b = bfs_levels_with(g, root, exec, frontier_min);
+    levels.run_on(g, root, exec, frontier_min, |_| {});
     loop {
-        let last = b
-            .levels
-            .last()
-            .expect("BFS always produces at least one level");
-        // Minimum-degree vertex of the deepest level.
-        let candidate = *last
+        let depth = levels.depth();
+        let candidate = *levels
+            .last_level()
             .iter()
             .min_by_key(|&&v| g.degree(v as usize))
             .expect("levels are non-empty") as usize;
         if candidate == root {
             return root;
         }
-        let b2 = bfs_levels_with(g, candidate, exec, frontier_min);
-        if b2.depth() > b.depth() {
-            root = candidate;
-            b = b2;
-        } else {
+        levels.run_on(g, candidate, exec, frontier_min, |_| {});
+        if levels.depth() <= depth {
             return candidate;
         }
+        root = candidate;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs_levels;
+
+    fn pseudo_peripheral_vertex(g: &Graph, start: usize) -> usize {
+        let mut levels = LevelStructure::new(g.num_vertices());
+        pseudo_peripheral_vertex_with(g, start, &mut levels, Exec::Sequential, usize::MAX)
+    }
+
+    fn depth_from(g: &Graph, root: usize) -> usize {
+        let mut levels = LevelStructure::new(g.num_vertices());
+        levels.run_on(g, root, Exec::Sequential, usize::MAX, |_| {});
+        levels.depth()
+    }
 
     fn path(n: usize) -> Graph {
         let mut xadj = vec![0usize];
@@ -81,7 +85,7 @@ mod tests {
     fn starting_at_endpoint_stays_peripheral() {
         let g = path(7);
         let v = pseudo_peripheral_vertex(&g, 0);
-        let depth = bfs_levels(&g, v).depth();
+        let depth = depth_from(&g, v);
         assert_eq!(depth, 7, "peripheral vertex must realise full diameter");
     }
 
@@ -125,7 +129,7 @@ mod tests {
         }
         let g = Graph::from_adjacency(xadj, adjncy).unwrap();
         let v = pseudo_peripheral_vertex(&g, 12); // center
-        let ecc = bfs_levels(&g, v).depth() - 1;
+        let ecc = depth_from(&g, v) - 1;
         assert_eq!(ecc, 8, "grid pseudo-peripheral vertex should be a corner");
     }
 }

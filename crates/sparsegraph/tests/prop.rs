@@ -1,8 +1,11 @@
 //! Property-based tests for the graph/hypergraph substrate.
 
 use proptest::prelude::*;
-use sparsegraph::{bfs_levels, connected_components, pseudo_peripheral_vertex, Graph, Hypergraph};
+use sparsegraph::{
+    connected_components, pseudo_peripheral_vertex_with, Graph, Hypergraph, LevelStructure,
+};
 use sparsemat::{CooMatrix, CsrMatrix};
+use team::Exec;
 
 fn sym_matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
     (
@@ -22,6 +25,12 @@ fn sym_matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
             }
             CsrMatrix::from_coo(&coo)
         })
+}
+
+fn searched(g: &Graph, root: usize) -> LevelStructure {
+    let mut levels = LevelStructure::new(g.num_vertices());
+    levels.run_on(g, root, Exec::Sequential, usize::MAX, |_| {});
+    levels
 }
 
 proptest! {
@@ -47,20 +56,27 @@ proptest! {
     #[test]
     fn bfs_levels_partition_the_component(a in sym_matrix_strategy()) {
         let g = Graph::from_matrix(&a).unwrap();
-        let b = bfs_levels(&g, 0);
-        // Levels are disjoint and adjacent levels differ by exactly 1.
+        let b = searched(&g, 0);
+        let mut level_of = vec![u32::MAX; g.num_vertices()];
+        b.write_levels(&mut level_of);
+        // Levels are disjoint, tile the visit order, and cover exactly
+        // the root's component.
         let mut seen = std::collections::HashSet::new();
-        for (k, level) in b.levels.iter().enumerate() {
-            for &v in level {
+        for k in 0..b.depth() {
+            prop_assert!(!b.level(k).is_empty(), "level {} is empty", k);
+            for &v in b.level(k) {
                 prop_assert!(seen.insert(v), "vertex {} in two levels", v);
-                prop_assert_eq!(b.level_of[v as usize], k);
+                prop_assert_eq!(level_of[v as usize], k as u32);
             }
         }
+        prop_assert_eq!(seen.len(), b.reached().len());
+        let c = connected_components(&g);
+        prop_assert_eq!(seen.len(), c.members[c.component_of[0] as usize].len());
         // Edge level gap is at most 1 within the component.
         for v in 0..g.num_vertices() {
-            if b.level_of[v] == usize::MAX { continue; }
+            if level_of[v] == u32::MAX { continue; }
             for &u in g.neighbors(v) {
-                let d = b.level_of[v].abs_diff(b.level_of[u as usize]);
+                let d = level_of[v].abs_diff(level_of[u as usize]);
                 prop_assert!(d <= 1, "edge ({v}, {u}) spans {d} levels");
             }
         }
@@ -83,9 +99,10 @@ proptest! {
     #[test]
     fn pseudo_peripheral_has_maximal_or_near_depth(a in sym_matrix_strategy()) {
         let g = Graph::from_matrix(&a).unwrap();
-        let p = pseudo_peripheral_vertex(&g, 0);
-        let depth_p = bfs_levels(&g, p).depth();
-        let depth_0 = bfs_levels(&g, 0).depth();
+        let mut levels = LevelStructure::new(g.num_vertices());
+        let p = pseudo_peripheral_vertex_with(&g, 0, &mut levels, Exec::Sequential, usize::MAX);
+        let depth_p = searched(&g, p).depth();
+        let depth_0 = searched(&g, 0).depth();
         prop_assert!(depth_p >= depth_0, "peripheral depth {depth_p} < start depth {depth_0}");
     }
 

@@ -8,13 +8,35 @@ pub(crate) const PAR_ROW_GRAIN: usize = 512;
 
 /// True if the sparsity pattern of a square matrix is symmetric
 /// (an entry at `(i, j)` implies an entry at `(j, i)`; values are
-/// ignored).
+/// ignored) — precisely: if the pattern of `a.transpose()` equals
+/// `a`'s, array for array, for any `CsrMatrix` (unsorted or duplicate
+/// columns included).
+///
+/// The transpose is never built. It would fill its row `j` with the
+/// rows `i` that store column `j`, in storage order; so walk the
+/// entries in that order with one cursor per row, starting at the
+/// row's first entry, and require entry `(i, j)` to find `i` under
+/// row `j`'s cursor before advancing it. The first mismatch, or a
+/// cursor at its row's end, answers `false`. If every entry passes,
+/// each of the `nnz` visits consumed a slot of its own inside the
+/// right row, so every row is consumed exactly — the transpose's row
+/// pointers are `a`'s too.
 pub fn is_structurally_symmetric(a: &CsrMatrix) -> bool {
     if !a.is_square() {
         return false;
     }
-    let t = a.transpose();
-    a.rowptr() == t.rowptr() && a.colidx() == t.colidx()
+    let (rowptr, colidx) = (a.rowptr(), a.colidx());
+    let mut cursor = rowptr[..a.nrows()].to_vec();
+    for i in 0..a.nrows() {
+        for &j in &colidx[rowptr[i]..rowptr[i + 1]] {
+            let at = cursor[j as usize];
+            if at == rowptr[j as usize + 1] || colidx[at] as usize != i {
+                return false;
+            }
+            cursor[j as usize] = at + 1;
+        }
+    }
+    true
 }
 
 /// The structural symmetrisation `A + Aᵀ` (pattern only, values 1.0).

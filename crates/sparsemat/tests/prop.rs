@@ -358,6 +358,106 @@ fn assert_same_bytes(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
     );
 }
 
+/// What `is_structurally_symmetric` means, the slow way: the pattern
+/// of the transpose is the matrix's own, array for array.
+fn symmetric_by_transpose(a: &CsrMatrix) -> bool {
+    let t = a.transpose();
+    a.is_square() && a.rowptr() == t.rowptr() && a.colidx() == t.colidx()
+}
+
+/// A CSR matrix straight from per-row column lists, kept as given —
+/// unsorted, with duplicates — through the safe `from_parts_unchecked`.
+fn raw_csr(ncols: usize, rows: &[Vec<u32>]) -> CsrMatrix {
+    let mut rowptr = vec![0usize];
+    let mut colidx = Vec::new();
+    for row in rows {
+        colidx.extend_from_slice(row);
+        rowptr.push(colidx.len());
+    }
+    let values = vec![1.0; colidx.len()];
+    CsrMatrix::from_parts_unchecked(rows.len(), ncols, rowptr, colidx, values)
+}
+
+/// Strategy: per-row column lists of a square pattern that is
+/// symmetric *with multiplicity* — `(i, j)` stored as often as
+/// `(j, i)` — rows sorted; most rows of the larger ones stay empty.
+fn symmetric_rows_strategy() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    (1usize..16).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n, 1usize..3), 0..24).prop_map(move |pairs| {
+            let mut rows = vec![Vec::new(); n];
+            for (i, j, copies) in pairs {
+                for _ in 0..copies {
+                    rows[i].push(j as u32);
+                    if i != j {
+                        rows[j].push(i as u32);
+                    }
+                }
+            }
+            for row in &mut rows {
+                row.sort_unstable();
+            }
+            rows
+        })
+    })
+}
+
+proptest! {
+    /// The cursor walk answers what the transpose comparison answers on
+    /// canonical matrices, square and rectangular, dense and mostly
+    /// empty.
+    #[test]
+    fn symmetry_test_equals_the_transpose_comparison(coo in coo_strategy()) {
+        let a = CsrMatrix::from_coo(&coo);
+        prop_assert_eq!(sparsemat::is_structurally_symmetric(&a), symmetric_by_transpose(&a));
+        // The same entries plus their mirror images, where that fits.
+        let mut both = coo.clone();
+        if a.is_square() {
+            for (i, j, v) in coo.iter() {
+                both.push(j, i, v);
+            }
+        }
+        let s = CsrMatrix::from_coo(&both);
+        prop_assert_eq!(sparsemat::is_structurally_symmetric(&s), a.is_square());
+        prop_assert_eq!(symmetric_by_transpose(&s), a.is_square());
+    }
+
+    /// ... and on what `from_parts_unchecked` lets through: duplicate
+    /// columns (symmetric if the multiplicities are), one entry
+    /// removed, one row out of order.
+    #[test]
+    fn symmetry_test_equals_the_transpose_comparison_on_raw_patterns(
+        rows in symmetric_rows_strategy(),
+        pick in 0usize..1000,
+    ) {
+        let n = rows.len();
+        let a = raw_csr(n, &rows);
+        prop_assert!(symmetric_by_transpose(&a));
+        prop_assert!(sparsemat::is_structurally_symmetric(&a));
+
+        // Remove one stored off-diagonal entry, if there is one.
+        let off_diagonal: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (0..rows[i].len()).map(move |k| (i, k)))
+            .filter(|&(i, k)| rows[i][k] as usize != i)
+            .collect();
+        if !off_diagonal.is_empty() {
+            let (i, k) = off_diagonal[pick % off_diagonal.len()];
+            let mut fewer = rows.clone();
+            fewer[i].remove(k);
+            let b = raw_csr(n, &fewer);
+            prop_assert!(!symmetric_by_transpose(&b));
+            prop_assert!(!sparsemat::is_structurally_symmetric(&b));
+        }
+
+        // Store one row backwards: the same entries, but the transpose
+        // lists every row ascending.
+        let mut unsorted = rows.clone();
+        unsorted[pick % n].reverse();
+        let c = raw_csr(n, &unsorted);
+        prop_assert_eq!(sparsemat::is_structurally_symmetric(&c), symmetric_by_transpose(&c));
+        prop_assert_eq!(symmetric_by_transpose(&c), unsorted == rows);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
