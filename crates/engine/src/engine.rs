@@ -1,17 +1,17 @@
-//! The engine facade: the batched session API over the cache and the
-//! worker pool.
+//! The engine facade: the session API over the ordering cache. A miss
+//! is computed on the thread that asked, and concurrent requests for
+//! the same key coalesce onto that one computation.
 
 use crate::cache::{CacheStats, CachedOrdering, OrderingCache, OrderingKey};
 use crate::lru::{CacheMetrics, LruCache};
 use crate::plans::{PlanCacheStats, PlanKey, PLAN_CACHE_CAPACITY};
-use crate::pool::{spawn_pool, InFlight, Job, PoolMetrics, WorkerContext};
 use crate::AlgoSpec;
+use reorder::ReorderAlgorithm;
 use sparsemat::CsrMatrix;
 use spmv::{Kernel, KernelKind};
 use std::collections::HashMap;
-use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use telemetry::trace::{TraceCtx, TraceSpan};
 use telemetry::{Counter, Gauge, Histogram, Registry};
@@ -24,17 +24,18 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads computing reorderings.
+    /// Inert: nothing reads it. A miss is computed on the thread that
+    /// asked, so the engine has no threads of its own to size. The
+    /// field stays only because `sysbench` sets it, and goes with the
+    /// next change to that benchmark.
     pub workers: usize,
     /// Lanes of the shared reordering [`ThreadTeam`](team::ThreadTeam):
     /// the parallel stages of each ordering (symmetrisation, level-set
     /// expansion, permutation application) dispatch on this team. `1`
-    /// keeps every ordering inline on its worker thread (the
-    /// sequential path; permutations are byte-identical either way).
+    /// keeps every ordering inline on the thread that asked for it
+    /// (the sequential path; permutations are byte-identical either
+    /// way).
     pub reorder_threads: usize,
-    /// Bounded job-queue capacity; submissions past this block (back-
-    /// pressure).
-    pub queue_capacity: usize,
     /// In-memory ordering-cache capacity, in entries.
     pub cache_capacity: usize,
     /// Telemetry registry the engine reports into (`engine.*`,
@@ -45,22 +46,17 @@ pub struct EngineConfig {
     /// Labels stamped on every metric series this engine resolves
     /// (`engine.*`). Several engines sharing one registry — the serving
     /// tier runs one per shard — pass e.g. `[("shard", "2")]` so their
-    /// queue-depth gauges and cache counters stay distinct series
-    /// instead of colliding on the global names. Empty means unlabeled
-    /// (the single-engine default).
+    /// cache and compute counters stay distinct series instead of
+    /// colliding on the global names. Empty means unlabeled (the
+    /// single-engine default).
     pub metric_labels: Vec<(String, String)>,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .min(8);
         EngineConfig {
-            workers,
+            workers: 1,
             reorder_threads: 1,
-            queue_capacity: 256,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             registry: None,
             metric_labels: Vec::new(),
@@ -71,12 +67,12 @@ impl Default for EngineConfig {
 /// Errors surfaced by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// The underlying algorithm failed (e.g. non-square input).
+    /// The algorithm failed (e.g. non-square input) or panicked;
+    /// nothing was cached.
     Compute { algo: AlgoSpec, message: String },
-    /// The engine is shutting down and cannot accept work.
-    ShuttingDown,
-    /// The request's deadline passed before a worker picked it up; the
-    /// ordering was never computed (see [`SubmitOptions::deadline`]).
+    /// The request's deadline had passed when its computation would
+    /// have started; the ordering was never computed (see
+    /// [`SubmitOptions::deadline`]).
     Expired,
 }
 
@@ -86,7 +82,6 @@ impl std::fmt::Display for EngineError {
             EngineError::Compute { algo, message } => {
                 write!(f, "{} failed: {message}", algo.name())
             }
-            EngineError::ShuttingDown => write!(f, "engine is shutting down"),
             EngineError::Expired => write!(f, "request deadline expired before compute started"),
         }
     }
@@ -133,22 +128,23 @@ pub struct EngineStats {
     pub cache: CacheStats,
     /// Requests that coalesced onto an already in-flight computation.
     pub coalesced: u64,
-    /// Jobs actually computed by the pool.
+    /// Orderings computed, spliced or in full.
     pub jobs_executed: u64,
-    /// Jobs whose computation failed.
+    /// Computations that failed or panicked.
     pub jobs_failed: u64,
-    /// Jobs cancelled before compute because their deadline passed.
+    /// Misses answered [`EngineError::Expired`] instead of computing.
     pub expired: u64,
-    /// Total wall-clock compute seconds across all executed jobs.
+    /// Total wall-clock compute seconds across all computations.
     pub compute_seconds: f64,
     /// Total requests submitted.
     pub submitted: u64,
     /// Planned-kernel cache counters.
     pub plans: PlanCacheStats,
-    /// Jobs whose lineage probe found a cached ancestor ordering.
+    /// Computations whose lineage probe found a cached ancestor
+    /// ordering.
     pub delta_hits: u64,
-    /// Jobs served by splicing dirty components instead of a full
-    /// recompute.
+    /// Computations served by splicing dirty components instead of a
+    /// full recompute.
     pub delta_splices: u64,
 }
 
@@ -186,12 +182,12 @@ impl std::fmt::Display for EngineStats {
 /// Per-request submission options for [`Engine::submit_opts`].
 #[derive(Debug, Clone)]
 pub struct SubmitOptions {
-    /// Absolute deadline. If it passes before a worker starts the
-    /// ordering, the request is cancelled with [`EngineError::Expired`]
+    /// Absolute deadline. A request that has to compute its ordering
+    /// and finds this instant passed answers [`EngineError::Expired`]
     /// instead of computing — the cancellation hook the serving tier's
-    /// deadline enforcement rests on. Requests that coalesce onto the
-    /// same in-flight computation extend its deadline to the latest
-    /// one; `None` means unbounded.
+    /// deadline enforcement rests on. A request that coalesces onto a
+    /// computation already running waits for it whatever its deadline;
+    /// `None` means unbounded.
     pub deadline: Option<Instant>,
     /// Parent trace context — the whole of engine tracing: when it is
     /// recording, the request's `engine.request` span and every stage
@@ -209,48 +205,56 @@ impl Default for SubmitOptions {
     }
 }
 
-/// A pending (or already satisfied) reordering request.
-///
-/// The ticket carries the request's `engine.request` span — recorded
-/// for traced requests, on the live stage board for all: it ends when
-/// the ticket is waited on (or dropped), so the span covers the full
-/// submit-to-result interval.
+/// An answered reordering request: the ordering (or why there is none)
+/// and the request's `engine.request` span — recorded for traced
+/// requests, on the live stage board for all — which
+/// [`Ticket::wait`] closes.
 pub struct Ticket {
-    inner: TicketInner,
+    result: Result<Arc<CachedOrdering>, EngineError>,
     root: TraceSpan,
 }
 
-enum TicketInner {
-    Ready(Result<Arc<CachedOrdering>, EngineError>),
-    Pending(Arc<InFlight>),
-}
-
 impl Ticket {
-    /// Block until the ordering is available.
+    /// The ordering. [`Engine::submit`] served the request before it
+    /// returned, so this never blocks; it ends the request's span.
     pub fn wait(self) -> Result<Arc<CachedOrdering>, EngineError> {
-        let Ticket { inner, root } = self;
-        match inner {
-            TicketInner::Ready(r) => r,
-            TicketInner::Pending(slot) => {
-                // The blocking interval, distinct from the queue/compute
-                // spans the worker records into the same trace.
-                let _wait = root.ctx().span("engine.wait");
-                slot.wait()
-            }
-        }
-    }
-
-    /// A trace context parented at this request's root span (disabled
-    /// unless the request was traced). Stages that happen outside the
-    /// engine — applying the ordering, measuring SpMV — record under
-    /// the request with this handle.
-    pub fn trace_ctx(&self) -> TraceCtx {
-        self.root.ctx()
+        let Ticket { result, root } = self;
+        drop(root);
+        result
     }
 }
 
-/// The reordering-as-a-service engine: content-addressed cache in
-/// front, deduplicating worker pool behind.
+// Neither engine lock can be poisoned: nothing that runs while one is
+// held can panic, and a computation runs with neither held.
+const SLOT_LOCK: &str = "an in-flight slot's lock is never held across a panic";
+const INFLIGHT_LOCK: &str = "the in-flight map's lock is never held across a panic";
+
+/// The rendezvous for one in-flight computation: its leader fulfils
+/// it, and every request that coalesced onto the key blocks on it and
+/// receives the shared result.
+#[derive(Debug, Default)]
+struct InFlight {
+    state: Mutex<Option<Result<Arc<CachedOrdering>, EngineError>>>,
+    cv: Condvar,
+}
+
+impl InFlight {
+    /// Block until the leader fulfils the slot.
+    fn wait(&self) -> Result<Arc<CachedOrdering>, EngineError> {
+        let state = self.state.lock().expect(SLOT_LOCK);
+        let state = self.cv.wait_while(state, |s| s.is_none()).expect(SLOT_LOCK);
+        state.clone().expect("waited until fulfilled")
+    }
+
+    fn fulfil(&self, result: Result<Arc<CachedOrdering>, EngineError>) {
+        *self.state.lock().expect(SLOT_LOCK) = Some(result);
+        self.cv.notify_all();
+    }
+}
+
+/// The reordering-as-a-service engine: a content-addressed cache in
+/// front of computations that run on the thread that asked, one per
+/// key however many ask at once.
 ///
 /// ```
 /// use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
@@ -263,38 +267,51 @@ impl Ticket {
 /// assert_eq!(engine.stats().jobs_executed, 1);
 /// ```
 pub struct Engine {
-    cache: Arc<OrderingCache>,
+    cache: OrderingCache,
     plans: LruCache<PlanKey, Arc<dyn Kernel>>,
-    inflight: Arc<Mutex<HashMap<OrderingKey, Arc<InFlight>>>>,
+    /// The computation in flight for each key, so that a request
+    /// arriving while its key is being computed waits for that result
+    /// instead of computing it again.
+    inflight: Mutex<HashMap<OrderingKey, Arc<InFlight>>>,
     registry: Arc<Registry>,
     reorder_team: Arc<team::ThreadTeam>,
     metrics: EngineMetrics,
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
-/// The facade's registry metrics, resolved once at construction.
+/// The engine's registry metrics, resolved once at construction. The
+/// computation series keep the `engine.pool.*` names they had when a
+/// worker pool ran the computations: the ops plane reads them by those
+/// names.
 #[derive(Debug)]
 struct EngineMetrics {
     /// Total requests submitted.
     submitted: Arc<Counter>,
     /// Requests that coalesced onto an in-flight computation.
     coalesced: Arc<Counter>,
-    /// Wall-clock of [`Engine::submit`] itself (nanoseconds) — the
-    /// non-blocking front half every request pays.
+    /// Wall-clock of [`Engine::submit`] (nanoseconds): the lookup, and
+    /// on a miss the computation or the wait for it.
     submit_span: Arc<Histogram>,
-    /// Mirrors the pool's counters for [`Engine::stats`].
+    /// Orderings computed to completion.
     jobs_executed: Arc<Counter>,
+    /// Computations that failed or panicked.
     jobs_failed: Arc<Counter>,
+    /// Total successful compute wall-clock, nanoseconds.
     compute_ns: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
+    /// Wall-clock per computation (success or failure), nanoseconds.
+    job_duration: Arc<Histogram>,
+    /// Misses answered `Expired` instead of computing.
     expired: Arc<Counter>,
+    /// Computations whose lineage probe found a cached ancestor.
     delta_hits: Arc<Counter>,
+    /// Computations served by splicing instead of a full recompute.
     delta_splices: Arc<Counter>,
+    /// Dirty fraction of the most recent splice, in basis points
+    /// (10000 = the whole matrix was re-ordered).
+    delta_dirty_frac: Arc<Gauge>,
 }
 
 impl Engine {
-    /// Start an engine: builds the cache and spawns the worker pool.
+    /// Start an engine: builds the caches and the shared reorder team.
     pub fn new(config: EngineConfig) -> Self {
         let registry = config.registry.unwrap_or_else(Registry::global);
         // `# HELP` descriptions for the engine's metric families
@@ -304,7 +321,10 @@ impl Engine {
             "engine.coalesced",
             "Ordering requests coalesced onto an identical in-flight job.",
         );
-        registry.describe("engine.submit", "Submit-path latency, nanoseconds.");
+        registry.describe(
+            "engine.submit",
+            "Submit latency (the lookup, then on a miss the computation or the wait for it), nanoseconds.",
+        );
         registry.describe("engine.cache.hits", "Ordering-cache hits.");
         registry.describe("engine.cache.misses", "Ordering-cache misses.");
         registry.describe(
@@ -316,53 +336,35 @@ impl Engine {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        let cache = Arc::new(OrderingCache::new(
-            &registry,
-            config.cache_capacity,
-            &labels,
-        ));
+        let cache = OrderingCache::new(&registry, config.cache_capacity, &labels);
         let plans = LruCache::new(
             PLAN_CACHE_CAPACITY,
             CacheMetrics::new(&registry, "engine.plans", &labels),
         );
-        let inflight = Arc::new(Mutex::new(HashMap::new()));
-        let pool_metrics = PoolMetrics::new_labeled(&registry, &labels);
         let metrics = EngineMetrics {
             submitted: registry.counter_labeled("engine.submitted", &labels),
             coalesced: registry.counter_labeled("engine.coalesced", &labels),
             submit_span: registry.histogram_labeled("engine.submit", &labels),
-            jobs_executed: Arc::clone(&pool_metrics.jobs_executed),
-            jobs_failed: Arc::clone(&pool_metrics.jobs_failed),
-            compute_ns: Arc::clone(&pool_metrics.compute_ns),
-            queue_depth: Arc::clone(&pool_metrics.queue_depth),
-            expired: Arc::clone(&pool_metrics.expired),
-            delta_hits: Arc::clone(&pool_metrics.delta_hits),
-            delta_splices: Arc::clone(&pool_metrics.delta_splices),
+            jobs_executed: registry.counter_labeled("engine.pool.jobs_executed", &labels),
+            jobs_failed: registry.counter_labeled("engine.pool.jobs_failed", &labels),
+            compute_ns: registry.counter_labeled("engine.pool.compute_ns", &labels),
+            job_duration: registry.histogram_labeled("engine.pool.job", &labels),
+            expired: registry.counter_labeled("engine.expired", &labels),
+            delta_hits: registry.counter_labeled("engine.delta.hits", &labels),
+            delta_splices: registry.counter_labeled("engine.delta.splices", &labels),
+            delta_dirty_frac: registry.gauge_labeled("engine.delta.dirty_frac", &labels),
         };
         let reorder_team = Arc::new(team::ThreadTeam::new_in(
             &registry,
             config.reorder_threads.max(1),
         ));
-        let (tx, workers) = spawn_pool(
-            config.workers,
-            config.queue_capacity,
-            WorkerContext {
-                cache: Arc::clone(&cache),
-                inflight: Arc::clone(&inflight),
-                registry: Arc::clone(&registry),
-                metrics: pool_metrics,
-                reorder_team: Arc::clone(&reorder_team),
-            },
-        );
         Engine {
             cache,
             plans,
-            inflight,
+            inflight: Mutex::new(HashMap::new()),
             registry,
             reorder_team,
             metrics,
-            tx: Some(tx),
-            workers,
         }
     }
 
@@ -393,16 +395,17 @@ impl Engine {
             .peek(&OrderingKey::new(matrix.content_hash(), algo))
     }
 
-    /// Submit one reordering request. Returns immediately with a
-    /// [`Ticket`]; a cache hit makes the ticket ready, otherwise it
-    /// joins (or starts) the in-flight computation for its key.
+    /// Submit one reordering request and serve it: a cache hit answers
+    /// at once; a miss waits for the computation already in flight for
+    /// its key, or else computes the ordering on this thread. The
+    /// returned [`Ticket`] holds the answer.
     pub fn submit(&self, matrix: &MatrixHandle, algo: AlgoSpec) -> Ticket {
         self.submit_opts(matrix, algo, SubmitOptions::default())
     }
 
-    /// [`Engine::submit`] with per-request options: a deadline after
-    /// which the computation is cancelled instead of started, and an
-    /// optional parent trace context.
+    /// [`Engine::submit`] with per-request options: a deadline past
+    /// which a miss answers [`EngineError::Expired`] instead of
+    /// computing, and an optional parent trace context.
     pub fn submit_opts(
         &self,
         matrix: &MatrixHandle,
@@ -427,73 +430,195 @@ impl Engine {
                 lookup.arg("outcome", "hit");
                 drop(lookup);
                 return Ticket {
-                    inner: TicketInner::Ready(Ok(v)),
+                    result: Ok(v),
                     root,
                 };
             }
             lookup.arg("outcome", "miss");
         }
 
-        // Miss: coalesce onto in-flight work for the same key, or
-        // become the request that enqueues it.
-        let slot = {
-            let mut inflight = self.inflight.lock().unwrap();
-            if let Some(existing) = inflight.get(&key) {
-                self.metrics.coalesced.inc();
-                // The shared computation must survive until the latest
-                // interested deadline.
-                existing.extend_deadline(opts.deadline);
-                root.ctx().instant("engine.coalesced");
-                return Ticket {
-                    inner: TicketInner::Pending(Arc::clone(existing)),
-                    root,
-                };
+        // Miss: coalesce onto the computation in flight for the same
+        // key, or become its leader.
+        let mut inflight = self.inflight.lock().expect(INFLIGHT_LOCK);
+        if let Some(existing) = inflight.get(&key).map(Arc::clone) {
+            drop(inflight);
+            self.metrics.coalesced.inc();
+            root.ctx().instant("engine.coalesced");
+            let result = {
+                let _wait = root.ctx().span("engine.wait");
+                existing.wait()
+            };
+            return Ticket { result, root };
+        }
+        // The computation may have completed between the cache probe
+        // and taking this lock (a leader removes its key only *after*
+        // inserting into the cache), so re-probe while holding the lock
+        // to avoid a needless recompute — memory only: every other
+        // submitter is waiting on this lock.
+        if let Some(v) = self.cache.peek_counting_hit(&key) {
+            return Ticket {
+                result: Ok(v),
+                root,
+            };
+        }
+        // Cancellation point, before any reorder work: a request whose
+        // deadline has passed computes nothing and leaves nothing in
+        // flight to coalesce onto.
+        if opts.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.metrics.expired.inc();
+            root.ctx().instant("engine.expired");
+            return Ticket {
+                result: Err(EngineError::Expired),
+                root,
+            };
+        }
+        let slot = Arc::new(InFlight::default());
+        inflight.insert(key, Arc::clone(&slot));
+        drop(inflight);
+
+        let algo_impl = algo.instantiate();
+        let result = self.lead(key, matrix.matrix(), algo_impl.as_ref(), &slot, &root.ctx());
+        Ticket { result, root }
+    }
+
+    /// The leader's half of a miss, on the caller's thread: compute the
+    /// ordering for `key` — by splicing a cached ancestor's, or in full
+    /// on the shared reorder team — publish it to the cache, then
+    /// retire `slot`, `key`'s in-flight entry, waking every request
+    /// that coalesced onto it. A panicking algorithm answers
+    /// [`EngineError::Compute`] like a failing one: the caller and its
+    /// followers get an answer, and the key is free to be computed
+    /// again.
+    fn lead(
+        &self,
+        key: OrderingKey,
+        matrix: &CsrMatrix,
+        algo: &dyn ReorderAlgorithm,
+        slot: &InFlight,
+        trace: &TraceCtx,
+    ) -> Result<Arc<CachedOrdering>, EngineError> {
+        let start = Instant::now();
+        let mut reorder_span = trace.span("engine.reorder");
+        reorder_span.arg("algo", key.algo.name());
+        let rexec =
+            reorder::ReorderExec::on_team(&self.reorder_team).with_trace(reorder_span.ctx());
+        let computed = catch_unwind(AssertUnwindSafe(|| {
+            match self.try_splice(key, matrix, algo, &rexec) {
+                Some(t) => Ok(t),
+                None => reorder::timed_components_on(&self.registry, algo, matrix, &rexec)
+                    .map_err(|e| e.to_string()),
             }
-            // The computation may have completed between the cache
-            // probe and taking this lock (workers remove the key only
-            // *after* inserting into the cache), so re-probe while
-            // holding the lock to avoid a needless recompute — memory
-            // only: every other submitter is waiting on this lock.
-            if let Some(v) = self.cache.peek_counting_hit(&key) {
-                return Ticket {
-                    inner: TicketInner::Ready(Ok(v)),
-                    root,
-                };
+        }))
+        .unwrap_or_else(|payload| Err(panic_message(&*payload)));
+        reorder_span.arg("ok", if computed.is_ok() { "true" } else { "false" });
+        drop(reorder_span);
+        let elapsed = start.elapsed();
+        self.metrics.job_duration.record_duration(elapsed);
+
+        let result = match computed {
+            Ok(t) => {
+                let cached = Arc::new(CachedOrdering {
+                    perm: t.result.perm,
+                    symmetric: t.result.symmetric,
+                    compute_seconds: t.elapsed.as_secs_f64(),
+                    ranges: t.ranges,
+                });
+                self.cache.insert(key, Arc::clone(&cached));
+                self.metrics.jobs_executed.inc();
+                self.metrics
+                    .compute_ns
+                    .add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+                Ok(cached)
             }
-            let slot = Arc::new(InFlight::with_deadline(opts.deadline));
-            inflight.insert(key, Arc::clone(&slot));
-            slot
+            Err(message) => {
+                self.metrics.jobs_failed.inc();
+                Err(EngineError::Compute {
+                    algo: key.algo,
+                    message,
+                })
+            }
         };
 
-        // Enqueue outside the in-flight lock: the bounded queue can
-        // block here, and workers need that lock to finish jobs.
-        let job = Job {
-            key,
-            matrix: Arc::clone(matrix.matrix()),
-            slot: Arc::clone(&slot),
-            trace: root.ctx(),
-            enqueued: Instant::now(),
-        };
-        match &self.tx {
-            Some(tx) => {
-                // Count the job as queued before sending: a worker may
-                // dequeue (and decrement) the instant send returns.
-                self.metrics.queue_depth.inc();
-                if tx.send(job).is_err() {
-                    self.metrics.queue_depth.dec();
-                    self.inflight.lock().unwrap().remove(&key);
-                    slot.fulfil(Err(EngineError::ShuttingDown));
+        // Publish order matters: the cache already has the entry, so once
+        // the key leaves the in-flight map any new request finds it there.
+        self.inflight.lock().expect(INFLIGHT_LOCK).remove(&key);
+        slot.fulfil(result.clone());
+        result
+    }
+
+    /// The delta-update path: walk the matrix's lineage newest→oldest,
+    /// accumulating the touched-row union, and probe the cache for each
+    /// ancestor's ordering under the same algorithm. On a hit with a
+    /// component→range map, re-order only the dirty components and
+    /// splice the cached sub-permutations back (byte-identical to a full
+    /// recompute — see [`reorder::splice_ordering_on`]). Returns `None`
+    /// when no ancestor is cached, the algorithm is not
+    /// component-structured, or the splice declines — the caller falls
+    /// back to the full compute path.
+    fn try_splice(
+        &self,
+        key: OrderingKey,
+        matrix: &CsrMatrix,
+        algo: &dyn ReorderAlgorithm,
+        rexec: &reorder::ReorderExec<'_>,
+    ) -> Option<reorder::TimedComponentReordering> {
+        if !algo.supports_components() || matrix.lineage().is_empty() {
+            return None;
+        }
+        // Nearest cached ancestor wins: it has the smallest touched set.
+        let mut touched: Vec<u32> = Vec::new();
+        let mut found: Option<Arc<CachedOrdering>> = None;
+        for hop in matrix.lineage().iter().rev() {
+            touched.extend_from_slice(&hop.touched);
+            if let Some(entry) = self.cache.peek(&OrderingKey::new(hop.parent, key.algo)) {
+                if entry.ranges.is_some() {
+                    found = Some(entry);
+                    break;
                 }
             }
+        }
+        let entry = found?;
+        self.metrics.delta_hits.inc();
+        touched.sort_unstable();
+        touched.dedup();
+
+        let mut span = rexec.trace().span("reorder.splice");
+        span.arg("algo", key.algo.name());
+        let start = Instant::now();
+        let spliced = reorder::splice_ordering_on(
+            algo,
+            matrix,
+            entry.perm.order(),
+            entry.ranges.as_ref().expect("probe required ranges"),
+            &touched,
+            rexec,
+        )
+        .ok()
+        .flatten();
+        let elapsed = start.elapsed();
+        let (co, report) = match spliced {
+            Some(s) => s,
             None => {
-                self.inflight.lock().unwrap().remove(&key);
-                slot.fulfil(Err(EngineError::ShuttingDown));
+                span.arg("ok", "false");
+                return None;
             }
-        }
-        Ticket {
-            inner: TicketInner::Pending(slot),
-            root,
-        }
+        };
+        span.arg("ok", "true");
+        span.arg("recomputed", report.recomputed);
+        span.arg("components", report.components);
+        self.metrics.delta_splices.inc();
+        self.metrics
+            .delta_dirty_frac
+            .set((report.dirty_frac(matrix.nrows()) * 10_000.0) as i64);
+        self.registry
+            .histogram("reorder.splice")
+            .record_duration(elapsed);
+        let (result, ranges) = co.into_parts().ok()?;
+        Some(reorder::TimedComponentReordering {
+            result,
+            ranges: Some(ranges),
+            elapsed,
+        })
     }
 
     /// Fetch (or build and cache) the planned SpMV kernel for a
@@ -520,7 +645,7 @@ impl Engine {
             .0
     }
 
-    /// Submit and wait: the blocking convenience call.
+    /// [`Engine::submit`] and its answer in one call.
     pub fn get(
         &self,
         matrix: &MatrixHandle,
@@ -550,15 +675,14 @@ impl Engine {
     }
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Closing the channel stops the workers once the queue drains;
-        // queued jobs still complete, so outstanding tickets resolve.
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
+/// What a caught panic said, for [`EngineError::Compute`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let what = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    format!("panicked: {what}")
 }
 
 #[cfg(test)]
@@ -567,12 +691,10 @@ mod tests {
 
     fn small_engine() -> Engine {
         Engine::new(EngineConfig {
-            workers: 2,
             reorder_threads: 2,
-            queue_capacity: 8,
             cache_capacity: 64,
             registry: Some(telemetry::Registry::new_arc()),
-            metric_labels: Vec::new(),
+            ..EngineConfig::default()
         })
     }
 
@@ -719,30 +841,30 @@ mod tests {
             .filter(|e| e.kind == EventKind::Begin || e.kind == EventKind::Instant)
             .map(|e| e.name)
             .collect();
-        for stage in [
-            "engine.request",
-            "engine.cache.lookup",
-            "engine.wait",
-            "engine.queue.wait",
-            "engine.reorder",
-        ] {
+        for stage in ["engine.request", "engine.cache.lookup", "engine.reorder"] {
             assert!(names.contains(&stage), "missing {stage} in {names:?}");
         }
-        // Worker-side stages attach under this trace, not as orphans.
-        let root_id = snap
-            .events()
-            .find(|e| e.name == "engine.request")
-            .unwrap()
-            .span_id;
-        let reorder = snap
-            .events()
-            .find(|e| e.name == "engine.reorder" && e.kind == EventKind::Begin)
+        // The miss is computed by the request itself: its reorder stage
+        // opens under the request span, on the request's own lane.
+        let lane = snap
+            .threads
+            .iter()
+            .find(|t| t.events.iter().any(|e| e.name == "engine.request"))
             .unwrap();
-        assert_eq!(reorder.parent_id, root_id);
+        let begin = |name: &str| {
+            lane.events
+                .iter()
+                .find(|e| e.name == name && e.kind == EventKind::Begin)
+                .unwrap_or_else(|| panic!("{name} is not on the request's lane"))
+        };
+        assert_eq!(
+            begin("engine.reorder").parent_id,
+            begin("engine.request").span_id
+        );
     }
 
     #[test]
-    fn cache_hit_trace_has_lookup_but_no_queue_span() {
+    fn cache_hit_trace_has_lookup_but_no_reorder_span() {
         let engine = small_engine();
         let m = mesh();
         engine.get(&m, AlgoSpec::Rcm).unwrap(); // untraced miss
@@ -755,8 +877,8 @@ mod tests {
         let names: Vec<&str> = snap.events().map(|e| e.name).collect();
         assert!(names.contains(&"engine.cache.lookup"));
         assert!(
-            !names.contains(&"engine.queue.wait"),
-            "a cache hit never touches the queue: {names:?}"
+            !names.contains(&"engine.reorder"),
+            "a cache hit computes nothing: {names:?}"
         );
         let lookup_end = snap
             .events()
@@ -769,22 +891,13 @@ mod tests {
     }
 
     #[test]
-    fn untraced_request_hands_out_a_disabled_context() {
-        let engine = small_engine();
-        let m = mesh();
-        let ticket = engine.submit(&m, AlgoSpec::Rcm);
-        assert!(!ticket.trace_ctx().is_recording());
-        ticket.wait().unwrap();
-    }
-
-    #[test]
     fn expired_request_never_reaches_reorder() {
         use telemetry::trace::EventKind;
         let engine = small_engine();
         let traced = Traced::new();
         let m = mesh();
-        // A deadline already in the past: the worker must cancel the
-        // job at dequeue, before any reorder work.
+        // A deadline already in the past: the request must refuse to
+        // compute, and leave nothing in flight.
         let ticket = engine.submit_opts(
             &m,
             AlgoSpec::Rcm,
@@ -798,6 +911,7 @@ mod tests {
         assert_eq!(s.expired, 1);
         assert_eq!(s.jobs_executed, 0, "no ordering may be computed");
         assert_eq!(s.jobs_failed, 0, "expiry is not a compute failure");
+        assert!(engine.inflight.lock().unwrap().is_empty());
         // The flight recorder confirms it: the trace has the expiry
         // marker and no reorder span at all.
         let snap = traced.snapshot();
@@ -850,12 +964,10 @@ mod tests {
         let registry = telemetry::Registry::new_arc();
         let engine_for = |shard: &str| {
             Engine::new(EngineConfig {
-                workers: 1,
-                reorder_threads: 1,
-                queue_capacity: 8,
                 cache_capacity: 64,
                 registry: Some(Arc::clone(&registry)),
                 metric_labels: vec![("shard".to_string(), shard.to_string())],
+                ..EngineConfig::default()
             })
         };
         let e0 = engine_for("0");
@@ -979,6 +1091,80 @@ mod tests {
         assert_eq!(s.jobs_executed, 2);
         assert_eq!(s.delta_hits, 0);
         assert_eq!(s.delta_splices, 0);
+    }
+
+    /// An ordering that panics on every lane of the team it is given,
+    /// as a broken parallel stage would.
+    struct Panics;
+
+    impl ReorderAlgorithm for Panics {
+        fn name(&self) -> &'static str {
+            "panics"
+        }
+
+        fn compute(&self, _: &CsrMatrix) -> Result<reorder::ReorderResult, sparsemat::SparseError> {
+            panic!("ordering panicked")
+        }
+
+        fn compute_on(
+            &self,
+            _: &CsrMatrix,
+            rx: &reorder::ReorderExec<'_>,
+        ) -> Result<reorder::ReorderResult, sparsemat::SparseError> {
+            let lanes = rx.exec().lanes();
+            rx.exec()
+                .parallel_for(lanes, 1, |chunk| panic!("ordering panicked on {chunk:?}"));
+            unreachable!("every lane panicked")
+        }
+    }
+
+    /// A panic inside the leader's computation is contained: leader
+    /// and follower both get `Compute`, nothing is cached or left in
+    /// flight, and the key and the shared team serve the next request.
+    #[test]
+    fn panicking_ordering_is_a_compute_error_for_every_waiter() {
+        let engine = small_engine();
+        assert_eq!(engine.reorder_team().size(), 2);
+        let m = mesh();
+        let key = OrderingKey::new(m.content_hash(), AlgoSpec::Rcm);
+        // Register the leader's slot as `submit_inner` does, and let a
+        // follower coalesce onto it before the leader computes.
+        let slot = Arc::new(InFlight::default());
+        engine
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(key, Arc::clone(&slot));
+        std::thread::scope(|scope| {
+            let follower = scope.spawn(|| engine.get(&m, AlgoSpec::Rcm));
+            while engine.stats().coalesced == 0 {
+                std::thread::yield_now();
+            }
+            let led = engine
+                .lead(key, m.matrix(), &Panics, &slot, &TraceCtx::disabled())
+                .unwrap_err();
+            assert!(
+                matches!(&led, EngineError::Compute { algo: AlgoSpec::Rcm, message }
+                    if message.starts_with("panicked: ordering panicked")),
+                "{led:?}"
+            );
+            assert_eq!(follower.join().unwrap().unwrap_err(), led);
+        });
+        let s = engine.stats();
+        assert_eq!((s.jobs_failed, s.jobs_executed), (1, 0));
+        assert!(engine.inflight.lock().unwrap().is_empty());
+        assert!(engine.peek_cached(&m, AlgoSpec::Rcm).is_none());
+
+        // The key computes afresh, and the team the panic unwound
+        // through still runs regions.
+        let fresh = engine.get(&m, AlgoSpec::Rcm).unwrap();
+        assert_eq!(engine.stats().jobs_executed, 1);
+        let want = reorder::Rcm::default().compute(m.matrix()).unwrap();
+        assert_eq!(fresh.perm.order(), want.perm.order());
+        let on_team = fresh
+            .apply_on(m.matrix(), team::Exec::Team(engine.reorder_team()))
+            .unwrap();
+        assert_eq!(on_team, fresh.apply(m.matrix()).unwrap());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! iterations. In a serving setting that means: compute each
 //! (matrix, algorithm) ordering **once**, cache it, and hand the same
 //! permutation to every subsequent request. This crate turns the
-//! workspace's one-shot pipeline into that serving subsystem, in three
+//! workspace's one-shot pipeline into that serving subsystem, in two
 //! layers:
 //!
 //! 1. **Content-addressed cache** (`cache`): keys are
@@ -14,21 +14,19 @@
 //!    ([`AlgoSpec`]); values are permutations. An in-memory
 //!    [`LruCache`] — the one exact-LRU mechanism every cache in the
 //!    workspace is an instance of.
-//! 2. **Worker pool** (`pool`): a fixed set of `std::thread` workers
-//!    consuming a bounded job queue, with request deduplication —
-//!    concurrent requests for the same key coalesce onto one in-flight
-//!    computation and all receive the shared result — and per-job
-//!    wall-clock accounting.
-//! 3. **Session API** ([`Engine`]): [`Engine::submit`],
-//!    [`Engine::get`] and [`Engine::stats`].
-//!    The `experiments` crate's sweep obtains all orderings through
-//!    this API, and `experiments --bin serve` replays a Zipf request
-//!    trace against it.
+//! 2. **Session API** ([`Engine`]): [`Engine::submit`],
+//!    [`Engine::get`] and [`Engine::stats`]. A miss is computed on the
+//!    thread that asked, its parallel stages on the engine's shared
+//!    reorder team. Concurrent requests for the same key coalesce onto
+//!    that one computation and all receive its result; one that fails
+//!    or panics answers [`EngineError::Compute`] to all of them, and
+//!    nothing is cached. The `experiments` crate's sweep obtains all
+//!    orderings through this API, and every shard of the serving tier
+//!    owns one engine.
 //!
 //! Tracing is the caller's: a request submitted with a recording
-//! parent context ([`SubmitOptions::trace`]) records cache lookup,
-//! queue wait, reorder compute and plan build under it, extendable
-//! past the engine via [`Ticket::trace_ctx`].
+//! parent context ([`SubmitOptions::trace`]) records its cache lookup
+//! and reorder compute under it — or, when it coalesced, its wait.
 //!
 //! ```
 //! use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
@@ -39,8 +37,7 @@
 //! // Submissions with duplicates: six unique orderings, twelve requests.
 //! let suite = AlgoSpec::study_suite(8, 16);
 //! let twice = suite.iter().chain(suite.iter());
-//! let tickets: Vec<_> = twice.map(|&a| engine.submit(&m, a)).collect();
-//! let results: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+//! let results: Vec<_> = twice.map(|&a| engine.get(&m, a).unwrap()).collect();
 //!
 //! assert_eq!(results.len(), 12);
 //! let stats = engine.stats();
@@ -52,7 +49,6 @@ mod cache;
 mod engine;
 mod lru;
 mod plans;
-mod pool;
 
 pub use algo::AlgoSpec;
 pub use cache::{CacheStats, CachedOrdering};

@@ -12,7 +12,6 @@ fn concurrent_requests_coalesce_to_one_computation() {
     // interleaving: late arrivals are cache hits instead.
     let engine = Arc::new(Engine::new(EngineConfig {
         workers: 1,
-        queue_capacity: 4,
         cache_capacity: 16,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
@@ -58,7 +57,6 @@ fn concurrent_requests_coalesce_to_one_computation() {
 fn parallel_batch_over_distinct_keys() {
     let engine = Engine::new(EngineConfig {
         workers: 4,
-        queue_capacity: 8, // smaller than the batch: exercises back-pressure
         cache_capacity: 256,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
@@ -94,7 +92,6 @@ fn parallel_batch_over_distinct_keys() {
 fn tiny_cache_recomputes_after_eviction() {
     let engine = Engine::new(EngineConfig {
         workers: 2,
-        queue_capacity: 8,
         cache_capacity: 2,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()

@@ -31,7 +31,6 @@ fn matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
 fn test_engine() -> Engine {
     Engine::new(EngineConfig {
         workers: 2,
-        queue_capacity: 16,
         cache_capacity: 256,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()

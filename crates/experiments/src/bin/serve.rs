@@ -34,9 +34,9 @@
 //! With `--trace-dir` a flight recorder is attached to the tier and a
 //! sampled subset of requests (`--trace-sample-rate`) records a
 //! request-scoped trace across the whole serving path: admission wait,
-//! shard execute, policy decision, engine cache lookup / queue wait /
-//! reorder, the permutation and the plan on a first touch, and the
-//! SpMV itself (which stores the answer in the caller's row order).
+//! shard execute, policy decision, engine cache lookup / reorder, the
+//! permutation and the plan on a first touch, and the SpMV itself
+//! (which stores the answer in the caller's row order).
 //! Each dumped request yields `trace-<id>.json` (Chrome trace-event
 //! format) plus `trace-<id>.txt` (the plain-text stage breakdown) of
 //! exactly what the tier recorded while serving it — `serve` is a
@@ -100,7 +100,6 @@ struct ServeOptions {
     offered_load: f64,
     deadline_ms: u64,
     queue_capacity: usize,
-    workers: usize,
     reorder_threads: usize,
     skew: f64,
     seed: u64,
@@ -127,7 +126,6 @@ impl Default for ServeOptions {
             offered_load: 0.0,
             deadline_ms: 0,
             queue_capacity: 256,
-            workers: EngineConfig::default().workers,
             reorder_threads: EngineConfig::default().reorder_threads,
             skew: 1.1,
             seed: 42,
@@ -165,7 +163,7 @@ fn usage() -> ! {
     println!(
         "usage: serve [--size small|medium|large] [--requests N] [--clients N]\n\
          \x20            [--shards N] [--tenants N] [--offered-load R] [--deadline-ms MS]\n\
-         \x20            [--queue-capacity N] [--workers N] [--reorder-threads N]\n\
+         \x20            [--queue-capacity N] [--reorder-threads N]\n\
          \x20            [--skew S] [--seed N] [--cache-capacity N] [--kernel 1d|2d|merge]\n\
          \x20            [--policy always|never|adaptive] [--export-dir DIR]\n\
          \x20            [--trace-dir DIR] [--trace-sample-rate R]\n\
@@ -211,9 +209,6 @@ fn parse_serve_args() -> ServeOptions {
             "--queue-capacity" => {
                 opts.queue_capacity =
                     num::<usize>(value(&mut it, "--queue-capacity"), "--queue-capacity").max(1)
-            }
-            "--workers" => {
-                opts.workers = num::<usize>(value(&mut it, "--workers"), "--workers").max(1)
             }
             "--reorder-threads" => {
                 opts.reorder_threads =
@@ -435,7 +430,6 @@ fn main() {
         queue_capacity: opts.queue_capacity,
         spmv_threads: host_threads().clamp(2, 4),
         engine: EngineConfig {
-            workers: opts.workers,
             reorder_threads: opts.reorder_threads,
             cache_capacity: opts.cache_capacity,
             ..EngineConfig::default()

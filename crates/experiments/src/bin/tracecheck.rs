@@ -16,9 +16,9 @@
 //!    viewer needs to reconstruct the span stack;
 //! 4. at least one file contains a span for **every** stage of the
 //!    serving path (request root, admission wait, shard execute, policy
-//!    decision, engine request, cache lookup, queue wait, reorder,
-//!    permute, plan, SpMV) — a first touch: a request that finds its
-//!    prepared entry records no engine stage;
+//!    decision, engine request, cache lookup, reorder, permute, plan,
+//!    SpMV) — a first touch: a request that finds its prepared entry
+//!    records no engine stage;
 //! 5. every file is one request as the tier recorded it and nothing
 //!    else: exactly one `tier.request` root, exactly one `serve.spmv`
 //!    span, and every `reorder.permute` under `tier.execute` — a
@@ -58,7 +58,6 @@ const REQUIRED_STAGES: &[&str] = &[
     "policy.decide",
     "engine.request",
     "engine.cache.lookup",
-    "engine.queue.wait",
     "engine.reorder",
     "reorder.permute",
     "engine.plan",

@@ -135,15 +135,14 @@ fn apply_all_orderings(
     let handle = MatrixHandle::new(Arc::clone(a));
     let mut specs = vec![AlgoSpec::Original];
     specs.extend(AlgoSpec::study_suite(cfg.gp_parts, cfg.hp_parts));
-    // Submit everything before waiting on anything: the engine's
-    // workers overlap the orderings.
-    let tickets: Vec<_> = specs.iter().map(|&s| engine.submit(&handle, s)).collect();
+    // The seven orderings of one matrix run in turn on its sweep
+    // thread: `sweep_corpus`'s threads over matrices are the
+    // parallelism.
     specs
         .iter()
-        .zip(tickets)
-        .map(|(spec, ticket)| {
-            let cached = ticket
-                .wait()
+        .map(|spec| {
+            let cached = engine
+                .get(&handle, *spec)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", spec.name()));
             let b = if matches!(spec, AlgoSpec::Original) {
                 // The identity ordering: share the input, don't copy it.
@@ -201,9 +200,9 @@ pub fn sweep_matrix(
 /// Sweep a whole corpus, in parallel over matrices.
 ///
 /// Matrices are claimed from a shared atomic counter by a scoped
-/// thread per available core; the reordering work itself funnels
-/// through `engine`'s worker pool, so duplicate (matrix, algorithm)
-/// pairs across the corpus are computed once.
+/// thread per available core; the reordering work itself goes through
+/// `engine`'s cache, so duplicate (matrix, algorithm) pairs across the
+/// corpus are computed once.
 pub fn sweep_corpus(
     engine: &Engine,
     specs: &[MatrixSpec],

@@ -39,10 +39,11 @@ impl Gp {
 }
 
 /// Turn a part assignment into an ordering that groups parts
-/// contiguously, preserving original order within each part.
+/// contiguously, preserving original order within each part. A
+/// `num_parts` of 0 means one part, as it does to the partitioners.
 pub fn partition_to_order(part_of: &[u32], num_parts: usize) -> Vec<u32> {
     let mut order = Vec::with_capacity(part_of.len());
-    let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); num_parts];
+    let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); num_parts.max(1)];
     for (v, &p) in part_of.iter().enumerate() {
         by_part[p as usize].push(v as u32);
     }
@@ -102,14 +103,12 @@ mod tests {
         a.iter().filter(|&(i, j, _)| i / block != j / block).count()
     }
 
-    #[test]
-    fn gp_reduces_offdiagonal_nonzeros_on_shuffled_grid() {
-        // Shuffle a grid matrix, then check GP pulls nonzeros back into
-        // diagonal blocks.
-        let a = grid_matrix(16); // 256 rows
+    /// An `n × n` grid matrix under a seeded symmetric shuffle.
+    fn shuffled_grid(n: usize, seed: u64) -> CsrMatrix {
+        let a = grid_matrix(n);
         let n = a.nrows();
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut state = 99u64;
+        let mut state = seed;
         for i in (1..n).rev() {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -117,7 +116,14 @@ mod tests {
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
         let p = Permutation::from_new_to_old(order).unwrap();
-        let shuffled = a.permute_symmetric(&p).unwrap();
+        a.permute_symmetric(&p).unwrap()
+    }
+
+    #[test]
+    fn gp_reduces_offdiagonal_nonzeros_on_shuffled_grid() {
+        // Shuffle a grid matrix, then check GP pulls nonzeros back into
+        // diagonal blocks.
+        let shuffled = shuffled_grid(16, 99); // 256 rows
 
         let t = 4;
         let gp = Gp::new(t);
@@ -155,6 +161,22 @@ mod tests {
         gp.nnz_weighted = true;
         let r = gp.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 64);
+    }
+
+    /// Zero parts is one part, for GP and HP alike — the clamp the
+    /// partitioners apply — not an index into an empty bucket list.
+    #[test]
+    fn zero_parts_order_as_one_part() {
+        let a = shuffled_grid(12, 7);
+        let order = |r: ReorderResult| r.perm.order().to_vec();
+        assert_eq!(
+            order(Gp::new(0).compute(&a).unwrap()),
+            order(Gp::new(1).compute(&a).unwrap())
+        );
+        assert_eq!(
+            order(crate::Hp::new(0).compute(&a).unwrap()),
+            order(crate::Hp::new(1).compute(&a).unwrap())
+        );
     }
 
     #[test]

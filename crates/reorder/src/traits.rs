@@ -202,7 +202,7 @@ pub fn timed_components_on(
         Err(e) => Err(e),
     };
     let elapsed = start.elapsed();
-    // This runs on the engine worker, inside the interval the ledger
+    // This runs on the requesting thread, inside the interval the ledger
     // bills as compute time: an existing series is found by `&str`,
     // and only a first recording pays for the name it is created under.
     let (latency, throughput) = series_names(algo.name());

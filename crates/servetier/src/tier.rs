@@ -62,7 +62,9 @@ impl TenantSpec {
 /// Tier construction parameters.
 #[derive(Debug, Clone)]
 pub struct TierConfig {
-    /// Engine shards (each with its own caches, pool, and queue).
+    /// Engine shards (each with its own caches, admission queue and
+    /// dispatchers; an ordering a shard misses is computed on the
+    /// dispatcher serving the request).
     pub shards: usize,
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: usize,
@@ -995,8 +997,9 @@ fn build_prepared(
     ctx: &TraceCtx,
 ) -> Result<Arc<Prepared>, TierError> {
     let (content_hash, algo) = key;
-    // The ordering, through the shard engine's caches — with the
-    // deadline attached, so an expiry cancels it pre-reorder.
+    // The ordering, through the shard engine's caches, computed on
+    // this dispatcher when they miss — with the deadline attached, so
+    // an expiry cancels it pre-reorder.
     let ordering = shard
         .engine
         .submit_opts(

@@ -204,7 +204,7 @@ fn expired_deadline_is_shed_without_reorder_work() {
     assert_eq!(stats.shards[0].shed_expired, 1);
     assert_eq!(
         stats.shards[0].engine.jobs_executed, 0,
-        "an expired request must never reach the reorder pool"
+        "an expired request must never reach a reordering"
     );
     assert_eq!(stats.shards[0].engine.submitted, 0);
 }
@@ -257,6 +257,42 @@ fn engine_failure_is_counted_as_failed() {
     assert_eq!((stats.served(), stats.failed(), stats.shed()), (3, 1, 0));
     assert_eq!(shard.queue_depth, 0);
     assert_eq!(underflow.get(), underflow_before);
+}
+
+/// Zero parts — a value any client can put in a request — partitions
+/// as one part, so a `Gp { parts: 0 }` request gets its answer and the
+/// shard goes on to serve the next one.
+#[test]
+fn zero_part_gp_is_answered_and_the_shard_serves_on() {
+    let tier = tier(1, 16);
+    let matrix = MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(12, 12), 6));
+    // The requests run on a helper that owns the tier, and each answer
+    // is awaited with a bound: a request that never returns fails the
+    // test instead of hanging it, and nothing here ever joins a stuck
+    // dispatcher by dropping the tier.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        for algo in [AlgoSpec::Gp { parts: 0 }, AlgoSpec::Rcm] {
+            let req = request(&matrix, algo, KernelKind::OneD);
+            let want = matrix.matrix().spmv_dense(&req.x);
+            let served = tier.serve(req);
+            let depth = tier.stats().shards[0].queue_depth;
+            if tx.send((served, want, depth)).is_err() {
+                return;
+            }
+        }
+    });
+    for algo in ["GP", "RCM"] {
+        let (served, want, depth) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("the {algo} request was never answered"));
+        let response = served.unwrap_or_else(|e| panic!("{algo} failed: {e}"));
+        assert_close(&response.y, &want);
+        assert_eq!(depth, 0, "{algo}: queue depth after the answer");
+    }
+    helper
+        .join()
+        .expect("the helper drops the tier and returns");
 }
 
 #[test]

@@ -93,7 +93,7 @@ impl Snapshot {
     /// as summaries with `quantile` labels.
     ///
     /// Labeled series (built with [`crate::series_name`], e.g.
-    /// `engine.pool.queue_depth{shard="0"}`) keep their label block
+    /// `tier.queue_depth{shard="0"}`) keep their label block
     /// verbatim — only the base name is sanitised — and series sharing
     /// a base name emit one `# TYPE` header, as the exposition format
     /// requires.
@@ -199,7 +199,7 @@ mod tests {
     fn sample() -> Snapshot {
         let r = Registry::new();
         r.counter("engine.cache.hits").add(12);
-        r.gauge("engine.pool.queue_depth").set(3);
+        r.gauge("tier.queue_depth").set(3);
         let h = r.histogram("serve.request");
         for v in [100u64, 200, 300, 40_000] {
             h.record(v);
@@ -212,7 +212,7 @@ mod tests {
         let j = sample().to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
         assert!(j.contains("\"engine.cache.hits\":12"), "{j}");
-        assert!(j.contains("\"engine.pool.queue_depth\":3"), "{j}");
+        assert!(j.contains("\"tier.queue_depth\":3"), "{j}");
         assert!(j.contains("\"serve.request\":{\"count\":4"), "{j}");
         assert!(j.contains("\"min\":100"), "{j}");
         assert!(j.contains("\"max\":40000"), "{j}");
@@ -238,7 +238,7 @@ mod tests {
     fn prometheus_format_is_wellformed() {
         let p = sample().to_prometheus();
         assert!(p.contains("# TYPE engine_cache_hits counter\nengine_cache_hits 12\n"));
-        assert!(p.contains("# TYPE engine_pool_queue_depth gauge\nengine_pool_queue_depth 3\n"));
+        assert!(p.contains("# TYPE tier_queue_depth gauge\ntier_queue_depth 3\n"));
         assert!(p.contains("# TYPE serve_request summary"));
         assert!(p.contains("serve_request{quantile=\"0.5\"}"));
         assert!(p.contains("serve_request{quantile=\"0.999\"}"));
@@ -258,9 +258,9 @@ mod tests {
     #[test]
     fn prometheus_renders_labeled_series() {
         let r = Registry::new();
-        r.gauge_labeled("engine.pool.queue_depth", &[("shard", "0")])
+        r.gauge_labeled("tier.queue_depth", &[("shard", "0")])
             .set(2);
-        r.gauge_labeled("engine.pool.queue_depth", &[("shard", "1")])
+        r.gauge_labeled("tier.queue_depth", &[("shard", "1")])
             .set(5);
         r.counter_labeled("tier.shed", &[("shard", "1"), ("reason", "queue_full")])
             .add(4);
@@ -268,24 +268,14 @@ mod tests {
             .record(100);
         let p = r.snapshot().to_prometheus();
         // The base name is sanitised; the label block survives intact.
-        assert!(
-            p.contains("engine_pool_queue_depth{shard=\"0\"} 2\n"),
-            "{p}"
-        );
-        assert!(
-            p.contains("engine_pool_queue_depth{shard=\"1\"} 5\n"),
-            "{p}"
-        );
+        assert!(p.contains("tier_queue_depth{shard=\"0\"} 2\n"), "{p}");
+        assert!(p.contains("tier_queue_depth{shard=\"1\"} 5\n"), "{p}");
         assert!(
             p.contains("tier_shed{shard=\"1\",reason=\"queue_full\"} 4\n"),
             "{p}"
         );
         // One TYPE header per base name even with multiple label sets.
-        assert_eq!(
-            p.matches("# TYPE engine_pool_queue_depth gauge").count(),
-            1,
-            "{p}"
-        );
+        assert_eq!(p.matches("# TYPE tier_queue_depth gauge").count(), 1, "{p}");
         // Summary quantiles merge into the existing label block.
         assert!(
             p.contains("tier_request{tenant=\"t0\",quantile=\"0.5\"} 100\n"),

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Build a labeled series name: `base{k="v",k2="v2"}` (Prometheus
 /// label syntax, embedded in the registry key). Metrics that would
 /// otherwise collide when several instances of a component share one
-/// registry — e.g. the pool queue-depth gauge of every engine shard —
+/// registry — e.g. the queue-depth gauge of every tier shard —
 /// become distinct series by labeling them (`shard="0"`, `shard="1"`).
 ///
 /// Label keys are sanitised to `[A-Za-z0-9_]`; values are escaped per
@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// ```
 /// assert_eq!(
-///     telemetry::series_name("engine.pool.queue_depth", &[("shard", "3")]),
-///     "engine.pool.queue_depth{shard=\"3\"}"
+///     telemetry::series_name("tier.queue_depth", &[("shard", "3")]),
+///     "tier.queue_depth{shard=\"3\"}"
 /// );
 /// assert_eq!(telemetry::series_name("plain", &[]), "plain");
 /// ```
@@ -189,7 +189,7 @@ impl Registry {
 
     /// Resolve (or create) the gauge `base` carrying `labels`. This is
     /// how per-shard instances of one component keep distinct gauges
-    /// (e.g. `engine.pool.queue_depth{shard="2"}`) instead of
+    /// (e.g. `tier.queue_depth{shard="2"}`) instead of
     /// colliding on a single global series.
     pub fn gauge_labeled(&self, base: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         self.gauge(&series_name(base, labels))
@@ -372,24 +372,24 @@ mod tests {
     #[test]
     fn labeled_series_do_not_collide() {
         let r = Registry::new();
-        let g0 = r.gauge_labeled("engine.pool.queue_depth", &[("shard", "0")]);
-        let g1 = r.gauge_labeled("engine.pool.queue_depth", &[("shard", "1")]);
+        let g0 = r.gauge_labeled("tier.queue_depth", &[("shard", "0")]);
+        let g1 = r.gauge_labeled("tier.queue_depth", &[("shard", "1")]);
         g0.set(3);
         g1.set(7);
         assert_eq!(g0.get(), 3, "per-shard gauges must be distinct series");
         let snap = r.snapshot();
         assert_eq!(
-            snap.gauge_labeled("engine.pool.queue_depth", &[("shard", "0")]),
+            snap.gauge_labeled("tier.queue_depth", &[("shard", "0")]),
             Some(3)
         );
         assert_eq!(
-            snap.gauge_labeled("engine.pool.queue_depth", &[("shard", "1")]),
+            snap.gauge_labeled("tier.queue_depth", &[("shard", "1")]),
             Some(7)
         );
         // The unlabeled name is its own (absent) series.
-        assert_eq!(snap.gauge("engine.pool.queue_depth"), None);
+        assert_eq!(snap.gauge("tier.queue_depth"), None);
         // Same labels resolve to the same underlying metric.
-        let again = r.gauge_labeled("engine.pool.queue_depth", &[("shard", "0")]);
+        let again = r.gauge_labeled("tier.queue_depth", &[("shard", "0")]);
         assert!(Arc::ptr_eq(&g0, &again));
     }
 
