@@ -12,7 +12,7 @@ use sparsegraph::Graph;
 
 /// One coarsening level: the coarse graph and the fine→coarse vertex map.
 #[derive(Debug, Clone)]
-pub struct CoarseLevel {
+pub(crate) struct CoarseLevel {
     /// The contracted graph.
     pub graph: Graph,
     /// `coarse_of[v]` is the coarse vertex containing fine vertex `v`.
@@ -20,21 +20,21 @@ pub struct CoarseLevel {
 }
 
 /// Compute a heavy-edge matching. Returns `match_of` where
-/// `match_of[v] == v` for unmatched vertices.
-pub fn heavy_edge_matching(g: &Graph, rng: &mut SplitMix) -> Vec<u32> {
+/// `match_of[v] == v` for unmatched vertices — and only for them, since
+/// a graph has no self-loops, so `match_of` is also the matched flag.
+pub(crate) fn heavy_edge_matching(g: &Graph, rng: &mut SplitMix) -> Vec<u32> {
     let n = g.num_vertices();
     let mut match_of: Vec<u32> = (0..n as u32).collect();
-    let mut matched = vec![false; n];
     let mut visit: Vec<u32> = (0..n as u32).collect();
     rng.shuffle(&mut visit);
+    let matched = |match_of: &[u32], v: u32| match_of[v as usize] != v;
     for &v in &visit {
-        let v = v as usize;
-        if matched[v] {
+        if matched(&match_of, v) {
             continue;
         }
         let mut best: Option<(u32, i64)> = None;
-        for (u, w) in g.neighbors_weighted(v) {
-            if matched[u as usize] {
+        for (u, w) in g.neighbors_weighted(v as usize) {
+            if matched(&match_of, u) {
                 continue;
             }
             let better = match best {
@@ -49,17 +49,15 @@ pub fn heavy_edge_matching(g: &Graph, rng: &mut SplitMix) -> Vec<u32> {
             }
         }
         if let Some((u, _)) = best {
-            matched[v] = true;
-            matched[u as usize] = true;
-            match_of[v] = u;
-            match_of[u as usize] = v as u32;
+            match_of[v as usize] = u;
+            match_of[u as usize] = v;
         }
     }
     match_of
 }
 
 /// Contract a graph along a matching, producing the next coarser level.
-pub fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
+pub(crate) fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
     let n = g.num_vertices();
     // Assign coarse ids: each matched pair (v, u) with v < u gets one id.
     let mut coarse_of = vec![u32::MAX; n];
@@ -82,22 +80,27 @@ pub fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
     }
 
     // Build coarse adjacency by merging the two fine adjacency lists of
-    // each coarse vertex with a dense scatter buffer.
+    // each coarse vertex with a dense scatter buffer. Ids were handed
+    // out in order of each pair's smaller member, so walking the
+    // leaders `v <= match_of[v]` ascending visits coarse vertices in id
+    // order, and each one's members are its leader and then its match.
     let mut xadj = Vec::with_capacity(nc + 1);
     xadj.push(0usize);
     let mut adjncy: Vec<u32> = Vec::with_capacity(g.adjncy().len() / 2);
     let mut ewgt: Vec<i64> = Vec::with_capacity(g.adjncy().len() / 2);
     let mut slot_of = vec![u32::MAX; nc]; // coarse neighbour -> slot in current row
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nc];
     for v in 0..n {
-        members[coarse_of[v] as usize].push(v as u32);
-    }
-    for (c, mem) in members.iter().enumerate() {
+        let m = match_of[v] as usize;
+        if m < v {
+            continue; // v is a follower: its leader's row covers it
+        }
+        let c = coarse_of[v];
         let row_start = adjncy.len();
-        for &v in mem {
-            for (u, w) in g.neighbors_weighted(v as usize) {
+        let members: &[usize] = if m == v { &[v] } else { &[v, m] };
+        for &x in members {
+            for (u, w) in g.neighbors_weighted(x) {
                 let cu = coarse_of[u as usize];
-                if cu as usize == c {
+                if cu == c {
                     continue; // internal edge disappears
                 }
                 let slot = slot_of[cu as usize];
@@ -124,18 +127,21 @@ pub fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
 }
 
 /// Coarsen until the graph has at most `target_size` vertices or
-/// progress stalls. Returns the sequence of levels, finest first.
-pub fn coarsen_to(g: &Graph, target_size: usize, rng: &mut SplitMix) -> Vec<CoarseLevel> {
+/// progress stalls. Returns the sequence of levels, finest first; each
+/// level is contracted from the one before it (the first from `g`),
+/// borrowed in place.
+pub(crate) fn coarsen_to(g: &Graph, target_size: usize, rng: &mut SplitMix) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.num_vertices() > target_size {
-        let matching = heavy_edge_matching(&current, rng);
-        let level = contract(&current, &matching);
-        let shrink = level.graph.num_vertices() as f64 / current.num_vertices() as f64;
-        if shrink > 0.95 {
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        let n = current.num_vertices();
+        if n <= target_size {
+            break;
+        }
+        let level = contract(current, &heavy_edge_matching(current, rng));
+        if level.graph.num_vertices() as f64 / n as f64 > 0.95 {
             break; // nearly no matching possible; stop
         }
-        current = level.graph.clone();
         levels.push(level);
     }
     levels

@@ -17,13 +17,61 @@ use std::collections::BinaryHeap;
 /// before the pass is cut short (standard FM early exit).
 const MAX_BAD_MOVES: usize = 150;
 
+/// FM's per-pass arrays, kept across the passes and levels of one
+/// multilevel bisection: sized once by its finest graph, not
+/// reallocated per pass.
+pub(crate) struct FmWork {
+    pub(crate) gain: Vec<i64>,
+    pub(crate) locked: Vec<bool>,
+    pub(crate) heap: BinaryHeap<(i64, Reverse<u32>)>,
+    pub(crate) moves: Vec<u32>,
+}
+
+impl FmWork {
+    /// A workspace for graphs of up to `n` vertices without growing.
+    pub(crate) fn with_capacity(n: usize) -> FmWork {
+        FmWork {
+            gain: Vec::with_capacity(n),
+            locked: Vec::with_capacity(n),
+            heap: BinaryHeap::with_capacity(n),
+            moves: Vec::with_capacity(n),
+        }
+    }
+
+    /// Start a pass over `n` vertices: nothing locked or moved, the
+    /// gains and heap entries `seed` writes into the emptied gain
+    /// vector and heap buffer, heapified. That pops the same sequence
+    /// as pushing the entries one by one: a max-heap's pop order
+    /// depends only on its keys, and equal keys are equal entries.
+    pub(crate) fn start_pass(
+        &mut self,
+        n: usize,
+        seed: impl FnOnce(&mut Vec<i64>, &mut Vec<(i64, Reverse<u32>)>),
+    ) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
+        self.gain.clear();
+        seed(&mut self.gain, &mut entries);
+        self.heap = BinaryHeap::from(entries);
+        self.locked.clear();
+        self.locked.resize(n, false);
+        self.moves.clear();
+    }
+}
+
 /// Refine a bisection in place. Returns the number of improving passes.
-pub fn fm_refine(
+///
+/// `bis` must be exact (its cut and part weights those of its
+/// `part_of`), and stays exact: a pass tracks the cut and part weights
+/// move by move — integer sums of exact gains and vertex weights — and
+/// keeps those of its best prefix instead of recomputing them in O(E).
+pub(crate) fn fm_refine(
     g: &Graph,
     bis: &mut Bisection,
     target: [i64; 2],
     ubfactor: f64,
     max_passes: usize,
+    ws: &mut FmWork,
 ) -> usize {
     let n = g.num_vertices();
     if n == 0 {
@@ -36,45 +84,48 @@ pub fn fm_refine(
     let mut passes_done = 0;
 
     for _ in 0..max_passes {
-        // Gains: weight of external edges minus internal edges.
-        let mut gain = vec![0i64; n];
-        for v in 0..n {
-            let pv = bis.part_of[v];
-            let mut gv = 0i64;
-            for (u, w) in g.neighbors_weighted(v) {
-                if bis.part_of[u as usize] == pv {
-                    gv -= w;
-                } else {
-                    gv += w;
+        // Gains: weight of external edges minus internal edges. The
+        // max-heap of (gain, vertex), stale entries skipped lazily,
+        // starts with the boundary vertices; interior vertices enter it
+        // as their neighbours move.
+        ws.start_pass(n, |gain, seeds| {
+            for v in 0..n {
+                let pv = bis.part_of[v];
+                let (mut gv, mut boundary) = (0i64, false);
+                for (u, w) in g.neighbors_weighted(v) {
+                    if bis.part_of[u as usize] == pv {
+                        gv -= w;
+                    } else {
+                        gv += w;
+                        boundary = true;
+                    }
+                }
+                gain.push(gv);
+                if boundary || gv >= 0 {
+                    seeds.push((gv, Reverse(v as u32)));
                 }
             }
-            gain[v] = gv;
-        }
-        let mut locked = vec![false; n];
-        // Max-heap of (gain, vertex); stale entries skipped lazily.
-        let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
-        for v in 0..n {
-            // Seed with boundary vertices; interior vertices enter the
-            // heap lazily as their neighbours move.
-            let boundary = g
-                .neighbors_weighted(v)
-                .any(|(u, _)| bis.part_of[u as usize] != bis.part_of[v]);
-            if boundary || gain[v] >= 0 {
-                heap.push((gain[v], Reverse(v as u32)));
+            // For graphs with no boundary (already perfect), seed
+            // everything so balance can still be fixed.
+            if seeds.is_empty() {
+                seeds.extend(
+                    gain.iter()
+                        .enumerate()
+                        .map(|(v, &gv)| (gv, Reverse(v as u32))),
+                );
             }
-        }
-        // For graphs with no boundary (already perfect), seed everything
-        // so balance can still be fixed.
-        if heap.is_empty() {
-            for v in 0..n {
-                heap.push((gain[v], Reverse(v as u32)));
-            }
-        }
+        });
+        let FmWork {
+            gain,
+            locked,
+            heap,
+            moves,
+        } = &mut *ws;
 
-        let mut moves: Vec<u32> = Vec::new();
         let mut cur_cut = bis.cut;
         let mut cur_w = bis.part_weights;
         let mut best_cut = bis.cut;
+        let mut best_w = cur_w;
         let mut best_feasible = cur_w[0] <= max_allowed[0] && cur_w[1] <= max_allowed[1];
         let mut best_len = 0usize;
         let mut bad_streak = 0usize;
@@ -126,6 +177,7 @@ pub fn fm_refine(
             };
             if improves {
                 best_cut = cur_cut;
+                best_w = cur_w;
                 best_feasible = now_feasible;
                 best_len = moves.len();
                 bad_streak = 0;
@@ -144,9 +196,11 @@ pub fn fm_refine(
             bis.part_of[v] = (1 - cur) as u8;
         }
         let improved = best_len > 0 && best_cut < bis.cut;
-        let new_state = Bisection::recompute(g, std::mem::take(&mut bis.part_of));
-        *bis = new_state;
-        debug_assert_eq!(bis.cut, if best_len > 0 { best_cut } else { bis.cut });
+        if best_len > 0 {
+            bis.cut = best_cut;
+            bis.part_weights = best_w;
+        }
+        debug_assert!(bis.is_exact(g), "FM's tracked cut or weights drifted");
         if improved {
             passes_done += 1;
         } else {
@@ -159,6 +213,10 @@ pub fn fm_refine(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn refine(g: &Graph, bis: &mut Bisection, target: [i64; 2], passes: usize) -> usize {
+        fm_refine(g, bis, target, 1.05, passes, &mut FmWork::with_capacity(0))
+    }
 
     fn grid(n: usize) -> Graph {
         let idx = |r: usize, c: usize| (r * n + c) as u32;
@@ -195,7 +253,7 @@ mod tests {
         let initial_cut = bis.cut;
         assert!(initial_cut >= 50);
         let target = [32i64, 32i64];
-        fm_refine(&g, &mut bis, target, 1.05, 12);
+        refine(&g, &mut bis, target, 12);
         assert!(
             bis.cut < initial_cut / 2,
             "FM failed to improve: {} -> {}",
@@ -220,7 +278,7 @@ mod tests {
             .collect();
         let mut bis = Bisection::recompute(&g, part_of);
         assert_eq!(bis.cut, 6);
-        fm_refine(&g, &mut bis, [18, 18], 1.05, 8);
+        refine(&g, &mut bis, [18, 18], 8);
         assert_eq!(bis.cut, 6, "FM must not damage an optimal split");
     }
 
@@ -231,7 +289,7 @@ mod tests {
         let part_of: Vec<u8> = (0..n * n).map(|v| (v % 2) as u8).collect();
         let mut bis = Bisection::recompute(&g, part_of);
         let target = [32i64, 32i64];
-        fm_refine(&g, &mut bis, target, 1.05, 12);
+        refine(&g, &mut bis, target, 12);
         assert!(bis.part_weights[0] as f64 <= 32.0 * 1.05 + 1.0);
         assert!(bis.part_weights[1] as f64 <= 32.0 * 1.05 + 1.0);
     }
@@ -240,6 +298,6 @@ mod tests {
     fn fm_noop_on_empty_graph() {
         let g = Graph::from_adjacency(vec![0], vec![]).unwrap();
         let mut bis = Bisection::recompute(&g, vec![]);
-        assert_eq!(fm_refine(&g, &mut bis, [0, 0], 1.05, 4), 0);
+        assert_eq!(refine(&g, &mut bis, [0, 0], 4), 0);
     }
 }

@@ -7,8 +7,11 @@
 //! side-counts improves the cut during uncoarsening. Recursive bisection
 //! extends to k parts.
 
+use crate::fm::FmWork;
 use crate::rng::SplitMix;
-use sparsegraph::Hypergraph;
+use sparsegraph::{Hypergraph, LocalIds};
+use std::cmp::Reverse;
+use std::ops::Range;
 
 /// Nets larger than this are ignored during matching and receive no
 /// incremental gain updates during FM (they are almost always cut and
@@ -54,101 +57,50 @@ impl HypergraphPartitionConfig {
     }
 }
 
-/// Internal mutable hypergraph used across coarsening levels.
-#[derive(Debug, Clone)]
-struct WorkHg {
+/// A hypergraph from its net→pins arrays, with the vertex→nets
+/// incidence derived: each vertex lists its nets in ascending order.
+fn with_vertex_nets(
     xpins: Vec<usize>,
     pins: Vec<u32>,
-    xnets: Vec<usize>,
-    nets: Vec<u32>,
     vwgt: Vec<i64>,
     nwgt: Vec<i64>,
-}
-
-impl WorkHg {
-    fn from_hypergraph(h: &Hypergraph) -> WorkHg {
-        let nv = h.num_vertices();
-        let nn = h.num_nets();
-        let mut xpins = Vec::with_capacity(nn + 1);
-        xpins.push(0);
-        let mut pins = Vec::with_capacity(h.num_pins());
-        for j in 0..nn {
-            pins.extend_from_slice(h.net_pins(j));
-            xpins.push(pins.len());
-        }
-        let mut xnets = Vec::with_capacity(nv + 1);
-        xnets.push(0);
-        let mut nets = Vec::with_capacity(h.num_pins());
-        for v in 0..nv {
-            nets.extend_from_slice(h.vertex_nets(v));
-            xnets.push(nets.len());
-        }
-        WorkHg {
-            xpins,
-            pins,
-            xnets,
-            nets,
-            vwgt: (0..nv).map(|v| h.vertex_weight(v)).collect(),
-            nwgt: (0..nn).map(|j| h.net_weight(j)).collect(),
+) -> Hypergraph {
+    let nv = vwgt.len();
+    // Count each vertex's nets at xnets[v + 1] and prefix-sum, so
+    // xnets[v] is v's start; filling with xnets[v] as v's cursor leaves
+    // it at v's end — the next vertex's start — and one shift restores
+    // the offsets.
+    let mut xnets = vec![0usize; nv + 1];
+    for &p in &pins {
+        xnets[p as usize + 1] += 1;
+    }
+    for v in 0..nv {
+        xnets[v + 1] += xnets[v];
+    }
+    let mut nets = vec![0u32; pins.len()];
+    for j in 0..nwgt.len() {
+        for &p in &pins[xpins[j]..xpins[j + 1]] {
+            nets[xnets[p as usize]] = j as u32;
+            xnets[p as usize] += 1;
         }
     }
-
-    fn num_vertices(&self) -> usize {
-        self.vwgt.len()
-    }
-
-    fn num_nets(&self) -> usize {
-        self.nwgt.len()
-    }
-
-    fn net_pins(&self, j: usize) -> &[u32] {
-        &self.pins[self.xpins[j]..self.xpins[j + 1]]
-    }
-
-    fn vertex_nets(&self, v: usize) -> &[u32] {
-        &self.nets[self.xnets[v]..self.xnets[v + 1]]
-    }
-
-    fn total_vertex_weight(&self) -> i64 {
-        self.vwgt.iter().sum()
-    }
-
-    /// Rebuild the vertex→nets incidence from the net→pins arrays.
-    fn rebuild_vertex_nets(&mut self) {
-        let nv = self.num_vertices();
-        let mut count = vec![0usize; nv + 1];
-        for &p in &self.pins {
-            count[p as usize + 1] += 1;
-        }
-        for v in 0..nv {
-            count[v + 1] += count[v];
-        }
-        let xnets = count.clone();
-        let mut nets = vec![0u32; self.pins.len()];
-        let mut next: Vec<usize> = count[..nv].to_vec();
-        for j in 0..self.num_nets() {
-            for &p in &self.pins[self.xpins[j]..self.xpins[j + 1]] {
-                nets[next[p as usize]] = j as u32;
-                next[p as usize] += 1;
-            }
-        }
-        self.xnets = xnets;
-        self.nets = nets;
-    }
+    xnets.copy_within(0..nv, 1);
+    xnets[0] = 0;
+    Hypergraph::from_parts_unchecked(xpins, pins, xnets, nets, vwgt, nwgt)
 }
 
 /// One coarsening level.
 struct HgLevel {
-    hg: WorkHg,
+    hg: Hypergraph,
     coarse_of: Vec<u32>,
 }
 
 /// Heavy-connectivity matching: match each vertex with the unmatched
-/// co-pin vertex sharing the largest total net weight.
-fn match_vertices(hg: &WorkHg, rng: &mut SplitMix) -> Vec<u32> {
+/// co-pin vertex sharing the largest total net weight. Returns
+/// `match_of`, where `match_of[v] == v` exactly for unmatched `v`.
+fn match_vertices(hg: &Hypergraph, rng: &mut SplitMix) -> Vec<u32> {
     let n = hg.num_vertices();
     let mut match_of: Vec<u32> = (0..n as u32).collect();
-    let mut matched = vec![false; n];
     let mut visit: Vec<u32> = (0..n as u32).collect();
     rng.shuffle(&mut visit);
     // Sparse counter of shared weight with candidate partners.
@@ -156,7 +108,7 @@ fn match_vertices(hg: &WorkHg, rng: &mut SplitMix) -> Vec<u32> {
     let mut touched: Vec<u32> = Vec::new();
     for &v in &visit {
         let v = v as usize;
-        if matched[v] {
+        if match_of[v] as usize != v {
             continue;
         }
         touched.clear();
@@ -165,10 +117,10 @@ fn match_vertices(hg: &WorkHg, rng: &mut SplitMix) -> Vec<u32> {
             if pins.len() > BIG_NET {
                 continue;
             }
-            let w = hg.nwgt[j as usize];
+            let w = hg.net_weight(j as usize);
             for &u in pins {
                 let u = u as usize;
-                if u == v || matched[u] {
+                if u == v || match_of[u] as usize != u {
                     continue;
                 }
                 if shared[u] == 0 {
@@ -183,7 +135,7 @@ fn match_vertices(hg: &WorkHg, rng: &mut SplitMix) -> Vec<u32> {
             let s = shared[u];
             let better = match best {
                 None => true,
-                Some((bu, bs)) => s > bs || (s == bs && hg.vwgt[u] < hg.vwgt[bu]),
+                Some((bu, bs)) => s > bs || (s == bs && hg.vertex_weight(u) < hg.vertex_weight(bu)),
             };
             if better {
                 best = Some((u, s));
@@ -191,8 +143,6 @@ fn match_vertices(hg: &WorkHg, rng: &mut SplitMix) -> Vec<u32> {
             shared[u] = 0;
         }
         if let Some((u, _)) = best {
-            matched[v] = true;
-            matched[u] = true;
             match_of[v] = u as u32;
             match_of[u] = v as u32;
         }
@@ -201,8 +151,34 @@ fn match_vertices(hg: &WorkHg, rng: &mut SplitMix) -> Vec<u32> {
 }
 
 /// Contract the hypergraph along a matching. Pins are deduplicated per
-/// net; nets reduced to a single pin are dropped.
-fn contract_hg(hg: &WorkHg, match_of: &[u32]) -> HgLevel {
+/// net; nets reduced to a single pin are dropped, and a net whose pin
+/// set equals an earlier net's is folded into that one.
+///
+/// The fold sums the two weights and keeps first occurrences in their
+/// original order, and it changes no partition:
+/// - gains, the cut and matching's `shared[u]` are sums over nets of
+///   terms that are equal for equal pin sets, so the summed net adds up
+///   to the same totals;
+/// - matching's `touched` order and the initial BFS visit each vertex's
+///   nets in ascending id, so a later copy only revisits pins its first
+///   occurrence already reached;
+/// - in FM a pin holds the same gain between moves either way, and the
+///   gain a move leaves it with is pushed either way. Only the entries
+///   for gains it held part-way through one move's net-by-net updates
+///   differ, and such an entry pops as stale — doing nothing — or, if
+///   the gain has come back to its key, as a copy of the entry pushed
+///   when it did. Copies change nothing: equal keys pop back to back
+///   under an unchanged balance state, so a rejected vertex's copies
+///   are rejected with it and a moved one's are stale. The same moves
+///   are made;
+/// - contraction maps equal pin sets to equal pin sets, so the next
+///   level folds the same groups with the same first occurrences.
+///
+/// Equal sets are found without sorting: an order-independent pin hash
+/// accumulates while the pins are mapped, `(hash, len)` is looked up in
+/// an open-addressed table of earlier nets, and a candidate is confirmed
+/// against the current net's `mark` stamps.
+fn contract_hg(hg: &Hypergraph, match_of: &[u32]) -> HgLevel {
     let n = hg.num_vertices();
     let mut coarse_of = vec![u32::MAX; n];
     let mut nc = 0u32;
@@ -217,90 +193,122 @@ fn contract_hg(hg: &WorkHg, match_of: &[u32]) -> HgLevel {
     let ncv = nc as usize;
     let mut vwgt = vec![0i64; ncv];
     for v in 0..n {
-        vwgt[coarse_of[v] as usize] += hg.vwgt[v];
+        vwgt[coarse_of[v] as usize] += hg.vertex_weight(v);
     }
     let mut xpins = vec![0usize];
-    let mut pins: Vec<u32> = Vec::with_capacity(hg.pins.len());
+    let mut pins: Vec<u32> = Vec::with_capacity(hg.num_pins());
     let mut nwgt: Vec<i64> = Vec::new();
+    let mut net_hash: Vec<u64> = Vec::new();
+    // Coarse net ids by hash, u32::MAX for empty; at most half full.
+    let mask = (2 * hg.num_nets()).next_power_of_two() - 1;
+    let mut table = vec![u32::MAX; mask + 1];
     let mut mark = vec![u64::MAX; ncv];
     let mut stamp = 0u64;
     for j in 0..hg.num_nets() {
         stamp += 1;
         let start = pins.len();
+        let mut hash = 0u64;
         for &p in hg.net_pins(j) {
             let c = coarse_of[p as usize];
             if mark[c as usize] != stamp {
                 mark[c as usize] = stamp;
                 pins.push(c);
+                hash = hash.wrapping_add(SplitMix::new(u64::from(c)).next_u64());
             }
         }
-        if pins.len() - start <= 1 {
+        let len = pins.len() - start;
+        if len <= 1 {
             pins.truncate(start); // single-pin net: drop
-        } else {
-            xpins.push(pins.len());
-            nwgt.push(hg.nwgt[j]);
+            continue;
+        }
+        let mut slot = hash as usize & mask;
+        loop {
+            let i = table[slot] as usize;
+            if i == u32::MAX as usize {
+                table[slot] = nwgt.len() as u32;
+                xpins.push(pins.len());
+                nwgt.push(hg.net_weight(j));
+                net_hash.push(hash);
+                break;
+            }
+            let earlier = &pins[xpins[i]..xpins[i + 1]];
+            if net_hash[i] == hash
+                && earlier.len() == len
+                && earlier.iter().all(|&c| mark[c as usize] == stamp)
+            {
+                nwgt[i] += hg.net_weight(j);
+                pins.truncate(start);
+                break;
+            }
+            slot = (slot + 1) & mask;
         }
     }
-    let mut coarse = WorkHg {
-        xpins,
-        pins,
-        xnets: Vec::new(),
-        nets: Vec::new(),
-        vwgt,
-        nwgt,
-    };
-    coarse.rebuild_vertex_nets();
     HgLevel {
-        hg: coarse,
+        hg: with_vertex_nets(xpins, pins, vwgt, nwgt),
         coarse_of,
     }
 }
 
-/// Net side-counts for a bisection.
-fn side_counts(hg: &WorkHg, part_of: &[u8]) -> Vec<[u32; 2]> {
-    let mut counts = vec![[0u32; 2]; hg.num_nets()];
+/// Net side-counts for a bisection, into `counts`.
+fn side_counts(hg: &Hypergraph, part_of: &[u8], counts: &mut Vec<[u32; 2]>) {
+    counts.clear();
+    counts.resize(hg.num_nets(), [0; 2]);
     for j in 0..hg.num_nets() {
         for &p in hg.net_pins(j) {
             counts[j][part_of[p as usize] as usize] += 1;
         }
     }
-    counts
 }
 
 /// Cut-net value of a bisection from side counts: the total weight of
 /// nets with pins on both sides (PaToH "cut-net", the metric chosen in
 /// §3.3 of the paper; for two parts it equals connectivity−1).
-fn objective_value(hg: &WorkHg, counts: &[[u32; 2]]) -> i64 {
+fn objective_value(hg: &Hypergraph, counts: &[[u32; 2]]) -> i64 {
     let mut total = 0i64;
     for j in 0..hg.num_nets() {
         let [a, b] = counts[j];
         if a > 0 && b > 0 {
-            total += hg.nwgt[j];
+            total += hg.net_weight(j);
         }
     }
     total
 }
 
-/// Gain of moving vertex `v` to the other side, from net side counts.
-fn move_gain(hg: &WorkHg, counts: &[[u32; 2]], part_of: &[u8], v: usize) -> i64 {
-    let from = part_of[v] as usize;
-    let to = 1 - from;
-    let mut gain = 0i64;
-    for &j in hg.vertex_nets(v) {
-        let j = j as usize;
-        let cf = counts[j][from];
-        let ct = counts[j][to];
-        if cf == 1 && ct > 0 {
-            gain += hg.nwgt[j]; // net becomes internal to `to`
-        } else if ct == 0 && cf > 1 {
-            gain -= hg.nwgt[j]; // net becomes newly cut
-        }
+/// One net's share of the gain of moving a pin to the other side, when
+/// the pin's side holds `own` of the net's pins and the other side
+/// `other`: `w` if the move uncuts the net, `−w` if it newly cuts it.
+#[inline]
+fn pin_gain(own: u32, other: u32, w: i64) -> i64 {
+    if own == 1 && other > 0 {
+        w
+    } else if other == 0 && own > 1 {
+        -w
+    } else {
+        0
     }
-    gain
 }
 
-/// Greedy growing initial bisection on the coarsest hypergraph.
-fn initial_bisection(hg: &WorkHg, target: [i64; 2], trials: usize, rng: &mut SplitMix) -> Vec<u8> {
+/// Gain of moving vertex `v` to the other side, from net side counts.
+fn move_gain(hg: &Hypergraph, counts: &[[u32; 2]], part_of: &[u8], v: usize) -> i64 {
+    let from = part_of[v] as usize;
+    hg.vertex_nets(v)
+        .iter()
+        .map(|&j| {
+            let [own, other] = [counts[j as usize][from], counts[j as usize][1 - from]];
+            pin_gain(own, other, hg.net_weight(j as usize))
+        })
+        .sum()
+}
+
+/// Greedy growing initial bisection on the coarsest hypergraph;
+/// `counts` is scratch.
+fn initial_bisection(
+    hg: &Hypergraph,
+    target: [i64; 2],
+    trials: usize,
+    rng: &mut SplitMix,
+    counts: &mut Vec<[u32; 2]>,
+) -> Vec<u8> {
     let n = hg.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -339,7 +347,7 @@ fn initial_bisection(hg: &WorkHg, target: [i64; 2], trials: usize, rng: &mut Spl
                 }
             };
             part_of[v] = 0;
-            w0 += hg.vwgt[v];
+            w0 += hg.vertex_weight(v);
             for &j in hg.vertex_nets(v) {
                 let pins = hg.net_pins(j as usize);
                 if pins.len() > BIG_NET {
@@ -353,13 +361,13 @@ fn initial_bisection(hg: &WorkHg, target: [i64; 2], trials: usize, rng: &mut Spl
                 }
             }
         }
-        let counts = side_counts(hg, &part_of);
-        let cut = objective_value(hg, &counts);
+        side_counts(hg, &part_of, counts);
+        let cut = objective_value(hg, counts);
         let w0f = part_of
             .iter()
             .enumerate()
             .filter(|&(_, &p)| p == 0)
-            .map(|(v, _)| hg.vwgt[v])
+            .map(|(v, _)| hg.vertex_weight(v))
             .sum::<i64>() as f64;
         let imb = (w0f / target[0].max(1) as f64)
             .max((hg.total_vertex_weight() as f64 - w0f) / target[1].max(1) as f64);
@@ -378,17 +386,17 @@ fn initial_bisection(hg: &WorkHg, target: [i64; 2], trials: usize, rng: &mut Spl
     best.expect("at least one trial").0
 }
 
-/// FM refinement for hypergraph bisections.
+/// FM refinement for hypergraph bisections. `ws` and `counts` are the
+/// workspace, kept across the passes and levels of one bisection.
 fn fm_refine_hg(
-    hg: &WorkHg,
+    hg: &Hypergraph,
     part_of: &mut [u8],
     target: [i64; 2],
     ubfactor: f64,
     max_passes: usize,
+    ws: &mut FmWork,
+    counts: &mut Vec<[u32; 2]>,
 ) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let n = hg.num_vertices();
     if n == 0 {
         return;
@@ -398,25 +406,31 @@ fn fm_refine_hg(
         ((target[1] as f64) * ubfactor).ceil() as i64,
     ];
     for _ in 0..max_passes {
-        let mut counts = side_counts(hg, part_of);
-        let start_cut = objective_value(hg, &counts);
-        let mut gain: Vec<i64> = (0..n).map(|v| move_gain(hg, &counts, part_of, v)).collect();
+        side_counts(hg, part_of, counts);
+        let start_cut = objective_value(hg, counts);
+        ws.start_pass(n, |gain, seeds| {
+            gain.extend((0..n).map(|v| move_gain(hg, counts, part_of, v)));
+            seeds.extend(
+                gain.iter()
+                    .enumerate()
+                    .map(|(v, &g)| (g, Reverse(v as u32))),
+            );
+        });
+        let FmWork {
+            gain,
+            locked,
+            heap,
+            moves,
+        } = &mut *ws;
         let mut part_w = [0i64; 2];
         for v in 0..n {
-            part_w[part_of[v] as usize] += hg.vwgt[v];
+            part_w[part_of[v] as usize] += hg.vertex_weight(v);
         }
-        let mut locked = vec![false; n];
-        let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
-        for v in 0..n {
-            heap.push((gain[v], Reverse(v as u32)));
-        }
-        let mut moves: Vec<u32> = Vec::new();
         let mut cur_cut = start_cut;
         let mut best_cut = start_cut;
         let mut best_len = 0usize;
         let mut best_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
         let mut bad_streak = 0usize;
-        let mut old_contrib: Vec<i64> = Vec::new();
 
         while let Some((gtop, Reverse(v))) = heap.pop() {
             let v = v as usize;
@@ -425,7 +439,7 @@ fn fm_refine_hg(
             }
             let from = part_of[v] as usize;
             let to = 1 - from;
-            let wv = hg.vwgt[v];
+            let wv = hg.vertex_weight(v);
             let feasible_after = part_w[to] + wv <= max_allowed[to];
             let overflow_now = (part_w[0] - max_allowed[0]).max(part_w[1] - max_allowed[1]);
             let overflow_after =
@@ -439,37 +453,37 @@ fn fm_refine_hg(
             part_w[to] += wv;
             cur_cut -= gain[v];
             moves.push(v as u32);
-            // Update counts and neighbour gains per net, with O(1)
-            // delta updates per pin: only net j's contribution to each
-            // pin's gain changes, so we subtract the old contribution
-            // and add the new one.
+            // Update counts and the free pins' gains per net. A pin's
+            // share of a net depends only on its side and the net's two
+            // counts, so the move changes it by one delta for the pins
+            // on `from` and one for those on `to`; a net where both are
+            // zero changes no gain (FM's critical-net rule) and its
+            // pins are not visited.
             for &j in hg.vertex_nets(v) {
                 let j = j as usize;
+                let [a, b] = [counts[j][from], counts[j][to]];
+                counts[j][from] = a - 1;
+                counts[j][to] = b + 1;
                 let pins = hg.net_pins(j);
                 if pins.len() > BIG_NET {
-                    counts[j][from] -= 1;
-                    counts[j][to] += 1;
                     continue;
                 }
-                // Old contributions (before the count change).
-                old_contrib.clear();
+                let w = hg.net_weight(j);
+                let d_from = pin_gain(a - 1, b + 1, w) - pin_gain(a, b, w);
+                let d_to = pin_gain(b + 1, a - 1, w) - pin_gain(b, a, w);
+                if d_from == 0 && d_to == 0 {
+                    continue;
+                }
                 for &u in pins {
                     let u = u as usize;
-                    old_contrib.push(if locked[u] || u == v {
-                        0
-                    } else {
-                        move_gain_single_net(hg, &counts, part_of, u, j)
-                    });
-                }
-                counts[j][from] -= 1;
-                counts[j][to] += 1;
-                for (pi, &u) in pins.iter().enumerate() {
-                    let u = u as usize;
-                    if locked[u] || u == v {
-                        continue;
+                    if locked[u] {
+                        continue; // v itself included
                     }
-                    let new_contrib = move_gain_single_net(hg, &counts, part_of, u, j);
-                    let delta = new_contrib - old_contrib[pi];
+                    let delta = if part_of[u] as usize == from {
+                        d_from
+                    } else {
+                        d_to
+                    };
                     if delta != 0 {
                         gain[u] += delta;
                         heap.push((gain[u], Reverse(u as u32)));
@@ -504,31 +518,10 @@ fn fm_refine_hg(
     }
 }
 
-/// Gain contribution of a single net (used by incremental updates).
-#[inline]
-fn move_gain_single_net(
-    hg: &WorkHg,
-    counts: &[[u32; 2]],
-    part_of: &[u8],
-    v: usize,
-    j: usize,
-) -> i64 {
-    let from = part_of[v] as usize;
-    let to = 1 - from;
-    let cf = counts[j][from];
-    let ct = counts[j][to];
-    if cf == 1 && ct > 0 {
-        hg.nwgt[j]
-    } else if ct == 0 && cf > 1 {
-        -hg.nwgt[j]
-    } else {
-        0
-    }
-}
-
-/// Multilevel bisection of a working hypergraph.
+/// Multilevel bisection of a hypergraph. Each level is contracted from
+/// the one before it (the first from `hg`), borrowed in place.
 fn multilevel_bisect_hg(
-    hg: &WorkHg,
+    hg: &Hypergraph,
     target: [i64; 2],
     cfg: &HypergraphPartitionConfig,
     seed: u64,
@@ -536,67 +529,57 @@ fn multilevel_bisect_hg(
     let mut rng = SplitMix::new(seed);
     // Coarsen.
     let mut levels: Vec<HgLevel> = Vec::new();
-    let mut current = hg.clone();
-    while current.num_vertices() > COARSEN_TO {
-        let m = match_vertices(&current, &mut rng);
-        let level = contract_hg(&current, &m);
-        if level.hg.num_vertices() as f64 / current.num_vertices() as f64 > 0.95 {
+    loop {
+        let current = levels.last().map_or(hg, |l| &l.hg);
+        let n = current.num_vertices();
+        if n <= COARSEN_TO {
             break;
         }
-        current = level.hg.clone();
+        let level = contract_hg(current, &match_vertices(current, &mut rng));
+        if level.hg.num_vertices() as f64 / n as f64 > 0.95 {
+            break;
+        }
         levels.push(level);
     }
-    let coarsest: &WorkHg = levels.last().map(|l| &l.hg).unwrap_or(hg);
-    let mut part = initial_bisection(coarsest, target, INITIAL_TRIALS, &mut rng);
-    fm_refine_hg(coarsest, &mut part, target, cfg.ubfactor, FM_PASSES);
-    for li in (0..levels.len()).rev() {
-        let fine: &WorkHg = if li == 0 { hg } else { &levels[li - 1].hg };
-        let coarse_of = &levels[li].coarse_of;
-        let mut fine_part = vec![0u8; fine.num_vertices()];
-        for v in 0..fine.num_vertices() {
-            fine_part[v] = part[coarse_of[v] as usize];
+    let coarsest: &Hypergraph = levels.last().map(|l| &l.hg).unwrap_or(hg);
+    let mut fm = FmWork::with_capacity(hg.num_vertices());
+    let mut counts = Vec::with_capacity(hg.num_nets());
+    let mut part = initial_bisection(coarsest, target, INITIAL_TRIALS, &mut rng, &mut counts);
+    // Refine the coarsest level, then project onto each finer one and
+    // refine that in turn.
+    let ub = cfg.ubfactor;
+    for li in (0..=levels.len()).rev() {
+        if let Some(level) = levels.get(li) {
+            part = level.coarse_of.iter().map(|&c| part[c as usize]).collect();
         }
-        part = fine_part;
-        fm_refine_hg(fine, &mut part, target, cfg.ubfactor, FM_PASSES);
+        let h = if li == 0 { hg } else { &levels[li - 1].hg };
+        fm_refine_hg(h, &mut part, target, ub, FM_PASSES, &mut fm, &mut counts);
     }
     part
 }
 
 /// Sub-hypergraph induced on a vertex subset: nets are restricted to
 /// surviving pins and dropped if ≤1 pin remains.
-fn sub_hypergraph(hg: &WorkHg, vertices: &[u32]) -> WorkHg {
-    let mut local_of = std::collections::HashMap::with_capacity(vertices.len());
-    for (l, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, l as u32);
-    }
+fn sub_hypergraph(hg: &Hypergraph, vertices: &[u32], ids: &mut LocalIds) -> Hypergraph {
+    ids.assign(hg.num_vertices(), vertices);
     let mut xpins = vec![0usize];
     let mut pins: Vec<u32> = Vec::new();
     let mut nwgt: Vec<i64> = Vec::new();
     for j in 0..hg.num_nets() {
         let start = pins.len();
-        for &p in hg.net_pins(j) {
-            if let Some(&l) = local_of.get(&p) {
-                pins.push(l);
-            }
-        }
+        pins.extend(hg.net_pins(j).iter().filter_map(|&p| ids.get(p)));
         if pins.len() - start <= 1 {
             pins.truncate(start);
         } else {
             xpins.push(pins.len());
-            nwgt.push(hg.nwgt[j]);
+            nwgt.push(hg.net_weight(j));
         }
     }
-    let vwgt: Vec<i64> = vertices.iter().map(|&v| hg.vwgt[v as usize]).collect();
-    let mut sub = WorkHg {
-        xpins,
-        pins,
-        xnets: Vec::new(),
-        nets: Vec::new(),
-        vwgt,
-        nwgt,
-    };
-    sub.rebuild_vertex_nets();
-    sub
+    let vwgt: Vec<i64> = vertices
+        .iter()
+        .map(|&v| hg.vertex_weight(v as usize))
+        .collect();
+    with_vertex_nets(xpins, pins, vwgt, nwgt)
 }
 
 /// Recursive-bisection k-way hypergraph partitioning.
@@ -605,44 +588,51 @@ fn sub_hypergraph(hg: &WorkHg, vertices: &[u32]) -> WorkHg {
 /// cut-net objective this reproduces the PaToH configuration of the
 /// paper's HP reordering (§3.3).
 pub fn partition_hypergraph(h: &Hypergraph, cfg: &HypergraphPartitionConfig) -> Vec<u32> {
-    let hg = WorkHg::from_hypergraph(h);
-    let n = hg.num_vertices();
+    let n = h.num_vertices();
     let k = cfg.num_parts.max(1);
     let mut part_of = vec![0u32; n];
     if k == 1 || n == 0 {
         return part_of;
     }
     let vertices: Vec<u32> = (0..n as u32).collect();
-    recurse_hg(&hg, &vertices, 0, k, cfg, cfg.seed, &mut part_of);
+    let mut ids = LocalIds::default();
+    let parts = 0..k as u32;
+    recurse_hg(h, &vertices, parts, cfg, cfg.seed, &mut part_of, &mut ids);
     part_of
 }
 
+/// Recursively bisect the sub-hypergraph induced by `vertices` into
+/// `parts`.
 fn recurse_hg(
-    hg_full: &WorkHg,
+    hg_full: &Hypergraph,
     vertices: &[u32],
-    base: u32,
-    k: usize,
+    parts: Range<u32>,
     cfg: &HypergraphPartitionConfig,
     seed: u64,
     part_of: &mut [u32],
+    ids: &mut LocalIds,
 ) {
+    let k = parts.len();
     if k == 1 || vertices.len() <= 1 {
         for &v in vertices {
-            part_of[v as usize] = base;
+            part_of[v as usize] = parts.start;
         }
         return;
     }
-    let sub = if vertices.len() == hg_full.num_vertices() {
-        hg_full.clone()
+    // Subsets stay ascending, so the full-length one is the whole
+    // hypergraph in order.
+    let sub;
+    let hg = if vertices.len() == hg_full.num_vertices() {
+        hg_full
     } else {
-        sub_hypergraph(hg_full, vertices)
+        sub = sub_hypergraph(hg_full, vertices, ids);
+        &sub
     };
     let k0 = k / 2;
-    let k1 = k - k0;
-    let total = sub.total_vertex_weight();
+    let total = hg.total_vertex_weight();
     let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
     let target = [t0, total - t0];
-    let bis = multilevel_bisect_hg(&sub, target, cfg, seed);
+    let bis = multilevel_bisect_hg(hg, target, cfg, seed);
     let mut left = Vec::new();
     let mut right = Vec::new();
     for (local, &global) in vertices.iter().enumerate() {
@@ -652,23 +642,25 @@ fn recurse_hg(
             right.push(global);
         }
     }
+    let mid = parts.start + k0 as u32;
+    let seed = seed.wrapping_mul(0x9E37);
     recurse_hg(
         hg_full,
         &left,
-        base,
-        k0,
+        parts.start..mid,
         cfg,
-        seed.wrapping_mul(0x9E37).wrapping_add(3),
+        seed.wrapping_add(3),
         part_of,
+        ids,
     );
     recurse_hg(
         hg_full,
         &right,
-        base + k0 as u32,
-        k1,
+        mid..parts.end,
         cfg,
-        seed.wrapping_mul(0x9E37).wrapping_add(4),
+        seed.wrapping_add(4),
         part_of,
+        ids,
     );
 }
 
@@ -746,15 +738,17 @@ mod tests {
     fn fm_never_worsens_cut() {
         let a = banded(120, 2);
         let h = Hypergraph::column_net(&a);
-        let hg = WorkHg::from_hypergraph(&h);
         // Start from a deliberately bad interleaved split.
-        let mut part: Vec<u8> = (0..hg.num_vertices()).map(|v| (v % 2) as u8).collect();
-        let counts = side_counts(&hg, &part);
-        let before = objective_value(&hg, &counts);
-        let total = hg.total_vertex_weight();
-        fm_refine_hg(&hg, &mut part, [total / 2, total - total / 2], 1.05, 8);
-        let counts = side_counts(&hg, &part);
-        let after = objective_value(&hg, &counts);
+        let mut part: Vec<u8> = (0..h.num_vertices()).map(|v| (v % 2) as u8).collect();
+        let mut counts = Vec::new();
+        side_counts(&h, &part, &mut counts);
+        let before = objective_value(&h, &counts);
+        let total = h.total_vertex_weight();
+        let mut fm = FmWork::with_capacity(0);
+        let target = [total / 2, total - total / 2];
+        fm_refine_hg(&h, &mut part, target, 1.05, 8, &mut fm, &mut counts);
+        side_counts(&h, &part, &mut counts);
+        let after = objective_value(&h, &counts);
         assert!(after <= before, "FM worsened cut: {before} -> {after}");
         assert!(
             after < before / 2,
@@ -766,17 +760,66 @@ mod tests {
     fn contraction_preserves_weight_and_reduces_size() {
         let a = banded(300, 2);
         let h = Hypergraph::column_net(&a);
-        let hg = WorkHg::from_hypergraph(&h);
         let mut rng = SplitMix::new(5);
-        let m = match_vertices(&hg, &mut rng);
-        let level = contract_hg(&hg, &m);
-        assert_eq!(level.hg.total_vertex_weight(), hg.total_vertex_weight());
-        assert!(level.hg.num_vertices() < hg.num_vertices());
+        let m = match_vertices(&h, &mut rng);
+        let level = contract_hg(&h, &m);
+        assert_eq!(level.hg.total_vertex_weight(), h.total_vertex_weight());
+        assert!(level.hg.num_vertices() < h.num_vertices());
         // Dual incidence is consistent.
         for v in 0..level.hg.num_vertices() {
             for &j in level.hg.vertex_nets(v) {
                 assert!(level.hg.net_pins(j as usize).contains(&(v as u32)));
             }
         }
+    }
+
+    #[test]
+    fn contraction_folds_nets_with_equal_pin_sets() {
+        let h = Hypergraph::column_net(&banded(300, 2));
+        let level = contract_hg(&h, &match_vertices(&h, &mut SplitMix::new(5)));
+        let coarse = &level.hg;
+        let pin_set = |pins: &[u32]| {
+            let mut set = pins.to_vec();
+            set.sort_unstable();
+            set.dedup();
+            set
+        };
+        // Every fine net that keeps two coarse pins lands in the one
+        // coarse net with its pin set, carrying its weight there.
+        let mut sets: Vec<Vec<u32>> = (0..coarse.num_nets())
+            .map(|j| pin_set(coarse.net_pins(j)))
+            .collect();
+        let mut carried = vec![0i64; coarse.num_nets()];
+        let mut kept = 0;
+        for j in 0..h.num_nets() {
+            let mapped: Vec<u32> = h
+                .net_pins(j)
+                .iter()
+                .map(|&p| level.coarse_of[p as usize])
+                .collect();
+            let set = pin_set(&mapped);
+            if set.len() > 1 {
+                kept += 1;
+                let c = sets
+                    .iter()
+                    .position(|s| *s == set)
+                    .expect("a coarse net per pin set");
+                carried[c] += h.net_weight(j);
+            }
+        }
+        for (c, &w) in carried.iter().enumerate() {
+            assert_eq!(coarse.net_weight(c), w, "coarse net {c}");
+        }
+        sets.sort();
+        sets.dedup();
+        assert_eq!(
+            sets.len(),
+            coarse.num_nets(),
+            "two coarse nets share a pin set"
+        );
+        assert!(
+            coarse.num_nets() < kept,
+            "a band's contraction repeats pin sets"
+        );
     }
 }

@@ -51,21 +51,18 @@ impl Bisection {
     /// Recompute cut and part weights from scratch (O(E)); used for
     /// validation and after projection between levels.
     pub fn recompute(g: &Graph, part_of: Vec<u8>) -> Bisection {
-        let mut cut = 0i64;
-        let mut part_weights = [0i64; 2];
-        for v in 0..g.num_vertices() {
-            part_weights[part_of[v] as usize] += g.vertex_weight(v);
-            for (u, w) in g.neighbors_weighted(v) {
-                if part_of[u as usize] != part_of[v] {
-                    cut += w;
-                }
-            }
-        }
+        let (cut, part_weights) = cut_and_weights(g, &part_of);
         Bisection {
             part_of,
-            cut: cut / 2,
+            cut,
             part_weights,
         }
+    }
+
+    /// Whether the cut and part weights are those of `part_of` — the
+    /// invariant the partitioner keeps without recomputing them.
+    pub(crate) fn is_exact(&self, g: &Graph) -> bool {
+        cut_and_weights(g, &self.part_of) == (self.cut, self.part_weights)
     }
 
     /// The load imbalance of the heavier part relative to its target
@@ -75,6 +72,21 @@ impl Bisection {
         let i1 = self.part_weights[1] as f64 / target[1].max(1) as f64;
         i0.max(i1)
     }
+}
+
+/// Edge cut and part weights of a bisection, from scratch (O(E)).
+fn cut_and_weights(g: &Graph, part_of: &[u8]) -> (i64, [i64; 2]) {
+    let mut cut = 0i64;
+    let mut part_weights = [0i64; 2];
+    for v in 0..g.num_vertices() {
+        part_weights[part_of[v] as usize] += g.vertex_weight(v);
+        for (u, w) in g.neighbors_weighted(v) {
+            if part_of[u as usize] != part_of[v] {
+                cut += w;
+            }
+        }
+    }
+    (cut / 2, part_weights)
 }
 
 /// Edge cut of a k-way partition (each cut edge counted once).

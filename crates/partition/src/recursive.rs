@@ -1,11 +1,12 @@
 //! Multilevel bisection and recursive k-way partitioning.
 
 use crate::coarsen::coarsen_to;
-use crate::fm::fm_refine;
+use crate::fm::{fm_refine, FmWork};
 use crate::initial::greedy_growing_bisection;
 use crate::rng::SplitMix;
 use crate::Bisection;
-use sparsegraph::Graph;
+use sparsegraph::{Graph, LocalIds};
+use std::ops::Range;
 
 /// Coarsening stops below this many vertices.
 const COARSEN_TO: usize = 120;
@@ -55,20 +56,26 @@ pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) 
     let mut rng = SplitMix::new(seed);
     let levels = coarsen_to(g, COARSEN_TO, &mut rng);
     let coarsest: &Graph = levels.last().map(|l| &l.graph).unwrap_or(g);
+    let mut fm = FmWork::with_capacity(g.num_vertices());
 
     let mut bis = greedy_growing_bisection(coarsest, target, INITIAL_TRIALS, &mut rng);
-    fm_refine(coarsest, &mut bis, target, ubfactor, FM_PASSES);
-
-    // Project back through the levels, refining at each.
-    for li in (0..levels.len()).rev() {
-        let fine_graph: &Graph = if li == 0 { g } else { &levels[li - 1].graph };
-        let coarse_of = &levels[li].coarse_of;
-        let mut fine_part = vec![0u8; fine_graph.num_vertices()];
-        for v in 0..fine_graph.num_vertices() {
-            fine_part[v] = bis.part_of[coarse_of[v] as usize];
+    // Refine the coarsest level, then project onto each finer one and
+    // refine that in turn. Contraction sums vertex weights and parallel
+    // edge weights and drops only the edges inside a coarse vertex,
+    // which no bisection cuts, so the projected cut and part weights
+    // are the coarse ones.
+    for li in (0..=levels.len()).rev() {
+        let g_li = if li == 0 { g } else { &levels[li - 1].graph };
+        if let Some(level) = levels.get(li) {
+            let part_of = level
+                .coarse_of
+                .iter()
+                .map(|&c| bis.part_of[c as usize])
+                .collect();
+            bis = Bisection { part_of, ..bis };
+            debug_assert!(bis.is_exact(g_li), "projection changed the cut");
         }
-        bis = Bisection::recompute(fine_graph, fine_part);
-        fm_refine(fine_graph, &mut bis, target, ubfactor, FM_PASSES);
+        fm_refine(g_li, &mut bis, target, ubfactor, FM_PASSES, &mut fm);
     }
     bis
 }
@@ -87,32 +94,41 @@ pub fn partition_graph(g: &Graph, config: &PartitionConfig) -> Vec<u32> {
         return part_of;
     }
     let vertices: Vec<u32> = (0..n as u32).collect();
-    recurse(g, &vertices, 0, k, config, config.seed, &mut part_of);
+    let mut ids = LocalIds::default();
+    let parts = 0..k as u32;
+    recurse(
+        g,
+        &vertices,
+        parts,
+        config,
+        config.seed,
+        &mut part_of,
+        &mut ids,
+    );
     part_of
 }
 
-/// Recursively bisect the subgraph induced by `vertices` into parts
-/// `base..base+k`.
+/// Recursively bisect the subgraph induced by `vertices` into `parts`.
 fn recurse(
     g_full: &Graph,
     vertices: &[u32],
-    base: u32,
-    k: usize,
+    parts: Range<u32>,
     config: &PartitionConfig,
     seed: u64,
     part_of: &mut [u32],
+    ids: &mut LocalIds,
 ) {
+    let k = parts.len();
     if k == 1 || vertices.len() <= 1 {
         for &v in vertices {
-            part_of[v as usize] = base;
+            part_of[v as usize] = parts.start;
         }
         return;
     }
-    let (sub, map) = g_full.subgraph(vertices);
-    // Split k into k0 + k1 (k0 = floor(k/2)); target weights
+    let sub = g_full.subgraph(vertices, ids);
+    // Split k into k0 = floor(k/2) and the rest; target weights
     // proportional to the split so non-power-of-two k stays balanced.
     let k0 = k / 2;
-    let k1 = k - k0;
     let total = sub.total_vertex_weight();
     let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
     let target = [t0, total - t0];
@@ -120,30 +136,32 @@ fn recurse(
 
     let mut left = Vec::with_capacity(vertices.len() / 2 + 1);
     let mut right = Vec::with_capacity(vertices.len() / 2 + 1);
-    for (local, &global) in map.iter().enumerate() {
+    for (local, &global) in vertices.iter().enumerate() {
         if bis.part_of[local] == 0 {
             left.push(global);
         } else {
             right.push(global);
         }
     }
+    let mid = parts.start + k0 as u32;
+    let seed = seed.wrapping_mul(0x9E37);
     recurse(
         g_full,
         &left,
-        base,
-        k0,
+        parts.start..mid,
         config,
-        seed.wrapping_mul(0x9E37).wrapping_add(1),
+        seed.wrapping_add(1),
         part_of,
+        ids,
     );
     recurse(
         g_full,
         &right,
-        base + k0 as u32,
-        k1,
+        mid..parts.end,
         config,
-        seed.wrapping_mul(0x9E37).wrapping_add(2),
+        seed.wrapping_add(2),
         part_of,
+        ids,
     );
 }
 

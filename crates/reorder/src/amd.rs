@@ -59,12 +59,13 @@
 use crate::component::{assemble_pieces, ComponentOrdering};
 use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use sparsegraph::{connected_components, Graph};
+use sparsegraph::{connected_components, Graph, LocalIds};
 use sparsemat::{CsrMatrix, SparseError};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use team::SliceWriter;
 use telemetry::trace::ArgValue;
@@ -120,20 +121,31 @@ enum Status {
     Dead,
 }
 
-/// Per-lane scratch for the `w` trick. Worker threads are persistent,
-/// so thread-local reuse amortises the allocation; the stamp is
-/// monotonic per thread, which keeps entries from unrelated pivots (or
-/// unrelated calls) from aliasing.
+/// Per-lane scratch for the `w` trick and supervariable detection.
+/// Worker threads are persistent, so thread-local reuse amortises the
+/// allocation; the stamp is monotonic per thread, which keeps entries
+/// from unrelated pivots (or unrelated calls) from aliasing.
 struct LaneScratch {
     w: Vec<i64>,
     wstamp: Vec<u64>,
     stamp: u64,
+    /// `(hash, Lp position)` of one pivot's live `Lp` members.
+    groups: Vec<(u64, u32)>,
+}
+
+impl LaneScratch {
+    const fn new() -> LaneScratch {
+        LaneScratch {
+            w: Vec::new(),
+            wstamp: Vec::new(),
+            stamp: 0,
+            groups: Vec::new(),
+        }
+    }
 }
 
 thread_local! {
-    static AMD_SCRATCH: RefCell<LaneScratch> = const {
-        RefCell::new(LaneScratch { w: Vec::new(), wstamp: Vec::new(), stamp: 0 })
-    };
+    static AMD_SCRATCH: RefCell<LaneScratch> = const { RefCell::new(LaneScratch::new()) };
 }
 
 /// Disjoint-commit windows over the quotient-graph state for the
@@ -265,15 +277,13 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
             a_v += ws.nv(u);
         }
 
-        // Prune E_v, absorbing subset elements, and sum |L_e \ Lp|.
+        // Prune E_v in place, absorbing subset elements, and sum
+        // |L_e \ Lp|; then p goes first.
         let el = list_mut(&ws.adj_el, v);
-        let old_els = std::mem::take(el);
-        let mut new_els: Vec<u32> = Vec::with_capacity(old_els.len() + 1);
-        new_els.push(p);
         let mut deg_els = 0i64;
-        for &e in &old_els {
+        el.retain(|&e| {
             if e == p || ws.status(e) != Status::Element {
-                continue;
+                return false;
             }
             let eu = e as usize;
             let we = if s.wstamp[eu] == stamp {
@@ -287,12 +297,13 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
                 // no other lane can touch it this round.
                 ws.status.slice_mut(eu..eu + 1)[0] = Status::Dead;
                 *list_mut(&ws.el_vars, e) = Vec::new();
+                false
             } else {
-                new_els.push(e);
                 deg_els += we.max(0);
+                true
             }
-        }
-        *el = new_els;
+        });
+        el.insert(0, p);
 
         let nv_v = ws.nv(v);
         let lp_minus_v = lp_weight - nv_v;
@@ -313,10 +324,11 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
 /// As [`update_pivot`], and U1 must have completed on every pivot
 /// (barrier): U2 reads the pruned, sorted-adjacency state U1 wrote and
 /// writes `nv`/`status`/`merged` of its own `Lp` members only.
-unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, pi: usize) {
+unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScratch, pi: usize) {
     let lp = cx.lp(pi);
-    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-    for &v in lp {
+    let groups = &mut s.groups;
+    groups.clear();
+    for (pos, &v) in lp.iter().enumerate() {
         if ws.status(v) != Status::Live {
             continue;
         }
@@ -331,21 +343,24 @@ unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, pi: usize) {
         for &e in el.iter() {
             h = (h ^ (e as u64 | 1 << 32)).wrapping_mul(0x100000001b3);
         }
-        buckets.entry(h).or_default().push(v);
+        groups.push((h, pos as u32));
     }
-    // Buckets are disjoint, so their (HashMap-nondeterministic)
-    // iteration order cannot affect the outcome; within a bucket the
-    // earliest member in Lp order survives, deterministically.
-    for bucket in buckets.values() {
+    // Sorted, each run of equal hashes is one bucket with its members
+    // in Lp order. Buckets are disjoint, so the order they are walked
+    // in cannot affect the outcome; within a bucket the earliest
+    // member in Lp order survives, deterministically.
+    groups.sort_unstable();
+    for bucket in groups.chunk_by(|a, b| a.0 == b.0) {
         if bucket.len() < 2 {
             continue;
         }
         for bi in 0..bucket.len() {
-            let i = bucket[bi];
+            let i = lp[bucket[bi].1 as usize];
             if ws.status(i) != Status::Live {
                 continue;
             }
-            for &j in &bucket[bi + 1..] {
+            for &(_, pj) in &bucket[bi + 1..] {
+                let j = lp[pj as usize];
                 if ws.status(j) != Status::Live {
                     continue;
                 }
@@ -418,11 +433,7 @@ pub fn amd_order_on(
     let mut round_stamp = 0u64;
     // Scratch for inline (non-dispatched) update rounds; parallel
     // rounds use each lane's thread-local scratch instead.
-    let mut seq_scratch = LaneScratch {
-        w: Vec::new(),
-        wstamp: Vec::new(),
-        stamp: 0,
-    };
+    let mut seq_scratch = LaneScratch::new();
 
     let exec = rx.exec();
     let round_min = rx.amd_round_min();
@@ -617,34 +628,33 @@ pub fn amd_order_on(
                 aggressive,
                 merges: &merges,
             };
+            // A phase runs each pivot on the team — every lane with its
+            // own thread-local scratch — or inline with this call's.
+            type Phase = unsafe fn(&StateWriters<'_>, &RoundCtx<'_>, &mut LaneScratch, usize);
             // SAFETY: the pivots are distance-2 independent, so their
-            // Lps are pairwise disjoint and each parallel body writes
-            // only state its pivot owns (see update_pivot/merge_pivot);
+            // Lps are pairwise disjoint and each phase body writes only
+            // state its pivot owns (see update_pivot/merge_pivot);
             // parallel_for hands each pivot index to exactly one lane,
-            // and the barrier between the two loops orders U1's writes
+            // and the barrier ending each phase orders U1's writes
             // before U2's reads.
-            if parallel {
-                exec.parallel_for(pivots.len(), 1, |range| {
-                    AMD_SCRATCH.with(|cell| {
-                        let s = &mut *cell.borrow_mut();
-                        for pi in range {
-                            unsafe { update_pivot(&writers, &cx, s, pi) };
-                        }
+            let mut run_phase = |phase: Phase| {
+                if parallel {
+                    exec.parallel_for(pivots.len(), 1, |range| {
+                        AMD_SCRATCH.with(|cell| {
+                            let s = &mut *cell.borrow_mut();
+                            for pi in range {
+                                unsafe { phase(&writers, &cx, s, pi) };
+                            }
+                        });
                     });
-                });
-                exec.parallel_for(pivots.len(), 1, |range| {
-                    for pi in range {
-                        unsafe { merge_pivot(&writers, &cx, pi) };
+                } else {
+                    for pi in 0..pivots.len() {
+                        unsafe { phase(&writers, &cx, &mut seq_scratch, pi) };
                     }
-                });
-            } else {
-                for pi in 0..pivots.len() {
-                    unsafe { update_pivot(&writers, &cx, &mut seq_scratch, pi) };
                 }
-                for pi in 0..pivots.len() {
-                    unsafe { merge_pivot(&writers, &cx, pi) };
-                }
-            }
+            };
+            run_phase(update_pivot);
+            run_phase(merge_pivot);
         }
 
         // Finalise each new element's variable list from the
@@ -693,8 +703,9 @@ pub fn amd_order_on(
     }
     stats.merges = merges.load(AtomicOrdering::Relaxed);
     if stats.stale_pops > 0 {
-        telemetry::Registry::global()
-            .counter("reorder.amd.stale_pops")
+        static STALE_POPS: OnceLock<Arc<telemetry::Counter>> = OnceLock::new();
+        STALE_POPS
+            .get_or_init(|| telemetry::Registry::global().counter("reorder.amd.stale_pops"))
             .add(stats.stale_pops);
     }
 
@@ -1016,26 +1027,13 @@ impl ReorderAlgorithm for Amd {
         true
     }
 
-    /// One component's AMD bytes: the elimination order of the
-    /// vertex-induced subgraph, mapped back to global ids. Local
-    /// indexing follows `comp`'s ascending order, so the tie-breaking
-    /// inside the quotient-graph heap is a pure function of the
-    /// component — independent of what the rest of the graph looks
-    /// like, of the executor, and of the team size.
     fn order_component_on(
         &self,
         g: &Graph,
         comp: &[u32],
         rx: &ReorderExec<'_>,
     ) -> Option<Vec<u32>> {
-        let aggressive = !self.no_aggressive_absorption;
-        if comp.len() == g.num_vertices() {
-            // Single component: the subgraph is the graph itself.
-            return Some(amd_order_on(g, aggressive, self.round_slack, rx).0);
-        }
-        let (sub, local_to_global) = g.subgraph(comp);
-        let local = amd_order_on(&sub, aggressive, self.round_slack, rx).0;
-        Some(local.iter().map(|&l| local_to_global[l as usize]).collect())
+        Some(self.order_component(g, comp, &mut LocalIds::default(), rx))
     }
 
     fn compute_components_on(
@@ -1045,16 +1043,42 @@ impl ReorderAlgorithm for Amd {
     ) -> Result<Option<ComponentOrdering>, SparseError> {
         let g = build_ordering_graph(a, rx)?;
         let comps = connected_components(&g);
+        let mut ids = LocalIds::default();
         let mut pieces: Vec<(u32, Vec<u32>)> = Vec::with_capacity(comps.count());
-        for comp in &comps.members {
-            let mut sorted = comp.clone();
-            sorted.sort_unstable();
-            let piece = self
-                .order_component_on(&g, &sorted, rx)
-                .expect("AMD orders any component");
-            pieces.push((sorted[0], piece));
+        for mut comp in comps.members {
+            comp.sort_unstable();
+            let piece = self.order_component(&g, &comp, &mut ids, rx);
+            pieces.push((comp[0], piece));
         }
         Ok(Some(assemble_pieces(self, pieces)))
+    }
+}
+
+impl Amd {
+    /// One component's AMD bytes: the elimination order of the
+    /// vertex-induced subgraph on `comp` (ascending), mapped back to
+    /// global ids. Local indexing follows `comp`'s order, so the
+    /// tie-breaking inside the quotient-graph heap is a pure function
+    /// of the component — independent of what the rest of the graph
+    /// looks like, of the executor, and of the team size. An isolated
+    /// vertex's order is itself, with no quotient graph built.
+    fn order_component(
+        &self,
+        g: &Graph,
+        comp: &[u32],
+        ids: &mut LocalIds,
+        rx: &ReorderExec<'_>,
+    ) -> Vec<u32> {
+        if let [v] = *comp {
+            return vec![v];
+        }
+        let sub = g.subgraph(comp, ids);
+        let aggressive = !self.no_aggressive_absorption;
+        let mut order = amd_order_on(&sub, aggressive, self.round_slack, rx).0;
+        for v in &mut order {
+            *v = comp[*v as usize];
+        }
+        order
     }
 }
 

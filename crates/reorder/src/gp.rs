@@ -41,14 +41,22 @@ impl Gp {
 /// Turn a part assignment into an ordering that groups parts
 /// contiguously, preserving original order within each part. A
 /// `num_parts` of 0 means one part, as it does to the partitioners.
+///
+/// A stable counting sort by part: `next[p]` starts as the number of
+/// vertices in parts below `p`, and vertices are placed in ascending
+/// order, so each part's stay ascending.
 pub fn partition_to_order(part_of: &[u32], num_parts: usize) -> Vec<u32> {
-    let mut order = Vec::with_capacity(part_of.len());
-    let mut by_part: Vec<Vec<u32>> = vec![Vec::new(); num_parts.max(1)];
-    for (v, &p) in part_of.iter().enumerate() {
-        by_part[p as usize].push(v as u32);
+    let mut next = vec![0usize; num_parts.max(1) + 1];
+    for &p in part_of {
+        next[p as usize + 1] += 1;
     }
-    for part in by_part {
-        order.extend(part);
+    for p in 1..next.len() {
+        next[p] += next[p - 1];
+    }
+    let mut order = vec![0u32; part_of.len()];
+    for (v, &p) in part_of.iter().enumerate() {
+        order[next[p as usize]] = v as u32;
+        next[p as usize] += 1;
     }
     order
 }

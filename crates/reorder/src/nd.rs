@@ -10,7 +10,7 @@ use crate::amd::amd_order_on;
 use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use partition::vertex_separator;
-use sparsegraph::Graph;
+use sparsegraph::{Graph, LocalIds};
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
 /// Nested dissection reordering.
@@ -45,11 +45,15 @@ impl Nd {
         let n = g.num_vertices();
         let vertices: Vec<u32> = (0..n as u32).collect();
         let mut order = Vec::with_capacity(n);
-        self.recurse(g, &vertices, self.seed, &mut order, rx);
+        let mut ids = LocalIds::default();
+        self.recurse(g, &vertices, self.seed, &mut order, rx, &mut ids);
         debug_assert_eq!(order.len(), n);
         order
     }
 
+    /// Append the order of the subgraph induced by `vertices`
+    /// (ascending) to `order`; `ids` is the one global→local map every
+    /// node of the recursion extracts its subgraph with.
     fn recurse(
         &self,
         g_full: &Graph,
@@ -57,43 +61,30 @@ impl Nd {
         seed: u64,
         order: &mut Vec<u32>,
         rx: &ReorderExec<'_>,
+        ids: &mut LocalIds,
     ) {
-        if vertices.len() <= self.leaf_size {
-            let (sub, map) = g_full.subgraph(vertices);
-            let local = amd_order_on(&sub, true, 0, rx).0;
-            order.extend(local.iter().map(|&l| map[l as usize]));
-            return;
+        let sub = g_full.subgraph(vertices, ids);
+        if vertices.len() > self.leaf_size {
+            let mut sep = vertex_separator(&sub, self.ubfactor, seed);
+            // A degenerate separator (e.g. a clique where one side is
+            // empty) stops the dissection: minimum degree orders the
+            // rest below.
+            if !sep.left.is_empty() && !sep.right.is_empty() {
+                drop(sub);
+                let parts = [&mut sep.left, &mut sep.right, &mut sep.separator];
+                for l in parts.into_iter().flat_map(|p| p.iter_mut()) {
+                    *l = vertices[*l as usize];
+                }
+                let seed = seed.wrapping_mul(0x9E37);
+                self.recurse(g_full, &sep.left, seed.wrapping_add(11), order, rx, ids);
+                self.recurse(g_full, &sep.right, seed.wrapping_add(12), order, rx, ids);
+                // Separator vertices are numbered last at this level.
+                order.extend_from_slice(&sep.separator);
+                return;
+            }
         }
-        let (sub, map) = g_full.subgraph(vertices);
-        let sep = vertex_separator(&sub, self.ubfactor, seed);
-        // Degenerate separator (e.g. a clique where one side is empty):
-        // stop dissecting and fall back to minimum degree.
-        if sep.left.is_empty() || sep.right.is_empty() {
-            let local = amd_order_on(&sub, true, 0, rx).0;
-            order.extend(local.iter().map(|&l| map[l as usize]));
-            return;
-        }
-        let to_global =
-            |locals: &[u32]| -> Vec<u32> { locals.iter().map(|&l| map[l as usize]).collect() };
-        let left = to_global(&sep.left);
-        let right = to_global(&sep.right);
-        let separator = to_global(&sep.separator);
-        self.recurse(
-            g_full,
-            &left,
-            seed.wrapping_mul(0x9E37).wrapping_add(11),
-            order,
-            rx,
-        );
-        self.recurse(
-            g_full,
-            &right,
-            seed.wrapping_mul(0x9E37).wrapping_add(12),
-            order,
-            rx,
-        );
-        // Separator vertices are numbered last at this level.
-        order.extend_from_slice(&separator);
+        let local = amd_order_on(&sub, true, 0, rx).0;
+        order.extend(local.iter().map(|&l| vertices[l as usize]));
     }
 }
 

@@ -1,12 +1,14 @@
-//! A cold RCM allocates a fixed number of blocks, whatever the depth
-//! of its level structures — asserted with a counting global allocator
-//! (the `crates/spmv/tests/no_alloc.rs` pattern; ROADMAP item 2's
-//! "allocations inside the orderings themselves").
+//! A cold ordering allocates a pinned number of blocks — asserted with
+//! a counting global allocator (the `crates/spmv/tests/no_alloc.rs`
+//! pattern; ROADMAP item 2's "allocations inside the orderings
+//! themselves"). RCM's count is constant in the depth of its level
+//! structures; the partitioners' and AMD's are pinned on the scrambled
+//! mesh, so a per-vertex or per-level `Vec` creeping back fails here.
 //!
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
 
-use reorder::{Rcm, ReorderAlgorithm};
+use reorder::{Amd, Gp, Hp, Nd, Rcm, ReorderAlgorithm};
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,7 +84,7 @@ fn scrambled_mesh() -> CsrMatrix {
 }
 
 #[test]
-fn rcm_allocations_do_not_grow_with_depth() {
+fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     // 1 024 vertices each: 1 024 levels against a few dozen.
     let deep = path(1024);
     let shallow = scrambled_mesh();
@@ -98,4 +100,30 @@ fn rcm_allocations_do_not_grow_with_depth() {
     // the assembled ordering (4: metadata, layout, order, ranges) and
     // the permutation's inverse (1).
     assert_eq!(on_deep, 15, "a cold RCM's allocation count changed");
+
+    // Each ordering runs once first, so the global registry's first-use
+    // entries are not counted, then once under the counter. Before the
+    // coarsening levels stopped cloning their graphs and building a
+    // `Vec` per coarse vertex, FM stopped reallocating per pass, and
+    // AMD stopped building a `HashMap` per pivot and an element list
+    // per `Lp` member, these were 1 389, 427, 12 988 and 14 352.
+    let pinned: [(&str, Box<dyn ReorderAlgorithm>, usize); 4] = [
+        ("GP(2)", Box::new(Gp::new(2)), 105),
+        ("HP(2)", Box::new(Hp::new(2)), 235),
+        ("AMD", Box::new(Amd::default()), 2771),
+        ("ND", Box::new(Nd::default()), 4643),
+    ];
+    let mut wrong = Vec::new();
+    for (name, algo, expected) in &pinned {
+        drop(algo.compute(&shallow).unwrap());
+        let got = counted(|| drop(algo.compute(&shallow).unwrap()));
+        if got != *expected {
+            wrong.push(format!("{name}: {got} allocations, pinned {expected}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "a cold ordering's allocation count changed:\n{}",
+        wrong.join("\n")
+    );
 }

@@ -1,4 +1,5 @@
 use sparsemat::{is_structurally_symmetric, symmetrize_pattern, CsrMatrix, SparseError};
+use std::borrow::Cow;
 
 /// An undirected graph in adjacency-array (CSR-like) form, with integer
 /// vertex and edge weights.
@@ -231,20 +232,20 @@ impl Graph {
         &self.adjncy
     }
 
-    /// Extract the vertex-induced subgraph on `vertices`, returning the
-    /// subgraph and the mapping `local -> global`. The whole vertex set
-    /// in ascending order — what the recursive partitioners pass at
-    /// their top level — is a clone, with no map lookups.
-    pub fn subgraph(&self, vertices: &[u32]) -> (Graph, Vec<u32>) {
+    /// The vertex-induced subgraph on `vertices` (distinct), in which
+    /// local vertex `i` is `vertices[i]`, so `vertices` itself maps
+    /// local ids back to global ones. `ids` is the reusable
+    /// global→local map; one serves every extraction of a recursion.
+    /// The whole vertex set in ascending order — what the recursive
+    /// orderings pass at their top level — is the graph itself,
+    /// borrowed.
+    pub fn subgraph<'g>(&'g self, vertices: &[u32], ids: &mut LocalIds) -> Cow<'g, Graph> {
         if vertices.len() == self.num_vertices()
             && vertices.iter().enumerate().all(|(i, &v)| v as usize == i)
         {
-            return (self.clone(), vertices.to_vec());
+            return Cow::Borrowed(self);
         }
-        let mut global_to_local = std::collections::HashMap::with_capacity(vertices.len());
-        for (local, &v) in vertices.iter().enumerate() {
-            global_to_local.insert(v, local as u32);
-        }
+        ids.assign(self.num_vertices(), vertices);
         let mut xadj = Vec::with_capacity(vertices.len() + 1);
         xadj.push(0usize);
         let mut adjncy = Vec::new();
@@ -252,7 +253,7 @@ impl Graph {
         let mut vwgt = Vec::with_capacity(vertices.len());
         for &v in vertices {
             for (u, w) in self.neighbors_weighted(v as usize) {
-                if let Some(&lu) = global_to_local.get(&u) {
+                if let Some(lu) = ids.get(u) {
                     adjncy.push(lu);
                     ewgt.push(w);
                 }
@@ -260,15 +261,51 @@ impl Graph {
             xadj.push(adjncy.len());
             vwgt.push(self.vwgt[v as usize]);
         }
-        (
-            Graph {
-                xadj,
-                adjncy,
-                vwgt,
-                ewgt,
-            },
-            vertices.to_vec(),
-        )
+        Cow::Owned(Graph {
+            xadj,
+            adjncy,
+            vwgt,
+            ewgt,
+        })
+    }
+}
+
+/// A reusable global→local vertex map for vertex subsets: after
+/// [`LocalIds::assign`], [`LocalIds::get`] answers "which position of
+/// the subset is `v`, if any" with one load. Slot `v` holds
+/// `(epoch << 32) | local` and only slots of the current epoch count,
+/// so a new subset is `epoch += 1` rather than an O(n) clear — the
+/// stamping `LevelStructure` uses. The slots are allocated by the
+/// first `assign`, zeroed, and only ever grow.
+#[derive(Debug, Default)]
+pub struct LocalIds {
+    slot: Vec<u64>,
+    epoch: u64,
+}
+
+impl LocalIds {
+    /// Number `vertices` (distinct, each below `n`) `0, 1, …` in the
+    /// order given; every other vertex becomes unnumbered.
+    pub fn assign(&mut self, n: usize, vertices: &[u32]) {
+        if self.slot.len() < n {
+            self.slot.resize(n, 0);
+        }
+        self.epoch += 1;
+        if self.epoch == 1 << 32 {
+            self.slot.fill(0);
+            self.epoch = 1;
+        }
+        let tag = self.epoch << 32;
+        for (local, &v) in vertices.iter().enumerate() {
+            self.slot[v as usize] = tag | local as u64;
+        }
+    }
+
+    /// The position of `v` in the last assigned subset.
+    #[inline]
+    pub fn get(&self, v: u32) -> Option<u32> {
+        let s = self.slot[v as usize];
+        (s >> 32 == self.epoch).then_some(s as u32)
     }
 }
 
@@ -343,17 +380,27 @@ mod tests {
     #[test]
     fn subgraph_extraction() {
         let g = Graph::from_matrix(&path4()).unwrap();
-        let (sg, map) = g.subgraph(&[1, 2, 3]);
+        let mut ids = LocalIds::default();
+        let sg = g.subgraph(&[1, 2, 3], &mut ids);
         assert_eq!(sg.num_vertices(), 3);
         // Edges 1-2 and 2-3 survive; edge 0-1 is cut.
         assert_eq!(sg.num_edges(), 2);
-        assert_eq!(map, vec![1, 2, 3]);
         assert_eq!(sg.neighbors(0), &[1]); // local 0 = global 1, neighbour local 1 = global 2
+
+        // The same map serves the next subset: {0, 1} keeps only their
+        // edge, and global 2, numbered last time, is no longer local.
+        let pair = g.subgraph(&[0, 1], &mut ids);
+        assert_eq!(pair.num_edges(), 1);
+        assert_eq!(ids.get(2), None);
 
         // Only the ascending whole vertex set is the graph itself; any
         // other full-length list still relabels: local 0 = global 3,
         // whose neighbour global 2 = local 1.
-        let (rev, _) = g.subgraph(&[3, 2, 1, 0]);
+        assert!(matches!(
+            g.subgraph(&[0, 1, 2, 3], &mut ids),
+            Cow::Borrowed(_)
+        ));
+        let rev = g.subgraph(&[3, 2, 1, 0], &mut ids);
         assert_eq!(rev.neighbors(0), &[1]);
     }
 

@@ -1,23 +1,28 @@
-//! Golden ordering hashes, pinned from commit 6d9a487 (ROADMAP item 5:
-//! "ordering hashes per corpus matrix").
+//! Golden ordering hashes (ROADMAP item 5: "ordering hashes per corpus
+//! matrix").
 //!
-//! `GOLDEN` holds FNV-1a of `new_to_old` for the level-structure
-//! orderings (RCM, plain CM, GPS, reversed GPS) and Gray on the seven
-//! `reorder_determinism` families, the `serve_hot`/`serve_cold` 5k
-//! mesh at three seeds, the four ~50k-nnz families `serve_cold` draws
-//! (scrambled as `sysbench` does, seed 14) and the 16-component mesh
-//! union of `serve_churn`. Every row is checked sequentially and on a
-//! team of two with `frontier_min = 0` (every BFS level through the
-//! two-phase parallel expansion), so one table pins both "the bytes a
-//! refactor must reproduce" and "the executor does not change them".
+//! `GOLDEN` (pinned from commit 6d9a487) holds FNV-1a of `new_to_old`
+//! for the level-structure orderings (RCM, plain CM, GPS, reversed GPS)
+//! and Gray on the seven `reorder_determinism` families, the
+//! `serve_hot`/`serve_cold` 5k mesh at three seeds, the four ~50k-nnz
+//! families `serve_cold` draws (scrambled as `sysbench` does, seed 14)
+//! and the 16-component mesh union of `serve_churn`. `GOLDEN_PARTITIONED`
+//! (pinned from commit 32919b5) holds the same hashes for the
+//! partitioners and the minimum-degree orderings — GP at 2 and 16
+//! parts, HP at 2 and 8, ND and AMD — on the same matrices. Every row
+//! is checked sequentially and on a team of two with `frontier_min = 0`
+//! (every BFS level through the two-phase parallel expansion) and
+//! `amd_round_min = 0` (every AMD round through the parallel update),
+//! so one table pins both "the bytes a refactor must reproduce" and
+//! "the executor does not change them".
 //!
-//! A deliberate change of an ordering regenerates the table with
+//! A deliberate change of an ordering regenerates the tables with
 //! `cargo test --test golden_orderings -- --ignored --nocapture` and
 //! commits the diff with the reason.
 
 mod common;
 
-use reorder::{Gps, Gray, Rcm, ReorderAlgorithm, ReorderExec};
+use reorder::{Amd, Gp, Gps, Gray, Hp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsemat::{CooMatrix, CsrMatrix};
 use team::ThreadTeam;
 
@@ -62,7 +67,9 @@ fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     ]
 }
 
-fn algorithms() -> Vec<(&'static str, Box<dyn ReorderAlgorithm>)> {
+type Algorithms = Vec<(&'static str, Box<dyn ReorderAlgorithm>)>;
+
+fn level_structure_orderings() -> Algorithms {
     vec![
         ("rcm", Box::new(Rcm::default())),
         ("cm", Box::new(Rcm { plain_cm: true })),
@@ -72,8 +79,19 @@ fn algorithms() -> Vec<(&'static str, Box<dyn ReorderAlgorithm>)> {
     ]
 }
 
+fn partitioned_orderings() -> Algorithms {
+    vec![
+        ("gp2", Box::new(Gp::new(2))),
+        ("gp16", Box::new(Gp::new(16))),
+        ("hp2", Box::new(Hp::new(2))),
+        ("hp8", Box::new(Hp::new(8))),
+        ("nd", Box::new(Nd::default())),
+        ("amd", Box::new(Amd::default())),
+    ]
+}
+
 /// One `(matrix, algorithm, hash)` row per pairing, in table order.
-fn hashes(rx: &ReorderExec<'_>) -> Vec<(String, String, u64)> {
+fn hashes(algorithms: fn() -> Algorithms, rx: &ReorderExec<'_>) -> Vec<(String, String, u64)> {
     let mut rows = Vec::new();
     for (name, a) in matrices() {
         for (algo_name, algo) in algorithms() {
@@ -88,19 +106,35 @@ fn hashes(rx: &ReorderExec<'_>) -> Vec<(String, String, u64)> {
     rows
 }
 
-#[test]
-fn orderings_match_the_golden_hashes_on_every_executor() {
-    common::assert_matches_golden(GOLDEN, &hashes(&ReorderExec::sequential()));
+/// Check `algorithms` against `golden` sequentially and on a team of
+/// two whose every BFS level and AMD round takes the parallel path.
+fn check_on_every_executor(algorithms: fn() -> Algorithms, golden: &[(&str, &str, u64)]) {
+    common::assert_matches_golden(golden, &hashes(algorithms, &ReorderExec::sequential()));
     let team = ThreadTeam::new(2);
-    let two_phase = ReorderExec::on_team(&team).with_frontier_min(0);
-    common::assert_matches_golden(GOLDEN, &hashes(&two_phase));
+    let parallel = ReorderExec::on_team(&team)
+        .with_frontier_min(0)
+        .with_amd_round_min(0);
+    common::assert_matches_golden(golden, &hashes(algorithms, &parallel));
 }
 
 #[test]
-#[ignore = "prints the table to paste into GOLDEN"]
+fn orderings_match_the_golden_hashes_on_every_executor() {
+    check_on_every_executor(level_structure_orderings, GOLDEN);
+}
+
+#[test]
+fn partitioned_orderings_match_the_golden_hashes_on_every_executor() {
+    check_on_every_executor(partitioned_orderings, GOLDEN_PARTITIONED);
+}
+
+#[test]
+#[ignore = "prints the tables to paste into GOLDEN and GOLDEN_PARTITIONED"]
 fn print_golden_table() {
-    for (name, algo, hash) in hashes(&ReorderExec::sequential()) {
-        println!("    (\"{name}\", \"{algo}\", {hash:#018x}),");
+    for algorithms in [level_structure_orderings, partitioned_orderings] {
+        for (name, algo, hash) in hashes(algorithms, &ReorderExec::sequential()) {
+            println!("    (\"{name}\", \"{algo}\", {hash:#018x}),");
+        }
+        println!();
     }
 }
 
@@ -181,4 +215,98 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("meshes16", "gps", 0xba1c8292545eeee9),
     ("meshes16", "gps_rev", 0xb25482744aecfab9),
     ("meshes16", "gray", 0x9540ff83977f5185),
+];
+
+#[rustfmt::skip]
+const GOLDEN_PARTITIONED: &[(&str, &str, u64)] = &[
+    ("band", "gp2", 0x3d8ab03271ccbacd),
+    ("band", "gp16", 0xfec8b8a1b29c7081),
+    ("band", "hp2", 0x3fdfc75577929d09),
+    ("band", "hp8", 0x8bcdf991de23a19d),
+    ("band", "nd", 0xb4d910320e9cdfa5),
+    ("band", "amd", 0x9600bcaa13ad826d),
+    ("fem2d", "gp2", 0xe4021b5b89aaa919),
+    ("fem2d", "gp16", 0x5bdc415f3530877d),
+    ("fem2d", "hp2", 0xfbd39c1169d965d9),
+    ("fem2d", "hp8", 0x03fa03aebda48e89),
+    ("fem2d", "nd", 0x1439e1f9afee74f5),
+    ("fem2d", "amd", 0xe6513f1f95196105),
+    ("fem3d", "gp2", 0xf425863c58437f73),
+    ("fem3d", "gp16", 0x2eb1b520ff127a13),
+    ("fem3d", "hp2", 0xfac4ec70be5ec297),
+    ("fem3d", "hp8", 0xa99661cebc0d45fb),
+    ("fem3d", "nd", 0x937e4121b656edeb),
+    ("fem3d", "amd", 0x9cd4b42dfd75c387),
+    ("rmat", "gp2", 0x3326cd45ad431265),
+    ("rmat", "gp16", 0xa8f0184a61a81e55),
+    ("rmat", "hp2", 0xcb335a3390dd74c1),
+    ("rmat", "hp8", 0x4639b4a09fedb9a1),
+    ("rmat", "nd", 0x510b7970956375f9),
+    ("rmat", "amd", 0xf2fcfe74119db8a5),
+    ("road", "gp2", 0xcca473f3aa1b7b55),
+    ("road", "gp16", 0x0e2417fd36092c55),
+    ("road", "hp2", 0x2c26ee7420f0bfcd),
+    ("road", "hp8", 0xa977b1c7d7172955),
+    ("road", "nd", 0x9db72618732a90c9),
+    ("road", "amd", 0x7fe6cfed7c1b35a5),
+    ("disconnected", "gp2", 0xc0bf736ed055bca5),
+    ("disconnected", "gp16", 0xcd29f3908b1bc745),
+    ("disconnected", "hp2", 0x7d4bcd4feb47c6a5),
+    ("disconnected", "hp8", 0x2130000aaea6edf5),
+    ("disconnected", "nd", 0x787afc8872cdd775),
+    ("disconnected", "amd", 0x02df979549e51475),
+    ("empty_rows", "gp2", 0x00d02a0818cac575),
+    ("empty_rows", "gp16", 0x508f4a391da5af75),
+    ("empty_rows", "hp2", 0x00d02a0818cac575),
+    ("empty_rows", "hp8", 0x338baba3548b6695),
+    ("empty_rows", "nd", 0x28f4b9e58113c055),
+    ("empty_rows", "amd", 0xbeeebcecb499e135),
+    ("mesh32_s14", "gp2", 0x2c082c3357d4786d),
+    ("mesh32_s14", "gp16", 0xd128e596f0b0e7c1),
+    ("mesh32_s14", "hp2", 0x4ea1dccba59aca91),
+    ("mesh32_s14", "hp8", 0x34bc9ab6562e7315),
+    ("mesh32_s14", "nd", 0xf1897eed9ccca261),
+    ("mesh32_s14", "amd", 0xb6e97224421c3201),
+    ("mesh32_s23", "gp2", 0xd61ce2f0cad47815),
+    ("mesh32_s23", "gp16", 0x9cb1e3021a37765d),
+    ("mesh32_s23", "hp2", 0xf3e7cb10e8ab8c0d),
+    ("mesh32_s23", "hp8", 0x8e605044b7632cc5),
+    ("mesh32_s23", "nd", 0xe2cc90b86ee36aad),
+    ("mesh32_s23", "amd", 0xa1a8ad4b733c2c19),
+    ("mesh32_s7", "gp2", 0xe6de9a892cdbc685),
+    ("mesh32_s7", "gp16", 0xc49d0a20d8442131),
+    ("mesh32_s7", "hp2", 0xa2ccf71c940c34b9),
+    ("mesh32_s7", "hp8", 0x198c0b679e615ee9),
+    ("mesh32_s7", "nd", 0xa02d291cb89cc2f1),
+    ("mesh32_s7", "amd", 0xa53cfb972cc2566d),
+    ("mesh100", "gp2", 0x6bcfaae05735965d),
+    ("mesh100", "gp16", 0x34e656e44df5f465),
+    ("mesh100", "hp2", 0xbe843ee3632ee805),
+    ("mesh100", "hp8", 0xc4125b1f4b1990ed),
+    ("mesh100", "nd", 0x95bc596b0e93e865),
+    ("mesh100", "amd", 0x012529c7dca91ed9),
+    ("rmat13", "gp2", 0xee2a0742a8455a01),
+    ("rmat13", "gp16", 0x90eac5a9c15077f5),
+    ("rmat13", "hp2", 0x699e011c3581f361),
+    ("rmat13", "hp8", 0x04709509e09d8375),
+    ("rmat13", "nd", 0x96ca53347a905801),
+    ("rmat13", "amd", 0x0c0e0009ff5a0bb5),
+    ("road112", "gp2", 0x1e601462a1e48ac5),
+    ("road112", "gp16", 0x2204eea9d51800b5),
+    ("road112", "hp2", 0xd7039992efa7e7b1),
+    ("road112", "hp8", 0x02d9fb88cde3e225),
+    ("road112", "nd", 0xfb997ed60f787a95),
+    ("road112", "amd", 0xd17fa40df9068949),
+    ("band7000", "gp2", 0xecc2998a1e51ef0d),
+    ("band7000", "gp16", 0x183976403c4b20f1),
+    ("band7000", "hp2", 0x92a023a4dfd73721),
+    ("band7000", "hp8", 0x3043f975e0341cc5),
+    ("band7000", "nd", 0xac25eb7851e8136d),
+    ("band7000", "amd", 0xd18b627818801cad),
+    ("meshes16", "gp2", 0x2636f9ee5dbf8dc5),
+    ("meshes16", "gp16", 0xb3be122971fea831),
+    ("meshes16", "hp2", 0x651dd2763ee18c45),
+    ("meshes16", "hp8", 0x442017f984a69fc5),
+    ("meshes16", "nd", 0x7a6077ddeadd1e39),
+    ("meshes16", "amd", 0xe20314f3d91da285),
 ];
