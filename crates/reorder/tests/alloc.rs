@@ -2,8 +2,9 @@
 //! a counting global allocator (the `crates/spmv/tests/no_alloc.rs`
 //! pattern; ROADMAP item 2's "allocations inside the orderings
 //! themselves"). RCM's count is constant in the depth of its level
-//! structures; the partitioners' and AMD's are pinned on the scrambled
-//! mesh, so a per-vertex or per-level `Vec` creeping back fails here.
+//! structures and AMD's in the shape of its quotient graph; the
+//! partitioners' are pinned on the scrambled mesh, so a per-vertex or
+//! per-level `Vec` creeping back fails here.
 //!
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
@@ -102,16 +103,33 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     assert_eq!(on_deep, 15, "a cold RCM's allocation count changed");
 
     // Each ordering runs once first, so the global registry's first-use
-    // entries are not counted, then once under the counter. Before the
-    // coarsening levels stopped cloning their graphs and building a
-    // `Vec` per coarse vertex, FM stopped reallocating per pass, and
-    // AMD stopped building a `HashMap` per pivot and an element list
-    // per `Lp` member, these were 1 389, 427, 12 988 and 14 352.
-    let pinned: [(&str, Box<dyn ReorderAlgorithm>, usize); 4] = [
+    // entries are not counted, then once under the counter.
+    let amd = Amd::default();
+    drop(amd.compute(&shallow).unwrap());
+    let amd_deep = counted(|| drop(amd.compute(&deep).unwrap()));
+    let amd_shallow = counted(|| drop(amd.compute(&shallow).unwrap()));
+    assert_eq!(
+        amd_deep, amd_shallow,
+        "AMD allocations depend on the graph, not only on its size"
+    );
+    // `amd_order_on`'s 25 arrays, each sized once from n and nnz (its
+    // quotient graph, degree buckets, round buffers and scratch); the
+    // graph (5), its components (12: the member list grows by
+    // doubling), the list of pieces (1), the assembled ordering (4) and
+    // the permutation's inverse (1). With a `Vec` per variable list and
+    // a lazy-deletion heap this was 2 771 on the mesh.
+    assert_eq!(amd_deep, 48, "a cold AMD's allocation count changed");
+
+    // Before the coarsening levels stopped cloning their graphs and
+    // building a `Vec` per coarse vertex, and FM stopped reallocating
+    // per pass, GP(2) and HP(2) were 1 389 and 427. ND was 14 352 while
+    // its subgraphs and its leaf AMDs' supervariable detection built a
+    // `HashMap` each, and 4 643 while its leaf AMDs kept a `Vec` per
+    // quotient-graph list.
+    let pinned: [(&str, Box<dyn ReorderAlgorithm>, usize); 3] = [
         ("GP(2)", Box::new(Gp::new(2)), 105),
         ("HP(2)", Box::new(Hp::new(2)), 235),
-        ("AMD", Box::new(Amd::default()), 2771),
-        ("ND", Box::new(Nd::default()), 4643),
+        ("ND", Box::new(Nd::default()), 2254),
     ];
     let mut wrong = Vec::new();
     for (name, algo, expected) in &pinned {

@@ -35,21 +35,22 @@ pub fn connected_components(g: &Graph) -> Components {
     let n = g.num_vertices();
     let mut component_of = vec![u32::MAX; n];
     let mut members: Vec<Vec<u32>> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
     for s in 0..n {
         if component_of[s] != u32::MAX {
             continue;
         }
         let cid = members.len() as u32;
-        let mut verts = Vec::new();
+        // The discovery order is the BFS queue: vertices are visited
+        // in the order they are pushed.
+        let mut verts = vec![s as u32];
         component_of[s] = cid;
-        queue.push_back(s as u32);
-        while let Some(v) = queue.pop_front() {
-            verts.push(v);
+        let mut head = 0;
+        while let Some(&v) = verts.get(head) {
+            head += 1;
             for &u in g.neighbors(v as usize) {
                 if component_of[u as usize] == u32::MAX {
                     component_of[u as usize] = cid;
-                    queue.push_back(u);
+                    verts.push(u);
                 }
             }
         }

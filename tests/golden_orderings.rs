@@ -9,8 +9,12 @@
 //! and the 16-component mesh union of `serve_churn`. `GOLDEN_PARTITIONED`
 //! (pinned from commit 32919b5) holds the same hashes for the
 //! partitioners and the minimum-degree orderings — GP at 2 and 16
-//! parts, HP at 2 and 8, ND and AMD — on the same matrices. Every row
-//! is checked sequentially and on a team of two with `frontier_min = 0`
+//! parts, HP at 2 and 8, ND and AMD — on the same matrices.
+//! `GOLDEN_AMD_VARIANTS` (pinned from commit bb048ed) adds the two AMD
+//! knobs the default leaves at rest: a round slack of 2, the only case
+//! where a round's candidates span more than one degree, and AMD
+//! without aggressive absorption. Every row is checked sequentially
+//! and on a team of two with `frontier_min = 0`
 //! (every BFS level through the two-phase parallel expansion) and
 //! `amd_round_min = 0` (every AMD round through the parallel update),
 //! so one table pins both "the bytes a refactor must reproduce" and
@@ -90,6 +94,25 @@ fn partitioned_orderings() -> Algorithms {
     ]
 }
 
+fn amd_variants() -> Algorithms {
+    vec![
+        (
+            "amd_slack2",
+            Box::new(Amd {
+                round_slack: 2,
+                ..Amd::default()
+            }),
+        ),
+        (
+            "amd_no_aggressive",
+            Box::new(Amd {
+                no_aggressive_absorption: true,
+                ..Amd::default()
+            }),
+        ),
+    ]
+}
+
 /// One `(matrix, algorithm, hash)` row per pairing, in table order.
 fn hashes(algorithms: fn() -> Algorithms, rx: &ReorderExec<'_>) -> Vec<(String, String, u64)> {
     let mut rows = Vec::new();
@@ -128,9 +151,18 @@ fn partitioned_orderings_match_the_golden_hashes_on_every_executor() {
 }
 
 #[test]
-#[ignore = "prints the tables to paste into GOLDEN and GOLDEN_PARTITIONED"]
+fn amd_variants_match_the_golden_hashes_on_every_executor() {
+    check_on_every_executor(amd_variants, GOLDEN_AMD_VARIANTS);
+}
+
+#[test]
+#[ignore = "prints the tables to paste into GOLDEN, GOLDEN_PARTITIONED and GOLDEN_AMD_VARIANTS"]
 fn print_golden_table() {
-    for algorithms in [level_structure_orderings, partitioned_orderings] {
+    for algorithms in [
+        level_structure_orderings,
+        partitioned_orderings,
+        amd_variants,
+    ] {
         for (name, algo, hash) in hashes(algorithms, &ReorderExec::sequential()) {
             println!("    (\"{name}\", \"{algo}\", {hash:#018x}),");
         }
@@ -309,4 +341,38 @@ const GOLDEN_PARTITIONED: &[(&str, &str, u64)] = &[
     ("meshes16", "hp8", 0x442017f984a69fc5),
     ("meshes16", "nd", 0x7a6077ddeadd1e39),
     ("meshes16", "amd", 0xe20314f3d91da285),
+];
+
+#[rustfmt::skip]
+const GOLDEN_AMD_VARIANTS: &[(&str, &str, u64)] = &[
+    ("band", "amd_slack2", 0x9600bcaa13ad826d),
+    ("band", "amd_no_aggressive", 0x9600bcaa13ad826d),
+    ("fem2d", "amd_slack2", 0x1979e287d2cfd3a9),
+    ("fem2d", "amd_no_aggressive", 0xe6513f1f95196105),
+    ("fem3d", "amd_slack2", 0xe2689102bb445b2f),
+    ("fem3d", "amd_no_aggressive", 0x9cd4b42dfd75c387),
+    ("rmat", "amd_slack2", 0xb6e411bcf5b6de8d),
+    ("rmat", "amd_no_aggressive", 0x1b1f0003b8d7a601),
+    ("road", "amd_slack2", 0x861673a309e910dd),
+    ("road", "amd_no_aggressive", 0x4518b1c5550479cd),
+    ("disconnected", "amd_slack2", 0xecc09f2e932b50e5),
+    ("disconnected", "amd_no_aggressive", 0x77d8ca1862135a35),
+    ("empty_rows", "amd_slack2", 0xbeeebcecb499e135),
+    ("empty_rows", "amd_no_aggressive", 0xbeeebcecb499e135),
+    ("mesh32_s14", "amd_slack2", 0x83c652f55c9f8421),
+    ("mesh32_s14", "amd_no_aggressive", 0xb6e97224421c3201),
+    ("mesh32_s23", "amd_slack2", 0x2afccb35c364c261),
+    ("mesh32_s23", "amd_no_aggressive", 0xa1a8ad4b733c2c19),
+    ("mesh32_s7", "amd_slack2", 0x04690d4c1ffa9c55),
+    ("mesh32_s7", "amd_no_aggressive", 0xa53cfb972cc2566d),
+    ("mesh100", "amd_slack2", 0x84706c1c8a41531d),
+    ("mesh100", "amd_no_aggressive", 0x012529c7dca91ed9),
+    ("rmat13", "amd_slack2", 0x3b7ef4367fc26641),
+    ("rmat13", "amd_no_aggressive", 0x67d6e9fd59b43ce1),
+    ("road112", "amd_slack2", 0x6c28e0fb3a19088d),
+    ("road112", "amd_no_aggressive", 0x8fb45e129a4a4919),
+    ("band7000", "amd_slack2", 0xd18b627818801cad),
+    ("band7000", "amd_no_aggressive", 0xd18b627818801cad),
+    ("meshes16", "amd_slack2", 0x8cf8dd54d6515115),
+    ("meshes16", "amd_no_aggressive", 0x3815841aa57311a5),
 ];
