@@ -51,8 +51,9 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
     exit 1
 }
 
-# A cold RCM's allocation count (constant in the depth of its level
-# structures) must hold in the profile that is served; the workspace
+# The pinned allocation counts of a cold RCM (constant in the depth of
+# its level structures), AMD (the same on a path and a mesh), GP(2),
+# HP(2) and ND must hold in the profile that is served; the workspace
 # run above checked the debug build.
 cargo test --release -p reorder --test alloc
 

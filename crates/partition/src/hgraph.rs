@@ -95,24 +95,89 @@ struct HgLevel {
     coarse_of: Vec<u32>,
 }
 
+/// The scratch of HP's bisections, sized once by the hypergraph a
+/// [`partition_hypergraph`] call starts from and reused by every level
+/// of every bisection, so none of it grows.
+struct HgWork {
+    /// FM's gains, locks, heap and moves.
+    fm: FmWork,
+    /// Net side-counts of the bisection being refined.
+    counts: Vec<[u32; 2]>,
+    /// FM: the free pins the current move changed the gain of, in the
+    /// order first changed (`n + 1` slots, written as `touched` is), and
+    /// per vertex the move that last changed it.
+    dirty: Vec<u32>,
+    dirty_in: Vec<u32>,
+    /// Matching: the visit order and the matching itself.
+    visit: Vec<u32>,
+    match_of: Vec<u32>,
+    /// Matching: per vertex the last vertex whose nets reached it; those
+    /// nets' pins in first-encounter order (`n + 1` slots, the last one
+    /// a write that is never kept); the weight each pin shares with it.
+    seen: Vec<u32>,
+    touched: Vec<u32>,
+    shared: Vec<i64>,
+    /// The bisection being projected onto the next finer level.
+    projected: Vec<u8>,
+    /// Local ids of the subset a recursive bisection works on.
+    ids: LocalIds,
+}
+
+impl HgWork {
+    /// A workspace for hypergraphs of up to `n` vertices and `nets` nets.
+    fn with_capacity(n: usize, nets: usize) -> HgWork {
+        HgWork {
+            fm: FmWork::with_capacity(n),
+            counts: Vec::with_capacity(nets),
+            dirty: Vec::with_capacity(n + 1),
+            dirty_in: Vec::with_capacity(n),
+            visit: Vec::with_capacity(n),
+            match_of: Vec::with_capacity(n),
+            seen: Vec::with_capacity(n),
+            touched: Vec::with_capacity(n + 1),
+            shared: Vec::with_capacity(n),
+            projected: Vec::with_capacity(n),
+            ids: LocalIds::default(),
+        }
+    }
+}
+
 /// Heavy-connectivity matching: match each vertex with the unmatched
-/// co-pin vertex sharing the largest total net weight. Returns
-/// `match_of`, where `match_of[v] == v` exactly for unmatched `v`.
-fn match_vertices(hg: &Hypergraph, rng: &mut SplitMix) -> Vec<u32> {
+/// co-pin vertex sharing the largest total net weight. Leaves
+/// `ws.match_of`, where `match_of[v] == v` exactly for unmatched `v`.
+///
+/// A vertex's scan appends every pin of its small nets to `touched` on
+/// first encounter — a stamp, not a branch, decides whether the slot is
+/// kept — and the walk over `touched` skips `v` and matched pins. No
+/// vertex is matched during a scan, so the unmatched co-pins come out in
+/// the order and with the sums the scan that skipped them found.
+fn match_vertices(hg: &Hypergraph, rng: &mut SplitMix, ws: &mut HgWork) {
     let n = hg.num_vertices();
-    let mut match_of: Vec<u32> = (0..n as u32).collect();
-    let mut visit: Vec<u32> = (0..n as u32).collect();
-    rng.shuffle(&mut visit);
-    // Sparse counter of shared weight with candidate partners.
-    let mut shared: Vec<i64> = vec![0; n];
-    let mut touched: Vec<u32> = Vec::new();
-    for &v in &visit {
-        let v = v as usize;
-        if match_of[v] as usize != v {
+    let HgWork {
+        visit,
+        match_of,
+        seen,
+        touched,
+        shared,
+        ..
+    } = ws;
+    visit.clear();
+    visit.extend(0..n as u32);
+    rng.shuffle(visit);
+    match_of.clear();
+    match_of.extend(0..n as u32);
+    seen.clear();
+    seen.resize(n, u32::MAX);
+    touched.clear();
+    touched.resize(n + 1, 0);
+    shared.clear();
+    shared.resize(n, 0);
+    for &v in visit.iter() {
+        if match_of[v as usize] != v {
             continue;
         }
-        touched.clear();
-        for &j in hg.vertex_nets(v) {
+        let mut len = 0;
+        for &j in hg.vertex_nets(v as usize) {
             let pins = hg.net_pins(j as usize);
             if pins.len() > BIG_NET {
                 continue;
@@ -120,19 +185,19 @@ fn match_vertices(hg: &Hypergraph, rng: &mut SplitMix) -> Vec<u32> {
             let w = hg.net_weight(j as usize);
             for &u in pins {
                 let u = u as usize;
-                if u == v || match_of[u] as usize != u {
-                    continue;
-                }
-                if shared[u] == 0 {
-                    touched.push(u as u32);
-                }
+                touched[len] = u as u32;
+                len += usize::from(seen[u] != v);
+                seen[u] = v;
                 shared[u] += w;
             }
         }
         let mut best: Option<(usize, i64)> = None;
-        for &u in &touched {
+        for &u in &touched[..len] {
             let u = u as usize;
-            let s = shared[u];
+            let s = std::mem::take(&mut shared[u]);
+            if u == v as usize || match_of[u] as usize != u {
+                continue;
+            }
             let better = match best {
                 None => true,
                 Some((bu, bs)) => s > bs || (s == bs && hg.vertex_weight(u) < hg.vertex_weight(bu)),
@@ -140,14 +205,12 @@ fn match_vertices(hg: &Hypergraph, rng: &mut SplitMix) -> Vec<u32> {
             if better {
                 best = Some((u, s));
             }
-            shared[u] = 0;
         }
         if let Some((u, _)) = best {
-            match_of[v] = u as u32;
-            match_of[u] = v as u32;
+            match_of[v as usize] = u as u32;
+            match_of[u] = v;
         }
     }
-    match_of
 }
 
 /// Contract the hypergraph along a matching. Pins are deduplicated per
@@ -162,15 +225,11 @@ fn match_vertices(hg: &Hypergraph, rng: &mut SplitMix) -> Vec<u32> {
 /// - matching's `touched` order and the initial BFS visit each vertex's
 ///   nets in ascending id, so a later copy only revisits pins its first
 ///   occurrence already reached;
-/// - in FM a pin holds the same gain between moves either way, and the
-///   gain a move leaves it with is pushed either way. Only the entries
-///   for gains it held part-way through one move's net-by-net updates
-///   differ, and such an entry pops as stale — doing nothing — or, if
-///   the gain has come back to its key, as a copy of the entry pushed
-///   when it did. Copies change nothing: equal keys pop back to back
-///   under an unchanged balance state, so a rejected vertex's copies
-///   are rejected with it and a moved one's are stale. The same moves
-///   are made;
+/// - in FM a pin holds the same gain between moves either way, and a
+///   move pushes the same pins at the same gains: a net's delta is its
+///   weight times a factor of its side counts, and weights are
+///   positive, so two copies and their sum are nonzero together. The
+///   same moves are made;
 /// - contraction maps equal pin sets to equal pin sets, so the next
 ///   level folds the same groups with the same first occurrences.
 ///
@@ -195,10 +254,12 @@ fn contract_hg(hg: &Hypergraph, match_of: &[u32]) -> HgLevel {
     for v in 0..n {
         vwgt[coarse_of[v] as usize] += hg.vertex_weight(v);
     }
-    let mut xpins = vec![0usize];
+    // Sized by the fine level, which has at least as many nets and pins.
+    let mut xpins = Vec::with_capacity(hg.num_nets() + 1);
+    xpins.push(0usize);
     let mut pins: Vec<u32> = Vec::with_capacity(hg.num_pins());
-    let mut nwgt: Vec<i64> = Vec::new();
-    let mut net_hash: Vec<u64> = Vec::new();
+    let mut nwgt: Vec<i64> = Vec::with_capacity(hg.num_nets());
+    let mut net_hash: Vec<u64> = Vec::with_capacity(hg.num_nets());
     // Coarse net ids by hash, u32::MAX for empty; at most half full.
     let mask = (2 * hg.num_nets()).next_power_of_two() - 1;
     let mut table = vec![u32::MAX; mask + 1];
@@ -313,19 +374,30 @@ fn initial_bisection(
     if n == 0 {
         return Vec::new();
     }
-    let mut best: Option<(Vec<u8>, i64, f64)> = None;
+    // One set of trial arrays: a better trial swaps its `part_of` into
+    // `best`. A vertex is queued at most once a trial, so the queue is a
+    // `Vec` read from `head` that never grows past `n`.
+    let mut best = vec![0u8; n];
+    let mut best_score: Option<(i64, f64)> = None;
+    let mut part_of = vec![1u8; n];
+    let mut seen = vec![false; n];
+    let mut queue: Vec<u32> = Vec::with_capacity(n);
     for _ in 0..trials.max(1) {
-        let mut part_of = vec![1u8; n];
+        part_of.fill(1);
+        seen.fill(false);
+        queue.clear();
+        let mut head = 0;
         let mut w0 = 0i64;
-        let mut queue = std::collections::VecDeque::new();
-        let mut seen = vec![false; n];
         let start = rng.next_below(n);
-        queue.push_back(start as u32);
+        queue.push(start as u32);
         seen[start] = true;
         let mut seed_next = start;
         while w0 < target[0] {
-            let v = match queue.pop_front() {
-                Some(v) => v as usize,
+            let v = match queue.get(head) {
+                Some(&v) => {
+                    head += 1;
+                    v as usize
+                }
                 None => {
                     // Disconnected: reseed from the next unseen vertex.
                     let mut found = None;
@@ -356,7 +428,7 @@ fn initial_bisection(
                 for &u in pins {
                     if !seen[u as usize] {
                         seen[u as usize] = true;
-                        queue.push_back(u);
+                        queue.push(u);
                     }
                 }
             }
@@ -371,31 +443,39 @@ fn initial_bisection(
             .sum::<i64>() as f64;
         let imb = (w0f / target[0].max(1) as f64)
             .max((hg.total_vertex_weight() as f64 - w0f) / target[1].max(1) as f64);
-        let better = match &best {
+        let better = match best_score {
             None => true,
-            Some((_, bcut, bimb)) => match (imb <= 1.05, *bimb <= 1.05) {
+            Some((bcut, bimb)) => match (imb <= 1.05, bimb <= 1.05) {
                 (true, false) => true,
                 (false, true) => false,
-                _ => cut < *bcut,
+                _ => cut < bcut,
             },
         };
         if better {
-            best = Some((part_of, cut, imb));
+            best_score = Some((cut, imb));
+            std::mem::swap(&mut best, &mut part_of);
         }
     }
-    best.expect("at least one trial").0
+    best
 }
 
-/// FM refinement for hypergraph bisections. `ws` and `counts` are the
-/// workspace, kept across the passes and levels of one bisection.
+/// FM refinement for hypergraph bisections, in the workspace `ws`.
+///
+/// A move adds each net's delta to its free pins' gains and then pushes
+/// each pin it gave a nonzero delta once, at the gain the whole move
+/// left it with. (Such a pin's gain did change: its deltas all take the
+/// sign of its side — none negative on the side `v` left, none positive
+/// on the side it joined — so with positive net weights they cannot
+/// cancel.) Per-net pushes added only entries for gains a pin held
+/// part-way through the move, and each of those popped stale or as a
+/// copy of a later entry, changing nothing.
 fn fm_refine_hg(
     hg: &Hypergraph,
     part_of: &mut [u8],
     target: [i64; 2],
     ubfactor: f64,
     max_passes: usize,
-    ws: &mut FmWork,
-    counts: &mut Vec<[u32; 2]>,
+    ws: &mut HgWork,
 ) {
     let n = hg.num_vertices();
     if n == 0 {
@@ -405,10 +485,17 @@ fn fm_refine_hg(
         ((target[0] as f64) * ubfactor).ceil() as i64,
         ((target[1] as f64) * ubfactor).ceil() as i64,
     ];
+    let HgWork {
+        fm,
+        counts,
+        dirty,
+        dirty_in,
+        ..
+    } = ws;
     for _ in 0..max_passes {
         side_counts(hg, part_of, counts);
         let start_cut = objective_value(hg, counts);
-        ws.start_pass(n, |gain, seeds| {
+        fm.start_pass(n, |gain, seeds| {
             gain.extend((0..n).map(|v| move_gain(hg, counts, part_of, v)));
             seeds.extend(
                 gain.iter()
@@ -421,7 +508,12 @@ fn fm_refine_hg(
             locked,
             heap,
             moves,
-        } = &mut *ws;
+        } = &mut *fm;
+        // A move's stamp is its index, unique within the pass.
+        dirty_in.clear();
+        dirty_in.resize(n, u32::MAX);
+        dirty.clear();
+        dirty.resize(n + 1, 0);
         let mut part_w = [0i64; 2];
         for v in 0..n {
             part_w[part_of[v] as usize] += hg.vertex_weight(v);
@@ -452,6 +544,7 @@ fn fm_refine_hg(
             part_w[from] -= wv;
             part_w[to] += wv;
             cur_cut -= gain[v];
+            let mv = moves.len() as u32;
             moves.push(v as u32);
             // Update counts and the free pins' gains per net. A pin's
             // share of a net depends only on its side and the net's two
@@ -459,6 +552,12 @@ fn fm_refine_hg(
             // on `from` and one for those on `to`; a net where both are
             // zero changes no gain (FM's critical-net rule) and its
             // pins are not visited.
+            //
+            // Every visited pin is written to `dirty`; the slot is kept
+            // only the first time this move gives a free pin a nonzero
+            // delta, so the loop has no data-dependent branch per pin. A
+            // locked pin (`v` among them) or a zero delta adds nothing.
+            let mut len = 0;
             for &j in hg.vertex_nets(v) {
                 let j = j as usize;
                 let [a, b] = [counts[j][from], counts[j][to]];
@@ -476,19 +575,20 @@ fn fm_refine_hg(
                 }
                 for &u in pins {
                     let u = u as usize;
-                    if locked[u] {
-                        continue; // v itself included
-                    }
                     let delta = if part_of[u] as usize == from {
                         d_from
                     } else {
                         d_to
                     };
-                    if delta != 0 {
-                        gain[u] += delta;
-                        heap.push((gain[u], Reverse(u as u32)));
-                    }
+                    let keep = !locked[u] & (delta != 0);
+                    gain[u] += if keep { delta } else { 0 };
+                    dirty[len] = u as u32;
+                    len += usize::from(keep & (dirty_in[u] != mv));
+                    dirty_in[u] = if keep { mv } else { dirty_in[u] };
                 }
+            }
+            for &u in dirty[..len].iter() {
+                heap.push((gain[u as usize], Reverse(u)));
             }
             let now_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
             let improves = match (now_feasible, best_feasible) {
@@ -525,6 +625,7 @@ fn multilevel_bisect_hg(
     target: [i64; 2],
     cfg: &HypergraphPartitionConfig,
     seed: u64,
+    ws: &mut HgWork,
 ) -> Vec<u8> {
     let mut rng = SplitMix::new(seed);
     // Coarsen.
@@ -535,25 +636,27 @@ fn multilevel_bisect_hg(
         if n <= COARSEN_TO {
             break;
         }
-        let level = contract_hg(current, &match_vertices(current, &mut rng));
+        match_vertices(current, &mut rng, ws);
+        let level = contract_hg(current, &ws.match_of);
         if level.hg.num_vertices() as f64 / n as f64 > 0.95 {
             break;
         }
         levels.push(level);
     }
     let coarsest: &Hypergraph = levels.last().map(|l| &l.hg).unwrap_or(hg);
-    let mut fm = FmWork::with_capacity(hg.num_vertices());
-    let mut counts = Vec::with_capacity(hg.num_nets());
-    let mut part = initial_bisection(coarsest, target, INITIAL_TRIALS, &mut rng, &mut counts);
+    let mut part = initial_bisection(coarsest, target, INITIAL_TRIALS, &mut rng, &mut ws.counts);
     // Refine the coarsest level, then project onto each finer one and
     // refine that in turn.
     let ub = cfg.ubfactor;
     for li in (0..=levels.len()).rev() {
         if let Some(level) = levels.get(li) {
-            part = level.coarse_of.iter().map(|&c| part[c as usize]).collect();
+            let fine = &mut ws.projected;
+            fine.clear();
+            fine.extend(level.coarse_of.iter().map(|&c| part[c as usize]));
+            std::mem::swap(&mut part, fine);
         }
         let h = if li == 0 { hg } else { &levels[li - 1].hg };
-        fm_refine_hg(h, &mut part, target, ub, FM_PASSES, &mut fm, &mut counts);
+        fm_refine_hg(h, &mut part, target, ub, FM_PASSES, ws);
     }
     part
 }
@@ -595,9 +698,9 @@ pub fn partition_hypergraph(h: &Hypergraph, cfg: &HypergraphPartitionConfig) -> 
         return part_of;
     }
     let vertices: Vec<u32> = (0..n as u32).collect();
-    let mut ids = LocalIds::default();
+    let mut ws = HgWork::with_capacity(n, h.num_nets());
     let parts = 0..k as u32;
-    recurse_hg(h, &vertices, parts, cfg, cfg.seed, &mut part_of, &mut ids);
+    recurse_hg(h, &vertices, parts, cfg, cfg.seed, &mut part_of, &mut ws);
     part_of
 }
 
@@ -610,7 +713,7 @@ fn recurse_hg(
     cfg: &HypergraphPartitionConfig,
     seed: u64,
     part_of: &mut [u32],
-    ids: &mut LocalIds,
+    ws: &mut HgWork,
 ) {
     let k = parts.len();
     if k == 1 || vertices.len() <= 1 {
@@ -625,14 +728,14 @@ fn recurse_hg(
     let hg = if vertices.len() == hg_full.num_vertices() {
         hg_full
     } else {
-        sub = sub_hypergraph(hg_full, vertices, ids);
+        sub = sub_hypergraph(hg_full, vertices, &mut ws.ids);
         &sub
     };
     let k0 = k / 2;
     let total = hg.total_vertex_weight();
     let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
     let target = [t0, total - t0];
-    let bis = multilevel_bisect_hg(hg, target, cfg, seed);
+    let bis = multilevel_bisect_hg(hg, target, cfg, seed, ws);
     let mut left = Vec::new();
     let mut right = Vec::new();
     for (local, &global) in vertices.iter().enumerate() {
@@ -651,7 +754,7 @@ fn recurse_hg(
         cfg,
         seed.wrapping_add(3),
         part_of,
-        ids,
+        ws,
     );
     recurse_hg(
         hg_full,
@@ -660,7 +763,7 @@ fn recurse_hg(
         cfg,
         seed.wrapping_add(4),
         part_of,
-        ids,
+        ws,
     );
 }
 
@@ -681,6 +784,255 @@ mod tests {
             }
         }
         CsrMatrix::from_coo(&coo)
+    }
+
+    /// `match_vertices`' matching of `h` under `seed`.
+    fn matching(h: &Hypergraph, seed: u64) -> Vec<u32> {
+        let mut ws = HgWork::with_capacity(0, 0);
+        match_vertices(h, &mut SplitMix::new(seed), &mut ws);
+        ws.match_of
+    }
+
+    /// Heavy-connectivity matching as written before its scan lost its
+    /// per-pin branches — skip `v` and matched pins, count a first touch
+    /// where the shared weight is still zero — kept as the oracle the
+    /// branch-free scan must reproduce.
+    fn match_vertices_reference(hg: &Hypergraph, rng: &mut SplitMix) -> Vec<u32> {
+        let n = hg.num_vertices();
+        let mut match_of: Vec<u32> = (0..n as u32).collect();
+        let mut visit: Vec<u32> = (0..n as u32).collect();
+        rng.shuffle(&mut visit);
+        let mut shared: Vec<i64> = vec![0; n];
+        let mut touched: Vec<u32> = Vec::new();
+        for &v in &visit {
+            let v = v as usize;
+            if match_of[v] as usize != v {
+                continue;
+            }
+            touched.clear();
+            for &j in hg.vertex_nets(v) {
+                let pins = hg.net_pins(j as usize);
+                if pins.len() > BIG_NET {
+                    continue;
+                }
+                let w = hg.net_weight(j as usize);
+                for &u in pins {
+                    let u = u as usize;
+                    if u == v || match_of[u] as usize != u {
+                        continue;
+                    }
+                    if shared[u] == 0 {
+                        touched.push(u as u32);
+                    }
+                    shared[u] += w;
+                }
+            }
+            let mut best: Option<(usize, i64)> = None;
+            for &u in &touched {
+                let u = u as usize;
+                let s = shared[u];
+                let better = match best {
+                    None => true,
+                    Some((bu, bs)) => {
+                        s > bs || (s == bs && hg.vertex_weight(u) < hg.vertex_weight(bu))
+                    }
+                };
+                if better {
+                    best = Some((u, s));
+                }
+                shared[u] = 0;
+            }
+            if let Some((u, _)) = best {
+                match_of[v] = u as u32;
+                match_of[u] = v as u32;
+            }
+        }
+        match_of
+    }
+
+    /// A hypergraph from `gen` with the corners the golden orderings do
+    /// not reach: pins repeated within a net, nets above `BIG_NET`, net
+    /// weights and vertex weights above 1.
+    fn random_hypergraph(gen: &mut SplitMix) -> Hypergraph {
+        let n = 20 + gen.next_below(580);
+        let nets = n / 2 + gen.next_below(2 * n);
+        let mut xpins = vec![0];
+        let mut pins = Vec::new();
+        let mut nwgt = Vec::new();
+        for _ in 0..nets {
+            let len = if gen.next_below(40) == 0 {
+                BIG_NET + 1 + gen.next_below(64)
+            } else {
+                1 + gen.next_below(8)
+            };
+            // Drawn with replacement, so some nets repeat a pin.
+            pins.extend((0..len).map(|_| gen.next_below(n) as u32));
+            xpins.push(pins.len());
+            nwgt.push(1 + gen.next_below(4) as i64);
+        }
+        let vwgt = (0..n).map(|_| 1 + gen.next_below(3) as i64).collect();
+        with_vertex_nets(xpins, pins, vwgt, nwgt)
+    }
+
+    #[test]
+    fn matching_equals_its_branching_reference() {
+        let mut gen = SplitMix::new(11);
+        // One workspace for every case, so each scan starts on the
+        // stamps and buffers an earlier hypergraph left behind.
+        let mut ws = HgWork::with_capacity(0, 0);
+        for case in 0..60 {
+            let h = random_hypergraph(&mut gen);
+            let seed = 100 + case;
+            match_vertices(&h, &mut SplitMix::new(seed), &mut ws);
+            let expected = match_vertices_reference(&h, &mut SplitMix::new(seed));
+            assert_eq!(ws.match_of, expected, "case {case}");
+            // And on its contraction, whose folded nets weigh more.
+            let coarse = contract_hg(&h, &expected).hg;
+            match_vertices(&coarse, &mut SplitMix::new(seed), &mut ws);
+            let expected = match_vertices_reference(&coarse, &mut SplitMix::new(seed));
+            assert_eq!(ws.match_of, expected, "case {case}, contracted");
+        }
+    }
+
+    /// FM as written before a move pushed each pin once: one push per
+    /// net that changes a pin's gain, at the gain it holds after that
+    /// net. Kept as the oracle `fm_refine_hg` must reproduce.
+    fn fm_refine_hg_reference(
+        hg: &Hypergraph,
+        part_of: &mut [u8],
+        target: [i64; 2],
+        ubfactor: f64,
+        ws: &mut FmWork,
+        counts: &mut Vec<[u32; 2]>,
+    ) {
+        let n = hg.num_vertices();
+        let max_allowed = [
+            ((target[0] as f64) * ubfactor).ceil() as i64,
+            ((target[1] as f64) * ubfactor).ceil() as i64,
+        ];
+        for _ in 0..FM_PASSES {
+            side_counts(hg, part_of, counts);
+            let start_cut = objective_value(hg, counts);
+            ws.start_pass(n, |gain, seeds| {
+                gain.extend((0..n).map(|v| move_gain(hg, counts, part_of, v)));
+                seeds.extend(
+                    gain.iter()
+                        .enumerate()
+                        .map(|(v, &g)| (g, Reverse(v as u32))),
+                );
+            });
+            let FmWork {
+                gain,
+                locked,
+                heap,
+                moves,
+            } = &mut *ws;
+            let mut part_w = [0i64; 2];
+            for v in 0..n {
+                part_w[part_of[v] as usize] += hg.vertex_weight(v);
+            }
+            let mut cur_cut = start_cut;
+            let mut best_cut = start_cut;
+            let mut best_len = 0usize;
+            let mut best_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
+            let mut bad_streak = 0usize;
+            while let Some((gtop, Reverse(v))) = heap.pop() {
+                let v = v as usize;
+                if locked[v] || gtop != gain[v] {
+                    continue;
+                }
+                let from = part_of[v] as usize;
+                let to = 1 - from;
+                let wv = hg.vertex_weight(v);
+                let feasible_after = part_w[to] + wv <= max_allowed[to];
+                let overflow_now = (part_w[0] - max_allowed[0]).max(part_w[1] - max_allowed[1]);
+                let overflow_after = ((part_w[from] - wv) - max_allowed[from])
+                    .max((part_w[to] + wv) - max_allowed[to]);
+                if !feasible_after && overflow_after >= overflow_now {
+                    continue;
+                }
+                locked[v] = true;
+                part_of[v] = to as u8;
+                part_w[from] -= wv;
+                part_w[to] += wv;
+                cur_cut -= gain[v];
+                moves.push(v as u32);
+                for &j in hg.vertex_nets(v) {
+                    let j = j as usize;
+                    let [a, b] = [counts[j][from], counts[j][to]];
+                    counts[j][from] = a - 1;
+                    counts[j][to] = b + 1;
+                    let pins = hg.net_pins(j);
+                    if pins.len() > BIG_NET {
+                        continue;
+                    }
+                    let w = hg.net_weight(j);
+                    let d_from = pin_gain(a - 1, b + 1, w) - pin_gain(a, b, w);
+                    let d_to = pin_gain(b + 1, a - 1, w) - pin_gain(b, a, w);
+                    for &u in pins {
+                        let u = u as usize;
+                        if locked[u] {
+                            continue;
+                        }
+                        let delta = if part_of[u] as usize == from {
+                            d_from
+                        } else {
+                            d_to
+                        };
+                        if delta != 0 {
+                            gain[u] += delta;
+                            heap.push((gain[u], Reverse(u as u32)));
+                        }
+                    }
+                }
+                let now_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
+                let improves = match (now_feasible, best_feasible) {
+                    (true, false) => true,
+                    (false, true) => false,
+                    _ => cur_cut < best_cut,
+                };
+                if improves {
+                    best_cut = cur_cut;
+                    best_len = moves.len();
+                    best_feasible = now_feasible;
+                    bad_streak = 0;
+                } else {
+                    bad_streak += 1;
+                    if bad_streak > 100 {
+                        break;
+                    }
+                }
+            }
+            for &v in &moves[best_len..] {
+                part_of[v as usize] ^= 1;
+            }
+            if best_len == 0 || best_cut >= start_cut {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn fm_equals_its_per_net_push_reference() {
+        let mut gen = SplitMix::new(29);
+        let mut ws = HgWork::with_capacity(0, 0);
+        let (mut fm, mut counts) = (FmWork::with_capacity(0), Vec::new());
+        for case in 0..300 {
+            let h = random_hypergraph(&mut gen);
+            let start: Vec<u8> = (0..h.num_vertices())
+                .map(|_| gen.next_below(2) as u8)
+                .collect();
+            let total = h.total_vertex_weight();
+            let target = [total / 2, total - total / 2];
+            // Tight allowances reject moves, and a rejected pin comes
+            // back only through a later push.
+            let ub = [1.0, 1.02, 1.1][case % 3];
+            let mut got = start.clone();
+            fm_refine_hg(&h, &mut got, target, ub, FM_PASSES, &mut ws);
+            let mut expected = start;
+            fm_refine_hg_reference(&h, &mut expected, target, ub, &mut fm, &mut counts);
+            assert_eq!(got, expected, "case {case}");
+        }
     }
 
     #[test]
@@ -744,9 +1096,9 @@ mod tests {
         side_counts(&h, &part, &mut counts);
         let before = objective_value(&h, &counts);
         let total = h.total_vertex_weight();
-        let mut fm = FmWork::with_capacity(0);
+        let mut ws = HgWork::with_capacity(0, 0);
         let target = [total / 2, total - total / 2];
-        fm_refine_hg(&h, &mut part, target, 1.05, 8, &mut fm, &mut counts);
+        fm_refine_hg(&h, &mut part, target, 1.05, 8, &mut ws);
         side_counts(&h, &part, &mut counts);
         let after = objective_value(&h, &counts);
         assert!(after <= before, "FM worsened cut: {before} -> {after}");
@@ -760,9 +1112,7 @@ mod tests {
     fn contraction_preserves_weight_and_reduces_size() {
         let a = banded(300, 2);
         let h = Hypergraph::column_net(&a);
-        let mut rng = SplitMix::new(5);
-        let m = match_vertices(&h, &mut rng);
-        let level = contract_hg(&h, &m);
+        let level = contract_hg(&h, &matching(&h, 5));
         assert_eq!(level.hg.total_vertex_weight(), h.total_vertex_weight());
         assert!(level.hg.num_vertices() < h.num_vertices());
         // Dual incidence is consistent.
@@ -776,7 +1126,7 @@ mod tests {
     #[test]
     fn contraction_folds_nets_with_equal_pin_sets() {
         let h = Hypergraph::column_net(&banded(300, 2));
-        let level = contract_hg(&h, &match_vertices(&h, &mut SplitMix::new(5)));
+        let level = contract_hg(&h, &matching(&h, 5));
         let coarse = &level.hg;
         let pin_set = |pins: &[u32]| {
             let mut set = pins.to_vec();

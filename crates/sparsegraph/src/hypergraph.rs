@@ -60,6 +60,15 @@ impl Hypergraph {
     }
 
     /// Build from raw parts (used by the multilevel coarsener).
+    ///
+    /// The parts must describe a hypergraph: `xpins` and `xnets` start at
+    /// 0, never decrease and end at the length of `pins` and `nets`;
+    /// every pin is a vertex and every listed net a net; vertex `v`
+    /// lists net `j` exactly as often as net `j` lists `v`; and every net
+    /// weight is positive. Debug builds check all of it in O(pins),
+    /// allocating nothing (the dual incidence through a 64-bit hash,
+    /// which a mismatch passes with probability about 2⁻⁶⁴); release
+    /// builds check nothing.
     pub fn from_parts_unchecked(
         xpins: Vec<usize>,
         pins: Vec<u32>,
@@ -68,16 +77,57 @@ impl Hypergraph {
         vwgt: Vec<i64>,
         nwgt: Vec<i64>,
     ) -> Self {
-        debug_assert_eq!(xpins.len(), nwgt.len() + 1);
-        debug_assert_eq!(xnets.len(), vwgt.len() + 1);
-        Hypergraph {
+        let h = Hypergraph {
             xpins,
             pins,
             xnets,
             nets,
             vwgt,
             nwgt,
+        };
+        if cfg!(debug_assertions) {
+            h.assert_valid();
         }
+        h
+    }
+
+    /// Panic unless the arrays satisfy `from_parts_unchecked`'s contract.
+    ///
+    /// The dual incidence is compared as two multisets of `(net,
+    /// vertex)` pairs through an order-independent sum of a 64-bit mix
+    /// of each pair, so it needs no scratch.
+    fn assert_valid(&self) {
+        let (nv, nn) = (self.num_vertices(), self.num_nets());
+        assert_offsets("xpins", &self.xpins, nn, self.pins.len());
+        assert_offsets("xnets", &self.xnets, nv, self.nets.len());
+        assert!(
+            self.nwgt.iter().all(|&w| w > 0),
+            "a net weight is not positive"
+        );
+        let mix = |j: u32, v: u32| {
+            let mut z = ((u64::from(j) << 32) | u64::from(v)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut by_net = 0u64;
+        for j in 0..nn {
+            for &v in self.net_pins(j) {
+                assert!((v as usize) < nv, "net {j} has pin {v}, not a vertex");
+                by_net = by_net.wrapping_add(mix(j as u32, v));
+            }
+        }
+        let mut by_vertex = 0u64;
+        for v in 0..nv {
+            for &j in self.vertex_nets(v) {
+                assert!((j as usize) < nn, "vertex {v} lists net {j}, not a net");
+                by_vertex = by_vertex.wrapping_add(mix(j, v as u32));
+            }
+        }
+        assert!(
+            self.pins.len() == self.nets.len() && by_net == by_vertex,
+            "the vertex -> nets incidence is not the transpose of net -> pins"
+        );
     }
 
     /// Number of vertices.
@@ -177,6 +227,22 @@ impl Hypergraph {
     }
 }
 
+/// Panic unless `offsets` holds `count + 1` entries that run from 0 to
+/// `len` without decreasing.
+fn assert_offsets(name: &str, offsets: &[usize], count: usize, len: usize) {
+    assert_eq!(
+        offsets.len(),
+        count + 1,
+        "{name}: offsets for {count} lists"
+    );
+    assert_eq!(offsets[0], 0, "{name} does not start at 0");
+    assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{name} decreases");
+    assert_eq!(
+        offsets[count], len,
+        "{name} does not end at its array's length"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +292,78 @@ mod tests {
         // Each cut net spans exactly 2 parts here, so conn-1 == cut-net.
         assert_eq!(h.connectivity_minus_one(&[0, 1, 1], 2), 2);
         assert_eq!(h.connectivity_minus_one(&[0, 1, 2], 3), 3);
+    }
+
+    /// `sample()`'s hypergraph as raw parts, for `from_parts_unchecked`.
+    type Parts = (
+        Vec<usize>,
+        Vec<u32>,
+        Vec<usize>,
+        Vec<u32>,
+        Vec<i64>,
+        Vec<i64>,
+    );
+
+    fn sample_parts() -> Parts {
+        (
+            vec![0, 2, 4, 6],
+            vec![0, 2, 0, 1, 1, 2],
+            vec![0, 2, 4, 6],
+            vec![0, 1, 1, 2, 0, 2],
+            vec![1; 3],
+            vec![1; 3],
+        )
+    }
+
+    fn assemble((xpins, pins, xnets, nets, vwgt, nwgt): Parts) -> Hypergraph {
+        Hypergraph::from_parts_unchecked(xpins, pins, xnets, nets, vwgt, nwgt)
+    }
+
+    #[test]
+    fn from_parts_accepts_a_consistent_hypergraph() {
+        let (xpins, pins, xnets, mut nets, vwgt, mut nwgt) = sample_parts();
+        // A vertex may list its nets in any order, and weights exceed 1.
+        nets.swap(0, 1);
+        nwgt[2] = 5;
+        let h = assemble((xpins, pins, xnets, nets, vwgt, nwgt));
+        assert_eq!(h.net_pins(1), &[0, 1]);
+        assert_eq!(h.net_weight(2), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "net weight is not positive")]
+    fn from_parts_rejects_a_zero_net_weight() {
+        let mut parts = sample_parts();
+        parts.5[1] = 0;
+        assemble(parts);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the transpose")]
+    fn from_parts_rejects_an_inconsistent_dual() {
+        let mut parts = sample_parts();
+        parts.3[0] = 2; // vertex 0 lists net 2, which does not list it
+        assemble(parts);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not a vertex")]
+    fn from_parts_rejects_a_pin_out_of_range() {
+        let mut parts = sample_parts();
+        parts.1[5] = 3;
+        assemble(parts);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "xnets decreases")]
+    fn from_parts_rejects_decreasing_offsets() {
+        let mut parts = sample_parts();
+        parts.2 = vec![0, 3, 2, 6];
+        assemble(parts);
     }
 
     #[test]

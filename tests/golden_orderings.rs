@@ -13,8 +13,11 @@
 //! `GOLDEN_AMD_VARIANTS` (pinned from commit bb048ed) adds the two AMD
 //! knobs the default leaves at rest: a round slack of 2, the only case
 //! where a round's candidates span more than one degree, and AMD
-//! without aggressive absorption. Every row is checked sequentially
-//! and on a team of two with `frontier_min = 0`
+//! without aggressive absorption. `GOLDEN_UNSYMMETRIC` (pinned from
+//! commit 10700f7) holds HP at 2 and 8 parts on a structurally
+//! unsymmetric pattern, where the column-net model's nets are not its
+//! rows: every other matrix here is symmetric. Every row is checked
+//! sequentially and on a team of two with `frontier_min = 0`
 //! (every BFS level through the two-phase parallel expansion) and
 //! `amd_round_min = 0` (every AMD round through the parallel update),
 //! so one table pins both "the bytes a refactor must reproduce" and
@@ -44,7 +47,7 @@ fn with_empty_rows() -> CsrMatrix {
     CsrMatrix::from_coo(&coo)
 }
 
-fn matrices() -> Vec<(&'static str, CsrMatrix)> {
+fn matrices() -> Matrices {
     const SEED: u64 = 14;
     vec![
         ("band", corpus::scramble(&corpus::banded(600, 4), 17)),
@@ -71,6 +74,13 @@ fn matrices() -> Vec<(&'static str, CsrMatrix)> {
     ]
 }
 
+/// Heavy rows are vertices in dozens of nets, and the columns (nets)
+/// vary in size.
+fn unsymmetric_matrices() -> Matrices {
+    vec![("dense_rows_mix", corpus::dense_rows_mix(2_000, 0.02, 14))]
+}
+
+type Matrices = Vec<(&'static str, CsrMatrix)>;
 type Algorithms = Vec<(&'static str, Box<dyn ReorderAlgorithm>)>;
 
 fn level_structure_orderings() -> Algorithms {
@@ -113,8 +123,16 @@ fn amd_variants() -> Algorithms {
     ]
 }
 
+fn hypergraph_orderings() -> Algorithms {
+    vec![("hp2", Box::new(Hp::new(2))), ("hp8", Box::new(Hp::new(8)))]
+}
+
 /// One `(matrix, algorithm, hash)` row per pairing, in table order.
-fn hashes(algorithms: fn() -> Algorithms, rx: &ReorderExec<'_>) -> Vec<(String, String, u64)> {
+fn hashes(
+    matrices: fn() -> Matrices,
+    algorithms: fn() -> Algorithms,
+    rx: &ReorderExec<'_>,
+) -> Vec<(String, String, u64)> {
     let mut rows = Vec::new();
     for (name, a) in matrices() {
         for (algo_name, algo) in algorithms() {
@@ -129,45 +147,60 @@ fn hashes(algorithms: fn() -> Algorithms, rx: &ReorderExec<'_>) -> Vec<(String, 
     rows
 }
 
-/// Check `algorithms` against `golden` sequentially and on a team of
-/// two whose every BFS level and AMD round takes the parallel path.
-fn check_on_every_executor(algorithms: fn() -> Algorithms, golden: &[(&str, &str, u64)]) {
-    common::assert_matches_golden(golden, &hashes(algorithms, &ReorderExec::sequential()));
+/// Check `algorithms` on `matrices` against `golden` sequentially and
+/// on a team of two whose every BFS level and AMD round takes the
+/// parallel path.
+fn check_on_every_executor(
+    matrices: fn() -> Matrices,
+    algorithms: fn() -> Algorithms,
+    golden: &[(&str, &str, u64)],
+) {
+    let sequential = ReorderExec::sequential();
+    common::assert_matches_golden(golden, &hashes(matrices, algorithms, &sequential));
     let team = ThreadTeam::new(2);
     let parallel = ReorderExec::on_team(&team)
         .with_frontier_min(0)
         .with_amd_round_min(0);
-    common::assert_matches_golden(golden, &hashes(algorithms, &parallel));
+    common::assert_matches_golden(golden, &hashes(matrices, algorithms, &parallel));
 }
 
 #[test]
 fn orderings_match_the_golden_hashes_on_every_executor() {
-    check_on_every_executor(level_structure_orderings, GOLDEN);
+    check_on_every_executor(matrices, level_structure_orderings, GOLDEN);
 }
 
 #[test]
 fn partitioned_orderings_match_the_golden_hashes_on_every_executor() {
-    check_on_every_executor(partitioned_orderings, GOLDEN_PARTITIONED);
+    check_on_every_executor(matrices, partitioned_orderings, GOLDEN_PARTITIONED);
 }
 
 #[test]
 fn amd_variants_match_the_golden_hashes_on_every_executor() {
-    check_on_every_executor(amd_variants, GOLDEN_AMD_VARIANTS);
+    check_on_every_executor(matrices, amd_variants, GOLDEN_AMD_VARIANTS);
 }
 
 #[test]
-#[ignore = "prints the tables to paste into GOLDEN, GOLDEN_PARTITIONED and GOLDEN_AMD_VARIANTS"]
+fn hp_on_an_unsymmetric_pattern_matches_the_golden_hashes_on_every_executor() {
+    check_on_every_executor(
+        unsymmetric_matrices,
+        hypergraph_orderings,
+        GOLDEN_UNSYMMETRIC,
+    );
+}
+
+#[test]
+#[ignore = "prints the tables to paste into GOLDEN, GOLDEN_PARTITIONED, GOLDEN_AMD_VARIANTS and GOLDEN_UNSYMMETRIC"]
 fn print_golden_table() {
-    for algorithms in [
-        level_structure_orderings,
-        partitioned_orderings,
-        amd_variants,
-    ] {
-        for (name, algo, hash) in hashes(algorithms, &ReorderExec::sequential()) {
+    let print = |matrices: fn() -> Matrices, algorithms: fn() -> Algorithms| {
+        for (name, algo, hash) in hashes(matrices, algorithms, &ReorderExec::sequential()) {
             println!("    (\"{name}\", \"{algo}\", {hash:#018x}),");
         }
         println!();
-    }
+    };
+    print(matrices, level_structure_orderings);
+    print(matrices, partitioned_orderings);
+    print(matrices, amd_variants);
+    print(unsymmetric_matrices, hypergraph_orderings);
 }
 
 #[rustfmt::skip]
@@ -375,4 +408,10 @@ const GOLDEN_AMD_VARIANTS: &[(&str, &str, u64)] = &[
     ("band7000", "amd_no_aggressive", 0xd18b627818801cad),
     ("meshes16", "amd_slack2", 0x8cf8dd54d6515115),
     ("meshes16", "amd_no_aggressive", 0x3815841aa57311a5),
+];
+
+#[rustfmt::skip]
+const GOLDEN_UNSYMMETRIC: &[(&str, &str, u64)] = &[
+    ("dense_rows_mix", "hp2", 0xc5ba6197187a8945),
+    ("dense_rows_mix", "hp8", 0x882d6062c9007741),
 ];
