@@ -22,6 +22,18 @@ TMP="$(mktemp -d)"
 cargo build --release --workspace
 cargo test -q --workspace
 
+# Placement pin: .cargo/config.toml starts every function at 0 mod 64,
+# so a benchmark pairing compares code, not where the linker put the
+# kernel loop. Every SpMV span-executor closure in the served binary
+# must sit there; this fails if the flag is dropped, or if an
+# environment RUSTFLAGS replaces it.
+CLOSURES="$(nm -C target/release/serve | grep -E ' spmv::exec::execute_mapped::\{\{closure\}\}$')"
+[ -n "$CLOSURES" ]
+if echo "$CLOSURES" | grep -vE '^[0-9a-f]*[048c]0 '; then
+    echo "ci: an execute_mapped closure is not at 0 mod 64 — is .cargo/config.toml's rustflags in effect?" >&2
+    exit 1
+fi
+
 # Paper drift gate: results/*_small.txt are what `paper` prints at this
 # commit, whichever executor computes the orderings. A deliberate
 # change to a table is accepted by committing the diff; there is no
@@ -64,10 +76,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Flight-recorder smoke: a traced serve replay must dump Chrome-trace
-# files that pass the validator (parse, balanced B/E pairs, every
-# stage of the serving path covered by some first touch, and each file
-# one request as the tier recorded it: one tier.request, one
-# serve.spmv).
+# files that pass the validator — the rules telemetry::stages declares
+# (experiments::tracecheck): declared names, balanced B/E pairs,
+# declared nesting, every first-touch stage in some file, and each
+# file one request as the tier recorded it.
 TRACE_DIR="$TMP/trace"
 ./target/release/serve --size small --requests 400 --clients 2 \
     --trace-dir "$TRACE_DIR" --trace-sample-rate 0.05 --seed 7 > /dev/null
@@ -75,9 +87,9 @@ TRACE_DIR="$TMP/trace"
 
 # Dynamic-matrix smoke: a traced replay with an open-loop mutator must
 # serve verified answers for delta descendants, and the dumped traces
-# must show the engine actually splicing cached orderings
-# (reorder.splice) rather than recomputing from scratch, plus the AMD
-# round-phase sub-stages (reorder.amd.update) on fresh AMD computes.
+# must show the engine actually splicing cached orderings rather than
+# recomputing from scratch, plus AMD's round phases on fresh AMD
+# computes (the two --require stages).
 MUTATE_TRACE_DIR="$TMP/mutate-trace"
 ./target/release/serve --size small --requests 400 --clients 2 \
     --shards 2 --mutate-rate 20 --mutate-edges 6 \
@@ -93,9 +105,9 @@ MUTATE_TRACE_DIR="$TMP/mutate-trace"
     --queue-capacity 32 --seed 7 > /dev/null
 
 # Adaptive-policy smoke: a closed-loop replay under --policy adaptive
-# must deliver verified answers end to end (policy.decide runs on
-# every request; the tracecheck gate above already requires the stage
-# on sampled traces).
+# must deliver verified answers end to end (the policy decides every
+# request; the tracecheck gate above already requires its stage on
+# sampled traces).
 ./target/release/serve --size small --requests 400 --clients 2 \
     --policy adaptive --seed 7 > /dev/null
 

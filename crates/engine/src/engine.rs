@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use telemetry::trace::{TraceCtx, TraceSpan};
-use telemetry::{Counter, Gauge, Histogram, Registry};
+use telemetry::{stages, Counter, Gauge, Histogram, Registry};
 
 /// [`EngineConfig::cache_capacity`]'s default, and the bound the
 /// policy layer puts on its per-matrix state so that it forgets a
@@ -420,12 +420,12 @@ impl Engine {
 
     fn submit_inner(&self, matrix: &MatrixHandle, algo: AlgoSpec, opts: SubmitOptions) -> Ticket {
         self.metrics.submitted.inc();
-        let mut root = opts.trace.span("engine.request");
+        let mut root = opts.trace.span(stages::ENGINE_REQUEST);
         root.arg("algo", algo.name());
         let key = OrderingKey::new(matrix.content_hash(), algo);
 
         {
-            let mut lookup = root.ctx().span("engine.cache.lookup");
+            let mut lookup = root.ctx().span(stages::ENGINE_CACHE_LOOKUP);
             if let Some(v) = self.cache.get(&key) {
                 lookup.arg("outcome", "hit");
                 drop(lookup);
@@ -443,9 +443,9 @@ impl Engine {
         if let Some(existing) = inflight.get(&key).map(Arc::clone) {
             drop(inflight);
             self.metrics.coalesced.inc();
-            root.ctx().instant("engine.coalesced");
+            root.ctx().instant(stages::ENGINE_COALESCED);
             let result = {
-                let _wait = root.ctx().span("engine.wait");
+                let _wait = root.ctx().span(stages::ENGINE_WAIT);
                 existing.wait()
             };
             return Ticket { result, root };
@@ -466,7 +466,7 @@ impl Engine {
         // flight to coalesce onto.
         if opts.deadline.is_some_and(|d| Instant::now() >= d) {
             self.metrics.expired.inc();
-            root.ctx().instant("engine.expired");
+            root.ctx().instant(stages::ENGINE_EXPIRED);
             return Ticket {
                 result: Err(EngineError::Expired),
                 root,
@@ -498,7 +498,7 @@ impl Engine {
         trace: &TraceCtx,
     ) -> Result<Arc<CachedOrdering>, EngineError> {
         let start = Instant::now();
-        let mut reorder_span = trace.span("engine.reorder");
+        let mut reorder_span = trace.span(stages::ENGINE_REORDER);
         reorder_span.arg("algo", key.algo.name());
         let rexec =
             reorder::ReorderExec::on_team(&self.reorder_team).with_trace(reorder_span.ctx());
@@ -582,7 +582,7 @@ impl Engine {
         touched.sort_unstable();
         touched.dedup();
 
-        let mut span = rexec.trace().span("reorder.splice");
+        let mut span = rexec.trace().span(stages::REORDER_SPLICE);
         span.arg("algo", key.algo.name());
         let start = Instant::now();
         let spliced = reorder::splice_ordering_on(
@@ -934,7 +934,7 @@ mod tests {
         use telemetry::trace::EventKind;
         let engine = small_engine();
         let traced = Traced::new();
-        let outer = traced.ctx.span("tier.execute");
+        let outer = traced.ctx.span(stages::TIER_EXECUTE);
         let m = mesh();
         let ticket = engine.submit_opts(
             &m,

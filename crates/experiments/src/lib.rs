@@ -19,3 +19,4 @@ pub mod artefacts;
 pub mod cli;
 pub mod fmt;
 pub mod sweep;
+pub mod tracecheck;

@@ -3,7 +3,7 @@
 //!
 //! Where a CPU profiler samples instruction pointers, this samples
 //! **logical stages** — the names the workspace's trace spans already
-//! carry (`engine.request`, `reorder.permute`, `serve.spmv`, ...). A
+//! carry, each declared once in [`telemetry::stages`]. A
 //! sample of the whole process at 100 Hz for a few seconds answers
 //! "where is wall-clock time going across all threads right now",
 //! attributed to stages an operator can act on rather than inlined
@@ -96,6 +96,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use telemetry::Stage;
+
+    const PROFTEST_OUTER: Stage = Stage::scratch("proftest.outer");
+    const PROFTEST_INNER: Stage = Stage::scratch("proftest.inner");
 
     /// A busy thread holding a nested stage stack must fold into one
     /// `thread;outer;inner` line.
@@ -111,8 +115,8 @@ mod tests {
         let worker = std::thread::Builder::new()
             .name("proftest-worker".to_string())
             .spawn(move || {
-                let _outer = telemetry::stage("proftest.outer");
-                let _inner = telemetry::stage("proftest.inner");
+                let _outer = telemetry::stage(PROFTEST_OUTER);
+                let _inner = telemetry::stage(PROFTEST_INNER);
                 ready_worker.store(true, Ordering::Relaxed);
                 while !stop_worker.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(1));

@@ -225,7 +225,8 @@ fn profile_route_samples_and_stays_concurrent() {
     let profiler = std::thread::spawn(move || get(addr, "/profile?seconds=0.4&hz=200"));
     std::thread::sleep(Duration::from_millis(50));
     let _session = telemetry::StageSession::start();
-    let _stage = telemetry::stage("obsvtest.profiled");
+    const PROFILED: telemetry::Stage = telemetry::Stage::scratch("obsvtest.profiled");
+    let _stage = telemetry::stage(PROFILED);
 
     // While the profile runs, other routes answer on their own
     // threads.

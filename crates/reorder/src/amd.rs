@@ -81,6 +81,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
 use team::SliceWriter;
+use telemetry::stages;
 use telemetry::trace::ArgValue;
 
 /// Default sequential-fallback threshold for a round's parallel
@@ -904,13 +905,13 @@ pub fn amd_order_on(
         let upd_end = elim_end + t_update;
         let tr = rx.trace();
         tr.complete(
-            "reorder.amd.select",
+            stages::REORDER_AMD_SELECT,
             t0,
             sel_end,
             vec![("rounds", ArgValue::U64(stats.rounds))],
         );
         tr.complete(
-            "reorder.amd.eliminate",
+            stages::REORDER_AMD_ELIMINATE,
             sel_end,
             elim_end,
             vec![
@@ -919,7 +920,7 @@ pub fn amd_order_on(
             ],
         );
         tr.complete(
-            "reorder.amd.update",
+            stages::REORDER_AMD_UPDATE,
             elim_end,
             upd_end,
             vec![

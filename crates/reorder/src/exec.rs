@@ -5,6 +5,7 @@
 use sparsegraph::Graph;
 use sparsemat::{is_structurally_symmetric, symmetrize_pattern_on, CsrMatrix, SparseError};
 use team::{Exec, ThreadTeam};
+use telemetry::stages;
 use telemetry::trace::TraceCtx;
 
 /// How a reordering runs: an [`Exec`] (inline or on a [`ThreadTeam`])
@@ -104,7 +105,7 @@ impl<'a> ReorderExec<'a> {
 /// the pattern is unsymmetric, then construct the adjacency without
 /// re-verifying symmetry.
 pub fn build_ordering_graph(a: &CsrMatrix, rx: &ReorderExec<'_>) -> Result<Graph, SparseError> {
-    let mut span = rx.trace().span("reorder.symmetrize");
+    let mut span = rx.trace().span(stages::REORDER_SYMMETRIZE);
     if is_structurally_symmetric(a) {
         span.arg("symmetrized", "false");
         Graph::from_symmetric_matrix(a)

@@ -21,6 +21,7 @@ use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use sparsegraph::{pseudo_peripheral_vertex_with, Graph, LevelStructure};
 use sparsemat::{CsrMatrix, SparseError};
+use telemetry::stages;
 
 /// Gibbs–Poole–Stockmeyer reordering.
 #[derive(Debug, Clone, Copy, Default)]
@@ -171,7 +172,7 @@ impl ReorderAlgorithm for Gps {
         rx: &ReorderExec<'_>,
     ) -> Result<Option<ComponentOrdering>, SparseError> {
         let g = build_ordering_graph(a, rx)?;
-        let _span = rx.trace().span("reorder.levels");
+        let _span = rx.trace().span(stages::REORDER_LEVELS);
         let n = g.num_vertices();
         let mut work = GpsWork::new(n, n);
         let mut pieces: Vec<(u32, Vec<u32>)> = Vec::new();

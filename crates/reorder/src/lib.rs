@@ -51,7 +51,6 @@ pub mod gray;
 pub mod hp;
 pub mod nd;
 pub mod rcm;
-pub mod sbd;
 mod traits;
 
 pub use amd::{amd_order_on, amd_order_single, Amd, AmdStats, DEFAULT_AMD_ROUND_MIN};
@@ -63,7 +62,6 @@ pub use gray::{Gray, GrayParams};
 pub use hp::Hp;
 pub use nd::Nd;
 pub use rcm::Rcm;
-pub use sbd::Sbd;
 pub use traits::{
     all_algorithms, timed_components_on, Original, ReorderAlgorithm, ReorderResult,
     TimedComponentReordering, TimedReordering,

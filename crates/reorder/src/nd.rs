@@ -41,7 +41,7 @@ impl Nd {
     /// sequential; the leaves' round-based quotient-graph updates run
     /// on `rx`'s executor. The order is byte-identical for every
     /// executor (see [`amd_order_on`]).
-    pub fn dissection_order_on(&self, g: &Graph, rx: &ReorderExec<'_>) -> Vec<u32> {
+    fn dissection_order_on(&self, g: &Graph, rx: &ReorderExec<'_>) -> Vec<u32> {
         let n = g.num_vertices();
         let vertices: Vec<u32> = (0..n as u32).collect();
         let mut order = Vec::with_capacity(n);

@@ -13,6 +13,7 @@ use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use sparsegraph::{pseudo_peripheral_vertex_with, Graph, LevelStructure};
 use sparsemat::{CsrMatrix, SparseError};
+use telemetry::stages;
 
 /// Reverse Cuthill–McKee reordering.
 #[derive(Debug, Clone, Copy, Default)]
@@ -107,7 +108,7 @@ impl ReorderAlgorithm for Rcm {
         rx: &ReorderExec<'_>,
     ) -> Result<Option<ComponentOrdering>, SparseError> {
         let g = build_ordering_graph(a, rx)?;
-        let _span = rx.trace().span("reorder.levels");
+        let _span = rx.trace().span(stages::REORDER_LEVELS);
         let n = g.num_vertices();
         let mut levels = LevelStructure::new(n);
         let mut pieces: Vec<(u32, Vec<u32>)> = Vec::new();

@@ -233,7 +233,7 @@ pub fn timed_components_on(
 /// [`ReorderAlgorithm::name`]): static for the algorithms of this
 /// crate, formatted for an implementation from outside it.
 fn series_names(algo: &str) -> (Cow<'static, str>, Cow<'static, str>) {
-    const SERIES: [(&str, &str, &str); 9] = [
+    const SERIES: [(&str, &str, &str); 8] = [
         ("RCM", "reorder.rcm", "reorder.rcm.nnz_per_s"),
         ("AMD", "reorder.amd", "reorder.amd.nnz_per_s"),
         ("ND", "reorder.nd", "reorder.nd.nnz_per_s"),
@@ -241,7 +241,6 @@ fn series_names(algo: &str) -> (Cow<'static, str>, Cow<'static, str>) {
         ("HP", "reorder.hp", "reorder.hp.nnz_per_s"),
         ("Gray", "reorder.gray", "reorder.gray.nnz_per_s"),
         ("GPS", "reorder.gps", "reorder.gps.nnz_per_s"),
-        ("SBD", "reorder.sbd", "reorder.sbd.nnz_per_s"),
         ("Original", "reorder.original", "reorder.original.nnz_per_s"),
     ];
     match SERIES.iter().find(|(name, ..)| *name == algo) {
@@ -362,7 +361,6 @@ mod tests {
     fn static_series_names_are_the_formatted_ones() {
         let mut algos = all_algorithms(8, 8);
         algos.push(Box::new(crate::Gps::default()));
-        algos.push(Box::new(crate::Sbd::default()));
         algos.push(Box::new(Original));
         for algo in &algos {
             let (latency, throughput) = series_names(algo.name());

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::trace::{FlightRecorder, TraceCtx, TraceSpan};
-use telemetry::{Counter, Gauge, Histogram, Registry};
+use telemetry::{stages, Counter, Gauge, Histogram, Registry};
 
 /// How many (request id → trace id) pairs the tier remembers for
 /// [`ServeTier::trace_summary`].
@@ -255,7 +255,7 @@ impl TierTicket {
     /// Block until the answer (or shed/error verdict) arrives.
     pub fn wait(self) -> Result<SpmvResponse, TierError> {
         let TierTicket { slot, root, .. } = self;
-        let _wait = root.ctx().span("tier.wait");
+        let _wait = root.ctx().span(stages::TIER_WAIT);
         slot.wait()
     }
 
@@ -573,7 +573,7 @@ impl ServeTier {
 
         let Some(&tenant_index) = self.tenant_index.get(&request.tenant) else {
             self.shed_unknown_tenant.inc();
-            ticket.root.ctx().instant("tier.shed");
+            ticket.root.ctx().instant(stages::TIER_SHED);
             slot.fulfil(Err(TierError::Shed(ShedReason::UnknownTenant)));
             return ticket;
         };
@@ -589,7 +589,7 @@ impl ServeTier {
         if request.deadline.is_some_and(|d| d <= now) {
             shard.metrics.shed_expired.inc();
             shard.tenant_shed[tenant_index].inc();
-            ticket.root.ctx().instant("tier.expired");
+            ticket.root.ctx().instant(stages::TIER_EXPIRED);
             slot.fulfil(Err(TierError::Shed(ShedReason::Expired)));
             return ticket;
         }
@@ -627,7 +627,7 @@ impl ServeTier {
                         ShedReason::ShuttingDown
                     }
                 };
-                ticket.root.ctx().instant("tier.shed");
+                ticket.root.ctx().instant(stages::TIER_SHED);
                 slot.fulfil(Err(TierError::Shed(reason)));
             }
         }
@@ -653,7 +653,7 @@ impl ServeTier {
         };
         let ctx = recorder.start_trace();
         let trace_id = ctx.trace_id().expect("a started trace has an id");
-        let mut root = ctx.span("tier.request");
+        let mut root = ctx.span(stages::TIER_REQUEST);
         root.arg("request", request_id);
         root.arg("shard", shard as u64);
         // Span args hold only static strings; the tenant travels as its
@@ -840,20 +840,23 @@ fn dispatch_loop(shard: &ShardInner) {
         // Publish idle time on the stage board so a live profile shows
         // dispatchers waiting for work, not just executing it.
         let queued = {
-            let _stage = telemetry::stage("tier.dispatch.wait");
+            let _stage = telemetry::stage(stages::TIER_DISPATCH_WAIT);
             shard.queue.pop()
         };
         let Some(queued) = queued else { break };
         shard.metrics.queue_depth.dec();
         let dequeued = Instant::now();
         // The queue-wait interval, learned after the fact.
-        queued
-            .trace
-            .complete("admission.wait", queued.submitted, dequeued, Vec::new());
+        queued.trace.complete(
+            stages::ADMISSION_WAIT,
+            queued.submitted,
+            dequeued,
+            Vec::new(),
+        );
         if queued.request.deadline.is_some_and(|d| d <= dequeued) {
             shard.metrics.shed_expired.inc();
             shard.tenant_shed[queued.tenant_index].inc();
-            queued.trace.instant("tier.expired");
+            queued.trace.instant(stages::TIER_EXPIRED);
             queued
                 .slot
                 .fulfil(Err(TierError::Shed(ShedReason::Expired)));
@@ -878,7 +881,7 @@ fn dispatch_loop(shard: &ShardInner) {
         } else {
             // Every admitted request ends as served, shed or failed.
             shard.metrics.failed.inc();
-            queued.trace.instant("tier.failed");
+            queued.trace.instant(stages::TIER_FAILED);
         }
         queued.slot.fulfil(result);
     }
@@ -893,7 +896,7 @@ fn execute(
     xp: &mut Vec<f64>,
 ) -> Result<SpmvResponse, TierError> {
     let request = &queued.request;
-    let mut span = queued.trace.span("tier.execute");
+    let mut span = queued.trace.span(stages::TIER_EXECUTE);
     span.arg("algo", request.algo.name());
     span.arg("kernel", request.kernel.name());
     let ctx = span.ctx();
@@ -911,7 +914,7 @@ fn execute(
                 .engine
                 .peek_cached(&request.matrix, request.algo)
                 .is_some();
-        let mut decide = ctx.span("policy.decide");
+        let mut decide = ctx.span(stages::POLICY_DECIDE);
         decide.arg("mode", shard.policy.mode().as_str());
         decide.arg("requested", request.algo.name());
         let decision =
@@ -965,7 +968,7 @@ fn execute(
     let mut y = early_y.unwrap_or_else(|| vec![0.0; prepared.matrix.nrows()]);
     let spmv_started = Instant::now();
     {
-        let mut compute = ctx.span("serve.spmv");
+        let mut compute = ctx.span(stages::TIER_SPMV);
         compute.arg("kernel", request.kernel.name());
         kernel.execute_scatter(&shard.spmv_team, x, &mut y, &ordering.perm);
     }
@@ -1028,7 +1031,7 @@ fn build_prepared(
     // consumed the whole budget: re-check before the permutation and
     // the SpMV work.
     if request.deadline.is_some_and(|d| d <= Instant::now()) {
-        ctx.instant("tier.expired");
+        ctx.instant(stages::TIER_EXPIRED);
         return Err(TierError::Shed(ShedReason::Expired));
     }
     let matrix = if ordering.perm.is_identity() {
@@ -1043,7 +1046,7 @@ fn build_prepared(
         // Built outside the cache lock: two dispatchers racing the
         // same key both build, one insert wins — benign, and the lock
         // never blocks on an O(nnz) permutation.
-        let mut permute = ctx.span("reorder.permute");
+        let mut permute = ctx.span(stages::REORDER_PERMUTE);
         permute.arg("rows", request.matrix.matrix().nrows() as u64);
         let reordered = ordering
             .apply_on(
@@ -1078,7 +1081,7 @@ fn plan_kernel(
     kind: KernelKind,
     ctx: &TraceCtx,
 ) -> Arc<dyn Kernel> {
-    let mut span = ctx.span("engine.plan");
+    let mut span = ctx.span(stages::TIER_PLAN);
     span.arg("kernel", kind.name());
     kind.plan(matrix, shard.spmv_threads)
 }

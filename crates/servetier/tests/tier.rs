@@ -508,18 +508,12 @@ fn sampled_request_records_the_serving_stages() {
         (request_id, snap, names)
     };
     let (request_id, snap, names) = serve_traced();
-    for stage in [
-        "tier.request",
-        "admission.wait",
-        "tier.execute",
-        "policy.decide",
-        "engine.request",
-        "engine.reorder",
-        "reorder.permute",
-        "engine.plan",
-        "serve.spmv",
-    ] {
-        assert!(names.contains(&stage), "missing {stage} in {names:?}");
+    for stage in telemetry::stages::ALL.iter().filter(|s| s.first_touch) {
+        assert!(
+            names.contains(&stage.name),
+            "missing {} in {names:?}",
+            stage.name
+        );
     }
     // Its warm twin finds the prepared entry: probe, decide, gather,
     // multiply-with-scatter — and nothing of the engine. This is the
@@ -531,9 +525,9 @@ fn sampled_request_records_the_serving_stages() {
         [
             "admission.wait",
             "policy.decide",
-            "serve.spmv",
             "tier.execute",
             "tier.request",
+            "tier.spmv",
             "tier.wait",
         ]
     );
@@ -544,7 +538,7 @@ fn sampled_request_records_the_serving_stages() {
         .find(|e| e.name == "tier.execute" && e.kind == EventKind::Begin)
         .unwrap()
         .span_id;
-    for stage in ["engine.request", "engine.plan"] {
+    for stage in ["engine.request", "tier.plan"] {
         let begin = snap
             .events()
             .find(|e| e.name == stage && e.kind == EventKind::Begin)
@@ -555,11 +549,11 @@ fn sampled_request_records_the_serving_stages() {
     assert!(tier
         .trace_summary(request_id)
         .unwrap()
-        .contains("serve.spmv"));
+        .contains("tier.spmv"));
     assert!(tier
         .trace_chrome_json(request_id)
         .unwrap()
-        .contains("\"serve.spmv\""));
+        .contains("\"tier.spmv\""));
 }
 
 #[test]

@@ -46,6 +46,10 @@ pub enum MarketSymmetry {
     Symmetric,
 }
 
+/// The most entries reserved before reading any: the header's count is
+/// a claim about the file, not a size to trust.
+const RESERVE_CAP: usize = 1 << 20;
+
 fn parse_error(line: usize, message: impl Into<String>) -> SparseError {
     SparseError::Parse {
         line,
@@ -129,16 +133,23 @@ fn read_matrix_market_impl<R: BufRead>(
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| parse_error(lineno, "bad entry count"))?;
+        if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
+            return Err(parse_error(
+                lineno,
+                format!("{nrows}x{ncols} exceeds the 32-bit index limit"),
+            ));
+        }
         break (nrows, ncols, entries);
     };
 
+    let reserve = entries.min(RESERVE_CAP);
     let mut coo = CooMatrix::with_capacity(
         nrows,
         ncols,
         if symmetry == MarketSymmetry::Symmetric {
-            entries * 2
+            reserve * 2
         } else {
-            entries
+            reserve
         },
     );
     let mut seen = 0usize;
@@ -276,6 +287,30 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn dimensions_past_the_index_limit_are_a_parse_error() {
+        let err = read_matrix_market_str(
+            "%%MatrixMarket matrix coordinate real general\n4294967298 4294967298 1\n1 1 1.0\n",
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SparseError::Parse { line: 2, message } if message.contains("32-bit")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_huge_entry_count_is_read_not_reserved() {
+        let err = read_matrix_market_str(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 9223372036854775807\n2 1 1.0\n",
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SparseError::Parse { message, .. } if message.contains("found 1")),
+            "{err}"
+        );
     }
 
     #[test]

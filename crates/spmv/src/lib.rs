@@ -39,4 +39,4 @@ pub use kernel::{Kernel, KernelKind};
 pub use measure::{host_threads, measure_spmv, measure_spmv_in, MeasureConfig, SpmvMeasurement};
 pub use plan::{imbalance_factor, Plan, Span};
 pub use solvers::{conjugate_gradient, CgOptions, SolveStats};
-pub use team::{TeamTraceGuard, ThreadTeam};
+pub use team::ThreadTeam;

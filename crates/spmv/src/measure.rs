@@ -180,6 +180,7 @@ pub fn measure_spmv_in(
 mod tests {
     use super::*;
     use sparsemat::CooMatrix;
+    use telemetry::stages;
 
     fn banded(n: usize, half_bw: usize) -> Arc<CsrMatrix> {
         let mut coo = CooMatrix::new(n, n);
@@ -297,7 +298,7 @@ mod tests {
         const CALLS: u32 = 100_000;
         let t0 = Instant::now();
         for _ in 0..CALLS {
-            let s = ctx.span("spmv.measure");
+            let s = ctx.span(stages::SPMV_MEASURE);
             std::hint::black_box(&s);
         }
         let trace_ns = t0.elapsed().as_nanos() as f64 / CALLS as f64;
@@ -327,7 +328,7 @@ mod tests {
         const STAGES: u32 = 100_000;
         let t0 = Instant::now();
         for _ in 0..STAGES {
-            let g = telemetry::stage("spmv.measure");
+            let g = telemetry::stage(stages::SPMV_MEASURE);
             std::hint::black_box(&g);
         }
         let stage_ns = t0.elapsed().as_nanos() as f64 / STAGES as f64;

@@ -59,8 +59,8 @@
 //! parallel region is coordination versus work.
 //!
 //! On top of the aggregate histograms, a team can record into the
-//! flight recorder: [`ThreadTeam::trace_scope`] attaches a
-//! [`TraceCtx`], and every epoch dispatched while the scope is live
+//! flight recorder: [`ThreadTeam::set_trace`] attaches a
+//! [`TraceCtx`], and every epoch dispatched while it is attached
 //! emits per-lane `spmv.team.park` / `spmv.team.dispatch` /
 //! `spmv.team.compute` segments — one Perfetto timeline lane per
 //! worker, making load imbalance visible per call rather than only as
@@ -75,6 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
+use telemetry::stages;
 use telemetry::trace::{ArgValue, TraceCtx};
 use telemetry::{Histogram, Registry};
 
@@ -206,27 +207,12 @@ impl ThreadTeam {
         self.size
     }
 
-    /// Attach a trace context: every epoch dispatched until
-    /// [`ThreadTeam::clear_trace`] records per-lane park/dispatch/
-    /// compute segments under `ctx`'s parent span. A disabled context
-    /// leaves tracing off. Prefer [`ThreadTeam::trace_scope`], which
-    /// detaches automatically.
+    /// Attach a trace context: every epoch dispatched until the next
+    /// call records per-lane park/dispatch/compute segments under
+    /// `ctx`'s parent span. A disabled context turns tracing off.
     pub fn set_trace(&self, ctx: &TraceCtx) {
         *self.trace_ctx.lock().unwrap() = ctx.clone();
         self.trace_on.store(ctx.is_recording(), Ordering::Relaxed);
-    }
-
-    /// Detach the trace context; subsequent epochs record nothing.
-    pub fn clear_trace(&self) {
-        self.trace_on.store(false, Ordering::Relaxed);
-        *self.trace_ctx.lock().unwrap() = TraceCtx::disabled();
-    }
-
-    /// RAII form of [`ThreadTeam::set_trace`]: tracing stays attached
-    /// while the guard lives and detaches on drop.
-    pub fn trace_scope<'a>(&'a self, ctx: &TraceCtx) -> TeamTraceGuard<'a> {
-        self.set_trace(ctx);
-        TeamTraceGuard { team: self }
     }
 
     /// Execute one parallel region: `f(lane)` runs exactly once per
@@ -253,7 +239,7 @@ impl ThreadTeam {
                 let t0 = Instant::now();
                 f(0);
                 ctx.complete(
-                    "spmv.team.compute",
+                    stages::SPMV_TEAM_COMPUTE,
                     t0,
                     Instant::now(),
                     vec![("lane", ArgValue::U64(0))],
@@ -301,7 +287,7 @@ impl ThreadTeam {
         let leader_result = catch_unwind(AssertUnwindSafe(|| f(0)));
         if let (Some(ctx), Some(t0)) = (&trace, leader_t0) {
             ctx.complete(
-                "spmv.team.compute",
+                stages::SPMV_TEAM_COMPUTE,
                 t0,
                 Instant::now(),
                 vec![
@@ -557,19 +543,6 @@ impl<'a, T> SliceWriter<'a, T> {
     }
 }
 
-/// Detaches a team's trace context on drop (see
-/// [`ThreadTeam::trace_scope`]).
-#[must_use = "dropping the guard immediately detaches tracing"]
-pub struct TeamTraceGuard<'a> {
-    team: &'a ThreadTeam,
-}
-
-impl Drop for TeamTraceGuard<'_> {
-    fn drop(&mut self) {
-        self.team.clear_trace();
-    }
-}
-
 impl Drop for ThreadTeam {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
@@ -625,7 +598,7 @@ fn worker_loop(shared: &Shared, lane: usize, dispatch_wait: &Histogram, compute:
             if let Some((prev_end, prev_trace)) = last_done {
                 if prev_trace.is_some() && prev_trace == ctx.trace_id() {
                     ctx.complete(
-                        "spmv.team.park",
+                        stages::SPMV_TEAM_PARK,
                         prev_end,
                         published,
                         vec![("lane", ArgValue::U64(lane as u64))],
@@ -633,7 +606,7 @@ fn worker_loop(shared: &Shared, lane: usize, dispatch_wait: &Histogram, compute:
                 }
             }
             ctx.complete(
-                "spmv.team.dispatch",
+                stages::SPMV_TEAM_DISPATCH,
                 published,
                 pickup,
                 vec![
@@ -653,7 +626,7 @@ fn worker_loop(shared: &Shared, lane: usize, dispatch_wait: &Histogram, compute:
         compute.record_duration(done_t.saturating_duration_since(t0));
         if let Some(ctx) = &trace {
             ctx.complete(
-                "spmv.team.compute",
+                stages::SPMV_TEAM_COMPUTE,
                 t0,
                 done_t,
                 vec![
@@ -770,13 +743,15 @@ mod tests {
         let rec = FlightRecorder::new(4096);
         let root = rec.start_trace();
         {
-            let stage = root.span("caller.stage");
-            let _scope = team.trace_scope(&stage.ctx());
+            const CALLER_STAGE: telemetry::Stage = telemetry::Stage::scratch("caller.stage");
+            let stage = root.span(CALLER_STAGE);
+            team.set_trace(&stage.ctx());
             for _ in 0..EPOCHS {
                 team.run(&|_| std::hint::black_box(()));
             }
         }
-        // After the scope drops, epochs record nothing.
+        // Once detached, epochs record nothing.
+        team.set_trace(&TraceCtx::disabled());
         team.run(&|_| std::hint::black_box(()));
         let snap = rec.snapshot();
         let count = |name: &str| {
@@ -820,12 +795,12 @@ mod tests {
         team.run(&|_| {});
         assert!(
             rec.snapshot().is_empty(),
-            "a team with no trace scope must record nothing"
+            "a team with no trace attached must record nothing"
         );
         // The size-1 inline fast path still records its compute span.
         let solo = ThreadTeam::new_in(&Registry::new_arc(), 1);
         let ctx = rec.start_trace();
-        let _scope = solo.trace_scope(&ctx);
+        solo.set_trace(&ctx);
         solo.run(&|_| {});
         let snap = rec.snapshot();
         assert_eq!(snap.total_events(), 2);

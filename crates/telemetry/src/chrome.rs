@@ -134,7 +134,7 @@ impl TraceSnapshot {
                             });
                             s.count += 1;
                             s.total_ns += dur;
-                            if name == "spmv.team.compute" {
+                            if name == crate::stages::SPMV_TEAM_COMPUTE.name {
                                 *lane_compute.entry(thread.tid).or_insert(0) += dur;
                             }
                         }
@@ -195,6 +195,7 @@ impl TraceSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use crate::stages;
     use crate::trace::FlightRecorder;
 
     #[test]
@@ -202,9 +203,9 @@ mod tests {
         let rec = FlightRecorder::new(256);
         let ctx = rec.start_trace();
         {
-            let mut s = ctx.span("engine.request");
+            let mut s = ctx.span(stages::ENGINE_REQUEST);
             s.arg("algo", "RCM");
-            ctx.instant("engine.coalesced");
+            ctx.instant(stages::ENGINE_COALESCED);
         }
         let j = rec.snapshot().to_chrome_json();
         assert!(j.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
@@ -220,9 +221,9 @@ mod tests {
     fn summary_reports_stages_and_drops() {
         let rec = FlightRecorder::new(256);
         let ctx = rec.start_trace();
-        drop(ctx.span("engine.reorder"));
-        drop(ctx.span("engine.reorder"));
-        ctx.instant("engine.coalesced");
+        drop(ctx.span(stages::ENGINE_REORDER));
+        drop(ctx.span(stages::ENGINE_REORDER));
+        ctx.instant(stages::ENGINE_COALESCED);
         let text = rec.snapshot().summary();
         assert!(text.contains("engine.reorder"), "{text}");
         assert!(text.contains("engine.coalesced"), "{text}");
@@ -233,12 +234,12 @@ mod tests {
     fn summary_imbalance_covers_multiple_lanes() {
         let rec = FlightRecorder::new(256);
         let ctx = rec.start_trace();
-        let root = ctx.span("spmv.measure");
+        let root = ctx.span(stages::SPMV_MEASURE);
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let child = root.ctx();
                 std::thread::spawn(move || {
-                    let mut s = child.span("spmv.team.compute");
+                    let mut s = child.span(stages::SPMV_TEAM_COMPUTE);
                     s.arg("lane", 1u64);
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 })

@@ -20,7 +20,8 @@
 //!   that crosses threads with explicit parenting, and Chrome-trace/
 //!   Perfetto JSON plus plain-text summary exporters
 //!   ([`TraceSnapshot::to_chrome_json`], [`TraceSnapshot::summary`]).
-//!   [`TraceCtx::span`] is the one way a request-path stage is marked:
+//!   [`TraceCtx::span`] is the one way a request-path stage is marked,
+//!   always by a [`Stage`] declared once in [`stages`]:
 //!   its [`TraceSpan`] records Begin/End when the context is sampled
 //!   and carries the stage-board entry below for every request.
 //! - **Stage board** ([`stage()`], [`sample_stages`]) — every open
@@ -60,10 +61,12 @@ mod histogram;
 mod metrics;
 mod registry;
 pub mod stage;
+pub mod stages;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{series_name, Registry, Snapshot};
 pub use stage::{sample_stages, stage, stages_enabled, StageGuard, StageSession};
+pub use stages::Stage;
 pub use trace::{ArgValue, FlightRecorder, TraceCtx, TraceSnapshot, TraceSpan};

@@ -12,9 +12,10 @@
 //! yields a collapsed-stack flamegraph of the live process (the `obsv`
 //! crate's `/profile` endpoint). Request-path code does not call
 //! [`stage`] itself: every [`crate::TraceSpan`] carries a guard, so
-//! `ctx.span(name)` marks the stage here and in the flight recorder
+//! `ctx.span(stage)` marks the stage here and in the flight recorder
 //! under one name. A bare [`stage`] call is for a thread with no
-//! request to hang a context on (a dispatcher waiting for work).
+//! request to hang a context on (a dispatcher waiting for work). Both
+//! take a declared [`Stage`] (`crate::stages`).
 //!
 //! The board follows the workspace's "cheap when idle" discipline:
 //! it is **disabled by default**, and a disabled [`stage`] call is one
@@ -28,6 +29,7 @@
 //! unique ID and the guard pops *its own* entry, so a cross-thread
 //! drop never corrupts another guard's stack.
 
+use crate::stages::Stage;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -100,14 +102,14 @@ pub struct StageGuard {
     entry: Option<(Arc<ThreadStages>, u64)>,
 }
 
-/// Publish `name` as the calling thread's current (innermost) stage
+/// Publish `stage` as the calling thread's current (innermost) stage
 /// until the returned guard drops.
 #[inline]
-pub fn stage(name: &'static str) -> StageGuard {
+pub fn stage(stage: Stage) -> StageGuard {
     if !stages_enabled() {
         return StageGuard { entry: None };
     }
-    stage_slow(name)
+    stage_slow(stage.name)
 }
 
 #[cold]
@@ -157,6 +159,14 @@ pub fn sample_stages() -> Vec<(String, Vec<&'static str>)> {
 pub(crate) mod tests {
     use super::*;
 
+    const MAYBE_OFF: Stage = Stage::scratch("stagetest.maybe_off");
+    const OUTER: Stage = Stage::scratch("stagetest.outer");
+    const INNER: Stage = Stage::scratch("stagetest.inner");
+    const XTHREAD_OUTER: Stage = Stage::scratch("stagetest.xthread.outer");
+    const XTHREAD_INNER: Stage = Stage::scratch("stagetest.xthread.inner");
+    const REFCOUNT: Stage = Stage::scratch("stagetest.refcount");
+    const EPHEMERAL: Stage = Stage::scratch("stagetest.ephemeral");
+
     // The board is process-global, so these tests hold their own
     // sessions and only assert on stages they opened themselves
     // (uniquely named).
@@ -186,7 +196,7 @@ pub(crate) mod tests {
         // later session samples. (Another test's session may be live,
         // so only assert on our unique stage name.)
         {
-            let _g = stage("stagetest.maybe_off");
+            let _g = stage(MAYBE_OFF);
         }
         let _session = StageSession::start();
         assert!(my_stack("stagetest.maybe_off").is_none());
@@ -196,9 +206,9 @@ pub(crate) mod tests {
     fn stacks_nest_and_unwind() {
         let _serial = serial();
         let _session = StageSession::start();
-        let _a = stage("stagetest.outer");
+        let _a = stage(OUTER);
         {
-            let _b = stage("stagetest.inner");
+            let _b = stage(INNER);
             let stack = my_stack("stagetest.outer").expect("published");
             let pos_a = stack
                 .iter()
@@ -218,8 +228,8 @@ pub(crate) mod tests {
     fn cross_thread_drop_pops_the_right_entry() {
         let _serial = serial();
         let _session = StageSession::start();
-        let _outer = stage("stagetest.xthread.outer");
-        let inner = stage("stagetest.xthread.inner");
+        let _outer = stage(XTHREAD_OUTER);
+        let inner = stage(XTHREAD_INNER);
         // Drop the inner guard on another thread: it must remove its
         // own entry from *this* thread's stack, not touch the other
         // thread's (empty) stack.
@@ -237,7 +247,7 @@ pub(crate) mod tests {
         assert!(stages_enabled());
         drop(a);
         assert!(stages_enabled(), "second session keeps the board live");
-        let g = stage("stagetest.refcount");
+        let g = stage(REFCOUNT);
         assert!(my_stack("stagetest.refcount").is_some());
         drop(g);
         drop(b);
@@ -250,7 +260,7 @@ pub(crate) mod tests {
         std::thread::Builder::new()
             .name("stagetest-ephemeral".into())
             .spawn(|| {
-                let _g = stage("stagetest.ephemeral");
+                let _g = stage(EPHEMERAL);
                 assert!(my_stack("stagetest.ephemeral").is_some());
             })
             .unwrap()

@@ -42,7 +42,8 @@
 //! ([`TraceSnapshot::to_chrome_json`]) requires for well-nested B/E
 //! pairs.
 
-use crate::stage::{stage, StageGuard};
+use crate::stage::StageGuard;
+use crate::stages::Stage;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,13 +170,16 @@ static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// ```
 /// use telemetry::trace::FlightRecorder;
+/// use telemetry::Stage;
 ///
+/// const REQUEST: Stage = Stage::scratch("request");
+/// const STEP: Stage = Stage::scratch("step");
 /// let recorder = FlightRecorder::new(1024);
 /// let ctx = recorder.start_trace();
 /// {
-///     let mut span = ctx.span("request");
+///     let mut span = ctx.span(REQUEST);
 ///     span.arg("matrix", "mesh2d");
-///     let _child = span.ctx().span("stage");
+///     let _child = span.ctx().span(STEP);
 /// }
 /// let snap = recorder.snapshot();
 /// assert_eq!(snap.total_events(), 4); // two Begin/End pairs
@@ -350,12 +354,13 @@ impl TraceCtx {
         self.inner.as_ref().map(|i| i.trace_id)
     }
 
-    /// Mark a stage: publish `name` on the live stage board while a
+    /// Mark a stage: publish it on the live stage board while a
     /// [`crate::StageSession`] is active, and — when this context is
     /// recording — open a span under its parent (`Begin` now, `End` on
     /// drop).
-    pub fn span(&self, name: &'static str) -> TraceSpan {
-        let _stage = stage(name);
+    pub fn span(&self, stage: Stage) -> TraceSpan {
+        let name = stage.name;
+        let _stage = crate::stage::stage(stage);
         let Some(inner) = &self.inner else {
             return TraceSpan { live: None, _stage };
         };
@@ -395,7 +400,7 @@ impl TraceCtx {
     /// latencies).
     pub fn complete(
         &self,
-        name: &'static str,
+        stage: Stage,
         begin: Instant,
         end: Instant,
         args: Vec<(&'static str, ArgValue)>,
@@ -407,7 +412,7 @@ impl TraceCtx {
         let base = TraceEvent {
             ts_ns: recorder.instant_ns(begin),
             kind: EventKind::Begin,
-            name,
+            name: stage.name,
             trace_id: inner.trace_id,
             span_id,
             parent_id: inner.parent,
@@ -426,12 +431,12 @@ impl TraceCtx {
     }
 
     /// Record a point-in-time marker.
-    pub fn instant(&self, name: &'static str) {
-        self.instant_with(name, Vec::new());
+    pub fn instant(&self, stage: Stage) {
+        self.instant_with(stage, Vec::new());
     }
 
     /// Record a marker with args.
-    pub fn instant_with(&self, name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+    pub fn instant_with(&self, stage: Stage, args: Vec<(&'static str, ArgValue)>) {
         let Some(inner) = &self.inner else { return };
         let recorder = &inner.recorder;
         let ring = recorder.ring();
@@ -441,7 +446,7 @@ impl TraceCtx {
             TraceEvent {
                 ts_ns: recorder.now_ns(),
                 kind: EventKind::Instant,
-                name,
+                name: stage.name,
                 trace_id: inner.trace_id,
                 span_id,
                 parent_id: inner.parent,
@@ -606,13 +611,31 @@ mod tests {
     use crate::stage::tests::{my_stack, serial};
     use crate::StageSession;
 
+    const A_MORE: Stage = Stage::scratch("a.more");
+    const A_WORK: Stage = Stage::scratch("a.work");
+    const B_WORK: Stage = Stage::scratch("b.work");
+    const BACKDATED: Stage = Stage::scratch("backdated");
+    const CHILD: Stage = Stage::scratch("child");
+    const FIRST: Stage = Stage::scratch("first");
+    const NESTED_NOPE: Stage = Stage::scratch("nested.nope");
+    const NOPE: Stage = Stage::scratch("nope");
+    const ROOT: Stage = Stage::scratch("root");
+    const SUBMIT: Stage = Stage::scratch("submit");
+    const TICK: Stage = Stage::scratch("tick");
+    const TRACETEST_OFF_EARLY: Stage = Stage::scratch("tracetest.off.early");
+    const TRACETEST_OFF_INNER: Stage = Stage::scratch("tracetest.off.inner");
+    const TRACETEST_OFF_OUTER: Stage = Stage::scratch("tracetest.off.outer");
+    const TRACETEST_ON_OUTER: Stage = Stage::scratch("tracetest.on.outer");
+    const TRACETEST_ON_ROOT: Stage = Stage::scratch("tracetest.on.root");
+    const WORKER_STAGE: Stage = Stage::scratch("worker.stage");
+
     #[test]
     fn spans_nest_with_parent_ids() {
         let rec = FlightRecorder::new(256);
         let ctx = rec.start_trace();
         {
-            let root = ctx.span("root");
-            let _child = root.ctx().span("child");
+            let root = ctx.span(ROOT);
+            let _child = root.ctx().span(CHILD);
         }
         let snap = rec.snapshot();
         assert_eq!(snap.total_events(), 4);
@@ -633,14 +656,14 @@ mod tests {
     fn parent_handle_crosses_threads() {
         let rec = FlightRecorder::new(256);
         let ctx = rec.start_trace();
-        let root = ctx.span("submit");
+        let root = ctx.span(SUBMIT);
         let child_ctx = root.ctx();
         let root_span_id = {
             let snap = rec.snapshot();
             snap.threads[0].events[0].span_id
         };
         std::thread::spawn(move || {
-            let mut s = child_ctx.span("worker.stage");
+            let mut s = child_ctx.span(WORKER_STAGE);
             s.arg("lane", 1u64);
         })
         .join()
@@ -662,7 +685,7 @@ mod tests {
         let rec = FlightRecorder::new(16);
         let ctx = rec.start_trace();
         for i in 0..100u64 {
-            ctx.instant_with("tick", vec![("i", ArgValue::U64(i))]);
+            ctx.instant_with(TICK, vec![("i", ArgValue::U64(i))]);
         }
         let snap = rec.snapshot();
         assert_eq!(snap.threads[0].events.len(), 16);
@@ -684,12 +707,12 @@ mod tests {
     fn disabled_ctx_records_nothing() {
         let ctx = TraceCtx::disabled();
         assert!(!ctx.is_recording());
-        let mut s = ctx.span("nope");
+        let mut s = ctx.span(NOPE);
         assert!(!s.is_recording());
         s.arg("k", 1u64);
-        assert!(!s.ctx().span("nested.nope").is_recording());
-        ctx.instant("nope");
-        ctx.complete("nope", Instant::now(), Instant::now(), Vec::new());
+        assert!(!s.ctx().span(NESTED_NOPE).is_recording());
+        ctx.instant(NOPE);
+        ctx.complete(NOPE, Instant::now(), Instant::now(), Vec::new());
     }
 
     #[test]
@@ -698,13 +721,13 @@ mod tests {
         let ctx = TraceCtx::disabled();
         // Opened with the board off: inert for life, even once a
         // session starts. `TraceSpan::disabled()` is inert always.
-        let early = ctx.span("tracetest.off.early");
+        let early = ctx.span(TRACETEST_OFF_EARLY);
         let _session = StageSession::start();
         let inert = TraceSpan::disabled();
-        let outer = ctx.span("tracetest.off.outer");
+        let outer = ctx.span(TRACETEST_OFF_OUTER);
         assert!(!outer.is_recording() && !inert.ctx().is_recording());
         {
-            let _inner = outer.ctx().span("tracetest.off.inner");
+            let _inner = outer.ctx().span(TRACETEST_OFF_INNER);
             assert_eq!(
                 my_stack("tracetest.off.inner").expect("published"),
                 ["tracetest.off.outer", "tracetest.off.inner"]
@@ -724,10 +747,10 @@ mod tests {
         let _session = StageSession::start();
         let rec = FlightRecorder::new(64);
         let ctx = rec.start_trace();
-        let _outer = ctx.span("tracetest.on.outer");
+        let _outer = ctx.span(TRACETEST_ON_OUTER);
         // What a ticket's root span does: opened by the submitter,
         // dropped wherever the ticket is waited on.
-        let moved = ctx.span("tracetest.on.root");
+        let moved = ctx.span(TRACETEST_ON_ROOT);
         assert_eq!(
             my_stack("tracetest.on.root").expect("published"),
             ["tracetest.on.outer", "tracetest.on.root"]
@@ -747,9 +770,9 @@ mod tests {
         let rec = FlightRecorder::new(256);
         let a = rec.start_trace();
         let b = rec.start_trace();
-        drop(a.span("a.work"));
-        drop(b.span("b.work"));
-        drop(a.span("a.more"));
+        drop(a.span(A_WORK));
+        drop(b.span(B_WORK));
+        drop(a.span(A_MORE));
         let snap = rec.snapshot();
         let only_a = snap.filter_trace(a.trace_id().unwrap());
         assert_eq!(only_a.total_events(), 4);
@@ -763,10 +786,10 @@ mod tests {
         let rec = FlightRecorder::new(64);
         let ctx = rec.start_trace();
         let early = Instant::now();
-        drop(ctx.span("first"));
+        drop(ctx.span(FIRST));
         // `early` predates the events already recorded; the ring clamp
         // must keep the stream monotone.
-        ctx.complete("backdated", early, Instant::now(), Vec::new());
+        ctx.complete(BACKDATED, early, Instant::now(), Vec::new());
         let snap = rec.snapshot();
         let ts: Vec<u64> = snap.threads[0].events.iter().map(|e| e.ts_ns).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "timestamps {ts:?}");

@@ -5,6 +5,18 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use telemetry::trace::{ArgValue, EventKind, FlightRecorder};
+use telemetry::Stage;
+
+const COMPUTE: Stage = Stage::scratch("compute");
+const EPOCH: Stage = Stage::scratch("epoch");
+const INNER: Stage = Stage::scratch("inner");
+const MARK: Stage = Stage::scratch("mark");
+const MOVED: Stage = Stage::scratch("moved");
+const OUTER: Stage = Stage::scratch("outer");
+const REQUEST: Stage = Stage::scratch("request");
+const TICK: Stage = Stage::scratch("tick");
+const WORK: Stage = Stage::scratch("work");
+const WORKER_STAGE: Stage = Stage::scratch("worker.stage");
 
 fn arg_u64(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
     args.iter()
@@ -35,17 +47,17 @@ fn per_thread_order_survives_concurrent_recording() {
                     // thread recorded.
                     match rng.gen_range(0u32..3) {
                         0 => {
-                            let mut s = ctx.span("work");
+                            let mut s = ctx.span(WORK);
                             s.arg("seq", seq);
                             s.arg("thread", t);
                         }
                         1 => ctx.instant_with(
-                            "tick",
+                            TICK,
                             vec![("seq", ArgValue::U64(seq)), ("thread", ArgValue::U64(t))],
                         ),
                         _ => {
-                            let s = ctx.span("outer");
-                            let mut inner = s.ctx().span("inner");
+                            let s = ctx.span(OUTER);
+                            let mut inner = s.ctx().span(INNER);
                             inner.arg("seq", seq);
                             inner.arg("thread", t);
                         }
@@ -103,7 +115,7 @@ fn overflow_drops_oldest_per_thread_and_counts() {
             let ctx = ctx.clone();
             scope.spawn(move || {
                 for seq in 0..EVENTS_PER_THREAD {
-                    ctx.instant_with("tick", vec![("seq", ArgValue::U64(seq))]);
+                    ctx.instant_with(TICK, vec![("seq", ArgValue::U64(seq))]);
                     let _ = t;
                 }
             });
@@ -139,13 +151,13 @@ fn chrome_trace_json_parses_with_balanced_pairs() {
             let ctx = ctx.clone();
             scope.spawn(move || {
                 for i in 0..20u64 {
-                    let root = ctx.span("epoch");
+                    let root = ctx.span(EPOCH);
                     {
-                        let mut c = root.ctx().span("compute");
+                        let mut c = root.ctx().span(COMPUTE);
                         c.arg("lane", t);
                         c.arg("i", i);
                     }
-                    root.ctx().instant("mark");
+                    root.ctx().instant(MARK);
                 }
             });
         }
@@ -206,11 +218,11 @@ fn chrome_trace_json_parses_with_balanced_pairs() {
 fn cross_thread_parenting_and_end_ring_affinity() {
     let rec = FlightRecorder::new(256);
     let ctx = rec.start_trace();
-    let root = ctx.span("request");
+    let root = ctx.span(REQUEST);
     let child_ctx = root.ctx();
-    let moved_span = ctx.span("moved");
+    let moved_span = ctx.span(MOVED);
     std::thread::spawn(move || {
-        drop(child_ctx.span("worker.stage"));
+        drop(child_ctx.span(WORKER_STAGE));
         // `moved` began on the main thread but is dropped here; its End
         // must land in the main thread's ring to keep pairs balanced.
         drop(moved_span);

@@ -22,7 +22,14 @@
 # The exports are `git archive`s rather than `git worktree`s: the same
 # files, and nothing to unregister from .git afterwards. The two
 # directories differ in path, which the compiler hashes into symbol
-# names, and so the two binaries differ in layout — as the driver's do.
+# names, and so the two binaries differ in layout. A commit that has
+# the root .cargo/config.toml pins every function to 0 mod 64, so the
+# kernel loops sit at the same offset in both; for an older commit,
+# compare `nm -C` of `spmv::exec::execute_mapped::{{closure}}` in the
+# two binaries before reading a small delta. Cargo also reads a
+# .cargo/config.toml in the directories above an export, this checkout
+# among them: against a parent without the pin, run the script from a
+# checkout of the parent, or the parent builds pinned too.
 # Run nothing else meanwhile: the bench pins itself to one CPU.
 set -eu
 

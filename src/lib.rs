@@ -80,7 +80,6 @@ pub mod prelude {
     pub use engine::{AlgoSpec, Engine, EngineConfig, EngineStats, MatrixHandle};
     pub use reorder::{
         all_algorithms, Amd, Gp, Gps, Gray, Hp, Nd, Original, Rcm, ReorderAlgorithm, ReorderResult,
-        Sbd,
     };
     pub use servetier::{ServeTier, SpmvRequest, TenantSpec, TierConfig};
     pub use sparsemat::{CooMatrix, CsrMatrix, Permutation};
