@@ -66,8 +66,12 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
 # The pinned allocation counts of a cold RCM (constant in the depth of
 # its level structures), AMD (the same on a path and a mesh), GP(2),
 # HP(2) and ND must hold in the profile that is served; the workspace
-# run above checked the debug build.
+# run above checked the debug build. So must the golden and
+# cross-executor ordering bytes: the parallel AMD and RCM paths write
+# through SliceWriter/SendPtr, and an overlap that debug codegen hides
+# would show here first.
 cargo test --release -p reorder --test alloc
+cargo test --release --test golden_orderings --test reorder_determinism
 
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.

@@ -45,12 +45,12 @@ impl AlgoSpec {
     pub fn instantiate(&self) -> Box<dyn ReorderAlgorithm + Send + Sync> {
         match *self {
             AlgoSpec::Original => Box::new(Original),
-            AlgoSpec::Rcm => Box::new(Rcm::default()),
+            AlgoSpec::Rcm => Box::new(Rcm),
             AlgoSpec::Amd => Box::new(Amd::default()),
-            AlgoSpec::Nd => Box::new(Nd::default()),
+            AlgoSpec::Nd => Box::new(Nd),
             AlgoSpec::Gp { parts } => Box::new(Gp::new(parts)),
             AlgoSpec::Hp { parts } => Box::new(Hp::new(parts)),
-            AlgoSpec::Gray => Box::new(Gray::default()),
+            AlgoSpec::Gray => Box::new(Gray),
         }
     }
 

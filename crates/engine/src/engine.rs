@@ -1035,7 +1035,7 @@ mod tests {
             .unwrap();
 
         // Byte-identical to a from-scratch compute on the mutated matrix.
-        let fresh = reorder::ReorderAlgorithm::compute(&reorder::Rcm::default(), &mutated).unwrap();
+        let fresh = reorder::ReorderAlgorithm::compute(&reorder::Rcm, &mutated).unwrap();
         assert_eq!(spliced.perm.order(), fresh.perm.order());
         assert!(
             spliced.ranges.is_some(),
@@ -1102,10 +1102,6 @@ mod tests {
             "panics"
         }
 
-        fn compute(&self, _: &CsrMatrix) -> Result<reorder::ReorderResult, sparsemat::SparseError> {
-            panic!("ordering panicked")
-        }
-
         fn compute_on(
             &self,
             _: &CsrMatrix,
@@ -1159,7 +1155,7 @@ mod tests {
         // through still runs regions.
         let fresh = engine.get(&m, AlgoSpec::Rcm).unwrap();
         assert_eq!(engine.stats().jobs_executed, 1);
-        let want = reorder::Rcm::default().compute(m.matrix()).unwrap();
+        let want = reorder::Rcm.compute(m.matrix()).unwrap();
         assert_eq!(fresh.perm.order(), want.perm.order());
         let on_team = fresh
             .apply_on(m.matrix(), team::Exec::Team(engine.reorder_team()))

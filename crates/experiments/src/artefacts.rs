@@ -206,8 +206,8 @@ fn spy_plots(inputs: &Inputs) -> String {
         out.push_str("speedup: 1.00 / 1.00\n\n");
 
         let algs: Vec<(&str, Box<dyn ReorderAlgorithm>)> = vec![
-            ("RCM", Box::new(Rcm::default())),
-            ("ND", Box::new(Nd::default())),
+            ("RCM", Box::new(Rcm)),
+            ("ND", Box::new(Nd)),
             ("GP", Box::new(Gp::new(cfg.gp_parts))),
         ];
         for (name, alg) in algs {

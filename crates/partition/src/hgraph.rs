@@ -29,7 +29,8 @@ const FM_PASSES: usize = 6;
 /// Configuration for [`partition_hypergraph`].
 #[derive(Debug, Clone)]
 pub struct HypergraphPartitionConfig {
-    /// Number of parts.
+    /// Number of parts, clamped as [`crate::PartitionConfig::num_parts`]
+    /// is.
     pub num_parts: usize,
     /// Allowed imbalance factor.
     pub ubfactor: f64,
@@ -692,7 +693,8 @@ fn sub_hypergraph(hg: &Hypergraph, vertices: &[u32], ids: &mut LocalIds) -> Hype
 /// paper's HP reordering (§3.3).
 pub fn partition_hypergraph(h: &Hypergraph, cfg: &HypergraphPartitionConfig) -> Vec<u32> {
     let n = h.num_vertices();
-    let k = cfg.num_parts.max(1);
+    // Part ids are u32s: `k as u32` below must not wrap to 0.
+    let k = cfg.num_parts.clamp(1, u32::MAX as usize);
     let mut part_of = vec![0u32; n];
     if k == 1 || n == 0 {
         return part_of;

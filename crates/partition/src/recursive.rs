@@ -18,7 +18,8 @@ const FM_PASSES: usize = 8;
 /// Configuration for [`partition_graph`].
 #[derive(Debug, Clone)]
 pub struct PartitionConfig {
-    /// Number of parts to create.
+    /// Number of parts to create; 0 means 1, and a part id is a `u32`,
+    /// so more than `u32::MAX` means `u32::MAX`.
     pub num_parts: usize,
     /// Allowed imbalance factor (e.g. 1.05 = 5 %). METIS's default load
     /// balance tolerance is in the same range.
@@ -88,7 +89,8 @@ pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) 
 /// per part, the configuration the paper uses (§3.3).
 pub fn partition_graph(g: &Graph, config: &PartitionConfig) -> Vec<u32> {
     let n = g.num_vertices();
-    let k = config.num_parts.max(1);
+    // Part ids are u32s: `k as u32` below must not wrap to 0.
+    let k = config.num_parts.clamp(1, u32::MAX as usize);
     let mut part_of = vec![0u32; n];
     if k == 1 || n == 0 {
         return part_of;

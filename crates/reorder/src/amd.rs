@@ -95,9 +95,6 @@ pub const DEFAULT_AMD_ROUND_MIN: usize = 128;
 /// Approximate minimum degree reordering.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Amd {
-    /// Disable aggressive element absorption (ablation knob; the
-    /// default matches SuiteSparse AMD's behaviour of absorbing).
-    pub no_aggressive_absorption: bool,
     /// Degree slack for multiple elimination: a round's candidate set
     /// is every supervariable within `round_slack` of the minimum
     /// degree. 0 (the default) restricts rounds to exact-minimum
@@ -358,7 +355,6 @@ struct RoundCtx<'a> {
     /// `n` minus the total eliminated weight *including this round's
     /// whole batch* — the `n − k` term of the degree bound.
     remaining: i64,
-    aggressive: bool,
     merges: &'a AtomicU64,
 }
 
@@ -449,7 +445,7 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
             } else {
                 cx.el_size[eu]
             };
-            if cx.aggressive && s.wstamp[eu] == stamp && we <= 0 {
+            if s.wstamp[eu] == stamp && we <= 0 {
                 // L_e ⊆ Lp: aggressive absorption. Such an element
                 // has live members only inside this pivot's Lp, so
                 // no other lane can touch it this round.
@@ -600,17 +596,12 @@ fn compact_elements(
 /// Returns the order vector (`order[k]` = original vertex eliminated
 /// k-th) and the run's counters.
 ///
-/// The ordering is a pure function of `(g, aggressive, slack)` —
+/// The ordering is a pure function of `(g, slack)` —
 /// byte-identical for every executor, team size and `amd_round_min`.
 /// When the context's trace is recording, three aggregate sub-stage
 /// spans (`reorder.amd.select` / `.eliminate` / `.update`) report
 /// where the call's time went.
-pub fn amd_order_on(
-    g: &Graph,
-    aggressive: bool,
-    slack: u32,
-    rx: &ReorderExec<'_>,
-) -> (Vec<u32>, AmdStats) {
+pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, AmdStats) {
     let t_start = rx.trace().is_recording().then(Instant::now);
     let n = g.num_vertices();
     let xadj = g.xadj();
@@ -805,7 +796,6 @@ pub fn amd_order_on(
                 claim: &claim,
                 round_stamp,
                 remaining,
-                aggressive,
                 merges: &merges,
             };
             // A phase runs each pivot on the team — every lane with its
@@ -970,7 +960,7 @@ impl AmdState {
 /// The test oracle for round-based elimination: `tests/findings.rs` pins
 /// nnz(L) under both schedules (PR 10 in CHANGES.md has the sequential
 /// overhead against it); the pipeline always orders via [`amd_order_on`].
-pub fn amd_order_single(g: &Graph, aggressive: bool) -> (Vec<u32>, u64) {
+pub fn amd_order_single(g: &Graph) -> (Vec<u32>, u64) {
     let n = g.num_vertices();
     let mut st = AmdState {
         status: vec![Status::Live; n],
@@ -1071,7 +1061,7 @@ pub fn amd_order_single(g: &Graph, aggressive: bool) -> (Vec<u32>, u64) {
                 } else {
                     st.el_size[eu]
                 };
-                if aggressive && wstamp[eu] == stamp && we <= 0 {
+                if wstamp[eu] == stamp && we <= 0 {
                     // L_e ⊆ Lp: aggressive absorption.
                     st.status[eu] = Status::Dead;
                     st.el_vars[eu] = Vec::new();
@@ -1180,10 +1170,6 @@ impl ReorderAlgorithm for Amd {
         "AMD"
     }
 
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
-        self.compute_on(a, &ReorderExec::sequential())
-    }
-
     fn compute_on(
         &self,
         a: &CsrMatrix,
@@ -1245,8 +1231,7 @@ impl Amd {
             return vec![v];
         }
         let sub = g.subgraph(comp, ids);
-        let aggressive = !self.no_aggressive_absorption;
-        let mut order = amd_order_on(&sub, aggressive, self.round_slack, rx).0;
+        let mut order = amd_order_on(&sub, self.round_slack, rx).0;
         for v in &mut order {
             *v = comp[*v as usize];
         }
@@ -1374,19 +1359,6 @@ mod tests {
     }
 
     #[test]
-    fn amd_without_aggressive_absorption_still_valid() {
-        let a = grid_matrix(6);
-        let r = Amd {
-            no_aggressive_absorption: true,
-            ..Amd::default()
-        }
-        .compute(&a)
-        .unwrap();
-        assert_eq!(r.perm.len(), 36);
-        r.apply(&a).unwrap().validate().unwrap();
-    }
-
-    #[test]
     fn amd_merges_indistinguishable_vertices() {
         // A clique: all vertices are indistinguishable; the order is
         // still a valid permutation and fill is zero.
@@ -1436,7 +1408,7 @@ mod tests {
         }
         let a = CsrMatrix::from_coo(&coo);
         let g = Graph::from_matrix(&a).unwrap();
-        let (order, stats) = amd_order_on(&g, true, 0, &ReorderExec::sequential());
+        let (order, stats) = amd_order_on(&g, 0, &ReorderExec::sequential());
         // Valid permutation covering every vertex.
         let mut seen = vec![false; n];
         for &v in &order {
@@ -1464,13 +1436,13 @@ mod tests {
         let a = grid_matrix(12);
         let g = Graph::from_matrix(&a).unwrap();
         for slack in [0u32, 2] {
-            let (seq, _) = amd_order_on(&g, true, slack, &ReorderExec::sequential());
+            let (seq, _) = amd_order_on(&g, slack, &ReorderExec::sequential());
             for size in [2usize, 4, 8] {
                 let team = ThreadTeam::new_in(&telemetry::Registry::new_arc(), size);
                 // amd_round_min 0: force the parallel path even on
                 // tiny rounds so the test exercises it.
                 let rx = ReorderExec::on_team(&team).with_amd_round_min(0);
-                let (par, stats) = amd_order_on(&g, true, slack, &rx);
+                let (par, stats) = amd_order_on(&g, slack, &rx);
                 assert_eq!(seq, par, "team size {size}, slack {slack}");
                 assert!(
                     stats.parallel_rounds > 0,
@@ -1484,7 +1456,7 @@ mod tests {
     fn amd_single_elimination_reference_still_valid() {
         let a = grid_matrix(10);
         let g = Graph::from_matrix(&a).unwrap();
-        let (order, stale) = amd_order_single(&g, true);
+        let (order, stale) = amd_order_single(&g);
         let perm = Permutation::from_new_to_old(order).unwrap();
         assert_eq!(perm.len(), 100);
         let fill_nat = symbolic_fill(&a, &Permutation::identity(100));
@@ -1499,15 +1471,15 @@ mod tests {
     fn amd_stats_are_deterministic() {
         let a = grid_matrix(9);
         let g = Graph::from_matrix(&a).unwrap();
-        let (o1, s1) = amd_order_on(&g, true, 0, &ReorderExec::sequential());
-        let (o2, s2) = amd_order_on(&g, true, 0, &ReorderExec::sequential());
+        let (o1, s1) = amd_order_on(&g, 0, &ReorderExec::sequential());
+        let (o2, s2) = amd_order_on(&g, 0, &ReorderExec::sequential());
         assert_eq!(o1, o2);
         assert_eq!(s1, s2, "sequential stats must be reproducible");
         assert!(s1.rounds > 0 && s1.pivots > 0 && s1.merges > 0);
         // Of the counters, only the dispatched rounds follow the executor.
         let team = ThreadTeam::new_in(&telemetry::Registry::new_arc(), 2);
         let rx = ReorderExec::on_team(&team).with_amd_round_min(0);
-        let (o3, s3) = amd_order_on(&g, true, 0, &rx);
+        let (o3, s3) = amd_order_on(&g, 0, &rx);
         assert_eq!(o1, o3);
         assert!(s3.parallel_rounds > 0);
         assert_eq!(

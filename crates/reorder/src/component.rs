@@ -3,20 +3,19 @@
 //! Every ordering of a disconnected graph decomposes into independent
 //! sub-permutations, one per connected component, arranged by an
 //! algorithm-specific layout discipline (RCM lays reversed CM pieces
-//! out in descending component key, GPS numbers the largest component
-//! first, AMD concatenates in ascending key). [`ComponentOrdering`]
-//! makes that decomposition explicit — the flat `new_to_old` order
-//! plus a component→range map — which is what turns a structural delta
-//! from "recompute everything" into "recompute the dirty components
-//! and splice the rest back byte-identically"
-//! ([`splice_ordering_on`]).
+//! out in descending component key, AMD concatenates in ascending
+//! key). [`ComponentOrdering`] makes that decomposition explicit — the
+//! flat `new_to_old` order plus a component→range map — which is what
+//! turns a structural delta from "recompute everything" into
+//! "recompute the dirty components and splice the rest back
+//! byte-identically" ([`splice_ordering_on`]).
 //!
 //! The byte-identity argument: a component's sub-permutation depends
 //! only on its own subgraph and its canonical key (the minimum member
 //! vertex, which seeds the pseudo-peripheral search), and the layout
-//! disciplines are total orders on `(key, len)`. An untouched
-//! component therefore reproduces its cached bytes exactly, and the
-//! spliced whole equals a full recompute.
+//! disciplines are total orders on the keys. An untouched component
+//! therefore reproduces its cached bytes exactly, and the spliced whole
+//! equals a full recompute.
 
 use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
@@ -45,7 +44,7 @@ pub struct ComponentOrdering {
     /// sub-permutation and its membership set.
     pub ranges: Vec<ComponentRange>,
     /// Whether the ordering applies symmetrically (it does for every
-    /// component-structured algorithm: RCM, GPS, AMD).
+    /// component-structured algorithm: RCM and AMD).
     pub symmetric: bool,
 }
 
@@ -103,10 +102,10 @@ pub(crate) fn assemble_pieces(
     algo: &dyn ReorderAlgorithm,
     pieces: Vec<(u32, Vec<u32>)>,
 ) -> ComponentOrdering {
-    let meta: Vec<(u32, usize)> = pieces.iter().map(|(k, p)| (*k, p.len())).collect();
-    let layout = algo.component_layout(&meta);
+    let keys: Vec<u32> = pieces.iter().map(|&(k, _)| k).collect();
+    let layout = algo.component_layout(&keys);
     debug_assert_eq!(layout.len(), pieces.len(), "layout must cover every piece");
-    let total: usize = meta.iter().map(|&(_, len)| len).sum();
+    let total: usize = pieces.iter().map(|(_, p)| p.len()).sum();
     let mut order = Vec::with_capacity(total);
     let mut ranges = Vec::with_capacity(pieces.len());
     for &idx in &layout {
@@ -211,7 +210,7 @@ pub fn splice_ordering_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Amd, Gps, Rcm};
+    use crate::{Amd, Rcm};
     use sparsemat::{CooMatrix, EdgeOp};
 
     /// Two triangles and a path, disconnected.
@@ -233,13 +232,7 @@ mod tests {
     }
 
     fn algos() -> Vec<Box<dyn ReorderAlgorithm>> {
-        vec![
-            Box::new(Rcm::default()),
-            Box::new(Rcm { plain_cm: true }),
-            Box::new(Gps::default()),
-            Box::new(Gps { reverse: true }),
-            Box::new(Amd::default()),
-        ]
+        vec![Box::new(Rcm), Box::new(Amd::default())]
     }
 
     #[test]
@@ -313,12 +306,9 @@ mod tests {
     fn splice_declines_on_non_component_algorithms() {
         let a = multi_component();
         let rx = ReorderExec::sequential();
-        let nd = crate::Nd::default();
+        let nd = crate::Nd;
         assert!(nd.compute_components_on(&a, &rx).unwrap().is_none());
-        let rcm_cached = Rcm::default()
-            .compute_components_on(&a, &rx)
-            .unwrap()
-            .unwrap();
+        let rcm_cached = Rcm.compute_components_on(&a, &rx).unwrap().unwrap();
         let out =
             splice_ordering_on(&nd, &a, &rcm_cached.order, &rcm_cached.ranges, &[0], &rx).unwrap();
         assert!(out.is_none());

@@ -9,6 +9,7 @@
 //! reordered matrix then correspond exactly to cut edges, which is why
 //! GP directly minimises the off-diagonal nonzero count (§4.5).
 
+use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use partition::{partition_graph, PartitionConfig};
 use sparsegraph::Graph;
@@ -21,10 +22,6 @@ pub struct Gp {
     /// count of the execution platform (the paper partitions into 16,
     /// 32, 48, 64, 72 or 128 parts, matching Table 2).
     pub config: PartitionConfig,
-    /// Balance the number of nonzeros per part instead of rows
-    /// (the weighted variant discussed but not selected in §3.3;
-    /// exposed for the ablation study).
-    pub nnz_weighted: bool,
 }
 
 impl Gp {
@@ -33,31 +30,17 @@ impl Gp {
     pub fn new(num_parts: usize) -> Self {
         Gp {
             config: PartitionConfig::k(num_parts),
-            nnz_weighted: false,
         }
     }
 }
 
 /// Turn a part assignment into an ordering that groups parts
-/// contiguously, preserving original order within each part. A
-/// `num_parts` of 0 means one part, as it does to the partitioners.
-///
-/// A stable counting sort by part: `next[p]` starts as the number of
-/// vertices in parts below `p`, and vertices are placed in ascending
-/// order, so each part's stay ascending.
-pub fn partition_to_order(part_of: &[u32], num_parts: usize) -> Vec<u32> {
-    let mut next = vec![0usize; num_parts.max(1) + 1];
-    for &p in part_of {
-        next[p as usize + 1] += 1;
-    }
-    for p in 1..next.len() {
-        next[p] += next[p - 1];
-    }
-    let mut order = vec![0u32; part_of.len()];
-    for (v, &p) in part_of.iter().enumerate() {
-        order[next[p as usize]] = v as u32;
-        next[p as usize] += 1;
-    }
+/// contiguously, preserving original order within each part: a stable
+/// sort of the ascending vertex ids by part, whose scratch is O(n)
+/// however many parts there are.
+pub(crate) fn partition_to_order(part_of: &[u32]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..part_of.len() as u32).collect();
+    order.sort_by_key(|&v| part_of[v as usize]);
     order
 }
 
@@ -66,14 +49,10 @@ impl ReorderAlgorithm for Gp {
         "GP"
     }
 
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
-        let g = if self.nnz_weighted {
-            Graph::from_matrix_nnz_weighted(a)?
-        } else {
-            Graph::from_matrix(a)?
-        };
+    fn compute_on(&self, a: &CsrMatrix, _: &ReorderExec<'_>) -> Result<ReorderResult, SparseError> {
+        let g = Graph::from_matrix(a)?;
         let part_of = partition_graph(&g, &self.config);
-        let order = partition_to_order(&part_of, self.config.num_parts);
+        let order = partition_to_order(&part_of);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,
             symmetric: true,
@@ -147,7 +126,7 @@ mod tests {
 
     #[test]
     fn partition_to_order_groups_parts() {
-        let order = partition_to_order(&[1, 0, 1, 0, 2], 3);
+        let order = partition_to_order(&[1, 0, 1, 0, 2]);
         assert_eq!(order, vec![1, 3, 0, 2, 4]);
     }
 
@@ -162,29 +141,25 @@ mod tests {
         assert_eq!(b.nnz(), a.nnz());
     }
 
-    #[test]
-    fn gp_nnz_weighted_variant_works() {
-        let a = grid_matrix(8);
-        let mut gp = Gp::new(4);
-        gp.nnz_weighted = true;
-        let r = gp.compute(&a).unwrap();
-        assert_eq!(r.perm.len(), 64);
-    }
-
     /// Zero parts is one part, for GP and HP alike — the clamp the
-    /// partitioners apply — not an index into an empty bucket list.
+    /// partitioners apply — not an index into an empty bucket list. And
+    /// 2³² parts are `u32::MAX` parts, not a part range that truncates
+    /// to empty and bisects until the stack overflows.
     #[test]
     fn zero_parts_order_as_one_part() {
         let a = shuffled_grid(12, 7);
         let order = |r: ReorderResult| r.perm.order().to_vec();
-        assert_eq!(
-            order(Gp::new(0).compute(&a).unwrap()),
-            order(Gp::new(1).compute(&a).unwrap())
-        );
-        assert_eq!(
-            order(crate::Hp::new(0).compute(&a).unwrap()),
-            order(crate::Hp::new(1).compute(&a).unwrap())
-        );
+        let most = u32::MAX as usize;
+        for (parts, as_parts) in [(0, 1), (1 << 32, most)] {
+            assert_eq!(
+                order(Gp::new(parts).compute(&a).unwrap()),
+                order(Gp::new(as_parts).compute(&a).unwrap())
+            );
+            assert_eq!(
+                order(crate::Hp::new(parts).compute(&a).unwrap()),
+                order(crate::Hp::new(as_parts).compute(&a).unwrap())
+            );
+        }
     }
 
     #[test]

@@ -7,47 +7,33 @@
 //! into a *dense* and a *sparse* submatrix by a row-nonzero threshold
 //! (the paper uses 20). Dense rows get *density reordering* (sorted by
 //! descending nonzero count); sparse rows get *bitmap reordering*: each
-//! row is summarised by a `BITS`-bit occupancy bitmap over equal column
-//! segments (the paper uses 16 bits), and rows are sorted by the Gray
-//! code rank of their bitmap, so consecutive rows touch similar column
+//! row is summarised by a 16-bit occupancy bitmap over equal column
+//! segments (as in the paper), and rows are sorted by the Gray code
+//! rank of their bitmap, so consecutive rows touch similar column
 //! regions.
 //!
 //! Only rows are permuted — the ordering is unsymmetric (§3.3).
 
+use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
-/// Parameters of the Gray ordering; defaults follow Zhao et al. as used
-/// in the paper (§3.3): 16 bitmap bits, dense threshold 20 nnz/row.
-#[derive(Debug, Clone, Copy)]
-pub struct GrayParams {
-    /// Number of bitmap bits (column segments).
-    pub bitmap_bits: u32,
-    /// Rows with more than this many nonzeros are treated as dense.
-    pub dense_threshold: usize,
-}
+/// Number of bitmap bits (column segments), after Zhao et al. as used
+/// in the paper (§3.3).
+const BITMAP_BITS: u32 = 16;
 
-impl Default for GrayParams {
-    fn default() -> Self {
-        GrayParams {
-            bitmap_bits: 16,
-            dense_threshold: 20,
-        }
-    }
-}
+/// Rows with more than this many nonzeros are dense (§3.3).
+const DENSE_THRESHOLD: usize = 20;
 
 /// Gray code reordering (rows only).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gray {
-    /// Algorithm parameters.
-    pub params: GrayParams,
-}
+pub struct Gray;
 
 /// Convert a Gray code word to its rank in the Gray sequence (inverse
 /// Gray code): bit `k` of the rank is the XOR of bits `k..64` of the
 /// word, a suffix XOR that six doubling steps compute for any `u64`.
 #[inline]
-pub fn gray_rank(gray: u64) -> u64 {
+fn gray_rank(gray: u64) -> u64 {
     let mut rank = gray;
     for shift in [1, 2, 4, 8, 16, 32] {
         rank ^= rank >> shift;
@@ -55,16 +41,15 @@ pub fn gray_rank(gray: u64) -> u64 {
     rank
 }
 
-/// Compute the occupancy bitmap of a row over `bits` equal column
-/// segments.
+/// Compute the occupancy bitmap of a row over [`BITMAP_BITS`] equal
+/// column segments.
 #[inline]
-fn row_bitmap(cols: &[u32], ncols: usize, bits: u32) -> u64 {
+fn row_bitmap(cols: &[u32], ncols: usize) -> u64 {
     let mut bm = 0u64;
-    let bits = bits.clamp(1, 63);
     for &c in cols {
-        // Segment index in 0..bits.
-        let seg = (c as u128 * bits as u128 / ncols.max(1) as u128) as u32;
-        bm |= 1u64 << seg.min(bits - 1);
+        // Segment index in 0..BITMAP_BITS.
+        let seg = (c as u128 * BITMAP_BITS as u128 / ncols.max(1) as u128) as u32;
+        bm |= 1u64 << seg.min(BITMAP_BITS - 1);
     }
     bm
 }
@@ -99,32 +84,30 @@ fn sort_packed(keys: &mut Vec<u128>) {
     }
 }
 
-impl Gray {
-    /// Compute the Gray row order of a matrix: dense rows first (sorted
-    /// by descending nonzero count), then sparse rows sorted by the
-    /// Gray rank of their column bitmap.
-    pub fn row_order(&self, a: &CsrMatrix) -> Vec<u32> {
-        let (ncols, bits) = (a.ncols(), self.params.bitmap_bits);
-        let mut dense: Vec<u32> = Vec::new();
-        // Bitmap + Gray rank for the sparse block; ties broken by nnz
-        // then original index to keep the sort deterministic.
-        let mut sparse: Vec<u128> = Vec::new();
-        for i in 0..a.nrows() {
-            let (cols, _) = a.row(i);
-            if cols.len() > self.params.dense_threshold {
-                dense.push(i as u32);
-            } else {
-                let rank = gray_rank(row_bitmap(cols, ncols, bits));
-                sparse.push((rank as u128) << 64 | (cols.len() as u128) << 32 | i as u128);
-            }
+/// Compute the Gray row order of a matrix: dense rows first (sorted by
+/// descending nonzero count), then sparse rows sorted by the Gray rank
+/// of their column bitmap.
+fn row_order(a: &CsrMatrix) -> Vec<u32> {
+    let ncols = a.ncols();
+    let mut dense: Vec<u32> = Vec::new();
+    // Bitmap + Gray rank for the sparse block; ties broken by nnz then
+    // original index to keep the sort deterministic.
+    let mut sparse: Vec<u128> = Vec::new();
+    for i in 0..a.nrows() {
+        let (cols, _) = a.row(i);
+        if cols.len() > DENSE_THRESHOLD {
+            dense.push(i as u32);
+        } else {
+            let rank = gray_rank(row_bitmap(cols, ncols));
+            sparse.push((rank as u128) << 64 | (cols.len() as u128) << 32 | i as u128);
         }
-        // Density reordering for the dense block: group rows of similar
-        // density together, descending.
-        dense.sort_by_key(|&i| (std::cmp::Reverse(a.row_nnz(i as usize)), i));
-        sort_packed(&mut sparse);
-        dense.extend(sparse.iter().map(|&key| key as u32));
-        dense
     }
+    // Density reordering for the dense block: group rows of similar
+    // density together, descending.
+    dense.sort_by_key(|&i| (std::cmp::Reverse(a.row_nnz(i as usize)), i));
+    sort_packed(&mut sparse);
+    dense.extend(sparse.iter().map(|&key| key as u32));
+    dense
 }
 
 impl ReorderAlgorithm for Gray {
@@ -132,14 +115,14 @@ impl ReorderAlgorithm for Gray {
         "Gray"
     }
 
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
+    fn compute_on(&self, a: &CsrMatrix, _: &ReorderExec<'_>) -> Result<ReorderResult, SparseError> {
         if !a.is_square() {
             return Err(SparseError::NotSquare {
                 nrows: a.nrows(),
                 ncols: a.ncols(),
             });
         }
-        let order = self.row_order(a);
+        let order = row_order(a);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,
             symmetric: false,
@@ -174,8 +157,8 @@ mod tests {
 
     #[test]
     fn gray_rank_is_the_loop_on_all_of_u64() {
-        // Every 16-bit bitmap (the default `bitmap_bits`), then words
-        // with bits anywhere.
+        // Every 16-bit bitmap (`BITMAP_BITS`), then words with bits
+        // anywhere.
         for word in 0..1u64 << 16 {
             assert_eq!(gray_rank(word), gray_rank_by_loop(word), "{word:#x}");
         }
@@ -246,7 +229,7 @@ mod tests {
             }
         }
         let a = CsrMatrix::from_coo(&coo);
-        let order = Gray::default().row_order(&a);
+        let order = row_order(&a);
         assert_eq!(order[0], 5, "densest row first");
         assert_eq!(order[1], 7);
     }
@@ -264,7 +247,7 @@ mod tests {
             coo.push(i, base + ((i + 3) % (n / 2)), 1.0);
         }
         let a = CsrMatrix::from_coo(&coo);
-        let order = Gray::default().row_order(&a);
+        let order = row_order(&a);
         // After ordering, all left-half rows (even ids) must be
         // contiguous: find the boundary.
         let sides: Vec<bool> = order.iter().map(|&i| i % 2 == 0).collect();
@@ -283,7 +266,7 @@ mod tests {
             coo.push(i, (i * 13 + 1) % n, i as f64 + 1.0);
         }
         let a = CsrMatrix::from_coo(&coo);
-        let r = Gray::default().compute(&a).unwrap();
+        let r = Gray.compute(&a).unwrap();
         assert!(!r.symmetric);
         let b = r.apply(&a).unwrap();
         for new_i in 0..n {
@@ -293,32 +276,23 @@ mod tests {
     }
 
     #[test]
-    fn custom_parameters_respected() {
+    fn dense_rows_of_equal_density_keep_index_order() {
         let n = 25;
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
-            for j in 0..5 {
+            for j in 0..DENSE_THRESHOLD + 1 {
                 coo.push(i, (i + j) % n, 1.0);
             }
         }
         let a = CsrMatrix::from_coo(&coo);
-        // Threshold 4: every row (5 nnz) is "dense".
-        let g = Gray {
-            params: GrayParams {
-                bitmap_bits: 8,
-                dense_threshold: 4,
-            },
-        };
-        let order = g.row_order(&a);
-        assert_eq!(order.len(), n);
-        // All rows have equal nnz, so density sort falls back to
-        // original index order.
-        assert_eq!(order, (0..n as u32).collect::<Vec<_>>());
+        // Every row is dense and all have equal nnz, so the density
+        // sort falls back to original index order.
+        assert_eq!(row_order(&a), (0..n as u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn gray_rejects_rectangular() {
         let a = CsrMatrix::from_coo(&CooMatrix::new(2, 3));
-        assert!(Gray::default().compute(&a).is_err());
+        assert!(Gray.compute(&a).is_err());
     }
 }

@@ -7,6 +7,7 @@
 //! criterion as GP. Rows and columns are then renumbered by grouping
 //! parts, exactly as in GP; the permutation is applied symmetrically.
 
+use crate::exec::ReorderExec;
 use crate::gp::partition_to_order;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use partition::{partition_hypergraph, HypergraphPartitionConfig};
@@ -35,7 +36,7 @@ impl ReorderAlgorithm for Hp {
         "HP"
     }
 
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
+    fn compute_on(&self, a: &CsrMatrix, _: &ReorderExec<'_>) -> Result<ReorderResult, SparseError> {
         if !a.is_square() {
             return Err(SparseError::NotSquare {
                 nrows: a.nrows(),
@@ -44,7 +45,7 @@ impl ReorderAlgorithm for Hp {
         }
         let h = Hypergraph::column_net(a);
         let part_of = partition_hypergraph(&h, &self.config);
-        let order = partition_to_order(&part_of, self.config.num_parts);
+        let order = partition_to_order(&part_of);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,
             symmetric: true,

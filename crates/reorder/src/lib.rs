@@ -37,7 +37,7 @@
 //!     }
 //! }
 //! let a = CsrMatrix::from_coo(&coo);
-//! let result = Rcm::default().compute(&a).unwrap();
+//! let result = Rcm.compute(&a).unwrap();
 //! let b = result.apply(&a).unwrap();
 //! assert_eq!(b.nnz(), a.nnz());
 //! ```
@@ -46,7 +46,6 @@ pub mod amd;
 mod component;
 mod exec;
 pub mod gp;
-pub mod gps;
 pub mod gray;
 pub mod hp;
 pub mod nd;
@@ -57,8 +56,7 @@ pub use amd::{amd_order_on, amd_order_single, Amd, AmdStats, DEFAULT_AMD_ROUND_M
 pub use component::{splice_ordering_on, ComponentOrdering, ComponentRange, SpliceReport};
 pub use exec::{build_ordering_graph, ReorderExec};
 pub use gp::Gp;
-pub use gps::Gps;
-pub use gray::{Gray, GrayParams};
+pub use gray::Gray;
 pub use hp::Hp;
 pub use nd::Nd;
 pub use rcm::Rcm;

@@ -13,88 +13,73 @@ use partition::vertex_separator;
 use sparsegraph::{Graph, LocalIds};
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
+/// Subgraphs at or below this size are ordered with minimum degree
+/// instead of further dissection.
+const LEAF_SIZE: usize = 64;
+
+/// Imbalance tolerance for the separator bisections.
+const UBFACTOR: f64 = 1.10;
+
+/// RNG seed threaded into the partitioner.
+const SEED: u64 = 0xD15EC7;
+
 /// Nested dissection reordering.
-#[derive(Debug, Clone, Copy)]
-pub struct Nd {
-    /// Subgraphs at or below this size are ordered with minimum degree
-    /// instead of further dissection.
-    pub leaf_size: usize,
-    /// Imbalance tolerance for the separator bisections.
-    pub ubfactor: f64,
-    /// RNG seed threaded into the partitioner.
-    pub seed: u64,
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Nd;
+
+/// Compute the nested dissection order of a graph with leaf AMD
+/// orderings on the given execution context. The dissection itself is
+/// sequential; the leaves' round-based quotient-graph updates run
+/// on `rx`'s executor. The order is byte-identical for every
+/// executor (see [`amd_order_on`]).
+fn dissection_order_on(g: &Graph, rx: &ReorderExec<'_>) -> Vec<u32> {
+    let n = g.num_vertices();
+    let vertices: Vec<u32> = (0..n as u32).collect();
+    let mut order = Vec::with_capacity(n);
+    let mut ids = LocalIds::default();
+    recurse(g, &vertices, SEED, &mut order, rx, &mut ids);
+    debug_assert_eq!(order.len(), n);
+    order
 }
 
-impl Default for Nd {
-    fn default() -> Self {
-        Nd {
-            leaf_size: 64,
-            ubfactor: 1.10,
-            seed: 0xD15EC7,
-        }
-    }
-}
-
-impl Nd {
-    /// Compute the nested dissection order of a graph with leaf AMD
-    /// orderings on the given execution context. The dissection itself is
-    /// sequential; the leaves' round-based quotient-graph updates run
-    /// on `rx`'s executor. The order is byte-identical for every
-    /// executor (see [`amd_order_on`]).
-    fn dissection_order_on(&self, g: &Graph, rx: &ReorderExec<'_>) -> Vec<u32> {
-        let n = g.num_vertices();
-        let vertices: Vec<u32> = (0..n as u32).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut ids = LocalIds::default();
-        self.recurse(g, &vertices, self.seed, &mut order, rx, &mut ids);
-        debug_assert_eq!(order.len(), n);
-        order
-    }
-
-    /// Append the order of the subgraph induced by `vertices`
-    /// (ascending) to `order`; `ids` is the one global→local map every
-    /// node of the recursion extracts its subgraph with.
-    fn recurse(
-        &self,
-        g_full: &Graph,
-        vertices: &[u32],
-        seed: u64,
-        order: &mut Vec<u32>,
-        rx: &ReorderExec<'_>,
-        ids: &mut LocalIds,
-    ) {
-        let sub = g_full.subgraph(vertices, ids);
-        if vertices.len() > self.leaf_size {
-            let mut sep = vertex_separator(&sub, self.ubfactor, seed);
-            // A degenerate separator (e.g. a clique where one side is
-            // empty) stops the dissection: minimum degree orders the
-            // rest below.
-            if !sep.left.is_empty() && !sep.right.is_empty() {
-                drop(sub);
-                let parts = [&mut sep.left, &mut sep.right, &mut sep.separator];
-                for l in parts.into_iter().flat_map(|p| p.iter_mut()) {
-                    *l = vertices[*l as usize];
-                }
-                let seed = seed.wrapping_mul(0x9E37);
-                self.recurse(g_full, &sep.left, seed.wrapping_add(11), order, rx, ids);
-                self.recurse(g_full, &sep.right, seed.wrapping_add(12), order, rx, ids);
-                // Separator vertices are numbered last at this level.
-                order.extend_from_slice(&sep.separator);
-                return;
+/// Append the order of the subgraph induced by `vertices`
+/// (ascending) to `order`; `ids` is the one global→local map every
+/// node of the recursion extracts its subgraph with.
+fn recurse(
+    g_full: &Graph,
+    vertices: &[u32],
+    seed: u64,
+    order: &mut Vec<u32>,
+    rx: &ReorderExec<'_>,
+    ids: &mut LocalIds,
+) {
+    let sub = g_full.subgraph(vertices, ids);
+    if vertices.len() > LEAF_SIZE {
+        let mut sep = vertex_separator(&sub, UBFACTOR, seed);
+        // A degenerate separator (e.g. a clique where one side is
+        // empty) stops the dissection: minimum degree orders the
+        // rest below.
+        if !sep.left.is_empty() && !sep.right.is_empty() {
+            drop(sub);
+            let parts = [&mut sep.left, &mut sep.right, &mut sep.separator];
+            for l in parts.into_iter().flat_map(|p| p.iter_mut()) {
+                *l = vertices[*l as usize];
             }
+            let seed = seed.wrapping_mul(0x9E37);
+            recurse(g_full, &sep.left, seed.wrapping_add(11), order, rx, ids);
+            recurse(g_full, &sep.right, seed.wrapping_add(12), order, rx, ids);
+            // Separator vertices are numbered last at this level.
+            order.extend_from_slice(&sep.separator);
+            return;
         }
-        let local = amd_order_on(&sub, true, 0, rx).0;
-        order.extend(local.iter().map(|&l| vertices[l as usize]));
     }
+    let local = amd_order_on(&sub, 0, rx).0;
+    order.extend(local.iter().map(|&l| vertices[l as usize]));
 }
 
 impl ReorderAlgorithm for Nd {
     fn name(&self) -> &'static str {
         "ND"
-    }
-
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
-        self.compute_on(a, &ReorderExec::sequential())
     }
 
     fn compute_on(
@@ -103,7 +88,7 @@ impl ReorderAlgorithm for Nd {
         rx: &ReorderExec<'_>,
     ) -> Result<ReorderResult, SparseError> {
         let g = Graph::from_matrix(a)?;
-        let order = self.dissection_order_on(&g, rx);
+        let order = dissection_order_on(&g, rx);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,
             symmetric: true,
@@ -160,7 +145,7 @@ mod tests {
     #[test]
     fn nd_is_a_valid_permutation() {
         let a = grid_matrix(12);
-        let r = Nd::default().compute(&a).unwrap();
+        let r = Nd.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 144);
         assert!(r.symmetric);
         r.apply(&a).unwrap().validate().unwrap();
@@ -170,7 +155,7 @@ mod tests {
     fn nd_reduces_fill_versus_natural_on_grid() {
         let a = grid_matrix(14);
         let natural = Permutation::identity(196);
-        let nd = Nd::default().compute(&a).unwrap().perm;
+        let nd = Nd.compute(&a).unwrap().perm;
         let fill_nat = symbolic_fill(&a, &natural);
         let fill_nd = symbolic_fill(&a, &nd);
         assert!(
@@ -181,16 +166,16 @@ mod tests {
 
     #[test]
     fn nd_small_graph_falls_back_to_amd() {
-        let a = grid_matrix(4); // 16 vertices < leaf_size
-        let r = Nd::default().compute(&a).unwrap();
+        let a = grid_matrix(4); // 16 vertices < LEAF_SIZE
+        let r = Nd.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 16);
     }
 
     #[test]
     fn nd_deterministic() {
         let a = grid_matrix(10);
-        let p1 = Nd::default().compute(&a).unwrap().perm;
-        let p2 = Nd::default().compute(&a).unwrap().perm;
+        let p1 = Nd.compute(&a).unwrap().perm;
+        let p2 = Nd.compute(&a).unwrap().perm;
         assert_eq!(p1, p2);
     }
 
@@ -208,7 +193,7 @@ mod tests {
             coo.push(2 * n + k, 2 * n + k, 1.0);
         }
         let a = CsrMatrix::from_coo(&coo);
-        let r = Nd::default().compute(&a).unwrap();
+        let r = Nd.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 2 * n + 3);
         r.apply(&a).unwrap().validate().unwrap();
     }

@@ -17,15 +17,11 @@ use telemetry::stages;
 
 /// Reverse Cuthill–McKee reordering.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Rcm {
-    /// If true, skip the final reversal and produce the plain
-    /// Cuthill–McKee order (exposed for the ablation benchmarks).
-    pub plain_cm: bool,
-}
+pub struct Rcm;
 
 impl Rcm {
     /// One component's final bytes: the Cuthill–McKee order of the
-    /// component containing `seed`, reversed unless `plain_cm`.
+    /// component containing `seed`, reversed.
     ///
     /// CM is the level structure rooted at the component's
     /// pseudo-peripheral vertex with each parent's children sorted by
@@ -35,7 +31,6 @@ impl Rcm {
     /// and its sub-order depends only on its own subgraph and `seed` —
     /// the invariant the delta splice path relies on.
     fn piece(
-        &self,
         g: &Graph,
         seed: usize,
         levels: &mut LevelStructure,
@@ -46,22 +41,13 @@ impl Rcm {
         levels.run_on(g, start, exec, frontier_min, |children| {
             children.sort_unstable_by_key(|&u| (g.degree(u as usize), u))
         });
-        let cm = levels.reached();
-        if self.plain_cm {
-            cm.to_vec()
-        } else {
-            cm.iter().rev().copied().collect()
-        }
+        levels.reached().iter().rev().copied().collect()
     }
 }
 
 impl ReorderAlgorithm for Rcm {
     fn name(&self) -> &'static str {
         "RCM"
-    }
-
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
-        self.compute_on(a, &ReorderExec::sequential())
     }
 
     fn compute_on(
@@ -89,16 +75,12 @@ impl ReorderAlgorithm for Rcm {
         rx: &ReorderExec<'_>,
     ) -> Option<Vec<u32>> {
         let mut levels = LevelStructure::with_reach(g.num_vertices(), comp.len());
-        Some(self.piece(g, comp[0] as usize, &mut levels, rx))
+        Some(Self::piece(g, comp[0] as usize, &mut levels, rx))
     }
 
-    fn component_layout(&self, meta: &[(u32, usize)]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..meta.len()).collect();
-        if self.plain_cm {
-            idx.sort_by_key(|&i| meta[i].0);
-        } else {
-            idx.sort_by_key(|&i| std::cmp::Reverse(meta[i].0));
-        }
+    fn component_layout(&self, keys: &[u32]) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..keys.len()).collect();
+        idx.sort_by_key(|&i| std::cmp::Reverse(keys[i]));
         idx
     }
 
@@ -116,7 +98,7 @@ impl ReorderAlgorithm for Rcm {
         // has touched is the lowest vertex — the key — of the next one.
         for s in 0..n {
             if levels.untouched(s) {
-                pieces.push((s as u32, self.piece(&g, s, &mut levels, rx)));
+                pieces.push((s as u32, Self::piece(&g, s, &mut levels, rx)));
             }
         }
         Ok(Some(assemble_pieces(self, pieces)))
@@ -151,7 +133,12 @@ mod tests {
                 coo.push(i, j, 1.0);
             }
         }
-        let a = CsrMatrix::from_coo(&coo);
+        shuffled(&CsrMatrix::from_coo(&coo), seed)
+    }
+
+    /// `a` under a seeded pseudo-random symmetric permutation.
+    fn shuffled(a: &CsrMatrix, seed: u64) -> CsrMatrix {
+        let n = a.nrows();
         let mut order: Vec<u32> = (0..n as u32).collect();
         let mut state = seed | 1;
         for i in (1..n).rev() {
@@ -170,7 +157,7 @@ mod tests {
         let n = 200;
         let a = shuffled_band(n, 2, 7);
         assert!(bandwidth(&a) > n / 4, "shuffle failed to destroy the band");
-        let r = Rcm::default().compute(&a).unwrap();
+        let r = Rcm.compute(&a).unwrap();
         let b = r.apply(&a).unwrap();
         assert!(
             bandwidth(&b) <= 8,
@@ -178,17 +165,6 @@ mod tests {
             bandwidth(&b)
         );
         assert_eq!(b.nnz(), a.nnz());
-    }
-
-    #[test]
-    fn rcm_is_reverse_of_cm() {
-        let a = shuffled_band(50, 2, 3);
-        let rcm = Rcm::default().compute(&a).unwrap();
-        let cm = Rcm { plain_cm: true }.compute(&a).unwrap();
-        let n = a.nrows();
-        for k in 0..n {
-            assert_eq!(rcm.perm.new_to_old(k), cm.perm.new_to_old(n - 1 - k));
-        }
     }
 
     #[test]
@@ -203,7 +179,7 @@ mod tests {
         coo.push_symmetric(3, 4, 1.0);
         coo.push_symmetric(4, 5, 1.0);
         let a = CsrMatrix::from_coo(&coo);
-        let r = Rcm::default().compute(&a).unwrap();
+        let r = Rcm.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 6);
         // Valid permutation covering all vertices (checked by constructor);
         // bandwidth must remain small.
@@ -219,7 +195,7 @@ mod tests {
         }
         coo.push(0, 3, 1.0); // one-directional entry
         let a = CsrMatrix::from_coo(&coo);
-        let r = Rcm::default().compute(&a).unwrap();
+        let r = Rcm.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 4);
         assert!(r.symmetric);
         r.apply(&a).unwrap().validate().unwrap();
@@ -228,18 +204,18 @@ mod tests {
     #[test]
     fn rcm_identity_sized_one() {
         let a = CsrMatrix::identity(1);
-        let r = Rcm::default().compute(&a).unwrap();
+        let r = Rcm.compute(&a).unwrap();
         assert_eq!(r.perm.len(), 1);
     }
 
     #[test]
     fn parallel_rcm_matches_sequential() {
         let a = shuffled_band(400, 3, 11);
-        let seq = Rcm::default().compute(&a).unwrap().perm;
+        let seq = Rcm.compute(&a).unwrap().perm;
         let registry = telemetry::Registry::new_arc();
         for lanes in [1usize, 2, 4] {
             let team = team::ThreadTeam::new_in(&registry, lanes);
-            let par = Rcm::default()
+            let par = Rcm
                 .compute_on(&a, &ReorderExec::on_team(&team))
                 .unwrap()
                 .perm;
@@ -250,11 +226,11 @@ mod tests {
     #[test]
     fn frontier_min_does_not_change_the_order() {
         let a = shuffled_band(400, 3, 11);
-        let seq = Rcm::default().compute(&a).unwrap().perm;
+        let seq = Rcm.compute(&a).unwrap().perm;
         let registry = telemetry::Registry::new_arc();
         let team = team::ThreadTeam::new_in(&registry, 4);
         for frontier_min in [0usize, 16, 1024, usize::MAX] {
-            let tuned = Rcm::default()
+            let tuned = Rcm
                 .compute_on(
                     &a,
                     &ReorderExec::on_team(&team).with_frontier_min(frontier_min),
@@ -267,25 +243,48 @@ mod tests {
 
     #[test]
     fn cm_order_visits_low_degree_first_within_level() {
-        // Star with one extra pendant chain: from the hub, children are
-        // visited in ascending degree order.
-        let mut coo = CooMatrix::new(5, 5);
-        for i in 0..5 {
-            coo.push(i, i, 1.0);
+        // CM appends each vertex's unvisited neighbours in ascending
+        // (degree, id) order, so in RCM, the reversed CM order, the
+        // children of one parent sit together in descending order. A
+        // vertex's parent is its first-visited neighbour: the one RCM
+        // places last, when that is after the vertex itself. A shuffled
+        // 5-point grid has siblings of degree 2, 3 and 4 whose ids
+        // disagree with their degrees.
+        let side = 14;
+        let mut coo = CooMatrix::new(side * side, side * side);
+        for i in 0..side * side {
+            coo.push(i, i, 4.0);
+            if i + side < side * side {
+                coo.push_symmetric(i, i + side, -1.0);
+            }
+            if (i + 1) % side != 0 {
+                coo.push_symmetric(i, i + 1, -1.0);
+            }
         }
-        coo.push_symmetric(0, 1, 1.0);
-        coo.push_symmetric(0, 2, 1.0);
-        coo.push_symmetric(2, 3, 1.0); // vertex 2 has degree 2
-        coo.push_symmetric(3, 4, 1.0);
-        let a = CsrMatrix::from_coo(&coo);
-        let cm = Rcm { plain_cm: true }.compute(&a).unwrap().perm;
-        let order = cm.order();
-        assert_eq!(order.len(), 5);
-        // Wherever 0 appears, 1 (degree 1) must come before 2 (degree 2)
-        // if both are children of 0.
-        let pos = |v: u32| order.iter().position(|&x| x == v).unwrap();
-        if pos(0) < pos(1) && pos(0) < pos(2) {
-            assert!(pos(1) < pos(2));
+        let a = shuffled(&CsrMatrix::from_coo(&coo), 5);
+        let g = build_ordering_graph(&a, &ReorderExec::sequential()).unwrap();
+        let order = Rcm.compute(&a).unwrap().perm.order().to_vec();
+        let mut pos = vec![0usize; order.len()];
+        for (k, &v) in order.iter().enumerate() {
+            pos[v as usize] = k;
         }
+        let parent = |v: u32| {
+            let last = *g
+                .neighbors(v as usize)
+                .iter()
+                .max_by_key(|&&u| pos[u as usize])?;
+            (pos[last as usize] > pos[v as usize]).then_some(last)
+        };
+        let key = |v: u32| (g.degree(v as usize), v);
+        let mut siblings = 0;
+        for w in order.windows(2) {
+            if let (Some(p), Some(q)) = (parent(w[0]), parent(w[1])) {
+                if p == q {
+                    assert!(key(w[0]) > key(w[1]), "children {w:?} of {p}");
+                    siblings += 1;
+                }
+            }
+        }
+        assert!(siblings > 0, "no vertex had two children");
     }
 }

@@ -70,23 +70,18 @@ pub trait ReorderAlgorithm {
     /// Short display name matching the paper's Table 1 ("RCM", "GP", ...).
     fn name(&self) -> &'static str;
 
-    /// Compute the reordering for a square matrix.
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError>;
+    /// Compute the reordering for a square matrix in an execution
+    /// context: algorithms with a parallel path (RCM, AMD, ND) run it
+    /// on the context's executor and record their sub-stage spans
+    /// under its trace. The permutation is **byte-identical** for
+    /// every executor.
+    fn compute_on(&self, a: &CsrMatrix, rx: &ReorderExec<'_>)
+        -> Result<ReorderResult, SparseError>;
 
-    /// Compute the reordering in an execution context: algorithms with
-    /// a parallel path (RCM, GPS) run their symmetrisation and
-    /// level-set phases on the context's executor and record
-    /// `reorder.symmetrize` / `reorder.levels` sub-stage spans under
-    /// its trace. The permutation is **byte-identical** to
-    /// [`ReorderAlgorithm::compute`] for every executor; the default
-    /// implementation simply runs the sequential path.
-    fn compute_on(
-        &self,
-        a: &CsrMatrix,
-        rx: &ReorderExec<'_>,
-    ) -> Result<ReorderResult, SparseError> {
-        let _ = rx;
-        self.compute(a)
+    /// [`ReorderAlgorithm::compute_on`] inline on the calling thread,
+    /// untraced.
+    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
+        self.compute_on(a, &ReorderExec::sequential())
     }
 
     /// Compute the reordering and measure the wall-clock time taken
@@ -104,7 +99,7 @@ pub trait ReorderAlgorithm {
     /// decomposes into independent per-component sub-permutations
     /// arranged by [`ReorderAlgorithm::component_layout`], so deltas
     /// can be served by re-ordering dirty components only (see
-    /// [`crate::splice_ordering_on`]). RCM, GPS and AMD are; global
+    /// [`crate::splice_ordering_on`]). RCM and AMD are; global
     /// algorithms (ND, GP, HP, Gray) are not.
     fn supports_components(&self) -> bool {
         false
@@ -126,14 +121,13 @@ pub trait ReorderAlgorithm {
         None
     }
 
-    /// Layout discipline: given `(key, len)` per component piece,
-    /// return the piece indices in final concatenation order. Must be a
-    /// total order on the metadata (keys are unique component minima)
-    /// so the layout is independent of enumeration order. The default
-    /// is ascending key.
-    fn component_layout(&self, meta: &[(u32, usize)]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..meta.len()).collect();
-        idx.sort_by_key(|&i| meta[i].0);
+    /// Layout discipline: given each component piece's key, return
+    /// the piece indices in final concatenation order. Must be a total
+    /// order on the keys (unique component minima) so the layout is
+    /// independent of enumeration order. The default is ascending key.
+    fn component_layout(&self, keys: &[u32]) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..keys.len()).collect();
+        idx.sort_by_key(|&i| keys[i]);
         idx
     }
 
@@ -233,14 +227,13 @@ pub fn timed_components_on(
 /// [`ReorderAlgorithm::name`]): static for the algorithms of this
 /// crate, formatted for an implementation from outside it.
 fn series_names(algo: &str) -> (Cow<'static, str>, Cow<'static, str>) {
-    const SERIES: [(&str, &str, &str); 8] = [
+    const SERIES: [(&str, &str, &str); 7] = [
         ("RCM", "reorder.rcm", "reorder.rcm.nnz_per_s"),
         ("AMD", "reorder.amd", "reorder.amd.nnz_per_s"),
         ("ND", "reorder.nd", "reorder.nd.nnz_per_s"),
         ("GP", "reorder.gp", "reorder.gp.nnz_per_s"),
         ("HP", "reorder.hp", "reorder.hp.nnz_per_s"),
         ("Gray", "reorder.gray", "reorder.gray.nnz_per_s"),
-        ("GPS", "reorder.gps", "reorder.gps.nnz_per_s"),
         ("Original", "reorder.original", "reorder.original.nnz_per_s"),
     ];
     match SERIES.iter().find(|(name, ..)| *name == algo) {
@@ -263,7 +256,7 @@ impl ReorderAlgorithm for Original {
         "Original"
     }
 
-    fn compute(&self, a: &CsrMatrix) -> Result<ReorderResult, SparseError> {
+    fn compute_on(&self, a: &CsrMatrix, _: &ReorderExec<'_>) -> Result<ReorderResult, SparseError> {
         if !a.is_square() {
             return Err(SparseError::NotSquare {
                 nrows: a.nrows(),
@@ -285,12 +278,12 @@ pub fn all_algorithms(
     hp_parts: usize,
 ) -> Vec<Box<dyn ReorderAlgorithm + Send + Sync>> {
     vec![
-        Box::new(crate::Rcm::default()),
+        Box::new(crate::Rcm),
         Box::new(crate::Amd::default()),
-        Box::new(crate::Nd::default()),
+        Box::new(crate::Nd),
         Box::new(crate::Gp::new(gp_parts)),
         Box::new(crate::Hp::new(hp_parts)),
-        Box::new(crate::Gray::default()),
+        Box::new(crate::Gray),
     ]
 }
 
@@ -336,7 +329,7 @@ mod tests {
         let registry = telemetry::Registry::new_arc();
         let rx = ReorderExec::sequential();
         let a = small();
-        let t = timed_components_on(&registry, &crate::Rcm::default(), &a, &rx).unwrap();
+        let t = timed_components_on(&registry, &crate::Rcm, &a, &rx).unwrap();
         assert_eq!(t.result.perm.len(), 3);
         let snap = registry.snapshot();
         let hist = snap.histogram("reorder.rcm").unwrap();
@@ -360,7 +353,6 @@ mod tests {
     #[test]
     fn static_series_names_are_the_formatted_ones() {
         let mut algos = all_algorithms(8, 8);
-        algos.push(Box::new(crate::Gps::default()));
         algos.push(Box::new(Original));
         for algo in &algos {
             let (latency, throughput) = series_names(algo.name());

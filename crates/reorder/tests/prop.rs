@@ -90,7 +90,7 @@ proptest! {
             let p = sparsemat::Permutation::from_new_to_old(order).unwrap();
             a.permute_symmetric(&p).unwrap()
         };
-        let r = Rcm::default().compute(&scrambled).unwrap();
+        let r = Rcm.compute(&scrambled).unwrap();
         let b = r.apply(&scrambled).unwrap();
         let band_of = |m: &CsrMatrix| {
             m.iter().map(|(i, j, _)| i.abs_diff(j)).max().unwrap_or(0)
@@ -140,7 +140,7 @@ proptest! {
 
     #[test]
     fn gray_moves_only_rows(a in matrix_strategy()) {
-        let r = reorder::Gray::default().compute(&a).unwrap();
+        let r = reorder::Gray.compute(&a).unwrap();
         prop_assert!(!r.symmetric);
         let b = r.apply(&a).unwrap();
         // Each new row is byte-identical to the old row it came from.

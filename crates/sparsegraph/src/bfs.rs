@@ -18,7 +18,7 @@ const FRONTIER_GRAIN: usize = 512;
 pub const DEFAULT_PAR_FRONTIER_MIN: usize = 4096;
 
 /// A rooted level structure — the breadth-first search behind
-/// Cuthill–McKee, GPS and the pseudo-peripheral finder — kept flat and
+/// Cuthill–McKee and the pseudo-peripheral finder — kept flat and
 /// reusable: one structure serves every search of an ordering, and a
 /// search allocates nothing.
 ///
@@ -28,8 +28,8 @@ pub const DEFAULT_PAR_FRONTIER_MIN: usize = 4096;
 /// the current search iff `stamp[v] == epoch`, so starting a search is
 /// `epoch += 1` rather than an O(n) clear, and `stamp[v] == 0` means
 /// no search of this structure has ever reached `v`
-/// ([`LevelStructure::untouched`]) — which is how RCM and GPS find
-/// the next component without a separate connectivity pass.
+/// ([`LevelStructure::untouched`]) — which is how RCM finds the next
+/// component without a separate connectivity pass.
 ///
 /// See DESIGN §9 for why the expansion is branch-free and why every
 /// executor produces the same bytes.

@@ -152,17 +152,6 @@ impl Graph {
         })
     }
 
-    /// Like [`Graph::from_matrix`], but weighting each vertex by the
-    /// number of nonzeros in the corresponding matrix row (the
-    /// nnz-balanced partitioning variant discussed in §3.3).
-    pub fn from_matrix_nnz_weighted(a: &CsrMatrix) -> Result<Self, SparseError> {
-        let mut g = Graph::from_matrix(a)?;
-        for v in 0..g.num_vertices() {
-            g.vwgt[v] = a.row_nnz(v).max(1) as i64;
-        }
-        Ok(g)
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -346,15 +335,6 @@ mod tests {
         let g = Graph::from_matrix(&a).unwrap();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(0), &[1, 2]);
-    }
-
-    #[test]
-    fn nnz_weighted_vertices() {
-        let a = path4();
-        let g = Graph::from_matrix_nnz_weighted(&a).unwrap();
-        assert_eq!(g.vertex_weight(0), 2); // row 0 has 2 nnz
-        assert_eq!(g.vertex_weight(1), 3);
-        assert_eq!(g.total_vertex_weight(), 2 + 3 + 3 + 2);
     }
 
     #[test]

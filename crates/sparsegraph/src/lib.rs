@@ -11,10 +11,10 @@
 //!
 //! This crate provides both models plus the graph traversal machinery
 //! the reorderings need. Every level-set traversal — the George–Liu
-//! pseudo-peripheral finder's searches, Cuthill–McKee, GPS's two rooted
-//! structures — is a run of one flat, reusable [`LevelStructure`]: a
-//! queue that is the component in visit order, level offsets into it,
-//! and epoch stamps, so a search allocates nothing and clears nothing,
+//! pseudo-peripheral finder's searches and Cuthill–McKee — is a run of
+//! one flat, reusable [`LevelStructure`]: a queue that is the
+//! component in visit order, level offsets into it, and epoch stamps,
+//! so a search allocates nothing and clears nothing,
 //! and the next unstamped vertex is the next component. DESIGN §9 has
 //! the expansion and the argument that every executor produces the
 //! same bytes. [`connected_components`] remains for callers that want

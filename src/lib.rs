@@ -79,7 +79,7 @@ pub mod prelude {
     pub use corpus;
     pub use engine::{AlgoSpec, Engine, EngineConfig, EngineStats, MatrixHandle};
     pub use reorder::{
-        all_algorithms, Amd, Gp, Gps, Gray, Hp, Nd, Original, Rcm, ReorderAlgorithm, ReorderResult,
+        all_algorithms, Amd, Gp, Gray, Hp, Nd, Original, Rcm, ReorderAlgorithm, ReorderResult,
     };
     pub use servetier::{ServeTier, SpmvRequest, TenantSpec, TierConfig};
     pub use sparsemat::{CooMatrix, CsrMatrix, Permutation};

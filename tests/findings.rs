@@ -167,7 +167,7 @@ fn two_d_kernel_is_always_balanced() {
 fn gray_induces_imbalance_on_mixed_density() {
     let a = corpus::dense_rows_mix(3000, 0.01, 6);
     let before = imbalance_factor(&Plan::rows(&a, 8).nnz_per_span());
-    let g = Gray::default().compute(&a).unwrap().apply(&a).unwrap();
+    let g = Gray.compute(&a).unwrap().apply(&a).unwrap();
     let after = imbalance_factor(&Plan::rows(&g, 8).nnz_per_span());
     assert!(
         after > before,
@@ -270,8 +270,8 @@ fn round_based_amd_fill_stays_near_single_elimination() {
             let perm = Permutation::from_new_to_old(order).expect(name);
             nnz_of_factor(&pattern.permute_symmetric(&perm).expect(name))
         };
-        let round = fill(amd_order_on(&g, true, 0, &ReorderExec::sequential()).0);
-        let single = fill(amd_order_single(&g, true).0);
+        let round = fill(amd_order_on(&g, 0, &ReorderExec::sequential()).0);
+        let single = fill(amd_order_single(&g).0);
         assert_eq!(
             (round, single),
             (want_round, want_single),

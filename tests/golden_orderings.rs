@@ -2,18 +2,16 @@
 //! matrix").
 //!
 //! `GOLDEN` (pinned from commit 6d9a487) holds FNV-1a of `new_to_old`
-//! for the level-structure orderings (RCM, plain CM, GPS, reversed GPS)
-//! and Gray on the seven `reorder_determinism` families, the
+//! for RCM and Gray on the seven `reorder_determinism` families, the
 //! `serve_hot`/`serve_cold` 5k mesh at three seeds, the four ~50k-nnz
 //! families `serve_cold` draws (scrambled as `sysbench` does, seed 14)
 //! and the 16-component mesh union of `serve_churn`. `GOLDEN_PARTITIONED`
 //! (pinned from commit 32919b5) holds the same hashes for the
 //! partitioners and the minimum-degree orderings — GP at 2 and 16
 //! parts, HP at 2 and 8, ND and AMD — on the same matrices.
-//! `GOLDEN_AMD_VARIANTS` (pinned from commit bb048ed) adds the two AMD
-//! knobs the default leaves at rest: a round slack of 2, the only case
-//! where a round's candidates span more than one degree, and AMD
-//! without aggressive absorption. `GOLDEN_UNSYMMETRIC` (pinned from
+//! `GOLDEN_AMD_VARIANTS` (pinned from commit bb048ed) adds AMD with a
+//! round slack of 2, the only case where a round's candidates span
+//! more than one degree. `GOLDEN_UNSYMMETRIC` (pinned from
 //! commit 10700f7) holds HP at 2 and 8 parts on a structurally
 //! unsymmetric pattern, where the column-net model's nets are not its
 //! rows: every other matrix here is symmetric. Every row is checked
@@ -29,7 +27,7 @@
 
 mod common;
 
-use reorder::{Amd, Gp, Gps, Gray, Hp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
+use reorder::{Amd, Gp, Gray, Hp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsemat::{CooMatrix, CsrMatrix};
 use team::ThreadTeam;
 
@@ -84,13 +82,7 @@ type Matrices = Vec<(&'static str, CsrMatrix)>;
 type Algorithms = Vec<(&'static str, Box<dyn ReorderAlgorithm>)>;
 
 fn level_structure_orderings() -> Algorithms {
-    vec![
-        ("rcm", Box::new(Rcm::default())),
-        ("cm", Box::new(Rcm { plain_cm: true })),
-        ("gps", Box::new(Gps::default())),
-        ("gps_rev", Box::new(Gps { reverse: true })),
-        ("gray", Box::new(Gray::default())),
-    ]
+    vec![("rcm", Box::new(Rcm)), ("gray", Box::new(Gray))]
 }
 
 fn partitioned_orderings() -> Algorithms {
@@ -99,28 +91,13 @@ fn partitioned_orderings() -> Algorithms {
         ("gp16", Box::new(Gp::new(16))),
         ("hp2", Box::new(Hp::new(2))),
         ("hp8", Box::new(Hp::new(8))),
-        ("nd", Box::new(Nd::default())),
+        ("nd", Box::new(Nd)),
         ("amd", Box::new(Amd::default())),
     ]
 }
 
 fn amd_variants() -> Algorithms {
-    vec![
-        (
-            "amd_slack2",
-            Box::new(Amd {
-                round_slack: 2,
-                ..Amd::default()
-            }),
-        ),
-        (
-            "amd_no_aggressive",
-            Box::new(Amd {
-                no_aggressive_absorption: true,
-                ..Amd::default()
-            }),
-        ),
-    ]
+    vec![("amd_slack2", Box::new(Amd { round_slack: 2 }))]
 }
 
 fn hypergraph_orderings() -> Algorithms {
@@ -206,79 +183,34 @@ fn print_golden_table() {
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("band", "rcm", 0x2824f45fb29c2569),
-    ("band", "cm", 0x4fd6b0c78e3f32f9),
-    ("band", "gps", 0xc7521b3f25e9e20d),
-    ("band", "gps_rev", 0x596757a03cc5ebcd),
     ("band", "gray", 0xd18037cd2ed9e949),
     ("fem2d", "rcm", 0xfb7e47e30b3e9031),
-    ("fem2d", "cm", 0x32791a3938798221),
-    ("fem2d", "gps", 0xbed996d2218cb27d),
-    ("fem2d", "gps_rev", 0x67f458f8e3fe04ad),
     ("fem2d", "gray", 0x8210c7f572eefce1),
     ("fem3d", "rcm", 0x851b8f503bd8171b),
-    ("fem3d", "cm", 0xe7a23f81be9dfb23),
-    ("fem3d", "gps", 0x37805936f9cf7ee7),
-    ("fem3d", "gps_rev", 0x3e1b25261db3d6df),
     ("fem3d", "gray", 0xfe461b0af5f6660f),
     ("rmat", "rcm", 0x208ae142151a7399),
-    ("rmat", "cm", 0x8d339b316c1c50a1),
-    ("rmat", "gps", 0xcb13d7f3a278990d),
-    ("rmat", "gps_rev", 0x4c2434b612588e3d),
     ("rmat", "gray", 0x3b0271eb3c9ce661),
     ("road", "rcm", 0xc1ba79c291127add),
-    ("road", "cm", 0xfbbfdfb30c22d09d),
-    ("road", "gps", 0x5f10a9061d1e8e35),
-    ("road", "gps_rev", 0xc28d2802f7f635e5),
     ("road", "gray", 0x951afb94f0316355),
     ("disconnected", "rcm", 0xf70ef819255fd025),
-    ("disconnected", "cm", 0xb0f51519384e8625),
-    ("disconnected", "gps", 0x9b0eb3fc605ae315),
-    ("disconnected", "gps_rev", 0x0c5828eacb4fedd5),
     ("disconnected", "gray", 0xc467757b36615925),
     ("empty_rows", "rcm", 0xcee41472da56e235),
-    ("empty_rows", "cm", 0x8624f00e4c2c7035),
-    ("empty_rows", "gps", 0x8624f00e4c2c7035),
-    ("empty_rows", "gps_rev", 0xcee41472da56e235),
     ("empty_rows", "gray", 0x67eeb7e0dc9022a5),
     ("mesh32_s14", "rcm", 0xc087369c9c73cf25),
-    ("mesh32_s14", "cm", 0xebacfc3e8210d79d),
-    ("mesh32_s14", "gps", 0x9578c67e905e25fd),
-    ("mesh32_s14", "gps_rev", 0x8de9cb03a2e676c5),
     ("mesh32_s14", "gray", 0x47a7b0949af80ae9),
     ("mesh32_s23", "rcm", 0x7b8c5d7476c1c999),
-    ("mesh32_s23", "cm", 0x3042e81fd15c9d59),
-    ("mesh32_s23", "gps", 0x970857e7519b523d),
-    ("mesh32_s23", "gps_rev", 0x625926518002ed2d),
     ("mesh32_s23", "gray", 0x766506ac55e84fe9),
     ("mesh32_s7", "rcm", 0xfd5f0a2d2714621d),
-    ("mesh32_s7", "cm", 0xde40a72286cdd595),
-    ("mesh32_s7", "gps", 0x77b6d9b43f673581),
-    ("mesh32_s7", "gps_rev", 0x737d35a0ede87f71),
     ("mesh32_s7", "gray", 0x290b0035d1e0914d),
     ("mesh100", "rcm", 0x93e2e0b574eca719),
-    ("mesh100", "cm", 0x246d6d149cdde411),
-    ("mesh100", "gps", 0xe7ae092bf1e126e1),
-    ("mesh100", "gps_rev", 0x058f2dcc359ab721),
     ("mesh100", "gray", 0x95a4290d8a9fee65),
     ("rmat13", "rcm", 0x79960495d6f240f9),
-    ("rmat13", "cm", 0x377b81b3a4dc6231),
-    ("rmat13", "gps", 0x3587442f85f688b9),
-    ("rmat13", "gps_rev", 0x8fc911f2f4c83769),
     ("rmat13", "gray", 0x20c85e6d72973695),
     ("road112", "rcm", 0xd8cc21d7e19755c9),
-    ("road112", "cm", 0xcefa35ae921a7039),
-    ("road112", "gps", 0x0d24f5e6c5886615),
-    ("road112", "gps_rev", 0xbb715f0e156f772d),
     ("road112", "gray", 0x0132da4e88a5f89d),
     ("band7000", "rcm", 0xe3416a834d0dcdc1),
-    ("band7000", "cm", 0xea7cf06997680f31),
-    ("band7000", "gps", 0xbb2309e4062e3ed1),
-    ("band7000", "gps_rev", 0x43260bb420163c59),
     ("band7000", "gray", 0xfb365c03129e88b1),
     ("meshes16", "rcm", 0xbfd22bc3d0ec24ed),
-    ("meshes16", "cm", 0x325a45d4d18d7095),
-    ("meshes16", "gps", 0xba1c8292545eeee9),
-    ("meshes16", "gps_rev", 0xb25482744aecfab9),
     ("meshes16", "gray", 0x9540ff83977f5185),
 ];
 
@@ -379,35 +311,20 @@ const GOLDEN_PARTITIONED: &[(&str, &str, u64)] = &[
 #[rustfmt::skip]
 const GOLDEN_AMD_VARIANTS: &[(&str, &str, u64)] = &[
     ("band", "amd_slack2", 0x9600bcaa13ad826d),
-    ("band", "amd_no_aggressive", 0x9600bcaa13ad826d),
     ("fem2d", "amd_slack2", 0x1979e287d2cfd3a9),
-    ("fem2d", "amd_no_aggressive", 0xe6513f1f95196105),
     ("fem3d", "amd_slack2", 0xe2689102bb445b2f),
-    ("fem3d", "amd_no_aggressive", 0x9cd4b42dfd75c387),
     ("rmat", "amd_slack2", 0xb6e411bcf5b6de8d),
-    ("rmat", "amd_no_aggressive", 0x1b1f0003b8d7a601),
     ("road", "amd_slack2", 0x861673a309e910dd),
-    ("road", "amd_no_aggressive", 0x4518b1c5550479cd),
     ("disconnected", "amd_slack2", 0xecc09f2e932b50e5),
-    ("disconnected", "amd_no_aggressive", 0x77d8ca1862135a35),
     ("empty_rows", "amd_slack2", 0xbeeebcecb499e135),
-    ("empty_rows", "amd_no_aggressive", 0xbeeebcecb499e135),
     ("mesh32_s14", "amd_slack2", 0x83c652f55c9f8421),
-    ("mesh32_s14", "amd_no_aggressive", 0xb6e97224421c3201),
     ("mesh32_s23", "amd_slack2", 0x2afccb35c364c261),
-    ("mesh32_s23", "amd_no_aggressive", 0xa1a8ad4b733c2c19),
     ("mesh32_s7", "amd_slack2", 0x04690d4c1ffa9c55),
-    ("mesh32_s7", "amd_no_aggressive", 0xa53cfb972cc2566d),
     ("mesh100", "amd_slack2", 0x84706c1c8a41531d),
-    ("mesh100", "amd_no_aggressive", 0x012529c7dca91ed9),
     ("rmat13", "amd_slack2", 0x3b7ef4367fc26641),
-    ("rmat13", "amd_no_aggressive", 0x67d6e9fd59b43ce1),
     ("road112", "amd_slack2", 0x6c28e0fb3a19088d),
-    ("road112", "amd_no_aggressive", 0x8fb45e129a4a4919),
     ("band7000", "amd_slack2", 0xd18b627818801cad),
-    ("band7000", "amd_no_aggressive", 0xd18b627818801cad),
     ("meshes16", "amd_slack2", 0x8cf8dd54d6515115),
-    ("meshes16", "amd_no_aggressive", 0x3815841aa57311a5),
 ];
 
 #[rustfmt::skip]

@@ -90,7 +90,7 @@ fn real_measurement_pipeline_runs() {
         nthreads: 2,
     };
     let before = measure_spmv(&a, KernelKind::OneD, &cfg);
-    let r = Rcm::default().compute(&a).unwrap();
+    let r = Rcm.compute(&a).unwrap();
     let b = std::sync::Arc::new(r.apply(&a).unwrap());
     let after = measure_spmv(&b, KernelKind::OneD, &cfg);
     // No performance assertion (CI noise); both must simply produce
@@ -107,7 +107,7 @@ fn real_measurement_pipeline_runs() {
 fn features_respond_to_reordering() {
     let a = corpus::scramble(&corpus::banded(1500, 3), 7);
     let before = matrix_features(&a, 8);
-    let rcm = Rcm::default().compute(&a).unwrap().apply(&a).unwrap();
+    let rcm = Rcm.compute(&a).unwrap().apply(&a).unwrap();
     let after = matrix_features(&rcm, 8);
     assert!(after.bandwidth < before.bandwidth / 4);
     assert!(after.profile < before.profile / 4);

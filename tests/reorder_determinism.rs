@@ -8,7 +8,7 @@
 //! (band, FEM mesh, R-MAT, road) plus the structural edge cases
 //! (disconnected blocks, empty rows) at team sizes 1, 2, 4 and 8.
 
-use reorder::{splice_ordering_on, Amd, Gps, Nd, Rcm, ReorderAlgorithm, ReorderExec};
+use reorder::{splice_ordering_on, Amd, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsegraph::{connected_components, Graph};
 use sparsemat::{
     symmetrize_pattern, symmetrize_pattern_on, CooMatrix, CsrMatrix, EdgeOp, Permutation,
@@ -72,45 +72,17 @@ fn for_each_team(check: impl Fn(&ThreadTeam)) {
 /// `frontier_min: 0` sends every BFS level through the two-phase
 /// parallel expansion (claim by `fetch_min`, then commit). At the
 /// default cutover of 4096 no frontier of these test-sized matrices
-/// would take it, and the RCM and GPS tests would compare the
-/// sequential path with itself.
+/// would take it, and the RCM test would compare the sequential path
+/// with itself.
 #[test]
 fn rcm_is_byte_identical_across_team_sizes() {
     for (name, a) in family_matrices() {
-        for algo in [Rcm::default(), Rcm { plain_cm: true }] {
-            let seq = algo.compute(&a).expect(name).perm;
-            for_each_team(|team| {
-                let rx = ReorderExec::on_team(team).with_frontier_min(0);
-                let par = algo.compute_on(&a, &rx).expect(name).perm;
-                assert_eq!(
-                    seq,
-                    par,
-                    "RCM(plain_cm={}) diverged on {name} at {} lanes",
-                    algo.plain_cm,
-                    team.size()
-                );
-            });
-        }
-    }
-}
-
-#[test]
-fn gps_is_byte_identical_across_team_sizes() {
-    for (name, a) in family_matrices() {
-        for algo in [Gps::default(), Gps { reverse: true }] {
-            let seq = algo.compute(&a).expect(name).perm;
-            for_each_team(|team| {
-                let rx = ReorderExec::on_team(team).with_frontier_min(0);
-                let par = algo.compute_on(&a, &rx).expect(name).perm;
-                assert_eq!(
-                    seq,
-                    par,
-                    "GPS(reverse={}) diverged on {name} at {} lanes",
-                    algo.reverse,
-                    team.size()
-                );
-            });
-        }
+        let seq = Rcm.compute(&a).expect(name).perm;
+        for_each_team(|team| {
+            let rx = ReorderExec::on_team(team).with_frontier_min(0);
+            let par = Rcm.compute_on(&a, &rx).expect(name).perm;
+            assert_eq!(seq, par, "RCM diverged on {name} at {} lanes", team.size());
+        });
     }
 }
 
@@ -124,13 +96,7 @@ fn gps_is_byte_identical_across_team_sizes() {
 #[test]
 fn amd_is_byte_identical_across_team_sizes() {
     for (name, a) in family_matrices() {
-        for algo in [
-            Amd::default(),
-            Amd {
-                round_slack: 2,
-                ..Amd::default()
-            },
-        ] {
+        for algo in [Amd::default(), Amd { round_slack: 2 }] {
             let seq = algo.compute(&a).expect(name).perm;
             for_each_team(|team| {
                 let rx = ReorderExec::on_team(team).with_amd_round_min(0);
@@ -152,7 +118,7 @@ fn amd_is_byte_identical_across_team_sizes() {
 #[test]
 fn nd_is_byte_identical_across_team_sizes() {
     for (name, a) in family_matrices() {
-        let algo = Nd::default();
+        let algo = Nd;
         let seq = algo.compute(&a).expect(name).perm;
         for_each_team(|team| {
             let rx = ReorderExec::on_team(team).with_amd_round_min(0);
@@ -296,13 +262,8 @@ fn check_splice(
 /// spliced orderings without ever changing an answer.
 #[test]
 fn splice_after_delta_is_byte_identical_to_full_recompute() {
-    let algos: Vec<(&'static str, Box<dyn ReorderAlgorithm>)> = vec![
-        ("rcm", Box::new(Rcm::default())),
-        ("cm", Box::new(Rcm { plain_cm: true })),
-        ("gps", Box::new(Gps::default())),
-        ("gps_rev", Box::new(Gps { reverse: true })),
-        ("amd", Box::new(Amd::default())),
-    ];
+    let algos: Vec<(&'static str, Box<dyn ReorderAlgorithm>)> =
+        vec![("rcm", Box::new(Rcm)), ("amd", Box::new(Amd::default()))];
     for (name, a) in family_matrices() {
         // A deterministic symmetric edit batch against this family.
         let batch = corpus::mutation_trace(&a, 1, 6, 0xD1F7 ^ a.nrows() as u64)
@@ -317,7 +278,7 @@ fn splice_after_delta_is_byte_identical_to_full_recompute() {
     // ninety cached sub-permutations copied around ten recomputes.
     let meshes = corpus::disjoint_meshes(100, 14, 12, 8);
     let batch = one_removal_in_every_tenth_component(&meshes);
-    let (rcm, amd) = (Rcm::default(), Amd::default());
+    let (rcm, amd) = (Rcm, Amd::default());
     for (algo_name, algo) in [("rcm", &rcm as &dyn ReorderAlgorithm), ("amd", &amd)] {
         let expect = Some((10, 100));
         check_splice("disjoint_meshes", &meshes, algo_name, algo, &batch, expect);
@@ -329,12 +290,10 @@ fn splice_after_delta_is_byte_identical_to_full_recompute() {
 #[test]
 fn reordered_matrices_are_byte_identical_end_to_end() {
     for (name, a) in family_matrices() {
-        let seq = Rcm::default().compute(&a).expect(name);
+        let seq = Rcm.compute(&a).expect(name);
         let seq_b = seq.apply(&a).expect(name);
         for_each_team(|team| {
-            let par = Rcm::default()
-                .compute_on(&a, &ReorderExec::on_team(team))
-                .expect(name);
+            let par = Rcm.compute_on(&a, &ReorderExec::on_team(team)).expect(name);
             let par_b = par.apply_on(&a, Exec::Team(team)).expect(name);
             assert_eq!(
                 seq_b,
