@@ -22,6 +22,14 @@ TMP="$(mktemp -d)"
 cargo build --release --workspace
 cargo test -q --workspace
 
+# The four examples run to completion in release, not only compile:
+# each drives the public API end to end (partition_playground the
+# partitioners' entry points), and mesh_solver's Cholesky factorisation
+# fails unless the AMD-ordered mesh is still SPD.
+for example in quickstart mesh_solver partition_playground reorder_explorer; do
+    cargo run --release --example "$example" > /dev/null
+done
+
 # Placement pin: .cargo/config.toml starts every function at 0 mod 64,
 # so a benchmark pairing compares code, not where the linker put the
 # kernel loop. Every SpMV span-executor closure in the served binary

@@ -135,7 +135,6 @@ fn adaptive_verdict(
     let policy = PolicyEngine::new(PolicyConfig {
         mode: PolicyMode::Adaptive,
         registry: Some(Arc::clone(registry)),
-        ..PolicyConfig::default()
     });
     let mut cached = false;
     for _ in 0..reps {

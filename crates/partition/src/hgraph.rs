@@ -8,10 +8,10 @@
 //! extends to k parts.
 
 use crate::fm::FmWork;
+use crate::recursive::{recursive_bisection, UBFACTOR};
 use crate::rng::SplitMix;
 use sparsegraph::{Hypergraph, LocalIds};
 use std::cmp::Reverse;
-use std::ops::Range;
 
 /// Nets larger than this are ignored during matching and receive no
 /// incremental gain updates during FM (they are almost always cut and
@@ -26,37 +26,10 @@ const INITIAL_TRIALS: usize = 6;
 /// FM passes per level.
 const FM_PASSES: usize = 6;
 
-/// Configuration for [`partition_hypergraph`].
-#[derive(Debug, Clone)]
-pub struct HypergraphPartitionConfig {
-    /// Number of parts, clamped as [`crate::PartitionConfig::num_parts`]
-    /// is.
-    pub num_parts: usize,
-    /// Allowed imbalance factor.
-    pub ubfactor: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for HypergraphPartitionConfig {
-    fn default() -> Self {
-        HypergraphPartitionConfig {
-            num_parts: 2,
-            ubfactor: 1.05,
-            seed: 0x9A70,
-        }
-    }
-}
-
-impl HypergraphPartitionConfig {
-    /// A `k`-way configuration with default knobs.
-    pub fn k(num_parts: usize) -> Self {
-        HypergraphPartitionConfig {
-            num_parts,
-            ..Default::default()
-        }
-    }
-}
+/// The seed of HP's root bisection, and what each child adds to its
+/// parent's scrambled seed (left, right).
+const SEED: u64 = 0x9A70;
+const CHILD_SEEDS: [u64; 2] = [3, 4];
 
 /// A hypergraph from its net→pins arrays, with the vertex→nets
 /// incidence derived: each vertex lists its nets in ascending order.
@@ -621,13 +594,7 @@ fn fm_refine_hg(
 
 /// Multilevel bisection of a hypergraph. Each level is contracted from
 /// the one before it (the first from `hg`), borrowed in place.
-fn multilevel_bisect_hg(
-    hg: &Hypergraph,
-    target: [i64; 2],
-    cfg: &HypergraphPartitionConfig,
-    seed: u64,
-    ws: &mut HgWork,
-) -> Vec<u8> {
+fn multilevel_bisect_hg(hg: &Hypergraph, target: [i64; 2], seed: u64, ws: &mut HgWork) -> Vec<u8> {
     let mut rng = SplitMix::new(seed);
     // Coarsen.
     let mut levels: Vec<HgLevel> = Vec::new();
@@ -648,7 +615,6 @@ fn multilevel_bisect_hg(
     let mut part = initial_bisection(coarsest, target, INITIAL_TRIALS, &mut rng, &mut ws.counts);
     // Refine the coarsest level, then project onto each finer one and
     // refine that in turn.
-    let ub = cfg.ubfactor;
     for li in (0..=levels.len()).rev() {
         if let Some(level) = levels.get(li) {
             let fine = &mut ws.projected;
@@ -657,7 +623,7 @@ fn multilevel_bisect_hg(
             std::mem::swap(&mut part, fine);
         }
         let h = if li == 0 { hg } else { &levels[li - 1].hg };
-        fm_refine_hg(h, &mut part, target, ub, FM_PASSES, ws);
+        fm_refine_hg(h, &mut part, target, UBFACTOR, FM_PASSES, ws);
     }
     part
 }
@@ -688,85 +654,27 @@ fn sub_hypergraph(hg: &Hypergraph, vertices: &[u32], ids: &mut LocalIds) -> Hype
 
 /// Recursive-bisection k-way hypergraph partitioning.
 ///
-/// Returns the part id of every vertex. With the column-net model and
+/// Returns the part id (in `0..k`) of every vertex; `k` is clamped as
+/// [`crate::partition_graph`]'s is. With the column-net model and
 /// cut-net objective this reproduces the PaToH configuration of the
 /// paper's HP reordering (§3.3).
-pub fn partition_hypergraph(h: &Hypergraph, cfg: &HypergraphPartitionConfig) -> Vec<u32> {
-    let n = h.num_vertices();
-    // Part ids are u32s: `k as u32` below must not wrap to 0.
-    let k = cfg.num_parts.clamp(1, u32::MAX as usize);
-    let mut part_of = vec![0u32; n];
-    if k == 1 || n == 0 {
-        return part_of;
-    }
-    let vertices: Vec<u32> = (0..n as u32).collect();
-    let mut ws = HgWork::with_capacity(n, h.num_nets());
-    let parts = 0..k as u32;
-    recurse_hg(h, &vertices, parts, cfg, cfg.seed, &mut part_of, &mut ws);
-    part_of
-}
-
-/// Recursively bisect the sub-hypergraph induced by `vertices` into
-/// `parts`.
-fn recurse_hg(
-    hg_full: &Hypergraph,
-    vertices: &[u32],
-    parts: Range<u32>,
-    cfg: &HypergraphPartitionConfig,
-    seed: u64,
-    part_of: &mut [u32],
-    ws: &mut HgWork,
-) {
-    let k = parts.len();
-    if k == 1 || vertices.len() <= 1 {
-        for &v in vertices {
-            part_of[v as usize] = parts.start;
-        }
-        return;
-    }
-    // Subsets stay ascending, so the full-length one is the whole
-    // hypergraph in order.
-    let sub;
-    let hg = if vertices.len() == hg_full.num_vertices() {
-        hg_full
-    } else {
-        sub = sub_hypergraph(hg_full, vertices, &mut ws.ids);
-        &sub
-    };
-    let k0 = k / 2;
-    let total = hg.total_vertex_weight();
-    let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
-    let target = [t0, total - t0];
-    let bis = multilevel_bisect_hg(hg, target, cfg, seed, ws);
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (local, &global) in vertices.iter().enumerate() {
-        if bis[local] == 0 {
-            left.push(global);
-        } else {
-            right.push(global);
-        }
-    }
-    let mid = parts.start + k0 as u32;
-    let seed = seed.wrapping_mul(0x9E37);
-    recurse_hg(
-        hg_full,
-        &left,
-        parts.start..mid,
-        cfg,
-        seed.wrapping_add(3),
-        part_of,
-        ws,
-    );
-    recurse_hg(
-        hg_full,
-        &right,
-        mid..parts.end,
-        cfg,
-        seed.wrapping_add(4),
-        part_of,
-        ws,
-    );
+pub fn partition_hypergraph(h: &Hypergraph, k: usize) -> Vec<u32> {
+    let mut ws = HgWork::with_capacity(h.num_vertices(), h.num_nets());
+    recursive_bisection(
+        h.vertex_weights(),
+        k,
+        (SEED, CHILD_SEEDS),
+        |vertices, target, seed| {
+            // Subsets stay ascending, so the full-length one is the
+            // whole hypergraph in order.
+            if vertices.len() == h.num_vertices() {
+                multilevel_bisect_hg(h, target, seed, &mut ws)
+            } else {
+                let sub = sub_hypergraph(h, vertices, &mut ws.ids);
+                multilevel_bisect_hg(&sub, target, seed, &mut ws)
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1041,10 +949,8 @@ mod tests {
     fn bisection_of_banded_matrix_has_low_cut() {
         let a = banded(200, 2);
         let h = Hypergraph::column_net(&a);
-        let cfg = HypergraphPartitionConfig::k(2);
-        let parts = partition_hypergraph(&h, &cfg);
-        let parts_u32: Vec<u32> = parts.clone();
-        let cut = h.cut_net(&parts_u32);
+        let parts = partition_hypergraph(&h, 2);
+        let cut = h.cut_net(&parts);
         // A contiguous split cuts about 2*half_bw = 4 nets (plus slack).
         assert!(cut <= 20, "cut-net {cut} too high for a banded matrix");
         // Balance.
@@ -1056,8 +962,7 @@ mod tests {
     fn four_way_partition_covers_all_parts() {
         let a = banded(400, 3);
         let h = Hypergraph::column_net(&a);
-        let cfg = HypergraphPartitionConfig::k(4);
-        let parts = partition_hypergraph(&h, &cfg);
+        let parts = partition_hypergraph(&h, 4);
         let mut sizes = [0usize; 4];
         for &p in &parts {
             assert!(p < 4);
@@ -1072,8 +977,7 @@ mod tests {
     fn single_part_is_trivial() {
         let a = banded(50, 1);
         let h = Hypergraph::column_net(&a);
-        let cfg = HypergraphPartitionConfig::k(1);
-        let parts = partition_hypergraph(&h, &cfg);
+        let parts = partition_hypergraph(&h, 1);
         assert!(parts.iter().all(|&p| p == 0));
     }
 
@@ -1081,11 +985,7 @@ mod tests {
     fn deterministic_given_seed() {
         let a = banded(150, 2);
         let h = Hypergraph::column_net(&a);
-        let cfg = HypergraphPartitionConfig::k(4);
-        assert_eq!(
-            partition_hypergraph(&h, &cfg),
-            partition_hypergraph(&h, &cfg)
-        );
+        assert_eq!(partition_hypergraph(&h, 4), partition_hypergraph(&h, 4));
     }
 
     #[test]

@@ -91,7 +91,7 @@ fn grow_from(g: &Graph, start: usize, target0: i64) -> Vec<u8> {
 }
 
 /// Greedy graph-growing bisection with multiple trials.
-pub fn greedy_growing_bisection(
+pub(crate) fn greedy_growing_bisection(
     g: &Graph,
     target: [i64; 2],
     trials: usize,

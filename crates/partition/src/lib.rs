@@ -13,13 +13,13 @@
 //! 3. **Uncoarsening** — the partition is projected back level by level
 //!    and improved with boundary Fiduccia–Mattheyses refinement.
 //!
-//! Recursive bisection extends the 2-way kernel to arbitrary `k`, and a
-//! greedy vertex-cover pass converts an edge-cut bisection into the
+//! A greedy vertex-cover pass converts an edge-cut bisection into the
 //! vertex separator needed by nested dissection.
 //!
 //! The hypergraph partitioner mirrors the same structure on the
 //! column-net model with the cut-net objective (the PaToH configuration
-//! chosen in §3.3 of the paper).
+//! chosen in §3.3 of the paper). One recursive-bisection driver extends
+//! both models' 2-way kernels to `k` parts.
 
 mod coarsen;
 mod fm;
@@ -29,8 +29,8 @@ mod recursive;
 mod rng;
 mod separator;
 
-pub use hgraph::{partition_hypergraph, HypergraphPartitionConfig};
-pub use recursive::{partition_graph, PartitionConfig};
+pub use hgraph::partition_hypergraph;
+pub use recursive::partition_graph;
 pub use separator::{vertex_separator, Separator};
 
 use sparsegraph::Graph;
@@ -38,7 +38,7 @@ use sparsegraph::Graph;
 /// A 2-way partition of a graph: part id (0 or 1) per vertex plus the
 /// achieved edge cut and part weights.
 #[derive(Debug, Clone)]
-pub struct Bisection {
+pub(crate) struct Bisection {
     /// Part assignment per vertex (0 or 1).
     pub part_of: Vec<u8>,
     /// Total weight of cut edges.

@@ -15,45 +15,26 @@ const INITIAL_TRIALS: usize = 6;
 /// Maximum FM passes per uncoarsening level.
 const FM_PASSES: usize = 8;
 
-/// Configuration for [`partition_graph`].
-#[derive(Debug, Clone)]
-pub struct PartitionConfig {
-    /// Number of parts to create; 0 means 1, and a part id is a `u32`,
-    /// so more than `u32::MAX` means `u32::MAX`.
-    pub num_parts: usize,
-    /// Allowed imbalance factor (e.g. 1.05 = 5 %). METIS's default load
-    /// balance tolerance is in the same range.
-    pub ubfactor: f64,
-    /// RNG seed for reproducibility.
-    pub seed: u64,
-}
+/// Allowed imbalance of every k-way bisection, GP's and HP's (5 %;
+/// METIS's default load balance tolerance is in the same range).
+pub(crate) const UBFACTOR: f64 = 1.05;
 
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig {
-            num_parts: 2,
-            ubfactor: 1.05,
-            seed: 0x5EED,
-        }
-    }
-}
-
-impl PartitionConfig {
-    /// Convenience constructor for a `k`-way configuration with defaults.
-    pub fn k(num_parts: usize) -> Self {
-        PartitionConfig {
-            num_parts,
-            ..Default::default()
-        }
-    }
-}
+/// The seed of GP's root bisection, and what each child adds to its
+/// parent's scrambled seed (left, right).
+const SEED: u64 = 0x5EED;
+const CHILD_SEEDS: [u64; 2] = [1, 2];
 
 /// Multilevel 2-way partitioning: coarsen, bisect, uncoarsen + refine.
 ///
 /// `target` gives the desired vertex weight of each side (they need not
 /// be equal — recursive bisection to non-power-of-two `k` needs uneven
 /// splits). `ubfactor` is the allowed imbalance, e.g. `1.05`.
-pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) -> Bisection {
+pub(crate) fn multilevel_bisect(
+    g: &Graph,
+    target: [i64; 2],
+    ubfactor: f64,
+    seed: u64,
+) -> Bisection {
     let mut rng = SplitMix::new(seed);
     let levels = coarsen_to(g, COARSEN_TO, &mut rng);
     let coarsest: &Graph = levels.last().map(|l| &l.graph).unwrap_or(g);
@@ -84,87 +65,102 @@ pub fn multilevel_bisect(g: &Graph, target: [i64; 2], ubfactor: f64, seed: u64) 
 /// Recursive-bisection k-way partitioning of a graph — the stand-in for
 /// `METIS_PartGraphRecursive` used by the paper's GP reordering.
 ///
-/// Returns the part id (in `0..num_parts`) of every vertex. Balance is
-/// on vertex weight; with unit weights this balances the number of rows
-/// per part, the configuration the paper uses (§3.3).
-pub fn partition_graph(g: &Graph, config: &PartitionConfig) -> Vec<u32> {
-    let n = g.num_vertices();
-    // Part ids are u32s: `k as u32` below must not wrap to 0.
-    let k = config.num_parts.clamp(1, u32::MAX as usize);
-    let mut part_of = vec![0u32; n];
-    if k == 1 || n == 0 {
-        return part_of;
-    }
-    let vertices: Vec<u32> = (0..n as u32).collect();
+/// Returns the part id (in `0..k`) of every vertex. `k` is clamped to
+/// `1..=u32::MAX`: 0 parts are one, and a part id is a `u32`. Balance
+/// is on vertex weight; with unit weights this balances the number of
+/// rows per part, the configuration the paper uses (§3.3).
+pub fn partition_graph(g: &Graph, k: usize) -> Vec<u32> {
     let mut ids = LocalIds::default();
-    let parts = 0..k as u32;
-    recurse(
-        g,
-        &vertices,
-        parts,
-        config,
-        config.seed,
-        &mut part_of,
-        &mut ids,
-    );
-    part_of
+    recursive_bisection(
+        g.vertex_weights(),
+        k,
+        (SEED, CHILD_SEEDS),
+        |vertices, target, seed| {
+            let sub = g.subgraph(vertices, &mut ids);
+            multilevel_bisect(&sub, target, UBFACTOR, seed).part_of
+        },
+    )
 }
 
-/// Recursively bisect the subgraph induced by `vertices` into `parts`.
-fn recurse(
-    g_full: &Graph,
-    vertices: &[u32],
-    parts: Range<u32>,
-    config: &PartitionConfig,
-    seed: u64,
-    part_of: &mut [u32],
-    ids: &mut LocalIds,
-) {
-    let k = parts.len();
-    if k == 1 || vertices.len() <= 1 {
-        for &v in vertices {
-            part_of[v as usize] = parts.start;
-        }
-        return;
-    }
-    let sub = g_full.subgraph(vertices, ids);
-    // Split k into k0 = floor(k/2) and the rest; target weights
-    // proportional to the split so non-power-of-two k stays balanced.
-    let k0 = k / 2;
-    let total = sub.total_vertex_weight();
-    let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
-    let target = [t0, total - t0];
-    let bis = multilevel_bisect(&sub, target, config.ubfactor, seed);
+/// The k-way driver GP and HP share: split the vertices (weighted by
+/// `weights`) into `k` parts by recursive bisection, and return the part
+/// id of every vertex.
+///
+/// `k` is clamped as [`partition_graph`] documents. A node with one
+/// part or at most one vertex is a leaf.
+/// Otherwise its `k` parts split into `k0 = k / 2` and the rest, with
+/// weight targets proportional to that split, so an odd `k` stays
+/// balanced. `bisect(vertices, target, seed)` is the model's bisection
+/// of the sub-model `vertices` (ascending) induce: a side, 0 or 1, per
+/// vertex in that order. Each side's vertices stay ascending in its
+/// child. `seeds` holds the root's seed and what each child adds to
+/// its parent's: a node with seed `s` gives the child of side `i` the
+/// seed `s * 0x9E37 + seeds.1[i]`, wrapping.
+pub(crate) fn recursive_bisection(
+    weights: &[i64],
+    k: usize,
+    seeds: (u64, [u64; 2]),
+    bisect: impl FnMut(&[u32], [i64; 2], u64) -> Vec<u8>,
+) -> Vec<u32> {
+    let n = weights.len();
+    let k = k.clamp(1, u32::MAX as usize);
+    let mut driver = Driver {
+        weights,
+        children: seeds.1,
+        bisect,
+        part_of: vec![0u32; n],
+        right: Vec::with_capacity(n),
+    };
+    let mut vertices: Vec<u32> = (0..n as u32).collect();
+    driver.split(&mut vertices, 0..k as u32, seeds.0);
+    driver.part_of
+}
 
-    let mut left = Vec::with_capacity(vertices.len() / 2 + 1);
-    let mut right = Vec::with_capacity(vertices.len() / 2 + 1);
-    for (local, &global) in vertices.iter().enumerate() {
-        if bis.part_of[local] == 0 {
-            left.push(global);
-        } else {
-            right.push(global);
+/// [`recursive_bisection`]'s state through the recursion.
+struct Driver<'w, B> {
+    weights: &'w [i64],
+    children: [u64; 2],
+    bisect: B,
+    part_of: Vec<u32>,
+    /// The side-1 vertices of the node being split, before they move
+    /// behind its side-0 ones.
+    right: Vec<u32>,
+}
+
+impl<B: FnMut(&[u32], [i64; 2], u64) -> Vec<u8>> Driver<'_, B> {
+    /// Split `vertices` into `parts`, leaving it grouped by part.
+    fn split(&mut self, vertices: &mut [u32], parts: Range<u32>, seed: u64) {
+        let k = parts.len();
+        if k == 1 || vertices.len() <= 1 {
+            for &v in vertices.iter() {
+                self.part_of[v as usize] = parts.start;
+            }
+            return;
         }
+        let k0 = k / 2;
+        let total: i64 = vertices.iter().map(|&v| self.weights[v as usize]).sum();
+        let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
+        let side = (self.bisect)(vertices, [t0, total - t0], seed);
+        // A stable partition in place: side 0 moves up to the front,
+        // side 1 follows it.
+        self.right.clear();
+        let mut left = 0;
+        for i in 0..vertices.len() {
+            let v = vertices[i];
+            if side[i] == 0 {
+                vertices[left] = v;
+                left += 1;
+            } else {
+                self.right.push(v);
+            }
+        }
+        vertices[left..].copy_from_slice(&self.right);
+        let (lo, hi) = vertices.split_at_mut(left);
+        let mid = parts.start + k0 as u32;
+        let seed = seed.wrapping_mul(0x9E37);
+        self.split(lo, parts.start..mid, seed.wrapping_add(self.children[0]));
+        self.split(hi, mid..parts.end, seed.wrapping_add(self.children[1]));
     }
-    let mid = parts.start + k0 as u32;
-    let seed = seed.wrapping_mul(0x9E37);
-    recurse(
-        g_full,
-        &left,
-        parts.start..mid,
-        config,
-        seed.wrapping_add(1),
-        part_of,
-        ids,
-    );
-    recurse(
-        g_full,
-        &right,
-        mid..parts.end,
-        config,
-        seed.wrapping_add(2),
-        part_of,
-        ids,
-    );
 }
 
 #[cfg(test)]
@@ -213,8 +209,7 @@ mod tests {
     #[test]
     fn four_way_partition_balanced() {
         let g = grid(12); // 144 vertices
-        let cfg = PartitionConfig::k(4);
-        let parts = partition_graph(&g, &cfg);
+        let parts = partition_graph(&g, 4);
         assert_eq!(parts.len(), 144);
         assert!(parts.iter().all(|&p| p < 4));
         let w = part_weights(&g, &parts, 4);
@@ -233,8 +228,7 @@ mod tests {
     #[test]
     fn non_power_of_two_parts() {
         let g = grid(12);
-        let cfg = PartitionConfig::k(6);
-        let parts = partition_graph(&g, &cfg);
+        let parts = partition_graph(&g, 6);
         let w = part_weights(&g, &parts, 6);
         assert_eq!(w.iter().sum::<i64>(), 144);
         for &pw in &w {
@@ -248,18 +242,14 @@ mod tests {
     #[test]
     fn one_part_is_identity() {
         let g = grid(4);
-        let cfg = PartitionConfig::k(1);
-        let parts = partition_graph(&g, &cfg);
+        let parts = partition_graph(&g, 1);
         assert!(parts.iter().all(|&p| p == 0));
     }
 
     #[test]
     fn deterministic_given_seed() {
         let g = grid(10);
-        let cfg = PartitionConfig::k(4);
-        let p1 = partition_graph(&g, &cfg);
-        let p2 = partition_graph(&g, &cfg);
-        assert_eq!(p1, p2);
+        assert_eq!(partition_graph(&g, 4), partition_graph(&g, 4));
     }
 
     #[test]
@@ -276,8 +266,7 @@ mod tests {
             }
         }
         let g = Graph::from_adjacency(xadj, adjncy).unwrap();
-        let cfg = PartitionConfig::k(2);
-        let parts = partition_graph(&g, &cfg);
+        let parts = partition_graph(&g, 2);
         let w = part_weights(&g, &parts, 2);
         assert_eq!(w[0] + w[1], 8);
         assert!(w[0] >= 3 && w[0] <= 5);

@@ -1,9 +1,6 @@
 //! Property-based tests for the partitioning substrate.
 
-use partition::{
-    edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator,
-    HypergraphPartitionConfig, PartitionConfig,
-};
+use partition::{edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator};
 use proptest::prelude::*;
 use sparsegraph::{Graph, Hypergraph};
 use sparsemat::{CooMatrix, CsrMatrix};
@@ -36,8 +33,7 @@ proptest! {
 
     #[test]
     fn partition_covers_all_parts_within_balance(g in graph_strategy(), k in 2usize..9) {
-        let cfg = PartitionConfig::k(k);
-        let parts = partition_graph(&g, &cfg);
+        let parts = partition_graph(&g, k);
         prop_assert_eq!(parts.len(), g.num_vertices());
         prop_assert!(parts.iter().all(|&p| (p as usize) < k));
         let w = part_weights(&g, &parts, k);
@@ -55,13 +51,12 @@ proptest! {
 
     #[test]
     fn partition_is_deterministic(g in graph_strategy(), k in 2usize..6) {
-        let cfg = PartitionConfig::k(k);
-        prop_assert_eq!(partition_graph(&g, &cfg), partition_graph(&g, &cfg));
+        prop_assert_eq!(partition_graph(&g, k), partition_graph(&g, k));
     }
 
     #[test]
     fn cut_is_at_most_total_edges(g in graph_strategy(), k in 2usize..6) {
-        let parts = partition_graph(&g, &PartitionConfig::k(k));
+        let parts = partition_graph(&g, k);
         let cut = edge_cut(&g, &parts);
         prop_assert!(cut >= 0);
         prop_assert!(cut <= g.total_edge_weight());
@@ -69,7 +64,7 @@ proptest! {
 
     #[test]
     fn separator_disconnects(g in graph_strategy()) {
-        let s = vertex_separator(&g, 1.2, 99);
+        let s = vertex_separator(&g, 99);
         let n = g.num_vertices();
         prop_assert_eq!(s.left.len() + s.right.len() + s.separator.len(), n);
         let mut side = vec![0u8; n];
@@ -96,13 +91,13 @@ proptest! {
         }
         let a = CsrMatrix::from_coo(&coo);
         let h = Hypergraph::column_net(&a);
-        let parts = partition_hypergraph(&h, &HypergraphPartitionConfig::k(k));
+        let parts = partition_hypergraph(&h, k);
         prop_assert_eq!(parts.len(), n);
         prop_assert!(parts.iter().all(|&p| (p as usize) < k));
         // Cut never exceeds the number of nets.
         let cut = h.cut_net(&parts);
         prop_assert!(cut >= 0 && cut <= h.num_nets() as i64);
         // Determinism.
-        prop_assert_eq!(parts, partition_hypergraph(&h, &HypergraphPartitionConfig::k(k)));
+        prop_assert_eq!(parts, partition_hypergraph(&h, k));
     }
 }

@@ -75,22 +75,25 @@ impl FromStr for PolicyMode {
     }
 }
 
-/// Tunables for the adaptive policy.
+/// Deterministic probe point: once a key has been requested this many
+/// times without reordered-side observations, the adaptive policy
+/// reorders once so the ledger and corrector get data. Keys with fewer
+/// lifetime repetitions never pay (the cold-traffic guarantee).
+const PROBE_AFTER: u64 = 8;
+
+/// Observations per side required before empirical means override the
+/// model.
+const MIN_SAMPLES: u64 = 2;
+
+/// Predicted speedup must clear `1 + SPEEDUP_MARGIN` before the model
+/// may recommend paying for a reorder.
+const SPEEDUP_MARGIN: f64 = 0.02;
+
+/// How a [`PolicyEngine`] decides, and where it publishes.
 #[derive(Clone)]
 pub struct PolicyConfig {
     /// Decision mode.
     pub mode: PolicyMode,
-    /// Deterministic probe point: once a key has been requested this
-    /// many times without reordered-side observations, reorder once so
-    /// the ledger and corrector get data. Keys with fewer lifetime
-    /// repetitions never pay (the cold-traffic guarantee).
-    pub probe_after: u64,
-    /// Observations per side required before empirical means override
-    /// the model.
-    pub min_samples: u64,
-    /// Predicted speedup must clear `1 + margin` before the model may
-    /// recommend paying for a reorder.
-    pub speedup_margin: f64,
     /// Metrics sink; defaults to the process-global registry.
     pub registry: Option<Arc<Registry>>,
 }
@@ -99,9 +102,6 @@ impl std::fmt::Debug for PolicyConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicyConfig")
             .field("mode", &self.mode)
-            .field("probe_after", &self.probe_after)
-            .field("min_samples", &self.min_samples)
-            .field("speedup_margin", &self.speedup_margin)
             .finish_non_exhaustive()
     }
 }
@@ -110,9 +110,6 @@ impl Default for PolicyConfig {
     fn default() -> Self {
         PolicyConfig {
             mode: PolicyMode::Adaptive,
-            probe_after: 8,
-            min_samples: 2,
-            speedup_margin: 0.02,
             registry: None,
         }
     }
@@ -268,11 +265,10 @@ impl PolicyEngine {
     }
 
     /// True when `count` lands on the exponential re-probe schedule:
-    /// `probe_after · 2^k` for k ≥ 1 (the k = 0 slot is the initial
+    /// `PROBE_AFTER · 2^k` for k ≥ 1 (the k = 0 slot is the initial
     /// probe).
     fn on_reprobe_schedule(&self, count: u64) -> bool {
-        let first = self.config.probe_after.max(1);
-        let mut slot = first.saturating_mul(2);
+        let mut slot = PROBE_AFTER * 2;
         while slot < count {
             slot = slot.saturating_mul(2);
         }
@@ -326,22 +322,21 @@ impl PolicyEngine {
         //    matrices oscillates the served ordering every request,
         //    and each flip also flips which image is hot in the host
         //    caches, pinning both observed means to the boundary.
-        if observed.count >= self.config.min_samples && baseline.count >= self.config.min_samples {
+        if observed.count >= MIN_SAMPLES && baseline.count >= MIN_SAMPLES {
             let (om, bm) = (observed.mean().unwrap(), baseline.mean().unwrap());
             let ratio = bm / om;
-            let margin = self.config.speedup_margin;
             let win = match self.ledger.verdict(content_hash, requested) {
-                Some(true) => ratio >= 1.0 - margin,
-                Some(false) | None => ratio > 1.0 + margin,
+                Some(true) => ratio >= 1.0 - SPEEDUP_MARGIN,
+                Some(false) | None => ratio > 1.0 + SPEEDUP_MARGIN,
             };
             // A losing verdict freezes the reordered side's sample
             // stream (the tier serves the original ordering), so two
             // early noise-polluted samples could condemn a genuinely
             // winning ordering forever. Re-probe on an exponential
-            // schedule — request counts probe_after·2^k — discarding
+            // schedule — request counts PROBE_AFTER·2^k — discarding
             // the distrusted samples so a fresh verdict forms from
             // current evidence; a true loss is re-condemned within
-            // `min_samples` serves at geometrically decaying cost.
+            // `MIN_SAMPLES` serves at geometrically decaying cost.
             if !win && self.on_reprobe_schedule(count) {
                 self.ledger.reset_observed(content_hash, requested);
                 self.registry.counter("policy.reprobes").inc();
@@ -381,7 +376,7 @@ impl PolicyEngine {
 
         // 3. Deterministic probe: a key that keeps coming back earns
         //    one reorder so the feedback loop gets reordered-side data.
-        if count >= self.config.probe_after && observed.count < self.config.min_samples {
+        if count >= PROBE_AFTER && observed.count < MIN_SAMPLES {
             self.registry.counter("policy.probes").inc();
             return PolicyDecision {
                 algo: requested,
@@ -395,7 +390,7 @@ impl PolicyEngine {
         // 4. Model decision: pay only when the predicted saving clears
         //    the break-even point within the repetitions seen so far
         //    (count is the best available proxy for future traffic).
-        if predicted > 1.0 + self.config.speedup_margin {
+        if predicted > 1.0 + SPEEDUP_MARGIN {
             if let Some(base_mean) = baseline.mean() {
                 let saving_frac = 1.0 - 1.0 / predicted;
                 let break_even = cost / (base_mean * saving_frac);
@@ -430,7 +425,7 @@ impl PolicyEngine {
         }
         let observed = self.ledger.observed(content_hash, algo);
         let baseline = self.ledger.observed(content_hash, AlgoSpec::Original);
-        if observed.count < self.config.min_samples || baseline.count < self.config.min_samples {
+        if observed.count < MIN_SAMPLES || baseline.count < MIN_SAMPLES {
             return;
         }
         let Some(summary) = self.features.peek(&content_hash) else {
@@ -459,9 +454,9 @@ impl PolicyEngine {
     /// The policy's best current estimate of the amortisation
     /// question: would paying for `algo` on this matrix pay off over
     /// `reps` repetitions of traffic? Uses observed per-SpMV means
-    /// when both sides have [`PolicyConfig::min_samples`], otherwise
-    /// the (corrector-adjusted) predicted speedup; the cost is the
-    /// price actually paid if one was, else the model estimate.
+    /// when both sides have `MIN_SAMPLES` (2) samples, otherwise the
+    /// (corrector-adjusted) predicted speedup; the cost is the price
+    /// actually paid if one was, else the model estimate.
     /// `None` until a baseline mean and a feature summary exist.
     pub fn would_amortize(&self, content_hash: u128, algo: AlgoSpec, reps: u64) -> Option<bool> {
         if matches!(algo, AlgoSpec::Original) {
@@ -475,9 +470,7 @@ impl PolicyEngine {
             self.predictor
                 .reorder_seconds(summary.nnz, algo, self.calibrated_rate(algo))
         });
-        let saving = if observed.count >= self.config.min_samples
-            && baseline.count >= self.config.min_samples
-        {
+        let saving = if observed.count >= MIN_SAMPLES && baseline.count >= MIN_SAMPLES {
             base_mean - observed.mean().unwrap()
         } else {
             let raw = self.predictor.speedup(&summary, algo);
@@ -518,7 +511,6 @@ mod tests {
         let config = PolicyConfig {
             mode,
             registry: Some(Arc::clone(&registry)),
-            ..PolicyConfig::default()
         };
         (PolicyEngine::new(config), registry)
     }
@@ -568,7 +560,7 @@ mod tests {
         policy.record_reorder_paid(7, AlgoSpec::Rcm, 0.050);
         // First reordered sample is warm-up (discarded by the ledger).
         policy.observe_spmv(7, AlgoSpec::Rcm, 0.009);
-        // Still below min_samples on the reordered side: cached
+        // Still below MIN_SAMPLES on the reordered side: cached
         // ordering keeps serving (sunk cost).
         let d = policy.decide(&a, 7, AlgoSpec::Rcm, true);
         assert_eq!(d.reason, "cached-ordering");
@@ -612,7 +604,7 @@ mod tests {
             let d = policy.decide(&a, 7, AlgoSpec::Rcm, true);
             assert_eq!(d.reason, "empirical-loss");
         }
-        // Request 16 = probe_after·2: exponential re-probe fires,
+        // Request 16 = PROBE_AFTER·2: exponential re-probe fires,
         // discarding the distrusted samples.
         let d = policy.decide(&a, 7, AlgoSpec::Rcm, true);
         assert_eq!(d.reason, "re-probe");

@@ -1,7 +1,7 @@
 //! Graph partitioning (GP) reordering — METIS-style multilevel
 //! recursive bisection with the edge-cut objective (§3.3).
 //!
-//! The matrix graph is partitioned into `num_parts` parts balanced on
+//! The matrix graph is partitioned into `parts` parts balanced on
 //! the number of rows (unweighted vertices, the paper's configuration),
 //! then rows and columns are renumbered by grouping parts together:
 //! all rows of part 0 first, then part 1, and so on, preserving the
@@ -11,26 +11,23 @@
 
 use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use partition::{partition_graph, PartitionConfig};
+use partition::partition_graph;
 use sparsegraph::Graph;
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
 /// Graph-partitioning-based reordering.
 #[derive(Debug, Clone)]
 pub struct Gp {
-    /// Partitioner configuration; `num_parts` should match the core
-    /// count of the execution platform (the paper partitions into 16,
-    /// 32, 48, 64, 72 or 128 parts, matching Table 2).
-    pub config: PartitionConfig,
+    parts: usize,
 }
 
 impl Gp {
-    /// A GP reordering targeting `num_parts` parts with defaults
-    /// matching the paper (row-balanced, edge-cut objective).
-    pub fn new(num_parts: usize) -> Self {
-        Gp {
-            config: PartitionConfig::k(num_parts),
-        }
+    /// A GP reordering into `parts` parts, row-balanced with the
+    /// edge-cut objective as in the paper. `parts` should match the
+    /// core count of the execution platform (the paper partitions into
+    /// 16, 32, 48, 64, 72 or 128 parts, matching Table 2).
+    pub fn new(parts: usize) -> Self {
+        Gp { parts }
     }
 }
 
@@ -51,7 +48,7 @@ impl ReorderAlgorithm for Gp {
 
     fn compute_on(&self, a: &CsrMatrix, _: &ReorderExec<'_>) -> Result<ReorderResult, SparseError> {
         let g = Graph::from_matrix(a)?;
-        let part_of = partition_graph(&g, &self.config);
+        let part_of = partition_graph(&g, self.parts);
         let order = partition_to_order(&part_of);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,

@@ -2,7 +2,7 @@
 //! partitioning with the cut-net metric (§3.3).
 //!
 //! Rows become vertices and columns become nets; the hypergraph is
-//! partitioned into `num_parts` parts (the paper fixes 128-way
+//! partitioned into `parts` parts (the paper fixes 128-way
 //! partitioning) with the cut-net objective and the same row-balance
 //! criterion as GP. Rows and columns are then renumbered by grouping
 //! parts, exactly as in GP; the permutation is applied symmetrically.
@@ -10,24 +10,21 @@
 use crate::exec::ReorderExec;
 use crate::gp::partition_to_order;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use partition::{partition_hypergraph, HypergraphPartitionConfig};
+use partition::partition_hypergraph;
 use sparsegraph::Hypergraph;
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
 /// Hypergraph-partitioning-based reordering.
 #[derive(Debug, Clone)]
 pub struct Hp {
-    /// Partitioner configuration. The paper adopts 128-way partitioning
-    /// with the cut-net metric.
-    pub config: HypergraphPartitionConfig,
+    parts: usize,
 }
 
 impl Hp {
-    /// An HP reordering targeting `num_parts` parts (paper default: 128).
-    pub fn new(num_parts: usize) -> Self {
-        Hp {
-            config: HypergraphPartitionConfig::k(num_parts),
-        }
+    /// An HP reordering into `parts` parts with the cut-net metric (the
+    /// paper adopts 128).
+    pub fn new(parts: usize) -> Self {
+        Hp { parts }
     }
 }
 
@@ -44,7 +41,7 @@ impl ReorderAlgorithm for Hp {
             });
         }
         let h = Hypergraph::column_net(a);
-        let part_of = partition_hypergraph(&h, &self.config);
+        let part_of = partition_hypergraph(&h, self.parts);
         let order = partition_to_order(&part_of);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,

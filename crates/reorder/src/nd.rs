@@ -17,9 +17,6 @@ use sparsemat::{CsrMatrix, Permutation, SparseError};
 /// instead of further dissection.
 const LEAF_SIZE: usize = 64;
 
-/// Imbalance tolerance for the separator bisections.
-const UBFACTOR: f64 = 1.10;
-
 /// RNG seed threaded into the partitioner.
 const SEED: u64 = 0xD15EC7;
 
@@ -55,7 +52,7 @@ fn recurse(
 ) {
     let sub = g_full.subgraph(vertices, ids);
     if vertices.len() > LEAF_SIZE {
-        let mut sep = vertex_separator(&sub, UBFACTOR, seed);
+        let mut sep = vertex_separator(&sub, seed);
         // A degenerate separator (e.g. a clique where one side is
         // empty) stops the dissection: minimum degree orders the
         // rest below.

@@ -640,7 +640,6 @@ fn adaptive_policy_probes_and_amortizes_hot_keys() {
         registry: Some(telemetry::Registry::new_arc()),
         policy: PolicyConfig {
             mode: PolicyMode::Adaptive,
-            probe_after: 4,
             ..PolicyConfig::default()
         },
         ..TierConfig::default()

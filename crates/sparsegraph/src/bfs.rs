@@ -238,16 +238,6 @@ impl LevelStructure {
     pub fn untouched(&self, v: usize) -> bool {
         self.stamp[v] == 0
     }
-
-    /// Write the distance of every reached vertex into `level_of[v]`;
-    /// entries of unreached vertices are left alone.
-    pub fn write_levels(&self, level_of: &mut [u32]) {
-        for k in 0..self.depth() {
-            for &v in self.level(k) {
-                level_of[v as usize] = k as u32;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -282,9 +272,9 @@ mod tests {
         assert_eq!(b.depth(), 5);
         assert_eq!(b.width(), 1);
         assert_eq!(b.reached().len(), 5);
-        let mut level_of = vec![u32::MAX; 5];
-        b.write_levels(&mut level_of);
-        assert_eq!(level_of, vec![0, 1, 2, 3, 4]);
+        for k in 0..5 {
+            assert_eq!(b.level(k), &[k as u32]);
+        }
     }
 
     #[test]
@@ -305,9 +295,6 @@ mod tests {
         let g = Graph::from_adjacency(vec![0, 1, 2, 3, 4], vec![1, 0, 3, 2]).unwrap();
         let mut b = searched(&g, 0);
         assert_eq!(b.reached(), &[0, 1]);
-        let mut level_of = vec![u32::MAX; 4];
-        b.write_levels(&mut level_of);
-        assert_eq!(level_of[2..], [u32::MAX, u32::MAX]);
         assert!(!b.untouched(1) && b.untouched(2) && b.untouched(3));
         // A second search forgets the first one's visits but not that
         // they happened.

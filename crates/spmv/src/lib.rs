@@ -31,12 +31,10 @@ mod exec;
 mod kernel;
 mod measure;
 mod plan;
-mod solvers;
 mod team;
 
 pub use exec::execute;
 pub use kernel::{Kernel, KernelKind};
 pub use measure::{host_threads, measure_spmv, measure_spmv_in, MeasureConfig, SpmvMeasurement};
 pub use plan::{imbalance_factor, Plan, Span};
-pub use solvers::{conjugate_gradient, CgOptions, SolveStats};
 pub use team::ThreadTeam;

@@ -10,8 +10,7 @@
 //! cargo run --release --example partition_playground [k]
 //! ```
 
-use partition::{edge_cut, part_weights, partition_graph, partition_hypergraph};
-use partition::{vertex_separator, HypergraphPartitionConfig, PartitionConfig};
+use partition::{edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator};
 use reorder_study::prelude::*;
 use sparsegraph::{Graph, Hypergraph};
 
@@ -29,7 +28,7 @@ fn main() {
     );
 
     // Multilevel partitioner.
-    let parts = partition_graph(&g, &PartitionConfig::k(k));
+    let parts = partition_graph(&g, k);
     let cut = edge_cut(&g, &parts);
     let weights = part_weights(&g, &parts, k);
     println!("multilevel GP : cut {cut:5}   part weights {weights:?}");
@@ -54,7 +53,7 @@ fn main() {
 
     // Hypergraph: column-net model, cut-net objective.
     let h = Hypergraph::column_net(&a);
-    let hparts = partition_hypergraph(&h, &HypergraphPartitionConfig::k(k));
+    let hparts = partition_hypergraph(&h, k);
     let hparts_cut = h.cut_net(&hparts);
     let contiguous_cut = h.cut_net(&contiguous);
     println!("hypergraph cut-net: multilevel {hparts_cut}, contiguous {contiguous_cut}");
@@ -65,7 +64,7 @@ fn main() {
     );
 
     // Vertex separator — the ND building block.
-    let sep = vertex_separator(&g, 1.1, 42);
+    let sep = vertex_separator(&g, 42);
     println!(
         "vertex separator: |left| = {}, |right| = {}, |separator| = {} (ideal ~80 for a 80x80 mesh)",
         sep.left.len(),

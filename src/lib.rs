@@ -87,8 +87,5 @@ pub mod prelude {
         bandwidth, geometric_mean, imbalance_factor, matrix_features, off_diagonal_nnz,
         performance_profile, profile, quartiles, spearman,
     };
-    pub use spmv::{
-        conjugate_gradient, execute, measure_spmv, CgOptions, Kernel, KernelKind, MeasureConfig,
-        Plan, ThreadTeam,
-    };
+    pub use spmv::{execute, measure_spmv, Kernel, KernelKind, MeasureConfig, Plan, ThreadTeam};
 }
