@@ -77,9 +77,12 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
 # run above checked the debug build. So must the golden and
 # cross-executor ordering bytes: the parallel AMD and RCM paths write
 # through SliceWriter/SendPtr, and an overlap that debug codegen hides
-# would show here first.
+# would show here first. The partitioner's own tests run here too: the
+# oracle tests (the greedy cover against its quadratic loop, the packed
+# gain heap against a tuple heap) run ten times the cases in release.
 cargo test --release -p reorder --test alloc
 cargo test --release --test golden_orderings --test reorder_determinism
+cargo test --release -p partition
 
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.

@@ -19,22 +19,70 @@ pub(crate) struct CoarseLevel {
     pub coarse_of: Vec<u32>,
 }
 
-/// Compute a heavy-edge matching. Returns `match_of` where
-/// `match_of[v] == v` for unmatched vertices — and only for them, since
-/// a graph has no self-loops, so `match_of` is also the matched flag.
-pub(crate) fn heavy_edge_matching(g: &Graph, rng: &mut SplitMix) -> Vec<u32> {
+/// The coarsening levels of one bisection and their scratch, kept
+/// across the bisections of a partitioning call: a level is built in
+/// the arrays an earlier bisection's level of the same depth left, so
+/// after the first (largest) bisection none of them grows.
+#[derive(Default)]
+pub(crate) struct Coarsening {
+    /// The current bisection's levels, finest first.
+    pub levels: Vec<CoarseLevel>,
+    /// Levels no current one reuses yet, the finest on top.
+    spare: Vec<CoarseLevel>,
+    /// Matching: the matching itself and the visit order.
+    match_of: Vec<u32>,
+    visit: Vec<u32>,
+    /// Contraction: coarse neighbour -> slot in the current row.
+    slot_of: Vec<u32>,
+}
+
+impl Coarsening {
+    /// Coarsen `g` until the graph has at most `target_size` vertices
+    /// or progress stalls, replacing `levels`. Each level is contracted
+    /// from the one before it (the first from `g`), borrowed in place.
+    pub(crate) fn coarsen(&mut self, g: &Graph, target_size: usize, rng: &mut SplitMix) {
+        self.spare.extend(self.levels.drain(..).rev());
+        loop {
+            let current = self.levels.last().map_or(g, |l| &l.graph);
+            let n = current.num_vertices();
+            if n <= target_size {
+                break;
+            }
+            heavy_edge_matching(current, rng, &mut self.match_of, &mut self.visit);
+            let level = contract(current, &self.match_of, &mut self.slot_of, self.spare.pop());
+            if level.graph.num_vertices() as f64 / n as f64 > 0.95 {
+                self.spare.push(level);
+                break; // nearly no matching possible; stop
+            }
+            self.levels.push(level);
+        }
+    }
+}
+
+/// Compute a heavy-edge matching into `match_of`, where `match_of[v]
+/// == v` for unmatched vertices — and only for them, since a graph has
+/// no self-loops, so `match_of` is also the matched flag. `visit` is
+/// scratch.
+pub(crate) fn heavy_edge_matching(
+    g: &Graph,
+    rng: &mut SplitMix,
+    match_of: &mut Vec<u32>,
+    visit: &mut Vec<u32>,
+) {
     let n = g.num_vertices();
-    let mut match_of: Vec<u32> = (0..n as u32).collect();
-    let mut visit: Vec<u32> = (0..n as u32).collect();
-    rng.shuffle(&mut visit);
+    match_of.clear();
+    match_of.extend(0..n as u32);
+    visit.clear();
+    visit.extend(0..n as u32);
+    rng.shuffle(visit);
     let matched = |match_of: &[u32], v: u32| match_of[v as usize] != v;
-    for &v in &visit {
-        if matched(&match_of, v) {
+    for &v in visit.iter() {
+        if matched(match_of, v) {
             continue;
         }
         let mut best: Option<(u32, i64)> = None;
         for (u, w) in g.neighbors_weighted(v as usize) {
-            if matched(&match_of, u) {
+            if matched(match_of, u) {
                 continue;
             }
             let better = match best {
@@ -53,14 +101,27 @@ pub(crate) fn heavy_edge_matching(g: &Graph, rng: &mut SplitMix) -> Vec<u32> {
             match_of[u as usize] = v;
         }
     }
-    match_of
 }
 
-/// Contract a graph along a matching, producing the next coarser level.
-pub(crate) fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
+/// Contract a graph along a matching, producing the next coarser level
+/// in `reuse`'s arrays if given; `slot_of` is scratch.
+pub(crate) fn contract(
+    g: &Graph,
+    match_of: &[u32],
+    slot_of: &mut Vec<u32>,
+    reuse: Option<CoarseLevel>,
+) -> CoarseLevel {
     let n = g.num_vertices();
+    let (mut xadj, mut adjncy, mut vwgt, mut ewgt, mut coarse_of) = match reuse {
+        Some(CoarseLevel { graph, coarse_of }) => {
+            let (xadj, adjncy, vwgt, ewgt) = graph.into_parts();
+            (xadj, adjncy, vwgt, ewgt, coarse_of)
+        }
+        None => Default::default(),
+    };
     // Assign coarse ids: each matched pair (v, u) with v < u gets one id.
-    let mut coarse_of = vec![u32::MAX; n];
+    coarse_of.clear();
+    coarse_of.resize(n, u32::MAX);
     let mut ncoarse = 0u32;
     for v in 0..n {
         if coarse_of[v] != u32::MAX {
@@ -74,7 +135,8 @@ pub(crate) fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
     let nc = ncoarse as usize;
 
     // Accumulate coarse vertex weights.
-    let mut vwgt = vec![0i64; nc];
+    vwgt.clear();
+    vwgt.resize(nc, 0);
     for v in 0..n {
         vwgt[coarse_of[v] as usize] += g.vertex_weight(v);
     }
@@ -84,11 +146,17 @@ pub(crate) fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
     // out in order of each pair's smaller member, so walking the
     // leaders `v <= match_of[v]` ascending visits coarse vertices in id
     // order, and each one's members are its leader and then its match.
-    let mut xadj = Vec::with_capacity(nc + 1);
+    // The coarse adjacency is at most the fine one, so no array grows
+    // past what is reserved here.
+    xadj.clear();
+    xadj.reserve(nc + 1);
     xadj.push(0usize);
-    let mut adjncy: Vec<u32> = Vec::with_capacity(g.adjncy().len() / 2);
-    let mut ewgt: Vec<i64> = Vec::with_capacity(g.adjncy().len() / 2);
-    let mut slot_of = vec![u32::MAX; nc]; // coarse neighbour -> slot in current row
+    adjncy.clear();
+    adjncy.reserve(g.adjncy().len());
+    ewgt.clear();
+    ewgt.reserve(g.adjncy().len());
+    slot_of.clear();
+    slot_of.resize(nc, u32::MAX);
     for v in 0..n {
         let m = match_of[v] as usize;
         if m < v {
@@ -126,27 +194,6 @@ pub(crate) fn contract(g: &Graph, match_of: &[u32]) -> CoarseLevel {
     }
 }
 
-/// Coarsen until the graph has at most `target_size` vertices or
-/// progress stalls. Returns the sequence of levels, finest first; each
-/// level is contracted from the one before it (the first from `g`),
-/// borrowed in place.
-pub(crate) fn coarsen_to(g: &Graph, target_size: usize, rng: &mut SplitMix) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    loop {
-        let current = levels.last().map_or(g, |l| &l.graph);
-        let n = current.num_vertices();
-        if n <= target_size {
-            break;
-        }
-        let level = contract(current, &heavy_edge_matching(current, rng));
-        if level.graph.num_vertices() as f64 / n as f64 > 0.95 {
-            break; // nearly no matching possible; stop
-        }
-        levels.push(level);
-    }
-    levels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,11 +222,22 @@ mod tests {
         Graph::from_adjacency(xadj, adjncy).unwrap()
     }
 
+    fn matching(g: &Graph, seed: u64) -> Vec<u32> {
+        let mut match_of = Vec::new();
+        heavy_edge_matching(g, &mut SplitMix::new(seed), &mut match_of, &mut Vec::new());
+        match_of
+    }
+
+    fn coarsened(g: &Graph, target_size: usize, seed: u64) -> Vec<CoarseLevel> {
+        let mut c = Coarsening::default();
+        c.coarsen(g, target_size, &mut SplitMix::new(seed));
+        c.levels
+    }
+
     #[test]
     fn matching_is_symmetric_and_adjacent() {
         let g = grid(6);
-        let mut rng = SplitMix::new(1);
-        let m = heavy_edge_matching(&g, &mut rng);
+        let m = matching(&g, 1);
         for v in 0..g.num_vertices() {
             let u = m[v] as usize;
             assert_eq!(m[u] as usize, v, "matching must be symmetric");
@@ -195,9 +253,7 @@ mod tests {
     #[test]
     fn contraction_preserves_total_vertex_weight() {
         let g = grid(8);
-        let mut rng = SplitMix::new(2);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let level = contract(&g, &m);
+        let level = contract(&g, &matching(&g, 2), &mut Vec::new(), None);
         assert_eq!(level.graph.total_vertex_weight(), g.total_vertex_weight());
         assert!(level.graph.num_vertices() < g.num_vertices());
         // Every fine vertex maps to a valid coarse vertex.
@@ -212,9 +268,7 @@ mod tests {
         // vertices equals the number of fine edges between their
         // members.
         let g = grid(4);
-        let mut rng = SplitMix::new(3);
-        let m = heavy_edge_matching(&g, &mut rng);
-        let level = contract(&g, &m);
+        let level = contract(&g, &matching(&g, 3), &mut Vec::new(), None);
         let cg = &level.graph;
         // Total edge weight is conserved minus internal (contracted) edges.
         let internal: i64 = (0..g.num_vertices())
@@ -232,8 +286,7 @@ mod tests {
     #[test]
     fn coarsen_to_reaches_target() {
         let g = grid(12); // 144 vertices
-        let mut rng = SplitMix::new(4);
-        let levels = coarsen_to(&g, 20, &mut rng);
+        let levels = coarsened(&g, 20, 4);
         assert!(!levels.is_empty());
         let last = &levels.last().unwrap().graph;
         assert!(
@@ -243,17 +296,34 @@ mod tests {
         );
         // Monotone shrinkage.
         let mut prev = g.num_vertices();
-        for l in &levels {
+        for l in levels {
             assert!(l.graph.num_vertices() < prev);
             prev = l.graph.num_vertices();
+        }
+    }
+
+    /// Levels built in the arrays of an earlier, larger or smaller,
+    /// coarsening are those a fresh one builds.
+    #[test]
+    fn reused_levels_equal_fresh_ones() {
+        let mut reused = Coarsening::default();
+        for (side, seed) in [(12, 1), (20, 2), (6, 3), (16, 4), (9, 5)] {
+            let g = grid(side);
+            reused.coarsen(&g, 10, &mut SplitMix::new(seed));
+            let fresh = coarsened(&g, 10, seed);
+            assert_eq!(reused.levels.len(), fresh.len(), "grid {side}");
+            for (a, b) in reused.levels.iter().zip(&fresh) {
+                assert_eq!((&a.graph, &a.coarse_of), (&b.graph, &b.coarse_of));
+            }
         }
     }
 
     #[test]
     fn coarsen_stalls_gracefully_on_edgeless_graph() {
         let g = Graph::from_adjacency(vec![0, 0, 0, 0, 0], vec![]).unwrap();
-        let mut rng = SplitMix::new(5);
-        let levels = coarsen_to(&g, 2, &mut rng);
-        assert!(levels.is_empty(), "no matching possible on edgeless graph");
+        assert!(
+            coarsened(&g, 2, 5).is_empty(),
+            "no matching possible on edgeless graph"
+        );
     }
 }

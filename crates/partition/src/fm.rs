@@ -10,49 +10,89 @@
 
 use crate::Bisection;
 use sparsegraph::Graph;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Upper limit of consecutive non-improving moves inside one pass
 /// before the pass is cut short (standard FM early exit).
 const MAX_BAD_MOVES: usize = 150;
 
-/// FM's per-pass arrays, kept across the passes and levels of one
-/// multilevel bisection: sized once by its finest graph, not
+/// FM's lazy max-heap of `(gain, vertex)` entries: the highest gain
+/// pops first and, among equal gains, the lowest vertex.
+///
+/// An entry is one `u64` key, `(gain + 2³¹) << 32 | !v`: the biased
+/// gain is unsigned and ordered as the gain is, and `!v` is larger the
+/// smaller `v` is. So keys order exactly as `(gain, Reverse(v))` does,
+/// and distinct entries have distinct keys. A gain outside `i32` is
+/// refused with a panic rather than wrapped; a gain is bounded by its
+/// vertex's weighted degree, which the input's nonzero count bounds.
+#[derive(Default)]
+pub(crate) struct GainHeap(BinaryHeap<u64>);
+
+impl GainHeap {
+    const BIAS: u32 = 1 << 31;
+
+    /// The packed key of an entry.
+    pub(crate) fn key(gain: i64, v: u32) -> u64 {
+        let gain = i32::try_from(gain).expect("an FM gain outside i32");
+        u64::from(gain as u32 ^ Self::BIAS) << 32 | u64::from(!v)
+    }
+
+    pub(crate) fn push(&mut self, gain: i64, v: u32) {
+        self.0.push(Self::key(gain, v));
+    }
+
+    /// The highest entry, lowest vertex first among equal gains.
+    pub(crate) fn pop(&mut self) -> Option<(i64, u32)> {
+        let key = self.0.pop()?;
+        Some((
+            i64::from(((key >> 32) as u32 ^ Self::BIAS) as i32),
+            !(key as u32),
+        ))
+    }
+
+    /// Replace the entries with the keys `seed` writes into the emptied
+    /// buffer, heapified. That pops the same sequence as pushing them
+    /// one by one: a max-heap's pop order depends only on its keys, and
+    /// equal keys are equal entries.
+    fn refill(&mut self, seed: impl FnOnce(&mut Vec<u64>)) {
+        let mut keys = std::mem::take(&mut self.0).into_vec();
+        keys.clear();
+        seed(&mut keys);
+        self.0 = BinaryHeap::from(keys);
+    }
+}
+
+/// FM's per-pass arrays, kept across the passes, levels and bisections
+/// of one partitioning call: sized once by its largest graph, not
 /// reallocated per pass.
+#[derive(Default)]
 pub(crate) struct FmWork {
     pub(crate) gain: Vec<i64>,
     pub(crate) locked: Vec<bool>,
-    pub(crate) heap: BinaryHeap<(i64, Reverse<u32>)>,
+    pub(crate) heap: GainHeap,
     pub(crate) moves: Vec<u32>,
 }
 
 impl FmWork {
-    /// A workspace for graphs of up to `n` vertices without growing.
-    pub(crate) fn with_capacity(n: usize) -> FmWork {
-        FmWork {
-            gain: Vec::with_capacity(n),
-            locked: Vec::with_capacity(n),
-            heap: BinaryHeap::with_capacity(n),
-            moves: Vec::with_capacity(n),
-        }
+    /// Room for graphs of up to `n` vertices without growing.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.gain.clear();
+        self.gain.reserve(n);
+        self.locked.clear();
+        self.locked.reserve(n);
+        self.heap.0.clear();
+        self.heap.0.reserve(n);
+        self.moves.clear();
+        self.moves.reserve(n);
     }
 
     /// Start a pass over `n` vertices: nothing locked or moved, the
-    /// gains and heap entries `seed` writes into the emptied gain
-    /// vector and heap buffer, heapified. That pops the same sequence
-    /// as pushing the entries one by one: a max-heap's pop order
-    /// depends only on its keys, and equal keys are equal entries.
-    pub(crate) fn start_pass(
-        &mut self,
-        n: usize,
-        seed: impl FnOnce(&mut Vec<i64>, &mut Vec<(i64, Reverse<u32>)>),
-    ) {
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.clear();
+    /// gains `seed` writes into the emptied gain vector, and the heap
+    /// refilled with the keys ([`GainHeap::key`]) it writes beside them.
+    pub(crate) fn start_pass(&mut self, n: usize, seed: impl FnOnce(&mut Vec<i64>, &mut Vec<u64>)) {
         self.gain.clear();
-        seed(&mut self.gain, &mut entries);
-        self.heap = BinaryHeap::from(entries);
+        let gain = &mut self.gain;
+        self.heap.refill(|keys| seed(gain, keys));
         self.locked.clear();
         self.locked.resize(n, false);
         self.moves.clear();
@@ -102,7 +142,7 @@ pub(crate) fn fm_refine(
                 }
                 gain.push(gv);
                 if boundary || gv >= 0 {
-                    seeds.push((gv, Reverse(v as u32)));
+                    seeds.push(GainHeap::key(gv, v as u32));
                 }
             }
             // For graphs with no boundary (already perfect), seed
@@ -111,7 +151,7 @@ pub(crate) fn fm_refine(
                 seeds.extend(
                     gain.iter()
                         .enumerate()
-                        .map(|(v, &gv)| (gv, Reverse(v as u32))),
+                        .map(|(v, &gv)| GainHeap::key(gv, v as u32)),
                 );
             }
         });
@@ -130,7 +170,7 @@ pub(crate) fn fm_refine(
         let mut best_len = 0usize;
         let mut bad_streak = 0usize;
 
-        while let Some((gtop, Reverse(v))) = heap.pop() {
+        while let Some((gtop, v)) = heap.pop() {
             let v = v as usize;
             if locked[v] || gtop != gain[v] {
                 continue; // stale heap entry
@@ -166,7 +206,7 @@ pub(crate) fn fm_refine(
                 } else {
                     gain[u] += 2 * w;
                 }
-                heap.push((gain[u], Reverse(u as u32)));
+                heap.push(gain[u], u as u32);
             }
 
             let now_feasible = cur_w[0] <= max_allowed[0] && cur_w[1] <= max_allowed[1];
@@ -213,9 +253,89 @@ pub(crate) fn fm_refine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix;
+    use std::cmp::Reverse;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Random push/pop runs against the tuple heap the packed keys
+    /// replaced, whose order they must keep: gains at both ends of the
+    /// checked range, vertex ids 0 and `u32::MAX - 1`, repeated
+    /// entries, and a refill in the middle of a run.
+    #[test]
+    fn gain_heap_pops_as_the_tuple_heap_does() {
+        let mut gen = SplitMix::new(17);
+        let gains = [
+            i64::from(i32::MIN),
+            i64::from(i32::MIN) + 1,
+            -1,
+            0,
+            1,
+            i64::from(i32::MAX),
+        ];
+        let ids = [0, 1, 2, u32::MAX / 2, u32::MAX - 2, u32::MAX - 1];
+        let steps = if cfg!(debug_assertions) {
+            10_000
+        } else {
+            100_000
+        };
+        let mut heap = GainHeap::default();
+        let mut reference: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
+        let mut entries: Vec<(i64, u32)> = Vec::new();
+        for step in 0..steps {
+            match gen.next_below(10) {
+                0..=4 => {
+                    // Half the draws repeat a recent entry.
+                    let (gain, v) = match entries.last() {
+                        Some(&e) if gen.next_below(2) == 0 => e,
+                        _ => {
+                            let gain = if gen.next_below(3) == 0 {
+                                gains[gen.next_below(gains.len())]
+                            } else {
+                                gen.next_below(41) as i64 - 20
+                            };
+                            (gain, ids[gen.next_below(ids.len())])
+                        }
+                    };
+                    heap.push(gain, v);
+                    reference.push((gain, Reverse(v)));
+                    entries.push((gain, v));
+                }
+                5..=8 => {
+                    let expected = reference.pop().map(|(gain, Reverse(v))| (gain, v));
+                    assert_eq!(heap.pop(), expected, "step {step}");
+                }
+                _ => {
+                    // Refill with what the reference holds plus a few
+                    // of the run's entries.
+                    let extra = entries.len().min(gen.next_below(8));
+                    let kept: Vec<(i64, u32)> = reference
+                        .iter()
+                        .map(|&(gain, Reverse(v))| (gain, v))
+                        .chain(entries[entries.len() - extra..].iter().copied())
+                        .collect();
+                    heap.refill(|keys| {
+                        keys.extend(kept.iter().map(|&(gain, v)| GainHeap::key(gain, v)))
+                    });
+                    reference = kept.iter().map(|&(gain, v)| (gain, Reverse(v))).collect();
+                }
+            }
+        }
+        while let Some((gain, Reverse(v))) = reference.pop() {
+            assert_eq!(heap.pop(), Some((gain, v)));
+        }
+        assert_eq!(heap.pop(), None);
+    }
+
+    #[test]
+    fn gain_heap_refuses_a_gain_outside_i32() {
+        for gain in [i64::from(i32::MAX) + 1, i64::from(i32::MIN) - 1, i64::MAX] {
+            let refused = catch_unwind(AssertUnwindSafe(|| GainHeap::default().push(gain, 0)));
+            assert!(refused.is_err(), "gain {gain} was packed");
+        }
+    }
 
     fn refine(g: &Graph, bis: &mut Bisection, target: [i64; 2], passes: usize) -> usize {
-        fm_refine(g, bis, target, 1.05, passes, &mut FmWork::with_capacity(0))
+        fm_refine(g, bis, target, 1.05, passes, &mut FmWork::default())
     }
 
     fn grid(n: usize) -> Graph {

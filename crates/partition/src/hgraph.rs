@@ -7,11 +7,10 @@
 //! side-counts improves the cut during uncoarsening. Recursive bisection
 //! extends to k parts.
 
-use crate::fm::FmWork;
+use crate::fm::{FmWork, GainHeap};
 use crate::recursive::{recursive_bisection, UBFACTOR};
 use crate::rng::SplitMix;
 use sparsegraph::{Hypergraph, LocalIds};
-use std::cmp::Reverse;
 
 /// Nets larger than this are ignored during matching and receive no
 /// incremental gain updates during FM (they are almost always cut and
@@ -100,8 +99,10 @@ struct HgWork {
 impl HgWork {
     /// A workspace for hypergraphs of up to `n` vertices and `nets` nets.
     fn with_capacity(n: usize, nets: usize) -> HgWork {
+        let mut fm = FmWork::default();
+        fm.reserve(n);
         HgWork {
-            fm: FmWork::with_capacity(n),
+            fm,
             counts: Vec::with_capacity(nets),
             dirty: Vec::with_capacity(n + 1),
             dirty_in: Vec::with_capacity(n),
@@ -443,6 +444,10 @@ fn initial_bisection(
 /// cancel.) Per-net pushes added only entries for gains a pin held
 /// part-way through the move, and each of those popped stale or as a
 /// copy of a later entry, changing nothing.
+///
+/// The side counts are computed once: a pass keeps them through its
+/// moves, all nets included, and its rollback undoes each rolled-back
+/// move's, so every pass starts on the counts of its `part_of`.
 fn fm_refine_hg(
     hg: &Hypergraph,
     part_of: &mut [u8],
@@ -466,15 +471,15 @@ fn fm_refine_hg(
         dirty_in,
         ..
     } = ws;
+    side_counts(hg, part_of, counts);
     for _ in 0..max_passes {
-        side_counts(hg, part_of, counts);
         let start_cut = objective_value(hg, counts);
         fm.start_pass(n, |gain, seeds| {
             gain.extend((0..n).map(|v| move_gain(hg, counts, part_of, v)));
             seeds.extend(
                 gain.iter()
                     .enumerate()
-                    .map(|(v, &g)| (g, Reverse(v as u32))),
+                    .map(|(v, &g)| GainHeap::key(g, v as u32)),
             );
         });
         let FmWork {
@@ -498,7 +503,7 @@ fn fm_refine_hg(
         let mut best_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
         let mut bad_streak = 0usize;
 
-        while let Some((gtop, Reverse(v))) = heap.pop() {
+        while let Some((gtop, v)) = heap.pop() {
             let v = v as usize;
             if locked[v] || gtop != gain[v] {
                 continue;
@@ -562,7 +567,7 @@ fn fm_refine_hg(
                 }
             }
             for &u in dirty[..len].iter() {
-                heap.push((gain[u as usize], Reverse(u)));
+                heap.push(gain[u as usize], u);
             }
             let now_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
             let improves = match (now_feasible, best_feasible) {
@@ -584,7 +589,12 @@ fn fm_refine_hg(
         }
         for &v in &moves[best_len..] {
             let v = v as usize;
-            part_of[v] = 1 - part_of[v];
+            let (from, to) = (part_of[v] as usize, 1 - part_of[v] as usize);
+            part_of[v] = to as u8;
+            for &j in hg.vertex_nets(v) {
+                counts[j as usize][from] -= 1;
+                counts[j as usize][to] += 1;
+            }
         }
         if best_len == 0 || best_cut >= start_cut {
             break;
@@ -664,15 +674,15 @@ pub fn partition_hypergraph(h: &Hypergraph, k: usize) -> Vec<u32> {
         h.vertex_weights(),
         k,
         (SEED, CHILD_SEEDS),
-        |vertices, target, seed| {
+        |vertices, target, seed, side| {
             // Subsets stay ascending, so the full-length one is the
             // whole hypergraph in order.
-            if vertices.len() == h.num_vertices() {
+            *side = if vertices.len() == h.num_vertices() {
                 multilevel_bisect_hg(h, target, seed, &mut ws)
             } else {
                 let sub = sub_hypergraph(h, vertices, &mut ws.ids);
                 multilevel_bisect_hg(&sub, target, seed, &mut ws)
-            }
+            };
         },
     )
 }
@@ -828,7 +838,7 @@ mod tests {
                 seeds.extend(
                     gain.iter()
                         .enumerate()
-                        .map(|(v, &g)| (g, Reverse(v as u32))),
+                        .map(|(v, &g)| GainHeap::key(g, v as u32)),
                 );
             });
             let FmWork {
@@ -846,7 +856,7 @@ mod tests {
             let mut best_len = 0usize;
             let mut best_feasible = part_w[0] <= max_allowed[0] && part_w[1] <= max_allowed[1];
             let mut bad_streak = 0usize;
-            while let Some((gtop, Reverse(v))) = heap.pop() {
+            while let Some((gtop, v)) = heap.pop() {
                 let v = v as usize;
                 if locked[v] || gtop != gain[v] {
                     continue;
@@ -891,7 +901,7 @@ mod tests {
                         };
                         if delta != 0 {
                             gain[u] += delta;
-                            heap.push((gain[u], Reverse(u as u32)));
+                            heap.push(gain[u], u as u32);
                         }
                     }
                 }
@@ -926,7 +936,7 @@ mod tests {
     fn fm_equals_its_per_net_push_reference() {
         let mut gen = SplitMix::new(29);
         let mut ws = HgWork::with_capacity(0, 0);
-        let (mut fm, mut counts) = (FmWork::with_capacity(0), Vec::new());
+        let (mut fm, mut counts) = (FmWork::default(), Vec::new());
         for case in 0..300 {
             let h = random_hypergraph(&mut gen);
             let start: Vec<u8> = (0..h.num_vertices())

@@ -7,21 +7,57 @@
 //! strategy METIS uses (GGGP).
 
 use crate::rng::SplitMix;
-use crate::Bisection;
+use crate::{cut_and_weights, imbalance, Bisection};
 use sparsegraph::Graph;
 
-/// Grow part 0 from `start` until its weight reaches `target0`.
-fn grow_from(g: &Graph, start: usize, target0: i64) -> Vec<u8> {
-    let n = g.num_vertices();
-    let mut part_of = vec![1u8; n];
-    let mut in_region = vec![false; n];
-    let mut weight0 = 0i64;
+/// One set of trial arrays, kept across the trials and bisections of a
+/// partitioning call.
+#[derive(Default)]
+pub(crate) struct GrowWork {
+    /// The trial's bisection: part 0 is the region grown.
+    part_of: Vec<u8>,
+    /// Per vertex, the gain of moving it into the region: (edges into
+    /// region) - (edges out of region). Larger is better.
+    gain: Vec<i64>,
+    /// Each vertex's gain before the region has any vertex: minus its
+    /// weighted degree.
+    gain0: Vec<i64>,
+    in_frontier: Vec<bool>,
+    frontier: Vec<u32>,
+}
 
-    // Gain of moving a frontier vertex into the region: (edges into
-    // region) - (edges out of region). Larger is better.
-    let mut gain = vec![0i64; n];
-    let mut in_frontier = vec![false; n];
-    let mut frontier: Vec<u32> = Vec::new();
+impl GrowWork {
+    /// Set `gain0` for the trials on `g`.
+    fn weigh(&mut self, g: &Graph) {
+        self.gain0.clear();
+        self.gain0.extend(
+            (0..g.num_vertices()).map(|v| -g.neighbors_weighted(v).map(|(_, w)| w).sum::<i64>()),
+        );
+    }
+}
+
+/// Grow part 0 of `ws.part_of` from `start` until its weight reaches
+/// `target0`; `ws` must be weighed for `g`. Returns the cut and part 0's
+/// weight, tracked as the region grows: absorbing `v` uncuts its edges
+/// into the region and cuts its others, which moves the cut by
+/// `-gain[v]`.
+fn grow_from(g: &Graph, start: usize, target0: i64, ws: &mut GrowWork) -> (i64, i64) {
+    let n = g.num_vertices();
+    let GrowWork {
+        part_of,
+        gain,
+        gain0,
+        in_frontier,
+        frontier,
+    } = ws;
+    part_of.clear();
+    part_of.resize(n, 1);
+    gain.clear();
+    gain.extend_from_slice(gain0);
+    in_frontier.clear();
+    in_frontier.resize(n, false);
+    frontier.clear();
+    let (mut cut, mut weight0) = (0i64, 0i64);
 
     let mut seed_next = start;
     loop {
@@ -31,19 +67,13 @@ fn grow_from(g: &Graph, start: usize, target0: i64) -> Vec<u8> {
             if weight0 >= target0 {
                 break;
             }
-            let mut found = None;
-            for off in 0..n {
-                let v = (seed_next + off) % n;
-                if !in_region[v] {
-                    found = Some(v);
-                    break;
-                }
-            }
-            match found {
+            match (0..n)
+                .map(|off| (seed_next + off) % n)
+                .find(|&v| part_of[v] != 0)
+            {
                 Some(v) => {
                     frontier.push(v as u32);
                     in_frontier[v] = true;
-                    gain[v] = 0;
                     seed_next = v + 1;
                 }
                 None => break,
@@ -57,76 +87,72 @@ fn grow_from(g: &Graph, start: usize, target0: i64) -> Vec<u8> {
             .expect("frontier non-empty");
         let v = frontier.swap_remove(fi) as usize;
         in_frontier[v] = false;
-        in_region[v] = true;
         part_of[v] = 0;
         weight0 += g.vertex_weight(v);
+        cut -= gain[v];
         if weight0 >= target0 {
             break;
         }
+        // v moved inside: each edge to a vertex outside flipped from
+        // out to in.
         for (u, w) in g.neighbors_weighted(v) {
             let u = u as usize;
-            if in_region[u] {
-                continue;
-            }
-            if !in_frontier[u] {
-                in_frontier[u] = true;
-                frontier.push(u as u32);
-                // Initial gain: edges into region minus edges outside.
-                let mut gi = 0i64;
-                for (t, tw) in g.neighbors_weighted(u) {
-                    if in_region[t as usize] {
-                        gi += tw;
-                    } else {
-                        gi -= tw;
-                    }
-                }
-                gain[u] = gi;
-            } else {
-                // v moved inside: one edge flipped from out to in.
+            if part_of[u] != 0 {
                 gain[u] += 2 * w;
+                if !in_frontier[u] {
+                    in_frontier[u] = true;
+                    frontier.push(u as u32);
+                }
             }
         }
     }
-    part_of
+    (cut, weight0)
 }
 
-/// Greedy graph-growing bisection with multiple trials.
+/// Greedy graph-growing bisection with multiple trials, into `best`;
+/// `ws` holds the trial arrays, and only a better trial swaps its
+/// `part_of` into `best`.
 pub(crate) fn greedy_growing_bisection(
     g: &Graph,
     target: [i64; 2],
     trials: usize,
     rng: &mut SplitMix,
-) -> Bisection {
+    ws: &mut GrowWork,
+    best: &mut Bisection,
+) {
     let n = g.num_vertices();
+    best.part_of.clear();
+    (best.cut, best.part_weights) = (0, [0, 0]);
     if n == 0 {
-        return Bisection {
-            part_of: Vec::new(),
-            cut: 0,
-            part_weights: [0, 0],
-        };
+        return;
     }
-    let mut best: Option<Bisection> = None;
+    let total = g.total_vertex_weight();
+    ws.weigh(g);
+    let mut best_imbalance = None;
     for _ in 0..trials.max(1) {
         let start = rng.next_below(n);
-        let part_of = grow_from(g, start, target[0]);
-        let cand = Bisection::recompute(g, part_of);
-        let better = match &best {
+        let (cut, weight0) = grow_from(g, start, target[0], ws);
+        let part_weights = [weight0, total - weight0];
+        debug_assert!(
+            cut_and_weights(g, &ws.part_of) == (cut, part_weights),
+            "GGGP's tracked cut or weights drifted"
+        );
+        let ci = imbalance(part_weights, target);
+        let better = match best_imbalance {
             None => true,
-            Some(b) => {
-                let (ci, bi) = (cand.imbalance(target), b.imbalance(target));
-                // Prefer feasible (≤5% imbalance) solutions, then lower cut.
-                match (ci <= 1.05, bi <= 1.05) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    _ => cand.cut < b.cut,
-                }
-            }
+            // Prefer feasible (≤5% imbalance) solutions, then lower cut.
+            Some(bi) => match (ci <= 1.05, bi <= 1.05) {
+                (true, false) => true,
+                (false, true) => false,
+                _ => cut < best.cut,
+            },
         };
         if better {
-            best = Some(cand);
+            best_imbalance = Some(ci);
+            std::mem::swap(&mut best.part_of, &mut ws.part_of);
+            (best.cut, best.part_weights) = (cut, part_weights);
         }
     }
-    best.expect("at least one trial runs")
 }
 
 #[cfg(test)]
@@ -157,17 +183,91 @@ mod tests {
         Graph::from_adjacency(xadj, adjncy).unwrap()
     }
 
+    fn bisect(g: &Graph, target: [i64; 2], trials: usize, seed: u64) -> Bisection {
+        let mut best = Bisection::default();
+        let mut rng = SplitMix::new(seed);
+        greedy_growing_bisection(
+            g,
+            target,
+            trials,
+            &mut rng,
+            &mut GrowWork::default(),
+            &mut best,
+        );
+        best
+    }
+
+    /// Disjoint weighted components — a triangle, a path of four, a
+    /// star of five and two isolated vertices — as a contracted level
+    /// may leave them: a region grown past one component reseeds.
+    fn weighted_components() -> Graph {
+        let edges: [(u32, u32, i64); 9] = [
+            (0, 1, 3),
+            (1, 2, 1),
+            (0, 2, 2),
+            (3, 4, 2),
+            (4, 5, 5),
+            (5, 6, 1),
+            (7, 8, 4),
+            (7, 9, 1),
+            (7, 10, 2),
+        ];
+        let n = 13;
+        let mut rows: Vec<Vec<(u32, i64)>> = vec![Vec::new(); n];
+        for &(a, b, w) in &edges {
+            rows[a as usize].push((b, w));
+            rows[b as usize].push((a, w));
+        }
+        let mut xadj = vec![0usize];
+        let (mut adjncy, mut ewgt) = (Vec::new(), Vec::new());
+        for row in &rows {
+            adjncy.extend(row.iter().map(|&(u, _)| u));
+            ewgt.extend(row.iter().map(|&(_, w)| w));
+            xadj.push(adjncy.len());
+        }
+        let vwgt = (0..n as i64).map(|v| 1 + v % 3).collect();
+        Graph::from_parts_unchecked(xadj, adjncy, vwgt, ewgt)
+    }
+
+    #[test]
+    fn tracked_cut_and_weights_equal_a_recomputation() {
+        let g = weighted_components();
+        let total = g.total_vertex_weight();
+        // One workspace for every trial, as a bisection's trials share
+        // one.
+        let mut ws = GrowWork::default();
+        ws.weigh(&g);
+        let mut reseeded = 0;
+        for target0 in 1..=total {
+            for start in 0..g.num_vertices() {
+                let (cut, weight0) = grow_from(&g, start, target0, &mut ws);
+                let exact = Bisection::recompute(&g, ws.part_of.clone());
+                assert_eq!(
+                    (cut, [weight0, total - weight0]),
+                    (exact.cut, exact.part_weights),
+                    "start {start}, target {target0}"
+                );
+                // Grown over more than one component: the triangle
+                // and the path share no edge.
+                let grown = |vs: std::ops::Range<usize>| ws.part_of[vs].contains(&0);
+                if grown(0..3) && grown(3..13) {
+                    reseeded += 1;
+                }
+            }
+        }
+        assert!(reseeded > 0, "no trial reseeded");
+    }
+
     #[test]
     fn grid_bisection_is_balanced_and_reasonable() {
         let g = grid(8); // 64 vertices, optimal cut 8
         let total = g.total_vertex_weight();
-        let mut rng = SplitMix::new(11);
-        let b = greedy_growing_bisection(&g, [total / 2, total - total / 2], 8, &mut rng);
+        let b = bisect(&g, [total / 2, total - total / 2], 8, 11);
         assert_eq!(b.part_weights[0] + b.part_weights[1], total);
         assert!(
-            b.imbalance([total / 2, total - total / 2]) <= 1.10,
+            imbalance(b.part_weights, [total / 2, total - total / 2]) <= 1.10,
             "imbalance {}",
-            b.imbalance([total / 2, total - total / 2])
+            imbalance(b.part_weights, [total / 2, total - total / 2])
         );
         assert!(b.cut <= 24, "greedy cut {} far from optimal 8", b.cut);
         assert!(b.cut >= 8, "cut below optimum is impossible");
@@ -176,8 +276,7 @@ mod tests {
     #[test]
     fn uneven_targets_respected() {
         let g = grid(6); // 36 vertices
-        let mut rng = SplitMix::new(3);
-        let b = greedy_growing_bisection(&g, [12, 24], 8, &mut rng);
+        let b = bisect(&g, [12, 24], 8, 3);
         // Part 0 should be close to 12, not 18.
         assert!(
             (b.part_weights[0] - 12).abs() <= 3,
@@ -190,8 +289,7 @@ mod tests {
     fn disconnected_graph_is_fully_assigned() {
         // Two disjoint edges + isolated vertex.
         let g = Graph::from_adjacency(vec![0, 1, 2, 3, 4, 4], vec![1, 0, 3, 2]).unwrap();
-        let mut rng = SplitMix::new(9);
-        let b = greedy_growing_bisection(&g, [2, 3], 4, &mut rng);
+        let b = bisect(&g, [2, 3], 4, 9);
         assert_eq!(b.part_weights[0] + b.part_weights[1], 5);
         assert!(b.part_weights[0] >= 2, "part 0 reached its target");
     }
@@ -199,8 +297,7 @@ mod tests {
     #[test]
     fn single_vertex_graph() {
         let g = Graph::from_adjacency(vec![0, 0], vec![]).unwrap();
-        let mut rng = SplitMix::new(1);
-        let b = greedy_growing_bisection(&g, [1, 0], 2, &mut rng);
+        let b = bisect(&g, [1, 0], 2, 1);
         assert_eq!(b.part_of.len(), 1);
         assert_eq!(b.cut, 0);
     }

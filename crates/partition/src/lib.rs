@@ -30,14 +30,14 @@ mod rng;
 mod separator;
 
 pub use hgraph::partition_hypergraph;
-pub use recursive::partition_graph;
+pub use recursive::{partition_graph, BisectWork};
 pub use separator::{vertex_separator, Separator};
 
 use sparsegraph::Graph;
 
 /// A 2-way partition of a graph: part id (0 or 1) per vertex plus the
 /// achieved edge cut and part weights.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Bisection {
     /// Part assignment per vertex (0 or 1).
     pub part_of: Vec<u8>,
@@ -48,8 +48,8 @@ pub(crate) struct Bisection {
 }
 
 impl Bisection {
-    /// Recompute cut and part weights from scratch (O(E)); used for
-    /// validation and after projection between levels.
+    /// Recompute cut and part weights from scratch (O(E)).
+    #[cfg(test)]
     pub fn recompute(g: &Graph, part_of: Vec<u8>) -> Bisection {
         let (cut, part_weights) = cut_and_weights(g, &part_of);
         Bisection {
@@ -64,18 +64,18 @@ impl Bisection {
     pub(crate) fn is_exact(&self, g: &Graph) -> bool {
         cut_and_weights(g, &self.part_of) == (self.cut, self.part_weights)
     }
+}
 
-    /// The load imbalance of the heavier part relative to its target
-    /// weight share.
-    pub fn imbalance(&self, target: [i64; 2]) -> f64 {
-        let i0 = self.part_weights[0] as f64 / target[0].max(1) as f64;
-        let i1 = self.part_weights[1] as f64 / target[1].max(1) as f64;
-        i0.max(i1)
-    }
+/// The load imbalance of the heavier of two parts of `part_weights`
+/// relative to its target weight share.
+pub(crate) fn imbalance(part_weights: [i64; 2], target: [i64; 2]) -> f64 {
+    let i0 = part_weights[0] as f64 / target[0].max(1) as f64;
+    let i1 = part_weights[1] as f64 / target[1].max(1) as f64;
+    i0.max(i1)
 }
 
 /// Edge cut and part weights of a bisection, from scratch (O(E)).
-fn cut_and_weights(g: &Graph, part_of: &[u8]) -> (i64, [i64; 2]) {
+pub(crate) fn cut_and_weights(g: &Graph, part_of: &[u8]) -> (i64, [i64; 2]) {
     let mut cut = 0i64;
     let mut part_weights = [0i64; 2];
     for v in 0..g.num_vertices() {
@@ -152,6 +152,6 @@ mod tests {
         let b = Bisection::recompute(&g, vec![0, 0, 0, 1, 1, 1]);
         assert_eq!(b.cut, 1);
         assert_eq!(b.part_weights, [3, 3]);
-        assert!((b.imbalance([3, 3]) - 1.0).abs() < 1e-12);
+        assert!((imbalance(b.part_weights, [3, 3]) - 1.0).abs() < 1e-12);
     }
 }

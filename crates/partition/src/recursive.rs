@@ -1,11 +1,12 @@
 //! Multilevel bisection and recursive k-way partitioning.
 
-use crate::coarsen::coarsen_to;
+use crate::coarsen::Coarsening;
 use crate::fm::{fm_refine, FmWork};
-use crate::initial::greedy_growing_bisection;
+use crate::initial::{greedy_growing_bisection, GrowWork};
 use crate::rng::SplitMix;
+use crate::separator::{CoverWork, Separator};
 use crate::Bisection;
-use sparsegraph::{Graph, LocalIds};
+use sparsegraph::{Graph, SubgraphWork};
 use std::ops::Range;
 
 /// Coarsening stops below this many vertices.
@@ -24,7 +25,27 @@ pub(crate) const UBFACTOR: f64 = 1.05;
 const SEED: u64 = 0x5EED;
 const CHILD_SEEDS: [u64; 2] = [1, 2];
 
-/// Multilevel 2-way partitioning: coarsen, bisect, uncoarsen + refine.
+/// The arrays of a run of multilevel bisections — one
+/// [`partition_graph`] call's, or one nested dissection's separators
+/// ([`crate::vertex_separator`]). Every array is refilled by the next
+/// bisection, so after the first, largest one none of them grows. No
+/// bisection reads what an earlier one left before writing it, so a
+/// workspace gives the same bytes whatever it served before.
+#[derive(Default)]
+pub struct BisectWork {
+    pub(crate) coarsening: Coarsening,
+    pub(crate) grow: GrowWork,
+    pub(crate) fm: FmWork,
+    /// The bisection being refined, and the buffer it is projected
+    /// into on the way to the next finer level.
+    pub(crate) bis: Bisection,
+    pub(crate) projected: Vec<u8>,
+    pub(crate) cover: CoverWork,
+    pub(crate) separator: Separator,
+}
+
+/// Multilevel 2-way partitioning into `ws.bis`: coarsen, bisect,
+/// uncoarsen + refine.
 ///
 /// `target` gives the desired vertex weight of each side (they need not
 /// be equal — recursive bisection to non-power-of-two `k` needs uneven
@@ -34,13 +55,22 @@ pub(crate) fn multilevel_bisect(
     target: [i64; 2],
     ubfactor: f64,
     seed: u64,
-) -> Bisection {
+    ws: &mut BisectWork,
+) {
     let mut rng = SplitMix::new(seed);
-    let levels = coarsen_to(g, COARSEN_TO, &mut rng);
-    let coarsest: &Graph = levels.last().map(|l| &l.graph).unwrap_or(g);
-    let mut fm = FmWork::with_capacity(g.num_vertices());
-
-    let mut bis = greedy_growing_bisection(coarsest, target, INITIAL_TRIALS, &mut rng);
+    ws.coarsening.coarsen(g, COARSEN_TO, &mut rng);
+    let levels = &ws.coarsening.levels;
+    let coarsest: &Graph = levels.last().map_or(g, |l| &l.graph);
+    ws.fm.reserve(g.num_vertices());
+    let bis = &mut ws.bis;
+    greedy_growing_bisection(
+        coarsest,
+        target,
+        INITIAL_TRIALS,
+        &mut rng,
+        &mut ws.grow,
+        bis,
+    );
     // Refine the coarsest level, then project onto each finer one and
     // refine that in turn. Contraction sums vertex weights and parallel
     // edge weights and drops only the edges inside a coarse vertex,
@@ -49,17 +79,14 @@ pub(crate) fn multilevel_bisect(
     for li in (0..=levels.len()).rev() {
         let g_li = if li == 0 { g } else { &levels[li - 1].graph };
         if let Some(level) = levels.get(li) {
-            let part_of = level
-                .coarse_of
-                .iter()
-                .map(|&c| bis.part_of[c as usize])
-                .collect();
-            bis = Bisection { part_of, ..bis };
+            let fine = &mut ws.projected;
+            fine.clear();
+            fine.extend(level.coarse_of.iter().map(|&c| bis.part_of[c as usize]));
+            std::mem::swap(&mut bis.part_of, fine);
             debug_assert!(bis.is_exact(g_li), "projection changed the cut");
         }
-        fm_refine(g_li, &mut bis, target, ubfactor, FM_PASSES, &mut fm);
+        fm_refine(g_li, bis, target, ubfactor, FM_PASSES, &mut ws.fm);
     }
-    bis
 }
 
 /// Recursive-bisection k-way partitioning of a graph — the stand-in for
@@ -70,14 +97,16 @@ pub(crate) fn multilevel_bisect(
 /// is on vertex weight; with unit weights this balances the number of
 /// rows per part, the configuration the paper uses (§3.3).
 pub fn partition_graph(g: &Graph, k: usize) -> Vec<u32> {
-    let mut ids = LocalIds::default();
+    let mut sub = SubgraphWork::default();
+    let mut ws = BisectWork::default();
     recursive_bisection(
         g.vertex_weights(),
         k,
         (SEED, CHILD_SEEDS),
-        |vertices, target, seed| {
-            let sub = g.subgraph(vertices, &mut ids);
-            multilevel_bisect(&sub, target, UBFACTOR, seed).part_of
+        |vertices, target, seed, side| {
+            let sub = g.subgraph(vertices, &mut sub);
+            multilevel_bisect(sub, target, UBFACTOR, seed, &mut ws);
+            std::mem::swap(side, &mut ws.bis.part_of);
         },
     )
 }
@@ -90,17 +119,18 @@ pub fn partition_graph(g: &Graph, k: usize) -> Vec<u32> {
 /// part or at most one vertex is a leaf.
 /// Otherwise its `k` parts split into `k0 = k / 2` and the rest, with
 /// weight targets proportional to that split, so an odd `k` stays
-/// balanced. `bisect(vertices, target, seed)` is the model's bisection
-/// of the sub-model `vertices` (ascending) induce: a side, 0 or 1, per
-/// vertex in that order. Each side's vertices stay ascending in its
-/// child. `seeds` holds the root's seed and what each child adds to
-/// its parent's: a node with seed `s` gives the child of side `i` the
-/// seed `s * 0x9E37 + seeds.1[i]`, wrapping.
+/// balanced. `bisect(vertices, target, seed, side)` is the model's
+/// bisection of the sub-model `vertices` (ascending) induce: it leaves
+/// a side, 0 or 1, per vertex in that order in `side`. Each side's
+/// vertices stay ascending in its child. `seeds` holds the root's seed
+/// and what each child adds to its parent's: a node with seed `s`
+/// gives the child of side `i` the seed `s * 0x9E37 + seeds.1[i]`,
+/// wrapping.
 pub(crate) fn recursive_bisection(
     weights: &[i64],
     k: usize,
     seeds: (u64, [u64; 2]),
-    bisect: impl FnMut(&[u32], [i64; 2], u64) -> Vec<u8>,
+    bisect: impl FnMut(&[u32], [i64; 2], u64, &mut Vec<u8>),
 ) -> Vec<u32> {
     let n = weights.len();
     let k = k.clamp(1, u32::MAX as usize);
@@ -109,6 +139,7 @@ pub(crate) fn recursive_bisection(
         children: seeds.1,
         bisect,
         part_of: vec![0u32; n],
+        side: Vec::new(),
         right: Vec::with_capacity(n),
     };
     let mut vertices: Vec<u32> = (0..n as u32).collect();
@@ -122,12 +153,14 @@ struct Driver<'w, B> {
     children: [u64; 2],
     bisect: B,
     part_of: Vec<u32>,
+    /// The side of each vertex of the node being split.
+    side: Vec<u8>,
     /// The side-1 vertices of the node being split, before they move
     /// behind its side-0 ones.
     right: Vec<u32>,
 }
 
-impl<B: FnMut(&[u32], [i64; 2], u64) -> Vec<u8>> Driver<'_, B> {
+impl<B: FnMut(&[u32], [i64; 2], u64, &mut Vec<u8>)> Driver<'_, B> {
     /// Split `vertices` into `parts`, leaving it grouped by part.
     fn split(&mut self, vertices: &mut [u32], parts: Range<u32>, seed: u64) {
         let k = parts.len();
@@ -140,14 +173,14 @@ impl<B: FnMut(&[u32], [i64; 2], u64) -> Vec<u8>> Driver<'_, B> {
         let k0 = k / 2;
         let total: i64 = vertices.iter().map(|&v| self.weights[v as usize]).sum();
         let t0 = (total as f64 * k0 as f64 / k as f64).round() as i64;
-        let side = (self.bisect)(vertices, [t0, total - t0], seed);
+        (self.bisect)(vertices, [t0, total - t0], seed, &mut self.side);
         // A stable partition in place: side 0 moves up to the front,
         // side 1 follows it.
         self.right.clear();
         let mut left = 0;
         for i in 0..vertices.len() {
             let v = vertices[i];
-            if side[i] == 0 {
+            if self.side[i] == 0 {
                 vertices[left] = v;
                 left += 1;
             } else {
@@ -166,7 +199,7 @@ impl<B: FnMut(&[u32], [i64; 2], u64) -> Vec<u8>> Driver<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{edge_cut, part_weights};
+    use crate::{edge_cut, imbalance, part_weights};
 
     fn grid(n: usize) -> Graph {
         let idx = |r: usize, c: usize| (r * n + c) as u32;
@@ -197,13 +230,15 @@ mod tests {
         let n = 16; // 256 vertices, optimal bisection cut = 16
         let g = grid(n);
         let total = g.total_vertex_weight();
-        let b = multilevel_bisect(&g, [total / 2, total / 2], 1.05, 42);
+        let mut ws = BisectWork::default();
+        multilevel_bisect(&g, [total / 2, total / 2], 1.05, 42, &mut ws);
+        let b = &ws.bis;
         assert!(
             b.cut <= 28,
             "multilevel cut {} too far from optimal 16",
             b.cut
         );
-        assert!(b.imbalance([total / 2, total / 2]) <= 1.06);
+        assert!(imbalance(b.part_weights, [total / 2, total / 2]) <= 1.06);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests for the partitioning substrate.
 
-use partition::{edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator};
+use partition::{
+    edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator, BisectWork,
+};
 use proptest::prelude::*;
 use sparsegraph::{Graph, Hypergraph};
 use sparsemat::{CooMatrix, CsrMatrix};
@@ -64,7 +66,8 @@ proptest! {
 
     #[test]
     fn separator_disconnects(g in graph_strategy()) {
-        let s = vertex_separator(&g, 99);
+        let mut ws = BisectWork::default();
+        let s = vertex_separator(&g, 99, &mut ws);
         let n = g.num_vertices();
         prop_assert_eq!(s.left.len() + s.right.len() + s.separator.len(), n);
         let mut side = vec![0u8; n];

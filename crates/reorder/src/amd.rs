@@ -73,7 +73,7 @@
 use crate::component::{assemble_pieces, ComponentOrdering};
 use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use sparsegraph::{connected_components, Graph, LocalIds};
+use sparsegraph::{connected_components, Graph, SubgraphWork};
 use sparsemat::{CsrMatrix, SparseError};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -148,6 +148,7 @@ const NONE: u32 = u32::MAX;
 /// d_min + slack}` in that order — what [`DegreeBuckets::take_min`]
 /// returns while every live variable is filed under its degree and
 /// nothing else is filed.
+#[derive(Default)]
 struct DegreeBuckets {
     /// First variable filed under each degree, or `NONE`.
     head: Vec<u32>,
@@ -162,20 +163,19 @@ struct DegreeBuckets {
 }
 
 impl DegreeBuckets {
-    /// Empty buckets for variables `0..n` with degrees `0..=max_degree`.
-    fn new(n: usize, max_degree: usize) -> DegreeBuckets {
+    /// Empty the buckets for variables `0..n` with degrees
+    /// `0..=max_degree`.
+    fn reset(&mut self, n: usize, max_degree: usize) {
         assert!(
             max_degree < NONE as usize,
             "degree {max_degree} overflows u32"
         );
-        DegreeBuckets {
-            head: vec![NONE; max_degree + 1],
-            next: vec![NONE; n],
-            prev: vec![NONE; n],
-            filed: vec![NONE; n],
-            min_d: 0,
-            len: 0,
-        }
+        refill(&mut self.head, max_degree + 1, NONE);
+        refill(&mut self.next, n, NONE);
+        refill(&mut self.prev, n, NONE);
+        refill(&mut self.filed, n, NONE);
+        self.min_d = 0;
+        self.len = 0;
     }
 
     /// File `v` under degree `d`, moving it if it is filed elsewhere.
@@ -250,6 +250,7 @@ impl DegreeBuckets {
 /// Worker threads are persistent, so thread-local reuse amortises the
 /// allocation; the stamp is monotonic per thread, which keeps entries
 /// from unrelated pivots (or unrelated calls) from aliasing.
+#[derive(Default)]
 struct LaneScratch {
     w: Vec<i64>,
     wstamp: Vec<u64>,
@@ -268,14 +269,14 @@ impl LaneScratch {
         }
     }
 
-    /// Scratch already sized for an `n`-variable call.
-    fn with_len(n: usize) -> LaneScratch {
-        LaneScratch {
-            w: vec![0; n],
-            wstamp: vec![0; n],
-            stamp: 0,
-            groups: Vec::with_capacity(n),
+    /// Size the scratch for an `n`-variable call.
+    fn fit(&mut self, n: usize) {
+        if self.w.len() < n {
+            self.w.resize(n, 0);
+            self.wstamp.resize(n, 0);
         }
+        self.groups.clear();
+        self.groups.reserve(n);
     }
 }
 
@@ -592,62 +593,87 @@ fn compact_elements(
 }
 
 /// Compute the AMD elimination order of a symmetric graph by
-/// round-based multiple elimination on the given execution context.
-/// Returns the order vector (`order[k]` = original vertex eliminated
-/// k-th) and the run's counters.
+/// round-based multiple elimination on the given execution context, in
+/// `ws`'s arrays. Leaves the order in `ws` ([`AmdWork::order`]) and
+/// returns the run's counters.
 ///
 /// The ordering is a pure function of `(g, slack)` —
 /// byte-identical for every executor, team size and `amd_round_min`.
 /// When the context's trace is recording, three aggregate sub-stage
 /// spans (`reorder.amd.select` / `.eliminate` / `.update`) report
 /// where the call's time went.
-pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, AmdStats) {
+pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>, ws: &mut AmdWork) -> AmdStats {
     let t_start = rx.trace().is_recording().then(Instant::now);
     let n = g.num_vertices();
     let xadj = g.xadj();
-    let mut status = vec![Status::Live; n];
-    let mut nv = vec![1i64; n];
-    let mut degree: Vec<i64> = (0..n).map(|v| g.degree(v) as i64).collect();
+    let AmdWork {
+        status,
+        nv,
+        degree,
+        adj,
+        lens,
+        el_arena,
+        el_lists,
+        el_size,
+        chain,
+        chain_next,
+        buckets,
+        claim,
+        seq_scratch,
+        elim_order,
+        candidates,
+        pivots,
+        lp_flat,
+        lp_off,
+        lp_w,
+        order,
+    } = ws;
+    refill(status, n, Status::Live);
+    refill(nv, n, 1);
+    degree.clear();
+    degree.extend((0..n).map(|v| g.degree(v) as i64));
     // Each variable's segment starts as its neighbours: no elements.
-    let mut adj = g.adjncy().to_vec();
-    let mut lens: Vec<(u32, u32)> = (0..n).map(|v| (0, g.degree(v) as u32)).collect();
-    let mut el_arena: Vec<u32> = Vec::with_capacity(2 * adj.len());
-    let mut el_lists = vec![(0usize, 0usize); n];
-    let mut el_size = vec![0i64; n];
-    let mut chain = vec![(NONE, NONE); n];
-    let mut chain_next = vec![NONE; n];
+    adj.clear();
+    adj.extend_from_slice(g.adjncy());
+    lens.clear();
+    lens.extend((0..n).map(|v| (0, g.degree(v) as u32)));
+    emptied(el_arena, 2 * adj.len());
+    refill(el_lists, n, (0, 0));
+    refill(el_size, n, 0);
+    refill(chain, n, (NONE, NONE));
+    refill(chain_next, n, NONE);
 
     // A repeated neighbour can put an initial degree above n − 1; every
     // later one is at most the remaining weight, n.
     let max_degree = (0..n).map(|v| g.degree(v)).max().unwrap_or(0).max(n);
-    let mut buckets = DegreeBuckets::new(n, max_degree);
+    buckets.reset(n, max_degree);
     for v in 0..n {
         buckets.file(v as u32, g.degree(v));
     }
 
     // Round-selection claims (see RoundCtx).
-    let mut claim = vec![0u64; n];
+    refill(claim, n, 0);
     let mut round_stamp = 0u64;
     // Scratch for inline (non-dispatched) update rounds; parallel
     // rounds use each lane's thread-local scratch instead.
-    let mut seq_scratch = LaneScratch::with_len(n);
+    seq_scratch.fit(n);
 
     let exec = rx.exec();
     let round_min = rx.amd_round_min();
     let merges = AtomicU64::new(0);
     let mut eliminated_weight = 0i64;
-    let mut elim_order: Vec<u32> = Vec::with_capacity(n);
+    emptied(elim_order, n);
     let mut stats = AmdStats::default();
     let (mut t_select, mut t_eliminate, mut t_update) =
         (Duration::ZERO, Duration::ZERO, Duration::ZERO);
 
     // Per-round buffers, reused across rounds. A round's candidates,
     // pivots and (disjoint) Lps are each at most n variables.
-    let mut candidates: Vec<(u32, u32)> = Vec::with_capacity(n);
-    let mut pivots: Vec<u32> = Vec::with_capacity(n);
-    let mut lp_flat: Vec<u32> = Vec::with_capacity(n);
-    let mut lp_off: Vec<usize> = Vec::with_capacity(n + 1);
-    let mut lp_w: Vec<i64> = Vec::with_capacity(n);
+    emptied(candidates, n);
+    emptied(pivots, n);
+    emptied(lp_flat, n);
+    emptied(lp_off, n + 1);
+    emptied(lp_w, n);
 
     loop {
         // --- Select: candidates within `slack` of the minimum degree,
@@ -662,14 +688,14 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
         lp_off.push(0);
         lp_w.clear();
 
-        if !buckets.take_min(slack, &mut candidates) {
+        if !buckets.take_min(slack, candidates) {
             if let Some(t0v) = t0 {
                 t_select += t0v.elapsed();
             }
             break;
         }
 
-        for &(_, v) in &candidates {
+        for &(_, v) in candidates.iter() {
             let vu = v as usize;
             // Already claimed by an earlier pivot's Lp this round.
             if claim[vu] >> 32 == round_stamp {
@@ -777,23 +803,23 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
         }
         {
             let writers = StateWriters {
-                status: SliceWriter::new(&mut status),
-                nv: SliceWriter::new(&mut nv),
-                degree: SliceWriter::new(&mut degree),
-                adj: SliceWriter::new(&mut adj),
+                status: SliceWriter::new(status),
+                nv: SliceWriter::new(nv),
+                degree: SliceWriter::new(degree),
+                adj: SliceWriter::new(adj),
                 xadj,
-                lens: SliceWriter::new(&mut lens),
-                chain: SliceWriter::new(&mut chain),
-                chain_next: SliceWriter::new(&mut chain_next),
+                lens: SliceWriter::new(lens),
+                chain: SliceWriter::new(chain),
+                chain_next: SliceWriter::new(chain_next),
             };
             let cx = RoundCtx {
                 n,
-                pivots: &pivots,
-                lp_flat: &lp_flat,
-                lp_off: &lp_off,
-                lp_w: &lp_w,
-                el_size: &el_size,
-                claim: &claim,
+                pivots,
+                lp_flat,
+                lp_off,
+                lp_w,
+                el_size,
+                claim,
                 round_stamp,
                 remaining,
                 merges: &merges,
@@ -819,7 +845,7 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
                         AMD_SCRATCH.with(|cell| run(&mut cell.borrow_mut(), pis));
                     });
                 } else {
-                    run(&mut seq_scratch, 0..pivots.len());
+                    run(seq_scratch, 0..pivots.len());
                 }
             };
             run_phase(update_pivot);
@@ -836,7 +862,7 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
             .filter(|&&v| status[v as usize] == Status::Live)
             .count();
         if el_arena.len() + live > el_arena.capacity() {
-            compact_elements(&mut el_arena, &mut el_lists, &status, &elim_order);
+            compact_elements(el_arena, el_lists, status, elim_order);
         }
         for (pi, &p) in pivots.iter().enumerate() {
             let start = el_arena.len();
@@ -851,14 +877,14 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
             el_lists[p as usize] = (start, el_arena.len());
             elim_order.push(p);
         }
-        for &v in &lp_flat {
+        for &v in lp_flat.iter() {
             if status[v as usize] == Status::Live {
                 buckets.file(v, degree[v as usize] as usize);
             } else {
                 buckets.remove(v);
             }
         }
-        for &(_, v) in &candidates {
+        for &(_, v) in candidates.iter() {
             if claim[v as usize] >> 32 != round_stamp {
                 buckets.file(v, degree[v as usize] as usize);
             }
@@ -875,8 +901,8 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
     // Expand supervariables into the final order: each pivot emits its
     // merged members first (they are indistinguishable, so relative
     // order does not matter), then itself.
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    for &p in &elim_order {
+    emptied(order, n);
+    for &p in elim_order.iter() {
         let mut m = chain[p as usize].0;
         while m != NONE {
             order.push(m);
@@ -919,7 +945,57 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, A
             ],
         );
     }
-    (order, stats)
+    stats
+}
+
+/// Empty `v` and make room for `cap` elements.
+fn emptied<T>(v: &mut Vec<T>, cap: usize) {
+    v.clear();
+    v.reserve(cap);
+}
+
+/// Make `v` `n` copies of `x`.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
+/// The 25 arrays of an [`amd_order_on`] call — its quotient graph,
+/// degree buckets, round buffers, scratch and the order — refilled by
+/// each call, so a caller that orders many graphs (nested dissection's
+/// leaves, AMD's components) allocates them once, at the largest. A
+/// workspace holds no state a call reads before writing it, so it
+/// gives the same bytes whatever it served before.
+#[derive(Default)]
+pub struct AmdWork {
+    status: Vec<Status>,
+    nv: Vec<i64>,
+    degree: Vec<i64>,
+    adj: Vec<u32>,
+    lens: Vec<(u32, u32)>,
+    el_arena: Vec<u32>,
+    el_lists: Vec<(usize, usize)>,
+    el_size: Vec<i64>,
+    chain: Vec<(u32, u32)>,
+    chain_next: Vec<u32>,
+    buckets: DegreeBuckets,
+    claim: Vec<u64>,
+    seq_scratch: LaneScratch,
+    elim_order: Vec<u32>,
+    candidates: Vec<(u32, u32)>,
+    pivots: Vec<u32>,
+    lp_flat: Vec<u32>,
+    lp_off: Vec<usize>,
+    lp_w: Vec<i64>,
+    order: Vec<u32>,
+}
+
+impl AmdWork {
+    /// The order the last [`amd_order_on`] call computed: `order()[k]`
+    /// is the vertex eliminated k-th.
+    pub fn order(&self) -> &[u32] {
+        &self.order
+    }
 }
 
 struct AmdState {
@@ -1191,7 +1267,8 @@ impl ReorderAlgorithm for Amd {
         comp: &[u32],
         rx: &ReorderExec<'_>,
     ) -> Option<Vec<u32>> {
-        Some(self.order_component(g, comp, &mut LocalIds::default(), rx))
+        let (mut sub, mut amd) = (SubgraphWork::default(), AmdWork::default());
+        Some(self.order_component(g, comp, &mut sub, &mut amd, rx))
     }
 
     fn compute_components_on(
@@ -1201,11 +1278,11 @@ impl ReorderAlgorithm for Amd {
     ) -> Result<Option<ComponentOrdering>, SparseError> {
         let g = build_ordering_graph(a, rx)?;
         let comps = connected_components(&g);
-        let mut ids = LocalIds::default();
+        let (mut sub, mut amd) = (SubgraphWork::default(), AmdWork::default());
         let mut pieces: Vec<(u32, Vec<u32>)> = Vec::with_capacity(comps.count());
         for mut comp in comps.members {
             comp.sort_unstable();
-            let piece = self.order_component(&g, &comp, &mut ids, rx);
+            let piece = self.order_component(&g, &comp, &mut sub, &mut amd, rx);
             pieces.push((comp[0], piece));
         }
         Ok(Some(assemble_pieces(self, pieces)))
@@ -1219,19 +1296,22 @@ impl Amd {
     /// tie-breaking inside the quotient-graph heap is a pure function
     /// of the component — independent of what the rest of the graph
     /// looks like, of the executor, and of the team size. An isolated
-    /// vertex's order is itself, with no quotient graph built.
+    /// vertex's order is itself, with no quotient graph built. `sub`
+    /// and `amd` are the extraction's and the ordering's workspaces;
+    /// the piece is `amd`'s order array, taken.
     fn order_component(
         &self,
         g: &Graph,
         comp: &[u32],
-        ids: &mut LocalIds,
+        sub: &mut SubgraphWork,
+        amd: &mut AmdWork,
         rx: &ReorderExec<'_>,
     ) -> Vec<u32> {
         if let [v] = *comp {
             return vec![v];
         }
-        let sub = g.subgraph(comp, ids);
-        let mut order = amd_order_on(&sub, self.round_slack, rx).0;
+        amd_order_on(g.subgraph(comp, sub), self.round_slack, rx, amd);
+        let mut order = std::mem::take(&mut amd.order);
         for v in &mut order {
             *v = comp[*v as usize];
         }
@@ -1408,7 +1488,7 @@ mod tests {
         }
         let a = CsrMatrix::from_coo(&coo);
         let g = Graph::from_matrix(&a).unwrap();
-        let (order, stats) = amd_order_on(&g, 0, &ReorderExec::sequential());
+        let (order, stats) = amd_order(&g, 0, &ReorderExec::sequential());
         // Valid permutation covering every vertex.
         let mut seen = vec![false; n];
         for &v in &order {
@@ -1436,18 +1516,42 @@ mod tests {
         let a = grid_matrix(12);
         let g = Graph::from_matrix(&a).unwrap();
         for slack in [0u32, 2] {
-            let (seq, _) = amd_order_on(&g, slack, &ReorderExec::sequential());
+            let (seq, _) = amd_order(&g, slack, &ReorderExec::sequential());
             for size in [2usize, 4, 8] {
                 let team = ThreadTeam::new_in(&telemetry::Registry::new_arc(), size);
                 // amd_round_min 0: force the parallel path even on
                 // tiny rounds so the test exercises it.
                 let rx = ReorderExec::on_team(&team).with_amd_round_min(0);
-                let (par, stats) = amd_order_on(&g, slack, &rx);
+                let (par, stats) = amd_order(&g, slack, &rx);
                 assert_eq!(seq, par, "team size {size}, slack {slack}");
                 assert!(
                     stats.parallel_rounds > 0,
                     "grid rounds must hit the parallel path (size {size})"
                 );
+            }
+        }
+    }
+
+    /// [`amd_order_on`] in a workspace of its own.
+    fn amd_order(g: &Graph, slack: u32, rx: &ReorderExec<'_>) -> (Vec<u32>, AmdStats) {
+        let mut ws = AmdWork::default();
+        let stats = amd_order_on(g, slack, rx, &mut ws);
+        (ws.order, stats)
+    }
+
+    #[test]
+    fn one_workspace_orders_each_graph_as_a_fresh_one_does() {
+        let graphs: Vec<Graph> = [12, 4, 9, 16, 1]
+            .iter()
+            .map(|&side| Graph::from_matrix(&grid_matrix(side)).unwrap())
+            .collect();
+        let rx = ReorderExec::sequential();
+        let mut ws = AmdWork::default();
+        for slack in [0u32, 2] {
+            for g in &graphs {
+                let stats = amd_order_on(g, slack, &rx, &mut ws);
+                let fresh = amd_order(g, slack, &rx);
+                assert_eq!((ws.order(), stats), (&fresh.0[..], fresh.1));
             }
         }
     }
@@ -1471,15 +1575,15 @@ mod tests {
     fn amd_stats_are_deterministic() {
         let a = grid_matrix(9);
         let g = Graph::from_matrix(&a).unwrap();
-        let (o1, s1) = amd_order_on(&g, 0, &ReorderExec::sequential());
-        let (o2, s2) = amd_order_on(&g, 0, &ReorderExec::sequential());
+        let (o1, s1) = amd_order(&g, 0, &ReorderExec::sequential());
+        let (o2, s2) = amd_order(&g, 0, &ReorderExec::sequential());
         assert_eq!(o1, o2);
         assert_eq!(s1, s2, "sequential stats must be reproducible");
         assert!(s1.rounds > 0 && s1.pivots > 0 && s1.merges > 0);
         // Of the counters, only the dispatched rounds follow the executor.
         let team = ThreadTeam::new_in(&telemetry::Registry::new_arc(), 2);
         let rx = ReorderExec::on_team(&team).with_amd_round_min(0);
-        let (o3, s3) = amd_order_on(&g, 0, &rx);
+        let (o3, s3) = amd_order(&g, 0, &rx);
         assert_eq!(o1, o3);
         assert!(s3.parallel_rounds > 0);
         assert_eq!(
@@ -1497,7 +1601,8 @@ mod tests {
     #[test]
     fn degree_buckets_take_what_an_ordered_set_holds() {
         let (n, max_degree) = (40usize, 50usize);
-        let mut buckets = DegreeBuckets::new(n, max_degree);
+        let mut buckets = DegreeBuckets::default();
+        buckets.reset(n, max_degree);
         let mut reference: BTreeSet<(u32, u32)> = BTreeSet::new();
         let mut filed: Vec<Option<u32>> = vec![None; n];
         let mut state = 7u64;

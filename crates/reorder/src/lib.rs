@@ -52,7 +52,7 @@ pub mod nd;
 pub mod rcm;
 mod traits;
 
-pub use amd::{amd_order_on, amd_order_single, Amd, AmdStats, DEFAULT_AMD_ROUND_MIN};
+pub use amd::{amd_order_on, amd_order_single, Amd, AmdStats, AmdWork, DEFAULT_AMD_ROUND_MIN};
 pub use component::{splice_ordering_on, ComponentOrdering, ComponentRange, SpliceReport};
 pub use exec::{build_ordering_graph, ReorderExec};
 pub use gp::Gp;

@@ -6,11 +6,11 @@
 //! hybrid METIS's `METIS_NodeND` uses. Small separators at every level
 //! keep Cholesky fill low (§2.1.2).
 
-use crate::amd::amd_order_on;
+use crate::amd::{amd_order_on, AmdWork};
 use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use partition::vertex_separator;
-use sparsegraph::{Graph, LocalIds};
+use partition::{vertex_separator, BisectWork};
+use sparsegraph::{Graph, SubgraphWork};
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
 /// Subgraphs at or below this size are ordered with minimum degree
@@ -24,6 +24,17 @@ const SEED: u64 = 0xD15EC7;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Nd;
 
+/// The workspaces one dissection's nodes share: subgraph extraction,
+/// the separators' bisections, the leaves' AMD, and the list a node's
+/// vertices are regrouped through.
+#[derive(Default)]
+struct NdWork {
+    sub: SubgraphWork,
+    bisect: BisectWork,
+    amd: AmdWork,
+    regrouped: Vec<u32>,
+}
+
 /// Compute the nested dissection order of a graph with leaf AMD
 /// orderings on the given execution context. The dissection itself is
 /// sequential; the leaves' round-based quotient-graph updates run
@@ -31,47 +42,57 @@ pub struct Nd;
 /// executor (see [`amd_order_on`]).
 fn dissection_order_on(g: &Graph, rx: &ReorderExec<'_>) -> Vec<u32> {
     let n = g.num_vertices();
-    let vertices: Vec<u32> = (0..n as u32).collect();
+    let mut vertices: Vec<u32> = (0..n as u32).collect();
     let mut order = Vec::with_capacity(n);
-    let mut ids = LocalIds::default();
-    recurse(g, &vertices, SEED, &mut order, rx, &mut ids);
+    recurse(
+        g,
+        &mut vertices,
+        SEED,
+        &mut order,
+        rx,
+        &mut NdWork::default(),
+    );
     debug_assert_eq!(order.len(), n);
     order
 }
 
 /// Append the order of the subgraph induced by `vertices`
-/// (ascending) to `order`; `ids` is the one global→local map every
-/// node of the recursion extracts its subgraph with.
+/// (ascending) to `order`, regrouping `vertices` in place as the
+/// dissection splits it.
 fn recurse(
     g_full: &Graph,
-    vertices: &[u32],
+    vertices: &mut [u32],
     seed: u64,
     order: &mut Vec<u32>,
     rx: &ReorderExec<'_>,
-    ids: &mut LocalIds,
+    ws: &mut NdWork,
 ) {
-    let sub = g_full.subgraph(vertices, ids);
+    let sub = g_full.subgraph(vertices, &mut ws.sub);
     if vertices.len() > LEAF_SIZE {
-        let mut sep = vertex_separator(&sub, seed);
+        let sep = vertex_separator(sub, seed, &mut ws.bisect);
         // A degenerate separator (e.g. a clique where one side is
         // empty) stops the dissection: minimum degree orders the
         // rest below.
         if !sep.left.is_empty() && !sep.right.is_empty() {
-            drop(sub);
-            let parts = [&mut sep.left, &mut sep.right, &mut sep.separator];
-            for l in parts.into_iter().flat_map(|p| p.iter_mut()) {
-                *l = vertices[*l as usize];
-            }
+            // Left, right, separator, each still ascending in global
+            // ids, since the local ones follow `vertices`.
+            let (left, right) = (sep.left.len(), sep.right.len());
+            let local = sep.left.iter().chain(&sep.right).chain(&sep.separator);
+            ws.regrouped.clear();
+            ws.regrouped.extend(local.map(|&l| vertices[l as usize]));
+            vertices.copy_from_slice(&ws.regrouped);
+            let (left_part, rest) = vertices.split_at_mut(left);
+            let (right_part, separator) = rest.split_at_mut(right);
             let seed = seed.wrapping_mul(0x9E37);
-            recurse(g_full, &sep.left, seed.wrapping_add(11), order, rx, ids);
-            recurse(g_full, &sep.right, seed.wrapping_add(12), order, rx, ids);
+            recurse(g_full, left_part, seed.wrapping_add(11), order, rx, ws);
+            recurse(g_full, right_part, seed.wrapping_add(12), order, rx, ws);
             // Separator vertices are numbered last at this level.
-            order.extend_from_slice(&sep.separator);
+            order.extend_from_slice(separator);
             return;
         }
     }
-    let local = amd_order_on(&sub, 0, rx).0;
-    order.extend(local.iter().map(|&l| vertices[l as usize]));
+    amd_order_on(sub, 0, rx, &mut ws.amd);
+    order.extend(ws.amd.order().iter().map(|&l| vertices[l as usize]));
 }
 
 impl ReorderAlgorithm for Nd {

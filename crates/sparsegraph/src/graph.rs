@@ -1,5 +1,4 @@
 use sparsemat::{is_structurally_symmetric, symmetrize_pattern, CsrMatrix, SparseError};
-use std::borrow::Cow;
 
 /// An undirected graph in adjacency-array (CSR-like) form, with integer
 /// vertex and edge weights.
@@ -221,25 +220,35 @@ impl Graph {
         &self.adjncy
     }
 
+    /// The graph's arrays `(xadj, adjncy, vwgt, ewgt)`, the inverse of
+    /// [`Graph::from_parts_unchecked`]: a caller that rebuilds graphs
+    /// of one shape after another refills them instead of allocating.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<u32>, Vec<i64>, Vec<i64>) {
+        (self.xadj, self.adjncy, self.vwgt, self.ewgt)
+    }
+
     /// The vertex-induced subgraph on `vertices` (distinct), in which
     /// local vertex `i` is `vertices[i]`, so `vertices` itself maps
-    /// local ids back to global ones. `ids` is the reusable
-    /// global→local map; one serves every extraction of a recursion.
-    /// The whole vertex set in ascending order — what the recursive
-    /// orderings pass at their top level — is the graph itself,
-    /// borrowed.
-    pub fn subgraph<'g>(&'g self, vertices: &[u32], ids: &mut LocalIds) -> Cow<'g, Graph> {
+    /// local ids back to global ones. It is built in `ws`'s arrays,
+    /// which one extraction after another refills; one workspace
+    /// serves every extraction of a recursion. The whole vertex set in
+    /// ascending order — what the recursive orderings pass at their
+    /// top level — is the graph itself.
+    pub fn subgraph<'a>(&'a self, vertices: &[u32], ws: &'a mut SubgraphWork) -> &'a Graph {
         if vertices.len() == self.num_vertices()
             && vertices.iter().enumerate().all(|(i, &v)| v as usize == i)
         {
-            return Cow::Borrowed(self);
+            return self;
         }
+        let ids = &mut ws.ids;
         ids.assign(self.num_vertices(), vertices);
-        let mut xadj = Vec::with_capacity(vertices.len() + 1);
+        let (mut xadj, mut adjncy, mut vwgt, mut ewgt) =
+            ws.graph.take().map(Graph::into_parts).unwrap_or_default();
+        xadj.clear();
         xadj.push(0usize);
-        let mut adjncy = Vec::new();
-        let mut ewgt = Vec::new();
-        let mut vwgt = Vec::with_capacity(vertices.len());
+        adjncy.clear();
+        ewgt.clear();
+        vwgt.clear();
         for &v in vertices {
             for (u, w) in self.neighbors_weighted(v as usize) {
                 if let Some(lu) = ids.get(u) {
@@ -250,13 +259,21 @@ impl Graph {
             xadj.push(adjncy.len());
             vwgt.push(self.vwgt[v as usize]);
         }
-        Cow::Owned(Graph {
+        ws.graph.insert(Graph {
             xadj,
             adjncy,
             vwgt,
             ewgt,
         })
     }
+}
+
+/// The reused state of [`Graph::subgraph`]: the global→local map and
+/// the arrays of the last subgraph built, which the next one refills.
+#[derive(Debug, Default)]
+pub struct SubgraphWork {
+    ids: LocalIds,
+    graph: Option<Graph>,
 }
 
 /// A reusable global→local vertex map for vertex subsets: after
@@ -360,27 +377,26 @@ mod tests {
     #[test]
     fn subgraph_extraction() {
         let g = Graph::from_matrix(&path4()).unwrap();
-        let mut ids = LocalIds::default();
-        let sg = g.subgraph(&[1, 2, 3], &mut ids);
+        let mut ws = SubgraphWork::default();
+        let sg = g.subgraph(&[1, 2, 3], &mut ws);
         assert_eq!(sg.num_vertices(), 3);
         // Edges 1-2 and 2-3 survive; edge 0-1 is cut.
         assert_eq!(sg.num_edges(), 2);
         assert_eq!(sg.neighbors(0), &[1]); // local 0 = global 1, neighbour local 1 = global 2
 
-        // The same map serves the next subset: {0, 1} keeps only their
-        // edge, and global 2, numbered last time, is no longer local.
-        let pair = g.subgraph(&[0, 1], &mut ids);
+        // The same workspace serves the next subset: {0, 1} keeps only
+        // their edge, and global 2, numbered last time, is no longer
+        // local.
+        let pair = g.subgraph(&[0, 1], &mut ws);
         assert_eq!(pair.num_edges(), 1);
-        assert_eq!(ids.get(2), None);
+        assert_eq!(pair.num_vertices(), 2);
+        assert_eq!(ws.ids.get(2), None);
 
         // Only the ascending whole vertex set is the graph itself; any
         // other full-length list still relabels: local 0 = global 3,
         // whose neighbour global 2 = local 1.
-        assert!(matches!(
-            g.subgraph(&[0, 1, 2, 3], &mut ids),
-            Cow::Borrowed(_)
-        ));
-        let rev = g.subgraph(&[3, 2, 1, 0], &mut ids);
+        assert!(std::ptr::eq(g.subgraph(&[0, 1, 2, 3], &mut ws), &g));
+        let rev = g.subgraph(&[3, 2, 1, 0], &mut ws);
         assert_eq!(rev.neighbors(0), &[1]);
     }
 

@@ -29,7 +29,7 @@ mod peripheral;
 
 pub use bfs::{LevelStructure, DEFAULT_PAR_FRONTIER_MIN};
 pub use components::{connected_components, Components};
-pub use graph::{Graph, LocalIds};
+pub use graph::{Graph, LocalIds, SubgraphWork};
 pub use hypergraph::Hypergraph;
 pub use incremental::{ComponentDelta, IncrementalComponents};
 pub use peripheral::pseudo_peripheral_vertex_with;

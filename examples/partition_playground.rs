@@ -10,7 +10,9 @@
 //! cargo run --release --example partition_playground [k]
 //! ```
 
-use partition::{edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator};
+use partition::{
+    edge_cut, part_weights, partition_graph, partition_hypergraph, vertex_separator, BisectWork,
+};
 use reorder_study::prelude::*;
 use sparsegraph::{Graph, Hypergraph};
 
@@ -64,7 +66,8 @@ fn main() {
     );
 
     // Vertex separator — the ND building block.
-    let sep = vertex_separator(&g, 42);
+    let mut ws = BisectWork::default();
+    let sep = vertex_separator(&g, 42, &mut ws);
     println!(
         "vertex separator: |left| = {}, |right| = {}, |separator| = {} (ideal ~80 for a 80x80 mesh)",
         sep.left.len(),

@@ -232,7 +232,7 @@ fn offdiag_correlates_with_runtime() {
 #[test]
 fn round_based_amd_fill_stays_near_single_elimination() {
     use reorder_study::cholesky::nnz_of_factor;
-    use reorder_study::reorder::{amd_order_on, amd_order_single, ReorderExec};
+    use reorder_study::reorder::{amd_order_on, amd_order_single, AmdWork, ReorderExec};
     use reorder_study::sparsegraph::Graph;
     use reorder_study::sparsemat::symmetrize_pattern;
 
@@ -270,7 +270,9 @@ fn round_based_amd_fill_stays_near_single_elimination() {
             let perm = Permutation::from_new_to_old(order).expect(name);
             nnz_of_factor(&pattern.permute_symmetric(&perm).expect(name))
         };
-        let round = fill(amd_order_on(&g, 0, &ReorderExec::sequential()).0);
+        let mut ws = AmdWork::default();
+        amd_order_on(&g, 0, &ReorderExec::sequential(), &mut ws);
+        let round = fill(ws.order().to_vec());
         let single = fill(amd_order_single(&g).0);
         assert_eq!(
             (round, single),
