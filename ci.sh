@@ -80,9 +80,13 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
 # would show here first. The partitioner's own tests run here too: the
 # oracle tests (the greedy cover against its quadratic loop, the packed
 # gain heap against a tuple heap) run ten times the cases in release.
+# So do sparsemat's: its property tests (the permutations against a COO
+# rebuild on every executor, the delta merge against a rebuilt matrix)
+# run at their release case counts.
 cargo test --release -p reorder --test alloc
 cargo test --release --test golden_orderings --test reorder_determinism
 cargo test --release -p partition
+cargo test --release -p sparsemat
 
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.

@@ -1,6 +1,7 @@
 use crate::symmetrize::PAR_ROW_GRAIN;
 use crate::{ColIdx, CooMatrix, Permutation, SparseError};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 use team::{Exec, SliceWriter};
 
@@ -428,9 +429,11 @@ impl CsrMatrix {
     /// New row `i` is old row `perm.new_to_old(i)`, so the output row
     /// lengths are just the input lengths permuted — no counting pass
     /// is needed. A sequential prefix sum fixes every row's output
-    /// segment; rows are then remapped in parallel into disjoint
-    /// segments, which makes the result independent of the executor. A
-    /// row's mapped columns are unique, so it has one ascending order,
+    /// segment. On one lane the source rows are then read in storage
+    /// order, each remapped into its destination segment; a team fills
+    /// chunks of destination rows, each chunk its own contiguous window.
+    /// Either way the result is independent of the executor. A row's
+    /// mapped columns are unique, so it has one ascending order,
     /// whichever way it is reached: short rows are rank-placed, long
     /// ones sorted.
     pub fn permute_symmetric_on(
@@ -448,7 +451,9 @@ impl CsrMatrix {
         let n = self.nrows;
         let rowptr = self.permuted_rowptr(perm);
         let (colidx, values) =
-            self.remap_rows_on(&rowptr, |new_i| perm.new_to_old(new_i), perm, exec);
+            self.fill_rows_on(&rowptr, Some(perm), exec, |cols, vals, co, vo, staged| {
+                remap_row(perm, cols, vals, co, vo, staged)
+            });
         Ok(CsrMatrix::new_raw(n, n, rowptr, colidx, values))
     }
 
@@ -459,31 +464,16 @@ impl CsrMatrix {
     }
 
     /// [`CsrMatrix::permute_rows`] on an executor: prefix-sum over the
-    /// permuted row lengths, then a parallel per-row memcpy into
-    /// disjoint segments.
+    /// permuted row lengths, then one copy per row into its segment, in
+    /// the order [`CsrMatrix::permute_symmetric_on`] walks the rows.
     pub fn permute_rows_on(&self, perm: &Permutation, exec: Exec<'_>) -> CsrMatrix {
         assert_eq!(perm.len(), self.nrows, "permutation length mismatch");
-        let n = self.nrows;
         let rowptr = self.permuted_rowptr(perm);
-        let nnz = rowptr[n];
-        let mut colidx: Vec<ColIdx> = vec![0; nnz];
-        let mut values: Vec<f64> = vec![0.0; nnz];
-        {
-            let cw = SliceWriter::new(&mut colidx);
-            let vw = SliceWriter::new(&mut values);
-            let rowptr = &rowptr;
-            exec.parallel_for(n, PAR_ROW_GRAIN, |rows| {
-                for new_i in rows {
-                    let (cols, vals) = self.row(perm.new_to_old(new_i));
-                    // SAFETY: row segments are pairwise disjoint and
-                    // rows are partitioned across chunks.
-                    let co = unsafe { cw.slice_mut(rowptr[new_i]..rowptr[new_i + 1]) };
-                    let vo = unsafe { vw.slice_mut(rowptr[new_i]..rowptr[new_i + 1]) };
-                    co.copy_from_slice(cols);
-                    vo.copy_from_slice(vals);
-                }
+        let (colidx, values) =
+            self.fill_rows_on(&rowptr, Some(perm), exec, |cols, vals, co, vo, _| {
+                co.copy_from_slice(cols);
+                vo.copy_from_slice(vals);
             });
-        }
         CsrMatrix::new_raw(self.nrows, self.ncols, rowptr, colidx, values)
     }
 
@@ -495,57 +485,79 @@ impl CsrMatrix {
 
     /// [`CsrMatrix::permute_cols`] on an executor: the row structure is
     /// unchanged, so each row is remapped into its own (pre-existing)
-    /// segment in parallel, exactly as
-    /// [`CsrMatrix::permute_symmetric_on`] does it.
+    /// segment, exactly as [`CsrMatrix::permute_symmetric_on`] does it.
     pub fn permute_cols_on(&self, perm: &Permutation, exec: Exec<'_>) -> CsrMatrix {
         assert_eq!(perm.len(), self.ncols, "permutation length mismatch");
         let rowptr = self.rowptr.clone();
-        let (colidx, values) = self.remap_rows_on(&rowptr, |i| i, perm, exec);
+        let (colidx, values) =
+            self.fill_rows_on(&rowptr, None, exec, |cols, vals, co, vo, staged| {
+                remap_row(perm, cols, vals, co, vo, staged)
+            });
         CsrMatrix::new_raw(self.nrows, self.ncols, rowptr, colidx, values)
     }
 
-    /// The fill shared by the two column-moving permutations: output
-    /// row `i`, whose segment `rowptr` gives, is row `source(i)` of
-    /// `self` with every column sent through `perm.old_to_new` and the
-    /// row put back in ascending column order ([`remap_row`]).
-    fn remap_rows_on(
+    /// The fill behind the three permutations: old row `i` of `self`
+    /// becomes new row `rows.old_to_new(i)` (row `i` if `rows` is
+    /// `None`), whose segment `rowptr` gives, and `place` writes it
+    /// there (`place(cols, vals, co, vo, staged)`, `co`/`vo` exactly
+    /// the row's length, `staged` a buffer it may reuse).
+    ///
+    /// On one lane the source rows are read in storage order, each
+    /// written into its destination segment: the reads stream and the
+    /// writes land in the segments in whatever order the permutation
+    /// gives. A team instead splits the *destination* rows into chunks
+    /// ([`PAR_ROW_GRAIN`]), because a chunk of destination rows owns
+    /// one contiguous window of the output, which is what a lane may
+    /// write; its reads follow `new_to_old`. Each segment is a function
+    /// of its source row alone, so both orders write the same bytes.
+    fn fill_rows_on<F>(
         &self,
         rowptr: &[usize],
-        source: impl Fn(usize) -> usize + Sync,
-        perm: &Permutation,
+        rows: Option<&Permutation>,
         exec: Exec<'_>,
-    ) -> (Vec<ColIdx>, Vec<f64>) {
+        place: F,
+    ) -> (Vec<ColIdx>, Vec<f64>)
+    where
+        F: Fn(&[ColIdx], &[f64], &mut [ColIdx], &mut [f64], &mut Vec<(ColIdx, f64)>) + Sync,
+    {
         let nrows = rowptr.len() - 1;
         let nnz = rowptr[nrows];
         let mut colidx: Vec<ColIdx> = vec![0; nnz];
         let mut values: Vec<f64> = vec![0.0; nnz];
-        {
-            let cw = SliceWriter::new(&mut colidx);
-            let vw = SliceWriter::new(&mut values);
-            exec.parallel_for(nrows, PAR_ROW_GRAIN, |rows| {
-                let base = rowptr[rows.start];
-                let segment = base..rowptr[rows.end];
-                // SAFETY: chunks are pairwise disjoint row ranges and
-                // `rowptr` is monotone, so the chunks' segments are
-                // pairwise disjoint too. Within its chunk's segment
-                // each row owns `rowptr[i]..rowptr[i + 1]`, and
-                // `remap_row` stores every slot of it exactly once.
-                let (co, vo) = unsafe { (cw.slice_mut(segment.clone()), vw.slice_mut(segment)) };
-                let mut staged = Vec::new();
-                for i in rows {
-                    let (cols, vals) = self.row(source(i));
-                    let out = rowptr[i] - base..rowptr[i + 1] - base;
-                    remap_row(
-                        perm,
-                        cols,
-                        vals,
-                        &mut co[out.clone()],
-                        &mut vo[out],
-                        &mut staged,
-                    );
-                }
-            });
+        if exec.lanes() == 1 {
+            let mut staged = Vec::new();
+            for old in 0..nrows {
+                let new = rows.map_or(old, |p| p.old_to_new(old));
+                let (cols, vals) = self.row(old);
+                let out = rowptr[new]..rowptr[new + 1];
+                place(
+                    cols,
+                    vals,
+                    &mut colidx[out.clone()],
+                    &mut values[out],
+                    &mut staged,
+                );
+            }
+            return (colidx, values);
         }
+        let cw = SliceWriter::new(&mut colidx);
+        let vw = SliceWriter::new(&mut values);
+        exec.parallel_for(nrows, PAR_ROW_GRAIN, |chunk| {
+            let base = rowptr[chunk.start];
+            let segment = base..rowptr[chunk.end];
+            // SAFETY: chunks are pairwise disjoint row ranges and
+            // `rowptr` is monotone, so the chunks' segments are
+            // pairwise disjoint too. Within its chunk's segment each
+            // row owns `rowptr[i]..rowptr[i + 1]`, and `place` stores
+            // every slot of it exactly once.
+            let (co, vo) = unsafe { (cw.slice_mut(segment.clone()), vw.slice_mut(segment)) };
+            let mut staged = Vec::new();
+            for new in chunk {
+                let (cols, vals) = self.row(rows.map_or(new, |p| p.new_to_old(new)));
+                let out = rowptr[new] - base..rowptr[new + 1] - base;
+                place(cols, vals, &mut co[out.clone()], &mut vo[out], &mut staged);
+            }
+        });
         (colidx, values)
     }
 
@@ -617,9 +629,11 @@ impl CsrMatrix {
     /// were inserted in. This is the key the `engine` crate's
     /// content-addressed ordering cache is built on.
     ///
-    /// The hash is two independent FNV-1a streams over the same byte
-    /// sequence, packed into a `u128`; it is stable across runs,
-    /// platforms and compiler versions (no `DefaultHasher` seeds).
+    /// The hash absorbs that encoding a 64-bit word at a time into four
+    /// independent lanes and mixes them into 128 bits;
+    /// it is stable across runs, platforms and compiler versions (no
+    /// `DefaultHasher` seeds). Nothing persists it: it keys in-memory
+    /// caches and routes requests to shards.
     ///
     /// Memoised: repeated calls on an unmutated matrix are O(1). Every
     /// mutating path resets the memo.
@@ -628,31 +642,14 @@ impl CsrMatrix {
     }
 
     fn compute_content_hash(&self) -> u128 {
-        const BASIS_LO: u64 = 0xcbf2_9ce4_8422_2325;
-        const BASIS_HI: u64 = 0x6c62_272e_07bb_0142;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut lo = BASIS_LO;
-        let mut hi = BASIS_HI ^ 0x517c_c1b7_2722_0a95;
-        let mut absorb = |word: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                let b = (word >> shift) & 0xff;
-                lo = (lo ^ b).wrapping_mul(PRIME);
-                hi = (hi ^ b).wrapping_mul(PRIME);
-            }
-        };
-        absorb(self.nrows as u64);
-        absorb(self.ncols as u64);
-        absorb(self.nnz() as u64);
-        for &p in &self.rowptr {
-            absorb(p as u64);
-        }
-        for &c in &self.colidx {
-            absorb(c as u64);
-        }
-        for &v in &self.values {
-            absorb(v.to_bits());
-        }
-        ((hi as u128) << 64) | lo as u128
+        let mut lanes = WordLanes::new();
+        // The shape fixes every array's length, so the concatenation
+        // below is unambiguous.
+        lanes.absorb(&[self.nrows, self.ncols, self.nnz()], |d| d as u64);
+        lanes.absorb(&self.rowptr, |p| p as u64);
+        lanes.absorb(&self.colidx, u64::from);
+        lanes.absorb(&self.values, f64::to_bits);
+        lanes.finish()
     }
 
     /// Apply a batch of structural edge mutations in place.
@@ -661,9 +658,11 @@ impl CsrMatrix {
     /// the **last** op on each `(row, col)` cell wins (so
     /// `[Add e, Remove e]` in a single batch is a plain remove, and
     /// duplicate ops collapse). The rebuild is a streaming merge:
-    /// untouched rows are copied verbatim, touched rows are merged with
-    /// their (column-sorted) ops, so the whole batch costs
-    /// `O(nnz + ops log ops)`.
+    /// each run of untouched rows is copied verbatim, one slice copy per
+    /// array, and touched rows are merged with their (column-sorted)
+    /// ops, so the whole batch costs `O(nnz + ops log ops)`; the
+    /// pre-delta hash is taken only once the batch is known to change
+    /// something.
     ///
     /// On success the matrix records a [`LineageHop`] — the pre-delta
     /// content hash plus the touched endpoints — and invalidates the
@@ -691,22 +690,20 @@ impl CsrMatrix {
         if per_cell.is_empty() {
             return Ok(report);
         }
-        let parent = self.content_hash();
 
         let mut touched: Vec<u32> = Vec::new();
         let mut rowptr = Vec::with_capacity(self.nrows + 1);
         rowptr.push(0usize);
         let mut colidx: Vec<ColIdx> = Vec::with_capacity(self.nnz() + per_cell.len());
         let mut values: Vec<f64> = Vec::with_capacity(self.nnz() + per_cell.len());
-        let mut cell_iter = per_cell.iter().peekable();
-        for i in 0..self.nrows {
+        // Rows before `next` are written.
+        let mut next = 0usize;
+        let mut cells = per_cell.iter().peekable();
+        while let Some(&(&(i, _), _)) = cells.peek() {
+            self.copy_rows(next..i, &mut rowptr, &mut colidx, &mut values);
             let (cols, vals) = self.row(i);
             let mut k = 0usize;
-            while let Some(&(&(row, col), op)) = cell_iter.peek() {
-                if row != i {
-                    break;
-                }
-                cell_iter.next();
+            while let Some((&(row, col), op)) = cells.next_if(|&(&(row, _), _)| row == i) {
                 // Flush existing entries strictly left of the op column.
                 while k < cols.len() && (cols[k] as usize) < col {
                     colidx.push(cols[k]);
@@ -741,11 +738,14 @@ impl CsrMatrix {
             colidx.extend_from_slice(&cols[k..]);
             values.extend_from_slice(&vals[k..]);
             rowptr.push(colidx.len());
+            next = i + 1;
         }
+        self.copy_rows(next..self.nrows, &mut rowptr, &mut colidx, &mut values);
 
         if !report.changed() {
             return Ok(report);
         }
+        let parent = self.content_hash();
         touched.sort_unstable();
         touched.dedup();
         report.touched_rows = touched.clone();
@@ -758,6 +758,27 @@ impl CsrMatrix {
             self.lineage.remove(0);
         }
         Ok(report)
+    }
+
+    /// Append rows `rows` of `self` unchanged to a matrix being built:
+    /// one slice copy per array, the row pointers shifted by where the
+    /// run lands.
+    fn copy_rows(
+        &self,
+        rows: Range<usize>,
+        rowptr: &mut Vec<usize>,
+        colidx: &mut Vec<ColIdx>,
+        values: &mut Vec<f64>,
+    ) {
+        let (lo, hi) = (self.rowptr[rows.start], self.rowptr[rows.end]);
+        let base = colidx.len();
+        colidx.extend_from_slice(&self.colidx[lo..hi]);
+        values.extend_from_slice(&self.values[lo..hi]);
+        rowptr.extend(
+            self.rowptr[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&p| p - lo + base),
+        );
     }
 
     /// The content hash of the matrix this one was most recently
@@ -776,6 +797,73 @@ impl CsrMatrix {
     /// (bounded) chain of deltas, used for lineage-affine routing.
     pub fn lineage_root(&self) -> Option<u128> {
         self.lineage.first().map(|hop| hop.parent)
+    }
+}
+
+/// The content hash's state: four 64-bit lanes, word `k` of each
+/// absorbed slice feeding lane `k % 4`, each lane an xxHash64-style
+/// round (`acc + word·P2`, rotate, `·P1`).
+///
+/// A round is a bijection of the lane for a fixed word and of the word
+/// for a fixed lane, and [`WordLanes::finish`] is a bijection of each
+/// lane for the other three fixed, so two encodings of equal length
+/// that differ in one word always hash differently. The four
+/// dependency chains are independent, so the multiplies of consecutive
+/// words overlap.
+struct WordLanes([u64; 4]);
+
+// xxHash64's primes.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+impl WordLanes {
+    fn new() -> Self {
+        WordLanes([P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()])
+    }
+
+    fn round(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    }
+
+    fn absorb<T: Copy>(&mut self, words: &[T], word: impl Fn(T) -> u64) {
+        let mut lanes = self.0;
+        let mut quads = words.chunks_exact(4);
+        for quad in &mut quads {
+            for (lane, &w) in lanes.iter_mut().zip(quad) {
+                *lane = Self::round(*lane, word(w));
+            }
+        }
+        for (lane, &w) in lanes.iter_mut().zip(quads.remainder()) {
+            *lane = Self::round(*lane, word(w));
+        }
+        self.0 = lanes;
+    }
+
+    /// The 128-bit final mix: each half folds all four lanes, in
+    /// opposite orders, and is avalanched on its own, so each half
+    /// depends on every lane and the two are not one value twice.
+    /// Every step of a fold is a bijection of the lane it takes in.
+    fn finish(self) -> u128 {
+        let merge = |acc: u64, lane: u64| {
+            (acc ^ Self::round(0, lane))
+                .wrapping_mul(P1)
+                .wrapping_add(P4)
+        };
+        let avalanche = |mut h: u64| {
+            h ^= h >> 33;
+            h = h.wrapping_mul(P2);
+            h ^= h >> 29;
+            h = h.wrapping_mul(P3);
+            h ^ (h >> 32)
+        };
+        let [a, b, c, d] = self.0;
+        let lo = avalanche([a, b, c, d].into_iter().fold(P3, merge));
+        let hi = avalanche([d, c, b, a].into_iter().fold(P4, merge));
+        ((hi as u128) << 64) | lo as u128
     }
 }
 
@@ -807,11 +895,13 @@ fn remap_row(
 ) {
     let len = cols.len();
     if len <= RANK_PLACE_MAX {
-        // The padding is never *below* a key, so it never counts.
-        let mut keys = [ColIdx::MAX; RANK_PLACE_MAX];
-        for (key, &c) in keys.iter_mut().zip(cols) {
-            *key = perm.old_to_new(c as usize) as ColIdx;
-        }
+        // The padding is never *below* a key, so it never counts. Built
+        // slot by slot rather than filled in a loop that stops at `len`,
+        // the array is whole before the compares read it as vectors.
+        let keys: [ColIdx; RANK_PLACE_MAX] = std::array::from_fn(|k| {
+            cols.get(k)
+                .map_or(ColIdx::MAX, |&c| perm.old_to_new(c as usize) as ColIdx)
+        });
         for (&key, &v) in keys[..len].iter().zip(vals) {
             let rank = keys.iter().filter(|&&other| other < key).count();
             co[rank] = key;
@@ -1022,6 +1112,68 @@ mod tests {
         assert_ne!(a.content_hash(), d.content_hash());
         // Identical content hashes identically (fresh clone).
         assert_eq!(a.content_hash(), a.clone().content_hash());
+    }
+
+    #[test]
+    fn content_hash_is_equal_for_equal_content_however_reached() {
+        let a = small();
+        let h = a.content_hash();
+        let parts = CsrMatrix::from_parts(
+            3,
+            3,
+            a.rowptr().to_vec(),
+            a.colidx().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(parts.content_hash(), h, "from_parts");
+        assert_eq!(a.clone().content_hash(), h, "clone");
+        let mut round_trip = a.clone();
+        let (row, col) = (1, 2);
+        let add = EdgeOp::Add {
+            row,
+            col,
+            value: 9.0,
+        };
+        assert!(round_trip.apply_delta(&[add]).unwrap().changed());
+        assert_ne!(round_trip.content_hash(), h);
+        assert!(round_trip
+            .apply_delta(&[EdgeOp::Remove { row, col }])
+            .unwrap()
+            .changed());
+        assert_eq!(round_trip.content_hash(), h, "apply_delta add then remove");
+    }
+
+    #[test]
+    fn content_hash_differs_under_each_single_change() {
+        let hash = |nrows, ncols, rowptr: &[usize], colidx: &[u32], values: &[f64]| {
+            CsrMatrix::from_parts(
+                nrows,
+                ncols,
+                rowptr.to_vec(),
+                colidx.to_vec(),
+                values.to_vec(),
+            )
+            .unwrap()
+            .content_hash()
+        };
+        // [ 0 2 . ]
+        // [ . . 3 ]
+        let base = hash(2, 3, &[0, 2, 3], &[0, 1, 2], &[0.0, 2.0, 3.0]);
+        // One value's sign bit: 0.0 and -0.0 compare equal, but are
+        // different content.
+        assert_ne!(hash(2, 3, &[0, 2, 3], &[0, 1, 2], &[-0.0, 2.0, 3.0]), base);
+        // One column moved within its row.
+        assert_ne!(hash(2, 3, &[0, 2, 3], &[0, 2, 2], &[0.0, 2.0, 3.0]), base);
+        // The entry (0, 1) moved to the next row: the same `colidx` and
+        // `values`, `rowptr` shifted.
+        assert_ne!(hash(2, 3, &[0, 1, 3], &[0, 1, 2], &[0.0, 2.0, 3.0]), base);
+        // The same entries' arrays read as 3×2: `rowptr` gains the
+        // empty third row, `colidx` and `values` are unchanged.
+        assert_ne!(
+            hash(2, 3, &[0, 1, 2], &[1, 0], &[1.0, 2.0]),
+            hash(3, 2, &[0, 1, 2, 2], &[1, 0], &[1.0, 2.0])
+        );
     }
 
     #[test]

@@ -188,11 +188,32 @@ fn read_matrix_market_impl<R: BufRead>(
                 .and_then(|t| t.parse::<f64>().ok())
                 .ok_or_else(|| parse_error(lineno, "bad value"))?,
         };
+        // `str::parse` accepts `NaN` and `inf`; no SpMV answer survives
+        // one.
+        if !v.is_finite() {
+            return Err(parse_error(lineno, format!("non-finite value {v}")));
+        }
         match symmetry {
             MarketSymmetry::General => coo.push(r - 1, c - 1, v),
             MarketSymmetry::Symmetric => coo.push_symmetric(r - 1, c - 1, v),
         }
         seen += 1;
+    }
+    // The header's count is the whole file: a further entry is not
+    // dropped but refused.
+    loop {
+        line.clear();
+        lineno += 1;
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        let trimmed = line.trim();
+        if !trimmed.is_empty() && !trimmed.starts_with('%') {
+            return Err(parse_error(
+                lineno,
+                format!("data past the {entries} declared entries"),
+            ));
+        }
     }
 
     let header = MarketHeader {
@@ -287,6 +308,38 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn an_entry_past_the_declared_count_is_a_parse_error() {
+        let err = read_matrix_market_str(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n% note\n\n2 2 2.0\n",
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SparseError::Parse { line: 6, message } if message.contains("1 declared")),
+            "{err}"
+        );
+        // Trailing comments and blank lines are still fine.
+        let (a, _) = read_matrix_market_str(
+            "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n% end\n\n",
+        )
+        .unwrap();
+        assert_eq!(a.nnz(), 1);
+    }
+
+    #[test]
+    fn a_non_finite_value_is_a_parse_error() {
+        for value in ["NaN", "inf", "-inf", "1e999"] {
+            let err = read_matrix_market_str(&format!(
+                "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 1 {value}\n"
+            ))
+            .unwrap_err();
+            assert!(
+                matches!(&err, SparseError::Parse { line: 4, message } if message.contains("non-finite")),
+                "{value}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -458,12 +458,18 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// Cases of the cutover test: a few in the debug workspace run, eight
+/// times as many in the release run ci.sh makes.
+const CUTOVER_CASES: u32 = if cfg!(debug_assertions) { 8 } else { 64 };
 
-    /// The column-moving permutations equal a reference built the slow
-    /// way — move the COO triplets, rebuild the CSR — byte for byte, on
-    /// every executor.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CUTOVER_CASES))]
+
+    /// The column-moving permutations, and the row-only one beside
+    /// them, equal a reference built the slow way — move the COO
+    /// triplets, rebuild the CSR — byte for byte, on every executor:
+    /// one lane reads the source rows in storage order, a team fills
+    /// chunks of destination rows.
     #[test]
     fn column_moving_permutations_match_a_coo_rebuild_on_every_executor(
         (coo, p) in cutover_matrix_with_permutation(),
@@ -474,12 +480,15 @@ proptest! {
         }
         let n = a.nrows();
         let mut symmetric = CooMatrix::new(n, n);
+        let mut rows_only = CooMatrix::new(n, n);
         let mut cols_only = CooMatrix::new(n, n);
         for (i, j, v) in a.iter() {
             symmetric.push(p.old_to_new(i), p.old_to_new(j), v);
+            rows_only.push(p.old_to_new(i), j, v);
             cols_only.push(i, p.old_to_new(j), v);
         }
         let want_symmetric = CsrMatrix::from_coo(&symmetric);
+        let want_rows = CsrMatrix::from_coo(&rows_only);
         let want_cols = CsrMatrix::from_coo(&cols_only);
 
         let teams = [ThreadTeam::new(2), ThreadTeam::new(4)];
@@ -488,6 +497,8 @@ proptest! {
             let what = format!("{} lanes", exec.lanes());
             let got = a.permute_symmetric_on(&p, exec).unwrap();
             assert_same_bytes(&got, &want_symmetric, &format!("symmetric, {what}"));
+            let got = a.permute_rows_on(&p, exec);
+            assert_same_bytes(&got, &want_rows, &format!("rows, {what}"));
             let got = a.permute_cols_on(&p, exec);
             assert_same_bytes(&got, &want_cols, &format!("columns, {what}"));
         }
