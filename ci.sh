@@ -82,11 +82,14 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
 # gain heap against a tuple heap) run ten times the cases in release.
 # So do sparsemat's: its property tests (the permutations against a COO
 # rebuild on every executor, the delta merge against a rebuilt matrix)
-# run at their release case counts.
+# run at their release case counts. And the tier's: a warm request's
+# one allocation and a rebuild's byte budget are pinned in the profile
+# that serves, where the answer pool hands each `y` back.
 cargo test --release -p reorder --test alloc
 cargo test --release --test golden_orderings --test reorder_determinism
 cargo test --release -p partition
 cargo test --release -p sparsemat
+cargo test --release -p servetier
 
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.

@@ -25,7 +25,9 @@
 //!    ([`spmv::Kernel::execute_scatter`]), so `y` comes back in
 //!    original row order — callers never see the reordering at all. A
 //!    repeat request finds ordering, reordered matrix and plan in one
-//!    shard-local entry and never enters the engine.
+//!    shard-local entry and never enters the engine. The `y` is an
+//!    [`Answer`], read as a `&[f64]`: its buffer returns to the shard
+//!    when the answer drops and is overwritten by a later request.
 //!
 //! ```
 //! use engine::{AlgoSpec, MatrixHandle};
@@ -67,6 +69,6 @@ pub use admission::{AdmissionQueue, PushError};
 pub use hash::HashRing;
 pub use policy::{PolicyConfig, PolicyMode};
 pub use tier::{
-    ServeTier, ShardStats, ShedReason, SpmvRequest, SpmvResponse, TenantSpec, TierConfig,
+    Answer, ServeTier, ShardStats, ShedReason, SpmvRequest, SpmvResponse, TenantSpec, TierConfig,
     TierError, TierStats, TierTicket,
 };

@@ -199,7 +199,7 @@ pub struct SpmvRequest {
 #[derive(Debug, Clone)]
 pub struct SpmvResponse {
     /// `y = A·x` in the matrix's **original** row order.
-    pub y: Vec<f64>,
+    pub y: Answer,
     /// Shard that served the request.
     pub shard: usize,
     /// Tier request ID (1-based submission order).
@@ -208,6 +208,95 @@ pub struct SpmvResponse {
     pub queue_wait: Duration,
     /// Dequeue-to-answer service time.
     pub service: Duration,
+}
+
+/// A served `y`, read as a `&[f64]`. Its buffer is on loan from the
+/// serving shard's answer pool: dropping the answer hands the buffer
+/// back for a later request to overwrite, instead of freeing it to the
+/// allocator (which trims freed pages off the top of its heap and
+/// faults them in again for the next round of answers). A clone is a
+/// detached copy that the allocator frees.
+pub struct Answer {
+    y: Vec<f64>,
+    /// Where the buffer goes when the answer drops; `None` for a clone.
+    pool: Option<Arc<AnswerPool>>,
+}
+
+impl std::ops::Deref for Answer {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.y
+    }
+}
+
+impl Clone for Answer {
+    fn clone(&self) -> Self {
+        Answer {
+            y: self.y.clone(),
+            pool: None,
+        }
+    }
+}
+
+impl std::fmt::Debug for Answer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.y.fmt(f)
+    }
+}
+
+impl Drop for Answer {
+    fn drop(&mut self) {
+        let Some(pool) = &self.pool else { return };
+        // No code panics while holding the lock; if one ever did, the
+        // buffer is simply freed.
+        let Ok(mut idle) = pool.idle.lock() else {
+            return;
+        };
+        if idle.len() < pool.capacity {
+            idle.push(std::mem::take(&mut self.y));
+        }
+    }
+}
+
+/// One shard's idle answer buffers. The list only grows when more
+/// answers are alive at once than it holds, so it stays at the peak
+/// number of answers the shard's callers held together, and never
+/// above `capacity`.
+struct AnswerPool {
+    idle: Mutex<Vec<Vec<f64>>>,
+    /// The most buffers `idle` keeps: the shard's admission-queue
+    /// capacity ([`TierConfig::queue_capacity`]).
+    capacity: usize,
+}
+
+impl AnswerPool {
+    fn new(capacity: usize) -> Arc<Self> {
+        Arc::new(AnswerPool {
+            idle: Mutex::new(Vec::new()),
+            capacity,
+        })
+    }
+
+    /// An answer of `n` entries for a kernel to overwrite: the most
+    /// recently returned buffer, cut or grown to `n`. Only the part of
+    /// the buffer it never held is zero-filled; every kernel stores
+    /// every `y` entry (empty rows store `0.0`, and a cut row's carry is
+    /// added after its row was stored), so what the rest held before is
+    /// never read.
+    fn take(self: &Arc<Self>, n: usize) -> Answer {
+        let mut y = self
+            .idle
+            .lock()
+            .expect("nothing panics holding the answer pool's lock")
+            .pop()
+            .unwrap_or_default();
+        y.truncate(n);
+        y.resize(n, 0.0);
+        Answer {
+            y,
+            pool: Some(Arc::clone(self)),
+        }
+    }
 }
 
 /// The slot a dispatcher fulfils and a [`TierTicket`] waits on.
@@ -335,6 +424,8 @@ struct ShardInner {
     /// What a repeat request needs, by (content hash, algorithm)
     /// (`tier.prepared.*`).
     prepared: LruCache<(u128, AlgoSpec), Arc<Prepared>>,
+    /// The buffers of dropped answers, for the next requests' `y`.
+    answers: Arc<AnswerPool>,
     policy: Arc<PolicyEngine>,
     metrics: ShardMetrics,
     /// End-to-end latency histogram per tenant
@@ -465,6 +556,7 @@ impl ServeTier {
                     config.prepared_capacity,
                     CacheMetrics::new(&registry, "tier.prepared", &[("shard", &shard_label)]),
                 ),
+                answers: AnswerPool::new(config.queue_capacity),
                 policy: Arc::clone(&policy),
                 metrics: ShardMetrics::new(&registry, &shard_label),
                 tenant_hists,
@@ -928,24 +1020,11 @@ fn execute(
     let algo = decision.algo;
 
     // 1. The prepared entry for the decided key: the request's one
-    //    counted probe. A hit goes straight to the multiply. A miss
-    //    allocates its answer *before* it builds the entry: that is
-    //    the one block of a miss that lives only as long as the
-    //    request, and taken first it sits below the entry's long-lived
-    //    arrays, so the hole it leaves is fenced in and later answers
-    //    of its size reuse it. Taken after them it sat at the arena's
-    //    top, where the allocator trims what is freed and faults it
-    //    back in for the next answer (EXPERIMENTS.md, "Prepared-miss
-    //    path": one such hole decides on which side of a 26 % cliff
-    //    `serve_hot`'s median falls).
+    //    counted probe. A hit goes straight to the multiply.
     let key = (content_hash, algo);
-    let (prepared, early_y) = match shard.prepared.get(&key) {
-        Some(p) => (p, None),
-        None => {
-            let y = vec![0.0; request.matrix.matrix().nrows()];
-            let p = build_prepared(shard, request, key, decision.reorders(), &ctx)?;
-            (p, Some(y))
-        }
+    let prepared = match shard.prepared.get(&key) {
+        Some(p) => p,
+        None => build_prepared(shard, request, key, decision.reorders(), &ctx)?,
     };
 
     // 2. The planned kernel for the reordered matrix: the entry's own
@@ -965,12 +1044,12 @@ fn execute(
     } else {
         &request.x
     };
-    let mut y = early_y.unwrap_or_else(|| vec![0.0; prepared.matrix.nrows()]);
+    let mut y = shard.answers.take(prepared.matrix.nrows());
     let spmv_started = Instant::now();
     {
         let mut compute = ctx.span(stages::TIER_SPMV);
         compute.arg("kernel", request.kernel.name());
-        kernel.execute_scatter(&shard.spmv_team, x, &mut y, &ordering.perm);
+        kernel.execute_scatter(&shard.spmv_team, x, &mut y.y, &ordering.perm);
     }
     // Close the feedback loop: the observed service time under the
     // chosen ordering feeds the ledger and the online corrector.
@@ -1084,4 +1163,94 @@ fn plan_kernel(
     let mut span = ctx.span(stages::TIER_PLAN);
     span.arg("kernel", kind.name());
     kind.plan(matrix, shard.spmv_threads)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tier(queue_capacity: usize) -> ServeTier {
+        ServeTier::new(TierConfig {
+            queue_capacity,
+            spmv_threads: 1,
+            registry: Some(Registry::new_arc()),
+            ..TierConfig::default()
+        })
+    }
+
+    fn serve(tier: &ServeTier, matrix: &MatrixHandle) -> Answer {
+        let x = Arc::new(vec![1.0; matrix.matrix().ncols()]);
+        tier.serve(SpmvRequest {
+            tenant: "default".into(),
+            matrix: matrix.clone(),
+            algo: AlgoSpec::Rcm,
+            kernel: KernelKind::OneD,
+            x,
+            priority: 0,
+            deadline: None,
+        })
+        .unwrap()
+        .y
+    }
+
+    fn idle(pool: &AnswerPool) -> usize {
+        pool.idle.lock().unwrap().len()
+    }
+
+    #[test]
+    fn a_cloned_answer_is_detached_from_the_pool() {
+        let pool = AnswerPool::new(4);
+        let mut answer = pool.take(3);
+        answer.y.copy_from_slice(&[1.0, 2.0, 3.0]);
+        let copy = answer.clone();
+        answer.y[0] = 9.0;
+        drop(answer);
+        // The next answer overwrites the original's buffer.
+        let mut next = pool.take(3);
+        next.y.fill(7.0);
+        assert_eq!(*copy, [1.0, 2.0, 3.0]);
+        assert_eq!(format!("{copy:?}"), "[1.0, 2.0, 3.0]");
+        // A copy goes back to the allocator, not to the pool.
+        drop(copy);
+        assert_eq!(idle(&pool), 0);
+        drop(next);
+        assert_eq!(idle(&pool), 1);
+    }
+
+    #[test]
+    fn answers_outliving_their_tier_drop_cleanly() {
+        let tier = tier(8);
+        let matrix = MatrixHandle::from_matrix(corpus::mesh2d(6, 6));
+        let want = matrix.matrix().spmv_dense(&[1.0; 36]);
+        let answers: Vec<Answer> = (0..3).map(|_| serve(&tier, &matrix)).collect();
+        let pool = Arc::downgrade(&tier.shards[0].answers);
+        drop(tier);
+        for answer in &answers {
+            assert_eq!(**answer, want[..]);
+        }
+        drop(answers);
+        assert!(
+            pool.upgrade().is_none(),
+            "the pool outlived its last answer"
+        );
+    }
+
+    #[test]
+    fn the_pool_keeps_at_most_queue_capacity_buffers() {
+        let tier = tier(4);
+        let matrix = MatrixHandle::from_matrix(corpus::mesh2d(6, 6));
+        let answers: Vec<Answer> = (0..10).map(|_| serve(&tier, &matrix)).collect();
+        let pool = &tier.shards[0].answers;
+        assert_eq!(idle(pool), 0);
+        drop(answers);
+        assert_eq!(idle(pool), 4);
+        // A taken buffer is cut to the answer's length; the part it
+        // never held is zero-filled.
+        let mut short = pool.take(2);
+        short.y.fill(5.0);
+        drop(short);
+        let long = pool.take(36);
+        assert_eq!(long[..2], [5.0, 5.0]);
+        assert!(long[2..].iter().all(|&v| v == 0.0));
+    }
 }

@@ -435,6 +435,91 @@ fn served_answer_is_bit_identical_to_the_unfused_sequence() {
     assert_eq!((shard.prepared_misses, shard.prepared_hits), (6, 30));
 }
 
+/// An answer's buffer goes back to its shard when the answer drops,
+/// and the next request overwrites it without clearing it first. So a
+/// shard that serves a 1 024-, a 400- and a 256-row matrix in turn,
+/// every answer dropped before the next request, must still answer
+/// each request with exactly the bits of the unfused sequence: nothing
+/// of a longer or older answer survives, not in an empty row (it
+/// stores `0.0`) and not in a row a two-lane nonzero or merge plan cuts
+/// (its carry is added onto the stored row, not onto what the buffer
+/// held).
+#[test]
+fn a_reused_answer_buffer_keeps_no_stale_value() {
+    const THREADS: usize = 2;
+    let tier = tier(1, 64);
+    let team = spmv::ThreadTeam::new(THREADS);
+    // Heavy rows among light ones: the two-lane 2D and merge cuts fall
+    // inside a row (asserted below).
+    let heavy = MatrixHandle::from_matrix(corpus::dense_rows_mix(1024, 0.05, 3));
+    // A 20 × 20 mesh with every ninth vertex cut loose: its row is empty.
+    let holes = {
+        let loose = |i: usize| i % 9 == 4;
+        let mesh = corpus::mesh2d(20, 20);
+        let mut coo = sparsemat::CooMatrix::new(400, 400);
+        for (i, j, v) in mesh.iter().filter(|&(i, j, _)| !loose(i) && !loose(j)) {
+            coo.push(i, j, v);
+        }
+        let a = corpus::scramble(&sparsemat::CsrMatrix::from_coo(&coo), 5);
+        assert!((0..400).any(|i| a.row_nnz(i) == 0));
+        MatrixHandle::from_matrix(a)
+    };
+    let mesh = MatrixHandle::from_matrix(corpus::scramble(&corpus::mesh2d(16, 16), 6));
+
+    let mut buffer = None;
+    let mut carried = Vec::new();
+    for round in 0..2 {
+        for kernel in KernelKind::all() {
+            for algo in [AlgoSpec::Rcm, AlgoSpec::Gray, AlgoSpec::Original] {
+                for matrix in [&heavy, &holes, &mesh] {
+                    let req = request(matrix, algo, kernel);
+                    let response = tier.serve(req.clone()).unwrap();
+                    // The first answer sized the one buffer every later
+                    // request of this client reuses.
+                    let at = *buffer.get_or_insert(response.y.as_ptr());
+                    assert_eq!(response.y.as_ptr(), at, "the buffer was not reused");
+
+                    let ordering = tier
+                        .engine_for(matrix)
+                        .get(matrix, algo)
+                        .unwrap()
+                        .to_reorder_result();
+                    let reordered = Arc::new(ordering.apply(matrix.matrix()).unwrap());
+                    if std::ptr::eq(matrix, &heavy)
+                        && kernel.cut(&reordered, THREADS).carrying() > 0
+                    {
+                        carried.push(kernel);
+                    }
+                    let mut yp = vec![f64::NAN; reordered.nrows()];
+                    kernel.plan(&reordered, THREADS).execute(
+                        &team,
+                        &ordering.permute_input(&req.x),
+                        &mut yp,
+                    );
+                    let want: Vec<u64> = ordering
+                        .unpermute_output(&yp)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let got: Vec<u64> = response.y.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "round {round}, {}/{kernel}, {} rows",
+                        algo.name(),
+                        matrix.matrix().nrows()
+                    );
+                }
+            }
+        }
+    }
+    // Some ordering of the heavy matrix leaves a row cut under each
+    // of the two kernels that cut rows.
+    for kernel in [KernelKind::TwoD, KernelKind::Merge] {
+        assert!(carried.contains(&kernel), "no {kernel} plan carried");
+    }
+}
+
 #[test]
 fn per_tenant_latency_series_appear_in_the_registry() {
     let tier = tier(1, 16);
