@@ -75,8 +75,8 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
 # its level structures), AMD (the same on a path and a mesh), GP(2),
 # HP(2) and ND must hold in the profile that is served; the workspace
 # run above checked the debug build. So must the golden and
-# cross-executor ordering bytes: the parallel AMD and RCM paths write
-# through SliceWriter/SendPtr, and an overlap that debug codegen hides
+# cross-executor ordering bytes: the parallel AMD path writes through
+# its unsafe SliceWriter, and an overlap that debug codegen hides
 # would show here first. The partitioner's own tests run here too: the
 # oracle tests (the greedy cover against its quadratic loop, the packed
 # gain heap against a tuple heap) run ten times the cases in release.
@@ -90,6 +90,17 @@ cargo test --release --test golden_orderings --test reorder_determinism
 cargo test --release -p partition
 cargo test --release -p sparsemat
 cargo test --release -p servetier
+
+# Safe by construction (ROADMAP item 9): only AMD's scattered writes need SliceWriter.
+if git ls-files crates | grep '\.rs$' | grep -vx crates/reorder/src/amd.rs |
+    xargs grep -nwE 'SliceWriter|slice_mut'; then
+    echo "ci: SliceWriter/slice_mut outside crates/reorder/src/amd.rs" >&2
+    exit 1
+fi
+if grep -rn 'pub unsafe fn' crates/team/src; then
+    echo "ci: crates/team/src exports an unsafe fn" >&2
+    exit 1
+fi
 
 # Workspace hygiene: every crate stays warning-free and canonically
 # formatted, and the rendered docs build without warnings.

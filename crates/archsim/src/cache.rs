@@ -41,11 +41,6 @@ impl CacheSim {
         }
     }
 
-    /// Effective capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.tags.len() * LINE_BYTES
-    }
-
     /// Access a line address (byte address / 64). Returns true on hit;
     /// on miss the line is installed, evicting the LRU way.
     #[inline]
@@ -106,7 +101,7 @@ mod tests {
     fn lru_eviction_within_set() {
         // 2-way, 1 set: capacity 2 lines.
         let mut c = CacheSim::new(2 * LINE_BYTES, 2);
-        assert_eq!(c.capacity_bytes(), 2 * LINE_BYTES);
+        assert_eq!(c.tags.len(), 2, "capacity: two lines");
         c.access(0);
         c.access(1);
         assert!(c.access(0), "0 still resident");

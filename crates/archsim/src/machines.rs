@@ -43,11 +43,6 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Total core count.
-    pub fn total_cores(&self) -> usize {
-        self.sockets * self.cores_per_socket
-    }
-
     /// Total L3 capacity in bytes.
     pub fn l3_total_bytes(&self) -> usize {
         self.sockets * self.l3_mib_per_socket * 1024 * 1024
@@ -275,7 +270,7 @@ mod tests {
         ];
         for (name, cores) in expect {
             let m = machine_by_name(name).unwrap();
-            assert_eq!(m.total_cores(), cores, "{name}");
+            assert_eq!(m.sockets * m.cores_per_socket, cores, "{name}");
             assert_eq!(m.threads, cores, "{name}: paper uses all cores");
         }
     }

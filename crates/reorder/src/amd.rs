@@ -78,9 +78,10 @@ use sparsemat::{CsrMatrix, SparseError};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::{Duration, Instant};
-use team::SliceWriter;
 use telemetry::stages;
 use telemetry::trace::ArgValue;
 
@@ -284,6 +285,67 @@ thread_local! {
     static AMD_SCRATCH: RefCell<LaneScratch> = const { RefCell::new(LaneScratch::new()) };
 }
 
+/// Shared-write access to one state column for the parallel update
+/// phases: the borrow is erased into a raw pointer, and each access
+/// re-asserts the ownership contract of [`StateWriters`]. AMD's writes
+/// are scattered and claimed per vertex, so unlike the contiguous
+/// fills elsewhere they cannot go through `Exec::for_each_window`.
+struct SliceWriter<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _marker: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: a SliceWriter only hands out disjoint `&mut` windows (the
+// caller contract on `slice_mut`), and `T: Send` means those windows
+// may be written from any thread.
+unsafe impl<T: Send> Sync for SliceWriter<'_, T> {}
+// SAFETY: same argument; the writer is just a pointer + length.
+unsafe impl<T: Send> Send for SliceWriter<'_, T> {}
+
+impl<'a, T> SliceWriter<'a, T> {
+    /// Wrap `slice`, borrowing it mutably for the writer's lifetime.
+    fn new(slice: &'a mut [T]) -> SliceWriter<'a, T> {
+        SliceWriter {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+            _marker: PhantomData,
+        }
+    }
+
+    /// A mutable window over `range`.
+    ///
+    /// # Safety
+    /// The calling lane must own every element of `range` this phase
+    /// (see [`StateWriters`]) and hold no other reference to one.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
+        debug_assert!(range.start <= range.end && range.end <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
+    }
+
+    /// Exclusive access to element `i`.
+    ///
+    /// # Safety
+    /// As [`SliceWriter::slice_mut`] for `i..i + 1`.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn own(&self, i: u32) -> &mut T {
+        &mut self.slice_mut(i as usize..i as usize + 1)[0]
+    }
+
+    /// Element `i`, which another lane may own but no lane writes.
+    ///
+    /// # Safety
+    /// No other lane may write `i` this phase.
+    unsafe fn get(&self, i: u32) -> T
+    where
+        T: Copy,
+    {
+        debug_assert!((i as usize) < self.len);
+        *self.ptr.add(i as usize)
+    }
+}
+
 /// Disjoint-commit windows over the quotient-graph state for the
 /// parallel update phases. Safety contract: a lane may write only
 /// state owned by its own pivot (its `Lp` members — their segments of
@@ -309,30 +371,12 @@ impl StateWriters<'_> {
     /// Variable `v`'s segment of `adj` and its list lengths.
     ///
     /// # Safety
-    /// As [`own`].
-    #[allow(clippy::mut_from_ref)] // same contract as `SliceWriter::slice_mut`
+    /// As [`SliceWriter::slice_mut`].
+    #[allow(clippy::mut_from_ref)]
     unsafe fn segment(&self, v: u32) -> (&mut [u32], &mut (u32, u32)) {
         let range = self.xadj[v as usize]..self.xadj[v as usize + 1];
-        (self.adj.slice_mut(range), own(&self.lens, v))
+        (self.adj.slice_mut(range), self.lens.own(v))
     }
-}
-
-/// Element `i` of a state column.
-///
-/// # Safety
-/// No other lane may write `i` this phase.
-unsafe fn get<T: Copy>(w: &SliceWriter<'_, T>, i: u32) -> T {
-    *w.get_ref(i as usize)
-}
-
-/// Exclusive access to element `i` of a state column.
-///
-/// # Safety
-/// The calling lane must own `i` this phase (see [`StateWriters`]) and
-/// hold no other reference to it.
-#[allow(clippy::mut_from_ref)] // same contract as `SliceWriter::slice_mut`
-unsafe fn own<'s, T>(w: &'s SliceWriter<'_, T>, i: u32) -> &'s mut T {
-    &mut w.slice_mut(i as usize..i as usize + 1)[0]
 }
 
 /// Read-only, round-constant inputs shared by every lane of the
@@ -400,7 +444,7 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
     for &v in lp {
         let (seg, lens) = ws.segment(v);
         for &e in &seg[..lens.0 as usize] {
-            if get(&ws.status, e) != Status::Element {
+            if ws.status.get(e) != Status::Element {
                 continue;
             }
             let eu = e as usize;
@@ -408,7 +452,7 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
                 s.wstamp[eu] = stamp;
                 s.w[eu] = cx.el_size[eu];
             }
-            s.w[eu] -= get(&ws.nv, v);
+            s.w[eu] -= ws.nv.get(v);
         }
     }
 
@@ -424,10 +468,10 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
         let mut var_kept = el_len;
         for k in el_len..var_end {
             let u = seg[k];
-            if get(&ws.status, u) == Status::Live && cx.claim[u as usize] != my_claim {
+            if ws.status.get(u) == Status::Live && cx.claim[u as usize] != my_claim {
                 seg[var_kept] = u;
                 var_kept += 1;
-                a_v += get(&ws.nv, u);
+                a_v += ws.nv.get(u);
             }
         }
 
@@ -437,7 +481,7 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
         let mut deg_els = 0i64;
         for k in 0..el_len {
             let e = seg[k];
-            if e == p || get(&ws.status, e) != Status::Element {
+            if e == p || ws.status.get(e) != Status::Element {
                 continue;
             }
             let eu = e as usize;
@@ -450,7 +494,7 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
                 // L_e ⊆ Lp: aggressive absorption. Such an element
                 // has live members only inside this pivot's Lp, so
                 // no other lane can touch it this round.
-                *own(&ws.status, e) = Status::Dead;
+                *ws.status.own(e) = Status::Dead;
             } else {
                 deg_els += we.max(0);
                 seg[el_kept] = e;
@@ -472,9 +516,9 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
         seg[0] = p;
         *lens = ((1 + el_kept) as u32, var_len as u32);
 
-        let nv_v = get(&ws.nv, v);
+        let nv_v = ws.nv.get(v);
         let lp_minus_v = lp_weight - nv_v;
-        let degree = own(&ws.degree, v);
+        let degree = ws.degree.own(v);
         *degree = (*degree + lp_minus_v)
             .min(a_v + lp_minus_v + deg_els)
             .min(cx.remaining - nv_v)
@@ -495,7 +539,7 @@ unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScra
     let groups = &mut s.groups;
     groups.clear();
     for (pos, &v) in lp.iter().enumerate() {
-        if get(&ws.status, v) != Status::Live {
+        if ws.status.get(v) != Status::Live {
             continue;
         }
         let (seg, &mut (el_len, var_len)) = ws.segment(v);
@@ -522,14 +566,14 @@ unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScra
         }
         for bi in 0..bucket.len() {
             let i = lp[bucket[bi].1 as usize];
-            if get(&ws.status, i) != Status::Live {
+            if ws.status.get(i) != Status::Live {
                 continue;
             }
             let (seg_i, &mut lens_i) = ws.segment(i);
             let lists_i = &seg_i[..(lens_i.0 + lens_i.1) as usize];
             for &(_, pj) in &bucket[bi + 1..] {
                 let j = lp[pj as usize];
-                if get(&ws.status, j) != Status::Live {
+                if ws.status.get(j) != Status::Live {
                     continue;
                 }
                 let (seg_j, lens_j) = ws.segment(j);
@@ -538,21 +582,21 @@ unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScra
                 }
                 // Merge j into i: i's chain becomes its own, then j's,
                 // then j.
-                *own(&ws.nv, i) += std::mem::take(own(&ws.nv, j));
-                *own(&ws.status, j) = Status::Dead;
+                *ws.nv.own(i) += std::mem::take(ws.nv.own(j));
+                *ws.status.own(j) = Status::Dead;
                 *lens_j = (0, 0);
-                let (j_first, j_last) = get(&ws.chain, j);
+                let (j_first, j_last) = ws.chain.get(j);
                 let appended = if j_first == NONE {
                     j
                 } else {
-                    *own(&ws.chain_next, j_last) = j;
+                    *ws.chain_next.own(j_last) = j;
                     j_first
                 };
-                let chain_i = own(&ws.chain, i);
+                let chain_i = ws.chain.own(i);
                 if chain_i.0 == NONE {
                     chain_i.0 = appended;
                 } else {
-                    *own(&ws.chain_next, chain_i.1) = appended;
+                    *ws.chain_next.own(chain_i.1) = appended;
                 }
                 chain_i.1 = j;
                 cx.merges.fetch_add(1, AtomicOrdering::Relaxed);
@@ -835,7 +879,7 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>, ws: &mut AmdWor
             // each pivot index to exactly one lane, and the barrier
             // ending each phase orders U1's writes before U2's reads.
             let mut run_phase = |phase: Phase| {
-                let run = |s: &mut LaneScratch, pis: std::ops::Range<usize>| {
+                let run = |s: &mut LaneScratch, pis: Range<usize>| {
                     for pi in pis {
                         unsafe { phase(&writers, &cx, s, pi) };
                     }

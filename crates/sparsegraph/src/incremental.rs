@@ -134,11 +134,6 @@ impl IncrementalComponents {
         self.members.len()
     }
 
-    /// The component label (minimum member id) of vertex `v`.
-    pub fn label_of(&self, v: usize) -> u32 {
-        self.comp_of[v]
-    }
-
     /// Sorted members of the component with the given label.
     pub fn members(&self, label: u32) -> Option<&[u32]> {
         self.members.get(&label).map(Vec::as_slice)
@@ -359,7 +354,7 @@ mod tests {
             .collect();
         let rebuilt = IncrementalComponents::from_partition(6, parts);
         rebuilt.assert_matches(&g);
-        assert_eq!(rebuilt.label_of(4), 3);
+        assert_eq!(rebuilt.comp_of[4], 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@ use crate::{ColIdx, CooMatrix, Permutation, SparseError};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::OnceLock;
-use team::{Exec, SliceWriter};
+use team::Exec;
 
 /// A single structural edge mutation applied by
 /// [`CsrMatrix::apply_delta`].
@@ -540,24 +540,21 @@ impl CsrMatrix {
             }
             return (colidx, values);
         }
-        let cw = SliceWriter::new(&mut colidx);
-        let vw = SliceWriter::new(&mut values);
-        exec.parallel_for(nrows, PAR_ROW_GRAIN, |chunk| {
-            let base = rowptr[chunk.start];
-            let segment = base..rowptr[chunk.end];
-            // SAFETY: chunks are pairwise disjoint row ranges and
-            // `rowptr` is monotone, so the chunks' segments are
-            // pairwise disjoint too. Within its chunk's segment each
-            // row owns `rowptr[i]..rowptr[i + 1]`, and `place` stores
-            // every slot of it exactly once.
-            let (co, vo) = unsafe { (cw.slice_mut(segment.clone()), vw.slice_mut(segment)) };
-            let mut staged = Vec::new();
-            for new in chunk {
-                let (cols, vals) = self.row(rows.map_or(new, |p| p.new_to_old(new)));
-                let out = rowptr[new] - base..rowptr[new + 1] - base;
-                place(cols, vals, &mut co[out.clone()], &mut vo[out], &mut staged);
-            }
-        });
+        exec.for_each_window(
+            nrows,
+            PAR_ROW_GRAIN,
+            (&mut colidx[..], &mut values[..]),
+            |i| rowptr[i],
+            |chunk, (co, vo)| {
+                let base = rowptr[chunk.start];
+                let mut staged = Vec::new();
+                for new in chunk {
+                    let (cols, vals) = self.row(rows.map_or(new, |p| p.new_to_old(new)));
+                    let out = rowptr[new] - base..rowptr[new + 1] - base;
+                    place(cols, vals, &mut co[out.clone()], &mut vo[out], &mut staged);
+                }
+            },
+        );
         (colidx, values)
     }
 

@@ -1,5 +1,5 @@
 use crate::{ColIdx, CsrMatrix, SparseError};
-use team::{Exec, SliceWriter};
+use team::Exec;
 
 /// Rows per chunk for the parallel row loops in this crate. Row work
 /// is O(row nnz), so a few hundred rows amortise a chunk claim while
@@ -70,17 +70,17 @@ pub fn symmetrize_pattern_on(a: &CsrMatrix, exec: Exec<'_>) -> Result<CsrMatrix,
     let t = a.transpose();
     // Pass 1: merged row lengths.
     let mut rowptr = vec![0usize; n + 1];
-    {
-        let counts = SliceWriter::new(&mut rowptr[1..]);
-        exec.parallel_for(n, PAR_ROW_GRAIN, |rows| {
-            // SAFETY: parallel_for chunks are pairwise-disjoint row
-            // ranges, so these count windows never overlap.
-            let out = unsafe { counts.slice_mut(rows.clone()) };
+    exec.for_each_window(
+        n,
+        PAR_ROW_GRAIN,
+        &mut rowptr[1..],
+        |i| i,
+        |rows, out| {
             for (slot, i) in out.iter_mut().zip(rows) {
                 *slot = merged_row_len(a.row(i).0, t.row(i).0);
             }
-        });
-    }
+        },
+    );
     // Prefix sum: counts become row pointers.
     for i in 0..n {
         rowptr[i + 1] += rowptr[i];
@@ -88,19 +88,19 @@ pub fn symmetrize_pattern_on(a: &CsrMatrix, exec: Exec<'_>) -> Result<CsrMatrix,
     let nnz = rowptr[n];
     // Pass 2: merge each row into its segment.
     let mut colidx: Vec<ColIdx> = vec![0; nnz];
-    {
-        let writer = SliceWriter::new(&mut colidx);
-        let rowptr = &rowptr;
-        exec.parallel_for(n, PAR_ROW_GRAIN, |rows| {
+    exec.for_each_window(
+        n,
+        PAR_ROW_GRAIN,
+        &mut colidx[..],
+        |i| rowptr[i],
+        |rows, out| {
+            let base = rowptr[rows.start];
             for i in rows {
-                // SAFETY: row segments [rowptr[i], rowptr[i+1]) are
-                // pairwise disjoint and rows are partitioned across
-                // chunks, so no two lanes write the same window.
-                let out = unsafe { writer.slice_mut(rowptr[i]..rowptr[i + 1]) };
-                merge_rows_into(out, a.row(i).0, t.row(i).0);
+                let row = rowptr[i] - base..rowptr[i + 1] - base;
+                merge_rows_into(&mut out[row], a.row(i).0, t.row(i).0);
             }
-        });
-    }
+        },
+    );
     Ok(CsrMatrix::from_parts_unchecked(
         n,
         n,
@@ -226,26 +226,35 @@ mod tests {
 
     #[test]
     fn parallel_symmetrize_matches_sequential() {
-        let mut coo = CooMatrix::new(200, 200);
-        // Deterministic scattered unsymmetric pattern.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for i in 0..200usize {
-            for _ in 0..6 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let j = (state >> 33) as usize % 200;
-                coo.push(i, j, 1.0);
+        // Deterministic scattered unsymmetric patterns: one chunk, and
+        // three ragged chunks whose vertices 3 mod 5 are isolated (empty
+        // rows, so empty segments in the fill).
+        for (n, keep) in [
+            (200, (|_| true) as fn(usize) -> bool),
+            (1300, |v| v % 5 != 3),
+        ] {
+            let mut coo = CooMatrix::new(n, n);
+            let mut state = 0x9e3779b97f4a7c15u64;
+            for i in 0..n {
+                for _ in 0..6 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let j = (state >> 33) as usize % n;
+                    if keep(i) && keep(j) {
+                        coo.push(i, j, 1.0);
+                    }
+                }
             }
-        }
-        let a = CsrMatrix::from_coo(&coo);
-        let seq = symmetrize_pattern(&a).unwrap();
-        let registry = telemetry::Registry::new_arc();
-        for size in [1usize, 2, 4] {
-            let t = team::ThreadTeam::new_in(&registry, size);
-            let par = symmetrize_pattern_on(&a, Exec::Team(&t)).unwrap();
-            assert_eq!(seq.rowptr(), par.rowptr(), "team size {size}");
-            assert_eq!(seq.colidx(), par.colidx(), "team size {size}");
+            let a = CsrMatrix::from_coo(&coo);
+            let seq = symmetrize_pattern(&a).unwrap();
+            let registry = telemetry::Registry::new_arc();
+            for size in [1usize, 2, 4] {
+                let t = team::ThreadTeam::new_in(&registry, size);
+                let par = symmetrize_pattern_on(&a, Exec::Team(&t)).unwrap();
+                assert_eq!(seq.rowptr(), par.rowptr(), "n {n} team size {size}");
+                assert_eq!(seq.colidx(), par.colidx(), "n {n} team size {size}");
+            }
         }
     }
 }

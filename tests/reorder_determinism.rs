@@ -28,6 +28,10 @@ fn family_matrices() -> Vec<(&'static str, CsrMatrix)> {
         ("road", corpus::road(30, 30, 3)),
         ("disconnected", corpus::block_diag(6, 40, 9)),
         ("empty_rows", with_empty_rows()),
+        (
+            "empty_rows_ragged",
+            isolate_every_fifth(&corpus::mesh2d(33, 33)),
+        ),
     ]
 }
 
@@ -45,6 +49,17 @@ fn with_empty_rows() -> CsrMatrix {
         if j != 3 && j != 7 && j != i {
             coo.push_symmetric(i, j, -1.0);
         }
+    }
+    CsrMatrix::from_coo(&coo)
+}
+
+/// `a` without the entries in rows and columns `3 mod 5`: 1 089 rows,
+/// so three ragged chunks of the crate's parallel row loops, with
+/// empty rows in every one.
+fn isolate_every_fifth(a: &CsrMatrix) -> CsrMatrix {
+    let mut coo = CooMatrix::new(a.nrows(), a.ncols());
+    for (i, j, v) in a.iter().filter(|&(i, j, _)| i % 5 != 3 && j % 5 != 3) {
+        coo.push(i, j, v);
     }
     CsrMatrix::from_coo(&coo)
 }
