@@ -45,7 +45,9 @@ fi
 # Paper drift gate: results/*_small.txt are what `paper` prints at this
 # commit, whichever executor computes the orderings. A deliberate
 # change to a table is accepted by committing the diff; there is no
-# update switch.
+# update switch. Each run also measures the break-even frontier
+# (gitignored, like table5) and fails if the replayed adaptive policy
+# agrees with it on fewer than 80 % of cells.
 for threads in 1 2; do
     ./target/release/paper --size small --reorder-threads "$threads"
     [ -z "$(git status --porcelain -- results)" ] || {
@@ -143,10 +145,6 @@ MUTATE_TRACE_DIR="$TMP/mutate-trace"
 # sampled traces).
 ./target/release/serve --size small --requests 400 --clients 2 \
     --policy adaptive --seed 7 > /dev/null
-
-# Break-even frontier smoke: measure + policy replay on a tiny rep
-# axis (no artifacts written, agreement gate not enforced).
-./target/release/frontier --size small --test > /dev/null
 
 # Ops-plane smoke: a listening serve must expose live metrics, health,
 # and SLO accounting over HTTP while the replay runs. The linger keeps

@@ -7,6 +7,8 @@
 //! sweep out of [`Inputs`] instead of sweeping themselves, so any
 //! selection of them costs one sweep.
 
+use std::cell::Cell;
+
 use crate::fmt::{fmt_seconds, render_boxplot, render_table};
 use crate::sweep::{speedups, sweep_matrix, MatrixSweep, OrderingRun, SweepConfig, ORDERINGS};
 use archsim::{machine_by_name, simulate_spmv_1d, simulate_spmv_2d, Machine, SimResult};
@@ -33,6 +35,9 @@ pub struct Inputs<'a> {
     /// The standard corpus swept over `swept` (empty when no selected
     /// artefact reads it).
     pub sweeps: &'a [MatrixSweep],
+    /// Set by an artefact whose own gate failed (the frontier's
+    /// agreement); `paper` writes everything, then exits 1.
+    pub gate_failed: Cell<bool>,
 }
 
 impl Inputs<'_> {
@@ -74,7 +79,7 @@ pub struct Artefact {
 
 /// Every artefact, in the order a full regeneration writes them.
 #[rustfmt::skip] // one artefact per two lines reads as the table it is
-pub const ARTEFACTS: [Artefact; 13] = [
+pub const ARTEFACTS: [Artefact; 14] = [
     Artefact { name: "table2", about: "Table 2 — hardware models",
                in_paper: true, sweep: Sweep::No, render: |_| hardware() },
     Artefact { name: "fig1", about: "Fig. 1 — spy plots + speedups, 3 matrices",
@@ -95,6 +100,8 @@ pub const ARTEFACTS: [Artefact; 13] = [
                in_paper: true, sweep: Sweep::No, render: cholesky_fill },
     Artefact { name: "table5", about: "Table 5 — reordering overhead (measured wall-clock)",
                in_paper: true, sweep: Sweep::No, render: reordering_overhead },
+    Artefact { name: "frontier", about: "§4.7 — break-even frontier, policy agreement and regret (measured)",
+               in_paper: true, sweep: Sweep::No, render: crate::frontier::frontier },
     Artefact { name: "reference_dense", about: "§4.2 — dense tall-skinny CSR bandwidth reference",
                in_paper: true, sweep: Sweep::No, render: reference_dense },
     Artefact { name: "diag", about: "per-matrix 1D speedups on Milan B (corpus tuning aid)",
@@ -647,7 +654,7 @@ mod tests {
         // `--machine Rome`; Fig. 5 reads Milan B whatever was selected,
         // and artefacts that do not read the sweep ask for none.
         let machines = vec![machine_by_name("Rome").unwrap()];
-        let no_sweep = ["table2", "fig1", "fig4", "fig6", "table5"].map(artefact);
+        let no_sweep = ["table2", "fig1", "fig4", "fig6", "table5", "frontier"].map(artefact);
         assert!(sweep_machines(&no_sweep, &machines).is_empty());
         let selected = ["fig2", "table3", "fig3", "table4", "fig5"].map(artefact);
         let swept = sweep_machines(&selected, &machines);
@@ -663,6 +670,7 @@ mod tests {
             machines: &machines,
             swept: &swept,
             sweeps: &sweeps,
+            gate_failed: Cell::new(false),
         };
         let texts = selected.map(|a| (a.render)(&inputs));
         let stats = engine.stats();

@@ -1,12 +1,15 @@
 //! Regenerates the paper's tables and figures (see `paper --help` for
 //! the list). Named artefacts print to stdout in the order named; with
-//! none named, the paper's eleven are written to
+//! none named, the paper's twelve are written to
 //! `results/<name>_<size>.txt` — the files CI compares against the
-//! checked-in ones.
+//! checked-in ones. It exits 1 if an artefact's own gate failed (the
+//! frontier's policy agreement), after writing them all.
 //!
 //! The process builds one engine and sweeps the standard corpus at
 //! most once, over the union of the machines the selected artefacts
 //! read.
+
+use std::cell::Cell;
 
 use engine::{Engine, EngineConfig};
 use experiments::artefacts::{sweep_machines, Artefact, Inputs, ARTEFACTS};
@@ -45,6 +48,7 @@ fn main() {
         machines: &machines,
         swept: &swept,
         sweeps: &sweeps,
+        gate_failed: Cell::new(false),
     };
 
     if to_files {
@@ -59,5 +63,8 @@ fn main() {
         } else {
             print!("{text}");
         }
+    }
+    if inputs.gate_failed.get() {
+        std::process::exit(1);
     }
 }

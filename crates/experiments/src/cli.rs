@@ -1,5 +1,5 @@
 //! Command-line handling of the `paper` binary (and the `--size` value
-//! `serve` and `frontier` share with it).
+//! `serve` shares with it).
 
 use crate::artefacts::{Artefact, ARTEFACTS};
 use corpus::CorpusSize;

@@ -10,7 +10,7 @@
 //! `paper` accepts `--size small|medium|large` (default `small`) to
 //! pick the corpus scale, so a full regeneration can run in seconds or
 //! at a scale closer to the paper's. Named artefacts print to stdout;
-//! with none named, the paper's eleven are written to
+//! with none named, the paper's twelve are written to
 //! `results/<name>_<size>.txt`. Either way the standard corpus is
 //! swept at most once per process ([`sweep`]), however many of the
 //! artefacts read it.
@@ -18,5 +18,6 @@
 pub mod artefacts;
 pub mod cli;
 pub mod fmt;
+mod frontier;
 pub mod sweep;
 pub mod tracecheck;

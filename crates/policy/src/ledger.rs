@@ -3,8 +3,7 @@
 //! SpMV time the ordering has saved since, relative to the observed
 //! `Original` baseline for the same matrix.
 //!
-//! The ledger is the policy layer's ground truth — the predictor only
-//! seeds decisions until enough observations land here.
+//! The ledger is all the adaptive policy decides from.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -249,7 +248,7 @@ impl AmortizationLedger {
     }
 
     /// Cumulative reorder seconds paid across all keys ever billed.
-    pub fn paid_seconds(&self) -> f64 {
+    fn paid_seconds(&self) -> f64 {
         self.state().paid_seconds
     }
 

@@ -1,41 +1,31 @@
-//! Cost-model-driven adaptive reordering policy with an online
-//! amortization feedback loop.
+//! Adaptive reordering policy driven by an amortization ledger.
 //!
 //! The paper's central practical question — *when is reordering worth
 //! it?* — depends on three quantities: the one-time reorder cost, the
 //! per-SpMV saving the new order buys, and how many times the matrix
 //! will be multiplied. This crate decides, per serving request and
-//! before any reordering work runs, whether to pay for an ordering:
-//!
-//! 1. a **predictor** ([`Predictor`]) estimates per-algorithm SpMV
-//!    speedup and reorder cost from cheap `spfeatures` metrics plus
-//!    `archsim` cache-model *ratios* (never model-absolute seconds);
-//! 2. an **amortization ledger** ([`AmortizationLedger`]) tracks, per
-//!    cached ordering, the reorder cost actually paid against the
-//!    cumulative observed SpMV savings, published as `policy.*`
-//!    telemetry;
-//! 3. an **online corrector** ([`OnlineCorrector`]) blends predicted
-//!    and observed speedups per feature bucket, so repeated traffic
-//!    converges on the empirically best choice — including "don't
-//!    reorder at all".
+//! before any reordering work runs, whether to pay for an ordering,
+//! from what this host has measured and nothing else: an
+//! **amortization ledger** ([`AmortizationLedger`]) tracks, per
+//! ordering (`content_hash` × algorithm), the reorder cost actually
+//! paid against the observed SpMV times on both sides, published as
+//! `policy.*` telemetry.
 //!
 //! [`PolicyEngine::decide`] runs the cascade; the serving tier records
 //! its output as the `policy.decide` flight-recorder stage.
 
-mod corrector;
 mod ledger;
 mod predict;
 
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
-use engine::{AlgoSpec, CacheMetrics, LruCache};
+use engine::AlgoSpec;
 use sparsemat::CsrMatrix;
-use telemetry::{Counter, Gauge, Registry};
+use telemetry::{Counter, Registry};
 
-pub use corrector::OnlineCorrector;
 pub use ledger::{AmortizationLedger, Observed};
-pub use predict::{default_nnz_per_s, FeatureBucket, FeatureSummary, Predictor};
+pub use predict::{FeatureSummary, Predictor};
 
 /// How the serving tier treats reorder requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +34,8 @@ pub enum PolicyMode {
     Always,
     /// Serve everything in the original order.
     Never,
-    /// Reorder only when the cost model and the feedback loop say the
-    /// investment will amortise.
+    /// Reorder only when the ledger's evidence says the investment
+    /// pays, probing a key that keeps coming back to gather it.
     Adaptive,
 }
 
@@ -77,16 +67,16 @@ impl FromStr for PolicyMode {
 
 /// Deterministic probe point: once a key has been requested this many
 /// times without reordered-side observations, the adaptive policy
-/// reorders once so the ledger and corrector get data. Keys with fewer
-/// lifetime repetitions never pay (the cold-traffic guarantee).
+/// reorders once so the ledger gets data. Keys with fewer lifetime
+/// repetitions never pay (the cold-traffic guarantee).
 const PROBE_AFTER: u64 = 8;
 
-/// Observations per side required before empirical means override the
-/// model.
+/// Observations per side required before the ledger's means decide.
 const MIN_SAMPLES: u64 = 2;
 
-/// Predicted speedup must clear `1 + SPEEDUP_MARGIN` before the model
-/// may recommend paying for a reorder.
+/// The observed speedup must clear `1 + SPEEDUP_MARGIN` before a fresh
+/// verdict says "reorder", and fall below `1 − SPEEDUP_MARGIN` before
+/// an established one flips back.
 const SPEEDUP_MARGIN: f64 = 0.02;
 
 /// How a [`PolicyEngine`] decides, and where it publishes.
@@ -120,13 +110,6 @@ impl Default for PolicyConfig {
 pub struct PolicyDecision {
     /// Algorithm to actually serve under (`Original` = don't reorder).
     pub algo: AlgoSpec,
-    /// Model-predicted SpMV speedup of the chosen path vs original
-    /// order (1.0 for identity decisions).
-    pub predicted_speedup: f64,
-    /// Model-predicted one-time reorder cost of `algo`, seconds.
-    pub predicted_reorder_seconds: f64,
-    /// Repetitions needed to amortise that cost (0 when not computed).
-    pub break_even_reps: f64,
     /// Which cascade rule fired — recorded on the `policy.decide` span.
     pub reason: &'static str,
 }
@@ -140,38 +123,8 @@ impl PolicyDecision {
     fn identity(reason: &'static str) -> Self {
         PolicyDecision {
             algo: AlgoSpec::Original,
-            predicted_speedup: 1.0,
-            predicted_reorder_seconds: 0.0,
-            break_even_reps: 0.0,
             reason,
         }
-    }
-}
-
-/// Metric handles by `&'static str` key, each resolved in the registry
-/// on first use and kept: a decision finds its series by scanning a
-/// dozen entries instead of formatting a name and taking the
-/// registry-wide lock, and a series nothing has reported yet stays out
-/// of `/metrics`.
-struct Handles<T>(Mutex<Vec<(&'static str, Arc<T>)>>);
-
-impl<T> Handles<T> {
-    fn new() -> Self {
-        Handles(Mutex::new(Vec::new()))
-    }
-
-    /// The handle under `key`, from `resolve` the first time.
-    fn get(&self, key: &'static str, resolve: impl FnOnce() -> Option<Arc<T>>) -> Option<Arc<T>> {
-        let mut found = self
-            .0
-            .lock()
-            .expect("no code path panics while holding the handle list");
-        if let Some((_, handle)) = found.iter().find(|(k, _)| *k == key) {
-            return Some(Arc::clone(handle));
-        }
-        let handle = resolve()?;
-        found.push((key, Arc::clone(&handle)));
-        Some(handle)
     }
 }
 
@@ -179,24 +132,20 @@ impl<T> Handles<T> {
 pub struct PolicyEngine {
     config: PolicyConfig,
     registry: Arc<Registry>,
-    predictor: Predictor,
     ledger: AmortizationLedger,
-    corrector: OnlineCorrector,
-    /// Feature summaries cached per content hash (`policy.features.*`)
-    /// — computed once, on the first adaptive decision for a matrix.
-    features: LruCache<u128, FeatureSummary>,
     /// `policy.decisions{choice="identity"}` and `{choice="reorder"}`.
     decisions: [Arc<Counter>; 2],
-    /// `policy.reason{rule=...}` by [`PolicyDecision::reason`].
-    reasons: Handles<Counter>,
-    /// `reorder.<algo>.nnz_per_s` by [`AlgoSpec::name`], once the
-    /// reorder crate has published it.
-    rates: Handles<Gauge>,
+    /// `policy.reason{rule=...}` by [`PolicyDecision::reason`], each
+    /// resolved in the registry on first use and kept: a decision finds
+    /// its counter by scanning a handful of entries instead of
+    /// formatting a name and taking the registry-wide lock, and a
+    /// reason no decision has given yet stays out of `/metrics`.
+    reasons: Mutex<Vec<(&'static str, Arc<Counter>)>>,
 }
 
-/// Bound on each kind of per-matrix policy state (ledger keys, feature
-/// summaries): every `apply_delta` mints a new content hash, so a tier
-/// with a mutator would otherwise grow them without limit.
+/// Bound on the ledger's keys: every `apply_delta` mints a new content
+/// hash, so a tier with a mutator would otherwise grow it without
+/// limit.
 const STATE_CAPACITY: usize = engine::DEFAULT_CACHE_CAPACITY;
 
 impl PolicyEngine {
@@ -204,17 +153,10 @@ impl PolicyEngine {
     pub fn new(config: PolicyConfig) -> Self {
         let registry = config.registry.clone().unwrap_or_else(Registry::global);
         PolicyEngine {
-            predictor: Predictor::new(),
             ledger: AmortizationLedger::new(Arc::clone(&registry), STATE_CAPACITY),
-            corrector: OnlineCorrector::new(0.3, Arc::clone(&registry)),
-            features: LruCache::new(
-                STATE_CAPACITY,
-                CacheMetrics::new(&registry, "policy.features", &[]),
-            ),
             decisions: ["identity", "reorder"]
                 .map(|choice| registry.counter_labeled("policy.decisions", &[("choice", choice)])),
-            reasons: Handles::new(),
-            rates: Handles::new(),
+            reasons: Mutex::new(Vec::new()),
             registry,
             config,
         }
@@ -230,38 +172,43 @@ impl PolicyEngine {
         &self.ledger
     }
 
-    /// The predictor in use.
-    pub fn predictor(&self) -> &Predictor {
-        &self.predictor
-    }
-
-    /// The online corrector (for reporting).
-    pub fn corrector(&self) -> &OnlineCorrector {
-        &self.corrector
-    }
-
     /// Decide whether this request should be served under `requested`
     /// or in the original order. `ordering_cached` reports whether the
     /// engine already holds a computed ordering for (matrix,
     /// requested) — a sunk cost the adaptive mode should exploit
     /// rather than re-litigate.
+    ///
+    /// `_matrix` is inert: nothing reads it, since the ledger keys on
+    /// `content_hash` alone. The parameter stays only because
+    /// `sysbench` passes it, and goes with the next change to that
+    /// benchmark.
     pub fn decide(
         &self,
-        matrix: &CsrMatrix,
+        _matrix: &CsrMatrix,
         content_hash: u128,
         requested: AlgoSpec,
         ordering_cached: bool,
     ) -> PolicyDecision {
-        let decision = self.decide_inner(matrix, content_hash, requested, ordering_cached);
+        let decision = self.decide_inner(content_hash, requested, ordering_cached);
         self.decisions[usize::from(decision.reorders())].inc();
-        self.reasons
-            .get(decision.reason, || {
-                let labels = [("rule", decision.reason)];
-                Some(self.registry.counter_labeled("policy.reason", &labels))
-            })
-            .expect("a counter is created when absent")
-            .inc();
+        self.reason_counter(decision.reason).inc();
         decision
+    }
+
+    /// The `policy.reason{rule=reason}` counter, resolved once.
+    fn reason_counter(&self, reason: &'static str) -> Arc<Counter> {
+        let mut found = self
+            .reasons
+            .lock()
+            .expect("no code path panics while holding the reason list");
+        if let Some((_, counter)) = found.iter().find(|(r, _)| *r == reason) {
+            return Arc::clone(counter);
+        }
+        let counter = self
+            .registry
+            .counter_labeled("policy.reason", &[("rule", reason)]);
+        found.push((reason, Arc::clone(&counter)));
+        counter
     }
 
     /// True when `count` lands on the exponential re-probe schedule:
@@ -277,7 +224,6 @@ impl PolicyEngine {
 
     fn decide_inner(
         &self,
-        matrix: &CsrMatrix,
         content_hash: u128,
         requested: AlgoSpec,
         ordering_cached: bool,
@@ -290,9 +236,6 @@ impl PolicyEngine {
                 self.ledger.note_request(content_hash, requested);
                 return PolicyDecision {
                     algo: requested,
-                    predicted_speedup: 1.0,
-                    predicted_reorder_seconds: 0.0,
-                    break_even_reps: 0.0,
                     reason: "mode-always",
                 };
             }
@@ -304,16 +247,12 @@ impl PolicyEngine {
         }
 
         let count = self.ledger.note_request(content_hash, requested);
-        let summary = self.summary_for(content_hash, matrix);
-        let bucket = summary.bucket();
-        let raw = self.predictor.speedup(&summary, requested);
-        let predicted = self.corrector.correct(bucket, requested.name(), raw);
-        let cost =
-            self.predictor
-                .reorder_seconds(summary.nnz, requested, self.calibrated_rate(requested));
-
         let observed = self.ledger.observed(content_hash, requested);
         let baseline = self.ledger.observed(content_hash, AlgoSpec::Original);
+        let reorder = |reason| PolicyDecision {
+            algo: requested,
+            reason,
+        };
 
         // 1. Enough live data on both sides: the means decide, with
         //    hysteresis. A fresh verdict must clear the margin; an
@@ -340,23 +279,11 @@ impl PolicyEngine {
             if !win && self.on_reprobe_schedule(count) {
                 self.ledger.reset_observed(content_hash, requested);
                 self.registry.counter("policy.reprobes").inc();
-                return PolicyDecision {
-                    algo: requested,
-                    predicted_speedup: predicted,
-                    predicted_reorder_seconds: cost,
-                    break_even_reps: 0.0,
-                    reason: "re-probe",
-                };
+                return reorder("re-probe");
             }
             self.ledger.set_verdict(content_hash, requested, win);
             return if win {
-                PolicyDecision {
-                    algo: requested,
-                    predicted_speedup: ratio,
-                    predicted_reorder_seconds: cost,
-                    break_even_reps: 0.0,
-                    reason: "empirical-win",
-                }
+                reorder("empirical-win")
             } else {
                 PolicyDecision::identity("empirical-loss")
             };
@@ -365,78 +292,25 @@ impl PolicyEngine {
         // 2. An ordering the engine already computed is a sunk cost:
         //    serving under it costs nothing extra.
         if ordering_cached {
-            return PolicyDecision {
-                algo: requested,
-                predicted_speedup: predicted,
-                predicted_reorder_seconds: 0.0,
-                break_even_reps: 0.0,
-                reason: "cached-ordering",
-            };
+            return reorder("cached-ordering");
         }
 
         // 3. Deterministic probe: a key that keeps coming back earns
-        //    one reorder so the feedback loop gets reordered-side data.
+        //    one reorder so the ledger gets reordered-side data.
         if count >= PROBE_AFTER && observed.count < MIN_SAMPLES {
             self.registry.counter("policy.probes").inc();
-            return PolicyDecision {
-                algo: requested,
-                predicted_speedup: predicted,
-                predicted_reorder_seconds: cost,
-                break_even_reps: 0.0,
-                reason: "probe",
-            };
+            return reorder("probe");
         }
 
-        // 4. Model decision: pay only when the predicted saving clears
-        //    the break-even point within the repetitions seen so far
-        //    (count is the best available proxy for future traffic).
-        if predicted > 1.0 + SPEEDUP_MARGIN {
-            if let Some(base_mean) = baseline.mean() {
-                let saving_frac = 1.0 - 1.0 / predicted;
-                let break_even = cost / (base_mean * saving_frac);
-                if count as f64 >= break_even {
-                    return PolicyDecision {
-                        algo: requested,
-                        predicted_speedup: predicted,
-                        predicted_reorder_seconds: cost,
-                        break_even_reps: break_even,
-                        reason: "predicted-amortized",
-                    };
-                }
-                let mut d = PolicyDecision::identity("below-break-even");
-                d.predicted_speedup = predicted;
-                d.predicted_reorder_seconds = cost;
-                d.break_even_reps = break_even;
-                return d;
-            }
-            // No host baseline yet: serve original once to measure it.
-            return PolicyDecision::identity("await-baseline");
-        }
-        PolicyDecision::identity("no-gain-predicted")
+        // 4. No evidence yet that the ordering pays: serve the
+        //    original order, which also feeds the baseline.
+        PolicyDecision::identity("await-evidence")
     }
 
     /// Feed one observed SpMV service time (seconds) for (hash, algo)
-    /// back into the ledger, and — once both sides of a matrix have
-    /// data — into the corrector's residual for the matrix's bucket.
+    /// into the ledger.
     pub fn observe_spmv(&self, content_hash: u128, algo: AlgoSpec, seconds: f64) {
         self.ledger.record_spmv(content_hash, algo, seconds);
-        if matches!(algo, AlgoSpec::Original) {
-            return;
-        }
-        let observed = self.ledger.observed(content_hash, algo);
-        let baseline = self.ledger.observed(content_hash, AlgoSpec::Original);
-        if observed.count < MIN_SAMPLES || baseline.count < MIN_SAMPLES {
-            return;
-        }
-        let Some(summary) = self.features.peek(&content_hash) else {
-            return;
-        };
-        let (om, bm) = (observed.mean().unwrap(), baseline.mean().unwrap());
-        if om > 0.0 {
-            let raw = self.predictor.speedup(&summary, algo);
-            self.corrector
-                .observe(summary.bucket(), algo.name(), raw, bm / om);
-        }
     }
 
     /// Record that the reorder cost for (hash, algo) was actually paid
@@ -451,54 +325,20 @@ impl PolicyEngine {
         self.ledger.net_saved_seconds()
     }
 
-    /// The policy's best current estimate of the amortisation
-    /// question: would paying for `algo` on this matrix pay off over
-    /// `reps` repetitions of traffic? Uses observed per-SpMV means
-    /// when both sides have `MIN_SAMPLES` (2) samples, otherwise the
-    /// (corrector-adjusted) predicted speedup; the cost is the price
-    /// actually paid if one was, else the model estimate.
-    /// `None` until a baseline mean and a feature summary exist.
+    /// The ledger's answer to the amortisation question: would paying
+    /// for `algo` on this matrix pay off over `reps` repetitions of
+    /// traffic, `reps · (baseline_mean − algo_mean) > paid cost`?
+    /// `None` until both sides hold `MIN_SAMPLES` (2) observations and
+    /// a reorder cost has been paid.
     pub fn would_amortize(&self, content_hash: u128, algo: AlgoSpec, reps: u64) -> Option<bool> {
-        if matches!(algo, AlgoSpec::Original) {
-            return Some(false);
-        }
         let baseline = self.ledger.observed(content_hash, AlgoSpec::Original);
         let observed = self.ledger.observed(content_hash, algo);
-        let base_mean = baseline.mean()?;
-        let summary = self.features.peek(&content_hash)?;
-        let cost = self.ledger.paid_for(content_hash, algo).unwrap_or_else(|| {
-            self.predictor
-                .reorder_seconds(summary.nnz, algo, self.calibrated_rate(algo))
-        });
-        let saving = if observed.count >= MIN_SAMPLES && baseline.count >= MIN_SAMPLES {
-            base_mean - observed.mean().unwrap()
-        } else {
-            let raw = self.predictor.speedup(&summary, algo);
-            let predicted = self.corrector.correct(summary.bucket(), algo.name(), raw);
-            base_mean * (1.0 - 1.0 / predicted)
-        };
-        if saving <= 0.0 {
-            return Some(false);
+        if observed.count < MIN_SAMPLES || baseline.count < MIN_SAMPLES {
+            return None;
         }
-        Some(reps as f64 * saving > cost)
-    }
-
-    fn summary_for(&self, content_hash: u128, matrix: &CsrMatrix) -> FeatureSummary {
-        self.features
-            .get_or_insert_with(content_hash, || self.predictor.summarize(matrix))
-            .0
-    }
-
-    /// Live reorder throughput (nnz/s) for `algo`, calibrated from the
-    /// `reorder.<algo>.nnz_per_s` gauge the reorder crate publishes.
-    fn calibrated_rate(&self, algo: AlgoSpec) -> Option<f64> {
-        self.rates
-            .get(algo.name(), || {
-                let name = format!("reorder.{}.nnz_per_s", algo.name().to_lowercase());
-                self.registry.find_gauge(&name)
-            })
-            .map(|g| g.get() as f64)
-            .filter(|r| *r > 0.0)
+        let paid = self.ledger.paid_for(content_hash, algo)?;
+        let saving = baseline.mean()? - observed.mean()?;
+        Some(reps as f64 * saving > paid)
     }
 }
 
@@ -540,6 +380,7 @@ mod tests {
         for i in 1..8 {
             let d = policy.decide(&a, 42, AlgoSpec::Rcm, false);
             assert!(!d.reorders(), "request {i} reordered ({})", d.reason);
+            assert_eq!(d.reason, "await-evidence");
             // The tier serves in original order and reports the time.
             policy.observe_spmv(42, AlgoSpec::Original, 0.001);
         }
@@ -553,6 +394,8 @@ mod tests {
             assert!(!policy.decide(&a, 7, AlgoSpec::Rcm, false).reorders());
             policy.observe_spmv(7, AlgoSpec::Original, 0.004);
         }
+        // No reordered-side evidence yet.
+        assert_eq!(policy.would_amortize(7, AlgoSpec::Rcm, 1000), None);
         // 8th request probes.
         let d = policy.decide(&a, 7, AlgoSpec::Rcm, false);
         assert_eq!(d.reason, "probe");
@@ -571,7 +414,10 @@ mod tests {
         // Both sides sampled: the 2x-faster reordered path wins.
         let d = policy.decide(&a, 7, AlgoSpec::Rcm, true);
         assert_eq!(d.reason, "empirical-win");
-        assert!(d.predicted_speedup > 1.5);
+        // The ledger prices the paid 50 ms against the 2 ms saved per
+        // request: 10 requests do not pay for it, 100 do.
+        assert_eq!(policy.would_amortize(7, AlgoSpec::Rcm, 10), Some(false));
+        assert_eq!(policy.would_amortize(7, AlgoSpec::Rcm, 100), Some(true));
     }
 
     #[test]
@@ -619,40 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn amd_reorder_cost_reads_the_live_gauge() {
-        let a = matrix();
-        let (policy, registry) = engine(PolicyMode::Adaptive);
-        let nnz = a.nnz() as f64;
-        // Drive the key to the probe threshold with no calibration
-        // yet: the probe prices AMD at the conservative default rate.
-        for _ in 1..8 {
-            policy.decide(&a, 11, AlgoSpec::Amd, false);
-            policy.observe_spmv(11, AlgoSpec::Original, 0.004);
-        }
-        let cold = policy.decide(&a, 11, AlgoSpec::Amd, false);
-        assert_eq!(cold.reason, "probe");
-        let want = nnz / default_nnz_per_s(AlgoSpec::Amd);
-        assert!(
-            (cold.predicted_reorder_seconds - want).abs() < 1e-12,
-            "cold AMD cost {} != default-rate cost {want}",
-            cold.predicted_reorder_seconds
-        );
-
-        // Once the reorder crate publishes a live throughput (the
-        // `reorder.amd.nnz_per_s` gauge from `timed_components_on`),
-        // the next pricing uses it instead of the default.
-        registry.gauge("reorder.amd.nnz_per_s").set(8_000_000);
-        let hot = policy.decide(&a, 11, AlgoSpec::Amd, false);
-        assert_eq!(hot.reason, "probe");
-        let want = nnz / 8e6;
-        assert!(
-            (hot.predicted_reorder_seconds - want).abs() < 1e-12,
-            "calibrated AMD cost {} != gauge-rate cost {want}",
-            hot.predicted_reorder_seconds
-        );
-    }
-
-    #[test]
     fn decisions_are_counted_in_telemetry() {
         let a = matrix();
         let (policy, registry) = engine(PolicyMode::Adaptive);
@@ -695,14 +507,6 @@ mod tests {
             Some(STATE_CAPACITY as i64)
         );
         assert_eq!(snap.gauge("policy.ledger.paid_us"), Some(1_250_000_000));
-        assert_eq!(
-            snap.gauge("policy.features.resident"),
-            Some(STATE_CAPACITY as i64)
-        );
-        assert_eq!(
-            snap.counter("policy.features.evictions"),
-            Some(10_000 - STATE_CAPACITY as u64)
-        );
     }
 
     #[test]

@@ -313,14 +313,16 @@ impl<'a, T> SliceWriter<'a, T> {
         }
     }
 
-    /// A mutable window over `range`.
+    /// A mutable window over `range`. Panics, in every profile, if
+    /// `range` is not within the column: a wrong `xadj` segment is a
+    /// bug to report, never a stray write.
     ///
     /// # Safety
     /// The calling lane must own every element of `range` this phase
     /// (see [`StateWriters`]) and hold no other reference to one.
     #[allow(clippy::mut_from_ref)]
     unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
-        debug_assert!(range.start <= range.end && range.end <= self.len);
+        assert!(range.start <= range.end && range.end <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
     }
 
@@ -334,6 +336,7 @@ impl<'a, T> SliceWriter<'a, T> {
     }
 
     /// Element `i`, which another lane may own but no lane writes.
+    /// Panics if `i` is out of range, as [`SliceWriter::slice_mut`].
     ///
     /// # Safety
     /// No other lane may write `i` this phase.
@@ -341,7 +344,7 @@ impl<'a, T> SliceWriter<'a, T> {
     where
         T: Copy,
     {
-        debug_assert!((i as usize) < self.len);
+        assert!((i as usize) < self.len);
         *self.ptr.add(i as usize)
     }
 }
@@ -1369,6 +1372,24 @@ mod tests {
     use sparsemat::{CooMatrix, Permutation};
     use std::collections::BTreeSet;
     use team::ThreadTeam;
+
+    #[test]
+    #[should_panic(expected = "self.len")]
+    fn slice_writer_get_out_of_range_panics() {
+        let mut column = [0u32; 4];
+        let writer = SliceWriter::new(&mut column);
+        // SAFETY: no other reference to the column exists.
+        unsafe { writer.get(4) };
+    }
+
+    #[test]
+    #[should_panic(expected = "self.len")]
+    fn slice_writer_slice_mut_out_of_range_panics() {
+        let mut column = [0u32; 4];
+        let writer = SliceWriter::new(&mut column);
+        // SAFETY: no other reference to the column exists.
+        unsafe { writer.slice_mut(2..5) };
+    }
 
     fn grid_matrix(n: usize) -> CsrMatrix {
         // 5-point Laplacian on an n x n grid.

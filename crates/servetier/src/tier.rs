@@ -611,8 +611,8 @@ impl ServeTier {
         &self.registry
     }
 
-    /// The reordering policy shared by all shards (decision engine,
-    /// amortization ledger, online corrector).
+    /// The reordering policy shared by all shards (decision engine
+    /// and its amortization ledger).
     pub fn policy(&self) -> &Arc<PolicyEngine> {
         &self.policy
     }
@@ -1052,7 +1052,7 @@ fn execute(
         kernel.execute_scatter(&shard.spmv_team, x, &mut y.y, &ordering.perm);
     }
     // Close the feedback loop: the observed service time under the
-    // chosen ordering feeds the ledger and the online corrector.
+    // chosen ordering feeds the ledger.
     shard
         .policy
         .observe_spmv(content_hash, algo, spmv_started.elapsed().as_secs_f64());

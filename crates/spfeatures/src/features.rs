@@ -59,8 +59,7 @@ pub fn off_diagonal_nnz(a: &CsrMatrix, num_blocks: usize) -> usize {
 /// Population variance of the row lengths (nonzeros per row). High
 /// variance marks skewed matrices (power-law graphs, dense-row mixes)
 /// whose SpMV cost is dominated by a few heavy rows — structure no
-/// symmetric reordering changes, which is why the policy predictor
-/// discounts reordering for them.
+/// symmetric reordering changes.
 pub fn row_length_variance(a: &CsrMatrix) -> f64 {
     let n = a.nrows();
     if n == 0 {
