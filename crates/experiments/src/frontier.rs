@@ -133,10 +133,12 @@ fn family_representatives(inputs: &Inputs) -> Vec<MatrixSpec> {
 /// Sets [`Inputs::gate_failed`] when agreement is below the gate.
 pub fn frontier(inputs: &Inputs) -> String {
     let registry = Registry::new_arc();
+    // One lane: on a small matrix a wider team times the other lanes'
+    // wake-up, not the ordering's locality.
     let measure = MeasureConfig {
         repetitions: 30,
         warmup: 3,
-        nthreads: host_threads(),
+        nthreads: 1,
     };
     let mut header: Vec<String> = "matrix algo nnz t_base t_reord cost break-even"
         .split(' ')
@@ -195,14 +197,15 @@ pub fn frontier(inputs: &Inputs) -> String {
     }
     let mut text = format!(
         "Break-even frontier (paper §4.7), measured on this host: host_threads {},\n\
-         1D CSR kernel, minimum of {} SpMVs. `break-even` = cost / (t_base - t_reord)\n\
-         repetitions. A cell reads RE when reordering pays at that repetition count,\n\
-         -- when the original order wins; * marks a cell where the adaptive policy,\n\
-         replayed over that much traffic, answers otherwise.\n\n{}\n\
+         SpMV on {} lane, 1D CSR kernel, minimum of {} SpMVs. `break-even` =\n\
+         cost / (t_base - t_reord) repetitions. A cell reads RE when reordering pays\n\
+         at that repetition count, -- when the original order wins; * marks a cell\n\
+         where the adaptive policy, replayed over that much traffic, answers otherwise.\n\n{}\n\
          Adaptive policy agreement: {:.1}% of {} cells (gate: {:.0}%).\n\n\
          Regret: seconds spent minus min(r * t_base, cost + r * t_reord), summed over\n\
          the cells. Adaptive pays the cost at its first reorder (the probe at request\n\
          8), Always pays cost + r * t_reord, Never r * t_base.\n",
+        host_threads(),
         measure.nthreads,
         measure.repetitions,
         render_table(&header, &rows),

@@ -70,10 +70,10 @@
 //! canonical one everywhere in this repo, and the single-elimination
 //! path is the oracle `tests/findings.rs` pins its fill against.
 
-use crate::component::{assemble_pieces, ComponentOrdering};
-use crate::exec::{build_ordering_graph, ReorderExec};
+use crate::component::{sweep_components, ComponentRange};
+use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
-use sparsegraph::{connected_components, Graph, SubgraphWork};
+use sparsegraph::{Graph, SubgraphWork};
 use sparsemat::{CsrMatrix, SparseError};
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -1308,61 +1308,35 @@ impl ReorderAlgorithm for Amd {
         true
     }
 
-    fn order_component_on(
+    /// Each component is the vertex-induced subgraph on its members
+    /// (ascending), ordered in one workspace and mapped back to global
+    /// ids. Local indexing follows the ascending members, so the
+    /// tie-breaking inside the quotient graph is a pure function of the
+    /// component — independent of what the rest of the graph looks
+    /// like, of the executor, and of the team size. An isolated
+    /// vertex's order is itself, with no quotient graph built.
+    fn order_components_on(
         &self,
         g: &Graph,
-        comp: &[u32],
+        seeds: &mut dyn Iterator<Item = usize>,
+        order: &mut Vec<u32>,
+        ranges: &mut Vec<ComponentRange>,
         rx: &ReorderExec<'_>,
-    ) -> Option<Vec<u32>> {
+    ) {
         let (mut sub, mut amd) = (SubgraphWork::default(), AmdWork::default());
-        Some(self.order_component(g, comp, &mut sub, &mut amd, rx))
-    }
-
-    fn compute_components_on(
-        &self,
-        a: &CsrMatrix,
-        rx: &ReorderExec<'_>,
-    ) -> Result<Option<ComponentOrdering>, SparseError> {
-        let g = build_ordering_graph(a, rx)?;
-        let comps = connected_components(&g);
-        let (mut sub, mut amd) = (SubgraphWork::default(), AmdWork::default());
-        let mut pieces: Vec<(u32, Vec<u32>)> = Vec::with_capacity(comps.count());
-        for mut comp in comps.members {
+        let mut comp: Vec<u32> = Vec::with_capacity(g.num_vertices());
+        sweep_components(g, seeds, order, ranges, |seed, levels, order| {
+            levels.run_on(g, seed, rx.exec(), rx.frontier_min(), |_| {});
+            if let [v] = *levels.reached() {
+                order.push(v);
+                return;
+            }
+            comp.clear();
+            comp.extend_from_slice(levels.reached());
             comp.sort_unstable();
-            let piece = self.order_component(&g, &comp, &mut sub, &mut amd, rx);
-            pieces.push((comp[0], piece));
-        }
-        Ok(Some(assemble_pieces(self, pieces)))
-    }
-}
-
-impl Amd {
-    /// One component's AMD bytes: the elimination order of the
-    /// vertex-induced subgraph on `comp` (ascending), mapped back to
-    /// global ids. Local indexing follows `comp`'s order, so the
-    /// tie-breaking inside the quotient-graph heap is a pure function
-    /// of the component — independent of what the rest of the graph
-    /// looks like, of the executor, and of the team size. An isolated
-    /// vertex's order is itself, with no quotient graph built. `sub`
-    /// and `amd` are the extraction's and the ordering's workspaces;
-    /// the piece is `amd`'s order array, taken.
-    fn order_component(
-        &self,
-        g: &Graph,
-        comp: &[u32],
-        sub: &mut SubgraphWork,
-        amd: &mut AmdWork,
-        rx: &ReorderExec<'_>,
-    ) -> Vec<u32> {
-        if let [v] = *comp {
-            return vec![v];
-        }
-        amd_order_on(g.subgraph(comp, sub), self.round_slack, rx, amd);
-        let mut order = std::mem::take(&mut amd.order);
-        for v in &mut order {
-            *v = comp[*v as usize];
-        }
-        order
+            amd_order_on(g.subgraph(&comp, &mut sub), self.round_slack, rx, &mut amd);
+            order.extend(amd.order().iter().map(|&l| comp[l as usize]));
+        });
     }
 }
 

@@ -8,11 +8,12 @@
 //! practice (§2.1.1). Disconnected components are processed one after
 //! another, each from its own pseudo-peripheral start.
 
-use crate::component::{assemble_pieces, ComponentOrdering};
-use crate::exec::{build_ordering_graph, ReorderExec};
+use crate::component::{sweep_components, ComponentRange};
+use crate::exec::ReorderExec;
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use sparsegraph::{pseudo_peripheral_vertex_with, Graph, LevelStructure};
 use sparsemat::{CsrMatrix, SparseError};
+use std::cmp::Reverse;
 use telemetry::stages;
 
 /// Reverse Cuthill–McKee reordering.
@@ -20,28 +21,30 @@ use telemetry::stages;
 pub struct Rcm;
 
 impl Rcm {
-    /// One component's final bytes: the Cuthill–McKee order of the
-    /// component containing `seed`, reversed.
+    /// Append one component's final bytes to `order`: the
+    /// Cuthill–McKee order of the component containing `seed`,
+    /// reversed.
     ///
     /// CM is the level structure rooted at the component's
     /// pseudo-peripheral vertex with each parent's children sorted by
     /// `(degree, id)` — the classic single-queue discipline, on
     /// whatever executor `rx` names (DESIGN §9). Every search runs in
-    /// `levels`, so a component costs no allocation beyond its piece,
-    /// and its sub-order depends only on its own subgraph and `seed` —
-    /// the invariant the delta splice path relies on.
+    /// `levels`, so a component costs no allocation, and its sub-order
+    /// depends only on its own subgraph and `seed` — the invariant the
+    /// delta splice path relies on.
     fn piece(
         g: &Graph,
         seed: usize,
         levels: &mut LevelStructure,
         rx: &ReorderExec<'_>,
-    ) -> Vec<u32> {
+        order: &mut Vec<u32>,
+    ) {
         let (exec, frontier_min) = (rx.exec(), rx.frontier_min());
         let start = pseudo_peripheral_vertex_with(g, seed, levels, exec, frontier_min);
         levels.run_on(g, start, exec, frontier_min, |children| {
             children.sort_unstable_by_key(|&u| (g.degree(u as usize), u))
         });
-        levels.reached().iter().rev().copied().collect()
+        order.extend(levels.reached().iter().rev());
     }
 }
 
@@ -65,49 +68,32 @@ impl ReorderAlgorithm for Rcm {
         true
     }
 
+    fn order_components_on(
+        &self,
+        g: &Graph,
+        seeds: &mut dyn Iterator<Item = usize>,
+        order: &mut Vec<u32>,
+        ranges: &mut Vec<ComponentRange>,
+        rx: &ReorderExec<'_>,
+    ) {
+        let _span = rx.trace().span(stages::REORDER_LEVELS);
+        sweep_components(g, seeds, order, ranges, |seed, levels, order| {
+            Self::piece(g, seed, levels, rx, order)
+        });
+    }
+
     /// Reversing each piece and laying pieces out in descending key
     /// order is exactly the classic global reversal of the ascending CM
     /// concatenation.
-    fn order_component_on(
-        &self,
-        g: &Graph,
-        comp: &[u32],
-        rx: &ReorderExec<'_>,
-    ) -> Option<Vec<u32>> {
-        let mut levels = LevelStructure::with_reach(g.num_vertices(), comp.len());
-        Some(Self::piece(g, comp[0] as usize, &mut levels, rx))
-    }
-
-    fn component_layout(&self, keys: &[u32]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..keys.len()).collect();
-        idx.sort_by_key(|&i| std::cmp::Reverse(keys[i]));
-        idx
-    }
-
-    fn compute_components_on(
-        &self,
-        a: &CsrMatrix,
-        rx: &ReorderExec<'_>,
-    ) -> Result<Option<ComponentOrdering>, SparseError> {
-        let g = build_ordering_graph(a, rx)?;
-        let _span = rx.trace().span(stages::REORDER_LEVELS);
-        let n = g.num_vertices();
-        let mut levels = LevelStructure::new(n);
-        let mut pieces: Vec<(u32, Vec<u32>)> = Vec::new();
-        // A search stamps its own component only, so a vertex no search
-        // has touched is the lowest vertex — the key — of the next one.
-        for s in 0..n {
-            if levels.untouched(s) {
-                pieces.push((s as u32, Self::piece(&g, s, &mut levels, rx)));
-            }
-        }
-        Ok(Some(assemble_pieces(self, pieces)))
+    fn component_layout(&self, ranges: &mut [ComponentRange]) {
+        ranges.sort_unstable_by_key(|r| Reverse(r.key));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::build_ordering_graph;
     use sparsemat::{CooMatrix, Permutation};
 
     /// Bandwidth of a square matrix: max |i - j| over stored entries.

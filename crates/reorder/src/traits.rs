@@ -1,5 +1,5 @@
-use crate::component::{ComponentOrdering, ComponentRange};
-use crate::exec::ReorderExec;
+use crate::component::{assemble_pieces, ComponentOrdering, ComponentRange};
+use crate::exec::{build_ordering_graph, ReorderExec};
 use sparsegraph::Graph;
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 use std::borrow::Cow;
@@ -105,30 +105,32 @@ pub trait ReorderAlgorithm {
         false
     }
 
-    /// Order one connected component of the (symmetrised) ordering
-    /// graph. `comp` lists the component's members sorted ascending, so
-    /// `comp[0]` is the canonical key. Returns the component's final
-    /// sub-permutation — exactly the bytes the full ordering places in
-    /// that component's range — or `None` when the algorithm is not
-    /// component-structured.
-    fn order_component_on(
+    /// Order the connected components of the (symmetrised) ordering
+    /// graph that hold a vertex of `seeds`, which ascend: each seed no
+    /// earlier component holds is the component's least vertex, its
+    /// canonical key. Each component's final sub-permutation — exactly
+    /// the bytes the full ordering places in its range — is appended to
+    /// `order`, and its `(key, start, len)` to `ranges`, in ascending
+    /// key order. Called only when
+    /// [`ReorderAlgorithm::supports_components`] holds; the default
+    /// appends nothing.
+    fn order_components_on(
         &self,
         g: &Graph,
-        comp: &[u32],
+        seeds: &mut dyn Iterator<Item = usize>,
+        order: &mut Vec<u32>,
+        ranges: &mut Vec<ComponentRange>,
         rx: &ReorderExec<'_>,
-    ) -> Option<Vec<u32>> {
-        let _ = (g, comp, rx);
-        None
+    ) {
+        let _ = (g, seeds, order, ranges, rx);
     }
 
-    /// Layout discipline: given each component piece's key, return
-    /// the piece indices in final concatenation order. Must be a total
-    /// order on the keys (unique component minima) so the layout is
-    /// independent of enumeration order. The default is ascending key.
-    fn component_layout(&self, keys: &[u32]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..keys.len()).collect();
-        idx.sort_by_key(|&i| keys[i]);
-        idx
+    /// Layout discipline: sort the component ranges into final
+    /// concatenation order. Must be a total order on the keys (unique
+    /// component minima) so the layout is independent of enumeration
+    /// order. The default is ascending key.
+    fn component_layout(&self, ranges: &mut [ComponentRange]) {
+        ranges.sort_unstable_by_key(|r| r.key);
     }
 
     /// Compute the ordering together with its explicit component→range
@@ -140,8 +142,14 @@ pub trait ReorderAlgorithm {
         a: &CsrMatrix,
         rx: &ReorderExec<'_>,
     ) -> Result<Option<ComponentOrdering>, SparseError> {
-        let _ = (a, rx);
-        Ok(None)
+        if !self.supports_components() {
+            return Ok(None);
+        }
+        let g = build_ordering_graph(a, rx)?;
+        let n = g.num_vertices();
+        let (mut order, mut ranges) = (Vec::with_capacity(n), Vec::new());
+        self.order_components_on(&g, &mut (0..n), &mut order, &mut ranges, rx);
+        Ok(Some(assemble_pieces(self, order, ranges)))
     }
 }
 

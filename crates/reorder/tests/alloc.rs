@@ -4,12 +4,14 @@
 //! themselves"). RCM's count is constant in the depth of its level
 //! structures and AMD's in the shape of its quotient graph; the
 //! partitioners' are pinned on the scrambled mesh, so a per-vertex or
-//! per-level `Vec` creeping back fails here.
+//! per-level `Vec` creeping back fails here. RCM, AMD and the delta
+//! splice also allocate almost the same on ten components as on a
+//! hundred, so a per-component `Vec` fails here too.
 //!
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
 
-use reorder::{Amd, Gp, Hp, Nd, Rcm, ReorderAlgorithm};
+use reorder::{splice_ordering_on, Amd, Gp, Hp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,10 +99,11 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
         "RCM allocations depend on the depth of the level structure"
     );
     // The symmetry test's cursors (1), the graph's four arrays, the
-    // level structure's three, the piece and the list holding it (2),
-    // the assembled ordering (4: keys, layout, order, ranges) and
-    // the permutation's inverse (1).
-    assert_eq!(on_deep, 15, "a cold RCM's allocation count changed");
+    // level structure's three, the order and its ranges (2) and the
+    // permutation's inverse (1). It was 15 while each component's piece
+    // was a `Vec` of its own, assembled through a list of pieces, keys
+    // and a layout.
+    assert_eq!(on_deep, 11, "a cold RCM's allocation count changed");
 
     // Each ordering runs once first, so the global registry's first-use
     // entries are not counted, then once under the counter.
@@ -114,11 +117,53 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     );
     // `amd_order_on`'s 25 arrays, each sized once from n and nnz (its
     // quotient graph, degree buckets, round buffers and scratch); the
-    // graph (5), its components (12: the member list grows by
-    // doubling), the list of pieces (1), the assembled ordering (4) and
-    // the permutation's inverse (1). With a `Vec` per variable list and
-    // a lazy-deletion heap this was 2 771 on the mesh.
-    assert_eq!(amd_deep, 48, "a cold AMD's allocation count changed");
+    // graph (5), the level structure that finds the components (3),
+    // the member list (1), the order and its ranges (2) and the
+    // permutation's inverse (1). With a `Vec` per variable list and a
+    // lazy-deletion heap this was 2 771 on the mesh, and 48 while the
+    // components came from a BFS of their own and each piece was a
+    // `Vec`, assembled through a list of pieces, keys and a layout.
+    assert_eq!(amd_deep, 37, "a cold AMD's allocation count changed");
+
+    // Ten components against a hundred: only the range list may grow,
+    // by doubling. A splice after a batch that dirties one component
+    // labels every vertex with its cached range, so it too is sized by
+    // n, not by the component count.
+    let rx = ReorderExec::sequential();
+    let algos: [(&str, Box<dyn ReorderAlgorithm>); 2] =
+        [("RCM", Box::new(Rcm)), ("AMD", Box::new(Amd::default()))];
+    for (name, algo) in &algos {
+        let [(compute_10, splice_10), (compute_100, splice_100)] = [10, 100].map(|regions| {
+            let parent = corpus::disjoint_meshes(regions, 14, 12, 14);
+            let cached = algo.compute_components_on(&parent, &rx).unwrap().unwrap();
+            let batch = corpus::mutation_trace(&parent, 1, 2, 14).pop().unwrap();
+            let mut child = parent.clone();
+            let touched = child.apply_delta(&batch).unwrap().touched_rows;
+            let compute = counted(|| drop(algo.compute(&parent).unwrap()));
+            let splice = counted(|| {
+                let (_, report) = splice_ordering_on(
+                    algo.as_ref(),
+                    &child,
+                    &cached.order,
+                    &cached.ranges,
+                    &touched,
+                    &rx,
+                )
+                .unwrap()
+                .expect("splice accepted");
+                assert_eq!(report.recomputed, 1, "{name}: one dirty component");
+            });
+            (compute, splice)
+        });
+        assert!(
+            compute_100 <= compute_10 + 4,
+            "a cold {name}'s allocations grow with the component count: {compute_10} -> {compute_100}"
+        );
+        assert!(
+            splice_100 <= splice_10 + 4,
+            "an {name} splice's allocations grow with the component count: {splice_10} -> {splice_100}"
+        );
+    }
 
     // Before the coarsening levels stopped cloning their graphs and
     // building a `Vec` per coarse vertex, and FM stopped reallocating

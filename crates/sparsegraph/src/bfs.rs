@@ -50,21 +50,12 @@ pub struct LevelStructure {
 impl LevelStructure {
     /// A structure for searches of graphs with `n` vertices.
     pub fn new(n: usize) -> LevelStructure {
-        LevelStructure::with_reach(n, n)
-    }
-
-    /// Like [`LevelStructure::new`] when no search will reach more
-    /// than `reach` vertices (the caller knows the component, as the
-    /// splice path does): the queue is sized by the component, so only
-    /// the stamps are O(n).
-    pub fn with_reach(n: usize, reach: usize) -> LevelStructure {
         assert!(n < u32::MAX as usize, "vertex ids must fit in u32");
-        let reach = reach.min(n);
         LevelStructure {
-            order: vec![0; reach + 1],
+            order: vec![0; n + 1],
             // A path has as many levels as vertices: reserved, not
             // touched, so no search ever grows it.
-            level_start: Vec::with_capacity(reach + 2),
+            level_start: Vec::with_capacity(n + 2),
             stamp: vec![0; n],
             epoch: 0,
             claims: Vec::new(),
@@ -309,15 +300,6 @@ mod tests {
         let b = searched(&g, 0);
         assert_eq!(b.depth(), 1);
         assert_eq!(b.level(0), &[0]);
-    }
-
-    #[test]
-    fn a_known_component_needs_only_its_own_queue() {
-        // 0-1 and 2-3-4: searching the larger one with reach 3.
-        let g = Graph::from_adjacency(vec![0, 1, 2, 3, 5, 6], vec![1, 0, 3, 2, 4, 3]).unwrap();
-        let mut b = LevelStructure::with_reach(5, 3);
-        b.run_on(&g, 3, Exec::Sequential, usize::MAX, |_| {});
-        assert_eq!(b.reached(), &[3, 2, 4]);
     }
 
     /// A random-ish graph with wide levels: a union of rings plus

@@ -17,19 +17,17 @@
 //! so a search allocates nothing and clears nothing,
 //! and the next unstamped vertex is the next component. DESIGN §9 has
 //! the expansion and the argument that every executor produces the
-//! same bytes. [`connected_components`] remains for callers that want
-//! the partition itself (AMD, the incremental tracker).
+//! same bytes. [`connected_components`] remains as the tests' oracle
+//! for the components those sweeps find.
 
 mod bfs;
 mod components;
 mod graph;
 mod hypergraph;
-mod incremental;
 mod peripheral;
 
 pub use bfs::{LevelStructure, DEFAULT_PAR_FRONTIER_MIN};
 pub use components::{connected_components, Components};
 pub use graph::{Graph, LocalIds, SubgraphWork};
 pub use hypergraph::Hypergraph;
-pub use incremental::{ComponentDelta, IncrementalComponents};
 pub use peripheral::pseudo_peripheral_vertex_with;
