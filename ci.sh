@@ -180,6 +180,40 @@ curl -sf "http://$OPS_ADDR/slo.json" | grep -q '"tenants"'
 wait "$SERVE_PID"
 SERVE_PID=""
 
+# Document gate: every fact has one home, and the homes stay readable.
+# EXPERIMENTS.md holds the current numbers and DESIGN.md the current
+# design, each in at most 1 000 lines (the per-change run logs live in
+# results/runs/); every `DESIGN §N` reference names a `## N.` heading,
+# every `EXPERIMENTS.md, "Title"` reference a `## Title…` heading, and
+# every run log EXPERIMENTS.md names exists.
+DOC_SOURCES="$(git ls-files crates README.md EXPERIMENTS.md DESIGN.md results/README.md .claude/skills)"
+for doc in EXPERIMENTS.md DESIGN.md; do
+    [ "$(wc -l < "$doc")" -le 1000 ] || {
+        echo "ci: $doc is $(wc -l < "$doc") lines, over 1 000" >&2
+        exit 1
+    }
+done
+for section in $(echo "$DOC_SOURCES" | xargs grep -hoE 'DESIGN(\.md)? §[0-9]+' | sed 's/.*§//' | sort -un); do
+    grep -q "^## $section\. " DESIGN.md || {
+        echo "ci: a reference names DESIGN.md §$section, which has no heading" >&2
+        exit 1
+    }
+done
+echo "$DOC_SOURCES" | xargs cat | tr '\n' ' ' | sed 's#//[/!]*##g' | tr -s ' ' |
+    grep -oE 'EXPERIMENTS(\.md)?, "[^"]+"' | sed 's/^[^"]*"//; s/"$//' | sort -u |
+    while IFS= read -r title; do
+        awk -v h="## $title" 'index($0, h) == 1 { found = 1 } END { exit !found }' EXPERIMENTS.md || {
+            echo "ci: a reference names EXPERIMENTS.md, \"$title\", which has no heading" >&2
+            exit 1
+        }
+    done
+for log in $(grep -oE 'results/runs/PR-[0-9]+\.md' EXPERIMENTS.md | sort -u); do
+    [ -f "$log" ] || {
+        echo "ci: EXPERIMENTS.md names $log, which does not exist" >&2
+        exit 1
+    }
+done
+
 # The line-count trend, in every CI log: all checked-in Rust under
 # crates/ and shims/. And the `unsafe` trend beside it: lines under
 # crates/ (tests included) that open an unsafe block, fn or impl,

@@ -55,22 +55,5 @@ mod server;
 mod slo;
 
 pub use profile::{profile_for, ProfileReport};
-pub use server::{ObsvConfig, ObsvServer, OpsSource};
+pub use server::{ObsvConfig, ObsvServer, OpsSource, MAX_CONNECTIONS};
 pub use slo::{SloConfig, SloSpec, SloTicker, SloTracker, TenantSlo};
-
-/// Escape a string for embedding in a JSON string literal (the crate's
-/// responses are hand-built JSON, like `telemetry`'s exporters).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}

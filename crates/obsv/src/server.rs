@@ -70,11 +70,12 @@ pub struct ObsvConfig {
     pub source: Option<Arc<dyn OpsSource>>,
     /// SLO tracker served on `/slo.json`.
     pub slo: Option<Arc<SloTracker>>,
-    /// Concurrent handler cap; further connections get 503.
-    pub max_connections: usize,
-    /// Upper bound on `/profile?seconds=N`.
-    pub profile_max_seconds: f64,
 }
+
+/// Concurrent handler cap; further connections get 503.
+pub const MAX_CONNECTIONS: usize = 8;
+/// Upper bound on `/profile?seconds=N`.
+const PROFILE_MAX_SECONDS: f64 = 30.0;
 
 impl ObsvConfig {
     pub fn new(addr: impl Into<String>, registry: Arc<Registry>) -> ObsvConfig {
@@ -83,8 +84,6 @@ impl ObsvConfig {
             registry,
             source: None,
             slo: None,
-            max_connections: 8,
-            profile_max_seconds: 30.0,
         }
     }
 }
@@ -94,7 +93,6 @@ struct Shared {
     registry: Arc<Registry>,
     source: Option<Arc<dyn OpsSource>>,
     slo: Option<Arc<SloTracker>>,
-    profile_max_seconds: f64,
     started: Instant,
     active: AtomicUsize,
     shutting_down: AtomicBool,
@@ -116,12 +114,10 @@ impl ObsvServer {
             registry: config.registry,
             source: config.source,
             slo: config.slo,
-            profile_max_seconds: config.profile_max_seconds,
             started: Instant::now(),
             active: AtomicUsize::new(0),
             shutting_down: AtomicBool::new(false),
         });
-        let max_connections = config.max_connections.max(1);
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("obsv-http".to_string())
@@ -131,7 +127,7 @@ impl ObsvServer {
                         break;
                     }
                     let Ok(mut stream) = conn else { continue };
-                    if accept_shared.active.load(Ordering::Relaxed) >= max_connections {
+                    if accept_shared.active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
                         respond(
                             &mut stream,
                             503,
@@ -226,7 +222,7 @@ fn route(shared: &Shared, stream: &mut TcpStream, request: &Request) {
             Err(reason) => {
                 let body = format!(
                     "{{\"ready\":false,\"reason\":\"{}\"}}",
-                    crate::json_escape(&reason)
+                    telemetry::json_escape(&reason)
                 );
                 respond(stream, 503, "application/json", &body);
             }
@@ -279,7 +275,7 @@ fn route(shared: &Shared, stream: &mut TcpStream, request: &Request) {
                 .param("seconds")
                 .and_then(|s| s.parse::<f64>().ok())
                 .unwrap_or(1.0)
-                .clamp(0.05, shared.profile_max_seconds.max(0.05));
+                .clamp(0.05, PROFILE_MAX_SECONDS);
             let hz = request
                 .param("hz")
                 .and_then(|s| s.parse::<u32>().ok())

@@ -29,13 +29,12 @@
 //!   trailing window, in **milli-burns** (1000 = burning exactly at
 //!   budget; sustained >1000 exhausts the budget early).
 
-use crate::json_escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use telemetry::{series_name, Gauge, Registry};
+use telemetry::{json_escape, series_name, Gauge, Registry};
 
 /// One tenant's objective: serve `objective` of requests under
 /// `latency_ms`, counting sheds against the budget.
@@ -79,19 +78,18 @@ pub struct SloConfig {
     /// pattern: a short window catches fast burns, a long one slow
     /// ones).
     pub windows: Vec<usize>,
-    /// Base name of the per-tenant latency histograms.
-    pub latency_series: String,
-    /// Base name of the per-tenant shed counters.
-    pub shed_series: String,
 }
+
+/// Base name of the tier's per-tenant latency histograms.
+const LATENCY_SERIES: &str = "tier.request";
+/// Base name of the tier's per-tenant shed counters.
+const SHED_SERIES: &str = "tier.shed_tenant";
 
 impl Default for SloConfig {
     fn default() -> Self {
         SloConfig {
             specs: Vec::new(),
             windows: vec![5, 30, 150],
-            latency_series: "tier.request".to_string(),
-            shed_series: "tier.shed_tenant".to_string(),
         }
     }
 }
@@ -176,8 +174,8 @@ impl SloTracker {
                     })
                     .collect();
                 TenantState {
-                    latency_key: series_name(&config.latency_series, &labels),
-                    shed_key: series_name(&config.shed_series, &labels),
+                    latency_key: series_name(LATENCY_SERIES, &labels),
+                    shed_key: series_name(SHED_SERIES, &labels),
                     budget_gauge,
                     burn_gauges,
                     readings: Mutex::new(VecDeque::new()),
@@ -402,7 +400,6 @@ mod tests {
             SloConfig {
                 specs: vec![SloSpec::new("t0", latency_ms, objective)],
                 windows,
-                ..SloConfig::default()
             },
         )
     }

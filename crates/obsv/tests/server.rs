@@ -1,7 +1,7 @@
 //! End-to-end tests for the ops HTTP server: real sockets, real
 //! routes, a scripted `OpsSource` standing in for the serving tier.
 
-use obsv::{ObsvConfig, ObsvServer, OpsSource, SloConfig, SloSpec, SloTracker};
+use obsv::{ObsvConfig, ObsvServer, OpsSource, SloConfig, SloSpec, SloTracker, MAX_CONNECTIONS};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,6 +119,29 @@ fn health_and_readiness_follow_the_source() {
     let (status, body) = get(addr, "/readyz");
     assert_eq!(status, 200);
     assert!(body.contains("\"ready\":true"), "{body}");
+}
+
+#[test]
+fn connections_past_the_cap_get_503() {
+    let server = server_with(Registry::new_arc(), None);
+    let addr = server.local_addr();
+    // Each idle connection holds a handler while it waits for a request
+    // head; the accept loop counts it before taking the next one.
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    // The refusal is written before any request is read, so this client
+    // sends none: a request the server never reads would reset the
+    // connection under the reply.
+    let mut refused = TcpStream::connect(addr).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut raw = String::new();
+    refused.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
+    assert!(raw.contains("too many concurrent ops connections"), "{raw}");
+    drop(idle);
 }
 
 #[test]

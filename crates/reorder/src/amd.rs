@@ -1001,6 +1001,11 @@ fn emptied<T>(v: &mut Vec<T>, cap: usize) {
     v.reserve(cap);
 }
 
+/// Make room in `v` for `cap` elements, keeping what it holds.
+fn room<T>(v: &mut Vec<T>, cap: usize) {
+    v.reserve(cap.saturating_sub(v.len()));
+}
+
 /// Make `v` `n` copies of `x`.
 fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
     v.clear();
@@ -1038,6 +1043,48 @@ pub struct AmdWork {
 }
 
 impl AmdWork {
+    /// Make room for a call on up to `n` variables and `nnz` adjacency
+    /// entries: a caller that orders many graphs (AMD's components)
+    /// reserves the largest first, so no call regrows an array. Once
+    /// the arrays are that large it neither allocates nor writes.
+    fn reserve(&mut self, n: usize, nnz: usize) {
+        let (b, s) = (&mut self.buckets, &mut self.seq_scratch);
+        for v in [
+            &mut self.nv,
+            &mut self.degree,
+            &mut self.el_size,
+            &mut self.lp_w,
+            &mut s.w,
+        ] {
+            room(v, n);
+        }
+        for v in [
+            &mut self.chain_next,
+            &mut self.elim_order,
+            &mut self.pivots,
+            &mut self.lp_flat,
+            &mut self.order,
+            &mut b.next,
+            &mut b.prev,
+            &mut b.filed,
+        ] {
+            room(v, n);
+        }
+        for v in [&mut self.lens, &mut self.chain, &mut self.candidates] {
+            room(v, n);
+        }
+        for v in [&mut self.claim, &mut s.wstamp] {
+            room(v, n);
+        }
+        room(&mut self.status, n);
+        room(&mut self.el_lists, n);
+        room(&mut s.groups, n);
+        room(&mut b.head, n + 1);
+        room(&mut self.lp_off, n + 1);
+        room(&mut self.adj, nnz);
+        room(&mut self.el_arena, 2 * nnz);
+    }
+
     /// The order the last [`amd_order_on`] call computed: `order()[k]`
     /// is the vertex eliminated k-th.
     pub fn order(&self) -> &[u32] {
@@ -1323,8 +1370,9 @@ impl ReorderAlgorithm for Amd {
         ranges: &mut Vec<ComponentRange>,
         rx: &ReorderExec<'_>,
     ) {
+        let (n, nnz) = (g.num_vertices(), g.adjncy().len());
         let (mut sub, mut amd) = (SubgraphWork::default(), AmdWork::default());
-        let mut comp: Vec<u32> = Vec::with_capacity(g.num_vertices());
+        let mut comp: Vec<u32> = Vec::with_capacity(n);
         sweep_components(g, seeds, order, ranges, |seed, levels, order| {
             levels.run_on(g, seed, rx.exec(), rx.frontier_min(), |_| {});
             if let [v] = *levels.reached() {
@@ -1334,6 +1382,14 @@ impl ReorderAlgorithm for Amd {
             comp.clear();
             comp.extend_from_slice(levels.reached());
             comp.sort_unstable();
+            // Both workspaces are sized for the whole graph at the first
+            // component, so no later, larger one regrows them. The
+            // whole graph is its own subgraph: a connected one reserves
+            // no subgraph arrays.
+            if comp.len() < n {
+                sub.reserve(n, nnz);
+            }
+            amd.reserve(n, nnz);
             amd_order_on(g.subgraph(&comp, &mut sub), self.round_slack, rx, &mut amd);
             order.extend(amd.order().iter().map(|&l| comp[l as usize]));
         });

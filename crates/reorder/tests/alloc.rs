@@ -128,11 +128,17 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     // Ten components against a hundred: only the range list may grow,
     // by doubling. A splice after a batch that dirties one component
     // labels every vertex with its cached range, so it too is sized by
-    // n, not by the component count.
+    // n, not by the component count. The counts are pinned as
+    // `[compute_10, compute_100, splice_10, splice_100]`. AMD sizes its
+    // workspaces for the whole graph at the first component it orders;
+    // while they grew with each larger component its counts were
+    // 97 / 100 / 72 / 72.
     let rx = ReorderExec::sequential();
-    let algos: [(&str, Box<dyn ReorderAlgorithm>); 2] =
-        [("RCM", Box::new(Rcm)), ("AMD", Box::new(Amd::default()))];
-    for (name, algo) in &algos {
+    let algos: [(&str, Box<dyn ReorderAlgorithm>, [usize; 4]); 2] = [
+        ("RCM", Box::new(Rcm), [14, 17, 13, 13]),
+        ("AMD", Box::new(Amd::default()), [44, 47, 44, 44]),
+    ];
+    for (name, algo, pinned) in &algos {
         let [(compute_10, splice_10), (compute_100, splice_100)] = [10, 100].map(|regions| {
             let parent = corpus::disjoint_meshes(regions, 14, 12, 14);
             let cached = algo.compute_components_on(&parent, &rx).unwrap().unwrap();
@@ -162,6 +168,11 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
         assert!(
             splice_100 <= splice_10 + 4,
             "an {name} splice's allocations grow with the component count: {splice_10} -> {splice_100}"
+        );
+        assert_eq!(
+            [compute_10, compute_100, splice_10, splice_100],
+            *pinned,
+            "{name}'s allocation counts on ten and a hundred components changed"
         );
     }
 

@@ -276,6 +276,30 @@ pub struct SubgraphWork {
     graph: Option<Graph>,
 }
 
+impl SubgraphWork {
+    /// Make room for subgraphs of up to `n` vertices and `nnz`
+    /// adjacency entries: a caller that extracts many of growing size
+    /// reserves the largest first, so no extraction regrows an array.
+    /// Once the arrays are that large it allocates nothing.
+    pub fn reserve(&mut self, n: usize, nnz: usize) {
+        // Until a subgraph is built, the arrays hold the empty graph.
+        let g = self.graph.get_or_insert_with(|| {
+            let mut xadj = Vec::with_capacity(n + 1);
+            xadj.push(0);
+            Graph {
+                xadj,
+                adjncy: Vec::new(),
+                vwgt: Vec::new(),
+                ewgt: Vec::new(),
+            }
+        });
+        g.xadj.reserve((n + 1).saturating_sub(g.xadj.len()));
+        g.adjncy.reserve(nnz.saturating_sub(g.adjncy.len()));
+        g.vwgt.reserve(n.saturating_sub(g.vwgt.len()));
+        g.ewgt.reserve(nnz.saturating_sub(g.ewgt.len()));
+    }
+}
+
 /// A reusable global→local vertex map for vertex subsets: after
 /// [`LocalIds::assign`], [`LocalIds::get`] answers "which position of
 /// the subset is `v`, if any" with one load. Slot `v` holds

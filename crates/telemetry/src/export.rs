@@ -12,8 +12,10 @@ use crate::histogram::HistogramSnapshot;
 use crate::registry::Snapshot;
 use std::fmt::Write;
 
-/// Escape a string for a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escape a string for a JSON string literal: the exporters' series
+/// names, the Chrome traces' names and arguments, and `obsv`'s
+/// hand-built responses (tenant names, readiness reasons).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -232,6 +234,22 @@ mod tests {
         r.counter("weird\"name\\with\ncontrol").inc();
         let j = r.snapshot().to_json();
         assert!(j.contains("weird\\\"name\\\\with\\u000acontrol"), "{j}");
+        // What `obsv` escapes: a tenant label and a readiness reason
+        // carry quotes, backslashes and control characters through
+        // escaped, and anything else (non-ASCII too) unchanged.
+        for (raw, escaped) in [
+            ("acme \"prod\"\\eu", "acme \\\"prod\\\"\\\\eu"),
+            (
+                "shard 3:\n\tdraining\u{1}",
+                "shard 3:\\u000a\\u0009draining\\u0001",
+            ),
+            ("tenant-é/α", "tenant-é/α"),
+        ] {
+            assert_eq!(json_escape(raw), escaped);
+            let doc = format!("{{\"tenant\":\"{}\"}}", json_escape(raw));
+            let parsed: serde_json::Value = serde_json::from_str(&doc).unwrap();
+            assert_eq!(parsed["tenant"].as_str(), Some(raw));
+        }
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod stage;
 pub mod stages;
 pub mod trace;
 
+pub use export::json_escape;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{series_name, Registry, Snapshot};

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Alternating parent/change pairs of sysbench workloads: the procedure
-# behind every before/after table in EXPERIMENTS.md.
+# behind every before/after table in the run logs under results/runs/
+# (one file per change) and EXPERIMENTS.md's current baseline.
 #
 #   scripts/pairs.sh PARENT CHANGE WORKLOADS [PAIRS [SEED]]
 #
