@@ -89,12 +89,15 @@ cmp "$TMP/Cargo.lock" sysbench/Cargo.lock || {
 # rebuild on every executor, the delta merge against a rebuilt matrix)
 # run at their release case counts. And the tier's: a warm request's
 # one allocation and a rebuild's byte budget are pinned in the profile
-# that serves, where the answer pool hands each `y` back.
+# that serves, where the answer pool hands each `y` back. And the
+# engine's: a miss's deadline, panic and splice paths, and the blocks a
+# cold miss allocates beyond its ordering, in the profile that serves.
 cargo test --release -p reorder
 cargo test --release --test golden_orderings --test reorder_determinism
 cargo test --release -p partition
 cargo test --release -p sparsemat
 cargo test --release -p servetier
+cargo test --release -p engine
 
 # Safe by construction (ROADMAP item 9): only AMD's scattered writes need SliceWriter.
 if git ls-files crates | grep '\.rs$' | grep -vx crates/reorder/src/amd.rs |

@@ -150,15 +150,6 @@ impl OrderingCache {
         self.lru.peek(key)
     }
 
-    /// [`OrderingCache::peek`], counted as a hit when it finds the key:
-    /// the engine's re-probe under its in-flight lock, where the miss
-    /// was already counted.
-    pub fn peek_counting_hit(&self, key: &OrderingKey) -> Option<Arc<CachedOrdering>> {
-        let found = self.lru.peek(key)?;
-        self.lru.metrics().hits.inc();
-        Some(found)
-    }
-
     /// Insert a freshly computed ordering, keeping the byte gauge
     /// exact.
     pub fn insert(&self, key: OrderingKey, value: Arc<CachedOrdering>) {
@@ -240,15 +231,5 @@ mod tests {
         assert_eq!((s.insertions, s.evictions), (80, 35));
         let bytes: i64 = resident.iter().map(|v| entry_bytes(v)).sum();
         assert_eq!(s.resident_bytes, bytes as u64);
-    }
-
-    #[test]
-    fn reprobe_counts_a_hit_only_when_it_finds_one() {
-        let cache = test_cache(4);
-        assert!(cache.peek_counting_hit(&key(1)).is_none());
-        cache.insert(key(1), entry(3));
-        assert!(cache.peek_counting_hit(&key(1)).is_some());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 0));
     }
 }

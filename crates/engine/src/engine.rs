@@ -1,6 +1,6 @@
 //! The engine facade: the session API over the ordering cache. A miss
-//! is computed on the thread that asked, and concurrent requests for
-//! the same key coalesce onto that one computation.
+//! is a lookup, a deadline check, the computation and an insert, all on
+//! the thread that asked.
 
 use crate::cache::{CacheStats, CachedOrdering, OrderingCache, OrderingKey};
 use crate::lru::{CacheMetrics, LruCache};
@@ -9,9 +9,8 @@ use crate::AlgoSpec;
 use reorder::ReorderAlgorithm;
 use sparsemat::CsrMatrix;
 use spmv::{Kernel, KernelKind};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use telemetry::trace::{TraceCtx, TraceSpan};
 use telemetry::{stages, Counter, Gauge, Histogram, Registry};
@@ -126,8 +125,6 @@ impl MatrixHandle {
 pub struct EngineStats {
     /// Cache counters (hits, misses, evictions).
     pub cache: CacheStats,
-    /// Requests that coalesced onto an already in-flight computation.
-    pub coalesced: u64,
     /// Orderings computed, spliced or in full.
     pub jobs_executed: u64,
     /// Computations that failed or panicked.
@@ -149,14 +146,13 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Fraction of submissions that needed no fresh computation
-    /// (cache hit, or coalesced onto in-flight work).
+    /// Fraction of submissions that needed no fresh computation: the
+    /// cache hits.
     pub fn amortised_fraction(&self) -> f64 {
         if self.submitted == 0 {
             return 0.0;
         }
-        let avoided = self.cache.hits + self.coalesced;
-        avoided as f64 / self.submitted as f64
+        self.cache.hits as f64 / self.submitted as f64
     }
 }
 
@@ -164,11 +160,10 @@ impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} submitted | {} hits + {} coalesced / {} misses \
+            "{} submitted | {} hits / {} misses \
              ({:.1}% amortised) | {} computed in {:.3}s | {} expired | {} evicted",
             self.submitted,
             self.cache.hits,
-            self.coalesced,
             self.cache.misses,
             100.0 * self.amortised_fraction(),
             self.jobs_executed,
@@ -185,9 +180,8 @@ pub struct SubmitOptions {
     /// Absolute deadline. A request that has to compute its ordering
     /// and finds this instant passed answers [`EngineError::Expired`]
     /// instead of computing — the cancellation hook the serving tier's
-    /// deadline enforcement rests on. A request that coalesces onto a
-    /// computation already running waits for it whatever its deadline;
-    /// `None` means unbounded.
+    /// deadline enforcement rests on. A computation that has started
+    /// runs to its end whatever the deadline; `None` means unbounded.
     pub deadline: Option<Instant>,
     /// Parent trace context — the whole of engine tracing: when it is
     /// recording, the request's `engine.request` span and every stage
@@ -224,37 +218,16 @@ impl Ticket {
     }
 }
 
-// Neither engine lock can be poisoned: nothing that runs while one is
-// held can panic, and a computation runs with neither held.
-const SLOT_LOCK: &str = "an in-flight slot's lock is never held across a panic";
-const INFLIGHT_LOCK: &str = "the in-flight map's lock is never held across a panic";
-
-/// The rendezvous for one in-flight computation: its leader fulfils
-/// it, and every request that coalesced onto the key blocks on it and
-/// receives the shared result.
-#[derive(Debug, Default)]
-struct InFlight {
-    state: Mutex<Option<Result<Arc<CachedOrdering>, EngineError>>>,
-    cv: Condvar,
-}
-
-impl InFlight {
-    /// Block until the leader fulfils the slot.
-    fn wait(&self) -> Result<Arc<CachedOrdering>, EngineError> {
-        let state = self.state.lock().expect(SLOT_LOCK);
-        let state = self.cv.wait_while(state, |s| s.is_none()).expect(SLOT_LOCK);
-        state.clone().expect("waited until fulfilled")
-    }
-
-    fn fulfil(&self, result: Result<Arc<CachedOrdering>, EngineError>) {
-        *self.state.lock().expect(SLOT_LOCK) = Some(result);
-        self.cv.notify_all();
-    }
-}
-
 /// The reordering-as-a-service engine: a content-addressed cache in
-/// front of computations that run on the thread that asked, one per
-/// key however many ask at once.
+/// front of computations that run on the thread that asked.
+///
+/// Nothing joins two misses on one key: each computes, and the cache
+/// keeps whichever inserts last. No caller in the workspace makes such
+/// a pair — the serving tier routes each matrix to one shard and runs
+/// one dispatcher per shard — and were one made (a tier at
+/// `dispatchers_per_shard > 1`, two first touches of one key at once),
+/// both answers would be correct and byte-equal, since every ordering
+/// is deterministic.
 ///
 /// ```
 /// use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
@@ -269,10 +242,6 @@ impl InFlight {
 pub struct Engine {
     cache: OrderingCache,
     plans: LruCache<PlanKey, Arc<dyn Kernel>>,
-    /// The computation in flight for each key, so that a request
-    /// arriving while its key is being computed waits for that result
-    /// instead of computing it again.
-    inflight: Mutex<HashMap<OrderingKey, Arc<InFlight>>>,
     registry: Arc<Registry>,
     reorder_team: Arc<team::ThreadTeam>,
     metrics: EngineMetrics,
@@ -286,10 +255,8 @@ pub struct Engine {
 struct EngineMetrics {
     /// Total requests submitted.
     submitted: Arc<Counter>,
-    /// Requests that coalesced onto an in-flight computation.
-    coalesced: Arc<Counter>,
     /// Wall-clock of [`Engine::submit`] (nanoseconds): the lookup, and
-    /// on a miss the computation or the wait for it.
+    /// on a miss the computation.
     submit_span: Arc<Histogram>,
     /// Orderings computed to completion.
     jobs_executed: Arc<Counter>,
@@ -318,12 +285,8 @@ impl Engine {
         // (idempotent; surfaces on the ops server's /metrics).
         registry.describe("engine.submitted", "Ordering requests submitted.");
         registry.describe(
-            "engine.coalesced",
-            "Ordering requests coalesced onto an identical in-flight job.",
-        );
-        registry.describe(
             "engine.submit",
-            "Submit latency (the lookup, then on a miss the computation or the wait for it), nanoseconds.",
+            "Submit latency (the lookup, then on a miss the computation), nanoseconds.",
         );
         registry.describe("engine.cache.hits", "Ordering-cache hits.");
         registry.describe("engine.cache.misses", "Ordering-cache misses.");
@@ -343,7 +306,6 @@ impl Engine {
         );
         let metrics = EngineMetrics {
             submitted: registry.counter_labeled("engine.submitted", &labels),
-            coalesced: registry.counter_labeled("engine.coalesced", &labels),
             submit_span: registry.histogram_labeled("engine.submit", &labels),
             jobs_executed: registry.counter_labeled("engine.pool.jobs_executed", &labels),
             jobs_failed: registry.counter_labeled("engine.pool.jobs_failed", &labels),
@@ -361,7 +323,6 @@ impl Engine {
         Engine {
             cache,
             plans,
-            inflight: Mutex::new(HashMap::new()),
             registry,
             reorder_team,
             metrics,
@@ -396,9 +357,8 @@ impl Engine {
     }
 
     /// Submit one reordering request and serve it: a cache hit answers
-    /// at once; a miss waits for the computation already in flight for
-    /// its key, or else computes the ordering on this thread. The
-    /// returned [`Ticket`] holds the answer.
+    /// at once; a miss computes the ordering on this thread and caches
+    /// it. The returned [`Ticket`] holds the answer.
     pub fn submit(&self, matrix: &MatrixHandle, algo: AlgoSpec) -> Ticket {
         self.submit_opts(matrix, algo, SubmitOptions::default())
     }
@@ -437,33 +397,8 @@ impl Engine {
             lookup.arg("outcome", "miss");
         }
 
-        // Miss: coalesce onto the computation in flight for the same
-        // key, or become its leader.
-        let mut inflight = self.inflight.lock().expect(INFLIGHT_LOCK);
-        if let Some(existing) = inflight.get(&key).map(Arc::clone) {
-            drop(inflight);
-            self.metrics.coalesced.inc();
-            root.ctx().instant(stages::ENGINE_COALESCED);
-            let result = {
-                let _wait = root.ctx().span(stages::ENGINE_WAIT);
-                existing.wait()
-            };
-            return Ticket { result, root };
-        }
-        // The computation may have completed between the cache probe
-        // and taking this lock (a leader removes its key only *after*
-        // inserting into the cache), so re-probe while holding the lock
-        // to avoid a needless recompute — memory only: every other
-        // submitter is waiting on this lock.
-        if let Some(v) = self.cache.peek_counting_hit(&key) {
-            return Ticket {
-                result: Ok(v),
-                root,
-            };
-        }
         // Cancellation point, before any reorder work: a request whose
-        // deadline has passed computes nothing and leaves nothing in
-        // flight to coalesce onto.
+        // deadline has passed computes nothing.
         if opts.deadline.is_some_and(|d| Instant::now() >= d) {
             self.metrics.expired.inc();
             root.ctx().instant(stages::ENGINE_EXPIRED);
@@ -472,29 +407,21 @@ impl Engine {
                 root,
             };
         }
-        let slot = Arc::new(InFlight::default());
-        inflight.insert(key, Arc::clone(&slot));
-        drop(inflight);
-
         let algo_impl = algo.instantiate();
-        let result = self.lead(key, matrix.matrix(), algo_impl.as_ref(), &slot, &root.ctx());
+        let result = self.compute(key, matrix.matrix(), algo_impl.as_ref(), &root.ctx());
         Ticket { result, root }
     }
 
-    /// The leader's half of a miss, on the caller's thread: compute the
-    /// ordering for `key` — by splicing a cached ancestor's, or in full
-    /// on the shared reorder team — publish it to the cache, then
-    /// retire `slot`, `key`'s in-flight entry, waking every request
-    /// that coalesced onto it. A panicking algorithm answers
-    /// [`EngineError::Compute`] like a failing one: the caller and its
-    /// followers get an answer, and the key is free to be computed
-    /// again.
-    fn lead(
+    /// The rest of a miss, on the caller's thread: compute the ordering
+    /// for `key` — by splicing a cached ancestor's, or in full on the
+    /// shared reorder team — and insert it into the cache. A panicking
+    /// algorithm answers [`EngineError::Compute`] like a failing one:
+    /// nothing is cached, and the key is free to be computed again.
+    fn compute(
         &self,
         key: OrderingKey,
         matrix: &CsrMatrix,
         algo: &dyn ReorderAlgorithm,
-        slot: &InFlight,
         trace: &TraceCtx,
     ) -> Result<Arc<CachedOrdering>, EngineError> {
         let start = Instant::now();
@@ -515,7 +442,7 @@ impl Engine {
         let elapsed = start.elapsed();
         self.metrics.job_duration.record_duration(elapsed);
 
-        let result = match computed {
+        match computed {
             Ok(t) => {
                 let cached = Arc::new(CachedOrdering {
                     perm: t.result.perm,
@@ -537,13 +464,7 @@ impl Engine {
                     message,
                 })
             }
-        };
-
-        // Publish order matters: the cache already has the entry, so once
-        // the key leaves the in-flight map any new request finds it there.
-        self.inflight.lock().expect(INFLIGHT_LOCK).remove(&key);
-        slot.fulfil(result.clone());
-        result
+        }
     }
 
     /// The delta-update path: walk the matrix's lineage newest→oldest,
@@ -658,7 +579,6 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             cache: self.cache.stats(),
-            coalesced: self.metrics.coalesced.get(),
             jobs_executed: self.metrics.jobs_executed.get(),
             jobs_failed: self.metrics.jobs_failed.get(),
             expired: self.metrics.expired.get(),
@@ -897,7 +817,7 @@ mod tests {
         let traced = Traced::new();
         let m = mesh();
         // A deadline already in the past: the request must refuse to
-        // compute, and leave nothing in flight.
+        // compute.
         let ticket = engine.submit_opts(
             &m,
             AlgoSpec::Rcm,
@@ -911,7 +831,6 @@ mod tests {
         assert_eq!(s.expired, 1);
         assert_eq!(s.jobs_executed, 0, "no ordering may be computed");
         assert_eq!(s.jobs_failed, 0, "expiry is not a compute failure");
-        assert!(engine.inflight.lock().unwrap().is_empty());
         // The flight recorder confirms it: the trace has the expiry
         // marker and no reorder span at all.
         let snap = traced.snapshot();
@@ -1114,41 +1033,25 @@ mod tests {
         }
     }
 
-    /// A panic inside the leader's computation is contained: leader
-    /// and follower both get `Compute`, nothing is cached or left in
-    /// flight, and the key and the shared team serve the next request.
+    /// A panic inside a miss's computation is contained: the call
+    /// answers `Compute`, nothing is cached, and the key and the shared
+    /// team serve the next request.
     #[test]
-    fn panicking_ordering_is_a_compute_error_for_every_waiter() {
+    fn panicking_ordering_is_a_compute_error() {
         let engine = small_engine();
         assert_eq!(engine.reorder_team().size(), 2);
         let m = mesh();
         let key = OrderingKey::new(m.content_hash(), AlgoSpec::Rcm);
-        // Register the leader's slot as `submit_inner` does, and let a
-        // follower coalesce onto it before the leader computes.
-        let slot = Arc::new(InFlight::default());
-        engine
-            .inflight
-            .lock()
-            .unwrap()
-            .insert(key, Arc::clone(&slot));
-        std::thread::scope(|scope| {
-            let follower = scope.spawn(|| engine.get(&m, AlgoSpec::Rcm));
-            while engine.stats().coalesced == 0 {
-                std::thread::yield_now();
-            }
-            let led = engine
-                .lead(key, m.matrix(), &Panics, &slot, &TraceCtx::disabled())
-                .unwrap_err();
-            assert!(
-                matches!(&led, EngineError::Compute { algo: AlgoSpec::Rcm, message }
-                    if message.starts_with("panicked: ordering panicked")),
-                "{led:?}"
-            );
-            assert_eq!(follower.join().unwrap().unwrap_err(), led);
-        });
+        let err = engine
+            .compute(key, m.matrix(), &Panics, &TraceCtx::disabled())
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Compute { algo: AlgoSpec::Rcm, message }
+                if message.starts_with("panicked: ordering panicked")),
+            "{err:?}"
+        );
         let s = engine.stats();
         assert_eq!((s.jobs_failed, s.jobs_executed), (1, 0));
-        assert!(engine.inflight.lock().unwrap().is_empty());
         assert!(engine.peek_cached(&m, AlgoSpec::Rcm).is_none());
 
         // The key computes afresh, and the team the panic unwound

@@ -15,18 +15,19 @@
 //!    [`LruCache`] — the one exact-LRU mechanism every cache in the
 //!    workspace is an instance of.
 //! 2. **Session API** ([`Engine`]): [`Engine::submit`],
-//!    [`Engine::get`] and [`Engine::stats`]. A miss is computed on the
-//!    thread that asked, its parallel stages on the engine's shared
-//!    reorder team. Concurrent requests for the same key coalesce onto
-//!    that one computation and all receive its result; one that fails
-//!    or panics answers [`EngineError::Compute`] to all of them, and
-//!    nothing is cached. The `experiments` crate's sweep obtains all
-//!    orderings through this API, and every shard of the serving tier
-//!    owns one engine.
+//!    [`Engine::get`] and [`Engine::stats`]. A miss is a lookup, a
+//!    deadline check, the computation and an insert, all on the thread
+//!    that asked, the computation's parallel stages on the engine's
+//!    shared reorder team. A computation that fails or panics answers
+//!    [`EngineError::Compute`], and nothing is cached. Two misses on
+//!    one key at once would both compute (byte-equal answers; the cache
+//!    keeps one), but no caller makes them: the `experiments` crate's
+//!    sweep asks for each matrix on one thread, and every shard of the
+//!    serving tier owns one engine and one dispatcher.
 //!
 //! Tracing is the caller's: a request submitted with a recording
 //! parent context ([`SubmitOptions::trace`]) records its cache lookup
-//! and reorder compute under it — or, when it coalesced, its wait.
+//! and reorder compute under it.
 //!
 //! ```
 //! use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};

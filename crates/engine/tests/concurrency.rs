@@ -1,17 +1,16 @@
-//! Concurrency tests: request coalescing and parallel batch behavior.
+//! Concurrency tests: simultaneous requests for one key, and batches
+//! over many keys.
 
 use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
 use std::sync::Arc;
 
-/// N threads racing to request the same (matrix, algorithm) key must
-/// trigger exactly one computation; everyone shares the result.
+/// N threads racing to request the same (matrix, algorithm) key all
+/// get the same ordering. Nothing joins simultaneous misses, so each
+/// request either hit the cache or computed: the two counts add up to
+/// the submissions.
 #[test]
-fn concurrent_requests_coalesce_to_one_computation() {
-    // One worker and a non-trivial matrix maximise the in-flight
-    // window, but the "exactly once" guarantee holds regardless of
-    // interleaving: late arrivals are cache hits instead.
+fn concurrent_requests_for_one_key_get_equal_orders() {
     let engine = Arc::new(Engine::new(EngineConfig {
-        workers: 1,
         cache_capacity: 16,
         registry: Some(telemetry::Registry::new_arc()),
         ..EngineConfig::default()
@@ -31,24 +30,20 @@ fn concurrent_requests_coalesce_to_one_computation() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // All threads got the same shared result.
     for r in &results[1..] {
-        assert!(Arc::ptr_eq(&results[0], r));
+        assert_eq!(results[0].perm.order(), r.perm.order());
+        assert_eq!(results[0].symmetric, r.symmetric);
     }
 
     let stats = engine.stats();
-    assert_eq!(
-        stats.jobs_executed, 1,
-        "computation must run exactly once; stats: {stats}"
-    );
     assert_eq!(stats.submitted, THREADS as u64);
-    // Every request besides the one that computed was amortised, either
-    // by coalescing onto the in-flight job or by hitting the cache.
+    assert!(stats.jobs_executed >= 1, "stats: {stats}");
     assert_eq!(
-        stats.coalesced + stats.cache.hits,
-        (THREADS - 1) as u64,
+        stats.jobs_executed + stats.cache.hits,
+        stats.submitted,
         "stats: {stats}"
     );
+    assert_eq!(stats.cache.resident, 1, "stats: {stats}");
 }
 
 /// A parallel batch over many distinct keys completes fully and
@@ -79,8 +74,7 @@ fn parallel_batch_over_distinct_keys() {
     let stats = engine.stats();
     assert_eq!(stats.jobs_executed, 36, "stats: {stats}");
     assert_eq!(
-        stats.cache.hits + stats.coalesced,
-        36,
+        stats.cache.hits, 36,
         "every duplicate must be amortised; stats: {stats}"
     );
     assert!(stats.amortised_fraction() >= 0.5 - 1e-9);

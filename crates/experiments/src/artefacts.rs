@@ -15,7 +15,7 @@ use archsim::{machine_by_name, simulate_spmv_1d, simulate_spmv_2d, Machine, SimR
 use cholesky::fill_ratio;
 use corpus::CorpusSize;
 use engine::Engine;
-use reorder::{all_algorithms, Gp, Nd, Rcm, ReorderAlgorithm};
+use reorder::{all_algorithms, timed_components_on, Gp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsemat::{spy_string, SpyOptions};
 use spfeatures::{geometric_mean, performance_profile, quartiles, BoxStats, ProfileCurve};
 use spmv::KernelKind;
@@ -471,12 +471,15 @@ fn reordering_overhead(inputs: &Inputs) -> String {
         "Gray",
         "SpMV",
     ]);
+    let registry = telemetry::Registry::new();
+    let rx = ReorderExec::sequential();
     let mut rows = Vec::new();
     for spec in &corpus::overhead_matrices(inputs.size) {
         let a = spec.build();
         let mut row = vec![spec.name.clone()];
         for alg in all_algorithms(cfg.gp_parts, cfg.hp_parts) {
-            let t = alg.compute_timed(&a).expect("overhead matrices are square");
+            let t = timed_components_on(&registry, alg.as_ref(), &a, &rx)
+                .expect("overhead matrices are square");
             row.push(fmt_seconds(t.elapsed.as_secs_f64()));
         }
         row.push(fmt_seconds(simulate_spmv_1d(&a, &icelake).seconds));

@@ -16,8 +16,8 @@
 //!   deadline) and per shard, the tier's overload behaviour;
 //! - **hit rate** — fraction of requests that paid for no ordering:
 //!   those that found their shard's prepared entry (and never reached
-//!   the engine), plus the engine submissions a shard cache amortised
-//!   (cache hits, coalesced);
+//!   the engine), plus the engine submissions a shard's ordering cache
+//!   answered;
 //! - **latency** — per-tenant p50/p99 of the end-to-end request time,
 //!   read from the registry's `tier.request{tenant=...}` histograms.
 //!
@@ -737,14 +737,10 @@ fn main() {
     let snap = tier.registry().snapshot();
     // A request that finds its prepared entry never reaches the engine
     // and is as amortised as one can be; the rest are engine
-    // submissions, amortised when a cache or an in-flight job answered.
+    // submissions, amortised when the ordering cache answered.
     let prepared_hits: u64 = stats.shards.iter().map(|s| s.prepared_hits).sum();
     let submitted: u64 = stats.shards.iter().map(|s| s.engine.submitted).sum();
-    let amortised: u64 = stats
-        .shards
-        .iter()
-        .map(|s| s.engine.cache.hits + s.engine.coalesced)
-        .sum();
+    let amortised: u64 = stats.shards.iter().map(|s| s.engine.cache.hits).sum();
     let hit_rate = (prepared_hits + amortised) as f64 / (prepared_hits + submitted).max(1) as f64;
     println!(
         "served {} of {} requests in {:.3}s with {} clients over {} shard(s)",

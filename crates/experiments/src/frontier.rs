@@ -150,10 +150,13 @@ pub fn frontier(inputs: &Inputs) -> String {
         let a = Arc::new(spec.build());
         let t_base = measure_spmv_in(&registry, &a, KernelKind::OneD, &measure).min_time;
         for algo in ALGOS {
-            let timed = algo
-                .instantiate()
-                .compute_timed(&a)
-                .expect("corpus matrices are square");
+            let timed = reorder::timed_components_on(
+                &registry,
+                algo.instantiate().as_ref(),
+                &a,
+                &reorder::ReorderExec::sequential(),
+            )
+            .expect("corpus matrices are square");
             let b = Arc::new(timed.result.apply(&a).expect("permutation applies"));
             let pair = Pair {
                 algo,

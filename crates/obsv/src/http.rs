@@ -8,8 +8,8 @@
 //! parsed charitably.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Cap on the request head (start line + headers). An ops `GET` fits
 /// in a fraction of this; anything larger is hostile or lost.
@@ -18,6 +18,11 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection socket timeout: an operator's curl answers
 /// instantly; a stalled peer must not pin a handler thread.
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long [`refuse`] waits for a refused connection's request head
+/// before it answers anyway: the accept loop runs it, so a trickling
+/// client holds up the next connection for no longer than this.
+const REFUSAL_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// A parsed request target.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,22 +54,43 @@ pub(crate) enum HttpError {
     Io,
 }
 
-/// Read and parse one request head from `stream`.
-pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+/// Read one request head from `stream` within `within` of now: the
+/// bytes up to and including the blank line that ends it.
+fn read_head(stream: &mut TcpStream, within: Duration) -> Result<Vec<u8>, HttpError> {
+    let deadline = Instant::now() + within;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     while !head_complete(&buf) {
         if buf.len() >= MAX_REQUEST_BYTES {
             return Err(HttpError::BadRequest("request head too large"));
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return Err(HttpError::Io);
+        }
         match stream.read(&mut chunk) {
-            Ok(0) => return Err(HttpError::Io),
+            Ok(0) | Err(_) => return Err(HttpError::Io),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(HttpError::Io),
         }
     }
+    Ok(buf)
+}
+
+/// Answer a connection the server has no handler for: drain its request
+/// head (at most 8 KiB, within [`REFUSAL_TIMEOUT`]), then write a 503
+/// and shut the stream down. Closing a socket whose request was never
+/// read would reset the connection under the reply.
+pub(crate) fn refuse(stream: &mut TcpStream, body: &str) {
+    let _ = read_head(stream, REFUSAL_TIMEOUT);
+    let _ = stream.set_write_timeout(Some(REFUSAL_TIMEOUT));
+    respond(stream, 503, "text/plain", body);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Read and parse one request head from `stream`.
+pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let buf = read_head(stream, IO_TIMEOUT)?;
     let head = String::from_utf8_lossy(&buf);
     let start_line = head
         .lines()

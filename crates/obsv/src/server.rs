@@ -9,7 +9,8 @@
 //!   snapshots — atomic loads no recording thread ever waits on —
 //!   and each connection is handled on its own short-lived thread
 //!   under a socket timeout, with a hard cap on concurrent handlers
-//!   (excess connections get an immediate 503 rather than a queue).
+//!   (excess connections get a 503 rather than a queue, once their
+//!   request head is read or a quarter second has passed).
 //! - **Graceful shutdown.** Dropping [`ObsvServer`] flips a flag,
 //!   nudges the blocked `accept` with a self-connection, and joins the
 //!   accept thread, so tests and `serve` runs exit cleanly.
@@ -18,7 +19,7 @@
 //! [`OpsSource`] so this crate depends only on `telemetry`; `servetier`
 //! implements it for `ServeTier`.
 
-use crate::http::{read_request, respond, HttpError, Request};
+use crate::http::{read_request, refuse, respond, HttpError, Request};
 use crate::profile::profile_for;
 use crate::slo::SloTracker;
 use std::io;
@@ -128,12 +129,7 @@ impl ObsvServer {
                     }
                     let Ok(mut stream) = conn else { continue };
                     if accept_shared.active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
-                        respond(
-                            &mut stream,
-                            503,
-                            "text/plain",
-                            "too many concurrent ops connections\n",
-                        );
+                        refuse(&mut stream, "too many concurrent ops connections\n");
                         continue;
                     }
                     accept_shared.active.fetch_add(1, Ordering::Relaxed);

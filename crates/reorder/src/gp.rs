@@ -9,10 +9,9 @@
 //! reordered matrix then correspond exactly to cut edges, which is why
 //! GP directly minimises the off-diagonal nonzero count (§4.5).
 
-use crate::exec::ReorderExec;
+use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use partition::partition_graph;
-use sparsegraph::Graph;
 use sparsemat::{CsrMatrix, Permutation, SparseError};
 
 /// Graph-partitioning-based reordering.
@@ -46,8 +45,12 @@ impl ReorderAlgorithm for Gp {
         "GP"
     }
 
-    fn compute_on(&self, a: &CsrMatrix, _: &ReorderExec<'_>) -> Result<ReorderResult, SparseError> {
-        let g = Graph::from_matrix(a)?;
+    fn compute_on(
+        &self,
+        a: &CsrMatrix,
+        rx: &ReorderExec<'_>,
+    ) -> Result<ReorderResult, SparseError> {
+        let g = build_ordering_graph(a, rx)?;
         let part_of = partition_graph(&g, self.parts);
         let order = partition_to_order(&part_of);
         Ok(ReorderResult {

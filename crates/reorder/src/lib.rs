@@ -62,5 +62,5 @@ pub use nd::Nd;
 pub use rcm::Rcm;
 pub use traits::{
     all_algorithms, timed_components_on, Original, ReorderAlgorithm, ReorderResult,
-    TimedComponentReordering, TimedReordering,
+    TimedComponentReordering,
 };

@@ -7,7 +7,7 @@
 //! keep Cholesky fill low (§2.1.2).
 
 use crate::amd::{amd_order_on, AmdWork};
-use crate::exec::ReorderExec;
+use crate::exec::{build_ordering_graph, ReorderExec};
 use crate::traits::{ReorderAlgorithm, ReorderResult};
 use partition::{vertex_separator, BisectWork};
 use sparsegraph::{Graph, SubgraphWork};
@@ -105,7 +105,7 @@ impl ReorderAlgorithm for Nd {
         a: &CsrMatrix,
         rx: &ReorderExec<'_>,
     ) -> Result<ReorderResult, SparseError> {
-        let g = Graph::from_matrix(a)?;
+        let g = build_ordering_graph(a, rx)?;
         let order = dissection_order_on(&g, rx);
         Ok(ReorderResult {
             perm: Permutation::from_new_to_old(order)?,

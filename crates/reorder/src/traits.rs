@@ -84,17 +84,6 @@ pub trait ReorderAlgorithm {
         self.compute_on(a, &ReorderExec::sequential())
     }
 
-    /// Compute the reordering and measure the wall-clock time taken
-    /// (the quantity reported in Table 5 of the paper).
-    fn compute_timed(&self, a: &CsrMatrix) -> Result<TimedReordering, SparseError> {
-        let start = Instant::now();
-        let result = self.compute(a)?;
-        Ok(TimedReordering {
-            result,
-            elapsed: start.elapsed(),
-        })
-    }
-
     /// Whether this algorithm is *component-structured*: its ordering
     /// decomposes into independent per-component sub-permutations
     /// arranged by [`ReorderAlgorithm::component_layout`], so deltas
@@ -153,15 +142,6 @@ pub trait ReorderAlgorithm {
     }
 }
 
-/// A reordering together with the time it took to compute.
-#[derive(Debug, Clone)]
-pub struct TimedReordering {
-    /// The reordering itself.
-    pub result: ReorderResult,
-    /// Wall-clock computation time.
-    pub elapsed: Duration,
-}
-
 /// A reordering plus, when the algorithm is component-structured, its
 /// component→range map — what the engine caches so later deltas can be
 /// spliced instead of recomputed.
@@ -177,12 +157,14 @@ pub struct TimedComponentReordering {
 
 /// Compute an ordering under telemetry, in an execution context
 /// (parallel stages on its executor, sub-stage spans under its trace).
-/// This is the one instrumented entry point every serving path
-/// computes permutations through — Table 5's per-algorithm cost
-/// ranking, as live metrics: the measured wall-clock, the same number
-/// as the returned `elapsed`, is recorded into the registry histogram
-/// `reorder.<algo>` (nanoseconds, e.g. `reorder.rcm`) on success and
-/// failure alike; a success updates the throughput gauge
+/// This is the one timed entry point: every serving path computes
+/// permutations through it, and the paper's Table 5 and the break-even
+/// frontier time theirs with it, sequentially. It keeps Table 5's
+/// per-algorithm cost ranking as live metrics: the measured wall-clock,
+/// the same number as the returned `elapsed`, is recorded into the
+/// registry histogram `reorder.<algo>` (nanoseconds, e.g.
+/// `reorder.rcm`) on success and failure alike; a success updates the
+/// throughput gauge
 /// `reorder.<algo>.nnz_per_s` (the live counterpart of the paper's
 /// "SpMV iterations to amortise" ratio) and a failure increments
 /// `reorder.failed`. Component-structured algorithms also return their
@@ -322,14 +304,6 @@ mod tests {
     fn original_rejects_rectangular() {
         let a = CsrMatrix::from_coo(&CooMatrix::new(2, 3));
         assert!(Original.compute(&a).is_err());
-    }
-
-    #[test]
-    fn compute_timed_reports_duration() {
-        let a = small();
-        let t = Original.compute_timed(&a).unwrap();
-        assert!(t.result.perm.is_identity());
-        assert!(t.elapsed.as_nanos() > 0 || t.elapsed.is_zero());
     }
 
     #[test]

@@ -75,7 +75,9 @@ pub struct TierConfig {
     /// with [`ShedReason::QueueFull`].
     pub queue_capacity: usize,
     /// Dispatcher threads per shard (each serves one request at a time
-    /// end to end).
+    /// end to end). Every caller sets 1; above it, two first touches of
+    /// one matrix at once would each compute its ordering (see
+    /// [`engine::Engine`]).
     pub dispatchers_per_shard: usize,
     /// Threads for the SpMV execution team of each shard.
     pub spmv_threads: usize,

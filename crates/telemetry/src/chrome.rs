@@ -205,7 +205,7 @@ mod tests {
         {
             let mut s = ctx.span(stages::ENGINE_REQUEST);
             s.arg("algo", "RCM");
-            ctx.instant(stages::ENGINE_COALESCED);
+            ctx.instant(stages::ENGINE_EXPIRED);
         }
         let j = rec.snapshot().to_chrome_json();
         assert!(j.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
@@ -223,10 +223,10 @@ mod tests {
         let ctx = rec.start_trace();
         drop(ctx.span(stages::ENGINE_REORDER));
         drop(ctx.span(stages::ENGINE_REORDER));
-        ctx.instant(stages::ENGINE_COALESCED);
+        ctx.instant(stages::ENGINE_EXPIRED);
         let text = rec.snapshot().summary();
         assert!(text.contains("engine.reorder"), "{text}");
-        assert!(text.contains("engine.coalesced"), "{text}");
+        assert!(text.contains("engine.expired"), "{text}");
         assert!(text.contains("0 dropped"), "{text}");
     }
 

@@ -102,9 +102,7 @@ declare! {
     // The ordering engine, under the tier's execute span.
     ENGINE_REQUEST = first_touch("engine.request", &[TIER_EXECUTE], Engine);
     ENGINE_CACHE_LOOKUP = first_touch("engine.cache.lookup", &[ENGINE_REQUEST], Engine);
-    ENGINE_WAIT = leaf("engine.wait", &[ENGINE_REQUEST], Engine);
     ENGINE_REORDER = first_touch("engine.reorder", &[ENGINE_REQUEST], Engine);
-    ENGINE_COALESCED = leaf("engine.coalesced", &[ENGINE_REQUEST], Engine);
     ENGINE_EXPIRED = leaf("engine.expired", &[ENGINE_REQUEST], Engine);
     // The reordering pipeline's sub-stages.
     REORDER_SPLICE = leaf("reorder.splice", &[ENGINE_REORDER], Reorder);

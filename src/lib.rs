@@ -23,9 +23,8 @@
 //! - [`archsim`] — the eight-machine execution-cost model (Table 2);
 //! - [`corpus`] — the synthetic SuiteSparse stand-in collection;
 //! - [`engine`] — reordering-as-a-service: a content-addressed
-//!   ordering cache whose misses are computed on the calling thread,
-//!   with request coalescing (the §4.7 amortisation argument,
-//!   operationalised);
+//!   ordering cache whose misses are computed and inserted on the
+//!   calling thread (the §4.7 amortisation argument, operationalised);
 //! - [`servetier`] — the sharded, admission-controlled serving tier on
 //!   top of [`engine`]: consistent-hash routing, weighted-fair bounded
 //!   admission with deadlines and load-shedding, and end-to-end SpMV

@@ -11,11 +11,18 @@ fn reordering_cost_ranking() {
     // Large enough that asymptotic costs dominate constant overheads
     // (Table 5 ranks the algorithms on the largest matrices).
     let a = corpus::scramble(&corpus::mesh2d(130, 130), 2);
+    let registry = reorder_study::telemetry::Registry::new();
+    let rx = reorder_study::reorder::ReorderExec::sequential();
     let mut times = std::collections::HashMap::new();
     for alg in all_algorithms(8, 16) {
         // Median of 3 runs to de-noise the CI machine.
         let mut samples: Vec<f64> = (0..3)
-            .map(|_| alg.compute_timed(&a).expect("square").elapsed.as_secs_f64())
+            .map(|_| {
+                reorder_study::reorder::timed_components_on(&registry, alg.as_ref(), &a, &rx)
+                    .expect("square")
+                    .elapsed
+                    .as_secs_f64()
+            })
             .collect();
         samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
         times.insert(alg.name().to_string(), samples[1]);
