@@ -43,9 +43,12 @@ if echo "$CLOSURES" | grep -vE '^[0-9a-f]*[048c]0 '; then
 fi
 
 # Paper drift gate: results/*_small.txt are what `paper` prints at this
-# commit, whichever executor computes the orderings. A deliberate
-# change to a table is accepted by committing the diff; there is no
-# update switch. Each run also measures the break-even frontier
+# commit, whichever executor computes the orderings. The second run
+# computes and applies every ordering the sweep (fig2/3/5, table3/4),
+# fig1, fig4 and fig6 simulate on a two-lane team; table5 and the
+# frontier time theirs on one lane either way. A deliberate change to
+# a table is accepted by committing the diff; there is no update
+# switch. Each run also measures the break-even frontier
 # (gitignored, like table5) and fails if the replayed adaptive policy
 # agrees with it on fewer than 80 % of cells.
 for threads in 1 2; do
@@ -220,7 +223,9 @@ done
 # The line-count trend, in every CI log: all checked-in Rust under
 # crates/ and shims/. And the `unsafe` trend beside it: lines under
 # crates/ (tests included) that open an unsafe block, fn or impl,
-# comment lines excluded. And the standing audit's count (ROADMAP item
+# comment lines excluded — AMD's SliceWriter (and its two should_panic
+# bounds tests), spmv's SendPtr, team's job slot, and the one test
+# allocator every allocation pin installs (crates/alloccount). And the standing audit's count (ROADMAP item
 # 6): public items nothing outside their own file names. Numbers to
 # watch, not gates.
 git ls-files crates shims | grep '\.rs$' | xargs wc -l | tail -1

@@ -221,13 +221,13 @@ impl Ticket {
 /// The reordering-as-a-service engine: a content-addressed cache in
 /// front of computations that run on the thread that asked.
 ///
-/// Nothing joins two misses on one key: each computes, and the cache
-/// keeps whichever inserts last. No caller in the workspace makes such
-/// a pair — the serving tier routes each matrix to one shard and runs
-/// one dispatcher per shard — and were one made (a tier at
-/// `dispatchers_per_shard > 1`, two first touches of one key at once),
-/// both answers would be correct and byte-equal, since every ordering
-/// is deterministic.
+/// Its one caller is a serving-tier shard, which owns one engine and
+/// one dispatcher. Nothing joins two misses on one key: each computes,
+/// and the cache keeps whichever inserts last. A shard never makes such
+/// a pair, as the tier routes each matrix to one shard; were one made
+/// (a tier at `dispatchers_per_shard > 1`, two first touches of one key
+/// at once), both answers would be correct and byte-equal, since every
+/// ordering is deterministic.
 ///
 /// ```
 /// use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};

@@ -21,9 +21,9 @@
 //!    shared reorder team. A computation that fails or panics answers
 //!    [`EngineError::Compute`], and nothing is cached. Two misses on
 //!    one key at once would both compute (byte-equal answers; the cache
-//!    keeps one), but no caller makes them: the `experiments` crate's
-//!    sweep asks for each matrix on one thread, and every shard of the
-//!    serving tier owns one engine and one dispatcher.
+//!    keeps one), but its one caller makes none: each shard of the
+//!    serving tier owns one engine and one dispatcher. (The `paper`
+//!    binary computes each of its orderings once and caches none.)
 //!
 //! Tracing is the caller's: a request submitted with a recording
 //! parent context ([`SubmitOptions::trace`]) records its cache lookup

@@ -1,48 +1,23 @@
 //! A cold [`Engine::get`] allocates a pinned number of blocks beyond
-//! the ordering it computes — asserted with a counting global allocator
-//! (the `crates/reorder/tests/alloc.rs` pattern). The ordering's own
-//! blocks are that file's to pin; this one pins what the engine adds
-//! around them on a miss, so bookkeeping that creeps into the miss path
-//! fails here.
+//! the ordering it computes — asserted with the shared counting global
+//! allocator (`alloccount`, as `crates/reorder/tests/alloc.rs` is).
+//! The ordering's own blocks are that file's to pin; this one pins what
+//! the engine adds around them on a miss, so bookkeeping that creeps
+//! into the miss path fails here.
 //!
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
 
+use alloccount::counted;
 use engine::{AlgoSpec, Engine, EngineConfig, MatrixHandle};
 use reorder::{timed_components_on, Rcm, ReorderExec};
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use team::ThreadTeam;
 use telemetry::Registry;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: defers every request to `System` unchanged (`realloc` is the
-// default alloc-copy-dealloc, so it counts as an allocation); the
-// counter is a statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations requested by any thread while `f` ran.
-fn counted(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+static GLOBAL: alloccount::Counting = alloccount::Counting;
 
 /// The reorder allocation test's input: the 5-point 32 x 32 mesh under
 /// a pseudo-random symmetric permutation.
@@ -94,13 +69,13 @@ fn a_cold_get_allocates_a_pinned_number_of_blocks_beyond_its_ordering() {
     let rx = ReorderExec::on_team(&team);
     let ordering = || drop(timed_components_on(&registry, &Rcm, mesh.matrix(), &rx).unwrap());
     ordering();
-    let alone = counted(ordering);
+    let (alone, _) = counted(ordering);
 
     // A warm-up engine serves one miss on this thread first, so the
     // count below sees only what a miss allocates, not first-use state.
     engine(&registry).get(&mesh, AlgoSpec::Rcm).unwrap();
     let cold = engine(&registry);
-    let served = counted(|| drop(cold.get(&mesh, AlgoSpec::Rcm).unwrap()));
+    let (served, _) = counted(|| drop(cold.get(&mesh, AlgoSpec::Rcm).unwrap()));
     assert!(cold.peek_cached(&mesh, AlgoSpec::Rcm).is_some());
 
     // The cached entry's `Arc` and the ordering cache's first insert:

@@ -10,11 +10,12 @@
 use std::cell::Cell;
 
 use crate::fmt::{fmt_seconds, render_boxplot, render_table};
-use crate::sweep::{speedups, sweep_matrix, MatrixSweep, OrderingRun, SweepConfig, ORDERINGS};
+use crate::sweep::{
+    reordered, speedups, sweep_matrix, MatrixSweep, OrderingRun, SweepConfig, ORDERINGS,
+};
 use archsim::{machine_by_name, simulate_spmv_1d, simulate_spmv_2d, Machine, SimResult};
 use cholesky::fill_ratio;
 use corpus::CorpusSize;
-use engine::Engine;
 use reorder::{all_algorithms, timed_components_on, Gp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsemat::{spy_string, SpyOptions};
 use spfeatures::{geometric_mean, performance_profile, quartiles, BoxStats, ProfileCurve};
@@ -24,8 +25,9 @@ use spmv::KernelKind;
 pub struct Inputs<'a> {
     /// Corpus scale.
     pub size: CorpusSize,
-    /// The engine orderings come from.
-    pub engine: &'a Engine,
+    /// Where every simulated ordering is computed and applied: the
+    /// sweep's, fig1's, fig4's and fig6's (`--reorder-threads` lanes).
+    pub rx: ReorderExec<'a>,
     /// The machines `--machine` selected (all eight by default): the
     /// rows of Table 3/4 and `reference_dense`, the panels of Fig. 2/3.
     pub machines: &'a [Machine],
@@ -212,20 +214,12 @@ fn spy_plots(inputs: &Inputs) -> String {
         out.push_str(&spy_string(&a, &spy));
         out.push_str("speedup: 1.00 / 1.00\n\n");
 
-        let algs: Vec<(&str, Box<dyn ReorderAlgorithm>)> = vec![
-            ("RCM", Box::new(Rcm)),
-            ("ND", Box::new(Nd)),
-            ("GP", Box::new(Gp::new(cfg.gp_parts))),
-        ];
-        for (name, alg) in algs {
-            let b = alg
-                .compute(&a)
-                .expect("fig1 matrices are square")
-                .apply(&a)
-                .expect("apply");
+        let algs: [&dyn ReorderAlgorithm; 3] = [&Rcm, &Nd, &Gp::new(cfg.gp_parts)];
+        for alg in algs {
+            let b = reordered(alg, &a, &inputs.rx);
             let s_milan = simulate_spmv_1d(&b, &milan).gflops / base_milan;
             let s_ice = simulate_spmv_1d(&b, &icelake).gflops / base_ice;
-            out.push_str(&format!("--- {name} ---\n"));
+            out.push_str(&format!("--- {} ---\n", alg.name()));
             out.push_str(&spy_string(&b, &spy));
             out.push_str(&format!("speedup: {s_milan:.2} / {s_ice:.2}\n\n"));
         }
@@ -322,7 +316,7 @@ fn class_analysis(inputs: &Inputs) -> String {
          4 unchanged, 5 reordering provokes 1D imbalance, 6 mixed.\n\n",
     );
     for (class, spec) in corpus::class_representatives(inputs.size) {
-        let s = sweep_matrix(inputs.engine, &spec, &machines, &cfg);
+        let s = sweep_matrix(&inputs.rx, &spec, &machines, &cfg);
         out.push_str(&format!(
             "== Class {class}: {} ({} rows, {} nnz) ==\n",
             s.name, s.nrows, s.nnz
@@ -424,12 +418,7 @@ fn cholesky_fill(inputs: &Inputs) -> String {
         let a = spec.build();
         ratios[0].push(fill_ratio(&a));
         for (k, alg) in algs.iter().enumerate() {
-            let b = alg
-                .compute(&a)
-                .expect("SPD corpus is square")
-                .apply(&a)
-                .expect("apply");
-            ratios[k + 1].push(fill_ratio(&b));
+            ratios[k + 1].push(fill_ratio(&reordered(alg.as_ref(), &a, &inputs.rx)));
         }
     }
 
@@ -472,6 +461,8 @@ fn reordering_overhead(inputs: &Inputs) -> String {
         "SpMV",
     ]);
     let registry = telemetry::Registry::new();
+    // One lane, whatever `--reorder-threads` says: the table reports
+    // what an ordering costs on one core.
     let rx = ReorderExec::sequential();
     let mut rows = Vec::new();
     for spec in &corpus::overhead_matrices(inputs.size) {
@@ -641,7 +632,8 @@ fn write_artifact_files(inputs: &Inputs) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{sweep_corpus, tests::local_engine};
+    use crate::sweep::sweep_corpus;
+    use telemetry::trace::FlightRecorder;
 
     fn artefact(name: &str) -> &'static Artefact {
         ARTEFACTS.iter().find(|a| a.name == name).unwrap()
@@ -664,21 +656,31 @@ mod tests {
         let names: Vec<&str> = swept.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, ["Rome", "Milan B"]);
 
-        let engine = local_engine();
+        // Every ordering records its `reorder.*` spans under the
+        // executor's trace: the sweep computes them, the renders none.
+        let recorder = FlightRecorder::new(1 << 14);
+        let rx = ReorderExec::sequential().with_trace(recorder.start_trace());
+        let reorder_spans = || {
+            let snapshot = recorder.snapshot();
+            snapshot
+                .events()
+                .filter(|e| e.name.starts_with("reorder."))
+                .count()
+        };
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let sweeps = sweep_corpus(&engine, &specs, &swept, &cfg);
+        let sweeps = sweep_corpus(&rx, &specs, &swept, &cfg);
+        let swept_spans = reorder_spans();
+        assert!(swept_spans > 0);
         let inputs = Inputs {
             size: CorpusSize::Small,
-            engine: &engine,
+            rx,
             machines: &machines,
             swept: &swept,
             sweeps: &sweeps,
             gate_failed: Cell::new(false),
         };
         let texts = selected.map(|a| (a.render)(&inputs));
-        let stats = engine.stats();
-        assert_eq!(stats.jobs_executed, 7 * 3, "{stats}");
-        assert_eq!(stats.cache.hits, 0, "{stats}");
+        assert_eq!(reorder_spans(), swept_spans);
 
         // Table 3 and Table 4 are one function: the texts differ in the
         // table number, the kernel label and the numbers, nothing else.

@@ -5,16 +5,18 @@
 //! checked-in ones. It exits 1 if an artefact's own gate failed (the
 //! frontier's policy agreement), after writing them all.
 //!
-//! The process builds one engine and sweeps the standard corpus at
-//! most once, over the union of the machines the selected artefacts
-//! read.
+//! The process builds one reorder team of `--reorder-threads` lanes,
+//! on which every simulated ordering is computed, and sweeps the
+//! standard corpus at most once, over the union of the machines the
+//! selected artefacts read.
 
 use std::cell::Cell;
 
-use engine::{Engine, EngineConfig};
 use experiments::artefacts::{sweep_machines, Artefact, Inputs, ARTEFACTS};
 use experiments::cli::parse_from;
 use experiments::sweep::{sweep_corpus, SweepConfig};
+use reorder::ReorderExec;
+use team::ThreadTeam;
 
 fn main() {
     let opts = parse_from(std::env::args().skip(1));
@@ -25,10 +27,8 @@ fn main() {
         opts.artefacts.clone()
     };
     let machines = opts.machines();
-    let engine = Engine::new(EngineConfig {
-        reorder_threads: opts.reorder_threads,
-        ..EngineConfig::default()
-    });
+    let team = ThreadTeam::new(opts.reorder_threads);
+    let rx = ReorderExec::on_team(&team);
 
     let swept = sweep_machines(&selected, &machines);
     let sweeps = if swept.is_empty() {
@@ -40,11 +40,11 @@ fn main() {
             specs.len(),
             swept.len()
         );
-        sweep_corpus(&engine, &specs, &swept, &SweepConfig::for_size(opts.size))
+        sweep_corpus(&rx, &specs, &swept, &SweepConfig::for_size(opts.size))
     };
     let inputs = Inputs {
         size: opts.size,
-        engine: &engine,
+        rx,
         machines: &machines,
         swept: &swept,
         sweeps: &sweeps,

@@ -20,8 +20,11 @@ pub struct Options {
     /// Restrict to machines whose name contains one of these strings
     /// (empty = all eight).
     pub machines: Vec<String>,
-    /// Lanes of the engine's reordering team (`--reorder-threads`,
-    /// default 1 = sequential orderings).
+    /// Lanes of the team every simulated ordering (the sweep's, fig1's,
+    /// fig4's and fig6's) is computed and applied on
+    /// (`--reorder-threads`, default 1 = inline). Table 5 and the
+    /// frontier time theirs on one lane whatever this says; no table's
+    /// bytes depend on it.
     pub reorder_threads: usize,
     /// The artefacts named on the command line, in the order named
     /// (empty = write the paper's artefacts to `results/`).
@@ -55,32 +58,61 @@ fn usage() -> String {
     out
 }
 
+/// Why [`parse`] returned no options.
+#[derive(Debug, PartialEq, Eq)]
+enum Stop {
+    /// `--help`: print the usage and exit 0.
+    Help,
+    /// An argument it cannot use: print the message and exit 2.
+    Invalid(String),
+}
+
+/// The corpus scale a `--size` value spells.
+fn size_named(v: &str) -> Result<CorpusSize, Stop> {
+    SIZES
+        .iter()
+        .find(|(name, _)| *name == v)
+        .map(|&(_, size)| size)
+        .ok_or_else(|| Stop::Invalid(format!("unknown --size '{v}' (small|medium|large)")))
+}
+
 /// The corpus scale a `--size` value spells; anything else aborts with
 /// exit status 2.
 pub fn parse_size(v: &str) -> CorpusSize {
-    match SIZES.iter().find(|(name, _)| *name == v) {
-        Some(&(_, size)) => size,
-        None => {
-            eprintln!("unknown --size '{v}' (small|medium|large)");
+    size_named(v).unwrap_or_else(|stop| exit(stop))
+}
+
+/// Print what `stop` asks for and exit with its status.
+fn exit(stop: Stop) -> ! {
+    match stop {
+        Stop::Help => {
+            print!("{}", usage());
+            std::process::exit(0);
+        }
+        Stop::Invalid(message) => {
+            eprintln!("{message}");
             std::process::exit(2);
         }
     }
 }
 
-/// Parse `--size small|medium|large`, `--machine <name>` (repeatable),
-/// `--reorder-threads N` and positional artefact names. Anything else
-/// aborts with exit status 2.
-pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
+/// [`parse_from`] without the exit: the options, or why it stopped.
+fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Stop> {
+    let invalid = |message: String| Err(Stop::Invalid(message));
     let mut opts = Options::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--size" => opts.size = parse_size(&it.next().unwrap_or_default()),
+            "--size" => opts.size = size_named(&it.next().unwrap_or_default())?,
             "--machine" => {
                 let v = it.next().unwrap_or_default();
-                if v.is_empty() {
-                    eprintln!("--machine requires a name");
-                    std::process::exit(2);
+                let all = archsim::machines();
+                if v.is_empty() || !all.iter().any(|m| m.name.contains(v.as_str())) {
+                    let names: Vec<&str> = all.iter().map(|m| m.name.as_str()).collect();
+                    return invalid(format!(
+                        "--machine '{v}' matches no machine ({})",
+                        names.join("|")
+                    ));
                 }
                 opts.machines.push(v);
             }
@@ -89,30 +121,32 @@ pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
                 opts.reorder_threads = match v.parse::<usize>() {
                     Ok(n) if n >= 1 => n,
                     _ => {
-                        eprintln!("--reorder-threads: cannot parse '{v}' (want an integer >= 1)");
-                        std::process::exit(2);
+                        return invalid(format!(
+                            "--reorder-threads: cannot parse '{v}' (want an integer >= 1)"
+                        ))
                     }
                 };
             }
-            "--help" | "-h" => {
-                print!("{}", usage());
-                std::process::exit(0);
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown argument '{flag}'");
-                std::process::exit(2);
-            }
+            "--help" | "-h" => return Err(Stop::Help),
+            flag if flag.starts_with('-') => return invalid(format!("unknown argument '{flag}'")),
             name => match ARTEFACTS.iter().find(|a| a.name == name) {
                 Some(a) => opts.artefacts.push(a),
                 None => {
                     let valid: Vec<&str> = ARTEFACTS.iter().map(|a| a.name).collect();
-                    eprintln!("unknown artefact '{name}' ({})", valid.join("|"));
-                    std::process::exit(2);
+                    return invalid(format!("unknown artefact '{name}' ({})", valid.join("|")));
                 }
             },
         }
     }
-    opts
+    Ok(opts)
+}
+
+/// Parse `--size small|medium|large`, `--machine <name>` (repeatable;
+/// it must match part of some machine's name), `--reorder-threads N`
+/// and positional artefact names. `--help` prints the usage and exits
+/// 0; anything else it cannot use aborts with exit status 2.
+pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Options {
+    parse(args).unwrap_or_else(|stop| exit(stop))
 }
 
 impl Options {
@@ -141,8 +175,12 @@ impl Options {
 mod tests {
     use super::*;
 
+    fn try_parse(args: &[&str]) -> Result<Options, Stop> {
+        super::parse(args.iter().map(|s| s.to_string()))
+    }
+
     fn parse(args: &[&str]) -> Options {
-        parse_from(args.iter().map(|s| s.to_string()))
+        try_parse(args).unwrap()
     }
 
     #[test]
@@ -177,5 +215,33 @@ mod tests {
         assert_eq!(o.size, CorpusSize::Medium);
         let names: Vec<_> = o.artefacts.iter().map(|a| a.name).collect();
         assert_eq!(names, vec!["table4", "fig2", "table4"]);
+    }
+
+    #[test]
+    fn a_machine_that_matches_none_is_refused_with_the_names() {
+        for name in ["Nope", ""] {
+            match try_parse(&["--machine", name, "table3"]) {
+                Err(Stop::Invalid(message)) => {
+                    for m in archsim::machines() {
+                        assert!(message.contains(&m.name), "{message}");
+                    }
+                }
+                other => panic!("--machine '{name}': {other:?}"),
+            }
+        }
+        assert!(try_parse(&["--machine", "Milan"]).is_ok());
+    }
+
+    #[test]
+    fn help_and_bad_arguments_stop_the_parse() {
+        assert_eq!(try_parse(&["--help"]).unwrap_err(), Stop::Help);
+        for args in [
+            &["--size", "huge"][..],
+            &["--reorder-threads", "0"],
+            &["--bogus"],
+            &["fig9"],
+        ] {
+            assert!(matches!(try_parse(args), Err(Stop::Invalid(_))), "{args:?}");
+        }
     }
 }

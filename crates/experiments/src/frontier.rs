@@ -150,6 +150,8 @@ pub fn frontier(inputs: &Inputs) -> String {
         let a = Arc::new(spec.build());
         let t_base = measure_spmv_in(&registry, &a, KernelKind::OneD, &measure).min_time;
         for algo in ALGOS {
+            // Timed on one lane, whatever `--reorder-threads` says: the
+            // cost a cell amortises is the one-core cost.
             let timed = reorder::timed_components_on(
                 &registry,
                 algo.instantiate().as_ref(),

@@ -13,7 +13,9 @@
 //! with none named, the paper's twelve are written to
 //! `results/<name>_<size>.txt`. Either way the standard corpus is
 //! swept at most once per process ([`sweep`]), however many of the
-//! artefacts read it.
+//! artefacts read it, and every ordering is computed once, on the one
+//! executor in [`artefacts::Inputs`] (`--reorder-threads` lanes); no
+//! table's bytes depend on its lane count.
 
 pub mod artefacts;
 pub mod cli;

@@ -1,19 +1,19 @@
 //! The shared corpus sweep: reorder every matrix with every algorithm,
 //! simulate both SpMV kernels on every machine, and aggregate speedups.
 //!
-//! All orderings are obtained through the caller's [`Engine`], so a
-//! (matrix, algorithm) pair that comes back — the same matrix swept
-//! twice, or two corpora that overlap — is computed exactly once and
-//! every later consumer gets the cached permutation (the paper's §4.7
-//! amortisation argument, operationalised).
+//! Each (matrix, algorithm) ordering is computed once, offline, on the
+//! caller's [`ReorderExec`]: `paper` passes one over its
+//! `--reorder-threads` team, which fig1, fig4 and fig6 order on too.
+//! The executor changes where the work runs, never the bytes.
 
 use archsim::{simulate_spmv_1d_opt, simulate_spmv_2d_opt, Machine, SimOptions, SimResult};
 use corpus::{CorpusSize, MatrixSpec};
-use engine::{AlgoSpec, Engine, MatrixHandle};
+use reorder::{all_algorithms, ReorderAlgorithm, ReorderExec};
+use sparsemat::CsrMatrix;
 use spfeatures::{matrix_features, MatrixFeatures};
-use spmv::KernelKind;
+use spmv::{host_threads, KernelKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Ordering names in the paper's column order, with the baseline first.
 pub const ORDERINGS: [&str; 7] = ["Original", "RCM", "AMD", "ND", "GP", "HP", "Gray"];
@@ -122,71 +122,48 @@ impl MatrixSweep {
     }
 }
 
-/// The matrix under all seven orderings, in [`ORDERINGS`] order, each
-/// ordering obtained from `engine`.
-///
-/// Matrices come back as `Arc`s: the Original entry shares `a`'s
-/// storage outright (no payload clone for the identity ordering).
-fn apply_all_orderings(
-    engine: &Engine,
-    a: &Arc<sparsemat::CsrMatrix>,
-    cfg: &SweepConfig,
-) -> Vec<(String, Arc<sparsemat::CsrMatrix>)> {
-    let handle = MatrixHandle::new(Arc::clone(a));
-    let mut specs = vec![AlgoSpec::Original];
-    specs.extend(AlgoSpec::study_suite(cfg.gp_parts, cfg.hp_parts));
-    // The seven orderings of one matrix run in turn on its sweep
-    // thread: `sweep_corpus`'s threads over matrices are the
-    // parallelism.
-    specs
-        .iter()
-        .map(|spec| {
-            let cached = engine
-                .get(&handle, *spec)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", spec.name()));
-            let b = if matches!(spec, AlgoSpec::Original) {
-                // The identity ordering: share the input, don't copy it.
-                Arc::clone(a)
-            } else {
-                // Apply on the engine's reorder team: parallel row copy
-                // when `--reorder-threads` > 1, byte-identical output.
-                Arc::new(
-                    cached
-                        .apply_on(a, team::Exec::Team(engine.reorder_team()))
-                        .unwrap_or_else(|e| panic!("{} apply failed: {e}", spec.name())),
-                )
-            };
-            (spec.name().to_string(), b)
-        })
-        .collect()
+/// `a` reordered by `alg`: the ordering computed and applied on `rx`'s
+/// executor. Every ordering `paper` simulates comes from here.
+pub(crate) fn reordered(
+    alg: &dyn ReorderAlgorithm,
+    a: &CsrMatrix,
+    rx: &ReorderExec<'_>,
+) -> CsrMatrix {
+    alg.compute_on(a, rx)
+        .and_then(|r| r.apply_on(a, rx.exec()))
+        .unwrap_or_else(|e| panic!("{} failed: {e}", alg.name()))
 }
 
-/// Sweep one matrix: reorder through `engine` + simulate on all
-/// machines.
+/// Sweep one matrix: reorder it with every algorithm on `rx` and
+/// simulate each ordering on all machines. The seven orderings of one
+/// matrix run in turn: `sweep_corpus`'s threads over matrices are the
+/// outer parallelism, `rx`'s team the inner.
 pub fn sweep_matrix(
-    engine: &Engine,
+    rx: &ReorderExec<'_>,
     spec: &MatrixSpec,
     machines: &[Machine],
     cfg: &SweepConfig,
 ) -> MatrixSweep {
-    let a = Arc::new(spec.build());
+    let a = spec.build();
     let opts = SimOptions {
         cache_scale: cfg.cache_scale,
     };
-    let runs = apply_all_orderings(engine, &a, cfg)
-        .into_iter()
-        .map(|(ordering, b)| OrderingRun {
-            ordering,
-            features: matrix_features(&b, cfg.feature_blocks),
-            per_machine: machines
-                .iter()
-                .map(|m| MachineCell {
-                    one_d: simulate_spmv_1d_opt(&b, m, &opts),
-                    two_d: simulate_spmv_2d_opt(&b, m, &opts),
-                })
-                .collect(),
-        })
-        .collect();
+    let run = |ordering: &str, b: &CsrMatrix| OrderingRun {
+        ordering: ordering.to_string(),
+        features: matrix_features(b, cfg.feature_blocks),
+        per_machine: machines
+            .iter()
+            .map(|m| MachineCell {
+                one_d: simulate_spmv_1d_opt(b, m, &opts),
+                two_d: simulate_spmv_2d_opt(b, m, &opts),
+            })
+            .collect(),
+    };
+    // The identity ordering simulates `a` itself.
+    let mut runs = vec![run(ORDERINGS[0], &a)];
+    for alg in all_algorithms(cfg.gp_parts, cfg.hp_parts) {
+        runs.push(run(alg.name(), &reordered(alg.as_ref(), &a, rx)));
+    }
     MatrixSweep {
         name: spec.name.clone(),
         group: spec.group.clone(),
@@ -200,18 +177,14 @@ pub fn sweep_matrix(
 /// Sweep a whole corpus, in parallel over matrices.
 ///
 /// Matrices are claimed from a shared atomic counter by a scoped
-/// thread per available core; the reordering work itself goes through
-/// `engine`'s cache, so duplicate (matrix, algorithm) pairs across the
-/// corpus are computed once.
+/// thread per host thread; every one of them orders on `rx`.
 pub fn sweep_corpus(
-    engine: &Engine,
+    rx: &ReorderExec<'_>,
     specs: &[MatrixSpec],
     machines: &[Machine],
     cfg: &SweepConfig,
 ) -> Vec<MatrixSweep> {
-    let threads = std::thread::available_parallelism()
-        .map_or(4, |n| n.get())
-        .min(specs.len().max(1));
+    let threads = host_threads().min(specs.len().max(1));
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<MatrixSweep>>> =
         Mutex::new((0..specs.len()).map(|_| None).collect());
@@ -222,7 +195,7 @@ pub fn sweep_corpus(
                 if i >= specs.len() {
                     break;
                 }
-                let r = sweep_matrix(engine, &specs[i], machines, cfg);
+                let r = sweep_matrix(rx, &specs[i], machines, cfg);
                 results.lock().unwrap()[i] = Some(r);
             });
         }
@@ -243,19 +216,10 @@ pub fn speedups(sweeps: &[MatrixSweep], o: usize, m: usize, kernel: KernelKind) 
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use corpus::standard_corpus;
     use spfeatures::{geometric_mean, quartiles};
-
-    /// An engine of the test's own, reporting into a registry of its
-    /// own, so its stats are exactly what the test caused.
-    pub(crate) fn local_engine() -> Engine {
-        Engine::new(engine::EngineConfig {
-            registry: Some(telemetry::Registry::new_arc()),
-            ..Default::default()
-        })
-    }
 
     fn tiny_machines() -> Vec<Machine> {
         archsim::machines()
@@ -273,7 +237,7 @@ pub(crate) mod tests {
             .unwrap();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let s = sweep_matrix(&local_engine(), spec, &machines, &cfg);
+        let s = sweep_matrix(&ReorderExec::sequential(), spec, &machines, &cfg);
         assert_eq!(s.runs.len(), 7);
         let names: Vec<&str> = s.runs.iter().map(|r| r.ordering.as_str()).collect();
         assert_eq!(names, ORDERINGS.to_vec());
@@ -301,7 +265,7 @@ pub(crate) mod tests {
             .unwrap();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let s = sweep_matrix(&local_engine(), spec, &machines, &cfg);
+        let s = sweep_matrix(&ReorderExec::sequential(), spec, &machines, &cfg);
         let rcm = ORDERINGS.iter().position(|&n| n == "RCM").unwrap();
         for (m, machine) in machines.iter().enumerate() {
             let speedup = s.speedup(rcm, m, KernelKind::OneD);
@@ -314,28 +278,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn repeated_sweep_hits_cache() {
-        // The amortisation acceptance criterion: sweeping the same
-        // matrix twice serves the whole second pass from the engine
-        // cache — one hit per (matrix, algorithm) pair, no new job —
-        // and served-from-cache results are identical to computed ones.
-        let specs = standard_corpus(CorpusSize::Small);
-        let spec = specs.iter().find(|s| s.name.contains("mesh2d")).unwrap();
-        let machines = tiny_machines();
-        let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let engine = local_engine();
-        let s1 = sweep_matrix(&engine, spec, &machines, &cfg);
-        let first = engine.stats();
-        assert_eq!(first.jobs_executed, ORDERINGS.len() as u64);
-        assert_eq!(first.cache.hits, 0);
-        let s2 = sweep_matrix(&engine, spec, &machines, &cfg);
-        let second = engine.stats();
-        assert_eq!(second.cache.hits, ORDERINGS.len() as u64);
-        assert_eq!(second.jobs_executed, first.jobs_executed);
-        assert_eq!(format!("{s1:?}"), format!("{s2:?}"));
-    }
-
-    #[test]
     fn aggregations_work() {
         let specs: Vec<_> = standard_corpus(CorpusSize::Small)
             .into_iter()
@@ -344,7 +286,7 @@ pub(crate) mod tests {
             .collect();
         let machines = tiny_machines();
         let cfg = SweepConfig::for_size(CorpusSize::Small);
-        let sweeps = sweep_corpus(&local_engine(), &specs, &machines, &cfg);
+        let sweeps = sweep_corpus(&ReorderExec::sequential(), &specs, &machines, &cfg);
         assert_eq!(sweeps.len(), 3);
         let one_d = speedups(&sweeps, 1, 0, KernelKind::OneD);
         assert_eq!(one_d.len(), 3);

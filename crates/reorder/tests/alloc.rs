@@ -1,6 +1,5 @@
 //! A cold ordering allocates a pinned number of blocks — asserted with
-//! a counting global allocator (the `crates/spmv/tests/no_alloc.rs`
-//! pattern; ROADMAP item 2's "allocations inside the orderings
+//! the shared counting global allocator (`alloccount`; ROADMAP item 2's "allocations inside the orderings
 //! themselves"). RCM's count is constant in the depth of its level
 //! structures and AMD's in the shape of its quotient graph; the
 //! partitioners' are pinned on the scrambled mesh, so a per-vertex or
@@ -11,37 +10,11 @@
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
 
+use alloccount::counted;
 use reorder::{splice_ordering_on, Amd, Gp, Hp, Nd, Rcm, ReorderAlgorithm, ReorderExec};
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: defers every request to `System` unchanged (`realloc` is the
-// default alloc-copy-dealloc, so it counts as an allocation); the
-// counter is a statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations requested by any thread while `f` ran.
-fn counted(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+static GLOBAL: alloccount::Counting = alloccount::Counting;
 
 /// The path 0-1-...-(n-1) with a diagonal: n levels from either end.
 fn path(n: usize) -> CsrMatrix {
@@ -92,8 +65,8 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     let deep = path(1024);
     let shallow = scrambled_mesh();
     let rcm = Rcm;
-    let on_deep = counted(|| drop(rcm.compute(&deep).unwrap()));
-    let on_shallow = counted(|| drop(rcm.compute(&shallow).unwrap()));
+    let on_deep = counted(|| drop(rcm.compute(&deep).unwrap())).0;
+    let on_shallow = counted(|| drop(rcm.compute(&shallow).unwrap())).0;
     assert_eq!(
         on_deep, on_shallow,
         "RCM allocations depend on the depth of the level structure"
@@ -109,8 +82,8 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     // entries are not counted, then once under the counter.
     let amd = Amd::default();
     drop(amd.compute(&shallow).unwrap());
-    let amd_deep = counted(|| drop(amd.compute(&deep).unwrap()));
-    let amd_shallow = counted(|| drop(amd.compute(&shallow).unwrap()));
+    let amd_deep = counted(|| drop(amd.compute(&deep).unwrap())).0;
+    let amd_shallow = counted(|| drop(amd.compute(&shallow).unwrap())).0;
     assert_eq!(
         amd_deep, amd_shallow,
         "AMD allocations depend on the graph, not only on its size"
@@ -145,8 +118,8 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
             let batch = corpus::mutation_trace(&parent, 1, 2, 14).pop().unwrap();
             let mut child = parent.clone();
             let touched = child.apply_delta(&batch).unwrap().touched_rows;
-            let compute = counted(|| drop(algo.compute(&parent).unwrap()));
-            let splice = counted(|| {
+            let (compute, _) = counted(|| drop(algo.compute(&parent).unwrap()));
+            let (splice, _) = counted(|| {
                 let (_, report) = splice_ordering_on(
                     algo.as_ref(),
                     &child,
@@ -205,7 +178,7 @@ fn cold_orderings_allocate_a_pinned_number_of_blocks() {
     let mut wrong = Vec::new();
     for (name, algo, expected) in &pinned {
         drop(algo.compute(&shallow).unwrap());
-        let got = counted(|| drop(algo.compute(&shallow).unwrap()));
+        let (got, _) = counted(|| drop(algo.compute(&shallow).unwrap()));
         if got != *expected {
             wrong.push(format!("{name}: {got} allocations, pinned {expected}"));
         }

@@ -7,35 +7,14 @@
 //! One `#[test]` only: the counters are process-wide, so a second test
 //! running beside it would be counted too.
 
+use alloccount::counted;
 use engine::{AlgoSpec, EngineStats, MatrixHandle};
 use servetier::{ServeTier, SpmvRequest, TenantSpec, TierConfig};
 use spmv::KernelKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: defers every request to `System` unchanged; the counter is a
-// statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: alloccount::Counting = alloccount::Counting;
 
 /// What a warm request must leave alone.
 fn engine_counters(e: &EngineStats) -> [u64; 5] {
@@ -91,9 +70,9 @@ fn a_warm_request_allocates_only_its_slot_and_skips_the_engine() {
         for &(algo, kernel) in &keys {
             // The request is the client's; the count starts at submit.
             let warm = request(algo, kernel);
-            let allocs_before = ALLOCS.load(Ordering::Relaxed);
-            let response = tier.submit(warm).wait().unwrap();
-            let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+            let mut response = None;
+            let (allocs, _) = counted(|| response = Some(tier.submit(warm).wait().unwrap()));
+            let response = response.unwrap();
             assert!(
                 allocs <= 1,
                 "{}/{kernel}: a warm request allocated {allocs} blocks",

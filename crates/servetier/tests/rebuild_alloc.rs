@@ -8,32 +8,14 @@
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
 
+use alloccount::counted;
 use engine::{AlgoSpec, MatrixHandle};
 use servetier::{ServeTier, SpmvRequest, TenantSpec, TierConfig};
 use spmv::KernelKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: defers every request to `System` unchanged; the counter is a
-// statistic and publishes nothing. `realloc` is the trait's default —
-// `alloc`, copy, `dealloc` — so a grown buffer counts at its new size.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: alloccount::Counting = alloccount::Counting;
 
 #[test]
 fn a_rebuild_allocates_the_permuted_matrix_and_an_original_touch_no_copy() {
@@ -62,9 +44,9 @@ fn a_rebuild_allocates_the_permuted_matrix_and_an_original_touch_no_copy() {
             priority: 0,
             deadline: None,
         };
-        let before = BYTES.load(Ordering::Relaxed);
-        let response = tier.submit(request).wait().unwrap();
-        let bytes = BYTES.load(Ordering::Relaxed) - before;
+        let mut response = None;
+        let (_, bytes) = counted(|| response = Some(tier.submit(request).wait().unwrap()));
+        let response = response.unwrap();
         let want = matrix.matrix().spmv_dense(&x);
         for (got, want) in response.y.iter().zip(&want) {
             assert!((got - want).abs() <= 1e-9 * (1.0 + want.abs()));

@@ -1,57 +1,20 @@
 //! `Kernel::execute` must not touch the heap when no span of its plan
 //! carries a partial row (any one-span plan, any row split), and may
 //! allocate at most one O(spans) carry buffer otherwise — asserted with
-//! a counting global allocator (ROADMAP item 2).
+//! the shared counting global allocator (`alloccount`).
 //! `Kernel::execute_scatter` runs the same loops, so it allocates
 //! exactly what `execute` does.
 //!
 //! One `#[test]` only: the counters are process-wide, so a second test
 //! running beside it would be counted too.
 
+use alloccount::counted;
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
 use spmv::{KernelKind, ThreadTeam};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: defers every request to `System` unchanged; the counters are
-// statistics and publish nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(allocations, bytes)` requested by any thread while `f` ran.
-fn counted(f: impl FnOnce()) -> (usize, usize) {
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    f();
-    (
-        ALLOCS.load(Ordering::Relaxed) - before.0,
-        BYTES.load(Ordering::Relaxed) - before.1,
-    )
-}
+static GLOBAL: alloccount::Counting = alloccount::Counting;
 
 /// Rows of 3..=9 nonzeros with an empty row every eleventh: no equal
 /// nonzero split of it ends every span on a row end.

@@ -55,10 +55,7 @@ fn cg(
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .max(2);
+    let threads = spmv::host_threads().max(2);
     // SPD Poisson matrix, scrambled as if assembled in arbitrary order.
     let a = corpus::scramble(&corpus::make_spd(&corpus::mesh2d(100, 100)), 3);
     let n = a.nrows();

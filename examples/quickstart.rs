@@ -17,10 +17,7 @@ fn main() {
         a.nnz()
     );
 
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .max(2);
+    let threads = spmv::host_threads().max(2);
     let cfg = MeasureConfig {
         repetitions: 50,
         warmup: 3,
