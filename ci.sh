@@ -34,7 +34,9 @@ done
 # so a benchmark pairing compares code, not where the linker put the
 # kernel loop. Every SpMV span-executor closure in the served binary
 # must sit there; this fails if the flag is dropped, or if an
-# environment RUSTFLAGS replaces it.
+# environment RUSTFLAGS replaces it. The row loops — the mixed one and
+# each run length's — are `#[inline(always)]` into the closure, so this
+# pins them too.
 CLOSURES="$(nm -C target/release/serve | grep -E ' spmv::exec::execute_mapped::\{\{closure\}\}$')"
 [ -n "$CLOSURES" ]
 if echo "$CLOSURES" | grep -vE '^[0-9a-f]*[048c]0 '; then

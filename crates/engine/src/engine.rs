@@ -98,15 +98,13 @@ pub struct MatrixHandle {
 }
 
 impl MatrixHandle {
-    /// Register a shared matrix (hashes it once, `O(nnz)`).
-    pub fn new(matrix: Arc<CsrMatrix>) -> Self {
-        let hash = matrix.content_hash();
-        MatrixHandle { matrix, hash }
-    }
-
-    /// Register an owned matrix.
+    /// Register a matrix (hashes it once, `O(nnz)`).
     pub fn from_matrix(matrix: CsrMatrix) -> Self {
-        MatrixHandle::new(Arc::new(matrix))
+        let hash = matrix.content_hash();
+        MatrixHandle {
+            matrix: Arc::new(matrix),
+            hash,
+        }
     }
 
     /// The content address used for cache keys.

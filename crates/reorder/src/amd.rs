@@ -505,18 +505,20 @@ unsafe fn update_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScr
             }
         }
 
-        // Then p goes first: [p, E_v, A_v]. Pruning freed at least the
-        // slot p needs (see the module docs) unless the graph's
-        // adjacency was not symmetric. A_v moves before E_v shifts
-        // right, so no kept variable is overwritten before it moves.
+        // Then p joins E_v at its sorted place: [E_v + p, A_v].
+        // Pruning freed at least the slot p needs (see the module docs)
+        // unless the graph's adjacency was not symmetric. A_v moves
+        // before E_v's tail shifts right, so no kept variable is
+        // overwritten before it moves.
         let var_len = var_kept - el_len;
         assert!(
             1 + el_kept + var_len <= seg.len(),
             "AMD needs a graph with symmetric adjacency"
         );
         seg.copy_within(el_len..var_kept, 1 + el_kept);
-        seg.copy_within(0..el_kept, 1);
-        seg[0] = p;
+        let at = seg[..el_kept].partition_point(|&e| e < p);
+        seg.copy_within(at..el_kept, at + 1);
+        seg[at] = p;
         *lens = ((1 + el_kept) as u32, var_len as u32);
 
         let nv_v = ws.nv.get(v);
@@ -546,9 +548,8 @@ unsafe fn merge_pivot(ws: &StateWriters<'_>, cx: &RoundCtx<'_>, s: &mut LaneScra
             continue;
         }
         let (seg, &mut (el_len, var_len)) = ws.segment(v);
-        let (els, vars) = seg[..(el_len + var_len) as usize].split_at_mut(el_len as usize);
-        vars.sort_unstable();
-        els.sort_unstable();
+        let (els, vars) = seg[..(el_len + var_len) as usize].split_at(el_len as usize);
+        debug_assert!(els.is_sorted() && vars.is_sorted(), "lists stay sorted");
         let mut h = 0xcbf29ce484222325u64;
         for &u in vars.iter() {
             h = (h ^ u as u64).wrapping_mul(0x100000001b3);
@@ -679,9 +680,22 @@ pub fn amd_order_on(g: &Graph, slack: u32, rx: &ReorderExec<'_>, ws: &mut AmdWor
     refill(nv, n, 1);
     degree.clear();
     degree.extend((0..n).map(|v| g.degree(v) as i64));
-    // Each variable's segment starts as its neighbours: no elements.
+    // Each variable's segment starts as its neighbours, ascending: no
+    // elements. Both lists then stay sorted without a sort: pruning
+    // keeps their order and U1 inserts each new element at its place,
+    // so U2 hashes and compares them as they lie. Every caller's
+    // adjacency already ascends (CSR columns do, `Graph::subgraph`
+    // keeps local ids in order and `symmetrize_pattern_on` merges in
+    // order), so the sort below runs only for a hand-built graph, and
+    // the ordering never depends on the order of a vertex's list.
     adj.clear();
     adj.extend_from_slice(g.adjncy());
+    for v in 0..n {
+        let list = &mut adj[xadj[v]..xadj[v + 1]];
+        if !list.is_sorted() {
+            list.sort_unstable();
+        }
+    }
     lens.clear();
     lens.extend((0..n).map(|v| (0, g.degree(v) as u32)));
     emptied(el_arena, 2 * adj.len());
@@ -1688,6 +1702,24 @@ mod tests {
             },
             s1
         );
+    }
+
+    #[test]
+    fn adjacency_order_does_not_change_the_ordering() {
+        // The grid's lists reversed: a valid graph whose adjacency
+        // descends, as a hand-built one may. Merging (which compares
+        // the lists as they lie) must find the same supervariables.
+        let g = Graph::from_matrix(&grid_matrix(11)).unwrap();
+        let (xadj, mut adjncy) = (g.xadj().to_vec(), g.adjncy().to_vec());
+        for v in 0..g.num_vertices() {
+            adjncy[xadj[v]..xadj[v + 1]].reverse();
+        }
+        let reversed = Graph::from_adjacency(xadj, adjncy).unwrap();
+        assert!(!reversed.neighbors(12).is_sorted());
+        let rx = ReorderExec::sequential();
+        let (sorted, sorted_stats) = amd_order(&g, 0, &rx);
+        assert_eq!(amd_order(&reversed, 0, &rx), (sorted, sorted_stats));
+        assert!(sorted_stats.merges > 0);
     }
 
     /// The buckets' contract is the set the lazy heap's fresh entries

@@ -7,14 +7,17 @@
 //! every `team.size()`-th span). Matching the span count to the team
 //! size gives the measurement-faithful one-span-per-lane execution.
 //!
-//! Rows are summed left to right with one accumulator ([`row_dot`]),
-//! so a row that lies in one span — every row of a one-span plan, and
-//! of a [`Plan::rows`] plan at any span count — equals the sequential
-//! row sum of [`CsrMatrix::spmv_dense`] exactly. A row that
+//! Each span walks its rows as the plan segmented them: a run of rows
+//! of one length through a loop specialised to that length, anything
+//! else row by row between the row pointers (see [`Segment`]). Either
+//! way rows are summed left to right with one accumulator
+//! ([`row_dot`]), so a row that lies in one span — every row of a
+//! one-span plan, and of a [`Plan::rows`] plan at any span count —
+//! equals the sequential row sum of [`CsrMatrix::spmv_dense`] exactly. A row that
 //! [`Plan::nonzeros`] or [`Plan::merge_path`] cuts across spans is the
 //! sum of per-span partial sums and agrees with it to rounding only.
 
-use crate::plan::Plan;
+use crate::plan::{Plan, Segment};
 use crate::team::ThreadTeam;
 use sparsemat::{ColIdx, CsrMatrix, Permutation};
 use std::ops::Range;
@@ -121,33 +124,86 @@ impl RowMap for &Permutation {
     }
 }
 
-/// Store row `r`'s sum at `y[map.at(r)]` for every row of `rows`,
-/// entering the first row at nonzero `lo` (its start, or mid-row for a
-/// merge span) and finishing every row at its end; returns the nonzero
-/// index reached. Empty rows store `0.0`.
+/// Store row `r`'s sum at `y[map.at(r)]` for every row of one span,
+/// walking its `segments` in order, entering the first row at nonzero
+/// `lo` (its start, or mid-row for a merge span) and finishing every
+/// row at its end; returns the nonzero index reached. Empty rows store
+/// `0.0`. Every row is summed by [`row_dot`], so a run and a mixed
+/// stretch give the same bits.
 ///
 /// # Safety
 ///
 /// `y` must point at `a.nrows()` elements, `map` must cover
-/// `a.nrows()`, and no other thread may access the elements `rows`
-/// maps to during the call. (`rows.end <= a.nrows()` is checked here,
-/// by the row-pointer slice.)
+/// `a.nrows()`, the segments' rows must lie in `0..a.nrows()`, and no
+/// other thread may access the elements those rows map to during the
+/// call.
 #[inline(always)]
 pub(crate) unsafe fn store_rows(
     a: &CsrMatrix,
-    rows: Range<usize>,
+    segments: &[Segment],
     mut lo: usize,
     x: &[f64],
     y: SendPtr<f64>,
     map: impl RowMap,
 ) -> usize {
+    let mut store = |r: usize, sum: f64| *y.get().add(map.at(r)) = sum;
+    // A span without runs takes the row loop directly. Reached through
+    // the segment loop, the same instructions sat elsewhere in the
+    // closure and ran `kernel_grid`'s road networks about 25 % slower.
+    if let [Segment { rows, run: None }] = segments {
+        return mixed(a, rows.clone(), lo, x, &mut store);
+    }
+    for segment in segments {
+        let rows = segment.rows.clone();
+        lo = match segment.run {
+            Some(1) => run::<1>(a, rows, lo, x, &mut store),
+            Some(2) => run::<2>(a, rows, lo, x, &mut store),
+            Some(3) => run::<3>(a, rows, lo, x, &mut store),
+            Some(4) => run::<4>(a, rows, lo, x, &mut store),
+            Some(5) => run::<5>(a, rows, lo, x, &mut store),
+            Some(6) => run::<6>(a, rows, lo, x, &mut store),
+            Some(7) => run::<7>(a, rows, lo, x, &mut store),
+            Some(8) => run::<8>(a, rows, lo, x, &mut store),
+            _ => mixed(a, rows, lo, x, &mut store),
+        };
+    }
+    lo
+}
+
+/// A mixed stretch: each row's nonzeros end at its row pointer.
+#[inline(always)]
+fn mixed(
+    a: &CsrMatrix,
+    rows: Range<usize>,
+    mut lo: usize,
+    x: &[f64],
+    store: &mut impl FnMut(usize, f64),
+) -> usize {
     let ends = &a.rowptr()[rows.start + 1..=rows.end];
     for (r, &hi) in rows.zip(ends) {
-        let sum = row_dot(&a.colidx()[lo..hi], &a.values()[lo..hi], x);
-        *y.get().add(map.at(r)) = sum;
+        store(r, row_dot(&a.colidx()[lo..hi], &a.values()[lo..hi], x));
         lo = hi;
     }
     lo
+}
+
+/// A run of rows of `L` nonzeros each, starting at nonzero `lo`: the
+/// row dot has a constant trip count, and no row pointer is read.
+#[inline(always)]
+fn run<const L: usize>(
+    a: &CsrMatrix,
+    rows: Range<usize>,
+    lo: usize,
+    x: &[f64],
+    store: &mut impl FnMut(usize, f64),
+) -> usize {
+    let hi = lo + L * rows.len();
+    let cols = a.colidx()[lo..hi].chunks_exact(L);
+    let vals = a.values()[lo..hi].chunks_exact(L);
+    for (r, (cols, vals)) in rows.zip(cols.zip(vals)) {
+        store(r, row_dot(cols, vals, x));
+    }
+    hi
 }
 
 /// `y = A x` under `plan`, executed on `team`; `y` is fully
@@ -200,11 +256,12 @@ pub(crate) fn execute_mapped(
 
     team.run(&|lane| {
         for (idx, span) in spans.iter().enumerate().skip(lane).step_by(lanes) {
-            // SAFETY: each row end lies in exactly one span and `map`
-            // keeps the rows disjoint (see `SendPtr`); `y` has `nrows`
-            // elements, `map` covers them and the plan's rows end at
-            // `nrows` (all asserted).
-            let lo = unsafe { store_rows(a, span.rows.clone(), span.nnz.start, x, y_ptr, map) };
+            // SAFETY: each row end lies in exactly one span, its
+            // segments tile its rows and `map` keeps the rows disjoint
+            // (see `SendPtr`); `y` has `nrows` elements, `map` covers
+            // them and the plan's rows end at `nrows` (all asserted).
+            let segments = plan.segments(idx);
+            let lo = unsafe { store_rows(a, segments, span.nnz.start, x, y_ptr, map) };
             // Trailing partial row (its end belongs to a later span).
             let hi = span.nnz.end;
             if lo < hi {

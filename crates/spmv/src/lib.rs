@@ -36,5 +36,5 @@ mod team;
 pub use exec::execute;
 pub use kernel::{Kernel, KernelKind};
 pub use measure::{host_threads, measure_spmv, measure_spmv_in, MeasureConfig, SpmvMeasurement};
-pub use plan::{imbalance_factor, Plan, Span};
+pub use plan::{imbalance_factor, Plan, Segment, Span, MAX_RUN_LEN, MIN_RUN};
 pub use team::ThreadTeam;

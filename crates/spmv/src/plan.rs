@@ -9,9 +9,19 @@
 //! `rowptr[row] <= nz <= rowptr[row + 1]`: `row` rows have ended and
 //! `nz` nonzeros are consumed. Cutting the path at such points gives
 //! every span a run of row ends (`rows`) and a run of nonzeros (`nnz`).
+//!
+//! The plan also records, once, how the executor walks each span's
+//! rows: as [`Segment`]s, runs of equal-length rows and the mixed
+//! stretches between them.
 
 use sparsemat::CsrMatrix;
 use std::ops::Range;
+
+/// The fewest consecutive rows of one length that make a run.
+pub const MIN_RUN: usize = 16;
+
+/// The longest row a run may hold: one loop per length `1..=MAX_RUN_LEN`.
+pub const MAX_RUN_LEN: usize = 8;
 
 /// One piece of the merge path, executed by one lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +34,22 @@ pub struct Span {
     /// run past `rowptr[rows.end]` when the span leaves row `rows.end`
     /// unfinished.
     pub nnz: Range<usize>,
+}
+
+/// A stretch of one span's rows that the executor walks with one loop.
+///
+/// A *run* is at least [`MIN_RUN`] consecutive rows of `L` nonzeros
+/// each, `L` in `1..=MAX_RUN_LEN`: its loop has a constant trip count.
+/// Everything else is a *mixed* stretch, walked row by row through the
+/// row pointers — among it a span's first row when the span enters it
+/// mid-row, since the span holds only part of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    /// The rows, inside their span's `rows`.
+    pub rows: Range<usize>,
+    /// `Some(L)` for a run of rows of `L` nonzeros; `None` for a mixed
+    /// stretch.
+    pub run: Option<usize>,
 }
 
 /// A work split of one matrix: spans chained along its merge path.
@@ -43,6 +69,11 @@ pub struct Plan {
     /// How many spans leave a partial row behind (`nnz.end` past
     /// `rowptr[rows.end]`); zero means the executor needs no carries.
     carrying: usize,
+    /// Every span's segments, in path order; span `i` owns
+    /// `segments[segment_starts[i]..segment_starts[i + 1]]`, which tile
+    /// its rows.
+    segments: Vec<Segment>,
+    segment_starts: Vec<usize>,
 }
 
 impl Plan {
@@ -107,12 +138,16 @@ impl Plan {
     }
 
     /// Chain spans from `(0, 0)` through `cuts`, each a `(row, nz)`
-    /// point on `a`'s merge path, the last one its corner. Panics on
-    /// anything else: this is where the invariant is established.
+    /// point on `a`'s merge path, the last one its corner, and segment
+    /// each span's rows. Panics on anything else: this is where the
+    /// invariant is established.
     fn chain(a: &CsrMatrix, cuts: impl Iterator<Item = (usize, usize)>) -> Plan {
         let rowptr = a.rowptr();
         let (nrows, nnz) = (a.nrows(), a.nnz());
         let mut spans = Vec::with_capacity(cuts.size_hint().0);
+        let mut segment_starts = Vec::with_capacity(cuts.size_hint().0 + 1);
+        segment_starts.push(0);
+        let mut segments = Vec::new();
         let mut carrying = 0;
         let mut at = (0, 0);
         for (row, nz) in cuts {
@@ -122,10 +157,13 @@ impl Plan {
                 "a cut must lie on the merge path"
             );
             carrying += usize::from(nz > rowptr[row]);
-            spans.push(Span {
+            let span = Span {
                 rows: at.0..row,
                 nnz: at.1..nz,
-            });
+            };
+            push_segments(rowptr, &span, &mut segments);
+            segment_starts.push(segments.len());
+            spans.push(span);
             at = (row, nz);
         }
         assert_eq!(at, (nrows, nnz), "the last cut is the grid's corner");
@@ -134,12 +172,19 @@ impl Plan {
             nrows,
             nnz,
             carrying,
+            segments,
+            segment_starts,
         }
     }
 
     /// The spans, in path order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
+    }
+
+    /// Span `i`'s segments, in row order: they tile its rows.
+    pub fn segments(&self, i: usize) -> &[Segment] {
+        &self.segments[self.segment_starts[i]..self.segment_starts[i + 1]]
     }
 
     /// Nonzeros consumed by each span — the balance statistic of §3.2.
@@ -157,6 +202,74 @@ impl Plan {
     /// `(nrows, nnz)` of the matrix the plan was cut for.
     pub(crate) fn shape(&self) -> (usize, usize) {
         (self.nrows, self.nnz)
+    }
+}
+
+/// Append `span`'s segments: each maximal stretch of at least
+/// [`MIN_RUN`] rows of one length in `1..=MAX_RUN_LEN` a run, the rows
+/// between runs mixed. A first row the span enters mid-row is mixed.
+///
+/// Any [`MIN_RUN`] consecutive rows hold a whole block of `BLOCK` rows
+/// aligned to a multiple of `BLOCK`, so the scan tests aligned blocks
+/// and looks row by row only at the edges of a block whose rows share
+/// one length. (Row by row everywhere, planning `kernel_grid`'s
+/// matrices took three times as long.)
+fn push_segments(rowptr: &[usize], span: &Span, out: &mut Vec<Segment>) {
+    const BLOCK: usize = MIN_RUN / 2;
+    let Range { start, end } = span.rows;
+    let len = |r: usize| rowptr[r + 1] - rowptr[r];
+    // The length the rows `at..at + BLOCK` share, if they do.
+    let shared = |at: usize| {
+        let ptrs = &rowptr[at..=at + BLOCK];
+        let l = ptrs[1] - ptrs[0];
+        // The block's total rejects most mixed blocks in one test.
+        let same = ptrs[BLOCK] - ptrs[0] == BLOCK * l && ptrs.windows(2).all(|p| p[1] - p[0] == l);
+        same.then_some(l)
+    };
+    let mut mixed_from = start;
+    // Rows before `free` lie in a stretch of one length looked at
+    // already, or are the partial first row.
+    let mut free = start + usize::from(start < end && span.nnz.start > rowptr[start]);
+    let mut block = free.next_multiple_of(BLOCK);
+    while block + BLOCK <= end {
+        let l = match shared(block) {
+            Some(l) if (1..=MAX_RUN_LEN).contains(&l) => l,
+            _ => {
+                block += BLOCK;
+                continue;
+            }
+        };
+        let mut run = block..block + BLOCK;
+        while run.start > free && len(run.start - 1) == l {
+            run.start -= 1;
+        }
+        while run.end + BLOCK <= end && shared(run.end) == Some(l) {
+            run.end += BLOCK;
+        }
+        while run.end < end && len(run.end) == l {
+            run.end += 1;
+        }
+        if run.len() >= MIN_RUN {
+            if mixed_from < run.start {
+                out.push(Segment {
+                    rows: mixed_from..run.start,
+                    run: None,
+                });
+            }
+            mixed_from = run.end;
+            out.push(Segment {
+                rows: run.clone(),
+                run: Some(l),
+            });
+        }
+        free = run.end;
+        block = free.next_multiple_of(BLOCK);
+    }
+    if mixed_from < end {
+        out.push(Segment {
+            rows: mixed_from..end,
+            run: None,
+        });
     }
 }
 
@@ -314,6 +427,33 @@ mod tests {
         let p = Plan::nonzeros(&a, 4);
         assert_eq!(row_ranges(&p), vec![0..0, 0..0, 0..0, 0..1]);
         assert_eq!(p.carrying(), 3);
+    }
+
+    #[test]
+    fn segments_are_runs_and_the_stretches_between_them() {
+        // 20 rows of 3, 2 ragged rows, 15 rows of 5 (too few), 16 empty
+        // rows (no run), 16 rows of 9 (too long), 16 rows of 1.
+        let counts: Vec<usize> = [(3, 20), (1, 1), (2, 1), (5, 15), (0, 16), (9, 16), (1, 16)]
+            .iter()
+            .flat_map(|&(len, rows)| vec![len; rows])
+            .collect();
+        let a = matrix_with_row_nnz(&counts);
+        let segments = |p: &Plan, i: usize| {
+            let all = p.segments(i).iter();
+            all.map(|s| (s.rows.clone(), s.run)).collect::<Vec<_>>()
+        };
+        let one = Plan::rows(&a, 1);
+        assert_eq!(
+            segments(&one, 0),
+            vec![(0..20, Some(3)), (20..69, None), (69..85, Some(1))]
+        );
+        // Two equal nonzero blocks of 149: the cut falls inside row 54,
+        // the second of 9 (147 nonzeros end row 53). The second span's
+        // partial first row stays mixed.
+        let two = Plan::nonzeros(&a, 2);
+        assert_eq!(row_ranges(&two), vec![0..54, 54..85]);
+        assert_eq!(segments(&two, 0), vec![(0..20, Some(3)), (20..54, None)]);
+        assert_eq!(segments(&two, 1), vec![(54..69, None), (69..85, Some(1))]);
     }
 
     #[test]

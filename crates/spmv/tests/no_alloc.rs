@@ -1,5 +1,6 @@
 //! `Kernel::execute` must not touch the heap when no span of its plan
-//! carries a partial row (any one-span plan, any row split), and may
+//! carries a partial row (any one-span plan, any row split, whether its
+//! rows run in equal lengths or not), and may
 //! allocate at most one O(spans) carry buffer otherwise — asserted with
 //! the shared counting global allocator (`alloccount`).
 //! `Kernel::execute_scatter` runs the same loops, so it allocates
@@ -28,26 +29,51 @@ fn ragged(n: usize) -> Arc<CsrMatrix> {
     Arc::new(CsrMatrix::from_coo(&coo))
 }
 
+/// Forty-row runs of 4 and of 6 nonzeros between forty ragged rows:
+/// every plan of it walks runs as well as mixed stretches.
+fn with_runs(n: usize) -> Arc<CsrMatrix> {
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        let len = [4, 6, 3 + i % 7][i / 40 % 3];
+        for j in 0..len {
+            coo.push(i, (i * 5 + j * 13) % n, 1.0 + (j as f64) * 0.25);
+        }
+    }
+    Arc::new(CsrMatrix::from_coo(&coo))
+}
+
 #[test]
 fn execute_allocates_nothing_without_carries_and_one_buffer_otherwise() {
+    let solo = ThreadTeam::new(1);
+    let runs = with_runs(300);
+    assert!(KernelKind::OneD
+        .cut(&runs, 1)
+        .segments(0)
+        .iter()
+        .any(|s| s.run.is_some()));
+    for a in [ragged(300), runs] {
+        let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).sin()).collect();
+        let want = a.spmv_dense(&x);
+        let mut y = vec![f64::NAN; a.nrows()];
+        // Scattered through the reversal, the answer comes out reversed.
+        let rows = Permutation::identity(a.nrows()).reversed();
+        let want_scattered = rows.apply_inverse_to_slice(&want);
+        for kind in KernelKind::all() {
+            let kernel = kind.plan(&a, 1);
+            let (allocs, _) = counted(|| kernel.execute(&solo, &x, &mut y));
+            assert_eq!(allocs, 0, "{kind}: one-span execute touched the heap");
+            assert_eq!(y, want, "{kind}");
+            let (allocs, _) = counted(|| kernel.execute_scatter(&solo, &x, &mut y, &rows));
+            assert_eq!(allocs, 0, "{kind}: one-span scatter touched the heap");
+            assert_eq!(y, want_scattered, "{kind}");
+        }
+    }
+
     let a = ragged(300);
     let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.1).sin()).collect();
     let want = a.spmv_dense(&x);
     let mut y = vec![f64::NAN; a.nrows()];
-    // Scattered through the reversal, the answer comes out reversed.
     let rows = Permutation::identity(a.nrows()).reversed();
-    let want_scattered = rows.apply_inverse_to_slice(&want);
-
-    let solo = ThreadTeam::new(1);
-    for kind in KernelKind::all() {
-        let kernel = kind.plan(&a, 1);
-        let (allocs, _) = counted(|| kernel.execute(&solo, &x, &mut y));
-        assert_eq!(allocs, 0, "{kind}: one-span execute touched the heap");
-        assert_eq!(y, want, "{kind}");
-        let (allocs, _) = counted(|| kernel.execute_scatter(&solo, &x, &mut y, &rows));
-        assert_eq!(allocs, 0, "{kind}: one-span scatter touched the heap");
-        assert_eq!(y, want_scattered, "{kind}");
-    }
 
     for spans in [4usize, 8] {
         assert!(

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sparsemat::{CooMatrix, CsrMatrix, Permutation};
-use spmv::{host_threads, imbalance_factor, KernelKind, Plan, ThreadTeam};
+use spmv::{host_threads, imbalance_factor, KernelKind, Plan, ThreadTeam, MAX_RUN_LEN, MIN_RUN};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -17,6 +17,37 @@ fn matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
             let mut coo = CooMatrix::new(nr, nc);
             for (i, j, v) in entries {
                 coo.push(i % nr, j % nc, v);
+            }
+            CsrMatrix::from_coo(&coo)
+        })
+}
+
+/// Matrices whose rows come in runs: lengths 0..=10, each repeated for
+/// 1..=64 rows. So runs of every specialised length, runs too short to
+/// count, and empty and over-long rows all meet the 2D and merge cuts,
+/// which enter runs mid-row.
+fn run_matrix_strategy() -> impl Strategy<Value = CsrMatrix> {
+    (
+        proptest::collection::vec((0usize..=10, 1usize..=64), 1..12),
+        0u64..u64::MAX,
+    )
+        .prop_map(|(runs, seed)| {
+            let ncols = 40;
+            let mut coo = CooMatrix::new(runs.iter().map(|&(_, rows)| rows).sum(), ncols);
+            let mut state = seed | 1;
+            let mut i = 0;
+            for (len, rows) in runs {
+                for _ in 0..rows {
+                    // 3 is invertible mod 40: a row's columns are distinct.
+                    for j in 0..len {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                        coo.push(i, (i * 7 + j * 3) % ncols, v);
+                    }
+                    i += 1;
+                }
             }
             CsrMatrix::from_coo(&coo)
         })
@@ -75,6 +106,18 @@ proptest! {
         assert_kernels_match(&Arc::new(a), &matched(&threads));
     }
 
+    /// Every kernel over row runs, at plan sizes 1..=4 on teams of 1
+    /// and 2, through both maps: see [`assert_runs_match`].
+    #[test]
+    fn kernels_match_reference_over_row_runs(a in run_matrix_strategy()) {
+        assert_runs_match(&Arc::new(a));
+    }
+
+    #[test]
+    fn segments_tile_every_span(a in run_matrix_strategy(), t in 1usize..12) {
+        assert_segments_tile_spans(&a, t);
+    }
+
     #[test]
     fn plan2d_is_nnz_balanced(a in matrix_strategy(), t in 1usize..12) {
         let p = Plan::nonzeros(&a, t);
@@ -114,6 +157,128 @@ proptest! {
         // Equal counts => exactly 1.
         if counts.iter().all(|&c| c == counts[0]) && counts[0] > 0 {
             prop_assert!((f - 1.0).abs() < 1e-12);
+        }
+    }
+}
+
+/// A seeded shuffle of `0..n`.
+fn shuffled(n: usize, mut state: u64) -> Permutation {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        order.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    Permutation::from_new_to_old(order).unwrap()
+}
+
+/// `execute` and `execute_scatter` of every kernel at plan sizes 1..=4
+/// on teams of 1 and 2, into NaN-filled `y`s: every row a span holds
+/// whole — every row of a run among them — equals `spmv_dense` bit for
+/// bit, a row cut across spans agrees to rounding, and the scatter
+/// through a reversal or a shuffle is `execute` then the inverse
+/// permutation, bit for bit.
+fn assert_runs_match(a: &Arc<CsrMatrix>) {
+    let n = a.nrows();
+    let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.7).sin()).collect();
+    let want = a.spmv_dense(&x);
+    let perms = [
+        Permutation::identity(n).reversed(),
+        shuffled(n, n as u64 | 1),
+    ];
+    for t in 1..=4 {
+        for team_size in [1, 2] {
+            let team = ThreadTeam::new(team_size);
+            for kind in KernelKind::all() {
+                let cut_rows: Vec<usize> = kind
+                    .cut(a, t)
+                    .spans()
+                    .iter()
+                    .filter(|s| s.nnz.end > a.rowptr()[s.rows.end])
+                    .map(|s| s.rows.end)
+                    .collect();
+                let kernel = kind.plan(a, t);
+                let mut y = vec![f64::NAN; n];
+                kernel.execute(&team, &x, &mut y);
+                for r in 0..n {
+                    if cut_rows.contains(&r) {
+                        assert!(
+                            (y[r] - want[r]).abs() < 1e-12,
+                            "{kind} plan={t} team={team_size} cut row {r}"
+                        );
+                    } else {
+                        assert_eq!(
+                            y[r].to_bits(),
+                            want[r].to_bits(),
+                            "{kind} plan={t} team={team_size} row {r}"
+                        );
+                    }
+                }
+                for rows in &perms {
+                    let mut scattered = vec![f64::NAN; n];
+                    kernel.execute_scatter(&team, &x, &mut scattered, rows);
+                    let direct = rows.apply_inverse_to_slice(&y);
+                    assert!(
+                        scattered
+                            .iter()
+                            .zip(&direct)
+                            .all(|(s, d)| s.to_bits() == d.to_bits()),
+                        "{kind} plan={t} team={team_size}: scatter"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The segments of every cut of `a` into `t` spans: they tile each
+/// span's rows in order; a run is at least `MIN_RUN` rows of one length
+/// in `1..=MAX_RUN_LEN`, and never starts at a first row the span
+/// enters mid-row; two mixed stretches never meet, and none holds a
+/// run the plan missed.
+fn assert_segments_tile_spans(a: &CsrMatrix, t: usize) {
+    let rowptr = a.rowptr();
+    let len = |r: usize| rowptr[r + 1] - rowptr[r];
+    for kind in KernelKind::all() {
+        let plan = kind.cut(a, t);
+        for (i, span) in plan.spans().iter().enumerate() {
+            let segments = plan.segments(i);
+            let mut at = span.rows.start;
+            for (k, segment) in segments.iter().enumerate() {
+                assert_eq!(segment.rows.start, at, "{kind} t={t} span {i}: a gap");
+                assert!(!segment.rows.is_empty(), "{kind} t={t} span {i}: empty");
+                at = segment.rows.end;
+                match segment.run {
+                    Some(l) => {
+                        assert!((1..=MAX_RUN_LEN).contains(&l), "{kind}: run of {l}");
+                        assert!(segment.rows.len() >= MIN_RUN, "{kind}: short run");
+                        assert!(segment.rows.clone().all(|r| len(r) == l), "{kind}");
+                        let partial = span.nnz.start > rowptr[span.rows.start];
+                        assert!(
+                            !(partial && segment.rows.start == span.rows.start),
+                            "{kind} t={t} span {i}: a run starts at a partial row"
+                        );
+                    }
+                    None => {
+                        let after_mixed = k > 0 && segments[k - 1].run.is_none();
+                        assert!(!after_mixed, "{kind} t={t} span {i}: two mixed");
+                        let whole = if segment.rows.start == span.rows.start
+                            && span.nnz.start > rowptr[span.rows.start]
+                        {
+                            segment.rows.start + 1..segment.rows.end
+                        } else {
+                            segment.rows.clone()
+                        };
+                        let rows: Vec<usize> = whole.map(len).collect();
+                        let missed = rows.chunk_by(|p, q| p == q).any(|same| {
+                            (1..=MAX_RUN_LEN).contains(&same[0]) && same.len() >= MIN_RUN
+                        });
+                        assert!(!missed, "{kind} t={t} span {i}: a run left mixed");
+                    }
+                }
+            }
+            assert_eq!(at, span.rows.end, "{kind} t={t} span {i}: rows left over");
         }
     }
 }
